@@ -15,7 +15,7 @@ Typical entry points:
 
 the experiment harness:
 
->>> from repro.experiments import run_all
+>>> from repro.experiments.runner import run_all
 >>> tables = run_all(scale=1.0)
 
 and the declarative scenario layer for matrices no figure hard-codes:

@@ -19,7 +19,7 @@ instead of relying on hand-picked crash instants:
 * :mod:`repro.crashlab.report` — per-cell verdict tables through the
   standard :class:`~repro.analysis.reporting.ExperimentResult` machinery.
 
-Command line: ``python -m repro.experiments.runner crashcheck --workload
+Command line: ``python -m repro.experiments.runner check --workload
 sync-loop --barrier-mode in-order-recovery --strategy exhaustive`` (see
 ``docs/CRASH_CONSISTENCY.md``).
 """

@@ -162,7 +162,7 @@ def check_point(spec, index: int, *, trace_tail: int = 0, judge=None) -> PointVe
     the verdict — the timeline a violation report shows.
 
     ``judge`` replaces the default verdict builder (:func:`_point_verdict`)
-    with a callable of the same signature — ``runner recoverycheck``
+    with a callable of the same signature — ``runner check --continue``
     passes :func:`repro.recovery.recovery_judge` here.  A judge must be
     module-level (or a ``functools.partial`` over picklable values) so the
     process pool can ship it.
@@ -518,7 +518,7 @@ def explore_cells(
     checkpoint_budget: int = DEFAULT_CHECKPOINT_BUDGET,
     judge=None,
 ) -> list[CellReport]:
-    """Explore several cells (the ``runner crashcheck`` matrix), in order.
+    """Explore several cells (the ``runner check`` matrix), in order.
 
     Points shard (and checkpoint children pool) within each cell; cells run
     in sequence so the machine is never oversubscribed.

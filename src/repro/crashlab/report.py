@@ -4,7 +4,7 @@ The engine produces one :class:`PointVerdict` per explored crash point (one
 :class:`OracleVerdict` per applicable oracle) and one :class:`CellReport`
 per scenario cell.  Rendering goes through the existing
 :class:`repro.analysis.reporting.ExperimentResult` machinery, so
-``runner crashcheck`` gets ``--format table|json|csv`` and ``--output`` for
+``runner check`` gets ``--format table|json|csv`` and ``--output`` for
 free: :func:`summary_result` is the per-cell pass/fail table,
 :func:`violations_result` lists every violation with its concrete witness.
 """

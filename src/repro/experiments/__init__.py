@@ -23,10 +23,8 @@ from repro.experiments import (
     fig15_server_workloads,
     table1_fsync_latency,
 )
-from repro.experiments.runner import ALL_EXPERIMENTS, run_all, run_experiment
 
 __all__ = [
-    "ALL_EXPERIMENTS",
     "fig1_ordered_vs_buffered",
     "fig8_commit_interval",
     "fig9_random_write",
@@ -36,7 +34,5 @@ __all__ = [
     "fig13_fxmark",
     "fig14_sqlite",
     "fig15_server_workloads",
-    "run_all",
-    "run_experiment",
     "table1_fsync_latency",
 ]

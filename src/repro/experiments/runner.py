@@ -1,7 +1,7 @@
 """Run the paper's experiments — or any ad-hoc scenario matrix.
 
-Five command-line modes (see ``docs/EXPERIMENTS.md``,
-``docs/CRASH_CONSISTENCY.md``, ``docs/FAULTS.md`` and
+Four command-line modes (see ``docs/EXPERIMENTS.md``,
+``docs/CRASH_CONSISTENCY.md``, ``docs/FAULTS.md``, ``docs/RECOVERY.md`` and
 ``docs/OBSERVABILITY.md`` for full guides):
 
 * ``python -m repro.experiments.runner [scale] [--only NAME] [--jobs N]``
@@ -10,14 +10,14 @@ Five command-line modes (see ``docs/EXPERIMENTS.md``,
   --device D ...`` expands the given axes into a scenario matrix that may
   exist in no experiment module and tabulates it (``--fault PLAN`` injects
   storage faults into every cell);
-* ``python -m repro.experiments.runner crashcheck --workload W
+* ``python -m repro.experiments.runner check --workload W
   --barrier-mode M --strategy exhaustive`` systematically crashes every
   cell of the given matrix at recorded IO boundaries and verifies recovery
-  (:mod:`repro.crashlab`);
-* ``python -m repro.experiments.runner faultcheck --workload W
-  --config in-order-recovery --fault flush-lie`` composes the crash
-  exploration with deterministic fault injection (:mod:`repro.faults`) and
-  verifies recovery with the fault-aware oracles;
+  (:mod:`repro.crashlab`); ``--fault PLAN`` composes deterministic fault
+  injection (:mod:`repro.faults`) and ``--continue`` remounts and continues
+  after every crash (:mod:`repro.recovery`).  ``crashcheck``,
+  ``faultcheck`` and ``recoverycheck`` remain as aliases (the last adds
+  ``--continue``);
 * ``python -m repro.experiments.runner trace --workload W --config C
   --output trace.json --breakdown`` runs one scenario with the
   cross-layer tracer installed (:mod:`repro.trace`) and exports a
@@ -167,7 +167,7 @@ def _parse_param(text: str) -> tuple[str, object]:
 def _route_params(parser, workloads: list[str], raw_params: list[str]):
     """Parse ``--param`` pairs and work out which workloads accept each key.
 
-    Shared by ``sweep`` and ``crashcheck``: each key goes to the selected
+    Shared by ``sweep``, ``trace`` and ``check``: each key goes to the selected
     workloads that accept it (so sqlite's ``inserts=`` can ride alongside
     sync-loop's ``calls=`` in one matrix); a key no selected workload
     accepts is a usage error.  Returns ``(params, accepted_by)``.
@@ -231,36 +231,19 @@ def _expand_suffix_axes(specs):
     return expanded
 
 
-def _add_checkpoint_arguments(parser) -> None:
-    """The checkpointed-replay flags shared by crashcheck and faultcheck."""
-    from repro.crashlab import DEFAULT_CHECKPOINT_EVERY
+def _barrier_mode(text: str) -> str:
+    """argparse ``type=`` for barrier-mode names; underscores read as hyphens."""
+    import argparse
 
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=DEFAULT_CHECKPOINT_EVERY,
-        metavar="N",
-        help=(
-            "freeze a fork checkpoint every N recorded boundaries during "
-            "the recording run and resume each replay from the nearest "
-            "preceding checkpoint instead of from scratch (default "
-            f"{DEFAULT_CHECKPOINT_EVERY}; verdicts are bit-identical either "
-            "way, only the wall-clock changes)"
-        ),
-    )
-    parser.add_argument(
-        "--no-checkpoints", action="store_true",
-        help=(
-            "replay every crash point from scratch (the pre-checkpoint "
-            "behaviour; also the automatic fallback on platforms without "
-            "os.fork)"
-        ),
-    )
+    from repro.storage.barrier_modes import BarrierMode
 
-
-def _checkpoint_every(parser, args):
-    """Resolve the two checkpoint flags into an ``explore()`` argument."""
-    if args.checkpoint_every < 1:
-        parser.error("--checkpoint-every must be at least 1")
-    return None if args.no_checkpoints else args.checkpoint_every
+    try:
+        return BarrierMode(text.replace("_", "-")).value
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"unknown barrier mode {text!r}; choose from "
+            f"{[mode.value for mode in BarrierMode]}"
+        ) from None
 
 
 def _parse_faults(parser, raw_faults):
@@ -325,9 +308,11 @@ def sweep_main(argv: list[str] | None = None) -> None:
         help="block-scheduler axis (repeatable); default: the config's choice",
     )
     parser.add_argument(
-        "--barrier-mode", action="append", metavar="MODE",
-        choices=[mode.value for mode in BarrierMode],
-        help="storage barrier-mode axis (repeatable); default: the device's choice",
+        "--barrier-mode", action="append", type=_barrier_mode, metavar="MODE",
+        help=(
+            "storage barrier-mode axis (repeatable); one of "
+            f"{[mode.value for mode in BarrierMode]}; default: the device's choice"
+        ),
     )
     parser.add_argument(
         "--seed", action="append", type=int, metavar="N",
@@ -463,9 +448,11 @@ def trace_main(argv: list[str] | None = None) -> None:
         help="block-scheduler override; default: the config's choice",
     )
     parser.add_argument(
-        "--barrier-mode", metavar="MODE",
-        choices=[mode.value for mode in BarrierMode],
-        help="storage barrier-mode override; default: the device's choice",
+        "--barrier-mode", type=_barrier_mode, metavar="MODE",
+        help=(
+            "storage barrier-mode override; one of "
+            f"{[mode.value for mode in BarrierMode]}; default: the device's choice"
+        ),
     )
     parser.add_argument(
         "--seed", type=int, default=0, metavar="N",
@@ -551,21 +538,111 @@ def trace_main(argv: list[str] | None = None) -> None:
     print(summary)
 
 
-def crashcheck_main(argv: list[str] | None = None) -> None:
-    """``runner crashcheck``: crash every cell of a matrix and verify recovery."""
+#: Report table name -> description.  The name follows the switches a check
+#: uses: ``recoverycheck`` with --continue, else ``faultcheck`` with a fault
+#: plan, else ``crashcheck``; the violations table appends ``-violations``.
+_CHECK_TABLES = {
+    "crashcheck": "systematic crash-point exploration and recovery verification",
+    "faultcheck": "crash-point exploration under injected storage faults",
+    "recoverycheck": "crash-point exploration with remount-and-continue verification",
+}
+
+#: Paper-facing names for the barrier stacks, accepted by ``--config``
+#: alongside the registered configuration names.
+_CONFIG_ALIASES = {"barrier-dr": "BFS-DR", "barrier-od": "BFS-OD"}
+
+
+def _resolve_configs(parser, names, modes):
+    """Resolve ``--config`` values into ``(config, barrier modes)`` cells.
+
+    A value is a registered name (case-insensitive), a ``barrier-dr`` /
+    ``barrier-od`` alias, or a barrier-mode name as sugar for the contrast
+    pair: that mode on BFS-DR plus the legacy EXT4-OD × none cell (the
+    paper's ``nobarrier`` stack, so the pair isolates what the barrier
+    buys).  ``modes`` is the explicit ``--barrier-mode`` axis, or None.
+    """
     import argparse
 
+    from repro.scenarios import STACK_CONFIGS
+    from repro.scenarios.stacks import stack_config
+    from repro.storage.barrier_modes import BarrierMode
+
+    none = BarrierMode.NONE.value
+    by_lower = {name.lower(): name for name in STACK_CONFIGS.names()}
+    by_lower.update(_CONFIG_ALIASES)
+    cells: list[tuple[str, list[str | None]]] = []
+    for name in names:
+        config = by_lower.get(name.lower())
+        if config is None:
+            try:
+                mode = _barrier_mode(name)
+            except argparse.ArgumentTypeError:
+                parser.error(
+                    f"unknown config {name!r}; choose from {STACK_CONFIGS.names()} "
+                    f"(or aliases {sorted(_CONFIG_ALIASES)}, or a barrier-mode "
+                    f"name of {[mode.value for mode in BarrierMode]})"
+                )
+            if modes:
+                parser.error(
+                    f"--config {name!r} names a barrier mode and already "
+                    "implies the barrier-mode axis; drop --barrier-mode"
+                )
+            if mode != none:
+                cells.append(("BFS-DR", [mode]))
+            cells.append(("EXT4-OD", [none]))
+            continue
+        if modes and none in modes and stack_config(config).filesystem == "barrierfs":
+            # BlockDevice refuses an order-preserving layer on a device
+            # whose barrier mode supports no barrier.
+            parser.error(
+                f"--config {name!r} cannot run with --barrier-mode none (the "
+                "order-preserving block layer needs a barrier-capable device); "
+                "use --config none for the legacy EXT4-OD × none cell"
+            )
+        cells.append((config, modes or [None]))
+    return cells
+
+
+def check_main(argv: list[str] | None = None) -> None:
+    """``runner check``: crash every cell of a matrix and verify recovery.
+
+    ``--fault`` composes deterministic fault injection and ``--continue``
+    adds the remount-and-continue judge; everything else is one code path.
+    """
+    import argparse
+    from functools import partial
+
+    from repro.apps.syncpolicy import ERROR_POLICIES
     from repro.core.verification import ORACLES
-    from repro.crashlab import STRATEGIES, explore_cells, summary_result, violations_result
+    from repro.crashlab import (
+        DEFAULT_CHECKPOINT_EVERY,
+        STRATEGIES,
+        explore_cells,
+        summary_result,
+        violations_result,
+    )
+    from repro.faults import FAULT_KINDS
+    from repro.recovery import (
+        ACKED_PREFIX_ORACLE,
+        CONTINUATION_ORACLE,
+        ContinuationPlan,
+        recovery_judge,
+    )
     from repro.scenarios import STACK_CONFIGS, WORKLOADS, sweep
     from repro.storage.barrier_modes import BarrierMode
 
+    mode_names = [mode.value for mode in BarrierMode]
     parser = argparse.ArgumentParser(
-        prog="repro.experiments.runner crashcheck",
+        prog="repro.experiments.runner check",
         description=(
             "Systematically enumerate crash points (IO boundaries recorded in "
             "a pre-run), replay each scenario cell up to every chosen point, "
-            "cut power, and verify recovery with the registered oracles."
+            "cut power, and verify recovery with the registered oracles.  "
+            "--fault injects storage faults into every cell; --continue also "
+            "remounts a fresh stack on what journal recovery reconstructs, "
+            "runs a deterministic append+sync continuation and judges a "
+            "second crash right after its last acknowledgement.  See "
+            "docs/CRASH_CONSISTENCY.md."
         ),
     )
     parser.add_argument(
@@ -574,7 +651,13 @@ def crashcheck_main(argv: list[str] | None = None) -> None:
     )
     parser.add_argument(
         "-c", "--config", action="append", metavar="NAME",
-        help=f"stack-configuration axis (repeatable, default EXT4-DR); one of {STACK_CONFIGS.names()}",
+        help=(
+            "stack-configuration axis (repeatable, default EXT4-DR); one of "
+            f"{STACK_CONFIGS.names()} (case-insensitive; barrier-dr/barrier-od "
+            f"alias BFS-DR/BFS-OD) or a barrier-mode name of {mode_names}, "
+            "which expands to that mode on BFS-DR plus the EXT4-OD × none "
+            "legacy contrast cell"
+        ),
     )
     parser.add_argument(
         "-d", "--device", action="append", metavar="NAME",
@@ -585,11 +668,19 @@ def crashcheck_main(argv: list[str] | None = None) -> None:
         help="block-scheduler axis (repeatable); default: the config's choice",
     )
     parser.add_argument(
-        "--barrier-mode", action="append", metavar="MODE",
+        "--barrier-mode", action="append", type=_barrier_mode, metavar="MODE",
         help=(
             "storage barrier-mode axis (repeatable; underscores and hyphens "
-            f"both accepted); one of {[mode.value for mode in BarrierMode]}; "
-            "default: the device's choice"
+            f"both accepted); one of {mode_names}; default: the device's choice"
+        ),
+    )
+    parser.add_argument(
+        "--fault", action="append", default=[], metavar="PLAN",
+        help=(
+            "fault plan applied to the storage device (and reinstalled on the "
+            "remounted stack under --continue), as KIND[:key=value,...] "
+            "(repeatable; e.g. torn-write:p=0.5, flush-lie, io-error:nth=3); "
+            "see docs/FAULTS.md"
         ),
     )
     parser.add_argument(
@@ -612,7 +703,10 @@ def crashcheck_main(argv: list[str] | None = None) -> None:
     )
     parser.add_argument(
         "--seed", type=int, default=0, metavar="N",
-        help="seed for the scenario and the stratified sampler (default 0)",
+        help=(
+            "seed for the scenario, the fault streams and the stratified "
+            "sampler (default 0)"
+        ),
     )
     parser.add_argument(
         "--scale", type=float, default=0.25,
@@ -639,380 +733,50 @@ def crashcheck_main(argv: list[str] | None = None) -> None:
             "crash to its violation witness (default 0: off)"
         ),
     )
-    _add_checkpoint_arguments(parser)
+    parser.add_argument(
+        "--checkpoint-every", type=int, default=DEFAULT_CHECKPOINT_EVERY,
+        metavar="N",
+        help=(
+            "freeze a fork checkpoint every N recorded boundaries during "
+            "the recording run and resume each replay from the nearest "
+            "preceding checkpoint instead of from scratch (default "
+            f"{DEFAULT_CHECKPOINT_EVERY}; verdicts are bit-identical either "
+            "way, only the wall-clock changes)"
+        ),
+    )
+    parser.add_argument(
+        "--no-checkpoints", action="store_true",
+        help=(
+            "replay every crash point from scratch (the pre-checkpoint "
+            "behaviour; also the automatic fallback on platforms without "
+            "os.fork)"
+        ),
+    )
     parser.add_argument(
         "--list", action="store_true",
-        help="list the registered oracles and strategies, then exit",
+        help="list the strategies, fault kinds and oracles, then exit",
     )
     _add_output_arguments(parser)
-    args = parser.parse_args(argv)
-
-    if args.list:
-        print(f"strategies: {', '.join(STRATEGIES)}")
-        print("oracles:")
-        for oracle in ORACLES.values():
-            print(f"  {oracle.name:22s} {oracle.description}")
-        return
-    if not args.workload:
-        parser.error("at least one --workload is required (or use --list)")
-    if args.points is not None and args.points < 1:
-        parser.error("--points must be at least 1")
-
-    modes: list[str | None] = [None]
-    if args.barrier_mode:
-        modes = []
-        for mode in args.barrier_mode:
-            normalized = mode.replace("_", "-")
-            try:
-                modes.append(BarrierMode(normalized).value)
-            except ValueError:
-                parser.error(
-                    f"unknown barrier mode {mode!r}; choose from "
-                    f"{[m.value for m in BarrierMode]}"
-                )
-
-    for name in set(args.workload):
-        try:
-            workload_class = WORKLOADS.get(name)
-        except KeyError as error:
-            parser.error(str(error.args[0]))
-        if not workload_class.needs_stack:
-            parser.error(
-                f"workload {name!r} runs against the raw block device; "
-                "crashcheck needs a filesystem stack to crash and recover"
-            )
-    params, accepted_by = _route_params(parser, args.workload, args.param)
-
-    specs = _finalize_specs(
-        sweep(
-            workloads=args.workload,
-            configs=args.config or ["EXT4-DR"],
-            devices=args.device or ["plain-ssd"],
-            schedulers=args.scheduler or [None],
-            barrier_modes=modes,
-            seeds=[args.seed],
-            scale=args.scale,
-        ),
-        params,
-        accepted_by,
+    continuation = parser.add_argument_group(
+        "remount and continue (see docs/RECOVERY.md)"
     )
-    reports = explore_cells(
-        specs,
-        strategy=args.strategy,
-        points=args.points,
-        seed=args.seed,
-        jobs=args.jobs,
-        trace_tail=max(args.trace_tail, 0),
-        checkpoint_every=_checkpoint_every(parser, args),
-    )
-    _emit([summary_result(reports), violations_result(reports)], args.format, args.output)
-
-
-def faultcheck_main(argv: list[str] | None = None) -> None:
-    """``runner faultcheck``: crash exploration composed with fault injection."""
-    import argparse
-
-    from repro.core.verification import ORACLES
-    from repro.crashlab import STRATEGIES, explore_cells, summary_result, violations_result
-    from repro.faults import FAULT_KINDS
-    from repro.scenarios import STACK_CONFIGS, WORKLOADS, sweep
-    from repro.storage.barrier_modes import BarrierMode
-
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.runner faultcheck",
-        description=(
-            "Inject storage faults (torn/misdirected/dropped writes, flush "
-            "lies, IO errors) into a scenario matrix, crash-explore every "
-            "cell at recorded IO boundaries and verify recovery with the "
-            "fault-aware oracles.  Flags mirror ``runner crashcheck``.  A "
-            "--config value naming a barrier mode (e.g. in-order-recovery) "
-            "expands to that mode on the barrier stack (BFS-DR) plus the "
-            "legacy contrast cell (EXT4-DR with barrier mode none)."
-        ),
-    )
-    parser.add_argument(
-        "-w", "--workload", action="append", metavar="NAME",
-        help=f"workload axis (repeatable); filesystem workloads of {WORKLOADS.names()}",
-    )
-    parser.add_argument(
-        "-c", "--config", action="append", metavar="NAME",
+    continuation.add_argument(
+        "--continue", dest="continuation", action="store_true",
         help=(
-            "stack-configuration axis (repeatable, default EXT4-DR); one of "
-            f"{STACK_CONFIGS.names()} or a barrier-mode name "
-            f"{[mode.value for mode in BarrierMode]} (expanded as above)"
+            "at each crash point, remount, run the continuation, crash again "
+            "and judge both crashes with the recovered-acked-prefix and "
+            "recovered-continuation-durability oracles too"
         ),
     )
-    parser.add_argument(
-        "-d", "--device", action="append", metavar="NAME",
-        help="device axis (repeatable, default plain-ssd)",
-    )
-    parser.add_argument(
-        "--scheduler", action="append", metavar="NAME",
-        help="block-scheduler axis (repeatable); default: the config's choice",
-    )
-    parser.add_argument(
-        "--barrier-mode", action="append", metavar="MODE",
-        help=(
-            "storage barrier-mode axis (repeatable; underscores and hyphens "
-            f"both accepted); one of {[mode.value for mode in BarrierMode]}; "
-            "default: the device's choice"
-        ),
-    )
-    parser.add_argument(
-        "--fault", action="append", default=[], metavar="PLAN",
-        help=(
-            "fault plan applied to the storage device, as KIND[:key=value,...] "
-            "(repeatable, at least one required; e.g. torn-write:p=0.5, "
-            "flush-lie, io-error:nth=3); see docs/FAULTS.md"
-        ),
-    )
-    parser.add_argument(
-        "--strategy", choices=STRATEGIES, default="exhaustive",
-        help=(
-            "crash-point selection: every recorded boundary (exhaustive), a "
-            "seeded per-kind sample (stratified), or a binary search to the "
-            "earliest failing boundary (bisect); default exhaustive"
-        ),
-    )
-    parser.add_argument(
-        "--points", type=int, metavar="N",
-        help=(
-            "crash-point budget per cell: evenly thins an exhaustive "
-            "enumeration, sets the stratified sample size (default 32); for "
-            "bisect it caps the probe density of each scout wave"
-        ),
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help=(
-            "seed for the scenario, the fault streams and the stratified "
-            "sampler (default 0)"
-        ),
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.25,
-        help=(
-            "iteration-count multiplier; fault exploration replays the "
-            "workload once per point, so the default is a reduced 0.25"
-        ),
-    )
-    parser.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="workload parameter, literal-evaluated (repeatable)",
-    )
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help=(
-            "worker processes; crash points are sharded individually "
-            "(default 1; bisect probes are adaptive and always run serially)"
-        ),
-    )
-    parser.add_argument(
-        "--trace-tail", type=int, default=0, metavar="N",
-        help=(
-            "trace every replay and attach the last N spans before each "
-            "crash to its violation witness (default 0: off)"
-        ),
-    )
-    _add_checkpoint_arguments(parser)
-    parser.add_argument(
-        "--list", action="store_true",
-        help="list the fault kinds, oracles and strategies, then exit",
-    )
-    _add_output_arguments(parser)
-    args = parser.parse_args(argv)
-
-    if args.list:
-        print(f"strategies:  {', '.join(STRATEGIES)}")
-        print(f"fault kinds: {', '.join(FAULT_KINDS)}")
-        print("oracles:")
-        for oracle in ORACLES.values():
-            print(f"  {oracle.name:22s} {oracle.description}")
-        return
-    if not args.workload:
-        parser.error("at least one --workload is required (or use --list)")
-    if not args.fault:
-        parser.error(
-            "at least one --fault plan is required (KIND[:key=value,...]; "
-            "use crashcheck for fault-free exploration)"
-        )
-    if args.points is not None and args.points < 1:
-        parser.error("--points must be at least 1")
-    faults = _parse_faults(parser, args.fault)
-
-    modes: list[str | None] = [None]
-    if args.barrier_mode:
-        modes = []
-        for mode in args.barrier_mode:
-            normalized = mode.replace("_", "-")
-            try:
-                modes.append(BarrierMode(normalized).value)
-            except ValueError:
-                parser.error(
-                    f"unknown barrier mode {mode!r}; choose from "
-                    f"{[m.value for m in BarrierMode]}"
-                )
-
-    for name in set(args.workload):
-        try:
-            workload_class = WORKLOADS.get(name)
-        except KeyError as error:
-            parser.error(str(error.args[0]))
-        if not workload_class.needs_stack:
-            parser.error(
-                f"workload {name!r} runs against the raw block device; "
-                "faultcheck needs a filesystem stack to inject into and recover"
-            )
-    params, accepted_by = _route_params(parser, args.workload, args.param)
-
-    # A --config naming a barrier mode is sugar for the cell pair that makes
-    # the contrast legible: the mode on the order-preserving barrier stack,
-    # plus the legacy EXT4 stack with barriers off.  (BFS-DR cannot run with
-    # mode none — the order-preserving block layer needs a barrier-capable
-    # device — which is why the legacy half rides on EXT4-DR.)
-    known_configs = set(STACK_CONFIGS.names())
-    mode_values = {mode.value for mode in BarrierMode}
-    cells: list[tuple[str, list[str | None]]] = []
-    for name in args.config or ["EXT4-DR"]:
-        normalized = name.replace("_", "-")
-        if name not in known_configs and normalized in mode_values:
-            if args.barrier_mode:
-                parser.error(
-                    f"--config {name!r} names a barrier mode and already "
-                    "implies the barrier-mode axis; drop --barrier-mode"
-                )
-            aliased = BarrierMode(normalized)
-            if aliased is not BarrierMode.NONE:
-                cells.append(("BFS-DR", [aliased.value]))
-            cells.append(("EXT4-DR", [BarrierMode.NONE.value]))
-        else:
-            cells.append((name, modes))
-
-    expanded = []
-    for config, config_modes in cells:
-        expanded.extend(
-            sweep(
-                workloads=args.workload,
-                configs=[config],
-                devices=args.device or ["plain-ssd"],
-                schedulers=args.scheduler or [None],
-                barrier_modes=config_modes,
-                seeds=[args.seed],
-                scale=args.scale,
-                faults=faults,
-            )
-        )
-    specs = _finalize_specs(expanded, params, accepted_by)
-    reports = explore_cells(
-        specs,
-        strategy=args.strategy,
-        points=args.points,
-        seed=args.seed,
-        jobs=args.jobs,
-        trace_tail=max(args.trace_tail, 0),
-        checkpoint_every=_checkpoint_every(parser, args),
-    )
-    summary = summary_result(reports)
-    summary.name = "faultcheck"
-    summary.description = (
-        "crash-point exploration under injected storage faults"
-    )
-    violations = violations_result(reports)
-    violations.name = "faultcheck-violations"
-    _emit([summary, violations], args.format, args.output)
-
-
-#: ``recoverycheck`` config aliases: the paper-facing names for the barrier
-#: stack, accepted alongside the registered configuration names.
-_RECOVERY_CONFIG_ALIASES = {
-    "barrier-dr": "BFS-DR",
-    "barrier-od": "BFS-OD",
-}
-
-
-def recoverycheck_main(argv: list[str] | None = None) -> None:
-    """``runner recoverycheck``: crash, remount, continue, judge the round trip."""
-    import argparse
-    from functools import partial
-
-    from repro.core.verification import ORACLES
-    from repro.crashlab import STRATEGIES, explore_cells, summary_result, violations_result
-    from repro.faults import FAULT_KINDS
-    from repro.recovery import (
-        ACKED_PREFIX_ORACLE,
-        CONTINUATION_ORACLE,
-        ContinuationPlan,
-        recovery_judge,
-    )
-    from repro.apps.syncpolicy import ERROR_POLICIES
-    from repro.scenarios import STACK_CONFIGS, WORKLOADS, sweep
-    from repro.scenarios.stacks import stack_config
-    from repro.storage.barrier_modes import BarrierMode
-
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.runner recoverycheck",
-        description=(
-            "Recover-and-continue verification: crash-explore every cell at "
-            "recorded IO boundaries and, at each point, remount a fresh "
-            "stack on what journal recovery reconstructs, run a "
-            "deterministic append+sync continuation through a SyncPolicy, "
-            "cut power again right after its last acknowledgement and judge "
-            "both crashes with the recovered-acked-prefix and "
-            "recovered-continuation-durability oracles on top of the "
-            "registered ones.  Flags mirror ``runner faultcheck`` with "
-            "--fault optional; see docs/RECOVERY.md."
-        ),
-    )
-    parser.add_argument(
-        "-w", "--workload", action="append", metavar="NAME",
-        help=f"workload axis (repeatable); filesystem workloads of {WORKLOADS.names()}",
-    )
-    parser.add_argument(
-        "-c", "--config", action="append", metavar="NAME",
-        help=(
-            "stack-configuration axis (repeatable, default EXT4-DR); one of "
-            f"{STACK_CONFIGS.names()} (case-insensitive; barrier-dr/barrier-od "
-            "alias BFS-DR/BFS-OD) or a barrier-mode name "
-            f"{[mode.value for mode in BarrierMode]} (expands to the mode on "
-            "BFS-DR plus the EXT4-OD legacy contrast cell)"
-        ),
-    )
-    parser.add_argument(
-        "-d", "--device", action="append", metavar="NAME",
-        help="device axis (repeatable, default plain-ssd)",
-    )
-    parser.add_argument(
-        "--scheduler", action="append", metavar="NAME",
-        help="block-scheduler axis (repeatable); default: the config's choice",
-    )
-    parser.add_argument(
-        "--barrier-mode", action="append", metavar="MODE",
-        help=(
-            "storage barrier-mode axis (repeatable; underscores and hyphens "
-            f"both accepted); one of {[mode.value for mode in BarrierMode]}; "
-            "default: the device's choice.  A BarrierFS config cannot build "
-            "with mode none (the order-preserving block layer needs a "
-            "barrier-capable device), so that pairing runs the EXT4-OD "
-            "legacy contrast cell instead"
-        ),
-    )
-    parser.add_argument(
-        "--fault", action="append", default=[], metavar="PLAN",
-        help=(
-            "optional fault plan applied to the storage device — and "
-            "reinstalled on the remounted stack — as KIND[:key=value,...] "
-            "(repeatable; e.g. io-error:nth=3, flush-lie); see docs/FAULTS.md"
-        ),
-    )
-    parser.add_argument(
+    continuation.add_argument(
         "--continuation-calls", type=int, default=16, metavar="N",
         help="append+sync iterations the continuation runs (default 16)",
     )
-    parser.add_argument(
+    continuation.add_argument(
         "--continuation-pages", type=int, default=1, metavar="N",
         help="pages appended per continuation iteration (default 1)",
     )
-    parser.add_argument(
+    continuation.add_argument(
         "--on-error", choices=ERROR_POLICIES, default="retry",
         help=(
             "continuation SyncPolicy when a sync raises EIOError: abort at "
@@ -1020,197 +784,76 @@ def recoverycheck_main(argv: list[str] | None = None) -> None:
             "(default retry)"
         ),
     )
-    parser.add_argument(
+    continuation.add_argument(
         "--max-sync-retries", type=int, default=3, metavar="N",
         help="continuation sync retries before the error stops it (default 3)",
     )
-    parser.add_argument(
-        "--strategy", choices=STRATEGIES, default="exhaustive",
-        help=(
-            "crash-point selection: every recorded boundary (exhaustive), a "
-            "seeded per-kind sample (stratified), or a binary search to the "
-            "earliest failing boundary (bisect); default exhaustive"
-        ),
-    )
-    parser.add_argument(
-        "--points", type=int, metavar="N",
-        help=(
-            "crash-point budget per cell: evenly thins an exhaustive "
-            "enumeration, sets the stratified sample size (default 32); for "
-            "bisect it caps the probe density of each scout wave"
-        ),
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help=(
-            "seed for the scenario, the fault streams and the stratified "
-            "sampler (default 0)"
-        ),
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.25,
-        help=(
-            "iteration-count multiplier; recovery exploration replays the "
-            "workload once per point, so the default is a reduced 0.25"
-        ),
-    )
-    parser.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="workload parameter, literal-evaluated (repeatable)",
-    )
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help=(
-            "worker processes; crash points are sharded individually "
-            "(default 1; bisect probes are adaptive and always run serially)"
-        ),
-    )
-    parser.add_argument(
-        "--trace-tail", type=int, default=0, metavar="N",
-        help=(
-            "trace every replay and attach the last N spans before each "
-            "crash to its violation witness (default 0: off)"
-        ),
-    )
-    _add_checkpoint_arguments(parser)
-    parser.add_argument(
-        "--list", action="store_true",
-        help="list the oracles (registered + recovery), fault kinds and strategies",
-    )
-    _add_output_arguments(parser)
     args = parser.parse_args(argv)
 
     if args.list:
-        print(f"strategies:  {', '.join(STRATEGIES)}")
+        print(f"strategies: {', '.join(STRATEGIES)}")
         print(f"fault kinds: {', '.join(FAULT_KINDS)}")
         print("oracles:")
         for oracle in ORACLES.values():
             print(f"  {oracle.name:36s} {oracle.description}")
         print(
             f"  {ACKED_PREFIX_ORACLE:36s} "
-            "pages acknowledged before the crash survived it"
+            "(--continue) pages acknowledged before the crash survived it"
         )
         print(
-            f"  {CONTINUATION_ORACLE:36s} "
-            "pages the post-remount continuation acknowledged survived its crash"
+            f"  {CONTINUATION_ORACLE:36s} (--continue) pages the "
+            "post-remount continuation acknowledged survived its crash"
         )
         return
     if not args.workload:
         parser.error("at least one --workload is required (or use --list)")
-    if args.points is not None and args.points < 1:
-        parser.error("--points must be at least 1")
-    if args.continuation_calls < 1:
-        parser.error("--continuation-calls must be at least 1")
-    if args.continuation_pages < 1:
-        parser.error("--continuation-pages must be at least 1")
-    if args.max_sync_retries < 0:
-        parser.error("--max-sync-retries must be at least 0")
+    for flag, value, least in (
+        ("--points", args.points, 1),
+        ("--checkpoint-every", args.checkpoint_every, 1),
+        ("--continuation-calls", args.continuation_calls, 1),
+        ("--continuation-pages", args.continuation_pages, 1),
+        ("--max-sync-retries", args.max_sync_retries, 0),
+    ):
+        if value is not None and value < least:
+            parser.error(f"{flag} must be at least {least}")
     faults = _parse_faults(parser, args.fault)
-
-    modes: list[str | None] = [None]
-    if args.barrier_mode:
-        modes = []
-        for mode in args.barrier_mode:
-            normalized = mode.replace("_", "-")
-            try:
-                modes.append(BarrierMode(normalized).value)
-            except ValueError:
-                parser.error(
-                    f"unknown barrier mode {mode!r}; choose from "
-                    f"{[m.value for m in BarrierMode]}"
-                )
-
-    for name in set(args.workload):
-        try:
-            workload_class = WORKLOADS.get(name)
-        except KeyError as error:
-            parser.error(str(error.args[0]))
-        if not workload_class.needs_stack:
+    params, accepted_by = _route_params(parser, args.workload, args.param)
+    for name in accepted_by:
+        if not WORKLOADS.get(name).needs_stack:
             parser.error(
                 f"workload {name!r} runs against the raw block device; "
-                "recoverycheck needs a filesystem stack to crash and remount"
+                "the check needs a filesystem stack to crash and recover"
             )
-    params, accepted_by = _route_params(parser, args.workload, args.param)
+    cells = _resolve_configs(parser, args.config or ["EXT4-DR"], args.barrier_mode)
 
-    # Config resolution: registered names (case-insensitive), the
-    # barrier-dr/barrier-od aliases, or — like faultcheck — a barrier-mode
-    # name as sugar for the contrast pair.  The legacy half of the pair is
-    # EXT4-OD here (not faultcheck's EXT4-DR): recoverycheck's oracles are
-    # about durability promises, and EXT4-OD is the stack that acknowledges
-    # at transfer time without a flush — the fsyncgate cell.
-    known_configs = set(STACK_CONFIGS.names())
-    by_lower = {name.lower(): name for name in known_configs}
-    mode_values = {mode.value for mode in BarrierMode}
-    cells: list[tuple[str, list[str | None]]] = []
-    for name in args.config or ["EXT4-DR"]:
-        normalized = name.replace("_", "-")
-        resolved = by_lower.get(name.lower()) or by_lower.get(
-            _RECOVERY_CONFIG_ALIASES.get(name.lower(), "").lower()
-        )
-        if resolved is None and normalized in mode_values:
-            if args.barrier_mode:
-                parser.error(
-                    f"--config {name!r} names a barrier mode and already "
-                    "implies the barrier-mode axis; drop --barrier-mode"
-                )
-            aliased = BarrierMode(normalized)
-            if aliased is not BarrierMode.NONE:
-                cells.append(("BFS-DR", [aliased.value]))
-            cells.append(("EXT4-OD", [BarrierMode.NONE.value]))
-            continue
-        if resolved is None:
-            parser.error(
-                f"unknown config {name!r}; choose from {STACK_CONFIGS.names()} "
-                f"(or aliases {sorted(_RECOVERY_CONFIG_ALIASES)}, or a "
-                f"barrier-mode name of {sorted(mode_values)})"
+    # Devices vary slowest, then configs — the order of one sweep() call.
+    specs = _finalize_specs(
+        [
+            spec
+            for device in args.device or ["plain-ssd"]
+            for config, modes in cells
+            for spec in sweep(
+                workloads=args.workload,
+                configs=[config],
+                devices=[device],
+                schedulers=args.scheduler or [None],
+                barrier_modes=modes,
+                seeds=[args.seed],
+                scale=args.scale,
+                faults=faults,
             )
-        cells.append((resolved, modes))
-
-    expanded = []
-    for config, config_modes in cells:
-        devices = args.device or ["plain-ssd"]
-        barrier_stack = stack_config(config, devices[0]).filesystem == "barrierfs"
-        kept: list[str | None] = []
-        for mode in config_modes:
-            if barrier_stack and mode == BarrierMode.NONE.value:
-                # BFS-* × none cannot build (BlockDevice refuses an
-                # order-preserving layer on a device whose mode supports no
-                # barrier); substitute the EXT4-OD legacy contrast cell.
-                expanded.extend(
-                    sweep(
-                        workloads=args.workload,
-                        configs=["EXT4-OD"],
-                        devices=devices,
-                        schedulers=args.scheduler or [None],
-                        barrier_modes=[mode],
-                        seeds=[args.seed],
-                        scale=args.scale,
-                        faults=faults,
-                    )
-                )
-            else:
-                kept.append(mode)
-        if kept:
-            expanded.extend(
-                sweep(
-                    workloads=args.workload,
-                    configs=[config],
-                    devices=devices,
-                    schedulers=args.scheduler or [None],
-                    barrier_modes=kept,
-                    seeds=[args.seed],
-                    scale=args.scale,
-                    faults=faults,
-                )
-            )
-    specs = _finalize_specs(expanded, params, accepted_by)
-
-    plan = ContinuationPlan(
-        calls=args.continuation_calls,
-        pages_per_write=args.continuation_pages,
-        on_error=args.on_error,
-        max_sync_retries=args.max_sync_retries,
+        ],
+        params,
+        accepted_by,
     )
+    judge = None
+    if args.continuation:
+        judge = partial(recovery_judge, plan=ContinuationPlan(
+            calls=args.continuation_calls,
+            pages_per_write=args.continuation_pages,
+            on_error=args.on_error,
+            max_sync_retries=args.max_sync_retries,
+        ))
     reports = explore_cells(
         specs,
         strategy=args.strategy,
@@ -1218,17 +861,30 @@ def recoverycheck_main(argv: list[str] | None = None) -> None:
         seed=args.seed,
         jobs=args.jobs,
         trace_tail=max(args.trace_tail, 0),
-        checkpoint_every=_checkpoint_every(parser, args),
-        judge=partial(recovery_judge, plan=plan),
+        checkpoint_every=None if args.no_checkpoints else args.checkpoint_every,
+        judge=judge,
+    )
+    name = (
+        "recoverycheck" if args.continuation
+        else "faultcheck" if faults
+        else "crashcheck"
     )
     summary = summary_result(reports)
-    summary.name = "recoverycheck"
-    summary.description = (
-        "crash-point exploration with remount-and-continue verification"
-    )
+    summary.name, summary.description = name, _CHECK_TABLES[name]
     violations = violations_result(reports)
-    violations.name = "recoverycheck-violations"
+    violations.name = f"{name}-violations"
     _emit([summary, violations], args.format, args.output)
+
+
+#: ``runner crashcheck`` / ``runner faultcheck``: the pre-``check`` names.
+crashcheck_main = faultcheck_main = check_main
+
+
+def recoverycheck_main(argv: list[str] | None = None) -> None:
+    """``runner recoverycheck``: alias of ``runner check --continue``."""
+    import sys
+
+    check_main(["--continue", *(sys.argv[1:] if argv is None else argv)])
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -1237,31 +893,26 @@ def main(argv: list[str] | None = None) -> None:
     import sys
 
     arguments = list(sys.argv[1:]) if argv is None else list(argv)
-    if arguments and arguments[0] == "sweep":
-        sweep_main(arguments[1:])
-        return
-    if arguments and arguments[0] == "trace":
-        trace_main(arguments[1:])
-        return
-    if arguments and arguments[0] == "crashcheck":
-        crashcheck_main(arguments[1:])
-        return
-    if arguments and arguments[0] == "faultcheck":
-        faultcheck_main(arguments[1:])
-        return
-    if arguments and arguments[0] == "recoverycheck":
-        recoverycheck_main(arguments[1:])
+    subcommands = {
+        "sweep": sweep_main,
+        "trace": trace_main,
+        "check": check_main,
+        "crashcheck": crashcheck_main,
+        "faultcheck": faultcheck_main,
+        "recoverycheck": recoverycheck_main,
+    }
+    if arguments and arguments[0] in subcommands:
+        subcommands[arguments[0]](arguments[1:])
         return
 
     parser = argparse.ArgumentParser(
         prog="repro.experiments.runner",
         description=(
             "Regenerate the paper's tables and figures (or run `... runner "
-            "sweep --help` for ad-hoc matrices, `... runner crashcheck "
-            "--help` for crash-recovery checking, `... runner faultcheck "
-            "--help` for crash checking under injected storage faults, "
-            "`... runner recoverycheck --help` for remount-and-continue "
-            "verification)."
+            "sweep --help` for ad-hoc matrices, `... runner check --help` "
+            "for crash-recovery checking under optional storage faults and "
+            "remount-and-continue, `... runner trace --help` for cross-layer "
+            "tracing)."
         ),
     )
     parser.add_argument(

@@ -14,7 +14,7 @@ injection that composes with crash exploration (:mod:`repro.crashlab`):
   sites, plus the :class:`FaultEvent` witness log.
 
 Scenario integration: ``ScenarioSpec(faults=...)`` carries a plan through
-sweeps and crashlab, ``runner faultcheck`` drives crash points × fault plans
+sweeps and crashlab, ``runner check --fault`` drives crash points × fault plans
 through the oracle registry, and ``runner sweep --fault`` runs the
 experiment matrix under injection.  See ``docs/FAULTS.md``.
 """

@@ -25,7 +25,7 @@ point:
    ``recovered-continuation-durability`` (the same property for the
    continuation's post-remount acknowledgements).
 
-``runner recoverycheck`` drives this over workload × config ×
+``runner check --continue`` drives this over workload × config ×
 barrier-mode × fault-plan cells; see ``docs/RECOVERY.md``.
 """
 

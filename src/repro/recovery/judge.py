@@ -1,4 +1,4 @@
-"""The recover-then-continue judge ``runner recoverycheck`` installs.
+"""The recover-then-continue judge ``runner check --continue`` installs.
 
 :func:`recovery_judge` has the same signature as the crashlab engine's
 default verdict builder and is module-level, so a

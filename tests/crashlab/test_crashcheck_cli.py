@@ -1,16 +1,42 @@
-"""The ``runner crashcheck`` command line."""
+"""The ``runner check`` command line and its ``crashcheck`` alias."""
 
 import json
 
 import pytest
 
-from repro.experiments.runner import crashcheck_main
+from repro.experiments.runner import crashcheck_main, main
 
 
 def run_cli(tmp_path, *argv):
     output = tmp_path / "report.json"
     crashcheck_main([*argv, "--format", "json", "--output", str(output)])
     return json.loads(output.read_text())
+
+
+@pytest.mark.parametrize(
+    ("alias", "argv", "check_only", "table"),
+    [
+        ("crashcheck", [], [], "crashcheck"),
+        ("faultcheck", ["--fault", "flush-lie"], [], "faultcheck"),
+        ("recoverycheck", [], ["--continue"], "recoverycheck"),
+    ],
+)
+def test_alias_equals_check(tmp_path, alias, argv, check_only, table):
+    common = [
+        "--workload", "sync-loop",
+        "--config", "in-order-recovery",
+        "--strategy", "stratified", "--points", "4",
+        "--param", "calls=4",
+        *argv,
+        "--format", "json",
+    ]
+    aliased, checked = tmp_path / "alias.json", tmp_path / "check.json"
+    main([alias, *common, "--output", str(aliased)])
+    main(["check", *check_only, *common, "--output", str(checked)])
+    assert aliased.read_text() == checked.read_text()
+    summary, violations = json.loads(checked.read_text())
+    assert summary["name"] == table
+    assert violations["name"] == f"{table}-violations"
 
 
 class TestCrashcheckCLI:
@@ -118,6 +144,19 @@ class TestCrashcheckCLI:
         with pytest.raises(SystemExit):
             crashcheck_main(["--workload", "sync-loop", "--barrier-mode", "magic"])
         assert "unknown barrier mode" in capsys.readouterr().err
+
+    def test_unknown_config_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit):
+            crashcheck_main(["--workload", "sync-loop", "--config", "ZFS"])
+        assert "unknown config 'ZFS'" in capsys.readouterr().err
+
+    def test_barrierfs_with_mode_none_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit):
+            crashcheck_main([
+                "--workload", "sync-loop",
+                "--config", "BFS-DR", "--barrier-mode", "none",
+            ])
+        assert "use --config none" in capsys.readouterr().err
 
     def test_list_prints_oracles_and_strategies(self, capsys):
         crashcheck_main(["--list"])

@@ -60,21 +60,16 @@ class TestRecoverycheckCLI:
         assert sorted(row["config"] for row in rows) == ["BFS-DR", "EXT4-DR"]
         assert all(row["barrier_mode"] == "in-order-recovery" for row in rows)
 
-    def test_barrierfs_with_mode_none_substitutes_the_legacy_cell(self, tmp_path):
+    def test_barrierfs_with_mode_none_is_a_usage_error(self, capsys):
         # BFS × none cannot build (the order-preserving block layer needs a
-        # barrier-capable device); the cell runs EXT4-OD × none instead.
-        summary, _ = run_cli(
-            tmp_path,
-            "--workload", "sync-loop",
-            "--config", "barrier-dr",
-            "--barrier-mode", "none",
-            "--strategy", "stratified", "--points", "3",
-            "--param", "calls=4",
-        )
-        rows = [dict(zip(summary["columns"], row)) for row in summary["rows"]]
-        assert [(row["config"], row["barrier_mode"]) for row in rows] == [
-            ("EXT4-OD", "none"),
-        ]
+        # barrier-capable device); the error points at --config none.
+        with pytest.raises(SystemExit):
+            recoverycheck_main([
+                "--workload", "sync-loop",
+                "--config", "barrier-dr",
+                "--barrier-mode", "none",
+            ])
+        assert "--config none" in capsys.readouterr().err
 
     def test_jobs_sharding_and_checkpoints_are_bit_identical(self, tmp_path):
         argv = (

@@ -227,12 +227,32 @@ class TestRunnerCLI:
         output = tmp_path / "sweep.json"
         main([
             "sweep", "-w", "sync-loop", "-c", "BFS-OD", "-d", "ufs",
+            "--barrier-mode", "in_order_writeback",  # underscores accepted
             "--param", "calls=5", "--format", "json", "--output", str(output),
         ])
         [table] = json.loads(output.read_text())
         assert table["name"] == "sweep"
         assert len(table["rows"]) == 1
         assert table["rows"][0][:3] == ["ufs", "BFS-OD", "sync-loop"]
+        row = dict(zip(table["columns"], table["rows"][0]))
+        assert row["barrier_mode"] == "in-order-writeback"
+
+    def test_module_run_prints_no_runpy_warning(self):
+        # `python -m repro.experiments.runner` must not find the runner
+        # already imported by its package (runpy's RuntimeWarning).
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.runner", "sweep", "--list"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert "stack configs:" in completed.stdout
+        assert "RuntimeWarning" not in completed.stderr
 
     def test_sweep_list_prints_registries(self, capsys):
         from repro.experiments.runner import main
