@@ -23,6 +23,7 @@ from repro.storage.crash import recover_durable_blocks
 
 def run_one(config_name: str, ordered: bool) -> None:
     stack = build_stack(standard_config(config_name, "plain-ssd"))
+    stack.record_history()  # recover_durable_blocks reads it after the power cut
     block_device = stack.block
     sim = stack.sim
 

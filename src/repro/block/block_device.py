@@ -3,8 +3,9 @@
 :class:`BlockDevice` is what the filesystems submit :class:`BlockRequest`
 objects to.  It owns an IO scheduler (optionally the epoch scheduler), a
 dispatcher process that turns scheduled requests into device commands, and
-the bookkeeping the verification and experiment code rely on (issue /
-dispatch logs, epoch numbering, per-request milestone events).
+the bookkeeping the verification and experiment code rely on (epoch
+numbering, per-request milestone events, and -- after
+:meth:`BlockDevice.record_history` -- the issue and dispatch logs).
 
 The barrier-enabled configuration is: epoch scheduler + order-preserving
 dispatch + a barrier-capable device.  The legacy configuration is: a stock
@@ -23,6 +24,7 @@ from repro.block.dispatch import DispatchPolicy, request_to_command
 from repro.block.request import BlockRequest, RequestFlag, RequestOp
 from repro.block.scheduler import EpochIOScheduler, IOScheduler, make_scheduler
 from repro.simulation.engine import Event, Simulator
+from repro.simulation.history import recorded, start_history
 from repro.simulation.resources import Condition
 from repro.storage.command import WrittenBlock
 from repro.storage.device import StorageDevice
@@ -48,9 +50,6 @@ class BlockDeviceConfig:
     #: paper quotes ~3 ms for SCSI); if ``None`` the dispatcher waits for a
     #: queue slot to free, which is what a completion-driven kernel does.
     busy_retry_interval: Optional[float] = None
-    #: Keep per-request issue/dispatch logs (needed by the verification and
-    #: ordering experiments; long throughput runs may turn it off).
-    keep_logs: bool = True
     #: Bounded retry budget for commands the device completes with an error
     #: status (``repro.faults`` io-error injection); once exhausted the
     #: request fails with ``request.error`` set instead of retrying forever.
@@ -118,8 +117,8 @@ class BlockDevice:
             max_merge_pages=self.config.max_merge_pages,
         )
         self.stats = BlockDeviceStats()
-        self.issue_log: list[BlockRequest] = []
-        self.dispatch_log: list[BlockRequest] = []
+        self._issue_log: Optional[list[BlockRequest]] = None
+        self._dispatch_log: Optional[list[BlockRequest]] = None
         self._issue_seq = itertools.count(1)
         self._dispatch_seq = itertools.count(1)
         self._issue_epoch = 0
@@ -133,6 +132,24 @@ class BlockDevice:
     def order_preserving(self) -> bool:
         """Whether the barrier-enabled path is active."""
         return self.config.order_preserving
+
+    def record_history(self) -> None:
+        """Keep the issue and dispatch logs from now on (before the first IO)."""
+        io_seen = self.stats.requests_submitted > 0
+        self._issue_log = start_history(self._issue_log, io_seen, "the block issue log")
+        self._dispatch_log = start_history(
+            self._dispatch_log, io_seen, "the block dispatch log"
+        )
+
+    @property
+    def issue_log(self) -> list[BlockRequest]:
+        """Every submitted request, in issue order (needs :meth:`record_history`)."""
+        return recorded(self._issue_log, "the block issue log")
+
+    @property
+    def dispatch_log(self) -> list[BlockRequest]:
+        """Every dispatched request, in dispatch order (needs :meth:`record_history`)."""
+        return recorded(self._dispatch_log, "the block dispatch log")
 
     @property
     def current_issue_epoch(self) -> int:
@@ -153,12 +170,11 @@ class BlockDevice:
             self.stats.flush_requests += 1
         self.stats.requests_submitted += 1
         self.stats.pages_submitted += request.num_pages
-        if self.config.keep_logs:
-            self.issue_log.append(request)
+        if self._issue_log is not None:
+            self._issue_log.append(request)
         self._outstanding += 1
         request.completed.add_callback(self._on_request_complete)
         self.scheduler.add_request(request)
-        request.queued.succeed(request)
         self._work.notify_all()
         return request
 
@@ -229,8 +245,6 @@ class BlockDevice:
         try_submit = self.device.try_submit
         dispatch_policy = config.dispatch_policy
         submit_overhead = config.submit_overhead
-        keep_logs = config.keep_logs
-        dispatch_log = self.dispatch_log
         dispatch_seq = self._dispatch_seq
         while True:
             batch = next_batch()
@@ -258,14 +272,15 @@ class BlockDevice:
                 request.dispatch_seq = next(dispatch_seq)
                 request.dispatch_time = sim.now
                 stats.requests_dispatched += 1
-                if keep_logs:
+                dispatch_log = self._dispatch_log
+                if dispatch_log is not None:
                     dispatch_log.append(request)
-                request.dispatched.succeed(request)
+                request.dispatched.succeed()
                 for merged in request.merged_requests:
                     if merged.dispatched is not None and not merged.dispatched.triggered:
                         merged.dispatch_seq = request.dispatch_seq
                         merged.dispatch_time = request.dispatch_time
-                        merged.dispatched.succeed(merged)
+                        merged.dispatched.succeed()
                 self._wire_completion(request, command)
 
     def _submit_with_backpressure(self, command):

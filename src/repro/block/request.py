@@ -86,8 +86,8 @@ class BlockRequest:
     #: reported an error.
     retries: int = 0
 
-    # Milestone events (created by the block device).
-    queued: Optional[Event] = None
+    # Milestone events (created by the block device).  They fire with no
+    # value: a request as its own event's value would be a reference cycle.
     dispatched: Optional[Event] = None
     transferred: Optional[Event] = None
     completed: Optional[Event] = None
@@ -151,10 +151,9 @@ class BlockRequest:
 
     def attach(self, sim: Simulator) -> "BlockRequest":
         """Create the milestone events (called by the block device)."""
-        if self.queued is None:
+        if self.dispatched is None:
             # Constant names: the per-request f-strings showed up in the
             # submission profile; ``describe()`` still identifies requests.
-            self.queued = Event(sim, "req.queued")
             self.dispatched = Event(sim, "req.dispatched")
             self.transferred = Event(sim, "req.transferred")
             self.completed = Event(sim, "req.completed")
@@ -163,17 +162,17 @@ class BlockRequest:
     # -- completion relays (wired to device commands by the dispatcher) --------
     def relay_transferred(self, _event: Event) -> None:
         """Propagate a device DMA completion to this request and its merges."""
-        self.transferred.succeed(self)
+        self.transferred.succeed()
         for merged in self.merged_requests:
             if merged.transferred is not None and not merged.transferred.triggered:
-                merged.transferred.succeed(merged)
+                merged.transferred.succeed()
 
     def relay_completed(self, _event: Event) -> None:
         """Propagate a device command completion to this request and its merges."""
-        self.completed.succeed(self)
+        self.completed.succeed()
         for merged in self.merged_requests:
             if merged.completed is not None and not merged.completed.triggered:
-                merged.completed.succeed(merged)
+                merged.completed.succeed()
 
     def fail(self, error: str) -> None:
         """Complete the request with an error status.
@@ -187,7 +186,7 @@ class BlockRequest:
         self.error = error
         for event in (self.dispatched, self.transferred, self.completed):
             if event is not None and not event.triggered:
-                event.succeed(self)
+                event.succeed()
         for merged in self.merged_requests:
             if merged.error is None:
                 merged.fail(error)

@@ -6,7 +6,9 @@ order :math:`C` (DMA completions) and the Persist order :math:`P` (pages
 reaching the storage surface).  :class:`OrderTracker` reconstructs all four
 from a finished run so the verification module and the tests can check which
 of the partial-order conditions (``I = D``, ``D = C``, ``C = P``) each stack
-configuration actually preserved.
+configuration actually preserved.  It reads the block issue log and the
+device-cache history, so the stack must call ``record_history()`` before
+its first IO.
 """
 
 from __future__ import annotations

@@ -90,6 +90,23 @@ class IOStack:
         """Short label used in experiment reports."""
         return f"{self.fs.name}/{self.profile.name}"
 
+    def record_history(self) -> None:
+        """Keep the crash history every layer would otherwise drop.
+
+        Switches on the block issue/dispatch logs, the journal commit
+        history and the device-cache history, which crash recovery
+        (:func:`repro.storage.crash.recover_durable_blocks`), the crash
+        oracles and :class:`repro.core.orders.OrderTracker` read.  Call it
+        before the first IO; a later call raises, and reading history from
+        a stack that never called it raises
+        :class:`repro.simulation.history.HistoryNotRecordedError`.
+        """
+        self.block.record_history()
+        self.device.record_history()
+        journal = getattr(self.fs, "journal", None)
+        if journal is not None:
+            journal.record_history()
+
     def run_process(self, generator, *, limit: float = 600_000_000):
         """Run ``generator`` as a process until it completes; return its value."""
         process = self.sim.process(generator)

@@ -204,12 +204,14 @@ def journal_transactions(filesystem: object) -> list[JournalTransaction]:
     already be durable even though the journal thread never finished its
     bookkeeping), across the journal implementations (JBD2's single
     ``committing`` slot, the dual-mode journal's ``committing_list``).
-    Returns ``[]`` for filesystems without a journal.
+    Returns ``[]`` for filesystems without a journal; raises
+    :class:`~repro.simulation.history.HistoryNotRecordedError` when the
+    journal did not record its history (``IOStack.record_history()``).
     """
     journal = getattr(filesystem, "journal", None)
     if journal is None:
         return []
-    transactions = list(getattr(journal, "history", []))
+    transactions = list(journal.history)
     committing = getattr(journal, "committing", None)
     if committing is not None:
         transactions.append(committing)
@@ -261,7 +263,7 @@ class CrashProbe:
         spec: object = None,
         workload: object = None,
     ) -> "CrashProbe":
-        """Assemble a probe from a crashed stack."""
+        """Assemble a probe from a crashed stack that recorded its history."""
         injector = getattr(getattr(stack, "device", None), "fault_injector", None)
         return cls(
             state=state,

@@ -135,6 +135,7 @@ def replay_to_point(
 
     workload = prepare_spec(spec, tracer=tracer)
     stack = workload.stack
+    stack.record_history()
     trigger = CrashTrigger(stack.device, index)
     stack.device.crash_tap = trigger
     boundary: Optional[CrashBoundary] = None
@@ -228,6 +229,9 @@ def record_checkpointed(
     require_stack_workload(spec)
     tracer = _make_tracer(trace_tail)
     workload = prepare_spec(spec, tracer=tracer)
+    # Checkpoint children are frozen copies of this run: each replay
+    # recovers from the history recorded here.
+    workload.stack.record_history()
     store = CheckpointStore(policy)
     tap = CheckpointingRecorder(workload.stack.device, store)
     workload.stack.device.crash_tap = tap

@@ -100,7 +100,13 @@ class FaultInjector:
 
     # ------------------------------------------------------------------ wiring
     def install(self, device) -> "FaultInjector":
-        """Attach to a device (sets ``device.fault_injector``)."""
+        """Attach to a device (sets ``device.fault_injector``).
+
+        Switches on the device-cache history: misdirected writes draw their
+        victim from every durable page, and damaged pages are only visible
+        in that history once they persisted.  Install before the first IO.
+        """
+        device.record_history()
         self._device = device
         device.fault_injector = self
         return self

@@ -26,11 +26,15 @@ from typing import Optional
 
 from repro.block.request import RequestFlag
 from repro.fs.errors import EIOError, FilesystemPanicError
-from repro.fs.journal.transaction import JournalTransaction, TransactionState
+from repro.fs.journal.transaction import (
+    CommitHistory,
+    JournalTransaction,
+    TransactionState,
+)
 from repro.simulation.resources import Condition, Store
 
 
-class DualModeJournal:
+class DualModeJournal(CommitHistory):
     """BarrierFS journaling: separate commit (control) and flush (data) threads."""
 
     def __init__(self, sim, filesystem):
@@ -52,14 +56,11 @@ class DualModeJournal:
         self.max_committing_in_flight = 0
         #: Whether a durable commit failure aborted the journal.
         self.aborted = False
-        self.history: list[JournalTransaction] = []
         sim.process(self._commit_thread(), name="bfs.commit-thread", daemon=True)
         sim.process(self._flush_thread(), name="bfs.flush-thread", daemon=True)
 
     def _new_transaction(self) -> JournalTransaction:
-        txn = JournalTransaction(txid=next(self._txids)).attach(self.sim)
-        txn.commit_requested = False  # type: ignore[attr-defined]
-        return txn
+        return JournalTransaction(txid=next(self._txids)).attach(self.sim)
 
     # ------------------------------------------------------------------ buffers
     def add_buffer(self, name: tuple, version: int) -> None:
@@ -103,7 +104,7 @@ class DualModeJournal:
         if txn.is_empty and not self.conflict_pages and not force:
             return None
         txn.durability_requested = txn.durability_requested or durability
-        txn.commit_requested = True  # type: ignore[attr-defined]
+        txn.commit_requested = True
         self._commit_requested.notify_all()
         return txn
 
@@ -112,7 +113,7 @@ class DualModeJournal:
             if self.aborted:
                 return
             txn = self.running
-            if not getattr(txn, "commit_requested", False):
+            if not txn.commit_requested:
                 yield self._commit_requested.wait()
                 continue
             # The running transaction may only commit once every conflict
@@ -167,7 +168,7 @@ class DualModeJournal:
                 continue
             txn.mark_durable(self.sim.now)
             self.commits_durable += 1
-            self.history.append(txn)
+            self._finished(txn)
             if txn in self.committing_list:
                 self.committing_list.remove(txn)
             self._resolve_conflicts()
@@ -180,7 +181,7 @@ class DualModeJournal:
         behaviour then decides whether the journal keeps going.
         """
         txn.mark_failed(self.sim.now, error)
-        self.history.append(txn)
+        self._finished(txn)
         if txn in self.committing_list:
             self.committing_list.remove(txn)
         behavior = self.fs.journal_failed(error)

@@ -23,11 +23,15 @@ from typing import Optional
 
 from repro.block.request import RequestFlag
 from repro.fs.errors import EIOError, FilesystemPanicError
-from repro.fs.journal.transaction import JournalTransaction, TransactionState
+from repro.fs.journal.transaction import (
+    CommitHistory,
+    JournalTransaction,
+    TransactionState,
+)
 from repro.simulation.resources import Condition
 
 
-class JBD2Journal:
+class JBD2Journal(CommitHistory):
     """The EXT4 journaling thread and its transactions."""
 
     def __init__(self, sim, filesystem, *, use_flush_fua: bool = True):
@@ -46,13 +50,10 @@ class JBD2Journal:
         #: Whether a durable commit failure aborted the journal (the ext4
         #: ``errors=remount-ro`` half of the degradation story).
         self.aborted = False
-        self.history: list[JournalTransaction] = []
         sim.process(self._jbd_thread(), name="jbd2", daemon=True)
 
     def _new_transaction(self) -> JournalTransaction:
-        txn = JournalTransaction(txid=next(self._txids)).attach(self.sim)
-        txn.commit_requested = False  # type: ignore[attr-defined]
-        return txn
+        return JournalTransaction(txid=next(self._txids)).attach(self.sim)
 
     # ------------------------------------------------------------------ buffers
     def add_buffer(self, name: tuple, version: int):
@@ -96,14 +97,14 @@ class JBD2Journal:
         if txn.is_empty and not force:
             return None
         txn.durability_requested = txn.durability_requested or durability
-        txn.commit_requested = True  # type: ignore[attr-defined]
+        txn.commit_requested = True
         self._commit_requested.notify_all()
         return txn
 
     def _jbd_thread(self):
         while True:
             txn = self.running
-            if not getattr(txn, "commit_requested", False):
+            if not txn.commit_requested:
                 yield self._commit_requested.wait()
                 continue
             self.running = self._new_transaction()
@@ -112,7 +113,7 @@ class JBD2Journal:
             yield from self._commit(txn)
             self.committing = None
             if txn.state is TransactionState.ABORTED:
-                self.history.append(txn)
+                self._finished(txn)
                 self._commit_finished.notify_all()
                 behavior = self.fs.journal_failed(txn.error or "journal-io-error")
                 if behavior == "continue":
@@ -124,7 +125,7 @@ class JBD2Journal:
                     )
                 return
             self.commits_done += 1
-            self.history.append(txn)
+            self._finished(txn)
             self._commit_finished.notify_all()
 
     def _abort_journal(self) -> None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.simulation.engine import Event, Simulator
+from repro.simulation.history import recorded, start_history
 from repro.storage.command import WrittenBlock
 
 
@@ -43,7 +44,10 @@ class JournalTransaction:
     ordered_data: dict[tuple, int] = field(default_factory=dict)
     #: Whether some caller requires durability (fsync) and not just ordering.
     durability_requested: bool = False
-    #: Simulation events for the two completion levels.
+    #: Whether a sync call asked the journal thread to commit this transaction.
+    commit_requested: bool = False
+    #: Simulation events for the two completion levels (they fire with no
+    #: value: the transaction as its own events' value would be a cycle).
     dispatched_event: Optional[Event] = None
     durable_event: Optional[Event] = None
     #: Times recorded for reporting.
@@ -121,16 +125,16 @@ class JournalTransaction:
         """Record that JD and JC have been dispatched (ordering point)."""
         self.dispatch_done_at = now
         if self.dispatched_event is not None and not self.dispatched_event.triggered:
-            self.dispatched_event.succeed(self)
+            self.dispatched_event.succeed()
 
     def mark_durable(self, now: float) -> None:
         """COMMITTING -> DURABLE."""
         self.state = TransactionState.DURABLE
         self.durable_at = now
         if self.dispatched_event is not None and not self.dispatched_event.triggered:
-            self.dispatched_event.succeed(self)
+            self.dispatched_event.succeed()
         if self.durable_event is not None and not self.durable_event.triggered:
-            self.durable_event.succeed(self)
+            self.durable_event.succeed()
 
     def mark_failed(self, now: float, error: str) -> None:
         """-> ABORTED: fail both completion events so no waiter deadlocks.
@@ -150,3 +154,29 @@ class JournalTransaction:
             self.dispatched_event.fail(failure)
         if self.durable_event is not None and not self.durable_event.triggered:
             self.durable_event.fail(failure)
+
+
+class CommitHistory:
+    """Journal mixin: finished transactions, kept only while recording.
+
+    Crash recovery reads every transaction a journal finished; a plain run
+    reads none, so the list exists only after :meth:`record_history`.
+    """
+
+    running: JournalTransaction
+    _history: Optional[list[JournalTransaction]] = None
+
+    def record_history(self) -> None:
+        """Keep every finished transaction from now on (before the first commit)."""
+        self._history = start_history(
+            self._history, self.running.txid > 1, "the journal commit history"
+        )
+
+    @property
+    def history(self) -> list[JournalTransaction]:
+        """Durable and aborted transactions, in the order they finished."""
+        return recorded(self._history, "the journal commit history")
+
+    def _finished(self, txn: JournalTransaction) -> None:
+        if self._history is not None:
+            self._history.append(txn)

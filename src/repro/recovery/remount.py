@@ -33,6 +33,8 @@ def remount(image: RecoveredImage, spec) -> IOStack:
     from repro.scenarios.engine import build_spec_stack
 
     stack = build_spec_stack(spec)
+    # The judge recovers this stack again after the continuation.
+    stack.record_history()
     if spec.faults:
         from repro.faults import FaultInjector
 

@@ -29,6 +29,7 @@ from repro.simulation.engine import (
     Simulator,
     Timeout,
 )
+from repro.simulation.history import HistoryNotRecordedError
 from repro.simulation.resources import (
     Condition,
     Mutex,
@@ -51,6 +52,7 @@ __all__ = [
     "AnyOf",
     "Condition",
     "Event",
+    "HistoryNotRecordedError",
     "Interrupt",
     "LatencyRecorder",
     "Mutex",

@@ -430,8 +430,8 @@ class Simulator:
         """Create a fresh, untriggered :class:`Event`.
 
         Direct-store construction (same trick as :meth:`timeout`): the stack
-        allocates three milestone events per IO command, so the
-        ``type.__call__`` dispatch is worth skipping here too.
+        allocates milestone events for every IO, so the ``type.__call__``
+        dispatch is worth skipping here too.
         """
         event = _new(_cls)
         event.sim = self
@@ -500,6 +500,9 @@ class Simulator:
 
     def _unregister_process(self, process: Process) -> None:
         self._live_processes.discard(process)
+        # A finished process never waits again; its cached bound method
+        # would keep it in a reference cycle with itself.
+        process._wakeup_cb = None  # noqa: SLF001
 
     # -- running ------------------------------------------------------------
     # The entry-execution body below is intentionally duplicated in step(),

@@ -14,10 +14,11 @@ It mirrors the SCSI/UFS command model the paper builds on:
   or ``HEAD_OF_QUEUE`` (service next).  Order-preserving dispatch tags
   barrier writes ``ORDERED`` so the device preserves the transfer order.
 
-Commands expose simulation events for the three milestones the IO stack
-cares about: *accepted* (slot taken in the command queue), *transferred*
-(DMA finished, data in the writeback cache) and *completed* (the command's
-semantics — including FUA/FLUSH durability — are satisfied).
+Commands expose simulation events for the two milestones the IO stack
+waits on: *transferred* (DMA finished, data in the writeback cache) and
+*completed* (the command's semantics — including FUA/FLUSH durability — are
+satisfied).  Both fire with no value: waiters already hold the command, and
+an event whose value is its own command would be a reference cycle.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ class Command:
     command_id: int = field(default_factory=lambda: next(_command_ids))
 
     # Milestone events, created by attach().
-    accepted: Optional[Event] = None
     transferred: Optional[Event] = None
     completed: Optional[Event] = None
 
@@ -130,10 +130,9 @@ class Command:
 
     def attach(self, sim: Simulator) -> "Command":
         """Create the milestone events on ``sim`` (called by the device)."""
-        if self.accepted is None:
+        if self.transferred is None:
             # Constant names: per-command f-strings were hot in the submit
             # path; ``describe()`` still identifies commands.
-            self.accepted = Event(sim, "cmd.accepted")
             self.transferred = Event(sim, "cmd.transferred")
             self.completed = Event(sim, "cmd.completed")
         return self

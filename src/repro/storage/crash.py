@@ -131,6 +131,9 @@ def recover_durable_blocks(device: StorageDevice, *, crash_time: Optional[float]
     The device should normally be powered off first via
     :meth:`StorageDevice.power_off`; this function is read-only and may also
     be used mid-run to ask "what would survive a crash at this instant".
+    It reads the device-cache history, so the device must have recorded it
+    from its first IO (``IOStack.record_history()``); otherwise it raises
+    :class:`~repro.simulation.history.HistoryNotRecordedError`.
     """
     mode = device.barrier_mode
     time = crash_time if crash_time is not None else device.sim.now

@@ -168,7 +168,6 @@ class StorageDevice:
         command.accept_time = self.sim.now
         self.stats.commands_submitted += 1
         self._record_queue_depth()
-        command.accepted.succeed(command)
         self._queue_activity.notify_all()
         return True
 
@@ -255,9 +254,9 @@ class StorageDevice:
         yield self.sim.timeout(self.profile.completion_overhead)
         command.error = error
         command.transfer_time = self.sim.now
-        command.transferred.succeed(command)
+        command.transferred.succeed()
         command.complete_time = self.sim.now
-        command.completed.succeed(command)
+        command.completed.succeed()
 
     def _service_read_fast(self, command: Command):
         """Service a read with no fault injector installed (the hot path)."""
@@ -265,11 +264,11 @@ class StorageDevice:
         yield self.flash.read(command.num_pages)
         yield sim.timeout(command.num_pages * self.profile.transfer_time_per_page)
         command.transfer_time = sim.now
-        command.transferred.succeed(command)
+        command.transferred.succeed()
         yield sim.timeout(self.profile.completion_overhead)
         command.complete_time = sim.now
         self.stats.reads_serviced += 1
-        command.completed.succeed(command)
+        command.completed.succeed()
 
     def _service_read_checked(self, command: Command):
         """Read service with the fault-injection hook sites active."""
@@ -303,7 +302,7 @@ class StorageDevice:
             self.current_epoch = epoch + 1
             self.stats.barrier_writes += 1
         self.stats.pages_transferred += command.num_pages
-        command.transferred.succeed(command)
+        command.transferred.succeed()
         self._cache_work.notify_all()
         if self.crash_tap is not None:
             self.crash_tap("transfer", command.num_pages)
@@ -315,7 +314,7 @@ class StorageDevice:
         yield sim.timeout(profile.completion_overhead)
         command.complete_time = sim.now
         self.stats.writes_serviced += 1
-        command.completed.succeed(command)
+        command.completed.succeed()
 
     def _service_write_checked(self, command: Command):
         """Write service with the fault-injection hook sites active."""
@@ -346,7 +345,7 @@ class StorageDevice:
             self.current_epoch += 1
             self.stats.barrier_writes += 1
         self.stats.pages_transferred += command.num_pages
-        command.transferred.succeed(command)
+        command.transferred.succeed()
         self._cache_work.notify_all()
         if self.crash_tap is not None:
             self.crash_tap("transfer", command.num_pages)
@@ -358,7 +357,7 @@ class StorageDevice:
         yield self.sim.timeout(profile.completion_overhead)
         command.complete_time = self.sim.now
         self.stats.writes_serviced += 1
-        command.completed.succeed(command)
+        command.completed.succeed()
 
     def _persist_fua(self, entries: list[CacheEntry]):
         """Program a FUA payload synchronously (bypassing the flusher)."""
@@ -390,10 +389,10 @@ class StorageDevice:
             yield from self._drain_dirty_upto(self.cache.last_dirty_seq)
         yield self.sim.timeout(self.profile.flush_overhead)
         command.transfer_time = self.sim.now
-        command.transferred.succeed(command)
+        command.transferred.succeed()
         command.complete_time = self.sim.now
         self.stats.flushes_serviced += 1
-        command.completed.succeed(command)
+        command.completed.succeed()
         if self.crash_tap is not None:
             self.crash_tap("flush", 0)
 
@@ -570,13 +569,17 @@ class StorageDevice:
         """Whether the device is still accepting commands."""
         return self._powered_on
 
+    def record_history(self) -> None:
+        """Keep every page the cache admits (before the first IO)."""
+        self.cache.record_history()
+
     def written_history(self) -> list[CacheEntry]:
         """Every page ever admitted to the cache, in transfer order."""
-        return self.cache.all_entries()
+        return list(self.cache.history)
 
     def durable_entries(self) -> list[CacheEntry]:
         """Entries that are durable right now (before any crash recovery)."""
-        return [entry for entry in self.cache.all_entries() if entry.is_durable]
+        return [entry for entry in self.cache.history if entry.is_durable]
 
     def drain(self) -> Iterable[Event]:
         """Generator helper: wait until the writeback cache is fully durable."""

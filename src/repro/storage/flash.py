@@ -16,19 +16,9 @@ ordered/orderless gap is a flash-era phenomenon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.simulation.engine import Event, Simulator
 from repro.storage.profiles import DeviceProfile
-
-
-@dataclass
-class ProgramOperation:
-    """Bookkeeping for one batch program issued to the array."""
-
-    num_pages: int
-    start_time: float
-    finish_time: float
 
 
 class FlashBackend:
@@ -48,8 +38,6 @@ class FlashBackend:
         self.busy_until = 0.0
         self.total_pages_programmed = 0
         self.total_batches = 0
-        self.history: list[ProgramOperation] = []
-        self.keep_history = False
 
     @property
     def parallelism(self) -> int:
@@ -85,8 +73,6 @@ class FlashBackend:
         self.busy_until = finish
         self.total_pages_programmed += num_pages
         self.total_batches += 1
-        if self.keep_history:
-            self.history.append(ProgramOperation(num_pages, start, finish))
 
         def _complete(_event: Event) -> None:
             completion.succeed(finish)

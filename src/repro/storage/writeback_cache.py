@@ -3,14 +3,15 @@
 Every page a write command transfers lands here first, tagged with the
 *persist epoch* the controller was in when the page arrived (barrier writes
 close an epoch).  The background flusher and explicit FLUSH/FUA handling
-decide when entries move to flash; the cache records both moments so that
-crash recovery (:mod:`repro.storage.crash`) can reconstruct exactly which
-logical blocks were durable at any point in time.
+decide when entries move to flash; each entry records both moments.
 
-The cache keeps two views of its contents: the *dirty window* (entries still
-awaiting write-back, maintained in transfer order) and the *history* (every
-entry ever admitted, which the crash-recovery and order-verification code
-read after a run).
+The cache itself needs only the *dirty window*: the entries still awaiting
+write-back, in transfer order.  Crash recovery (:mod:`repro.storage.crash`)
+and order verification also need every entry ever admitted, to tell which
+logical blocks were durable at a power cut; the cache keeps that *history*
+only after :meth:`WritebackCache.record_history` (see
+:mod:`repro.simulation.history`), so a plain run retains nothing that has
+persisted.
 
 Dirty bookkeeping is flat and incremental: a transfer-ordered deque plus a
 live counter.  Because epochs are nondecreasing in transfer order and
@@ -28,6 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from repro.simulation.history import recorded, start_history
 from repro.storage.command import WrittenBlock
 
 
@@ -61,12 +63,12 @@ class CacheEntry:
 class WritebackCache:
     """Volatile page cache inside the storage device."""
 
-    def __init__(self, capacity_pages: int, *, keep_history: bool = True):
+    def __init__(self, capacity_pages: int):
         if capacity_pages < 1:
             raise ValueError("cache capacity must be at least one page")
         self.capacity_pages = capacity_pages
-        self.keep_history = keep_history
-        self._history: list[CacheEntry] = []
+        #: Every admitted entry, once :meth:`record_history` switched it on.
+        self._history: Optional[list[CacheEntry]] = None
         #: Transfer-ordered window of entries that were dirty when admitted.
         #: Entries that have since persisted are pruned lazily; the window is
         #: compacted only when an exact ordered snapshot is requested.
@@ -76,6 +78,12 @@ class WritebackCache:
         self._transfer_seq = itertools.count(1)
         #: Total pages ever admitted (for statistics).
         self.total_admitted = 0
+
+    def record_history(self) -> None:
+        """Keep every admitted entry from now on (before the first admission)."""
+        self._history = start_history(
+            self._history, self.total_admitted > 0, "the writeback-cache history"
+        )
 
     # -- admission ----------------------------------------------------------
     def admit(
@@ -93,7 +101,7 @@ class WritebackCache:
         cache contents are durable the moment the DMA completes.
         """
         admitted = []
-        history = self._history if self.keep_history else None
+        history = self._history
         dirty = self._dirty
         sequence = self._transfer_seq
         for block in blocks:
@@ -116,9 +124,6 @@ class WritebackCache:
         return admitted
 
     # -- queries --------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._history) if self.keep_history else self._dirty_count
-
     def _compact(self) -> "deque[CacheEntry]":
         """Drop persisted entries from the dirty window (cheap, in order)."""
         dirty = self._dirty
@@ -184,13 +189,22 @@ class WritebackCache:
         """Unpersisted entries belonging to ``epoch`` in transfer order."""
         return [entry for entry in self._compact() if entry.epoch == epoch]
 
+    @property
+    def history(self) -> list[CacheEntry]:
+        """Every entry ever admitted, in transfer order (needs :meth:`record_history`)."""
+        return recorded(self._history, "the writeback-cache history")
+
     def entries_for_command(self, command_id: int) -> list[CacheEntry]:
         """All entries admitted on behalf of one command (history required)."""
-        return [entry for entry in self._history if entry.command_id == command_id]
+        return [entry for entry in self.history if entry.command_id == command_id]
 
     def all_entries(self) -> list[CacheEntry]:
-        """Every entry ever admitted (durable or not), in transfer order."""
-        if self.keep_history:
+        """Every entry ever admitted, in transfer order.
+
+        Without a recorded history only the entries still resident (not yet
+        written back) are known, and only those are returned.
+        """
+        if self._history is not None:
             return list(self._history)
         return list(self._compact())
 
@@ -215,7 +229,3 @@ class WritebackCache:
             entry.flush_group = flush_group
             count += 1
         self._dirty_count -= count
-
-    def discard_history(self) -> None:
-        """Forget persisted history (used by very long throughput runs)."""
-        self._history = [entry for entry in self._history if not entry.is_durable]

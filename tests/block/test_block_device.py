@@ -68,6 +68,7 @@ class TestBlockDevice:
 
     def test_flush_round_trip(self):
         sim, device, block = make_stack()
+        device.record_history()
 
         def host():
             yield from block.write_and_wait(0, 1)
@@ -161,6 +162,7 @@ class TestBlockDevice:
 
     def test_epoch_ordering_survives_to_persistence(self):
         sim, device, block = make_stack(profile="plain-ssd")
+        device.record_history()
 
         def host():
             from repro.storage.command import WrittenBlock

@@ -79,6 +79,7 @@ class TestStackBuilder:
 class TestOrderTrackerAndVerification:
     def _barrier_run(self, *, crash_after: float = 20_000):
         stack = build_stack(standard_config("BFS-OD", "plain-ssd"))
+        stack.record_history()
         block = stack.block
         sim = stack.sim
 
@@ -160,6 +161,7 @@ class TestOrderTrackerAndVerification:
         # With the legacy (NONE) barrier mode and no flushes the durable set
         # is arbitrary; over a long enough run a violation shows up.
         stack = build_stack(standard_config("EXT4-OD", "plain-ssd"))
+        stack.record_history()
         block = stack.block
         sim = stack.sim
 

@@ -74,6 +74,7 @@ class TestVFS:
 class TestExt4:
     def test_fsync_commits_journal_and_is_durable(self):
         stack = make("EXT4-DR")
+        stack.record_history()
         fs = stack.fs
 
         def proc():
@@ -147,6 +148,7 @@ class TestExt4:
         stack = build_stack(
             standard_config("EXT4-DR", journal_mode=JournalMode.DATA)
         )
+        stack.record_history()
         fs = stack.fs
 
         def proc():
@@ -161,6 +163,7 @@ class TestExt4:
 
     def test_sequential_fsyncs_commit_in_order(self):
         stack = make("EXT4-DR")
+        stack.record_history()
         fs = stack.fs
 
         def proc():
@@ -193,6 +196,7 @@ class TestBarrierFS:
 
     def test_fsync_is_durable(self):
         stack = make("BFS-DR")
+        stack.record_history()
         fs = stack.fs
 
         def proc():
@@ -298,6 +302,7 @@ class TestBarrierFS:
 
     def test_journal_recovery_invariants_after_crash(self):
         stack = make("BFS-OD")
+        stack.record_history()
         fs = stack.fs
 
         def proc():

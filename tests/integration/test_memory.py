@@ -1,0 +1,88 @@
+"""The steady-state IO path leaves no garbage and keeps no crash history.
+
+A sync call must not leave reference cycles behind (they cost a garbage
+collection pass), and a stack that never called ``record_history()`` must
+not grow with the run: every event, request, command and transaction of a
+finished call is freed by reference counting alone.
+"""
+
+import gc
+from collections import Counter
+
+import pytest
+
+from repro.analysis.measure import measure_sync_latency
+from repro.block.request import BlockRequest
+from repro.core import OrderTracker, build_stack, standard_config
+from repro.core.verification import CrashProbe, journal_transactions
+from repro.fs.journal.transaction import JournalTransaction
+from repro.simulation import MSEC, Event, HistoryNotRecordedError, SimulationError
+from repro.storage.command import Command
+from repro.storage.crash import recover_durable_blocks
+
+#: (stack configuration, sync call): the BFS-DR and EXT4-DR fsync loops and
+#: the BFS-OD fdatabarrier loop.
+LOOPS = [("BFS-DR", "fsync"), ("EXT4-DR", "fsync"), ("BFS-OD", "fdatabarrier")]
+
+TRACKED = (Event, BlockRequest, Command, JournalTransaction)
+
+
+def _sync_loop(stack, sync_call, calls, name):
+    measure_sync_latency(stack, calls=calls, sync_call=sync_call, file_name=name)
+    # fdatabarrier returns before its requests complete, and the device
+    # flusher leaves timers pending: let both run out so that every count
+    # sees the same quiescent stack.
+    stack.run_process(stack.block.drain())
+    stack.sim.run(until=stack.sim.now + 100 * MSEC)
+
+
+def _live_counts():
+    gc.collect()
+    counts = Counter()
+    for obj in gc.get_objects():
+        for cls in TRACKED:
+            if isinstance(obj, cls):
+                counts[cls.__name__] += 1
+    return counts
+
+
+@pytest.mark.parametrize("config,sync_call", LOOPS)
+def test_sync_loop_leaves_no_reference_cycles(config, sync_call):
+    stack = build_stack(standard_config(config, "plain-ssd"))
+    gc.collect()
+    gc.disable()
+    try:
+        _sync_loop(stack, sync_call, 200, "loop.dat")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("config,sync_call", LOOPS)
+def test_live_objects_do_not_grow_without_history(config, sync_call):
+    stack = build_stack(standard_config(config, "plain-ssd"))
+    _sync_loop(stack, sync_call, 200, "first.dat")
+    after_200 = _live_counts()
+    _sync_loop(stack, sync_call, 200, "second.dat")
+    assert _live_counts() == after_200
+
+
+def test_history_readers_raise_without_record_history():
+    stack = build_stack(standard_config("BFS-DR", "plain-ssd"))
+    _sync_loop(stack, "fsync", 5, "a.dat")
+    with pytest.raises(SimulationError, match="record_history"):
+        stack.record_history()
+    stack.device.power_off()
+    with pytest.raises(HistoryNotRecordedError):
+        recover_durable_blocks(stack.device)
+    with pytest.raises(HistoryNotRecordedError):
+        journal_transactions(stack.fs)
+    with pytest.raises(HistoryNotRecordedError):
+        OrderTracker(stack.block, stack.device).collect()
+    recorded = build_stack(standard_config("BFS-DR", "plain-ssd"))
+    recorded.record_history()
+    _sync_loop(recorded, "fsync", 5, "a.dat")
+    state = recover_durable_blocks(recorded.device)
+    with pytest.raises(HistoryNotRecordedError):
+        CrashProbe.from_stack(state, stack)
+    assert CrashProbe.from_stack(state, recorded).dispatch_log

@@ -87,6 +87,7 @@ class TestEndToEndOrderingProperties:
         """Whatever the write/barrier interleaving and crash point, a
         barrier-honouring device never persists epoch k+1 without epoch k."""
         stack = build_stack(standard_config("BFS-OD", "plain-ssd", seed=seed))
+        stack.record_history()
         block = stack.block
         sim = stack.sim
 
@@ -129,6 +130,7 @@ class TestEndToEndOrderingProperties:
         filesystem and regardless of the interleaving seed."""
         for config_name in ("EXT4-DR", "BFS-DR"):
             stack = build_stack(standard_config(config_name, "plain-ssd", seed=seed))
+            stack.record_history()
             fs = stack.fs
 
             def proc():

@@ -19,6 +19,7 @@ from repro.storage.crash import recover_durable_blocks
 def crashed_probe(spec, calls=4):
     """Run ``calls`` fsynced appends on the spec's stack, then cut power."""
     stack = build_spec_stack(spec)
+    stack.record_history()
     fs = stack.fs
 
     def proc():
@@ -57,6 +58,7 @@ class TestCaptureImage:
         # file by the newest *recovered* metadata version, not the in-memory
         # inode.
         stack = build_spec_stack(SPEC)
+        stack.record_history()
         fs = stack.fs
 
         def proc():

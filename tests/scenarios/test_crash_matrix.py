@@ -48,6 +48,7 @@ def _append_unwaited_barrier_tail(stack) -> None:
 @pytest.mark.parametrize("mode", list(BarrierMode), ids=lambda mode: mode.value)
 def test_crash_recovery_matrix(mode):
     workload = prepare_spec(_spec_for(mode))
+    workload.stack.record_history()
     workload.run()
     stack = workload.stack
     assert stack.device.barrier_mode is mode

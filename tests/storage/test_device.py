@@ -86,6 +86,7 @@ def test_slot_available_event_fires_after_service():
 def test_flush_makes_prior_writes_durable():
     sim = Simulator()
     device = make_device(sim)
+    device.record_history()
 
     def host():
         first = write_command(0, 1, payload=[WrittenBlock("a", 1)])
@@ -108,6 +109,7 @@ def test_flush_makes_prior_writes_durable():
 def test_fua_write_is_durable_at_completion():
     sim = Simulator()
     device = make_device(sim)
+    device.record_history()
 
     def host():
         command = write_command(
@@ -167,6 +169,7 @@ def test_legacy_device_ignores_barrier_flag():
 def test_plp_device_durable_on_transfer():
     sim = Simulator()
     device = make_device(sim, profile="supercap-ssd")
+    device.record_history()
     assert device.barrier_mode is BarrierMode.PLP
 
     def host():
@@ -291,6 +294,7 @@ def test_power_off_rejects_new_commands():
 def test_crash_recovery_respects_barrier_epochs():
     sim = Simulator()
     device = make_device(sim, profile="plain-ssd")
+    device.record_history()
 
     def host():
         # Epoch 0: a, b (b is the barrier).  Epoch 1: c.

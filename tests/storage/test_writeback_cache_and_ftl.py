@@ -32,6 +32,7 @@ class TestWritebackCache:
 
     def test_durable_immediately_for_plp(self):
         cache = WritebackCache(16)
+        cache.record_history()
         cache.admit(
             [WrittenBlock("a", 1)], epoch=0, time=5.0, command_id=1,
             durable_immediately=True,
@@ -58,6 +59,7 @@ class TestWritebackCache:
 
     def test_entries_for_command(self):
         cache = WritebackCache(8)
+        cache.record_history()
         _admit(cache, ["a"], command_id=7)
         _admit(cache, ["b"], command_id=9)
         assert [e.block for e in cache.entries_for_command(9)] == ["b"]

@@ -86,6 +86,7 @@ class TestConfigurationCorners:
 class TestCrashStateHelpers:
     def _crashed_stack(self):
         stack = build_stack(standard_config("BFS-OD", "plain-ssd"))
+        stack.record_history()
         fs = stack.fs
 
         def proc():
