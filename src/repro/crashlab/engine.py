@@ -38,8 +38,6 @@ the merged report is bit-identical for any ``jobs`` value either way.
 
 from __future__ import annotations
 
-import os
-import pickle
 import warnings
 from typing import Optional, Sequence
 
@@ -58,8 +56,9 @@ from repro.crashlab.report import CellReport, OracleVerdict, PointVerdict
 from repro.snapshot import (
     CheckpointPolicy,
     CheckpointStore,
-    SnapshotForkError,
     checkpoint_supported,
+    deliver_result,
+    receive_result,
 )
 from repro.storage.crash import CrashBoundary, recover_durable_blocks
 
@@ -136,21 +135,24 @@ def replay_to_point(
     workload = prepare_spec(spec, tracer=tracer)
     stack = workload.stack
     stack.record_history()
-    trigger = CrashTrigger(stack.device, index)
-    stack.device.crash_tap = trigger
+    stack.device.crash_tap = CrashTrigger(stack.device, index)
     boundary: Optional[CrashBoundary] = None
     try:
         workload.run()
     except CrashPointReached as crash:
         boundary = crash.boundary
-    finally:
-        stack.device.crash_tap = None
+    return _power_cut(spec, workload, tracer), boundary
+
+
+def _power_cut(spec, workload, tracer) -> CrashProbe:
+    """Cut power on a replay stopped at its crash point; recover and probe."""
+    stack = workload.stack
+    stack.device.crash_tap = None
     if tracer is not None:
         tracer.finalize()  # flush requests left in flight by the crash
     stack.device.power_off()
     state = recover_durable_blocks(stack.device)
-    probe = CrashProbe.from_stack(state, stack, spec=spec, workload=workload)
-    return probe, boundary
+    return CrashProbe.from_stack(state, stack, spec=spec, workload=workload)
 
 
 def check_point(spec, index: int, *, trace_tail: int = 0, judge=None) -> PointVerdict:
@@ -183,28 +185,15 @@ def _deliver_replay(spec, workload, tap, boundary, tracer, judge=None):
     control flow it inherited.
     """
     request, result_fd = tap.grant
-    status = 1
-    try:
-        stack = workload.stack
-        stack.device.crash_tap = None
-        if tracer is not None:
-            tracer.finalize()
-        stack.device.power_off()
-        state = recover_durable_blocks(stack.device)
-        probe = CrashProbe.from_stack(state, stack, spec=spec, workload=workload)
+
+    def verdict() -> PointVerdict:
+        probe = _power_cut(spec, workload, tracer)
         build_verdict = judge if judge is not None else _point_verdict
-        verdict = build_verdict(
+        return build_verdict(
             probe, boundary, request["target"], tracer, request["trace_tail"]
         )
-        payload = pickle.dumps(("ok", verdict), protocol=pickle.HIGHEST_PROTOCOL)
-        status = 0
-    except BaseException as exc:  # noqa: BLE001 - relayed to the explorer
-        payload = pickle.dumps(("err", f"{type(exc).__name__}: {exc}"))
-    try:
-        with os.fdopen(result_fd, "wb") as pipe:
-            pipe.write(payload)
-    finally:
-        os._exit(status)
+
+    deliver_result(result_fd, verdict)
 
 
 def record_checkpointed(
@@ -246,12 +235,10 @@ def record_checkpointed(
         if tap.grant is not None:
             # A grandchild's delta replay failed: report the failure up the
             # result pipe instead of escaping into the recording flow.
-            _, result_fd = tap.grant
-            try:
-                with os.fdopen(result_fd, "wb") as pipe:
-                    pipe.write(pickle.dumps(("err", f"{type(exc).__name__}: {exc}")))
-            finally:
-                os._exit(1)
+            def relay():
+                raise exc
+
+            deliver_result(tap.grant[1], relay)
         store.close()
         raise
     if tap.grant is not None:
@@ -277,14 +264,12 @@ def _check_point_from_store(
     checkpoint = store.nearest(index)
     if checkpoint is None:
         return check_point(spec, index, trace_tail=trace_tail, judge=judge)
-    request = pickle.dumps(
-        {"target": index, "trace_tail": trace_tail},
-        protocol=pickle.HIGHEST_PROTOCOL,
+    verdict = receive_result(
+        checkpoint.request({"target": index, "trace_tail": trace_tail}),
+        f"checkpointed replay of point {index} of spec {spec.display_label!r} "
+        f"(resumed from checkpoint {checkpoint.index})",
     )
-    read_fd = checkpoint.request(request)
-    with os.fdopen(read_fd, "rb") as pipe:
-        payload = pipe.read()
-    if not payload:
+    if verdict is None:
         warnings.warn(
             f"checkpoint at boundary {checkpoint.index} died replaying point "
             f"{index} of spec {spec.display_label!r}; falling back to a "
@@ -292,14 +277,7 @@ def _check_point_from_store(
             RuntimeWarning,
         )
         return check_point(spec, index, trace_tail=trace_tail, judge=judge)
-    kind, value = pickle.loads(payload)
-    if kind != "ok":
-        raise SnapshotForkError(
-            f"checkpointed replay of point {index} of spec "
-            f"{spec.display_label!r} (resumed from checkpoint "
-            f"{checkpoint.index}) failed: {value}"
-        )
-    return value
+    return verdict
 
 
 def _check_points(
@@ -319,27 +297,21 @@ def _check_points(
     """
     indices = list(indices)
     if store is not None:
+
+        def resume(index: int) -> PointVerdict:
+            return _check_point_from_store(
+                store, spec, index, trace_tail=trace_tail, judge=judge
+            )
+
         if jobs <= 1 or len(indices) <= 1:
-            return [
-                _check_point_from_store(
-                    store, spec, index, trace_tail=trace_tail, judge=judge
-                )
-                for index in indices
-            ]
+            return [resume(index) for index in indices]
         # The delta replays are processes already (checkpoint
         # grandchildren); threads here only shuttle requests and results,
         # keeping up to `jobs` grandchildren in flight.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=min(jobs, len(indices))) as pool:
-            return list(
-                pool.map(
-                    lambda index: _check_point_from_store(
-                        store, spec, index, trace_tail=trace_tail, judge=judge
-                    ),
-                    indices,
-                )
-            )
+            return list(pool.map(resume, indices))
     if jobs <= 1 or len(indices) <= 1:
         return [
             check_point(spec, index, trace_tail=trace_tail, judge=judge)

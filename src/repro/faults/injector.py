@@ -1,8 +1,9 @@
 """Deterministic, seeded fault injection for the storage device.
 
 The :class:`FaultInjector` is installed on a :class:`~repro.storage.device.
-StorageDevice` (``device.fault_injector``) and consulted — via plain
-attribute test, mirroring ``crash_tap`` — at three sites:
+StorageDevice` (``device.fault_injector``, set through a
+:class:`repro.hooks.Hooks` ledger together with the checked read/write
+service) and consulted at three sites:
 
 * ``command_error(command)`` when a command starts service (``io-error``);
 * ``lie_on_flush()`` when the device is about to drain its cache for a
@@ -38,6 +39,7 @@ from repro.faults.spec import (
     coerce_faults,
     plan_label,
 )
+from repro.hooks import Hooks, require_unstarted
 
 
 @dataclass(frozen=True)
@@ -97,19 +99,28 @@ class FaultInjector:
         self._error_arms = [arm for arm in self._arms if arm.spec.kind == "io-error"]
         self.events: list[FaultEvent] = []
         self._device = None
+        self._hooks = Hooks()
 
     # ------------------------------------------------------------------ wiring
     def install(self, device) -> "FaultInjector":
-        """Attach to a device (sets ``device.fault_injector``).
+        """Attach to a device that has not run yet (undone by :meth:`uninstall`).
 
         Switches on the device-cache history: misdirected writes draw their
         victim from every durable page, and damaged pages are only visible
-        in that history once they persisted.  Install before the first IO.
+        in that history once they persisted.
         """
+        require_unstarted(device.sim, "a fault injector")
         device.record_history()
         self._device = device
-        device.fault_injector = self
+        swap = self._hooks.swap
+        swap(device, "fault_injector", self)
+        swap(device, "_service_write", device._service_write_checked)
+        swap(device, "_service_read", device._service_read_checked)
         return self
+
+    def uninstall(self) -> None:
+        """Detach from the device, restoring its plain service."""
+        self._hooks.restore()
 
     @property
     def label(self) -> str:

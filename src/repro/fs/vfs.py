@@ -26,6 +26,7 @@ from repro.block.request import BlockRequest, RequestFlag
 from repro.fs.errors import EIOError, ReadOnlyFSError
 from repro.fs.inode import File, Inode, PageCacheStats, group_bitmap_block, make_inode, timestamp_tick
 from repro.fs.mount import MountOptions
+from repro.hooks import Hooks
 from repro.simulation.engine import Event, Simulator
 from repro.storage.command import WrittenBlock
 
@@ -98,13 +99,12 @@ class FilesystemBase:
         #: after a durable journal failure).  Writes raise
         #: :class:`ReadOnlyFSError` while the flag is set; reads keep working.
         self.read_only = False
-        # Error propagation is method-swapped in (the fault-injector /
-        # tracer pattern): with no injector installed a block request can
-        # never carry an error status, so the default check sites are no-ops
-        # and the no-fault hot path stays unchanged (pinned by perfbench's
-        # ``recovery_overhead_pct``).
-        self._request_error = self._request_error_never
-        self._check_requests = self._check_requests_never
+        # Error propagation is swapped in through a hooks ledger (like the
+        # fault injector and the tracer): with no injector installed a block
+        # request can never carry an error status, so the default check
+        # sites are no-ops and the no-fault hot path stays unchanged (pinned
+        # by perfbench's ``recovery_overhead_pct``).
+        self._error_hooks = Hooks()
 
     # ------------------------------------------------------------------ namespace
     def create(self, name: str, *, preallocate_pages: int = 0) -> File:
@@ -314,28 +314,32 @@ class FilesystemBase:
     def enable_error_propagation(self) -> None:
         """Swap the strict request-error checks onto the sync paths.
 
-        Installed by :func:`repro.scenarios.prepare_spec` whenever a fault
-        injector rides on the spec, and by :func:`repro.recovery.remount`
-        (a remounted filesystem is by definition running through failures).
-        Mirrors the fault-injector/tracer discipline: the hooks cost nothing
-        until something can actually produce an error.
+        Installed through :func:`repro.hooks.install` whenever a fault
+        injector rides on a spec, and on every
+        :func:`repro.recovery.remount` (a remounted filesystem is by
+        definition running through failures).  The hooks cost nothing until
+        something can actually produce an error.
         """
-        self._request_error = self._request_error_strict
-        self._check_requests = self._check_requests_strict
+        swap = self._error_hooks.swap
+        swap(self, "_request_error", self._request_error_strict)
+        swap(self, "_check_requests", self._check_requests_strict)
+
+    def disable_error_propagation(self) -> None:
+        """Restore the default never-raising checks."""
+        self._error_hooks.restore()
 
     @property
     def error_propagation_enabled(self) -> bool:
         """Whether the strict request-error checks are installed."""
-        installed = getattr(self._request_error, "__func__", None)
-        return installed is FilesystemBase._request_error_strict
+        return bool(self._error_hooks)
 
-    def _request_error_never(self, request: BlockRequest) -> Optional[str]:
+    def _request_error(self, request: BlockRequest) -> Optional[str]:
         return None
 
     def _request_error_strict(self, request: BlockRequest) -> Optional[str]:
         return request.error
 
-    def _check_requests_never(self, requests) -> None:
+    def _check_requests(self, requests) -> None:
         return None
 
     def _check_requests_strict(self, requests) -> None:

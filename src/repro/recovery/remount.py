@@ -13,8 +13,8 @@ restart at 1, exactly like a real remount) and seeds it with the
   since that mode recovers only what the log prefix reaches;
 * the spec's fault plan is reinstalled (same plan, same seed — the
   storage did not get healthier by rebooting) and error propagation is
-  enabled: a remounted filesystem is by definition running through
-  failures.
+  enabled, both through :func:`repro.hooks.install`: a remounted
+  filesystem is by definition running through failures.
 
 Only data blocks are seeded.  Journal blocks must not be: the fresh
 journal reuses txids from 1 and seeded ``("jc", 1)``-style blocks would
@@ -24,6 +24,7 @@ collide with the continuation's own commits.
 from __future__ import annotations
 
 from repro.core.stack import IOStack
+from repro.hooks import install
 from repro.recovery.image import RecoveredImage
 from repro.storage.command import WrittenBlock
 
@@ -35,11 +36,7 @@ def remount(image: RecoveredImage, spec) -> IOStack:
     stack = build_spec_stack(spec)
     # The judge recovers this stack again after the continuation.
     stack.record_history()
-    if spec.faults:
-        from repro.faults import FaultInjector
-
-        FaultInjector(spec.faults, seed=spec.seed).install(stack.device)
-    stack.fs.enable_error_propagation()
+    install(stack, faults=spec.faults, seed=spec.seed, strict_errors=True)
 
     blocks: list[WrittenBlock] = []
     for entry in sorted(image.files, key=lambda f: f.inode_no):

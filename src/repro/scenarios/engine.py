@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from repro.analysis.reporting import ExperimentResult
 from repro.core.stack import IOStack, build_stack
+from repro.hooks import install
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.stacks import DEVICES, stack_config
 from repro.scenarios.workloads import WORKLOADS, Workload, WorkloadResult
@@ -70,34 +71,19 @@ def prepare_spec(spec: ScenarioSpec, *, tracer=None) -> Workload:
     before any simulation activity, like the fault injector — so every
     span from the first warmup request onward is captured.
 
-    The install order here is a contract: fault injector first (wrapping
-    the raw device methods), tracer second (wrapping the injected ones),
-    and any crash tap attached by the caller afterwards — that is the
-    stack every from-scratch replay rebuilds, and therefore the exact
-    hook state a fork checkpoint freezes mid-run
-    (:mod:`repro.crashlab.engine`).  Reordering the installs would change
-    which hook sees a fault first and silently break the bit-identity
-    between checkpointed and scratch replays.
+    Hooks go in through :func:`repro.hooks.install`, which owns their
+    order (fault injector, strict errors, tracer; a caller's crash tap
+    last).
     """
     workload_class = WORKLOADS.get(spec.workload)
     workload = workload_class(**dict(spec.params))
     if workload_class.needs_stack:
         stack = build_spec_stack(spec)
-        if spec.faults:
-            # Rebuilt per run from (plan, seed), so every replay of a spec —
-            # serial or sharded — injects bit-identical fault sites.
-            from repro.faults import FaultInjector
-
-            FaultInjector(spec.faults, seed=spec.seed).install(stack.device)
-            # With an injector riding along, block requests can complete
-            # with an error status; swap in the strict checks so
-            # retry-exhausted IO surfaces as EIOError at the issuing
-            # syscall instead of being silently swallowed.  Without faults
-            # the hooks stay the no-op defaults (the no-fault hot path is
-            # pinned by perfbench's recovery_overhead_pct).
-            stack.fs.enable_error_propagation()
-        if tracer is not None:
-            tracer.install(stack)
+        # The injector is rebuilt per run from (plan, seed), so every replay
+        # injects bit-identical fault sites.  Only injected faults can fail
+        # a request, so only then do the strict checks raise EIOError.
+        faults = spec.faults
+        install(stack, faults=faults, seed=spec.seed, tracer=tracer, strict_errors=bool(faults))
     elif tracer is not None:
         raise ValueError(
             f"workload {spec.workload!r} builds no filesystem stack; "

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
+from inspect import GEN_CREATED, getgeneratorstate
 from typing import Any, Callable, Generator, Iterable, Optional
 
 #: One microsecond, the base time unit of the simulator.
@@ -646,6 +647,14 @@ class Simulator:
             else:
                 item._resume(value, exc)  # noqa: SLF001
         return event.value
+
+    @property
+    def started(self) -> bool:
+        """Whether any live process has begun executing (see :mod:`repro.hooks`)."""
+        return any(
+            getgeneratorstate(process.generator) != GEN_CREATED
+            for process in self._live_processes
+        )
 
     @property
     def active_process(self) -> Optional[Process]:

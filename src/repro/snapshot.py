@@ -1,45 +1,30 @@
-"""Fork-based process snapshots: warm-start prefixes and mid-run checkpoints.
+"""Fork checkpoints: warm-start prefixes and mid-run crash-replay points.
 
-A parameter sweep frequently re-simulates the same warmup prefix over and
-over: every cell of a ``calls``/``commits`` axis builds the same stack,
-replays the same warmup operations, and only then diverges.  This module
-runs the shared prefix *once* per group of specs and forks each parameter
-point from the warmed-up process image, so matrix wall-clock scales with
-the varying suffix instead of the total run length.
+The simulation state worth resuming — the event heap, the live generator
+frames of every simulated process, and all RNG streams — cannot be
+pickled, but a fork's copy-on-write image captures it exactly, and a
+forked copy continues the simulation bit-identically to a run that never
+forked.  This module has one fork path: :meth:`CheckpointStore.take`
+freezes the running process as a live child, and
+:meth:`Checkpoint.request` sends it a pickled request plus the write end
+of a fresh result pipe (``socket.send_fds``).  The child forks a
+grandchild that resumes the frozen frames with the request applied and
+hands its result to :func:`deliver_result`; the requester reads it with
+:func:`receive_result`.  Platforms without ``os.fork``/``send_fds``
+report :func:`checkpoint_supported` false and callers run from scratch —
+results are identical either way.
 
-The snapshot itself is an ``os.fork``: the simulation state that has to be
-captured — the event heap, live generator frames of every simulated
-process, filesystem, block and storage device objects, and all RNG streams
-— contains generator iterators, which CPython cannot pickle.  A fork's
-copy-on-write memory image captures all of it exactly and cheaply, and the
-child continues the simulation bit-identically to a run that never forked
-(pinned by ``tests/scenarios/test_warm_start.py``).  Child results travel
-back over a pipe as pickled :class:`~repro.scenarios.workloads.WorkloadResult`
-values.
-
-Grouping: specs share a warm prefix when they agree on every axis and every
-workload parameter *except* the workload's declared ``SUFFIX_PARAMS``
-(parameters only the measured phase reads, e.g. ``calls`` for sync-loop).
-Workloads without a declared warm/measure split, single-spec groups, and
-platforms without ``os.fork`` all fall back to plain from-scratch runs —
-results are identical either way, warm-start is purely a wall-clock lever.
-
-The second half of the module generalises the same trick from "one snapshot
-at the warm/measure split" to a **checkpoint store**: a pool of live fork
-children frozen mid-run at scheduled points (:class:`CheckpointPolicy`),
-each of which can be re-forked any number of times to resume the simulation
-from that point (:class:`CheckpointStore`).  This is what lets
-:mod:`repro.crashlab` replay a scenario to crash point *i* in
-O(delta-from-nearest-checkpoint) instead of O(i): the simics-style
-replay-from-nearest-snapshot idea, applied to exhaustive crash-state
-enumeration.  The child-pool protocol is a Unix-domain socket per
-checkpoint: the exploring parent sends a pickled request plus the write end
-of a fresh result pipe (``socket.send_fds``); the frozen child forks a
-grandchild, acks, and keeps waiting; the grandchild resumes the simulation
-frames it inherited, delivers its result over the pipe and exits.
-Platforms without ``os.fork``/``send_fds`` report
-:func:`checkpoint_supported` false and callers fall back to from-scratch
-replay — results are identical either way.
+Two callers use it.  Warm-start sweeps (:func:`run_specs_warm_start`)
+group specs that agree on everything but the workload's ``SUFFIX_PARAMS``
+(parameters only the measured phase reads, e.g. ``calls`` for
+sync-loop); :func:`run_group` runs the shared warmup once, takes one
+checkpoint at the end of ``warm()`` and requests one continuation per
+spec, so sweep wall-clock scales with the varying suffix (pinned
+bit-identical by ``tests/scenarios/test_warm_start.py``).  Crash
+exploration (:mod:`repro.crashlab`) freezes a pool of checkpoints at
+boundaries a :class:`CheckpointPolicy` schedules during one recording
+run, so replaying to crash point *i* costs O(delta from the nearest
+checkpoint) instead of O(i).
 """
 
 from __future__ import annotations
@@ -63,33 +48,59 @@ from repro.scenarios.workloads import WORKLOADS
 
 
 class SnapshotForkError(RuntimeError):
-    """A forked continuation died before delivering its result."""
-
-
-def fork_supported() -> bool:
-    """Whether this platform can take prefix snapshots at all."""
-    return hasattr(os, "fork")
+    """A forked continuation failed, or died before delivering its result."""
 
 
 def checkpoint_supported() -> bool:
-    """Whether this platform can keep re-forkable mid-run checkpoints.
+    """Whether this platform can keep re-forkable checkpoints.
 
-    Beyond ``os.fork``, the child-pool protocol passes each result pipe to
-    the frozen child over a Unix socket, so ``socket.send_fds`` /
-    ``recv_fds`` (POSIX ``SCM_RIGHTS``) must exist too.
+    Beyond ``os.fork``, the protocol passes each result pipe to the frozen
+    child over a Unix socket, so ``socket.send_fds`` / ``recv_fds``
+    (POSIX ``SCM_RIGHTS``) must exist too.
     """
     import socket
 
-    return fork_supported() and hasattr(socket, "send_fds") and hasattr(socket, "recv_fds")
+    return hasattr(os, "fork") and hasattr(socket, "send_fds") and hasattr(socket, "recv_fds")
 
 
-def _describe_wait_status(wait_status: int) -> str:
-    """Human-readable form of an ``os.waitpid`` status."""
-    if os.WIFEXITED(wait_status):
-        return f"exited with status {os.WEXITSTATUS(wait_status)}"
-    if os.WIFSIGNALED(wait_status):
-        return f"killed by signal {os.WTERMSIG(wait_status)}"
-    return f"wait status {wait_status}"  # pragma: no cover - stopped/exotic
+#: Exit status of a continuation that relayed a failure.
+_FAILED_STATUS = 1
+
+
+def deliver_result(result_fd: int, compute) -> None:
+    """Continuation side: pipe ``("ok", compute())`` or ``("err", text)``, exit.
+
+    Never returns, so a continuation can never fall back into the control
+    flow it inherited.
+    """
+    status = _FAILED_STATUS
+    try:
+        try:
+            payload = pickle.dumps(("ok", compute()), protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        except BaseException as exc:  # noqa: BLE001 - relayed to the parent
+            payload = pickle.dumps(("err", f"{type(exc).__name__}: {exc}"))
+        with os.fdopen(result_fd, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(status)
+
+
+def receive_result(read_fd: int, what: str):
+    """Requester side: the delivered value, or ``None`` if nothing arrived.
+
+    A relayed failure raises :class:`SnapshotForkError` naming ``what``.
+    """
+    with os.fdopen(read_fd, "rb") as pipe:
+        payload = pipe.read()
+    if not payload:
+        return None
+    kind, value = pickle.loads(payload)
+    if kind != "ok":
+        raise SnapshotForkError(
+            f"{what} failed (exited with status {_FAILED_STATUS}): {value}"
+        )
+    return value
 
 
 def warm_group_key(spec: ScenarioSpec) -> tuple:
@@ -145,52 +156,12 @@ def _strip_suffix_params(spec: ScenarioSpec) -> ScenarioSpec:
     return replace(spec, params=shared)
 
 
-def _run_forked(workload, spec: ScenarioSpec) -> ScenarioOutcome:
-    """Fork the warmed process and run ``spec``'s measured phase in the child."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        # Child: adopt the spec's full parameter set (the warmed workload
-        # was built without the suffix params) and run the measured phase.
-        status = 1
-        try:
-            os.close(read_fd)
-            workload.params = dict(spec.params)
-            try:
-                result = workload.run()
-                result.device_stats = collect_device_stats(workload.stack)
-                payload = pickle.dumps(
-                    ("ok", result), protocol=pickle.HIGHEST_PROTOCOL
-                )
-                status = 0
-            except BaseException as exc:  # noqa: BLE001 - relayed to parent
-                payload = pickle.dumps(("err", f"{type(exc).__name__}: {exc}"))
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(payload)
-        finally:
-            # Never fall back into the parent's control flow.
-            os._exit(status)
-    os.close(write_fd)
-    with os.fdopen(read_fd, "rb") as pipe:
-        payload = pipe.read()
-    _, wait_status = os.waitpid(pid, 0)
-    label = f"{spec.display_label!r} ({spec.describe()})"
-    if not payload:
-        raise SnapshotForkError(
-            f"forked run of spec {label} died without delivering a result: "
-            f"{_describe_wait_status(wait_status)}"
-        )
-    kind, value = pickle.loads(payload)
-    if kind != "ok":
-        raise SnapshotForkError(
-            f"forked run of spec {label} failed "
-            f"({_describe_wait_status(wait_status)}): {value}"
-        )
-    return ScenarioOutcome(spec=spec, result=value)
-
-
 def run_group(specs: Sequence[ScenarioSpec]) -> list[ScenarioOutcome]:
-    """Run one warm-prefix group: shared warmup once, then one fork per spec."""
+    """Run one warm-prefix group: shared warmup once, then one fork per spec.
+
+    The warmed process is frozen as a single checkpoint; each spec's
+    measured phase runs in a continuation forked from it.
+    """
     spec_list = list(specs)
     workload_class = WORKLOADS.get(spec_list[0].workload)
     # Surface bad parameters before any fork hides the traceback.
@@ -199,7 +170,7 @@ def run_group(specs: Sequence[ScenarioSpec]) -> list[ScenarioOutcome]:
     if (
         len(spec_list) == 1
         or not workload_class.SUFFIX_PARAMS
-        or not fork_supported()
+        or not checkpoint_supported()
     ):
         if len(spec_list) > 1 and workload_class.SUFFIX_PARAMS:
             # The group *wanted* a shared prefix (several specs, declared
@@ -208,14 +179,38 @@ def run_group(specs: Sequence[ScenarioSpec]) -> list[ScenarioOutcome]:
             warnings.warn(
                 f"warm-start group {spec_list[0].describe()!r} "
                 f"({len(spec_list)} specs) fell back to from-scratch runs: "
-                "os.fork is unavailable on this platform",
+                "fork checkpoints are unavailable on this platform",
                 RuntimeWarning,
                 stacklevel=2,
             )
         return [run_spec(spec) for spec in spec_list]
     workload = prepare_spec(_strip_suffix_params(spec_list[0]))
     workload.warm()
-    return [_run_forked(workload, spec) for spec in spec_list]
+    store = CheckpointStore(CheckpointPolicy(budget=1))
+    grant = store.take(0, 0.0)
+    if grant is not None:
+        # A continuation: adopt the spec's full parameter set (the warmed
+        # workload was built without the suffix params) and run the
+        # measured phase.
+        params, result_fd = grant
+
+        def measure():
+            workload.params = params
+            result = workload.run()
+            result.device_stats = collect_device_stats(workload.stack)
+            return result
+
+        deliver_result(result_fd, measure)
+    with store:
+        checkpoint = store.nearest(0)
+        outcomes = []
+        for spec in spec_list:
+            what = f"forked run of spec {spec.display_label!r} ({spec.describe()})"
+            result = receive_result(checkpoint.request(dict(spec.params)), what)
+            if result is None:
+                raise SnapshotForkError(f"{what} died without delivering a result")
+            outcomes.append(ScenarioOutcome(spec=spec, result=result))
+        return outcomes
 
 
 @dataclass(frozen=True)
@@ -246,7 +241,7 @@ class CheckpointPolicy:
 class Checkpoint:
     """One live fork child, frozen mid-run, re-forkable on request."""
 
-    __slots__ = ("index", "time", "pid", "sock", "lock", "uses")
+    __slots__ = ("index", "time", "pid", "sock", "lock")
 
     def __init__(self, index: int, time: float, pid: int, sock) -> None:
         self.index = index
@@ -258,23 +253,24 @@ class Checkpoint:
         #: stream socket; the delta replays themselves run concurrently in
         #: the grandchildren.
         self.lock = threading.Lock()
-        self.uses = 0
 
-    def request(self, payload: bytes) -> int:
-        """Ask the frozen child to fork a continuation for ``payload``.
+    def request(self, request) -> int:
+        """Ask the frozen child to fork a continuation for ``request``.
 
-        Returns the read end of a fresh result pipe; the grandchild holds
-        the only surviving write end, so reading to EOF yields exactly its
-        delivered result (or nothing, if it died).
+        ``request`` is any picklable value; the continuation receives it
+        as the grant :meth:`CheckpointStore.take` returns.  Returns the
+        read end of a fresh result pipe for :func:`receive_result`; the
+        grandchild holds the only surviving write end, so reading to EOF
+        yields exactly its delivered result (or nothing, if it died).
         """
         import socket as socket_module
 
+        payload = pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL)
         read_fd, write_fd = os.pipe()
         try:
             with self.lock:
                 socket_module.send_fds(self.sock, [payload], [write_fd])
                 acknowledged = self.sock.recv(1)
-            self.uses += 1
         except BaseException:
             os.close(read_fd)
             os.close(write_fd)

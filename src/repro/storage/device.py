@@ -111,15 +111,12 @@ class StorageDevice:
         self.crash_tap: Optional[Callable[[str, int], None]] = None
         #: Fault-injection hook (:class:`repro.faults.FaultInjector`).  Like
         #: ``crash_tap`` this is duck-typed so the storage layer does not
-        #: import :mod:`repro.faults`.  Assigning it swaps the read/write
-        #: service implementations (see the property below): with no injector
-        #: the per-command hot path contains zero injector branches, restoring
-        #: the pre-fault-subsystem wiring; with one installed the checked
-        #: variants run the hook sites.  Cold sites (flush, FUA, program
+        #: import :mod:`repro.faults`.  Installing an injector also swaps
+        #: ``_service_write``/``_service_read`` for the checked variants that
+        #: run the per-command hook site, so with no injector the hot path
+        #: contains zero injector branches.  Cold sites (flush, FUA, program
         #: rounds) keep a single attribute test instead.
-        self._fault_injector = None
-        self._service_write = self._service_write_fast
-        self._service_read = self._service_read_fast
+        self.fault_injector = None
 
         self._queue_activity = Condition(sim, name="device.queue")
         self._slot_freed = Condition(sim, name="device.slot")
@@ -135,21 +132,6 @@ class StorageDevice:
         sim.process(self._flusher_loop(), name=f"{profile.name}.flusher", daemon=True)
 
     # ------------------------------------------------------------------ host API
-    @property
-    def fault_injector(self):
-        """The installed :class:`repro.faults.FaultInjector`, or ``None``."""
-        return self._fault_injector
-
-    @fault_injector.setter
-    def fault_injector(self, injector) -> None:
-        self._fault_injector = injector
-        if injector is None:
-            self._service_write = self._service_write_fast
-            self._service_read = self._service_read_fast
-        else:
-            self._service_write = self._service_write_checked
-            self._service_read = self._service_read_checked
-
     def submit(self, command: Command) -> Command:
         """Submit a command; raises :class:`DeviceBusyError` if the queue is full."""
         if not self.try_submit(command):
@@ -183,12 +165,6 @@ class StorageDevice:
             event.succeed()
             return event
         return self._slot_freed.wait()
-
-    def flush_cache_command(self) -> Command:
-        """Build (but do not submit) a standalone FLUSH command."""
-        from repro.storage.command import flush_command
-
-        return flush_command()
 
     @property
     def queue_occupancy(self) -> int:
@@ -259,7 +235,7 @@ class StorageDevice:
         command.completed.succeed()
 
     def _service_read_fast(self, command: Command):
-        """Service a read with no fault injector installed (the hot path)."""
+        """Service a read (the hot path; the checked form delegates here)."""
         sim = self.sim
         yield self.flash.read(command.num_pages)
         yield sim.timeout(command.num_pages * self.profile.transfer_time_per_page)
@@ -271,19 +247,23 @@ class StorageDevice:
         command.completed.succeed()
 
     def _service_read_checked(self, command: Command):
-        """Read service with the fault-injection hook sites active."""
-        error = self._fault_injector.command_error(command)
+        """Read service with the fault-injection hook site active."""
+        error = self.fault_injector.command_error(command)
         if error is not None:
             yield from self._fail_command(command, error)
             return
         yield from self._service_read_fast(command)
 
     def _service_write_fast(self, command: Command):
-        """Service a write with no fault injector installed (the hot path)."""
+        """Service a write (the hot path; the checked form delegates here)."""
         profile = self.profile
         sim = self.sim
         if command.wants_preflush:
-            yield from self._drain_dirty_upto(self.cache.last_dirty_seq)
+            # A lying device acknowledges the pre-flush without draining the
+            # cache; the FUA payload itself is still programmed for real.
+            injector = self.fault_injector
+            if injector is None or not injector.lie_on_flush():
+                yield from self._drain_dirty_upto(self.cache.last_dirty_seq)
             yield sim.timeout(profile.flush_overhead)
 
         yield sim.timeout(command.num_pages * profile.transfer_time_per_page)
@@ -317,47 +297,17 @@ class StorageDevice:
         command.completed.succeed()
 
     def _service_write_checked(self, command: Command):
-        """Write service with the fault-injection hook sites active."""
-        profile = self.profile
-        injector = self._fault_injector
-        error = injector.command_error(command)
+        """Write service with the fault-injection hook site active."""
+        error = self.fault_injector.command_error(command)
         if error is not None:
             yield from self._fail_command(command, error)
             return
-        if command.wants_preflush:
-            # A lying device acknowledges the pre-flush without draining the
-            # cache; the FUA payload itself is still programmed for real.
-            if not injector.lie_on_flush():
-                yield from self._drain_dirty_upto(self.cache.last_dirty_seq)
-            yield self.sim.timeout(profile.flush_overhead)
+        yield from self._service_write_fast(command)
 
-        yield self.sim.timeout(command.num_pages * profile.transfer_time_per_page)
-        command.transfer_time = self.sim.now
-        command.epoch = self.current_epoch
-        entries = self.cache.admit(
-            command.payload,
-            epoch=self.current_epoch,
-            time=self.sim.now,
-            command_id=command.command_id,
-            durable_immediately=self.barrier_mode is BarrierMode.PLP,
-        )
-        if command.is_barrier and self.barrier_mode.supports_barrier:
-            self.current_epoch += 1
-            self.stats.barrier_writes += 1
-        self.stats.pages_transferred += command.num_pages
-        command.transferred.succeed()
-        self._cache_work.notify_all()
-        if self.crash_tap is not None:
-            self.crash_tap("transfer", command.num_pages)
-
-        if command.is_fua:
-            self.stats.fua_writes += 1
-            yield from self._persist_fua(entries)
-
-        yield self.sim.timeout(profile.completion_overhead)
-        command.complete_time = self.sim.now
-        self.stats.writes_serviced += 1
-        command.completed.succeed()
+    #: The service forms the controller calls; a fault injector swaps in the
+    #: checked ones on the instance.
+    _service_read = _service_read_fast
+    _service_write = _service_write_fast
 
     def _persist_fua(self, entries: list[CacheEntry]):
         """Program a FUA payload synchronously (bypassing the flusher)."""
@@ -372,8 +322,8 @@ class StorageDevice:
         else:
             pages = None
         yield self.flash.program(len(pending), overhead_factor=overhead)
-        if self._fault_injector is not None:
-            self._fault_injector.damage_batch(self, pending)
+        if self.fault_injector is not None:
+            self.fault_injector.damage_batch(self, pending)
         self.cache.mark_durable(pending, self.sim.now)
         if self.ftl is not None and pages is not None:
             self.ftl.mark_programmed(pages, self.sim.now)
@@ -384,7 +334,7 @@ class StorageDevice:
             self.crash_tap("program", len(pending))
 
     def _service_flush(self, command: Command):
-        injector = self._fault_injector
+        injector = self.fault_injector
         if injector is None or not injector.lie_on_flush():
             yield from self._drain_dirty_upto(self.cache.last_dirty_seq)
         yield self.sim.timeout(self.profile.flush_overhead)
@@ -468,8 +418,8 @@ class StorageDevice:
                 self._flush_group_counter += 1
                 flush_group = self._flush_group_counter
             yield self.flash.program(len(batch), overhead_factor=overhead)
-            if self._fault_injector is not None:
-                self._fault_injector.damage_batch(self, batch)
+            if self.fault_injector is not None:
+                self.fault_injector.damage_batch(self, batch)
             if self.crash_tap is not None and self.barrier_mode is BarrierMode.NONE:
                 # Legacy device under crash exploration: the planes of a
                 # program round land independently at power cut, so expose a

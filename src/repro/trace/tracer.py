@@ -1,9 +1,9 @@
 """The cross-layer tracer: method-swapped hooks over one IO stack.
 
-Wiring follows the fault-injection pattern established by
-:class:`repro.faults.FaultInjector`: nothing in the fs/journal/block/storage
-code knows about tracing.  :meth:`Tracer.install` swaps instrumented
-wrappers over a handful of instance methods —
+Wiring follows the fault injector's: nothing in the fs/journal/block/
+storage code knows about tracing.  :meth:`Tracer.install` swaps
+instrumented wrappers over a handful of instance methods through a
+:class:`repro.hooks.Hooks` ledger —
 
 * the filesystem's sync family (``fsync``/``fdatasync``/``fbarrier``/
   ``fdatabarrier``/``osync``) to open a :class:`TraceContext` per syscall
@@ -21,9 +21,10 @@ only *observes* (it creates no simulation events, advances no RNG, changes
 no timing), a traced run produces bit-identical workload results to an
 untraced one — the same discipline ``crash_tap`` follows.
 
-Install a tracer right after building the stack (before the simulation
-first runs): the dispatcher loop hoists bound methods on its first resume,
-so late installation would miss the device-submit hook.
+Install a tracer right after building the stack, before the simulation
+first runs (:func:`repro.hooks.install` is the ordered way to do that):
+the dispatcher loop hoists bound methods on its first resume, so a late
+install would miss the device-submit hook and raises instead.
 
 Span ids, context ids and the request aliases recorded in span details all
 come from per-tracer counters, never from the process-global
@@ -37,6 +38,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.fs.vfs import FilesystemBase
+from repro.hooks import Hooks, require_unstarted
 from repro.trace.metrics import MetricsRegistry
 from repro.trace.spans import Span, SpanBuffer, TraceContext
 
@@ -78,7 +80,7 @@ class Tracer:
         self.enabled = enabled
         self._stack = None
         self._sim = None
-        self._originals: list[tuple[object, str, bool, object]] = []
+        self._hooks = Hooks()
         self._current: Optional[TraceContext] = None
         self._ctx_counter = 0
         self._span_counter = 0
@@ -99,8 +101,10 @@ class Tracer:
         """Swap the instrumented wrappers over ``stack``'s hook points."""
         if self._stack is not None:
             raise RuntimeError("tracer is already installed")
+        require_unstarted(stack.sim, "a tracer")
         self._stack = stack
         self._sim = stack.sim
+        swap = self._hooks.swap
         fs = stack.fs
         for name in SYNC_OPS:
             implementation = getattr(type(fs), name, None)
@@ -108,43 +112,22 @@ class Tracer:
                 continue
             if implementation is getattr(FilesystemBase, name, None):
                 continue  # unimplemented base stub (raises, never yields)
-            self._swap(fs, name, self._make_sync_wrapper(getattr(fs, name), name))
+            swap(fs, name, self._make_sync_wrapper(getattr(fs, name), name))
         journal = getattr(fs, "journal", None)
         if journal is not None and hasattr(journal, "request_commit"):
-            self._swap(
-                journal,
-                "request_commit",
-                self._make_commit_wrapper(journal.request_commit),
-            )
-        self._swap(stack.block, "submit", self._make_submit_wrapper(stack.block.submit))
-        self._swap(
-            stack.device,
-            "try_submit",
-            self._make_try_submit_wrapper(stack.device.try_submit),
-        )
-        self._swap(
-            stack.device.flash,
-            "program",
-            self._make_program_wrapper(stack.device.flash.program),
-        )
+            swap(journal, "request_commit", self._make_commit_wrapper(journal.request_commit))
+        block, device, flash = stack.block, stack.device, stack.device.flash
+        swap(block, "submit", self._make_submit_wrapper(block.submit))
+        swap(device, "try_submit", self._make_try_submit_wrapper(device.try_submit))
+        swap(flash, "program", self._make_program_wrapper(flash.program))
         return self
 
     def uninstall(self) -> None:
         """Restore every swapped method and detach from the stack."""
-        for obj, name, had_attr, original in reversed(self._originals):
-            if had_attr:
-                setattr(obj, name, original)
-            else:
-                delattr(obj, name)
-        self._originals.clear()
+        self._hooks.restore()
         self._stack = None
         self._sim = None
         self._current = None
-
-    def _swap(self, obj, name: str, wrapper) -> None:
-        had_attr = name in obj.__dict__
-        self._originals.append((obj, name, had_attr, obj.__dict__.get(name)))
-        setattr(obj, name, wrapper)
 
     # ------------------------------------------------------------------ recording
     def _emit(

@@ -100,6 +100,11 @@ class TestSyncFamilyRaises:
         assert sync_outcome(stack, "fsync") is None
         enabled = make_faulty("EXT4-DR")
         assert enabled.fs.error_propagation_enabled
+        # The swap has an inverse: disabling restores the inert defaults.
+        enabled.fs.disable_error_propagation()
+        assert not enabled.fs.error_propagation_enabled
+        assert "_request_error" not in vars(enabled.fs)
+        assert sync_outcome(enabled, "fsync") is None
 
 
 class TestPostFailureSemantics:

@@ -13,14 +13,14 @@ import pytest
 from repro.scenarios.engine import run_spec, run_specs
 from repro.scenarios.spec import ScenarioSpec
 from repro.snapshot import (
-    fork_supported,
+    checkpoint_supported,
     group_specs,
     run_specs_warm_start,
     warm_group_key,
 )
 
 pytestmark = pytest.mark.skipif(
-    not fork_supported(), reason="prefix snapshots need os.fork"
+    not checkpoint_supported(), reason="prefix snapshots need fork checkpoints"
 )
 
 
@@ -110,29 +110,29 @@ class TestForkEquivalence:
 
 
 class TestFallback:
-    def test_fork_failure_names_the_spec_and_exit_status(self):
-        from repro.scenarios.engine import prepare_spec
-        from repro.snapshot import SnapshotForkError, _run_forked
+    def test_fork_failure_names_the_spec_and_exit_status(self, monkeypatch):
+        from repro.scenarios.workloads import SyncLoopWorkload
+        from repro.snapshot import SnapshotForkError
 
-        spec = _sync_loop_specs(counts=(10,))[0]
-        workload = prepare_spec(spec)
-
-        def boom():
+        def boom(self):
             raise RuntimeError("measured phase exploded")
 
-        workload.run = boom
+        # The warmup runs as usual; every forked measured phase inherits
+        # the patched class and fails.
+        monkeypatch.setattr(SyncLoopWorkload, "run", boom)
+        specs = _sync_loop_specs(counts=(10, 25))
         with pytest.raises(SnapshotForkError) as err:
-            _run_forked(workload, spec)
+            run_specs_warm_start(specs)
         message = str(err.value)
         # Which spec died, how the child exited, and why — all in one line.
-        assert spec.display_label in message
+        assert specs[0].display_label in message
         assert "exit" in message.lower()
         assert "RuntimeError: measured phase exploded" in message
 
     def test_forkless_platform_warns_and_matches_scratch(self, monkeypatch):
         import repro.snapshot as snapshot
 
-        monkeypatch.setattr(snapshot, "fork_supported", lambda: False)
+        monkeypatch.setattr(snapshot, "checkpoint_supported", lambda: False)
         specs = _sync_loop_specs(counts=(10, 25))
         with pytest.warns(RuntimeWarning, match="fell back to from-scratch"):
             outcomes = run_specs_warm_start(specs)

@@ -10,7 +10,9 @@ The properties pinned here are the tentpole guarantees of ``repro.trace``:
 * the exported trace depends only on per-tracer counters, so it is
   independent of whatever other simulations the process ran before
   (the property that makes ``--jobs`` sharding bit-identical);
-* uninstall restores the unwrapped stack exactly.
+* uninstall restores the unwrapped stack exactly, hooks install in one
+  order (injector, strict errors, tracer), and never after the simulation
+  has run.
 """
 
 import pytest
@@ -157,25 +159,105 @@ class TestInstallation:
             tracer.install(workload.stack)
         tracer.uninstall()
 
-    def test_uninstall_restores_the_unwrapped_stack(self):
+    @pytest.mark.parametrize("hook", ["tracer", "installer"])
+    def test_uninstall_restores_the_unwrapped_stack(self, hook):
+        # "tracer": Tracer.install/uninstall alone.  "installer": faults,
+        # strict errors and a tracer through repro.hooks.install, then one
+        # restore().  Either way every layer's instance dict is exactly as
+        # built, and the stack then runs like one that was never hooked.
+        from repro.scenarios.engine import collect_device_stats, prepare_spec
+
+        spec = make_spec()
+        workload = prepare_spec(spec)
+        stack = workload.stack
+        layers = {
+            "fs": stack.fs,
+            "journal": stack.fs.journal,
+            "block": stack.block,
+            "device": stack.device,
+            "flash": stack.device.flash,
+        }
+        built = {layer: dict(vars(obj)) for layer, obj in layers.items()}
+        tracer = Tracer()
+        if hook == "tracer":
+            undo = tracer.install(stack).uninstall
+        else:
+            from repro.hooks import install
+
+            undo = install(
+                stack,
+                faults=("io-error:p=0.05",),
+                tracer=tracer,
+                strict_errors=True,
+            ).restore
+            assert stack.device.fault_injector is not None
+            assert "_service_write" in vars(stack.device)
+            assert "_request_error" in vars(stack.fs)
+            assert stack.fs.error_propagation_enabled
+        assert "fsync" in vars(stack.fs)  # instance-attribute wrappers
+        assert "submit" in vars(stack.block)
+        assert "try_submit" in vars(stack.device)
+        assert tracer.installed
+        undo()
+        assert not tracer.installed
+        assert not stack.fs.error_propagation_enabled
+        for layer, obj in layers.items():
+            now = vars(obj)
+            assert now.keys() == built[layer].keys(), (
+                f"{layer}: {sorted(now.keys() ^ built[layer].keys())} left behind"
+            )
+            for name, value in built[layer].items():
+                assert now[name] is value, f"{layer}.{name} not restored"
+        workload.warm()
+        rerun = workload.run()
+        rerun.device_stats = collect_device_stats(stack)
+        assert fingerprint(rerun) == fingerprint(run_spec(spec).result)
+
+    def test_installer_puts_the_tracer_over_the_injected_device(self, monkeypatch):
         from repro.scenarios.engine import prepare_spec
 
-        tracer = Tracer()
-        workload = prepare_spec(make_spec(), tracer=tracer)
+        seen = {}
+        real_install = Tracer.install
+
+        def spying_install(tracer, stack):
+            seen["injector"] = stack.device.fault_injector
+            seen["service_write"] = vars(stack.device).get("_service_write")
+            seen["strict"] = stack.fs.error_propagation_enabled
+            return real_install(tracer, stack)
+
+        monkeypatch.setattr(Tracer, "install", spying_install)
+        spec = make_spec().with_(faults=("io-error:p=0.05",))
+        device = prepare_spec(spec, tracer=Tracer()).stack.device
+        # The injector and the strict checks were in place before the
+        # tracer wrapped the device.
+        assert seen["injector"] is device.fault_injector is not None
+        assert seen["service_write"] == device._service_write_checked
+        assert seen["strict"]
+        assert device.try_submit.__name__ == "traced_try_submit"
+
+    @pytest.mark.parametrize("installer", ["tracer", "fault-injector", "hooks"])
+    def test_install_after_the_simulation_ran_raises(self, installer):
+        # The block dispatcher caches device.try_submit on its first
+        # resume, so a tracer installed after warm() would silently record
+        # no device spans.  Every installer refuses instead.
+        from repro.faults import FaultInjector
+        from repro.scenarios.engine import prepare_spec
+        from repro.simulation.engine import SimulationError
+
+        workload = prepare_spec(make_spec(warmup_calls=4))
+        workload.warm()
         stack = workload.stack
-        assert "fsync" in stack.fs.__dict__  # instance-attribute wrappers
-        assert "submit" in stack.block.__dict__
-        assert "try_submit" in stack.device.__dict__
-        tracer.uninstall()
-        assert not tracer.installed
-        for obj, name in (
-            (stack.fs, "fsync"),
-            (stack.fs, "fdatasync"),
-            (stack.block, "submit"),
-            (stack.device, "try_submit"),
-            (stack.device.flash, "program"),
-        ):
-            assert name not in obj.__dict__, f"{name} wrapper left behind"
+        with pytest.raises(SimulationError, match="after the simulation started"):
+            if installer == "tracer":
+                Tracer().install(stack)
+            elif installer == "fault-injector":
+                FaultInjector(["io-error:p=0.05"]).install(stack.device)
+            else:
+                from repro.hooks import install
+
+                install(stack, tracer=Tracer())
+        assert "try_submit" not in vars(stack.device)
+        assert stack.device.fault_injector is None
 
     def test_tracer_on_stackless_workload_is_rejected(self):
         from repro.scenarios.engine import prepare_spec
