@@ -24,16 +24,14 @@ def main() -> None:
     print("Server workloads on the plain SSD\n")
     print(f"{'config':9s} {'OLTP-insert Tx/s':>18s} {'varmail ops/s':>16s}")
     for name, relax in CONFIGS:
-        oltp_stack = build_stack(standard_config(name, "plain-ssd"))
-        oltp = MySQLOLTPInsert(oltp_stack, relax_durability=relax).run(transactions)
+        oltp = MySQLOLTPInsert(
+            transactions=transactions, relax_durability=relax
+        ).prepare(build_stack(standard_config(name, "plain-ssd"))).run()
+        varmail = VarmailWorkload(
+            iterations=iterations, relax_durability=relax
+        ).prepare(build_stack(standard_config(name, "plain-ssd"))).run()
 
-        varmail_stack = build_stack(standard_config(name, "plain-ssd"))
-        varmail = VarmailWorkload(varmail_stack, relax_durability=relax).run(iterations)
-
-        print(
-            f"{name:9s} {oltp.transactions_per_second:18.1f} "
-            f"{varmail.ops_per_second:16.1f}"
-        )
+        print(f"{name:9s} {oltp.ops_per_second:18.1f} {varmail.ops_per_second:16.1f}")
     print(
         "\npaper: MySQL gains ~43x when fsync() becomes fbarrier(); OptFS does not "
         "beat EXT4-OD on flash"

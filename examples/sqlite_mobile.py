@@ -24,14 +24,13 @@ def main() -> None:
     print(f"SQLite PERSIST mode, {inserts} insert transactions, UFS (smartphone)\n")
     baseline = None
     for label, config_name, relax in CONFIGS:
-        stack = build_stack(standard_config(config_name, "ufs"))
         workload = SQLiteWorkload(
-            stack,
+            inserts=inserts,
             journal_mode=SQLiteJournalMode.PERSIST,
             relax_durability=relax,
         )
-        result = workload.run(inserts)
-        tps = result.inserts_per_second
+        result = workload.prepare(build_stack(standard_config(config_name, "ufs"))).run()
+        tps = result.ops_per_second
         if baseline is None:
             baseline = tps
         print(f"  {label:24s} {tps:9.1f} inserts/s   ({tps / baseline:5.2f}x vs EXT4-DR)")

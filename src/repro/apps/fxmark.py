@@ -10,56 +10,37 @@ while BarrierFS's dual-mode journal keeps several commits in flight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.core.stack import IOStack
+from repro.scenarios.workloads import WORKLOADS, Workload, WorkloadResult
 from repro.simulation.stats import LatencyRecorder
 
 
-@dataclass
-class FxmarkResult:
-    """Outcome of one DWSL run."""
-
-    num_threads: int
-    operations: int
-    elapsed_usec: float
-    latencies: LatencyRecorder = field(default_factory=lambda: LatencyRecorder("fsync"))
-
-    @property
-    def ops_per_second(self) -> float:
-        """Aggregate operations per second across all threads."""
-        if self.elapsed_usec <= 0:
-            return 0.0
-        return self.operations / (self.elapsed_usec / 1_000_000.0)
-
-
-class FxmarkDWSL:
+@WORKLOADS.register("fxmark")
+class FxmarkDWSL(Workload):
     """Private-file write+fsync scalability microbenchmark."""
 
-    def __init__(self, stack: IOStack, *, num_threads: int, use_fbarrier: bool = False,
-                 cpu_per_operation: float = 15.0):
-        if num_threads < 1:
-            raise ValueError("fxmark needs at least one thread")
-        self.stack = stack
-        self.num_threads = num_threads
-        self.use_fbarrier = use_fbarrier
-        #: Host CPU work per write+fsync pair, microseconds.
-        self.cpu_per_operation = cpu_per_operation
+    name = "fxmark"
+    PARAMS = ("num_threads", "ops_per_thread", "use_fbarrier", "cpu_per_operation")
 
-    def run(self, ops_per_thread: int) -> FxmarkResult:
+    def __init__(self, **params: object):
+        super().__init__(**params)
+        self.num_threads = self.param("num_threads", 4)
+        if self.num_threads < 1:
+            raise ValueError("fxmark needs at least one thread")
+        self.use_fbarrier = self.param("use_fbarrier", False)
+        #: Host CPU work per write+fsync pair, microseconds.
+        self.cpu_per_operation = self.param("cpu_per_operation", 15.0)
+
+    def run(self) -> WorkloadResult:
         """Run ``ops_per_thread`` write+fsync operations on every thread."""
+        ops_per_thread = self.param("ops_per_thread", self.scaled(40, 15))
         sim = self.stack.sim
-        result = FxmarkResult(
-            num_threads=self.num_threads,
-            operations=0,
-            elapsed_usec=0.0,
-        )
+        latencies = LatencyRecorder("fsync")
         start = sim.now
 
         def controller():
             workers = [
                 sim.process(
-                    self._worker(thread_id, ops_per_thread, result),
+                    self._worker(thread_id, ops_per_thread, latencies),
                     name=f"dwsl-{thread_id}",
                 )
                 for thread_id in range(self.num_threads)
@@ -68,10 +49,15 @@ class FxmarkDWSL:
             return None
 
         self.stack.run_process(controller())
-        result.elapsed_usec = sim.now - start
-        return result
+        return WorkloadResult(
+            workload=self.name,
+            operations=self.num_threads * ops_per_thread,
+            elapsed_usec=sim.now - start,
+            latencies=latencies,
+            extra={"num_threads": self.num_threads},
+        )
 
-    def _worker(self, thread_id: int, operations: int, result: FxmarkResult):
+    def _worker(self, thread_id: int, operations: int, latencies: LatencyRecorder):
         fs = self.stack.fs
         sim = self.stack.sim
         issuer = f"dwsl-{thread_id}"
@@ -86,6 +72,5 @@ class FxmarkDWSL:
                 yield from fs.fbarrier(private_file, issuer=issuer)
             else:
                 yield from fs.fsync(private_file, issuer=issuer)
-            result.operations += 1
-            result.latencies.record(sim.now - op_start)
+            latencies.record(sim.now - op_start)
         return None

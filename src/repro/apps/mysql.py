@@ -16,61 +16,52 @@ Throughput is reported as transactions per second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.apps.syncpolicy import Guarantee, SyncPolicy
-from repro.core.stack import IOStack
+from repro.scenarios.workloads import WORKLOADS, Workload, WorkloadResult
 from repro.simulation.stats import LatencyRecorder
 
 
-@dataclass
-class OLTPResult:
-    """Outcome of one OLTP-insert run."""
+@WORKLOADS.register("mysql")
+class MySQLOLTPInsert(Workload):
+    """sysbench OLTP-insert against MySQL/InnoDB's file accesses (Fig. 15)."""
 
-    transactions: int
-    elapsed_usec: float
-    latencies: LatencyRecorder = field(default_factory=lambda: LatencyRecorder("tx"))
+    name = "mysql"
+    PARAMS = (
+        "transactions",
+        "relax_durability",
+        "redo_pages_per_tx",
+        "binlog_pages_per_tx",
+        "checkpoint_every",
+        "checkpoint_pages",
+        "cpu_per_transaction",
+    )
 
-    @property
-    def transactions_per_second(self) -> float:
-        """Transactions per second (the paper's Tx/s)."""
-        if self.elapsed_usec <= 0:
-            return 0.0
-        return self.transactions / (self.elapsed_usec / 1_000_000.0)
-
-
-class MySQLOLTPInsert:
-    """sysbench OLTP-insert against a simulated IO stack."""
-
-    def __init__(
-        self,
-        stack: IOStack,
-        *,
-        relax_durability: bool = False,
-        redo_pages_per_tx: int = 1,
-        binlog_pages_per_tx: int = 1,
-        checkpoint_every: int = 8,
-        checkpoint_pages: int = 16,
-        cpu_per_transaction: float = 120.0,
-    ):
-        self.stack = stack
-        self.policy = SyncPolicy(stack.fs, relax_durability=relax_durability)
+    def __init__(self, **params: object):
+        super().__init__(**params)
+        self.relax_durability = self.param("relax_durability", False)
+        self.redo_pages_per_tx = self.param("redo_pages_per_tx", 1)
+        self.binlog_pages_per_tx = self.param("binlog_pages_per_tx", 1)
+        self.checkpoint_every = self.param("checkpoint_every", 8)
+        self.checkpoint_pages = self.param("checkpoint_pages", 16)
         #: Host CPU work per transaction (SQL + InnoDB bookkeeping), microseconds.
-        self.cpu_per_transaction = cpu_per_transaction
-        self.redo_pages_per_tx = redo_pages_per_tx
-        self.binlog_pages_per_tx = binlog_pages_per_tx
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_pages = checkpoint_pages
+        self.cpu_per_transaction = self.param("cpu_per_transaction", 120.0)
 
-    def run(self, num_transactions: int) -> OLTPResult:
-        """Execute ``num_transactions`` inserts and report throughput."""
-        result = OLTPResult(transactions=num_transactions, elapsed_usec=0.0)
-        self.stack.run_process(self._transactions(num_transactions, result))
-        return result
+    def run(self) -> WorkloadResult:
+        """Execute ``transactions`` inserts and report throughput."""
+        transactions = self.param("transactions", self.scaled(120, 40))
+        latencies = LatencyRecorder("tx")
+        elapsed = self.stack.run_process(self._transactions(transactions, latencies))
+        return WorkloadResult(
+            workload=self.name,
+            operations=transactions,
+            elapsed_usec=elapsed,
+            latencies=latencies,
+        )
 
-    def _transactions(self, num_transactions: int, result: OLTPResult):
+    def _transactions(self, num_transactions: int, latencies: LatencyRecorder):
         fs = self.stack.fs
         sim = self.stack.sim
+        policy = SyncPolicy(fs, relax_durability=self.relax_durability)
         redo_log = fs.create("mysql/ib_logfile0")
         binlog = fs.create("mysql/binlog.000001")
         tablespace = fs.create("mysql/ibdata1", preallocate_pages=16384)
@@ -83,10 +74,10 @@ class MySQLOLTPInsert:
                 yield sim.timeout(self.cpu_per_transaction)
             # Redo log append: the transaction's durability point.
             fs.write(redo_log, self.redo_pages_per_tx)
-            yield from self.policy.sync(redo_log, Guarantee.DURABILITY, issuer="mysqld")
+            yield from policy.sync(redo_log, Guarantee.DURABILITY, issuer="mysqld")
             # Binary log append: ordering with respect to the redo log.
             fs.write(binlog, self.binlog_pages_per_tx)
-            yield from self.policy.sync(binlog, Guarantee.ORDERING, issuer="mysqld")
+            yield from policy.sync(binlog, Guarantee.ORDERING, issuer="mysqld")
 
             if (index + 1) % self.checkpoint_every == 0:
                 # Dirty tablespace pages written back in place (overwrites).
@@ -94,9 +85,8 @@ class MySQLOLTPInsert:
                     tablespace, self.checkpoint_pages, offset_page=checkpoint_cursor
                 )
                 checkpoint_cursor = (checkpoint_cursor + self.checkpoint_pages) % 16000
-                yield from self.policy.sync(
+                yield from policy.sync(
                     tablespace, Guarantee.ORDERING, issuer="mysqld"
                 )
-            result.latencies.record(sim.now - tx_start)
-        result.elapsed_usec = sim.now - start
-        return result
+            latencies.record(sim.now - tx_start)
+        return sim.now - start

@@ -22,10 +22,8 @@ Throughput is reported as commits per second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.apps.syncpolicy import Guarantee, SyncPolicy
-from repro.core.stack import IOStack
+from repro.scenarios.workloads import WORKLOADS, Workload, WorkloadResult
 from repro.simulation.stats import LatencyRecorder
 
 #: The WAL segment every commit appends to (append-only; crashlab's
@@ -41,53 +39,57 @@ HEAP_PAGES = 16384
 HEAP_CURSOR_WRAP = 16000
 
 
-@dataclass
-class PostgresWALResult:
-    """Outcome of one postgres-wal run."""
+@WORKLOADS.register("postgres-wal")
+class PostgresWALWorkload(Workload):
+    """PostgreSQL WAL writer: per-commit WAL fsync + periodic checkpoints."""
 
-    commits: int
-    elapsed_usec: float
-    latencies: LatencyRecorder = field(default_factory=lambda: LatencyRecorder("commit"))
+    name = "postgres-wal"
+    PARAMS = (
+        "commits",
+        "relax_durability",
+        "wal_pages_per_commit",
+        "checkpoint_every",
+        "checkpoint_pages",
+        "cpu_per_commit",
+        "warmup_commits",
+    )
+    SUFFIX_PARAMS = ("commits",)
 
-    @property
-    def commits_per_second(self) -> float:
-        """Committed transactions per second of simulated time."""
-        if self.elapsed_usec <= 0:
-            return 0.0
-        return self.commits / (self.elapsed_usec / 1_000_000.0)
-
-
-class PostgresWALWorkload:
-    """WAL append + fsync with periodic checkpoints, against a simulated stack."""
-
-    def __init__(
-        self,
-        stack: IOStack,
-        *,
-        relax_durability: bool = False,
-        wal_pages_per_commit: int = 1,
-        checkpoint_every: int = 16,
-        checkpoint_pages: int = 24,
-        cpu_per_commit: float = 90.0,
-    ):
-        self.stack = stack
-        self.policy = SyncPolicy(stack.fs, relax_durability=relax_durability)
-        self.wal_pages_per_commit = wal_pages_per_commit
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_pages = checkpoint_pages
+    def __init__(self, **params: object):
+        super().__init__(**params)
+        self.relax_durability = self.param("relax_durability", False)
+        self.wal_pages_per_commit = self.param("wal_pages_per_commit", 1)
+        self.checkpoint_every = self.param("checkpoint_every", 16)
+        self.checkpoint_pages = self.param("checkpoint_pages", 24)
         #: Host CPU work per commit (executor + WAL insert), microseconds.
-        self.cpu_per_commit = cpu_per_commit
+        self.cpu_per_commit = self.param("cpu_per_commit", 90.0)
+        self.warmup_commits = self.param("warmup_commits", 0)
 
-    def run(self, num_commits: int) -> PostgresWALResult:
-        """Execute ``num_commits`` transactions and report throughput."""
-        result = PostgresWALResult(commits=num_commits, elapsed_usec=0.0)
-        self.stack.run_process(self._commits(num_commits, result))
-        return result
+    def warm(self) -> None:
+        """Run ``warmup_commits`` unmeasured transactions."""
+        if self.warmup_commits > 0:
+            self.stack.run_process(
+                self._commits(self.warmup_commits, LatencyRecorder("commit"))
+            )
+
+    def run(self) -> WorkloadResult:
+        """Execute ``commits`` transactions and report throughput."""
+        commits = self.param("commits", self.scaled(120, 40))
+        latencies = LatencyRecorder("commit")
+        elapsed = self.stack.run_process(self._commits(commits, latencies))
+        return WorkloadResult(
+            workload=self.name,
+            operations=commits,
+            elapsed_usec=elapsed,
+            latencies=latencies,
+            extra={"journal_commits": self.stack.fs.stats.journal_commits},
+        )
 
     # ------------------------------------------------------------------ internals
-    def _commits(self, num_commits: int, result: PostgresWALResult):
+    def _commits(self, num_commits: int, latencies: LatencyRecorder):
         fs = self.stack.fs
         sim = self.stack.sim
+        policy = SyncPolicy(fs, relax_durability=self.relax_durability)
         wal = fs.create(WAL_FILE)
         heap = fs.create(HEAP_FILE, preallocate_pages=HEAP_PAGES)
         checkpoint_cursor = 0
@@ -99,7 +101,7 @@ class PostgresWALWorkload:
                 yield sim.timeout(self.cpu_per_commit)
             # WAL append: the commit's durability point.
             fs.write(wal, self.wal_pages_per_commit)
-            yield from self.policy.sync(wal, Guarantee.DURABILITY, issuer="walwriter")
+            yield from policy.sync(wal, Guarantee.DURABILITY, issuer="walwriter")
 
             if (index + 1) % self.checkpoint_every == 0:
                 # Dirty heap pages written back in place (overwrites), then
@@ -109,13 +111,12 @@ class PostgresWALWorkload:
                 checkpoint_cursor = (
                     checkpoint_cursor + self.checkpoint_pages
                 ) % HEAP_CURSOR_WRAP
-                yield from self.policy.sync(
+                yield from policy.sync(
                     heap, Guarantee.ORDERING, issuer="checkpointer"
                 )
                 fs.write(wal, 1)
-                yield from self.policy.sync(
+                yield from policy.sync(
                     wal, Guarantee.DURABILITY, issuer="checkpointer"
                 )
-            result.latencies.record(sim.now - commit_start)
-        result.elapsed_usec = sim.now - start
-        return result
+            latencies.record(sim.now - commit_start)
+        return sim.now - start

@@ -21,10 +21,8 @@ Throughput is reported as memtable flushes per second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.apps.syncpolicy import Guarantee, SyncPolicy
-from repro.core.stack import IOStack
+from repro.scenarios.workloads import WORKLOADS, Workload, WorkloadResult
 from repro.simulation.stats import LatencyRecorder
 
 #: The append-only version log (crashlab's committed-log-prefix oracle
@@ -32,56 +30,49 @@ from repro.simulation.stats import LatencyRecorder
 MANIFEST_FILE = "rocksdb/MANIFEST-000001"
 
 
-@dataclass
-class RocksDBResult:
-    """Outcome of one rocksdb-compaction run."""
+@WORKLOADS.register("rocksdb-compaction")
+class RocksDBCompactionWorkload(Workload):
+    """RocksDB memtable flushes + multi-file compactions (SSTs before MANIFEST)."""
 
-    flushes: int
-    compactions: int
-    elapsed_usec: float
-    latencies: LatencyRecorder = field(default_factory=lambda: LatencyRecorder("flush"))
+    name = "rocksdb-compaction"
+    PARAMS = (
+        "flushes",
+        "relax_durability",
+        "memtable_pages",
+        "files_per_compaction",
+        "compaction_every",
+        "sst_pages",
+        "cpu_per_flush",
+    )
 
-    @property
-    def flushes_per_second(self) -> float:
-        """Memtable flushes per second of simulated time."""
-        if self.elapsed_usec <= 0:
-            return 0.0
-        return self.flushes / (self.elapsed_usec / 1_000_000.0)
-
-
-class RocksDBCompactionWorkload:
-    """Memtable flushes and multi-file compactions against a simulated stack."""
-
-    def __init__(
-        self,
-        stack: IOStack,
-        *,
-        relax_durability: bool = False,
-        memtable_pages: int = 8,
-        files_per_compaction: int = 3,
-        compaction_every: int = 4,
-        sst_pages: int = 12,
-        cpu_per_flush: float = 150.0,
-    ):
-        self.stack = stack
-        self.policy = SyncPolicy(stack.fs, relax_durability=relax_durability)
-        self.memtable_pages = memtable_pages
-        self.files_per_compaction = files_per_compaction
-        self.compaction_every = compaction_every
-        self.sst_pages = sst_pages
+    def __init__(self, **params: object):
+        super().__init__(**params)
+        self.relax_durability = self.param("relax_durability", False)
+        self.memtable_pages = self.param("memtable_pages", 8)
+        self.files_per_compaction = self.param("files_per_compaction", 3)
+        self.compaction_every = self.param("compaction_every", 4)
+        self.sst_pages = self.param("sst_pages", 12)
         #: Host CPU work per flush (memtable scan + block building), microseconds.
-        self.cpu_per_flush = cpu_per_flush
+        self.cpu_per_flush = self.param("cpu_per_flush", 150.0)
 
-    def run(self, num_flushes: int) -> RocksDBResult:
-        """Execute ``num_flushes`` memtable flushes and report throughput."""
-        result = RocksDBResult(flushes=num_flushes, compactions=0, elapsed_usec=0.0)
-        self.stack.run_process(self._flushes(num_flushes, result))
-        return result
+    def run(self) -> WorkloadResult:
+        """Execute ``flushes`` memtable flushes and report throughput."""
+        flushes = self.param("flushes", self.scaled(24, 8))
+        latencies = LatencyRecorder("flush")
+        elapsed = self.stack.run_process(self._flushes(flushes, latencies))
+        return WorkloadResult(
+            workload=self.name,
+            operations=flushes,
+            elapsed_usec=elapsed,
+            latencies=latencies,
+            extra={"compactions": flushes // self.compaction_every},
+        )
 
     # ------------------------------------------------------------------ internals
-    def _flushes(self, num_flushes: int, result: RocksDBResult):
+    def _flushes(self, num_flushes: int, latencies: LatencyRecorder):
         fs = self.stack.fs
         sim = self.stack.sim
+        policy = SyncPolicy(fs, relax_durability=self.relax_durability)
         manifest = fs.create(MANIFEST_FILE)
         file_number = 0
         level0: list[str] = []
@@ -100,29 +91,27 @@ class RocksDBCompactionWorkload:
             name = next_sst()
             sst = fs.create(name)
             fs.write(sst, self.memtable_pages)
-            yield from self.policy.metadata_sync(sst, Guarantee.ORDERING, issuer="rocksdb")
+            yield from policy.metadata_sync(sst, Guarantee.ORDERING, issuer="rocksdb")
             level0.append(name)
             fs.write(manifest, 1)
-            yield from self.policy.sync(manifest, Guarantee.DURABILITY, issuer="rocksdb")
+            yield from policy.sync(manifest, Guarantee.DURABILITY, issuer="rocksdb")
 
-            if (index + 1) % self.compaction_every == 0 and level0:
-                yield from self._compaction(fs, manifest, level0, next_sst)
-                result.compactions += 1
-            result.latencies.record(sim.now - flush_start)
-        result.elapsed_usec = sim.now - start
-        return result
+            if (index + 1) % self.compaction_every == 0:
+                yield from self._compaction(fs, policy, manifest, level0, next_sst)
+            latencies.record(sim.now - flush_start)
+        return sim.now - start
 
-    def _compaction(self, fs, manifest, level0: list[str], next_sst):
+    def _compaction(self, fs, policy, manifest, level0: list[str], next_sst):
         # Write the merged output files; each must hit the disk before the
         # MANIFEST edit that makes it live.
         for _ in range(self.files_per_compaction):
             out = fs.create(next_sst())
             fs.write(out, self.sst_pages)
-            yield from self.policy.metadata_sync(
+            yield from policy.metadata_sync(
                 out, Guarantee.ORDERING, issuer="rocksdb-compact"
             )
         fs.write(manifest, 1)
-        yield from self.policy.sync(
+        yield from policy.sync(
             manifest, Guarantee.DURABILITY, issuer="rocksdb-compact"
         )
         # The consumed inputs are now garbage.

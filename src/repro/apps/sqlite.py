@@ -18,10 +18,9 @@ The workload reports inserts/second, matching Fig. 14's y-axis.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from repro.apps.syncpolicy import Guarantee, SyncPolicy
-from repro.core.stack import IOStack
+from repro.scenarios.workloads import WORKLOADS, Workload, WorkloadResult
 from repro.simulation.stats import LatencyRecorder
 
 
@@ -32,53 +31,45 @@ class SQLiteJournalMode(enum.Enum):
     WAL = "wal"
 
 
-@dataclass
-class SQLiteResult:
-    """Outcome of one SQLite run."""
+@WORKLOADS.register("sqlite")
+class SQLiteWorkload(Workload):
+    """Insert-only SQLite in PERSIST or WAL journal mode (Fig. 14)."""
 
-    inserts: int
-    elapsed_usec: float
-    latencies: LatencyRecorder = field(default_factory=lambda: LatencyRecorder("insert"))
+    name = "sqlite"
+    PARAMS = (
+        "inserts",
+        "journal_mode",
+        "relax_durability",
+        "pages_per_insert",
+        "cpu_per_transaction",
+    )
 
-    @property
-    def inserts_per_second(self) -> float:
-        """Transactions per second (the paper's Tx/s)."""
-        if self.elapsed_usec <= 0:
-            return 0.0
-        return self.inserts / (self.elapsed_usec / 1_000_000.0)
-
-
-class SQLiteWorkload:
-    """Insert-only SQLite workload against a simulated IO stack."""
-
-    def __init__(
-        self,
-        stack: IOStack,
-        *,
-        journal_mode: SQLiteJournalMode = SQLiteJournalMode.PERSIST,
-        relax_durability: bool = False,
-        pages_per_insert: int = 2,
-        cpu_per_transaction: float = 80.0,
-        seed: int = 0,
-    ):
-        self.stack = stack
-        self.journal_mode = journal_mode
-        self.policy = SyncPolicy(stack.fs, relax_durability=relax_durability)
-        self.pages_per_insert = pages_per_insert
+    def __init__(self, **params: object):
+        super().__init__(**params)
+        self.journal_mode = self.param("journal_mode", SQLiteJournalMode.PERSIST)
+        self.relax_durability = self.param("relax_durability", False)
+        self.pages_per_insert = self.param("pages_per_insert", 2)
         #: Host CPU work per insert (SQL parsing, B-tree update), microseconds.
-        self.cpu_per_transaction = cpu_per_transaction
-        self.seed = seed
+        self.cpu_per_transaction = self.param("cpu_per_transaction", 80.0)
 
-    def run(self, num_inserts: int) -> SQLiteResult:
-        """Execute ``num_inserts`` transactions and report throughput."""
-        result = SQLiteResult(inserts=num_inserts, elapsed_usec=0.0)
-        self.stack.run_process(self._transactions(num_inserts, result))
-        return result
+    def run(self) -> WorkloadResult:
+        """Execute ``inserts`` transactions and report throughput."""
+        inserts = self.param("inserts", self.scaled(120, 40))
+        latencies = LatencyRecorder("insert")
+        elapsed = self.stack.run_process(self._transactions(inserts, latencies))
+        return WorkloadResult(
+            workload=self.name,
+            operations=inserts,
+            elapsed_usec=elapsed,
+            latencies=latencies,
+            extra={"journal_mode": self.journal_mode.value},
+        )
 
     # ------------------------------------------------------------------ internals
-    def _transactions(self, num_inserts: int, result: SQLiteResult):
+    def _transactions(self, num_inserts: int, latencies: LatencyRecorder):
         fs = self.stack.fs
         sim = self.stack.sim
+        policy = SyncPolicy(fs, relax_durability=self.relax_durability)
         database = fs.create("sqlite/main.db", preallocate_pages=4096)
         journal = fs.create("sqlite/main.db-journal")
         wal = fs.create("sqlite/main.db-wal")
@@ -90,29 +81,28 @@ class SQLiteWorkload:
             if self.cpu_per_transaction > 0:
                 yield sim.timeout(self.cpu_per_transaction)
             if self.journal_mode is SQLiteJournalMode.PERSIST:
-                yield from self._persist_transaction(fs, database, journal, db_page)
+                yield from self._persist_transaction(fs, policy, database, journal, db_page)
             else:
-                yield from self._wal_transaction(fs, wal)
+                yield from self._wal_transaction(fs, policy, wal)
             db_page = (db_page + self.pages_per_insert) % 4000
-            result.latencies.record(sim.now - tx_start)
-        result.elapsed_usec = sim.now - start
-        return result
+            latencies.record(sim.now - tx_start)
+        return sim.now - start
 
-    def _persist_transaction(self, fs, database, journal, db_page: int):
+    def _persist_transaction(self, fs, policy, database, journal, db_page: int):
         # (1) undo image appended to the rollback journal -> ordering sync.
         fs.write(journal, self.pages_per_insert)
-        yield from self.policy.sync(journal, Guarantee.ORDERING, issuer="sqlite")
+        yield from policy.sync(journal, Guarantee.ORDERING, issuer="sqlite")
         # (2) journal header update -> ordering sync.
         fs.write(journal, 1, offset_page=0)
-        yield from self.policy.sync(journal, Guarantee.ORDERING, issuer="sqlite")
+        yield from policy.sync(journal, Guarantee.ORDERING, issuer="sqlite")
         # (3) modified database pages -> ordering sync.
         fs.write(database, self.pages_per_insert, offset_page=db_page)
-        yield from self.policy.sync(database, Guarantee.ORDERING, issuer="sqlite")
+        yield from policy.sync(database, Guarantee.ORDERING, issuer="sqlite")
         # (4) journal header reset -> the transaction's durability point.
         fs.write(journal, 1, offset_page=0)
-        yield from self.policy.sync(journal, Guarantee.DURABILITY, issuer="sqlite")
+        yield from policy.sync(journal, Guarantee.DURABILITY, issuer="sqlite")
 
-    def _wal_transaction(self, fs, wal):
+    def _wal_transaction(self, fs, policy, wal):
         # WAL mode: append the WAL frames and sync once per commit.
         fs.write(wal, self.pages_per_insert + 1)
-        yield from self.policy.sync(wal, Guarantee.DURABILITY, issuer="sqlite")
+        yield from policy.sync(wal, Guarantee.DURABILITY, issuer="sqlite")

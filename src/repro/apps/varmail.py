@@ -14,66 +14,55 @@ bandwidth.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from repro.apps.syncpolicy import Guarantee, SyncPolicy
-from repro.core.stack import IOStack
+from repro.scenarios.workloads import WORKLOADS, Workload, WorkloadResult
 from repro.simulation.stats import LatencyRecorder
 
 
-@dataclass
-class VarmailResult:
-    """Outcome of one varmail run."""
-
-    operations: int
-    elapsed_usec: float
-    latencies: LatencyRecorder = field(default_factory=lambda: LatencyRecorder("op"))
-
-    @property
-    def ops_per_second(self) -> float:
-        """Operations per second (the paper's ops/s)."""
-        if self.elapsed_usec <= 0:
-            return 0.0
-        return self.operations / (self.elapsed_usec / 1_000_000.0)
-
-
-class VarmailWorkload:
+@WORKLOADS.register("varmail")
+class VarmailWorkload(Workload):
     """Mail-server file churn with frequent fsync."""
+
+    name = "varmail"
+    PARAMS = (
+        "iterations",
+        "relax_durability",
+        "mail_pages",
+        "file_pool",
+        "num_threads",
+        "cpu_per_iteration",
+        "seed",
+    )
 
     #: Operations counted per loop iteration (create+fsync, append+fsync,
     #: read, delete), matching filebench's accounting.
     OPS_PER_ITERATION = 4
+    #: Default seed of the model, added to the scenario seed.
+    SEED_OFFSET = 7
 
-    def __init__(
-        self,
-        stack: IOStack,
-        *,
-        relax_durability: bool = False,
-        mail_pages: int = 4,
-        file_pool: int = 64,
-        num_threads: int = 2,
-        cpu_per_iteration: float = 40.0,
-        seed: int = 7,
-    ):
-        self.stack = stack
-        self.policy = SyncPolicy(stack.fs, relax_durability=relax_durability)
+    def __init__(self, **params: object):
+        super().__init__(**params)
+        self.relax_durability = self.param("relax_durability", False)
+        self.mail_pages = self.param("mail_pages", 4)
+        self.file_pool = self.param("file_pool", 64)
+        self.num_threads = self.param("num_threads", 2)
         #: Host CPU work per loop iteration (namei, dirent updates), microseconds.
-        self.cpu_per_iteration = cpu_per_iteration
-        self.mail_pages = mail_pages
-        self.file_pool = file_pool
-        self.num_threads = num_threads
-        self.seed = seed
+        self.cpu_per_iteration = self.param("cpu_per_iteration", 40.0)
 
-    def run(self, iterations_per_thread: int) -> VarmailResult:
-        """Run the workload on ``num_threads`` concurrent threads."""
+    def run(self) -> WorkloadResult:
+        """Run ``iterations`` loop iterations on each of ``num_threads`` threads."""
+        iterations = self.param("iterations", self.scaled(30, 10))
+        seed = self.param("seed", self.seed + self.SEED_OFFSET)
         sim = self.stack.sim
-        result = VarmailResult(operations=0, elapsed_usec=0.0)
+        policy = SyncPolicy(self.stack.fs, relax_durability=self.relax_durability)
+        latencies = LatencyRecorder("op")
         start = sim.now
 
         def controller():
             workers = [
                 sim.process(
-                    self._worker(thread_id, iterations_per_thread, result),
+                    self._worker(thread_id, iterations, policy, seed, latencies),
                     name=f"varmail-{thread_id}",
                 )
                 for thread_id in range(self.num_threads)
@@ -82,13 +71,24 @@ class VarmailWorkload:
             return None
 
         self.stack.run_process(controller())
-        result.elapsed_usec = sim.now - start
-        return result
+        return WorkloadResult(
+            workload=self.name,
+            operations=self.num_threads * iterations * self.OPS_PER_ITERATION,
+            elapsed_usec=sim.now - start,
+            latencies=latencies,
+        )
 
-    def _worker(self, thread_id: int, iterations: int, result: VarmailResult):
+    def _worker(
+        self,
+        thread_id: int,
+        iterations: int,
+        policy: SyncPolicy,
+        seed: int,
+        latencies: LatencyRecorder,
+    ):
         fs = self.stack.fs
         sim = self.stack.sim
-        rng = random.Random(self.seed + thread_id)
+        rng = random.Random(seed + thread_id)
         issuer = f"varmail-{thread_id}"
         sequence = 0
 
@@ -107,13 +107,13 @@ class VarmailWorkload:
             sequence += 1
             new_mail = fs.create(f"mail/{thread_id}/msg{sequence}")
             fs.write(new_mail, self.mail_pages)
-            yield from self.policy.metadata_sync(
+            yield from policy.metadata_sync(
                 new_mail, Guarantee.DURABILITY, issuer=issuer
             )
             # (2) update an existing mailbox: append + fsync.
             mailbox = rng.choice(pool)
             fs.write(mailbox, self.mail_pages // 2 or 1)
-            yield from self.policy.metadata_sync(
+            yield from policy.metadata_sync(
                 mailbox, Guarantee.DURABILITY, issuer=issuer
             )
             # (3) read a message (cheap; served from the page cache model).
@@ -122,6 +122,5 @@ class VarmailWorkload:
                 f"mail/{thread_id}/msg{sequence - self.file_pool}"
             ):
                 fs.unlink(f"mail/{thread_id}/msg{sequence - self.file_pool}")
-            result.operations += self.OPS_PER_ITERATION
-            result.latencies.record(sim.now - op_start)
+            latencies.record(sim.now - op_start)
         return None

@@ -5,7 +5,7 @@ objects to.  It owns an IO scheduler (optionally the epoch scheduler), a
 dispatcher process that turns scheduled requests into device commands, and
 the bookkeeping the verification and experiment code rely on (epoch
 numbering, per-request milestone events, and -- after
-:meth:`BlockDevice.record_history` -- the issue and dispatch logs).
+:meth:`BlockDevice.record_history` -- the dispatch log).
 
 The barrier-enabled configuration is: epoch scheduler + order-preserving
 dispatch + a barrier-capable device.  The legacy configuration is: a stock
@@ -117,7 +117,6 @@ class BlockDevice:
             max_merge_pages=self.config.max_merge_pages,
         )
         self.stats = BlockDeviceStats()
-        self._issue_log: Optional[list[BlockRequest]] = None
         self._dispatch_log: Optional[list[BlockRequest]] = None
         self._issue_seq = itertools.count(1)
         self._dispatch_seq = itertools.count(1)
@@ -134,27 +133,17 @@ class BlockDevice:
         return self.config.order_preserving
 
     def record_history(self) -> None:
-        """Keep the issue and dispatch logs from now on (before the first IO)."""
-        io_seen = self.stats.requests_submitted > 0
-        self._issue_log = start_history(self._issue_log, io_seen, "the block issue log")
+        """Keep the dispatch log from now on (before the first IO)."""
         self._dispatch_log = start_history(
-            self._dispatch_log, io_seen, "the block dispatch log"
+            self._dispatch_log,
+            self.stats.requests_submitted > 0,
+            "the block dispatch log",
         )
-
-    @property
-    def issue_log(self) -> list[BlockRequest]:
-        """Every submitted request, in issue order (needs :meth:`record_history`)."""
-        return recorded(self._issue_log, "the block issue log")
 
     @property
     def dispatch_log(self) -> list[BlockRequest]:
         """Every dispatched request, in dispatch order (needs :meth:`record_history`)."""
         return recorded(self._dispatch_log, "the block dispatch log")
-
-    @property
-    def current_issue_epoch(self) -> int:
-        """Epoch number that newly submitted requests will belong to."""
-        return self._issue_epoch
 
     def submit(self, request: BlockRequest) -> BlockRequest:
         """Submit a request to the IO scheduler (returns immediately)."""
@@ -170,8 +159,6 @@ class BlockDevice:
             self.stats.flush_requests += 1
         self.stats.requests_submitted += 1
         self.stats.pages_submitted += request.num_pages
-        if self._issue_log is not None:
-            self._issue_log.append(request)
         self._outstanding += 1
         request.completed.add_callback(self._on_request_complete)
         self.scheduler.add_request(request)

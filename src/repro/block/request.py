@@ -126,11 +126,6 @@ class BlockRequest:
         return self.flags.value & _BARRIER_BIT != 0
 
     @property
-    def is_orderless(self) -> bool:
-        """Whether the request carries no ordering constraint."""
-        return self.flags.value & (_ORDERED_BIT | _BARRIER_BIT) == 0
-
-    @property
     def wants_fua(self) -> bool:
         """Whether the request requires FUA durability."""
         return self.flags.value & _FUA_BIT != 0

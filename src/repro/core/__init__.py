@@ -1,17 +1,14 @@
-"""Core of the reproduction: stack assembly, order tracking and verification.
+"""Core of the reproduction: stack assembly and verification.
 
 * :mod:`repro.core.stack` — build a complete simulated IO stack (device +
   block layer + filesystem) from a declarative :class:`StackConfig`,
   including the named configurations the paper compares (EXT4-DR, EXT4-OD,
   BFS-DR, BFS-OD, OptFS).
-* :mod:`repro.core.orders` — extract the four orders of Section 2.1 (issue,
-  dispatch, transfer, persist) from a finished run.
 * :mod:`repro.core.verification` — check the paper's correctness claims:
   epoch-prefix durability, scheduler order preservation and journal
   recovery invariants.
 """
 
-from repro.core.orders import OrderRecord, OrderTracker
 from repro.core.stack import IOStack, StackConfig, build_stack, standard_config
 from repro.core.verification import (
     ORACLES,
@@ -32,8 +29,6 @@ __all__ = [
     "ORACLES",
     "CrashProbe",
     "Oracle",
-    "OrderRecord",
-    "OrderTracker",
     "StackConfig",
     "VerificationError",
     "applicable_oracles",

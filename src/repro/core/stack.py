@@ -93,10 +93,10 @@ class IOStack:
     def record_history(self) -> None:
         """Keep the crash history every layer would otherwise drop.
 
-        Switches on the block issue/dispatch logs, the journal commit
-        history and the device-cache history, which crash recovery
-        (:func:`repro.storage.crash.recover_durable_blocks`), the crash
-        oracles and :class:`repro.core.orders.OrderTracker` read.  Call it
+        Switches on the block dispatch log, the journal commit history and
+        the device-cache history, which crash recovery
+        (:func:`repro.storage.crash.recover_durable_blocks`) and the crash
+        oracles read.  Call it
         before the first IO; a later call raises, and reading history from
         a stack that never called it raises
         :class:`repro.simulation.history.HistoryNotRecordedError`.

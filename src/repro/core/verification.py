@@ -101,15 +101,6 @@ def verify_storage_order_prefix(state: CrashState) -> None:
         )
 
 
-def storage_order_prefix_holds(state: CrashState) -> bool:
-    """Boolean form of :func:`verify_storage_order_prefix`."""
-    try:
-        verify_storage_order_prefix(state)
-    except VerificationError:
-        return False
-    return True
-
-
 def epoch_prefix_holds(state: CrashState) -> bool:
     """Boolean form of :func:`verify_epoch_prefix`."""
     try:

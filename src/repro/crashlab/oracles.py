@@ -19,6 +19,7 @@ from __future__ import annotations
 from repro.apps.postgres import WAL_FILE as _PG_WAL_FILE
 from repro.apps.rocksdb import MANIFEST_FILE as _ROCKSDB_MANIFEST
 from repro.core.verification import CrashProbe, VerificationError, register_oracle
+from repro.scenarios.workloads import SyncLoopWorkload
 
 #: Append-only log files per workload.  Only pure appends qualify — the
 #: prefix check reasons in page order, which for an append-only file is the
@@ -38,9 +39,7 @@ def _append_log_files(probe: CrashProbe) -> tuple[str, ...]:
     spec = probe.spec
     if spec is None or spec.workload not in APPEND_LOG_FILES:
         return ()
-    if spec.workload == "sync-loop" and not bool(
-        dict(spec.params).get("allocating", True)
-    ):
+    if spec.workload == "sync-loop" and not SyncLoopWorkload(**spec.params).allocating:
         # A non-allocating sync-loop overwrites a preallocated file in a
         # round-robin pattern; there is no append order to check.
         return ()

@@ -170,7 +170,8 @@ def _route_params(parser, workloads: list[str], raw_params: list[str]):
     Shared by ``sweep``, ``trace`` and ``check``: each key goes to the selected
     workloads that accept it (so sqlite's ``inserts=`` can ride alongside
     sync-loop's ``calls=`` in one matrix); a key no selected workload
-    accepts is a usage error.  Returns ``(params, accepted_by)``.
+    accepts, or a value a workload rejects, is a usage error.  Returns
+    ``(params, accepted_by)``.
     """
     from repro.scenarios import WORKLOADS
 
@@ -193,6 +194,15 @@ def _route_params(parser, workloads: list[str], raw_params: list[str]):
             f"--param keys {orphans} are accepted by none of the selected "
             f"workloads {sorted(accepted_by)}"
         )
+    for name in sorted(accepted_by):
+        # Constructing a workload reads its params: a bad value fails here.
+        try:
+            WORKLOADS.get(name)(**{
+                key: value for key, value in params.items()
+                if key in accepted_by[name]
+            })
+        except ValueError as error:
+            parser.error(str(error))
     return params, accepted_by
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.storage.command import WrittenBlock
 
 
 @dataclass
@@ -69,13 +68,6 @@ class Inode:
         """Whether the inode's metadata awaits journaling."""
         return self.metadata_dirty
 
-    def dirty_written_blocks(self) -> list[WrittenBlock]:
-        """The dirty data pages as :class:`WrittenBlock` payload entries."""
-        return [
-            WrittenBlock(block=self.data_block_name(page_index), version=version)
-            for page_index, version in sorted(self.dirty_pages.items())
-        ]
-
 
 @dataclass
 class File:
@@ -94,18 +86,6 @@ class File:
     def inode_no(self) -> int:
         """Inode number backing the handle."""
         return self.inode.inode_no
-
-
-@dataclass
-class MetadataBuffer:
-    """A journaled metadata buffer (inode block, bitmap, group descriptor)."""
-
-    name: tuple
-    version: int
-
-    def as_written_block(self) -> WrittenBlock:
-        """Payload entry for the journal descriptor write."""
-        return WrittenBlock(block=self.name, version=self.version)
 
 
 @dataclass

@@ -69,11 +69,6 @@ class WritebackResult:
         """The DMA-completion events of the issued requests."""
         return [request.transferred for request in self.requests]
 
-    @property
-    def completion_events(self) -> list[Event]:
-        """The completion events of the issued requests."""
-        return [request.completed for request in self.requests]
-
 
 class FilesystemBase:
     """Namespace, page cache and buffered-write path."""

@@ -10,7 +10,8 @@ instead of eleven hard-coded figure modules:
   :data:`DEVICES`.
 * :mod:`repro.scenarios.workloads` — the :class:`Workload` protocol,
   :class:`WorkloadResult`, and :data:`WORKLOADS` (sync-loop, fxmark, mysql,
-  sqlite, varmail, blocklevel, ordered-vs-buffered).
+  sqlite, varmail, postgres-wal, rocksdb-compaction, blocklevel,
+  ordered-vs-buffered; the application models live in :mod:`repro.apps`).
 * :mod:`repro.scenarios.spec` — the frozen :class:`ScenarioSpec` and the
   :func:`sweep` product expander.
 * :mod:`repro.scenarios.engine` — :func:`run_specs` (process-pool fan-out at

@@ -1,46 +1,43 @@
-"""The unified workload protocol and the registered workloads.
+"""The workload protocol and the registry of runnable workloads.
 
-Before this layer existed each application model exposed its own ``run()``
-signature (``FxmarkDWSL(stack, num_threads=...).run(ops)`` vs
-``SQLiteWorkload(stack, journal_mode=...).run(inserts)`` ...), so every new
-scenario meant new wiring code.  :class:`Workload` gives them one shape:
+Every workload, from the raw write+sync loop to the application models, is
+a :class:`Workload` subclass with one shape:
 
-* construct with keyword parameters (validated against ``PARAMS``);
+* construct with keyword parameters; the class names the accepted keys in
+  ``PARAMS`` and reads each one, with its default, through :meth:`param`;
 * ``prepare(stack, scale=..., seed=...)`` binds the workload to a built
-  stack, seeds its ``random.Random`` from ``StackConfig.seed`` and fixes the
+  stack (or, for raw block workloads, a device name) and fixes the
   iteration-count multiplier;
-* ``run()`` executes and returns a uniform :class:`WorkloadResult` with
-  operation counts, elapsed simulated time and a latency recorder.
+* ``warm()`` runs an optional unmeasured prefix and ``run()`` the measured
+  phase, which returns a uniform :class:`WorkloadResult` with operation
+  counts, elapsed simulated time and a latency recorder.
 
-:data:`WORKLOADS` registers the paper's four applications, the raw
-write+sync loop of :mod:`repro.analysis.measure`, the block-level
-scenarios of :mod:`repro.experiments.blocklevel`, and two server workloads
-beyond the paper's evaluation — ``postgres-wal`` (WAL append + fsync with
-periodic checkpoints) and ``rocksdb-compaction`` (memtable flushes and
-multi-file compactions).  Workloads whose historical
-default random streams predate seed threading derive their RNG seed as a
-fixed offset from the scenario seed (varmail: +7, block-level: +1) so the
-published tables stay bit-identical at the default seed of 0.
+:data:`WORKLOADS` holds nine of them.  This module defines the raw
+write+sync loop of :mod:`repro.analysis.measure` (``sync-loop``) and the
+block-level scenarios of :mod:`repro.experiments.blocklevel`
+(``blocklevel``, ``ordered-vs-buffered``); the application models of
+:mod:`repro.apps` register themselves (``fxmark``, ``mysql``, ``sqlite``,
+``varmail``, ``postgres-wal``, ``rocksdb-compaction``).  A workload whose
+model draws random numbers derives its seed as a fixed ``SEED_OFFSET``
+from the scenario seed (varmail: +7, blocklevel: +1), so the published
+tables are the ones produced at the default seed of 0.
 """
 
 from __future__ import annotations
 
 import abc
-import random
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional
+from typing import ClassVar, Optional, TypeVar
 
 from repro.analysis.measure import measure_sync_latency
-from repro.apps.fxmark import FxmarkDWSL
-from repro.apps.mysql import MySQLOLTPInsert
-from repro.apps.sqlite import SQLiteJournalMode, SQLiteWorkload
-from repro.apps.varmail import VarmailWorkload
 from repro.core.stack import IOStack
 from repro.scenarios.registry import Registry
 from repro.simulation.stats import LatencyRecorder, LatencySummary
 
 #: Registered workload classes, by name.
 WORKLOADS: Registry[type["Workload"]] = Registry("workload")
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -92,9 +89,10 @@ class Workload(abc.ABC):
     needs_stack: ClassVar[bool] = True
     PARAMS: ClassVar[tuple[str, ...]] = ()
     #: Parameters consumed only by the measured phase (:meth:`run`), never by
-    #: :meth:`warm`.  Specs that differ solely in these can share one warm
-    #: prefix: the snapshot engine (:mod:`repro.snapshot`) runs :meth:`warm`
-    #: once and forks every parameter point from the warmed process image.
+    #: the constructor or :meth:`warm`.  Specs that differ solely in these can
+    #: share one warm prefix: the snapshot engine (:mod:`repro.snapshot`) runs
+    #: :meth:`warm` once, forks every parameter point from the warmed process
+    #: image and swaps in that point's ``params`` before :meth:`run`.
     SUFFIX_PARAMS: ClassVar[tuple[str, ...]] = ()
 
     def __init__(self, **params: object):
@@ -109,20 +107,32 @@ class Workload(abc.ABC):
         self.device: Optional[str] = None
         self.scale = 1.0
         self.seed = 0
-        self.rng = random.Random(0)
 
-    def param(self, key: str, default: object = None) -> object:
-        """A constructor parameter, or its default."""
-        return self.params.get(key, default)
+    def param(self, key: str, default: _T) -> _T:
+        """The parameter ``key`` converted to the type of ``default``.
 
-    def param_or(self, key: str, default: object) -> object:
-        """Like :meth:`param`, but only ``None``/absent falls back.
-
-        Distinct from ``param(key) or default`` so that explicit falsy values
-        (``calls=0``, ``seed=0``) are honoured rather than silently replaced.
+        Only an absent or ``None`` value falls back to ``default``, so
+        explicit falsy values (``calls=0``, ``seed=0``) are honoured.  A
+        ``bool`` default makes ``key`` a flag, which takes ``True``/``False``
+        or the strings ``true``/``false`` in any case (``--param`` passes
+        such words through as strings).  Any value that does not convert is
+        a ``ValueError`` naming the workload and the key.
         """
         value = self.params.get(key)
-        return default if value is None else value
+        if value is None:
+            return default
+        if isinstance(default, bool):
+            if isinstance(value, bool):
+                return value
+            if isinstance(value, str) and value.lower() in ("true", "false"):
+                return value.lower() == "true"
+            expected = "true or false"
+        else:
+            try:
+                return type(default)(value)
+            except (TypeError, ValueError):
+                expected = type(default).__name__
+        raise ValueError(f"{self.name}: parameter {key!r} expects {expected}, got {value!r}")
 
     def scaled(self, base: int, minimum: int) -> int:
         """The iteration count ``base`` under the current scale multiplier."""
@@ -136,18 +146,12 @@ class Workload(abc.ABC):
         seed: int = 0,
         device: Optional[str] = None,
     ) -> "Workload":
-        """Bind the workload to a stack, a scale and a seeded RNG."""
+        """Bind the workload to a stack (or a device), a scale and a seed."""
         self.stack = stack
         self.scale = scale
         self.seed = seed
-        self.rng = random.Random(seed)
         self.device = device or (stack.config.device if stack is not None else None)
         return self
-
-    @property
-    def supports_warm_start(self) -> bool:
-        """Whether the workload declares a forkable warm/measure split."""
-        return bool(self.SUFFIX_PARAMS)
 
     def warm(self) -> None:
         """Run the shared warmup prefix (default: nothing).
@@ -171,6 +175,17 @@ class SyncLoopWorkload(Workload):
     PARAMS = ("calls", "sync_call", "allocating", "pages_per_write", "warmup_calls")
     SUFFIX_PARAMS = ("calls",)
 
+    def __init__(self, **params: object):
+        super().__init__(**params)
+        self.allocating = self.param("allocating", True)
+        self.pages_per_write = self.param("pages_per_write", 1)
+        self.warmup_calls = self.param("warmup_calls", 0)
+
+    @property
+    def sync_call(self) -> str:
+        """The sync call under test (default: the stack config's)."""
+        return self.param("sync_call", self.stack.config.sync_call)
+
     def warm(self) -> None:
         """Run ``warmup_calls`` unmeasured write+sync iterations.
 
@@ -178,29 +193,26 @@ class SyncLoopWorkload(Workload):
         journal, writeback cache and device queues reach their steady state
         before the measured loop starts.
         """
-        warmup = int(self.param_or("warmup_calls", 0))
-        if warmup <= 0:
+        if self.warmup_calls <= 0:
             return
-        stack = self.stack
         measure_sync_latency(
-            stack,
-            calls=warmup,
-            sync_call=str(self.param_or("sync_call", stack.config.sync_call)),
-            allocating=bool(self.param("allocating", True)),
-            pages_per_write=int(self.param("pages_per_write", 1)),
+            self.stack,
+            calls=self.warmup_calls,
+            sync_call=self.sync_call,
+            allocating=self.allocating,
+            pages_per_write=self.pages_per_write,
             file_name="warmup.dat",
         )
 
     def run(self) -> WorkloadResult:
         stack = self.stack
-        calls = int(self.param_or("calls", self.scaled(200, 50)))
-        sync_call = str(self.param_or("sync_call", stack.config.sync_call))
+        sync_call = self.sync_call
         loop = measure_sync_latency(
             stack,
-            calls=calls,
+            calls=self.param("calls", self.scaled(200, 50)),
             sync_call=sync_call,
-            allocating=bool(self.param("allocating", True)),
-            pages_per_write=int(self.param("pages_per_write", 1)),
+            allocating=self.allocating,
+            pages_per_write=self.pages_per_write,
         )
         extra: dict[str, object] = {
             "sync_call": sync_call,
@@ -219,224 +231,6 @@ class SyncLoopWorkload(Workload):
         )
 
 
-@WORKLOADS.register("fxmark")
-class FxmarkScenario(Workload):
-    """fxmark DWSL: per-thread private file, 4 KiB write + fsync (Fig. 13)."""
-
-    name = "fxmark"
-    PARAMS = ("num_threads", "ops_per_thread", "use_fbarrier", "cpu_per_operation")
-
-    def run(self) -> WorkloadResult:
-        bench = FxmarkDWSL(
-            self.stack,
-            num_threads=int(self.param("num_threads", 4)),
-            use_fbarrier=bool(self.param("use_fbarrier", False)),
-            cpu_per_operation=float(self.param("cpu_per_operation", 15.0)),
-        )
-        outcome = bench.run(int(self.param_or("ops_per_thread", self.scaled(40, 15))))
-        return WorkloadResult(
-            workload=self.name,
-            operations=outcome.operations,
-            elapsed_usec=outcome.elapsed_usec,
-            latencies=outcome.latencies,
-            extra={"num_threads": outcome.num_threads},
-        )
-
-
-@WORKLOADS.register("mysql")
-class MySQLScenario(Workload):
-    """sysbench OLTP-insert against MySQL/InnoDB's file accesses (Fig. 15)."""
-
-    name = "mysql"
-    PARAMS = (
-        "transactions",
-        "relax_durability",
-        "redo_pages_per_tx",
-        "binlog_pages_per_tx",
-        "checkpoint_every",
-        "checkpoint_pages",
-        "cpu_per_transaction",
-    )
-
-    def run(self) -> WorkloadResult:
-        bench = MySQLOLTPInsert(
-            self.stack,
-            relax_durability=bool(self.param("relax_durability", False)),
-            redo_pages_per_tx=int(self.param("redo_pages_per_tx", 1)),
-            binlog_pages_per_tx=int(self.param("binlog_pages_per_tx", 1)),
-            checkpoint_every=int(self.param("checkpoint_every", 8)),
-            checkpoint_pages=int(self.param("checkpoint_pages", 16)),
-            cpu_per_transaction=float(self.param("cpu_per_transaction", 120.0)),
-        )
-        outcome = bench.run(int(self.param_or("transactions", self.scaled(120, 40))))
-        return WorkloadResult(
-            workload=self.name,
-            operations=outcome.transactions,
-            elapsed_usec=outcome.elapsed_usec,
-            latencies=outcome.latencies,
-        )
-
-
-@WORKLOADS.register("sqlite")
-class SQLiteScenario(Workload):
-    """Insert-only SQLite in PERSIST or WAL journal mode (Fig. 14)."""
-
-    name = "sqlite"
-    PARAMS = (
-        "inserts",
-        "journal_mode",
-        "relax_durability",
-        "pages_per_insert",
-        "cpu_per_transaction",
-    )
-
-    def run(self) -> WorkloadResult:
-        mode = self.param("journal_mode", SQLiteJournalMode.PERSIST)
-        if not isinstance(mode, SQLiteJournalMode):
-            mode = SQLiteJournalMode(str(mode))
-        bench = SQLiteWorkload(
-            self.stack,
-            journal_mode=mode,
-            relax_durability=bool(self.param("relax_durability", False)),
-            pages_per_insert=int(self.param("pages_per_insert", 2)),
-            cpu_per_transaction=float(self.param("cpu_per_transaction", 80.0)),
-            seed=self.seed,
-        )
-        outcome = bench.run(int(self.param_or("inserts", self.scaled(120, 40))))
-        return WorkloadResult(
-            workload=self.name,
-            operations=outcome.inserts,
-            elapsed_usec=outcome.elapsed_usec,
-            latencies=outcome.latencies,
-            extra={"journal_mode": mode.value},
-        )
-
-
-@WORKLOADS.register("varmail")
-class VarmailScenario(Workload):
-    """filebench varmail: mail-server file churn with frequent fsync (Fig. 15)."""
-
-    name = "varmail"
-    PARAMS = (
-        "iterations",
-        "relax_durability",
-        "mail_pages",
-        "file_pool",
-        "num_threads",
-        "cpu_per_iteration",
-        "seed",
-    )
-
-    #: Historical default seed of the varmail model; the scenario seed is
-    #: added to it so seed=0 reproduces the published tables exactly.
-    SEED_OFFSET = 7
-
-    def run(self) -> WorkloadResult:
-        bench = VarmailWorkload(
-            self.stack,
-            relax_durability=bool(self.param("relax_durability", False)),
-            mail_pages=int(self.param("mail_pages", 4)),
-            file_pool=int(self.param("file_pool", 64)),
-            num_threads=int(self.param("num_threads", 2)),
-            cpu_per_iteration=float(self.param("cpu_per_iteration", 40.0)),
-            seed=int(self.param_or("seed", self.seed + self.SEED_OFFSET)),
-        )
-        outcome = bench.run(int(self.param_or("iterations", self.scaled(30, 10))))
-        return WorkloadResult(
-            workload=self.name,
-            operations=outcome.operations,
-            elapsed_usec=outcome.elapsed_usec,
-            latencies=outcome.latencies,
-        )
-
-
-@WORKLOADS.register("postgres-wal")
-class PostgresWALScenario(Workload):
-    """PostgreSQL WAL writer: per-commit WAL fsync + periodic checkpoints."""
-
-    name = "postgres-wal"
-    PARAMS = (
-        "commits",
-        "relax_durability",
-        "wal_pages_per_commit",
-        "checkpoint_every",
-        "checkpoint_pages",
-        "cpu_per_commit",
-        "warmup_commits",
-    )
-    SUFFIX_PARAMS = ("commits",)
-
-    def _bench(self):
-        from repro.apps.postgres import PostgresWALWorkload
-
-        bench = getattr(self, "_bound_bench", None)
-        if bench is None:
-            bench = PostgresWALWorkload(
-                self.stack,
-                relax_durability=bool(self.param("relax_durability", False)),
-                wal_pages_per_commit=int(self.param("wal_pages_per_commit", 1)),
-                checkpoint_every=int(self.param("checkpoint_every", 16)),
-                checkpoint_pages=int(self.param("checkpoint_pages", 24)),
-                cpu_per_commit=float(self.param("cpu_per_commit", 90.0)),
-            )
-            self._bound_bench = bench
-        return bench
-
-    def warm(self) -> None:
-        """Run ``warmup_commits`` unmeasured transactions on the same bench."""
-        warmup = int(self.param_or("warmup_commits", 0))
-        if warmup > 0:
-            self._bench().run(warmup)
-
-    def run(self) -> WorkloadResult:
-        bench = self._bench()
-        outcome = bench.run(int(self.param_or("commits", self.scaled(120, 40))))
-        return WorkloadResult(
-            workload=self.name,
-            operations=outcome.commits,
-            elapsed_usec=outcome.elapsed_usec,
-            latencies=outcome.latencies,
-            extra={"journal_commits": self.stack.fs.stats.journal_commits},
-        )
-
-
-@WORKLOADS.register("rocksdb-compaction")
-class RocksDBCompactionScenario(Workload):
-    """RocksDB memtable flushes + multi-file compactions (SSTs before MANIFEST)."""
-
-    name = "rocksdb-compaction"
-    PARAMS = (
-        "flushes",
-        "relax_durability",
-        "memtable_pages",
-        "files_per_compaction",
-        "compaction_every",
-        "sst_pages",
-        "cpu_per_flush",
-    )
-
-    def run(self) -> WorkloadResult:
-        from repro.apps.rocksdb import RocksDBCompactionWorkload
-
-        bench = RocksDBCompactionWorkload(
-            self.stack,
-            relax_durability=bool(self.param("relax_durability", False)),
-            memtable_pages=int(self.param("memtable_pages", 8)),
-            files_per_compaction=int(self.param("files_per_compaction", 3)),
-            compaction_every=int(self.param("compaction_every", 4)),
-            sst_pages=int(self.param("sst_pages", 12)),
-            cpu_per_flush=float(self.param("cpu_per_flush", 150.0)),
-        )
-        outcome = bench.run(int(self.param_or("flushes", self.scaled(24, 8))))
-        return WorkloadResult(
-            workload=self.name,
-            operations=outcome.flushes,
-            elapsed_usec=outcome.elapsed_usec,
-            latencies=outcome.latencies,
-            extra={"compactions": outcome.compactions},
-        )
-
-
 @WORKLOADS.register("blocklevel")
 class BlockLevelScenario(Workload):
     """Raw 4 KiB random writes against the block device (Figs. 9 and 10).
@@ -449,18 +243,18 @@ class BlockLevelScenario(Workload):
     needs_stack = False
     PARAMS = ("scenario", "num_writes", "working_set_pages", "seed")
 
-    #: Historical default seed of ``run_scenario`` (see SEED_OFFSET above).
+    #: Default seed of ``run_scenario``, added to the scenario seed.
     SEED_OFFSET = 1
 
     def run(self) -> WorkloadResult:
         from repro.experiments.blocklevel import run_scenario
 
         outcome = run_scenario(
-            str(self.param("scenario", "B")),
+            self.param("scenario", "B"),
             self.device,
-            num_writes=int(self.param_or("num_writes", self.scaled(500, 60))),
-            working_set_pages=int(self.param("working_set_pages", 1 << 16)),
-            seed=int(self.param_or("seed", self.seed + self.SEED_OFFSET)),
+            num_writes=self.param("num_writes", self.scaled(500, 60)),
+            working_set_pages=self.param("working_set_pages", 1 << 16),
+            seed=self.param("seed", self.seed + self.SEED_OFFSET),
         )
         return WorkloadResult(
             workload=self.name,
@@ -486,7 +280,7 @@ class OrderedVsBufferedScenario(Workload):
     def run(self) -> WorkloadResult:
         from repro.experiments.blocklevel import ordered_vs_buffered_ratio
 
-        num_writes = int(self.param_or("num_writes", self.scaled(240, 40)))
+        num_writes = self.param("num_writes", self.scaled(240, 40))
         ordered_iops, buffered_iops, ratio = ordered_vs_buffered_ratio(
             self.device, num_writes=num_writes
         )
@@ -500,3 +294,8 @@ class OrderedVsBufferedScenario(Workload):
                 "ratio_percent": ratio,
             },
         )
+
+
+# The application models register themselves; importing them last lets
+# ``repro.apps`` and ``repro.scenarios`` each be imported first.
+import repro.apps  # noqa: E402,F401

@@ -286,11 +286,6 @@ class Process(Event):
             sim._heap, (sim.now, next(sim._sequence), _KIND_RESUME, self, None, None)
         )
 
-    @property
-    def is_alive(self) -> bool:
-        """Whether the process has not yet finished."""
-        return not self._triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its current wait."""
         if self._triggered:

@@ -130,11 +130,6 @@ class Semaphore:
             if self._available > self.capacity:
                 raise SimulationError(f"{self.name} released more than acquired")
 
-    @property
-    def in_use(self) -> int:
-        """Number of slots currently held."""
-        return self.capacity - self._available
-
 
 class Resource(Semaphore):
     """Alias of :class:`Semaphore` with a name that reads better for devices."""
@@ -242,8 +237,3 @@ class Condition:
         """Generator: block until ``predicate()`` is true."""
         while not predicate():
             yield self.wait()
-
-    @property
-    def waiter_count(self) -> int:
-        """Number of processes currently blocked on the condition."""
-        return len(self._waiters)

@@ -56,11 +56,6 @@ class BarrierMode(enum.Enum):
         )
 
     @property
-    def is_epoch_serialised(self) -> bool:
-        """Whether the drain itself must respect epoch boundaries."""
-        return self is BarrierMode.IN_ORDER_WRITEBACK
-
-    @property
     def is_atomic_flush(self) -> bool:
         """Whether cache drains are all-or-nothing groups."""
         return self is BarrierMode.TRANSACTIONAL

@@ -87,8 +87,3 @@ class FlashBackend:
         rounds = math.ceil(num_pages / self.parallelism)
         duration = rounds * self.profile.read_time + self.profile.seek_time
         return self.sim.timeout(duration)
-
-    @property
-    def utilisation_window(self) -> float:
-        """How far into the future the array is already committed (µs)."""
-        return max(0.0, self.busy_until - self.sim.now)

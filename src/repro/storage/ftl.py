@@ -77,11 +77,6 @@ class SegmentPage:
         return self.segment.entry_column[self.offset]
 
     @property
-    def appended_at(self) -> float:
-        """Simulation time the entry was appended to the log."""
-        return self.segment.appended_column[self.offset]
-
-    @property
     def programmed_at(self) -> Optional[float]:
         """Time the program finished, or ``None`` while outstanding."""
         value = self.segment.programmed_column[self.offset]
@@ -92,12 +87,6 @@ class SegmentPage:
         self.segment.programmed_column[self.offset] = (
             _NOT_PROGRAMMED if value is None else value
         )
-
-    @property
-    def is_programmed(self) -> bool:
-        """Whether the page has been programmed to flash."""
-        value = self.segment.programmed_column[self.offset]
-        return value == value  # not NaN
 
     def __repr__(self) -> str:
         return (
@@ -132,16 +121,6 @@ class Segment:
         """Page views in log order (materialized on demand)."""
         return [SegmentPage(self, offset) for offset in range(len(self.entry_column))]
 
-    @property
-    def is_full(self) -> bool:
-        """Whether every slot of the segment has been appended."""
-        return len(self.entry_column) >= self.capacity
-
-    @property
-    def live_pages(self) -> int:
-        """Number of pages appended into this segment."""
-        return len(self.entry_column)
-
     def programmed_count(self) -> int:
         """Length of the programmed prefix (stops at the first hole)."""
         count = 0
@@ -150,10 +129,6 @@ class Segment:
                 break
             count += 1
         return count
-
-    def programmed_prefix(self) -> list[SegmentPage]:
-        """Pages up to (excluding) the first unprogrammed one, in log order."""
-        return [SegmentPage(self, offset) for offset in range(self.programmed_count())]
 
 
 class _MappingView(Mapping):

@@ -79,79 +79,84 @@ class TestSyncPolicy:
 class TestSQLite:
     def test_persist_mode_issues_four_syncs_per_insert(self):
         stack = stack_for("EXT4-DR")
-        workload = SQLiteWorkload(stack, journal_mode=SQLiteJournalMode.PERSIST)
-        result = workload.run(5)
-        assert result.inserts == 5
+        workload = SQLiteWorkload(inserts=5, journal_mode=SQLiteJournalMode.PERSIST)
+        result = workload.prepare(stack).run()
+        assert result.operations == 5
         assert stack.fs.stats.fdatasync == 20
-        assert result.inserts_per_second > 0
+        assert result.ops_per_second > 0
         assert len(result.latencies) == 5
 
     def test_wal_mode_issues_one_sync_per_insert(self):
         stack = stack_for("EXT4-DR")
-        workload = SQLiteWorkload(stack, journal_mode=SQLiteJournalMode.WAL)
-        workload.run(5)
+        workload = SQLiteWorkload(inserts=5, journal_mode=SQLiteJournalMode.WAL)
+        workload.prepare(stack).run()
         assert stack.fs.stats.fdatasync == 5
 
     def test_barrierfs_replaces_ordering_syncs(self):
         stack = stack_for("BFS-DR")
-        workload = SQLiteWorkload(stack, journal_mode=SQLiteJournalMode.PERSIST)
-        workload.run(4)
+        workload = SQLiteWorkload(inserts=4, journal_mode=SQLiteJournalMode.PERSIST)
+        workload.prepare(stack).run()
         assert stack.fs.stats.fdatabarrier == 12
         assert stack.fs.stats.fdatasync == 4
 
     def test_barrier_stack_is_faster(self):
-        baseline = SQLiteWorkload(stack_for("EXT4-DR")).run(20)
-        barrier = SQLiteWorkload(stack_for("BFS-DR")).run(20)
-        assert barrier.inserts_per_second > baseline.inserts_per_second
+        baseline = SQLiteWorkload(inserts=20).prepare(stack_for("EXT4-DR")).run()
+        barrier = SQLiteWorkload(inserts=20).prepare(stack_for("BFS-DR")).run()
+        assert barrier.ops_per_second > baseline.ops_per_second
 
 
 class TestMySQL:
     def test_transactions_complete_and_report_throughput(self):
         stack = stack_for("EXT4-DR")
-        result = MySQLOLTPInsert(stack).run(12)
-        assert result.transactions == 12
-        assert result.transactions_per_second > 0
+        result = MySQLOLTPInsert(transactions=12).prepare(stack).run()
+        assert result.operations == 12
+        assert result.ops_per_second > 0
         assert stack.fs.stats.fdatasync >= 24  # redo + binlog per transaction
 
     def test_relaxing_durability_improves_throughput(self):
-        durable = MySQLOLTPInsert(stack_for("EXT4-DR")).run(20)
+        durable = MySQLOLTPInsert(transactions=20).prepare(stack_for("EXT4-DR")).run()
         relaxed = MySQLOLTPInsert(
-            stack_for("BFS-OD"), relax_durability=True
-        ).run(20)
-        assert relaxed.transactions_per_second > durable.transactions_per_second * 2
+            transactions=20, relax_durability=True
+        ).prepare(stack_for("BFS-OD")).run()
+        assert relaxed.ops_per_second > durable.ops_per_second * 2
 
 
 class TestVarmail:
     def test_operations_counted_per_iteration(self):
         stack = stack_for("EXT4-DR")
-        result = VarmailWorkload(stack, num_threads=2).run(4)
+        result = VarmailWorkload(iterations=4, num_threads=2).prepare(stack).run()
         assert result.operations == 2 * 4 * VarmailWorkload.OPS_PER_ITERATION
         assert result.ops_per_second > 0
 
     def test_files_are_created_and_expired(self):
         stack = stack_for("BFS-DR")
-        workload = VarmailWorkload(stack, num_threads=1, file_pool=2)
-        workload.run(5)
+        workload = VarmailWorkload(iterations=5, num_threads=1, file_pool=2)
+        workload.prepare(stack).run()
         # Old messages beyond the pool size were unlinked.
         assert not stack.fs.exists("mail/0/msg1")
         assert stack.fs.exists("mail/0/msg5")
 
 
 class TestFxmark:
+    @staticmethod
+    def dwsl(config, num_threads):
+        workload = FxmarkDWSL(num_threads=num_threads, ops_per_thread=15)
+        return workload.prepare(stack_for(config)).run()
+
     def test_scalability_with_threads(self):
-        single = FxmarkDWSL(stack_for("BFS-DR"), num_threads=1).run(15)
-        quad = FxmarkDWSL(stack_for("BFS-DR"), num_threads=4).run(15)
+        single = self.dwsl("BFS-DR", 1)
+        quad = self.dwsl("BFS-DR", 4)
         assert quad.operations == 4 * 15
         assert quad.ops_per_second > single.ops_per_second
 
     def test_barrierfs_beats_ext4_under_concurrency(self):
-        ext4 = FxmarkDWSL(stack_for("EXT4-DR"), num_threads=4).run(15)
-        bfs = FxmarkDWSL(stack_for("BFS-DR"), num_threads=4).run(15)
+        ext4 = self.dwsl("EXT4-DR", 4)
+        bfs = self.dwsl("BFS-DR", 4)
         assert bfs.ops_per_second > ext4.ops_per_second * 1.5
 
     def test_invalid_thread_count_rejected(self):
         with pytest.raises(ValueError):
-            FxmarkDWSL(stack_for("EXT4-DR"), num_threads=0)
+            FxmarkDWSL(num_threads=0)
 
 
 class TestExperimentHarness:

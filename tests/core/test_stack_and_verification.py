@@ -1,10 +1,9 @@
-"""Tests for stack assembly, order tracking and the verification checks."""
+"""Tests for stack assembly and the verification checks."""
 
 import pytest
 
 from repro.block.request import RequestFlag
 from repro.core import (
-    OrderTracker,
     StackConfig,
     VerificationError,
     build_stack,
@@ -76,7 +75,7 @@ class TestStackBuilder:
         assert stack.fs.stats.fbarrier == 1
 
 
-class TestOrderTrackerAndVerification:
+class TestVerification:
     def _barrier_run(self, *, crash_after: float = 20_000):
         stack = build_stack(standard_config("BFS-OD", "plain-ssd"))
         stack.record_history()
@@ -98,22 +97,6 @@ class TestOrderTrackerAndVerification:
         sim.run(until=crash_after)
         stack.device.power_off()
         return stack
-
-    def test_order_tracker_reconstructs_all_orders(self):
-        stack = self._barrier_run()
-        tracker = OrderTracker(stack.block, stack.device)
-        records = tracker.collect()
-        assert records
-        issue = tracker.issue_order()
-        dispatch = tracker.dispatch_order()
-        transfer = tracker.transfer_order()
-        persist = tracker.persist_order()
-        assert len(issue) == len(dispatch) == len(transfer)
-        assert len(persist) <= len(transfer)
-        # Issue epochs grow monotonically along the issue order.
-        epochs = [record.issue_epoch for record in issue]
-        assert epochs == sorted(epochs)
-        assert set(tracker.epochs_on_device())
 
     def test_dispatch_preserves_epochs_in_barrier_stack(self):
         stack = self._barrier_run()

@@ -40,11 +40,13 @@ class TestPaperHeadlines:
     def test_relaxing_durability_multiplies_application_throughput(self):
         from repro.apps import SQLiteWorkload
 
-        durable = SQLiteWorkload(build_stack(standard_config("EXT4-DR"))).run(30)
-        relaxed = SQLiteWorkload(
-            build_stack(standard_config("BFS-OD")), relax_durability=True
-        ).run(30)
-        assert relaxed.inserts_per_second > durable.inserts_per_second * 10
+        durable = SQLiteWorkload(inserts=30).prepare(
+            build_stack(standard_config("EXT4-DR"))
+        ).run()
+        relaxed = SQLiteWorkload(inserts=30, relax_durability=True).prepare(
+            build_stack(standard_config("BFS-OD"))
+        ).run()
+        assert relaxed.ops_per_second > durable.ops_per_second * 10
 
     def test_dual_mode_journaling_overlaps_commits(self):
         stack = build_stack(standard_config("BFS-DR", "plain-ssd"))

@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis.measure import measure_sync_latency
 from repro.block.request import BlockRequest
-from repro.core import OrderTracker, build_stack, standard_config
+from repro.core import build_stack, standard_config
 from repro.core.verification import CrashProbe, journal_transactions
 from repro.fs.journal.transaction import JournalTransaction
 from repro.simulation import MSEC, Event, HistoryNotRecordedError, SimulationError
@@ -77,8 +77,6 @@ def test_history_readers_raise_without_record_history():
         recover_durable_blocks(stack.device)
     with pytest.raises(HistoryNotRecordedError):
         journal_transactions(stack.fs)
-    with pytest.raises(HistoryNotRecordedError):
-        OrderTracker(stack.block, stack.device).collect()
     recorded = build_stack(standard_config("BFS-DR", "plain-ssd"))
     recorded.record_history()
     _sync_loop(recorded, "fsync", 5, "a.dat")

@@ -1,6 +1,4 @@
-"""The unified Workload protocol: uniform results and seed threading."""
-
-import random
+"""The unified Workload protocol: uniform results, seeds and parameter values."""
 
 import pytest
 
@@ -82,12 +80,11 @@ class TestProtocolUniformity:
 
 
 class TestSeedThreading:
-    def test_spec_seed_reaches_stack_config_and_workload_rng(self):
+    def test_spec_seed_reaches_stack_config_and_workload(self):
         spec = SMALL_SPECS["varmail"].with_(seed=123)
         workload = prepare_spec(spec)
         assert workload.seed == 123
         assert workload.stack.config.seed == 123
-        assert workload.rng.random() == random.Random(123).random()
 
     @pytest.mark.parametrize("name", sorted(SMALL_SPECS))
     def test_same_seed_same_table_rows(self, name):
@@ -102,18 +99,17 @@ class TestSeedThreading:
         assert outcome.result.operations == 0
 
         # `seed=0` must reach the varmail model, not be swallowed by the
-        # historical +7 offset.
-        import repro.scenarios.workloads as workloads_module
+        # +7 offset.  Every varmail thread seeds its RNG from that seed.
+        from repro.apps.varmail import VarmailWorkload
 
         captured = {}
-        original = workloads_module.VarmailWorkload
+        original = VarmailWorkload._worker
 
-        class Spy(original):
-            def __init__(self, stack, **kwargs):
-                captured.update(kwargs)
-                super().__init__(stack, **kwargs)
+        def spy(self, thread_id, iterations, policy, seed, latencies):
+            captured["seed"] = seed
+            return original(self, thread_id, iterations, policy, seed, latencies)
 
-        monkeypatch.setattr(workloads_module, "VarmailWorkload", Spy)
+        monkeypatch.setattr(VarmailWorkload, "_worker", spy)
         run_spec(SMALL_SPECS["varmail"].with_(
             params={"iterations": 2, "num_threads": 1, "seed": 0}
         ))
@@ -124,10 +120,52 @@ class TestSeedThreading:
         assert captured["seed"] == 7  # default: spec seed 0 + offset
 
     def test_default_seed_preserves_historical_varmail_stream(self):
-        # varmail's model predates seed threading with a default seed of 7;
-        # the scenario layer derives its RNG as seed + 7 so the published
-        # Fig. 15 numbers stay bit-identical at the default spec seed of 0.
+        # varmail's model seeds its RNG with spec seed + 7 (blocklevel: + 1),
+        # so the published Fig. 15 numbers come from the default seed of 0.
         varmail_class = WORKLOADS.get("varmail")
         assert varmail_class.SEED_OFFSET == 7
         blocklevel_class = WORKLOADS.get("blocklevel")
         assert blocklevel_class.SEED_OFFSET == 1
+
+
+class TestParamValues:
+    """Boolean parameters read the same whether typed as bools or words."""
+
+    @pytest.mark.parametrize("name,key,word", [
+        ("sqlite", "relax_durability", "false"),
+        ("sqlite", "relax_durability", "FALSE"),
+        ("sync-loop", "allocating", "False"),
+    ])
+    def test_false_word_runs_the_false_row(self, name, key, word):
+        spec = SMALL_SPECS[name].with_(config="BFS-DR")
+
+        def elapsed(value):
+            params = {**spec.params, key: value}
+            return run_spec(spec.with_(params=params)).result.elapsed_usec
+
+        assert elapsed(word) == elapsed(False) != elapsed(True)
+
+    @pytest.mark.parametrize("workload,key", [
+        ("sync-loop", "allocating"),
+        ("fxmark", "use_fbarrier"),
+        ("mysql", "relax_durability"),
+        ("postgres-wal", "relax_durability"),
+    ])
+    def test_flags_accept_bools_and_words(self, workload, key):
+        workload_class = WORKLOADS.get(workload)
+        for value, expected in [(True, True), ("true", True), ("TRUE", True),
+                                (False, False), ("false", False), ("False", False)]:
+            assert getattr(workload_class(**{key: value}), key) is expected
+
+    @pytest.mark.parametrize("value", ["maybe", "0", "yes", 1, [True]])
+    def test_other_values_rejected_naming_workload_and_key(self, value):
+        with pytest.raises(ValueError, match=r"sqlite: parameter 'relax_durability'"):
+            WORKLOADS.get("sqlite")(relax_durability=value)
+
+    def test_cli_reports_a_bad_flag_as_a_usage_error(self, capsys):
+        from repro.experiments.runner import sweep_main
+
+        with pytest.raises(SystemExit) as exit_info:
+            sweep_main(["-w", "sqlite", "--param", "relax_durability=maybe"])
+        assert exit_info.value.code == 2
+        assert "sqlite: parameter 'relax_durability'" in capsys.readouterr().err
