@@ -5,8 +5,9 @@ the paper):
 
 * :mod:`repro.block.request` — block-layer write requests and the
   ``REQ_ORDERED`` / ``REQ_BARRIER`` / ``REQ_FLUSH`` / ``REQ_FUA`` attributes.
-* :mod:`repro.block.scheduler` — IO schedulers: NOOP, DEADLINE, CFQ and the
-  paper's Epoch-based scheduler with *epoch-based barrier reassignment*.
+* :mod:`repro.block.scheduler` — IO schedulers: the NOOP (FIFO) discipline
+  of the legacy stack and the paper's Epoch-based scheduler built on it, with
+  *epoch-based barrier reassignment*.
 * :mod:`repro.block.dispatch` — translation of block requests into device
   commands: the legacy dispatch (every request is a ``simple`` command) and
   the order-preserving dispatch (barrier writes become ``ordered`` commands
@@ -18,27 +19,17 @@ the paper):
 from repro.block.block_device import BlockDevice, BlockDeviceConfig
 from repro.block.dispatch import DispatchPolicy, request_to_command
 from repro.block.request import BlockRequest, RequestFlag, RequestOp
-from repro.block.scheduler import (
-    CFQScheduler,
-    DeadlineScheduler,
-    EpochIOScheduler,
-    IOScheduler,
-    NoopScheduler,
-    make_scheduler,
-)
+from repro.block.scheduler import EpochIOScheduler, IOScheduler, NoopScheduler
 
 __all__ = [
     "BlockDevice",
     "BlockDeviceConfig",
     "BlockRequest",
-    "CFQScheduler",
-    "DeadlineScheduler",
     "DispatchPolicy",
     "EpochIOScheduler",
     "IOScheduler",
     "NoopScheduler",
     "RequestFlag",
     "RequestOp",
-    "make_scheduler",
     "request_to_command",
 ]

@@ -1,14 +1,14 @@
 """The block device: request queue, IO scheduler and dispatcher.
 
 :class:`BlockDevice` is what the filesystems submit :class:`BlockRequest`
-objects to.  It owns an IO scheduler (optionally the epoch scheduler), a
+objects to.  It owns an IO scheduler (FIFO, or the epoch scheduler), a
 dispatcher process that turns scheduled requests into device commands, and
 the bookkeeping the verification and experiment code rely on (epoch
 numbering, per-request milestone events, and -- after
 :meth:`BlockDevice.record_history` -- the dispatch log).
 
 The barrier-enabled configuration is: epoch scheduler + order-preserving
-dispatch + a barrier-capable device.  The legacy configuration is: a stock
+dispatch + a barrier-capable device.  The legacy configuration is: the FIFO
 scheduler + legacy dispatch; ordering then has to be enforced by the caller
 with Wait-on-Transfer and explicit flushes, exactly as in the paper's
 baseline measurements.
@@ -17,12 +17,12 @@ baseline measurements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional, Sequence
 
 from repro.block.dispatch import DispatchPolicy, request_to_command
 from repro.block.request import BlockRequest, RequestFlag, RequestOp
-from repro.block.scheduler import EpochIOScheduler, IOScheduler, make_scheduler
+from repro.block.scheduler import EpochIOScheduler, IOScheduler, NoopScheduler
 from repro.simulation.engine import Event, Simulator
 from repro.simulation.history import recorded, start_history
 from repro.simulation.resources import Condition
@@ -36,20 +36,15 @@ class BlockDeviceConfig:
     """Configuration of the block layer.
 
     ``order_preserving`` selects the barrier-enabled stack: the epoch
-    scheduler is stacked on the chosen discipline and barrier writes are
-    dispatched as ``ordered`` commands.  With ``order_preserving=False`` the
+    scheduler replaces the plain FIFO one and barrier writes are dispatched
+    as ``ordered`` commands.  With ``order_preserving=False`` the
     configuration matches the legacy stack.
     """
 
-    scheduler: str = "noop"
     order_preserving: bool = True
     max_merge_pages: int = 64
     #: Host-side CPU cost charged per dispatched request (block layer work).
     submit_overhead: float = 3.0
-    #: If set, a busy device is retried after this many microseconds (the
-    #: paper quotes ~3 ms for SCSI); if ``None`` the dispatcher waits for a
-    #: queue slot to free, which is what a completion-driven kernel does.
-    busy_retry_interval: Optional[float] = None
     #: Bounded retry budget for commands the device completes with an error
     #: status (``repro.faults`` io-error injection); once exhausted the
     #: request fails with ``request.error`` set instead of retrying forever.
@@ -111,10 +106,11 @@ class BlockDevice:
                 "order-preserving block layer requires a barrier-capable device; "
                 f"{device.profile.name} is configured with mode {device.barrier_mode.value}"
             )
-        self.scheduler: IOScheduler = make_scheduler(
-            self.config.scheduler,
-            epoch=self.config.order_preserving,
-            max_merge_pages=self.config.max_merge_pages,
+        scheduler_class = (
+            EpochIOScheduler if self.config.order_preserving else NoopScheduler
+        )
+        self.scheduler: IOScheduler = scheduler_class(
+            max_merge_pages=self.config.max_merge_pages
         )
         self.stats = BlockDeviceStats()
         self._dispatch_log: Optional[list[BlockRequest]] = None
@@ -274,7 +270,7 @@ class BlockDevice:
         """Submit ``command``, absorbing busy and power-loss conditions.
 
         Returns ``True`` once the device accepted the command.  A full queue
-        is retried (slot event or ``busy_retry_interval``) up to
+        is retried on the device's slot event up to
         ``busy_requeue_limit`` requeues; exhausting the bound, or the device
         being powered off, returns ``False`` with ``command.error`` set so
         the caller can fail the request instead of propagating
@@ -292,9 +288,9 @@ class BlockDevice:
     def _backpressure_retry(self, command):
         """Busy-queue slow path, entered after one rejected ``try_submit``.
 
-        Accounts the rejection that brought us here, waits for a slot (or
-        the retry interval), and re-drives — the accounting/wait/attempt
-        cycle is the same the single inline loop used to run.
+        Accounts the rejection that brought us here, waits for a slot, and
+        re-drives — the accounting/wait/attempt cycle is the same the single
+        inline loop used to run.
         """
         config = self.config
         requeues = 0
@@ -305,10 +301,7 @@ class BlockDevice:
             if requeues >= config.busy_requeue_limit:
                 command.error = "device-busy"
                 return False
-            if config.busy_retry_interval is not None:
-                yield self.sim.timeout(config.busy_retry_interval)
-            else:
-                yield self.device.slot_available()
+            yield self.device.slot_available()
             try:
                 if self.device.try_submit(command):
                     return True

@@ -65,7 +65,7 @@ class BlockRequest:
     num_pages: int = 1
     flags: RequestFlag = RequestFlag.NONE
     payload: Sequence[WrittenBlock] = field(default_factory=tuple)
-    #: Identity of the submitting thread (used by CFQ and for tracing).
+    #: Identity of the submitting thread (used for tracing only).
     issuer: str = "unknown"
     request_id: int = field(default_factory=lambda: next(_request_ids))
 

@@ -1,4 +1,4 @@
-"""Scheduler interface shared by all IO schedulers."""
+"""Scheduler interface of the block layer."""
 
 from __future__ import annotations
 
@@ -22,8 +22,6 @@ class IOScheduler(abc.ABC):
         if max_merge_pages < 1:
             raise ValueError("max_merge_pages must be at least 1")
         self.max_merge_pages = max_merge_pages
-        self.requests_added = 0
-        self.requests_merged = 0
 
     @abc.abstractmethod
     def add_request(self, request: BlockRequest) -> None:
@@ -51,13 +49,3 @@ class IOScheduler(abc.ABC):
     @abc.abstractmethod
     def __len__(self) -> int:
         """Number of requests currently queued."""
-
-    @property
-    def has_pending(self) -> bool:
-        """Whether any request is waiting to be dispatched."""
-        return len(self) > 0
-
-    def _account_add(self, merged: bool) -> None:
-        self.requests_added += 1
-        if merged:
-            self.requests_merged += 1

@@ -1,11 +1,11 @@
 """Epoch-based IO scheduler with barrier reassignment (Section 3.3).
 
-The scheduler wraps an ordinary scheduling discipline (NOOP/DEADLINE/CFQ)
-and adds the three rules of the paper:
+The scheduler extends the block layer's FIFO discipline
+(:class:`NoopScheduler`) with the three rules of the paper:
 
 1. the partial order *between* epochs is preserved;
 2. requests *within* an epoch (and orderless requests) may be freely
-   scheduled against each other by the underlying discipline;
+   scheduled against each other by the FIFO discipline;
 3. *epoch-based barrier reassignment*: when a barrier write arrives its
    BARRIER attribute is stripped and the queue stops accepting new requests;
    the order-preserving request that leaves the queue **last** becomes the
@@ -15,8 +15,8 @@ and adds the three rules of the paper:
 
 Because merging may fold several order-preserving requests into one, the
 scheduler tracks the identities of the order-preserving requests currently
-inside the underlying queue and only reassigns the barrier when the last of
-them leaves.
+inside the FIFO queue and only reassigns the barrier when the last of them
+leaves.
 """
 
 from __future__ import annotations
@@ -25,18 +25,19 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.block.request import BlockRequest
-from repro.block.scheduler.base import IOScheduler
+from repro.block.scheduler.noop import NoopScheduler
 
 
-class EpochIOScheduler(IOScheduler):
-    """The paper's order-preserving scheduler layered over a legacy one."""
+class EpochIOScheduler(NoopScheduler):
+    """The paper's order-preserving scheduler layered over the FIFO one."""
 
-    def __init__(self, underlying: IOScheduler):
-        super().__init__(max_merge_pages=underlying.max_merge_pages)
-        self.underlying = underlying
+    def __init__(self, *, max_merge_pages: int = 64):
+        super().__init__(max_merge_pages=max_merge_pages)
         self._staged: Deque[BlockRequest] = deque()
         self._blocked = False
         self._ordered_ids: set[int] = set()
+        #: Request id of the barrier that closed the current epoch.
+        self._barrier_id: Optional[int] = None
         #: Number of epochs whose barrier has been dispatched.
         self.epochs_dispatched = 0
         #: Number of times the barrier attribute moved to a different request.
@@ -47,10 +48,8 @@ class EpochIOScheduler(IOScheduler):
         """Admit a request, staging it if the queue is blocked by an epoch."""
         if self._blocked:
             self._staged.append(request)
-            self._account_add(merged=False)
             return
         self._insert(request)
-        self._account_add(merged=False)
 
     def _insert(self, request: BlockRequest) -> None:
         is_barrier = request.is_barrier
@@ -58,22 +57,23 @@ class EpochIOScheduler(IOScheduler):
             # Step one of barrier reassignment: the attribute is removed and
             # the queue is closed until the epoch has fully left the queue.
             request.strip_barrier()
+            self._barrier_id = request.request_id
             self._blocked = True
         if request.is_ordered:
             self._ordered_ids.add(request.request_id)
-        self.underlying.add_request(request)
+        super().add_request(request)
 
     # -- dispatch ----------------------------------------------------------------
     def next_request(self) -> Optional[BlockRequest]:
-        """Dispatch per the underlying discipline, reassigning the barrier."""
-        request = self.underlying.next_request()
+        """Dispatch in FIFO order, reassigning the barrier."""
+        request = super().next_request()
         if request is None:
             return None
         self._forget_ordered(request)
         if self._blocked and not self._ordered_ids:
             # ``request`` is the last order-preserving request of the epoch:
             # it leaves the queue carrying the barrier.
-            if not request.is_barrier:
+            if request.request_id != self._barrier_id:
                 self.barriers_reassigned += 1
             request.set_barrier()
             self.epochs_dispatched += 1
@@ -90,13 +90,13 @@ class EpochIOScheduler(IOScheduler):
         admission can happen mid-grant (``_blocked`` only changes in
         ``add_request``) and a barrier arriving *between* grants keeps its
         own id in ``_ordered_ids`` until it is pulled, so handing out the
-        underlying discipline's whole grant — forgetting each request's
-        ordered id on the way — is pull-for-pull identical.
+        FIFO grant — forgetting each request's ordered id on the way — is
+        pull-for-pull identical.
         """
         if self._blocked:
             request = self.next_request()
             return [] if request is None else [request]
-        batch = self.underlying.next_batch()
+        batch = super().next_batch()
         forget = self._forget_ordered
         for request in batch:
             forget(request)
@@ -113,7 +113,7 @@ class EpochIOScheduler(IOScheduler):
 
     # -- bookkeeping ----------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.underlying) + len(self._staged)
+        return len(self._queue) + len(self._staged)
 
     @property
     def is_blocked(self) -> bool:

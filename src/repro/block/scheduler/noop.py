@@ -1,9 +1,10 @@
 """NOOP scheduler: FIFO dispatch with back-merging.
 
 This is the discipline the paper assumes for NVMe-style devices where the
-hardware queue does the real scheduling; it is also the underlying scheduler
-the epoch layer uses in most experiments because it adds no reordering of its
-own (the device command queue provides the "orderless" behaviour already).
+hardware queue does the real scheduling, and the block layer's only one: the
+legacy stack runs it as is and :class:`EpochIOScheduler` extends it, because
+it adds no reordering of its own (the device command queue provides the
+"orderless" behaviour already).
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ class NoopScheduler(IOScheduler):
             tail = self._queue[-1]
             if tail.can_merge_with(request, self.max_merge_pages):
                 tail.merge(request)
-                self._account_add(merged=True)
                 return
         self._queue.append(request)
-        self._account_add(merged=False)
 
     def next_request(self) -> Optional[BlockRequest]:
         """Pop the oldest request."""

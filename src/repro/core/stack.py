@@ -53,8 +53,6 @@ class StackConfig:
     barrier_enabled: Optional[bool] = None
     #: EXT4 ``nobarrier`` mount option (no FLUSH/FUA on journal commits).
     no_barrier: bool = False
-    #: Underlying scheduling discipline.
-    scheduler: str = "noop"
     #: Storage-controller barrier implementation; defaults to the paper's
     #: choice for the device (PLP for supercap, in-order recovery otherwise)
     #: when the barrier path is enabled, and to the legacy behaviour when not.
@@ -67,7 +65,6 @@ class StackConfig:
     #: :func:`standard_config`.
     sync_call: str = "fsync"
     mount_overrides: dict = field(default_factory=dict)
-    block_overrides: dict = field(default_factory=dict)
 
     def with_device(self, device: str) -> "StackConfig":
         """Copy of the config targeting a different device."""
@@ -162,12 +159,9 @@ def build_stack(config: StackConfig) -> IOStack:
         seed=config.seed,
         track_queue_depth=config.track_queue_depth,
     )
-    block_config = BlockDeviceConfig(
-        scheduler=config.scheduler,
-        order_preserving=barrier_enabled,
-        **config.block_overrides,
+    block = BlockDevice(
+        sim, device, BlockDeviceConfig(order_preserving=barrier_enabled)
     )
-    block = BlockDevice(sim, device, block_config)
     mount = MountOptions(
         journal_mode=config.journal_mode,
         no_barrier=config.no_barrier,

@@ -117,7 +117,6 @@ SUMMARY_COLUMNS = (
     "config",
     "workload",
     "barrier_mode",
-    "scheduler",
     "seed",
     "faults",
     "strategy",
@@ -171,7 +170,6 @@ def summary_result(reports: Sequence[CellReport]) -> ExperimentResult:
             spec.config or "raw-block",
             spec.workload,
             _mode_label(spec),
-            spec.scheduler or "-",
             spec.seed,
             _fault_label(spec),
             report.strategy,

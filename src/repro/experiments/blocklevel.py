@@ -70,7 +70,7 @@ def _build(profile_name: str, *, order_preserving: bool, seed: int = 1):
     )
     block = BlockDevice(
         sim, device,
-        BlockDeviceConfig(scheduler="noop", order_preserving=order_preserving),
+        BlockDeviceConfig(order_preserving=order_preserving),
     )
     return sim, device, block
 

@@ -314,10 +314,6 @@ def sweep_main(argv: list[str] | None = None) -> None:
         help="device axis (repeatable); evaluation devices or Fig. 1 labels",
     )
     parser.add_argument(
-        "--scheduler", action="append", metavar="NAME",
-        help="block-scheduler axis (repeatable); default: the config's choice",
-    )
-    parser.add_argument(
         "--barrier-mode", action="append", type=_barrier_mode, metavar="MODE",
         help=(
             "storage barrier-mode axis (repeatable); one of "
@@ -393,7 +389,6 @@ def sweep_main(argv: list[str] | None = None) -> None:
         workloads=args.workload,
         configs=args.config or ["EXT4-DR"],
         devices=args.device or ["plain-ssd"],
-        schedulers=args.scheduler or [None],
         barrier_modes=args.barrier_mode or [None],
         seeds=args.seed or [0],
         scale=args.scale,
@@ -403,7 +398,7 @@ def sweep_main(argv: list[str] | None = None) -> None:
     # Stack axes mean nothing to raw-block workloads: normalise them away so
     # the duplicate collapse in _finalize_specs folds the product back down.
     specs = [
-        spec.with_(config=None, scheduler=None, barrier_mode=None)
+        spec.with_(config=None, barrier_mode=None)
         if not WORKLOADS.get(spec.workload).needs_stack
         else spec
         for spec in specs
@@ -452,10 +447,6 @@ def trace_main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "-d", "--device", default="plain-ssd", metavar="NAME",
         help="device (default plain-ssd)",
-    )
-    parser.add_argument(
-        "--scheduler", metavar="NAME",
-        help="block-scheduler override; default: the config's choice",
     )
     parser.add_argument(
         "--barrier-mode", type=_barrier_mode, metavar="MODE",
@@ -510,7 +501,6 @@ def trace_main(argv: list[str] | None = None) -> None:
         workload=args.workload,
         config=args.config,
         device=args.device,
-        scheduler=args.scheduler,
         barrier_mode=args.barrier_mode,
         seed=args.seed,
         scale=args.scale,
@@ -672,10 +662,6 @@ def check_main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "-d", "--device", action="append", metavar="NAME",
         help="device axis (repeatable, default plain-ssd)",
-    )
-    parser.add_argument(
-        "--scheduler", action="append", metavar="NAME",
-        help="block-scheduler axis (repeatable); default: the config's choice",
     )
     parser.add_argument(
         "--barrier-mode", action="append", type=_barrier_mode, metavar="MODE",
@@ -846,7 +832,6 @@ def check_main(argv: list[str] | None = None) -> None:
                 workloads=args.workload,
                 configs=[config],
                 devices=[device],
-                schedulers=args.scheduler or [None],
                 barrier_modes=modes,
                 seeds=[args.seed],
                 scale=args.scale,

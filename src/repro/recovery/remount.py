@@ -59,6 +59,6 @@ def remount(image: RecoveredImage, spec) -> IOStack:
             blocks, epoch=0, time=0.0, command_id=0, durable_immediately=True
         )
         if device.ftl is not None:
-            pages = device.ftl.append_batch(entries, 0.0)
+            pages = device.ftl.append_batch(entries)
             device.ftl.mark_programmed(pages, 0.0)
     return stack

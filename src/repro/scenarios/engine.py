@@ -49,8 +49,6 @@ def build_spec_stack(spec: ScenarioSpec) -> IOStack:
         raise ValueError(f"spec {spec.describe()!r} has no stack configuration")
     base = stack_config(spec.config, spec.device)
     overrides: dict[str, object] = {"seed": spec.seed}
-    if spec.scheduler is not None:
-        overrides["scheduler"] = spec.scheduler
     if spec.barrier_mode is not None:
         overrides["barrier_mode"] = BarrierMode(spec.barrier_mode)
     overrides.update(spec.stack_overrides)
@@ -106,7 +104,6 @@ def _reject_stack_axes(spec: ScenarioSpec) -> None:
         axis
         for axis, value in (
             ("config", spec.config),
-            ("scheduler", spec.scheduler),
             ("barrier_mode", spec.barrier_mode),
         )
         if value is not None
@@ -253,7 +250,6 @@ SWEEP_COLUMNS = (
     "config",
     "workload",
     "label",
-    "scheduler",
     "barrier_mode",
     "seed",
     "faults",
@@ -307,7 +303,6 @@ def _sweep_row(outcome: ScenarioOutcome) -> tuple:
         spec.config or "raw-block",
         spec.workload,
         spec.display_label,
-        spec.scheduler or "-",
         spec.barrier_mode or "-",
         spec.seed,
         spec.fault_label,

@@ -1,8 +1,8 @@
 """Declarative scenario descriptions and the matrix expander.
 
 A :class:`ScenarioSpec` names one point of the evaluation space — a stack
-configuration × device × scheduler × barrier mode × workload, plus the
-workload's parameters — without building anything.  Specs are frozen,
+configuration × device × barrier mode × workload, plus the workload's
+parameters — without building anything.  Specs are frozen,
 picklable values, which is what lets the sweep engine fan them out across
 worker processes and lets experiments be written as plain tables of specs.
 
@@ -39,8 +39,6 @@ class ScenarioSpec:
     config: Optional[str] = "EXT4-DR"
     #: Registered device name (evaluation devices or Fig. 1 labels).
     device: str = "plain-ssd"
-    #: Block-layer scheduling discipline override (None = config default).
-    scheduler: Optional[str] = None
     #: Storage-controller barrier implementation override, as the
     #: :class:`BarrierMode` value string (None = config default).
     barrier_mode: Optional[str] = None
@@ -93,8 +91,8 @@ class ScenarioSpec:
         # are legal --param literals).  Hash the axes only: equal specs have
         # equal axes, and specs differing only in params merely collide.
         return hash((
-            self.workload, self.config, self.device, self.scheduler,
-            self.barrier_mode, self.seed, self.scale, self.label, self.faults,
+            self.workload, self.config, self.device, self.barrier_mode,
+            self.seed, self.scale, self.label, self.faults,
         ))
 
     @property
@@ -114,8 +112,6 @@ class ScenarioSpec:
     def describe(self) -> str:
         """One-line human-readable description."""
         axes = [self.workload, self.config or "raw-block", self.device]
-        if self.scheduler:
-            axes.append(f"scheduler={self.scheduler}")
         if self.barrier_mode:
             axes.append(f"barrier={self.barrier_mode}")
         if self.seed:
@@ -130,7 +126,6 @@ def sweep(
     workloads: Sequence[str],
     configs: Sequence[Optional[str]] = ("EXT4-DR",),
     devices: Sequence[str] = ("plain-ssd",),
-    schedulers: Sequence[Optional[str]] = (None,),
     barrier_modes: Sequence[Optional[str]] = (None,),
     seeds: Sequence[int] = (0,),
     scale: float = 1.0,
@@ -141,24 +136,23 @@ def sweep(
     """Expand axis lists into the product of :class:`ScenarioSpec` values.
 
     The expansion order is deterministic — devices vary slowest, then
-    configs, workloads, schedulers, barrier modes and seeds — so a sweep's
-    table rows always come out in the same order.
+    configs, workloads, barrier modes and seeds — so a sweep's table rows
+    always come out in the same order.
 
     For raw-block workloads (``blocklevel``, ``ordered-vs-buffered``) pass
-    ``configs=[None]`` and leave the scheduler/barrier-mode axes at their
-    defaults: the engine refuses stack axes on stack-less workloads rather
-    than silently ignoring them.
+    ``configs=[None]`` and leave the barrier-mode axis at its default: the
+    engine refuses stack axes on stack-less workloads rather than silently
+    ignoring them.
     """
     specs = []
-    for device, config, workload, scheduler, barrier_mode, seed in itertools.product(
-        devices, configs, workloads, schedulers, barrier_modes, seeds
+    for device, config, workload, barrier_mode, seed in itertools.product(
+        devices, configs, workloads, barrier_modes, seeds
     ):
         specs.append(
             ScenarioSpec(
                 workload=workload,
                 config=config,
                 device=device,
-                scheduler=scheduler,
                 barrier_mode=barrier_mode,
                 seed=seed,
                 scale=scale,

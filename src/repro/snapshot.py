@@ -119,7 +119,6 @@ def warm_group_key(spec: ScenarioSpec) -> tuple:
         spec.workload,
         spec.config,
         spec.device,
-        spec.scheduler,
         spec.barrier_mode,
         spec.seed,
         spec.scale,

@@ -318,7 +318,7 @@ class StorageDevice:
         for entry in pending:
             self._in_flight.add(entry.transfer_seq)
         if self.ftl is not None:
-            pages = self.ftl.append_batch(pending, self.sim.now)
+            pages = self.ftl.append_batch(pending)
         else:
             pages = None
         yield self.flash.program(len(pending), overhead_factor=overhead)
@@ -412,7 +412,7 @@ class StorageDevice:
             overhead = self.barrier_mode.program_overhead(self.profile)
             pages = None
             if self.ftl is not None:
-                pages = self.ftl.append_batch(batch, self.sim.now)
+                pages = self.ftl.append_batch(batch)
             flush_group = None
             if self.barrier_mode.is_atomic_flush:
                 self._flush_group_counter += 1

@@ -16,12 +16,12 @@ write-amplification/occupancy bookkeeping a real FTL does is represented,
 even though the paper's evaluation does not stress GC.
 
 Bookkeeping is flat: a segment stores its pages as parallel columns (an
-entry list plus ``array('d')`` timestamp columns, NaN meaning "program still
-outstanding"), and the mapping table stores packed ``segment_id * capacity
-+ offset`` integers.  :class:`SegmentPage` and :class:`PageLocation` remain
-as lightweight views over those columns so the public API — ``append_batch``
-returning indexable page handles, ``mapping[block].segment_id``,
-``segment.pages`` — is unchanged.
+entry list plus an ``array('d')`` program-time column, NaN meaning
+"program still outstanding"), and the mapping table stores packed
+``segment_id * capacity + offset`` integers.  :class:`SegmentPage` and
+:class:`PageLocation` remain as lightweight views over those columns so
+the public API — ``append_batch`` returning indexable page handles,
+``mapping[block].segment_id``, ``segment.pages`` — is unchanged.
 """
 
 from __future__ import annotations
@@ -103,7 +103,6 @@ class Segment:
         "capacity",
         "sealed",
         "entry_column",
-        "appended_column",
         "programmed_column",
     )
 
@@ -113,7 +112,6 @@ class Segment:
         self.sealed = False
         #: Parallel columns, one slot per appended page (log order).
         self.entry_column: list[CacheEntry] = []
-        self.appended_column: array = array("d")
         self.programmed_column: array = array("d")
 
     @property
@@ -180,7 +178,7 @@ class LogStructuredFTL:
         self.segment_order.append(segment.segment_id)
         return segment
 
-    def append(self, entry: CacheEntry, time: float) -> SegmentPage:
+    def append(self, entry: CacheEntry) -> SegmentPage:
         """Append one cache entry to the active segment (transfer order)."""
         segment = self.active_segment
         if len(segment.entry_column) >= segment.capacity:
@@ -188,15 +186,14 @@ class LogStructuredFTL:
             segment = self.active_segment = self._open_segment()
         offset = len(segment.entry_column)
         segment.entry_column.append(entry)
-        segment.appended_column.append(time)
         segment.programmed_column.append(_NOT_PROGRAMMED)
         self._locations[entry.block] = segment.segment_id * self.segment_pages + offset
         return SegmentPage(segment, offset)
 
-    def append_batch(self, entries: Iterable[CacheEntry], time: float) -> list[SegmentPage]:
+    def append_batch(self, entries: Iterable[CacheEntry]) -> list[SegmentPage]:
         """Append several entries preserving their order."""
         append = self.append
-        return [append(entry, time) for entry in entries]
+        return [append(entry) for entry in entries]
 
     def mark_programmed(self, pages: Iterable[SegmentPage], time: float) -> None:
         """Record that the given log pages finished programming at ``time``."""
@@ -240,7 +237,7 @@ class LogStructuredFTL:
         relocated = 0
         for offset, entry in enumerate(victim.entry_column):
             if locations.get(entry.block) == base + offset:
-                new_page = self.append(entry, time)
+                new_page = self.append(entry)
                 new_page.segment.programmed_column[new_page.offset] = time
                 relocated += 1
         del self.segments[victim.segment_id]

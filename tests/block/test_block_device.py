@@ -12,14 +12,14 @@ from repro.storage.crash import recover_durable_blocks
 
 
 def make_stack(profile="plain-ssd", *, order_preserving=True, barrier_mode=None,
-               scheduler="noop", **dev_kwargs):
+               **dev_kwargs):
     sim = Simulator()
     device = StorageDevice(
         sim, get_profile(profile), barrier_mode=barrier_mode, **dev_kwargs
     )
     block = BlockDevice(
         sim, device,
-        BlockDeviceConfig(scheduler=scheduler, order_preserving=order_preserving),
+        BlockDeviceConfig(order_preserving=order_preserving),
     )
     return sim, device, block
 
@@ -107,7 +107,7 @@ class TestBlockDevice:
 
     def test_legacy_stack_on_legacy_device(self):
         sim, device, block = make_stack(
-            order_preserving=False, barrier_mode=BarrierMode.NONE, scheduler="cfq"
+            order_preserving=False, barrier_mode=BarrierMode.NONE
         )
 
         def host():

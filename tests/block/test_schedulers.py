@@ -3,13 +3,7 @@
 import pytest
 
 from repro.block.request import RequestFlag, flush_request, write_request
-from repro.block.scheduler import (
-    CFQScheduler,
-    DeadlineScheduler,
-    EpochIOScheduler,
-    NoopScheduler,
-    make_scheduler,
-)
+from repro.block.scheduler import EpochIOScheduler, NoopScheduler
 
 
 def drain(scheduler):
@@ -22,8 +16,11 @@ def drain(scheduler):
 
 
 class TestNoop:
-    def test_fifo_order(self):
-        scheduler = NoopScheduler()
+    @pytest.mark.parametrize(
+        "scheduler_class", [NoopScheduler, EpochIOScheduler], ids=lambda cls: cls.__name__
+    )
+    def test_fifo_order(self, scheduler_class):
+        scheduler = scheduler_class()
         requests = [write_request(lba * 100) for lba in range(5)]
         for request in requests:
             scheduler.add_request(request)
@@ -40,10 +37,12 @@ class TestNoop:
         assert dispatched == [first]
         assert first.num_pages == 6
         assert first.merged_requests == [second, third]
-        assert scheduler.requests_merged == 2
 
-    def test_merge_respects_max_pages(self):
-        scheduler = NoopScheduler(max_merge_pages=3)
+    @pytest.mark.parametrize(
+        "scheduler_class", [NoopScheduler, EpochIOScheduler], ids=lambda cls: cls.__name__
+    )
+    def test_merge_respects_max_pages(self, scheduler_class):
+        scheduler = scheduler_class(max_merge_pages=3)
         first = write_request(0, 2)
         second = write_request(2, 2)
         scheduler.add_request(first)
@@ -58,71 +57,59 @@ class TestNoop:
         scheduler.add_request(barrier)
         assert len(scheduler) == 2
 
+    def test_flush_request_has_no_pages(self):
+        assert flush_request().num_pages == 0
 
-class TestDeadline:
-    def test_dispatch_in_lba_order(self):
-        scheduler = DeadlineScheduler()
-        lbas = [500, 100, 300, 200, 400]
-        for lba in lbas:
-            scheduler.add_request(write_request(lba))
-        dispatched = [request.lba for request in drain(scheduler)]
-        assert dispatched == sorted(lbas)
+    def test_front_adjacent_write_not_merged(self):
+        # Back-merge only: a write ending where the tail starts stays separate
+        # and keeps its place behind the tail.
+        scheduler = NoopScheduler()
+        tail = write_request(12, 2)
+        front = write_request(10, 2)
+        scheduler.add_request(tail)
+        scheduler.add_request(front)
+        assert drain(scheduler) == [tail, front]
+        assert tail.num_pages == 2
 
-    def test_deadline_forces_oldest_request(self):
-        scheduler = DeadlineScheduler(deadline_requests=2)
-        old = write_request(1000)
-        scheduler.add_request(old)
-        for lba in range(5):
-            scheduler.add_request(write_request(lba * 10))
-        dispatched = drain(scheduler)
-        # The old request does not wait until the very end despite its LBA.
-        assert dispatched.index(old) < len(dispatched) - 1
-
-    def test_adjacent_requests_merge(self):
-        scheduler = DeadlineScheduler()
-        first = write_request(10, 2)
-        second = write_request(12, 2)
-        scheduler.add_request(first)
-        scheduler.add_request(second)
-        assert len(scheduler) == 1
-        assert first.num_pages == 4
-
-
-class TestCFQ:
-    def test_round_robin_between_issuers(self):
-        scheduler = CFQScheduler(quantum=1)
-        a_requests = [write_request(lba, issuer="a") for lba in (0, 10)]
-        b_requests = [write_request(lba, issuer="b") for lba in (100, 110)]
-        for request in a_requests + b_requests:
+    def test_only_tail_absorbs_merges(self):
+        # ``late`` continues ``first`` but arrives behind an unrelated write:
+        # FIFO dispatch never reaches past the tail to merge it.
+        scheduler = NoopScheduler()
+        first = write_request(0, 2)
+        other = write_request(100, 2)
+        late = write_request(2, 2)
+        for request in (first, other, late):
             scheduler.add_request(request)
-        issuers = [request.issuer for request in drain(scheduler)]
-        assert issuers == ["a", "b", "a", "b"]
+        assert drain(scheduler) == [first, other, late]
+        assert first.merged_requests == []
 
-    def test_quantum_batches_one_issuer(self):
-        scheduler = CFQScheduler(quantum=2)
-        for lba in range(4):
-            scheduler.add_request(write_request(lba * 10, issuer="a"))
-        for lba in range(2):
-            scheduler.add_request(write_request(1000 + lba * 10, issuer="b"))
-        issuers = [request.issuer for request in drain(scheduler)]
-        assert issuers[:2] == ["a", "a"]
-        assert "b" in issuers[2:4]
-
-    def test_per_issuer_merge(self):
-        scheduler = CFQScheduler()
-        first = write_request(0, 1, issuer="a")
-        second = write_request(1, 1, issuer="a")
+    def test_fua_write_not_merged(self):
+        scheduler = NoopScheduler()
+        first = write_request(0, 1)
+        fua = write_request(1, 1, flags=RequestFlag.FUA)
         scheduler.add_request(first)
-        scheduler.add_request(second)
-        assert len(scheduler) == 1
-        assert scheduler.issuers == ["a"]
+        scheduler.add_request(fua)
+        assert drain(scheduler) == [first, fua]
+
+    def test_next_batch_keeps_merge_tail(self):
+        scheduler = NoopScheduler()
+        first, second, tail = (write_request(lba, 2) for lba in (0, 10, 20))
+        for request in (first, second, tail):
+            scheduler.add_request(request)
+        assert scheduler.next_batch() == [first, second]
+        # The tail stayed queued, so a contiguous arrival still merges into it.
+        follow = write_request(22, 2)
+        scheduler.add_request(follow)
+        assert scheduler.next_batch() == [tail]
+        assert tail.merged_requests == [follow]
+        assert len(scheduler) == 0
 
 
 class TestEpochScheduler:
-    def test_barrier_reassigned_to_last_ordered_request(self):
+    def test_fig5_epoch_drains_with_one_barrier(self):
         # Mirrors Fig. 5: w1, w2 ordered; w3 orderless; w4 ordered barrier;
         # w5 orderless; w6 arrives while the queue is blocked.
-        scheduler = EpochIOScheduler(DeadlineScheduler())
+        scheduler = EpochIOScheduler()
         w1 = write_request(500, flags=RequestFlag.ORDERED)
         w2 = write_request(400, flags=RequestFlag.ORDERED)
         w3 = write_request(300)
@@ -137,16 +124,32 @@ class TestEpochScheduler:
 
         dispatched = drain(scheduler)
         ordered_dispatched = [request for request in dispatched if request.is_ordered]
-        last_ordered = ordered_dispatched[-1]
-        # The barrier left the queue on the *last* order-preserving request,
-        # not necessarily on w4.
-        assert last_ordered.is_barrier
+        # FIFO dispatches w4 last of the epoch's ordered writes, so the barrier
+        # stays on it and nothing is reassigned.
+        assert ordered_dispatched[-1] is w4
+        assert w4.is_barrier and scheduler.barriers_reassigned == 0
         assert sum(1 for request in dispatched if request.is_barrier) == 1
         assert w4 in dispatched and w6 in dispatched
         assert not scheduler.is_blocked
 
+    def test_barrier_reassigned_to_request_it_merged_into(self):
+        # The stripped barrier back-merges into the orderless write ahead of
+        # it, so that write leaves the queue last and carries the barrier.
+        scheduler = EpochIOScheduler()
+        host = write_request(99)
+        barrier = write_request(100, flags=RequestFlag.ORDERED | RequestFlag.BARRIER)
+        scheduler.add_request(host)
+        scheduler.add_request(barrier)
+        assert len(scheduler) == 1
+
+        assert drain(scheduler) == [host]
+        assert host.merged_requests == [barrier]
+        assert host.is_ordered and host.is_barrier
+        assert scheduler.barriers_reassigned == 1
+        assert not scheduler.is_blocked
+
     def test_epoch_boundary_not_crossed(self):
-        scheduler = EpochIOScheduler(NoopScheduler())
+        scheduler = EpochIOScheduler()
         epoch1 = [write_request(lba, flags=RequestFlag.ORDERED) for lba in (0, 10)]
         barrier1 = write_request(20, flags=RequestFlag.ORDERED | RequestFlag.BARRIER)
         epoch2 = [write_request(lba, flags=RequestFlag.ORDERED) for lba in (100, 110)]
@@ -160,7 +163,7 @@ class TestEpochScheduler:
                 assert positions[early.request_id] < positions[late.request_id]
 
     def test_orderless_requests_cross_epochs_freely(self):
-        scheduler = EpochIOScheduler(NoopScheduler())
+        scheduler = EpochIOScheduler()
         ordered = write_request(0, flags=RequestFlag.ORDERED | RequestFlag.BARRIER)
         orderless = write_request(100)
         scheduler.add_request(orderless)
@@ -169,7 +172,7 @@ class TestEpochScheduler:
         assert set(dispatched) == {ordered, orderless}
 
     def test_staged_barrier_starts_next_epoch(self):
-        scheduler = EpochIOScheduler(NoopScheduler())
+        scheduler = EpochIOScheduler()
         first_barrier = write_request(0, flags=RequestFlag.ORDERED | RequestFlag.BARRIER)
         scheduler.add_request(first_barrier)
         assert scheduler.is_blocked
@@ -191,7 +194,7 @@ class TestEpochScheduler:
         assert remaining[1] is trailing and not remaining[1].is_barrier
 
     def test_epoch_counters(self):
-        scheduler = EpochIOScheduler(NoopScheduler())
+        scheduler = EpochIOScheduler()
         for _ in range(3):
             scheduler.add_request(
                 write_request(0, flags=RequestFlag.ORDERED | RequestFlag.BARRIER)
@@ -200,23 +203,36 @@ class TestEpochScheduler:
         assert scheduler.epochs_dispatched == 3
 
     def test_empty_scheduler_returns_none(self):
-        scheduler = EpochIOScheduler(NoopScheduler())
+        scheduler = EpochIOScheduler()
         assert scheduler.next_request() is None
-        assert not scheduler.has_pending
+        assert len(scheduler) == 0
 
+    def test_merged_ordered_requests_release_epoch(self):
+        # ``second`` merges into ``first``; the epoch must still drain once
+        # ``first`` (carrying ``second``) and then the barrier have left.
+        scheduler = EpochIOScheduler()
+        first = write_request(0, flags=RequestFlag.ORDERED)
+        second = write_request(1, flags=RequestFlag.ORDERED)
+        barrier = write_request(10, flags=RequestFlag.ORDERED | RequestFlag.BARRIER)
+        for request in (first, second, barrier):
+            scheduler.add_request(request)
+        assert len(scheduler) == 2
+        assert scheduler.is_blocked
 
-class TestFactory:
-    def test_make_scheduler_names(self):
-        assert isinstance(make_scheduler("noop"), NoopScheduler)
-        assert isinstance(make_scheduler("cfq"), CFQScheduler)
-        assert isinstance(make_scheduler("deadline"), DeadlineScheduler)
-        wrapped = make_scheduler("noop", epoch=True)
-        assert isinstance(wrapped, EpochIOScheduler)
-        assert isinstance(wrapped.underlying, NoopScheduler)
+        assert drain(scheduler) == [first, barrier]
+        assert first.merged_requests == [second]
+        assert not first.is_barrier and barrier.is_barrier
+        assert scheduler.epochs_dispatched == 1
+        assert not scheduler.is_blocked
 
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(KeyError):
-            make_scheduler("bfq")
-
-    def test_flush_request_has_no_pages(self):
-        assert flush_request().num_pages == 0
+    def test_blocked_next_batch_pulls_one_request(self):
+        scheduler = EpochIOScheduler()
+        ordered = [write_request(lba, flags=RequestFlag.ORDERED) for lba in (0, 10)]
+        barrier = write_request(20, flags=RequestFlag.ORDERED | RequestFlag.BARRIER)
+        for request in ordered + [barrier]:
+            scheduler.add_request(request)
+        assert scheduler.next_batch() == [ordered[0]]
+        assert scheduler.next_batch() == [ordered[1]]
+        assert scheduler.next_batch() == [barrier]
+        assert barrier.is_barrier and not scheduler.is_blocked
+        assert scheduler.next_batch() == []

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.block.request import RequestFlag, write_request
-from repro.block.scheduler import EpochIOScheduler, NoopScheduler, make_scheduler
+from repro.block.scheduler import EpochIOScheduler
 from repro.core import build_stack, standard_config
 from repro.core.verification import verify_dispatch_preserves_epochs, verify_epoch_prefix
 from repro.simulation.stats import percentile
@@ -29,7 +29,7 @@ class TestEpochSchedulerProperties:
     @given(plan=plans, seed=st.integers(min_value=0, max_value=2**16))
     @relaxed
     def test_scheduler_never_loses_or_duplicates_requests(self, plan, seed):
-        scheduler = EpochIOScheduler(make_scheduler("deadline"))
+        scheduler = EpochIOScheduler()
         submitted = []
         lba = 0
         for op in plan:
@@ -55,7 +55,7 @@ class TestEpochSchedulerProperties:
     @given(plan=plans)
     @relaxed
     def test_barrier_count_preserved(self, plan):
-        scheduler = EpochIOScheduler(NoopScheduler())
+        scheduler = EpochIOScheduler()
         barriers_in = 0
         for index, op in enumerate(plan):
             if op[0] == "barrier":

@@ -22,7 +22,7 @@ class TestScenarioSpec:
         spec = ScenarioSpec(workload="sync-loop")
         assert spec.config == "EXT4-DR"
         assert spec.device == "plain-ssd"
-        assert spec.scheduler is None and spec.barrier_mode is None
+        assert spec.barrier_mode is None
         assert spec.seed == 0 and spec.scale == 1.0
         assert spec.display_label == "EXT4-DR"
 
@@ -122,12 +122,11 @@ class TestEngine:
     def test_build_spec_stack_applies_every_axis(self):
         spec = ScenarioSpec(
             workload="sync-loop", config="BFS-DR", device="supercap-ssd",
-            scheduler="cfq", barrier_mode="transactional", seed=11,
+            barrier_mode="transactional", seed=11,
             stack_overrides={"track_queue_depth": True},
         )
         stack = build_spec_stack(spec)
         assert stack.config.device == "supercap-ssd"
-        assert stack.config.scheduler == "cfq"
         assert stack.config.seed == 11
         assert stack.config.track_queue_depth
         assert stack.device.barrier_mode is BarrierMode.TRANSACTIONAL
@@ -157,7 +156,7 @@ class TestEngine:
                 barrier_mode="plp", params={"num_writes": 5},
             ))
 
-    def test_sweep_rows_distinguish_scheduler_and_barrier_mode(self):
+    def test_sweep_rows_distinguish_barrier_mode(self):
         specs = sweep(
             workloads=["sync-loop"], configs=["BFS-DR"],
             barrier_modes=["in-order-recovery", "in-order-writeback"],

@@ -77,7 +77,7 @@ class TestLogStructuredFTL:
         cache = WritebackCache(64)
         ftl = LogStructuredFTL(segment_pages=4)
         entries = self._entries(cache, 10)
-        ftl.append_batch(entries, time=1.0)
+        ftl.append_batch(entries)
         assert ftl.used_segments == 3
         assert len(ftl.active_segment.pages) == 2
         assert ftl.mapping[entries[-1].block].segment_id == ftl.active_segment.segment_id
@@ -86,7 +86,7 @@ class TestLogStructuredFTL:
         cache = WritebackCache(64)
         ftl = LogStructuredFTL(segment_pages=8)
         entries = self._entries(cache, 6)
-        pages = ftl.append_batch(entries, time=1.0)
+        pages = ftl.append_batch(entries)
         # Only the first four pages finished programming before the crash.
         ftl.mark_programmed(pages[:4], time=2.0)
         recovered = ftl.recover()
@@ -96,7 +96,7 @@ class TestLogStructuredFTL:
         cache = WritebackCache(64)
         ftl = LogStructuredFTL(segment_pages=2)
         entries = self._entries(cache, 6)
-        pages = ftl.append_batch(entries, time=1.0)
+        pages = ftl.append_batch(entries)
         # Second segment has a hole: its first page never programmed.
         ftl.mark_programmed([pages[0], pages[1], pages[3], pages[4], pages[5]], time=2.0)
         recovered = ftl.recover()
@@ -111,7 +111,7 @@ class TestLogStructuredFTL:
                 [WrittenBlock("x", round_index), WrittenBlock("y", round_index)],
                 epoch=0, time=float(round_index), command_id=round_index + 1,
             )
-            pages = ftl.append_batch(entries, time=float(round_index))
+            pages = ftl.append_batch(entries)
             ftl.mark_programmed(pages, time=float(round_index))
             if ftl.needs_gc():
                 ftl.run_gc(time=float(round_index))

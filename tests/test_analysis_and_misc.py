@@ -39,13 +39,10 @@ class TestAnalysisHelpers:
 
 
 class TestConfigurationCorners:
-    def test_busy_retry_interval_dispatch(self):
+    def test_busy_device_dispatch_waits_for_slot(self):
         sim = Simulator()
         device = StorageDevice(sim, get_profile("ufs"), barrier_mode=BarrierMode.NONE)
-        block = BlockDevice(
-            sim, device,
-            BlockDeviceConfig(order_preserving=False, busy_retry_interval=3000.0),
-        )
+        block = BlockDevice(sim, device, BlockDeviceConfig(order_preserving=False))
 
         def host():
             # Non-contiguous LBAs so the scheduler cannot merge them away.
@@ -68,19 +65,6 @@ class TestConfigurationCorners:
         assert default_barrier_mode(get_profile("supercap-ssd")) is BarrierMode.PLP
         assert default_barrier_mode(get_profile("plain-ssd")) is BarrierMode.IN_ORDER_RECOVERY
         assert default_barrier_mode(get_profile("HDD")) is BarrierMode.NONE
-
-    def test_cfq_scheduler_with_barrier_stack(self):
-        config = StackConfig(device="plain-ssd", filesystem="barrierfs", scheduler="cfq")
-        stack = build_stack(config)
-
-        def proc():
-            handle = stack.fs.create("x")
-            stack.fs.write(handle, 1)
-            yield from stack.fs.fsync(handle)
-            return None
-
-        stack.run_process(proc())
-        assert stack.fs.stats.fsync == 1
 
 
 class TestCrashStateHelpers:
