@@ -29,11 +29,11 @@ a first-class artifact.  This module measures four rates:
   machinery stays effectively free on the no-fault hot path.
   All overhead metrics report the median of interleaved sample pairs —
   see :func:`_installed_hook_overhead_pct` for the noise discipline.
-* ``crashcheck_scratch_wall_sec`` / ``crashcheck_ckpt_wall_sec`` /
+* ``crashcheck_per_point_wall_sec`` / ``crashcheck_inline_wall_sec`` /
   ``crash_replay_speedup`` — wall-clock of one exhaustive crashcheck cell
-  with every point replayed from scratch vs resumed from fork checkpoints
-  (:mod:`repro.snapshot`), and their ratio: the O(points × run) →
-  O(run + points × delta) lever of :mod:`repro.crashlab`.
+  with one run per point vs every point judged in-line in one run, and
+  their ratio: the O(points × run) → O(run + points × verify) lever of
+  :mod:`repro.crashlab`.
 
 ``python -m repro.analysis.perfbench`` appends one record to
 ``BENCH_engine.json`` so the perf trajectory is recorded PR over PR; see
@@ -261,21 +261,19 @@ def sweep_warm_start_metrics(
 
 
 def crash_replay_metrics(*, quick: bool = False) -> dict[str, float]:
-    """Wall-clock of an exhaustive crashcheck cell, from scratch vs resumed.
+    """Wall-clock of an exhaustive crashcheck cell, per point vs in-line.
 
-    The cell is the acceptance cell of the checkpoint subsystem: sync-loop
-    on EXT4-DR × in-order-recovery, every recorded boundary explored.  From
-    scratch every verdict replays the whole prefix — O(points × run) — so
-    the cell's wall-clock grows quadratically with run length; with
-    fork checkpoints every verdict costs only the delta from the nearest
-    checkpoint — O(run + points × delta).  ``crash_replay_speedup`` is the
-    scratch wall over the checkpointed wall for the *same bit-identical
-    report* (pinned by ``tests/crashlab/test_checkpoints.py``); platforms
-    without fork/fd-passing report 0.0 rather than a fake ratio.
+    The cell is sync-loop on EXT4-DR × in-order-recovery, every recorded
+    boundary explored.  Judged with one :func:`repro.crashlab.check_point`
+    run per point, every verdict re-runs its whole prefix — O(points ×
+    run), so the wall-clock grows quadratically with run length; the
+    in-line :func:`repro.crashlab.explore` pass judges every point inside
+    one run — O(run + points × verify).  ``crash_replay_speedup`` is the
+    per-point wall over the in-line wall; the two reports must be
+    identical, or this raises.
     """
-    from repro.crashlab import DEFAULT_CHECKPOINT_EVERY, explore
+    from repro.crashlab import check_point, explore
     from repro.scenarios.spec import ScenarioSpec
-    from repro.snapshot import checkpoint_supported
 
     spec = ScenarioSpec(
         workload="sync-loop",
@@ -284,24 +282,18 @@ def crash_replay_metrics(*, quick: bool = False) -> dict[str, float]:
         barrier_mode="in-order-recovery",
         params={"calls": 60 if quick else 160},
     )
-
-    def wall(checkpoint_every):
-        start = time.perf_counter()
-        explore(spec, strategy="exhaustive", checkpoint_every=checkpoint_every)
-        return time.perf_counter() - start
-
-    scratch = wall(None)
-    if not checkpoint_supported():
-        return {
-            "crashcheck_scratch_wall_sec": round(scratch, 4),
-            "crashcheck_ckpt_wall_sec": round(scratch, 4),
-            "crash_replay_speedup": 0.0,
-        }
-    resumed = wall(DEFAULT_CHECKPOINT_EVERY)
+    start = time.perf_counter()
+    report = explore(spec, strategy="exhaustive")
+    inline = time.perf_counter() - start
+    start = time.perf_counter()
+    points = [check_point(spec, index) for index in range(report.boundaries_total)]
+    per_point = time.perf_counter() - start
+    if points != list(report.points):
+        raise RuntimeError("per-point and in-line crashcheck verdicts differ")
     return {
-        "crashcheck_scratch_wall_sec": round(scratch, 4),
-        "crashcheck_ckpt_wall_sec": round(resumed, 4),
-        "crash_replay_speedup": round(scratch / resumed, 2) if resumed > 0 else 0.0,
+        "crashcheck_per_point_wall_sec": round(per_point, 4),
+        "crashcheck_inline_wall_sec": round(inline, 4),
+        "crash_replay_speedup": round(per_point / inline, 2) if inline > 0 else 0.0,
     }
 
 

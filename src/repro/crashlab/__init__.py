@@ -10,10 +10,11 @@ instead of relying on hand-picked crash instants:
 * :mod:`repro.crashlab.points` — record every IO boundary of a run (the
   complete crash-point space) and select points to explore: exhaustive,
   stratified sampling, or bisection to the earliest failure.
-* :mod:`repro.crashlab.engine` — replay a
-  :class:`~repro.scenarios.ScenarioSpec` up to each chosen boundary, cut
-  power, reconstruct the durable state and run every applicable oracle;
-  points shard across worker processes with a deterministic merge.
+* :mod:`repro.crashlab.engine` — run a
+  :class:`~repro.scenarios.ScenarioSpec` once and, at each chosen boundary,
+  reconstruct the durable state a power cut there would leave and run every
+  applicable oracle in-line; points shard across worker processes with a
+  deterministic merge.
 * :mod:`repro.crashlab.oracles` — workload-level oracles (committed-log
   prefix for WAL-style workloads) on top of the core invariant families.
 * :mod:`repro.crashlab.report` — per-cell verdict tables through the
@@ -25,18 +26,16 @@ sync-loop --barrier-mode in-order-recovery --strategy exhaustive`` (see
 """
 
 from repro.crashlab.engine import (
-    DEFAULT_CHECKPOINT_BUDGET,
-    DEFAULT_CHECKPOINT_EVERY,
     check_point,
     explore,
     explore_cells,
-    record_checkpointed,
     replay_to_point,
+    verify_points,
 )
 from repro.crashlab.points import (
     STRATEGIES,
-    CheckpointingRecorder,
     CrashPointReached,
+    InlineVerifier,
     record_boundaries,
     select_points,
 )
@@ -50,10 +49,8 @@ from repro.crashlab.report import (
 
 __all__ = [
     "CellReport",
-    "CheckpointingRecorder",
     "CrashPointReached",
-    "DEFAULT_CHECKPOINT_BUDGET",
-    "DEFAULT_CHECKPOINT_EVERY",
+    "InlineVerifier",
     "OracleVerdict",
     "PointVerdict",
     "STRATEGIES",
@@ -61,9 +58,9 @@ __all__ = [
     "explore",
     "explore_cells",
     "record_boundaries",
-    "record_checkpointed",
     "replay_to_point",
     "select_points",
     "summary_result",
+    "verify_points",
     "violations_result",
 ]

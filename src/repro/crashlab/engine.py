@@ -1,77 +1,56 @@
-"""The crash-exploration engine: record, checkpoint, replay, verify, merge.
+"""The crash-exploration engine: select, verify in-line, merge.
 
 One *cell* is a :class:`~repro.scenarios.ScenarioSpec`; exploring it means:
 
-1. **Record** — run the spec once with an observing tap and collect every
-   IO boundary (:func:`repro.crashlab.points.record_boundaries`).  On
-   fork-capable platforms the same run doubles as a **checkpoint factory**
-   (:func:`record_checkpointed`): at boundaries scheduled by a
-   :class:`~repro.snapshot.CheckpointPolicy` the whole process is frozen
-   as a live copy-on-write child, keyed by boundary index.
-2. **Select** — turn the boundary list into crash points (exhaustive /
-   stratified budgets, or adaptive bisection).
-3. **Replay & verify** — for each point, resume the simulation from the
-   nearest preceding checkpoint (or rebuild from scratch when none
-   exists), run until the device hits that boundary, cut power,
-   reconstruct the durable state with
-   :func:`repro.storage.crash.recover_durable_blocks` and run every
-   applicable oracle from the registry
-   (:data:`repro.core.verification.ORACLES`).
+1. **Select** — choose the crash points: every IO boundary of the run
+   (exhaustive), or — after a recording pre-run
+   (:func:`repro.crashlab.points.record_boundaries`) — an evenly thinned
+   or stratified subset, or adaptive bisection probes.
+2. **Verify in-line** — run the spec once with history recorded and an
+   :class:`~repro.crashlab.points.InlineVerifier` tap on the device
+   (:func:`verify_points`).  When the device reaches a chosen boundary the
+   tap reconstructs the durable state a power cut there would leave
+   (:func:`repro.storage.crash.recover_durable_blocks` only reads it), runs
+   every applicable oracle from the registry
+   (:data:`repro.core.verification.ORACLES`) — or the ``--continue`` judge —
+   and lets the run go on; after the last chosen point it stops the run.
 
-Checkpoints turn exhaustive exploration from O(points × run_length) into
-O(run + points × delta): each verdict costs only the stretch from its
-checkpoint to its cut, plus recovery and verification.  Because a
-checkpoint child *is* the recording run paused at boundary *k* — same
-heap, same generator frames, same RNG streams — a resumed replay is
-bit-identical to a from-scratch replay crashing at the same boundary;
-``tests/crashlab/test_checkpoints.py`` pins verdicts, witnesses and trace
-tails across both paths, serial and sharded, with and without fault plans.
+A check therefore costs O(run + points × verify), forks nothing and
+behaves the same on every platform.  Judging boundary *k* inside the one
+run sees exactly the state a from-scratch replay that cuts power at *k*
+(:func:`replay_to_point`) sees; ``tests/crashlab/test_inline_equivalence.py``
+pins verdicts, witnesses and trace tails of the two against each other
+across barrier modes, job counts, fault plans and judges.
 
-Sharding: every replay is an independent, seeded unit of work.  Without a
-checkpoint store, points fan out over worker processes with
-``ProcessPoolExecutor.map`` (order-preserving) exactly like
-``repro.scenarios.run_specs(jobs=N)``.  With a store, the forked delta
-replays already run as their own processes, so ``jobs=N`` becomes a thread
-pool in the exploring process that keeps up to N grandchildren in flight —
-the merged report is bit-identical for any ``jobs`` value either way.
+Sharding: ``jobs=N`` splits the chosen points into N interleaved shards,
+one verifying pass each, over ``ProcessPoolExecutor.map`` (like
+``repro.scenarios.run_specs(jobs=N)``); verdicts are merged by index, so
+the report is bit-identical for any ``jobs`` value.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Sequence
 
 from repro.core.verification import CrashProbe, VerificationError, applicable_oracles
 from repro.crashlab import oracles as _workload_oracles  # noqa: F401 - registers oracles
 from repro.crashlab.points import (
-    CheckpointingRecorder,
     CrashPointReached,
     CrashTrigger,
+    InlineVerifier,
     evenly_spaced,
     record_boundaries,
     require_stack_workload,
     select_points,
 )
 from repro.crashlab.report import CellReport, OracleVerdict, PointVerdict
-from repro.snapshot import (
-    CheckpointPolicy,
-    CheckpointStore,
-    checkpoint_supported,
-    deliver_result,
-    receive_result,
-)
 from repro.storage.crash import CrashBoundary, recover_durable_blocks
-
-#: Default boundary spacing between checkpoints (``--checkpoint-every``).
-DEFAULT_CHECKPOINT_EVERY = 32
-#: Default cap on live checkpoint children (LRU-evicted beyond this).
-DEFAULT_CHECKPOINT_BUDGET = 64
 
 
 def _make_tracer(trace_tail: int):
     """The tracer a ``trace_tail=N`` exploration installs, or ``None``.
 
-    One construction site for both the scratch and the checkpointed path:
+    One construction site for the verifying pass and the reference replay:
     trace-tail bit-identity between them needs the identical buffer size.
     """
     if trace_tail <= 0:
@@ -90,9 +69,10 @@ def _point_verdict(
 ) -> PointVerdict:
     """Run every applicable oracle against a recovered probe.
 
-    Shared by the from-scratch path and the checkpoint grandchildren, so a
-    verdict's content depends only on the recovered state — never on which
-    replay mechanism produced it.
+    Shared by the in-line pass and the reference replay, so a verdict's
+    content depends only on the recovered state — never on which mechanism
+    reached it.  The trace tail is the one the tracer would leave after
+    closing the requests the crash caught in flight.
     """
     verdicts = []
     for oracle in applicable_oracles(probe):
@@ -114,7 +94,9 @@ def _point_verdict(
         kind=boundary.kind if boundary is not None else "end-of-run",
         time=boundary.time if boundary is not None else probe.state.crash_time,
         verdicts=tuple(verdicts),
-        trace_tail=tuple(tracer.trace_tail(trace_tail)) if tracer is not None else (),
+        trace_tail=(
+            tuple(tracer.finalized_tail(trace_tail)) if tracer is not None else ()
+        ),
     )
 
 
@@ -129,6 +111,10 @@ def replay_to_point(
     :class:`repro.trace.Tracer` passed in observes the replay up to the
     crash (its span buffer then holds the timeline leading to the failing
     boundary); tracing never changes which state the crash captures.
+
+    The exploration engine never replays; this is the independent
+    reference its in-line verdicts are checked against: power is cut by
+    unwinding the run with :class:`CrashPointReached`, one point per run.
     """
     from repro.scenarios import prepare_spec
 
@@ -141,193 +127,107 @@ def replay_to_point(
         workload.run()
     except CrashPointReached as crash:
         boundary = crash.boundary
-    return _power_cut(spec, workload, tracer), boundary
-
-
-def _power_cut(spec, workload, tracer) -> CrashProbe:
-    """Cut power on a replay stopped at its crash point; recover and probe."""
-    stack = workload.stack
     stack.device.crash_tap = None
     if tracer is not None:
         tracer.finalize()  # flush requests left in flight by the crash
     stack.device.power_off()
     state = recover_durable_blocks(stack.device)
-    return CrashProbe.from_stack(state, stack, spec=spec, workload=workload)
+    return CrashProbe.from_stack(state, stack, spec=spec, workload=workload), boundary
 
 
-def check_point(spec, index: int, *, trace_tail: int = 0, judge=None) -> PointVerdict:
-    """Replay one crash point from scratch and run every applicable oracle.
+def verify_points(
+    spec,
+    indices: Optional[Sequence[int]],
+    *,
+    trace_tail: int = 0,
+    judge=None,
+) -> list[PointVerdict]:
+    """Judge crash points of ``spec`` inside one run, ascending by index.
 
-    Module-level and picklable-by-reference: this is the unit of work the
-    process pool distributes, and the fallback when no checkpoint precedes
-    a point.  ``trace_tail=N`` replays the point with the cross-layer
-    tracer installed and attaches the last ``N`` spans before the crash to
-    the verdict — the timeline a violation report shows.
+    ``indices=None`` judges every boundary the run exposes; otherwise the
+    run stops right after the last chosen index, and an index the run
+    never reaches gets the ``end-of-run`` verdict (the state the finished
+    run leaves).  ``trace_tail=N`` installs the cross-layer tracer over
+    the run and attaches the last ``N`` spans before each crash to its
+    verdict — the timeline a violation report shows.
 
     ``judge`` replaces the default verdict builder (:func:`_point_verdict`)
     with a callable of the same signature — ``runner check --continue``
-    passes :func:`repro.recovery.recovery_judge` here.  A judge must be
-    module-level (or a ``functools.partial`` over picklable values) so the
-    process pool can ship it.
-    """
-    tracer = _make_tracer(trace_tail)
-    probe, boundary = replay_to_point(spec, index, tracer=tracer)
-    verdict = judge if judge is not None else _point_verdict
-    return verdict(probe, boundary, index, tracer, trace_tail)
-
-
-def _deliver_replay(spec, workload, tap, boundary, tracer, judge=None):
-    """Finish a checkpoint grandchild's replay: recover, verify, report.
-
-    Runs only in a replay grandchild (``tap.grant`` set).  Never returns:
-    the verdict — or the failure — travels up the result pipe and the
-    process exits, so a grandchild can never fall back into the recording
-    control flow it inherited.
-    """
-    request, result_fd = tap.grant
-
-    def verdict() -> PointVerdict:
-        probe = _power_cut(spec, workload, tracer)
-        build_verdict = judge if judge is not None else _point_verdict
-        return build_verdict(
-            probe, boundary, request["target"], tracer, request["trace_tail"]
-        )
-
-    deliver_result(result_fd, verdict)
-
-
-def record_checkpointed(
-    spec, policy: CheckpointPolicy, *, trace_tail: int = 0, judge=None
-) -> tuple[list[CrashBoundary], CheckpointStore]:
-    """Record ``spec``'s boundaries while freezing periodic checkpoints.
-
-    The single recording run plays the role ``record_boundaries`` plays on
-    the scratch path *and* leaves behind a :class:`CheckpointStore` of live
-    children to resume replays from.  With ``trace_tail=N`` the tracer is
-    installed over the recording run itself — every checkpoint child then
-    carries the tracer state a from-scratch traced replay would have at
-    that boundary, which is what makes resumed trace tails bit-identical.
-
-    Every replay grandchild re-enters this function's frames: it unwinds
-    out of ``workload.run()`` via :class:`CrashPointReached` (or falls
-    through, for a target beyond the end of the run) and exits through
-    :func:`_deliver_replay`.
+    passes :func:`repro.recovery.recovery_judge` here.  A judge must only
+    read the probe's stack (the run continues after it returns), and must
+    be module-level (or a ``functools.partial`` over picklable values) so
+    the process pool can ship it.
     """
     from repro.scenarios import prepare_spec
 
     require_stack_workload(spec)
+    targets = None if indices is None else sorted(set(indices))
+    if targets == []:
+        return []
+    build = judge if judge is not None else _point_verdict
     tracer = _make_tracer(trace_tail)
     workload = prepare_spec(spec, tracer=tracer)
-    # Checkpoint children are frozen copies of this run: each replay
-    # recovers from the history recorded here.
-    workload.stack.record_history()
-    store = CheckpointStore(policy)
-    tap = CheckpointingRecorder(workload.stack.device, store)
-    workload.stack.device.crash_tap = tap
+    stack = workload.stack
+    stack.record_history()
+
+    def probe() -> CrashProbe:
+        state = recover_durable_blocks(stack.device)
+        return CrashProbe.from_stack(state, stack, spec=spec, workload=workload)
+
+    tap = InlineVerifier(
+        stack.device,
+        targets,
+        lambda boundary: build(probe(), boundary, boundary.index, tracer, trace_tail),
+    )
+    stack.device.crash_tap = tap
     try:
         workload.run()
-    except CrashPointReached as crash:
-        # Only replay grandchildren get here: the tap raises solely in
-        # trigger mode.  Exits the process.  The judge travels into the
-        # grandchild by fork inheritance of this frame — no pickling.
-        _deliver_replay(spec, workload, tap, crash.boundary, tracer, judge)
-    except BaseException as exc:
-        if tap.grant is not None:
-            # A grandchild's delta replay failed: report the failure up the
-            # result pipe instead of escaping into the recording flow.
-            def relay():
-                raise exc
-
-            deliver_result(tap.grant[1], relay)
-        store.close()
-        raise
-    if tap.grant is not None:
-        # Grandchild whose target lies beyond the last boundary: the run
-        # completed without crashing — the scratch path's end-of-run case.
-        _deliver_replay(spec, workload, tap, None, tracer, judge)
-    workload.stack.device.crash_tap = None
-    return tap.boundaries, store
+    except CrashPointReached:
+        return tap.results
+    stack.device.crash_tap = None
+    verdicts = tap.results
+    unreached = targets[len(verdicts):] if targets is not None else []
+    if unreached:
+        stack.device.power_off()
+        end = probe()
+        verdicts += [build(end, None, index, tracer, trace_tail) for index in unreached]
+    return verdicts
 
 
-def _check_point_from_store(
-    store: CheckpointStore, spec, index: int, *, trace_tail: int = 0, judge=None
-) -> PointVerdict:
-    """Evaluate one crash point, resuming from the nearest checkpoint.
+def check_point(spec, index: int, *, trace_tail: int = 0, judge=None) -> PointVerdict:
+    """Run ``spec`` up to one crash point and judge it (see :func:`verify_points`).
 
-    Falls back to :func:`check_point` when no checkpoint precedes the
-    point (possible after LRU eviction) or when a checkpoint child died —
-    the scratch replay is always available and bit-identical.  The judge
-    is not shipped through the request pipe: the grandchildren inherited
-    it when the recording run forked them, so only the fallback paths
-    need it passed explicitly.
+    A target past the last boundary gets the ``end-of-run`` verdict.
     """
-    checkpoint = store.nearest(index)
-    if checkpoint is None:
-        return check_point(spec, index, trace_tail=trace_tail, judge=judge)
-    verdict = receive_result(
-        checkpoint.request({"target": index, "trace_tail": trace_tail}),
-        f"checkpointed replay of point {index} of spec {spec.display_label!r} "
-        f"(resumed from checkpoint {checkpoint.index})",
-    )
-    if verdict is None:
-        warnings.warn(
-            f"checkpoint at boundary {checkpoint.index} died replaying point "
-            f"{index} of spec {spec.display_label!r}; falling back to a "
-            "from-scratch replay",
-            RuntimeWarning,
-        )
-        return check_point(spec, index, trace_tail=trace_tail, judge=judge)
+    [verdict] = verify_points(spec, [index], trace_tail=trace_tail, judge=judge)
     return verdict
 
 
-def _check_points(
-    spec,
-    indices: Sequence[int],
-    *,
-    jobs: int,
-    trace_tail: int = 0,
-    store: Optional[CheckpointStore] = None,
-    judge=None,
+def _verify_sharded(
+    spec, indices: Sequence[int], *, jobs: int, trace_tail: int = 0, judge=None
 ) -> list[PointVerdict]:
-    """Evaluate crash points, fanning out if asked.
+    """Judge ``indices`` in up to ``jobs`` interleaved shards, one pass each.
 
-    The fan-out preserves input order and each replay is self-contained,
-    so the verdict list is identical for any job count, with or without a
-    checkpoint store.
+    Verdicts are merged back by index, so the list is identical for any job
+    count.
     """
     indices = list(indices)
-    if store is not None:
-
-        def resume(index: int) -> PointVerdict:
-            return _check_point_from_store(
-                store, spec, index, trace_tail=trace_tail, judge=judge
-            )
-
-        if jobs <= 1 or len(indices) <= 1:
-            return [resume(index) for index in indices]
-        # The delta replays are processes already (checkpoint
-        # grandchildren); threads here only shuttle requests and results,
-        # keeping up to `jobs` grandchildren in flight.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(jobs, len(indices))) as pool:
-            return list(pool.map(resume, indices))
-    if jobs <= 1 or len(indices) <= 1:
-        return [
-            check_point(spec, index, trace_tail=trace_tail, judge=judge)
-            for index in indices
-        ]
+    workers = min(jobs, len(indices))
+    if workers <= 1:
+        return verify_points(spec, indices, trace_tail=trace_tail, judge=judge)
 
     from concurrent.futures import ProcessPoolExecutor
     from functools import partial
 
-    worker = partial(check_point, trace_tail=trace_tail, judge=judge)
-    workers = min(jobs, len(indices))
-    chunksize = max(1, len(indices) // (workers * 4))
+    verify = partial(verify_points, spec, trace_tail=trace_tail, judge=judge)
+    shards = [indices[worker::workers] for worker in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(worker, [spec] * len(indices), indices, chunksize=chunksize)
-        )
+        by_index = {
+            verdict.index: verdict
+            for shard in pool.map(verify, shards)
+            for verdict in shard
+        }
+    return [by_index[index] for index in indices]
 
 
 def _bisect(
@@ -336,7 +236,6 @@ def _bisect(
     *,
     points: Optional[int] = None,
     trace_tail: int = 0,
-    store: Optional[CheckpointStore] = None,
     judge=None,
 ) -> list[PointVerdict]:
     """Narrow to the earliest failing boundary: scout, then binary-refine.
@@ -349,22 +248,16 @@ def _bisect(
     that failure and the nearest passing probe below it.  The result is a
     failing boundary whose immediate predecessor passes — the earliest
     failure up to local monotonicity.  Probes run serially because each one
-    decides the next; with a checkpoint store every probe — scout wave and
-    refinement alike — resumes from the scout run's checkpoints, so the
-    whole search costs O(probes × delta).
+    decides the next; each is one :func:`check_point` run that stops at its
+    point.
     """
     evaluated: dict[int, PointVerdict] = {}
 
     def fails(index: int) -> bool:
         if index not in evaluated:
-            if store is not None:
-                evaluated[index] = _check_point_from_store(
-                    store, spec, index, trace_tail=trace_tail, judge=judge
-                )
-            else:
-                evaluated[index] = check_point(
-                    spec, index, trace_tail=trace_tail, judge=judge
-                )
+            evaluated[index] = check_point(
+                spec, index, trace_tail=trace_tail, judge=judge
+            )
         return bool(evaluated[index].violations)
 
     if total == 0:
@@ -415,69 +308,42 @@ def explore(
     seed: int = 0,
     jobs: int = 1,
     trace_tail: int = 0,
-    checkpoint_every: Optional[int] = DEFAULT_CHECKPOINT_EVERY,
-    checkpoint_budget: int = DEFAULT_CHECKPOINT_BUDGET,
-    checkpoint_interval: float = 0.0,
     judge=None,
 ) -> CellReport:
     """Explore one scenario cell and return its :class:`CellReport`.
 
-    ``trace_tail=N`` traces every replay and attaches the last ``N`` spans
-    before each crash to its verdict (rendered by the violation report).
-
-    ``checkpoint_every=K`` freezes a fork checkpoint every K recorded
-    boundaries during the recording run (``checkpoint_interval`` adds a
-    sim-time trigger, ``checkpoint_budget`` caps the live pool) and resumes
-    every replay from the nearest preceding checkpoint; ``None`` — or any
-    platform without fork/fd-passing — replays every point from scratch.
-    The report is bit-identical either way; only the wall-clock changes.
+    A serial exhaustive check is a single verifying pass over every
+    boundary; every other strategy (and ``jobs > 1``) first records the
+    boundaries, then judges the chosen ones in-line.  ``trace_tail=N``
+    attaches the last ``N`` spans before each crash to its verdict
+    (rendered by the violation report).
 
     ``judge`` replaces the per-point verdict builder (see
-    :func:`check_point`); ``None`` keeps the registered-oracle default, so
-    existing ``crashcheck``/``faultcheck`` tables are untouched.
+    :func:`verify_points`); ``None`` keeps the registered-oracle default,
+    so existing ``crashcheck``/``faultcheck`` tables are untouched.
     """
     if points is not None and points < 1:
         raise ValueError(f"the crash-point budget must be at least 1, got {points}")
-    store: Optional[CheckpointStore] = None
-    if checkpoint_every is not None and checkpoint_supported():
-        policy = CheckpointPolicy(
-            every=checkpoint_every,
-            interval=checkpoint_interval,
-            budget=checkpoint_budget,
-        )
-        boundaries, store = record_checkpointed(
-            spec, policy, trace_tail=trace_tail, judge=judge
-        )
+    if strategy == "exhaustive" and points is None and jobs <= 1:
+        verdicts = verify_points(spec, None, trace_tail=trace_tail, judge=judge)
+        total = len(verdicts)
     else:
         boundaries = record_boundaries(spec)
-    try:
+        total = len(boundaries)
         if strategy == "bisect":
             verdicts = _bisect(
-                spec,
-                len(boundaries),
-                points=points,
-                trace_tail=trace_tail,
-                store=store,
-                judge=judge,
+                spec, total, points=points, trace_tail=trace_tail, judge=judge
             )
         else:
             indices = select_points(strategy, boundaries, points=points, seed=seed)
-            verdicts = _check_points(
-                spec,
-                indices,
-                jobs=jobs,
-                trace_tail=trace_tail,
-                store=store,
-                judge=judge,
+            verdicts = _verify_sharded(
+                spec, indices, jobs=jobs, trace_tail=trace_tail, judge=judge
             )
-    finally:
-        if store is not None:
-            store.close()
     return CellReport(
         spec=spec,
         strategy=strategy,
         seed=seed,
-        boundaries_total=len(boundaries),
+        boundaries_total=total,
         points=verdicts,
     )
 
@@ -490,14 +356,12 @@ def explore_cells(
     seed: int = 0,
     jobs: int = 1,
     trace_tail: int = 0,
-    checkpoint_every: Optional[int] = DEFAULT_CHECKPOINT_EVERY,
-    checkpoint_budget: int = DEFAULT_CHECKPOINT_BUDGET,
     judge=None,
 ) -> list[CellReport]:
     """Explore several cells (the ``runner check`` matrix), in order.
 
-    Points shard (and checkpoint children pool) within each cell; cells run
-    in sequence so the machine is never oversubscribed.
+    Points shard within each cell; cells run in sequence so the machine is
+    never oversubscribed.
     """
     return [
         explore(
@@ -507,8 +371,6 @@ def explore_cells(
             seed=seed,
             jobs=jobs,
             trace_tail=trace_tail,
-            checkpoint_every=checkpoint_every,
-            checkpoint_budget=checkpoint_budget,
             judge=judge,
         )
         for spec in specs

@@ -7,14 +7,14 @@ such boundaries produces the same durable state as crashing right after the
 earlier one, so the boundaries are the complete crash-point space of a run —
 the bounded black-box enumeration idea applied to the simulated stack.
 
-:func:`record_boundaries` performs the recording pre-run: it replays a
+:func:`record_boundaries` performs the recording pre-run: it runs a
 :class:`~repro.scenarios.ScenarioSpec` once with an observing tap installed
 on the storage device and returns every
 :class:`~repro.storage.crash.CrashBoundary` it saw.  Because every spec run
-is a deterministic, seeded simulation, boundary *k* of any later replay is
+is a deterministic, seeded simulation, boundary *k* of any later run is
 exactly boundary *k* of the recording — which is what lets the exploration
-engine shard replays across worker processes and still merge results
-deterministically.
+engine split the chosen points across verifying passes in worker processes
+and still merge results deterministically.
 
 Three selection strategies turn the recorded boundary list into the set of
 points actually explored:
@@ -29,6 +29,7 @@ points actually explored:
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Sequence
 
 from repro.storage.crash import CrashBoundary
@@ -38,11 +39,12 @@ STRATEGIES = ("exhaustive", "stratified", "bisect")
 
 
 class CrashPointReached(Exception):
-    """Control-flow signal: the replay hit its designated crash boundary.
+    """Control-flow signal: the run hit its last designated crash boundary.
 
     Raised from inside the device's crash tap; it unwinds the simulation out
     of ``workload.run()``, leaving the device state exactly as it was at the
-    boundary (power is cut by the engine immediately after).
+    boundary (a reference replay cuts power right after; the in-line
+    verifier has already judged the point).
     """
 
     def __init__(self, boundary: CrashBoundary):
@@ -50,83 +52,47 @@ class CrashPointReached(Exception):
         self.boundary = boundary
 
 
-class BoundaryRecorder:
-    """Observing tap: collects boundaries without perturbing the run."""
+class InlineVerifier:
+    """Verifying tap: judges chosen boundaries in-line while the run goes on.
 
-    def __init__(self, device):
-        self.device = device
-        self.boundaries: list[CrashBoundary] = []
-
-    def __call__(self, kind: str, pages: int) -> None:
-        device = self.device
-        self.boundaries.append(
-            CrashBoundary(
-                index=len(self.boundaries),
-                kind=kind,
-                time=device.sim.now,
-                pages=pages,
-                epoch=device.current_epoch,
-            )
-        )
-
-
-class CheckpointingRecorder(BoundaryRecorder):
-    """Recording tap that also freezes fork checkpoints at scheduled boundaries.
-
-    In the recording process it records boundaries exactly like
-    :class:`BoundaryRecorder` and, whenever the store's
-    :class:`~repro.snapshot.CheckpointPolicy` schedules one, freezes the
-    whole process as a live checkpoint child
-    (:meth:`repro.snapshot.CheckpointStore.take`).  Because the fork
-    happens *inside this tap call*, the child is paused at an exact,
-    replayable boundary.
-
-    When the exploration later re-forks a checkpoint, the grandchild
-    resumes right here — ``take`` returns the request grant — and the tap
-    flips into trigger mode: it stops recording, counts onward from the
-    checkpoint boundary, and raises :class:`CrashPointReached` at the
-    requested target index, exactly as :class:`CrashTrigger` would have at
-    the same boundary of a from-scratch replay.
+    A crash at boundary *k* needs no replay: at the moment the device emits
+    *k* its state is exactly what a power cut there would leave, and
+    recovery (:func:`repro.storage.crash.recover_durable_blocks`) only
+    reads it.  So at every target this tap hands the boundary to ``judge``
+    (which recovers, probes and builds the verdict) and lets the run
+    continue; after the last target it raises :class:`CrashPointReached`
+    to stop the run early.  ``targets=None`` judges every boundary the run
+    exposes and never stops it; with ``judge`` returning the boundary
+    itself, that is the recording tap.
     """
 
-    def __init__(self, device, store):
-        super().__init__(device)
-        self.store = store
-        #: ``(request, result_fd)`` once this process is a replay
-        #: grandchild; ``None`` in the recording process.
-        self.grant = None
-        self._count = 0
-        self._target = None
+    def __init__(self, device, targets, judge):
+        self.device = device
+        self.judge = judge
+        self.count = 0
+        #: What ``judge`` returned at each target, in boundary order.
+        self.results: list = []
+        self._pending = None if targets is None else deque(targets)
 
     def __call__(self, kind: str, pages: int) -> None:
-        device = self.device
-        if self.grant is not None:
-            index = self._count
-            self._count += 1
-            if index >= self._target:
-                raise CrashPointReached(
-                    CrashBoundary(
-                        index=index,
-                        kind=kind,
-                        time=device.sim.now,
-                        pages=pages,
-                        epoch=device.current_epoch,
-                    )
-                )
+        index = self.count
+        self.count += 1
+        pending = self._pending
+        if pending is not None and pending[0] != index:
             return
-        super().__call__(kind, pages)
-        boundary = self.boundaries[-1]
-        if self.store.due(boundary.index, boundary.time):
-            grant = self.store.take(boundary.index, boundary.time)
-            if grant is not None:
-                # Replay grandchild, resuming at `boundary` (which has
-                # already fired): crash here if it is the target, else
-                # count onward to it.
-                self.grant = grant
-                self._count = boundary.index + 1
-                self._target = grant[0]["target"]
-                if self._target <= boundary.index:
-                    raise CrashPointReached(boundary)
+        device = self.device
+        boundary = CrashBoundary(
+            index=index,
+            kind=kind,
+            time=device.sim.now,
+            pages=pages,
+            epoch=device.current_epoch,
+        )
+        self.results.append(self.judge(boundary))
+        if pending is not None:
+            pending.popleft()
+            if not pending:
+                raise CrashPointReached(boundary)
 
 
 class CrashTrigger:
@@ -170,10 +136,10 @@ def record_boundaries(spec) -> list[CrashBoundary]:
 
     require_stack_workload(spec)
     workload = prepare_spec(spec)
-    recorder = BoundaryRecorder(workload.stack.device)
+    recorder = InlineVerifier(workload.stack.device, None, lambda boundary: boundary)
     workload.stack.device.crash_tap = recorder
     workload.run()
-    return recorder.boundaries
+    return recorder.results
 
 
 def select_points(

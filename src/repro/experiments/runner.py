@@ -615,7 +615,6 @@ def check_main(argv: list[str] | None = None) -> None:
     from repro.apps.syncpolicy import ERROR_POLICIES
     from repro.core.verification import ORACLES
     from repro.crashlab import (
-        DEFAULT_CHECKPOINT_EVERY,
         STRATEGIES,
         explore_cells,
         summary_result,
@@ -635,9 +634,10 @@ def check_main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(
         prog="repro.experiments.runner check",
         description=(
-            "Systematically enumerate crash points (IO boundaries recorded in "
-            "a pre-run), replay each scenario cell up to every chosen point, "
-            "cut power, and verify recovery with the registered oracles.  "
+            "Systematically enumerate crash points (the IO boundaries of a "
+            "run), and at every chosen point of each scenario cell judge the "
+            "state a power cut would leave with the registered oracles, "
+            "in-line in one run of the cell.  "
             "--fault injects storage faults into every cell; --continue also "
             "remounts a fresh stack on what journal recovery reconstructs, "
             "runs a deterministic append+sync continuation and judges a "
@@ -694,7 +694,7 @@ def check_main(argv: list[str] | None = None) -> None:
             "enumeration, sets the stratified sample size (default 32); for "
             "bisect it caps the probe density of each scout wave, not the "
             "total — re-scouting below each found failure plus the binary "
-            "refinement can replay more points than the budget"
+            "refinement can probe more points than the budget"
         ),
     )
     parser.add_argument(
@@ -707,8 +707,9 @@ def check_main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "--scale", type=float, default=0.25,
         help=(
-            "iteration-count multiplier; crash exploration replays the "
-            "workload once per point, so the default is a reduced 0.25"
+            "iteration-count multiplier; crash exploration recovers and "
+            "verifies the whole history at every point, so the default is a "
+            "reduced 0.25"
         ),
     )
     parser.add_argument(
@@ -718,34 +719,16 @@ def check_main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "-j", "--jobs", type=int, default=1,
         help=(
-            "worker processes; crash points are sharded individually "
-            "(default 1; bisect probes are adaptive and always run serially)"
+            "worker processes; each runs the cell once and judges an "
+            "interleaved share of the crash points (default 1; bisect probes "
+            "are adaptive and always run serially)"
         ),
     )
     parser.add_argument(
         "--trace-tail", type=int, default=0, metavar="N",
         help=(
-            "trace every replay and attach the last N spans before each "
+            "trace every verifying run and attach the last N spans before each "
             "crash to its violation witness (default 0: off)"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=DEFAULT_CHECKPOINT_EVERY,
-        metavar="N",
-        help=(
-            "freeze a fork checkpoint every N recorded boundaries during "
-            "the recording run and resume each replay from the nearest "
-            "preceding checkpoint instead of from scratch (default "
-            f"{DEFAULT_CHECKPOINT_EVERY}; verdicts are bit-identical either "
-            "way, only the wall-clock changes)"
-        ),
-    )
-    parser.add_argument(
-        "--no-checkpoints", action="store_true",
-        help=(
-            "replay every crash point from scratch (the pre-checkpoint "
-            "behaviour; also the automatic fallback on platforms without "
-            "os.fork)"
         ),
     )
     parser.add_argument(
@@ -805,7 +788,6 @@ def check_main(argv: list[str] | None = None) -> None:
         parser.error("at least one --workload is required (or use --list)")
     for flag, value, least in (
         ("--points", args.points, 1),
-        ("--checkpoint-every", args.checkpoint_every, 1),
         ("--continuation-calls", args.continuation_calls, 1),
         ("--continuation-pages", args.continuation_pages, 1),
         ("--max-sync-retries", args.max_sync_retries, 0),
@@ -856,7 +838,6 @@ def check_main(argv: list[str] | None = None) -> None:
         seed=args.seed,
         jobs=args.jobs,
         trace_tail=max(args.trace_tail, 0),
-        checkpoint_every=None if args.no_checkpoints else args.checkpoint_every,
         judge=judge,
     )
     name = (

@@ -16,8 +16,8 @@ performs exactly that computation on a :class:`~repro.core.verification.CrashPro
   capped at the recovered size.
 
 The result is a frozen, picklable value: remounts of the same probe are
-deterministic wherever they run (worker processes, checkpoint
-grandchildren).
+deterministic wherever they run (in-line in the explored run, in worker
+processes, or after a reference replay).
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 :func:`recovery_judge` has the same signature as the crashlab engine's
 default verdict builder and is module-level, so a
 ``functools.partial(recovery_judge, plan=...)`` pickles into process-pool
-workers and is inherited by checkpoint grandchildren.  On top of the
+workers.  On top of the
 registered oracles it appends two recovery verdicts:
 
 * ``recovered-acked-prefix`` — every page a durability-claiming sync

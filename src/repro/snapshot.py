@@ -1,41 +1,34 @@
-"""Fork checkpoints: warm-start prefixes and mid-run crash-replay points.
+"""Fork checkpoints: warm-start prefixes for sweeps.
 
 The simulation state worth resuming — the event heap, the live generator
 frames of every simulated process, and all RNG streams — cannot be
 pickled, but a fork's copy-on-write image captures it exactly, and a
 forked copy continues the simulation bit-identically to a run that never
-forked.  This module has one fork path: :meth:`CheckpointStore.take`
-freezes the running process as a live child, and
-:meth:`Checkpoint.request` sends it a pickled request plus the write end
-of a fresh result pipe (``socket.send_fds``).  The child forks a
+forked.  :func:`take_checkpoint` freezes the running process as a live
+child, and :meth:`Checkpoint.request` sends it a pickled request plus the
+write end of a fresh result pipe (``socket.send_fds``).  The child forks a
 grandchild that resumes the frozen frames with the request applied and
 hands its result to :func:`deliver_result`; the requester reads it with
 :func:`receive_result`.  Platforms without ``os.fork``/``send_fds``
 report :func:`checkpoint_supported` false and callers run from scratch —
 results are identical either way.
 
-Two callers use it.  Warm-start sweeps (:func:`run_specs_warm_start`)
-group specs that agree on everything but the workload's ``SUFFIX_PARAMS``
-(parameters only the measured phase reads, e.g. ``calls`` for
-sync-loop); :func:`run_group` runs the shared warmup once, takes one
-checkpoint at the end of ``warm()`` and requests one continuation per
-spec, so sweep wall-clock scales with the varying suffix (pinned
-bit-identical by ``tests/scenarios/test_warm_start.py``).  Crash
-exploration (:mod:`repro.crashlab`) freezes a pool of checkpoints at
-boundaries a :class:`CheckpointPolicy` schedules during one recording
-run, so replaying to crash point *i* costs O(delta from the nearest
-checkpoint) instead of O(i).
+Warm-start sweeps (:func:`run_specs_warm_start`) group specs that agree on
+everything but the workload's ``SUFFIX_PARAMS`` (parameters only the
+measured phase reads, e.g. ``calls`` for sync-loop); :func:`run_group`
+runs the shared warmup once, takes one checkpoint at the end of
+``warm()`` and requests one continuation per spec, so sweep wall-clock
+scales with the varying suffix (pinned bit-identical by
+``tests/scenarios/test_warm_start.py``).
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import threading
 import warnings
-from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import Sequence
 
 from repro.scenarios.engine import (
     ScenarioOutcome,
@@ -185,8 +178,7 @@ def run_group(specs: Sequence[ScenarioSpec]) -> list[ScenarioOutcome]:
         return [run_spec(spec) for spec in spec_list]
     workload = prepare_spec(_strip_suffix_params(spec_list[0]))
     workload.warm()
-    store = CheckpointStore(CheckpointPolicy(budget=1))
-    grant = store.take(0, 0.0)
+    checkpoint, grant = take_checkpoint()
     if grant is not None:
         # A continuation: adopt the spec's full parameter set (the warmed
         # workload was built without the suffix params) and run the
@@ -200,8 +192,7 @@ def run_group(specs: Sequence[ScenarioSpec]) -> list[ScenarioOutcome]:
             return result
 
         deliver_result(result_fd, measure)
-    with store:
-        checkpoint = store.nearest(0)
+    with checkpoint:
         outcomes = []
         for spec in spec_list:
             what = f"forked run of spec {spec.display_label!r} ({spec.describe()})"
@@ -212,52 +203,20 @@ def run_group(specs: Sequence[ScenarioSpec]) -> list[ScenarioOutcome]:
         return outcomes
 
 
-@dataclass(frozen=True)
-class CheckpointPolicy:
-    """When to freeze a checkpoint during a recording run.
-
-    A checkpoint is due at the first scheduling opportunity (index 0) and
-    thereafter whenever ``every`` opportunities have passed since the last
-    one **or** — when ``interval`` is non-zero — the simulation clock has
-    advanced by at least ``interval`` since the last one.  ``budget`` caps
-    the live child pool; exceeding it evicts the least-recently-used
-    checkpoint (during recording nothing has been used yet, so the earliest
-    taken goes first — exploration of points below the evicted index falls
-    back to the nearest survivor, or to a from-scratch replay).
-    """
-
-    every: int = 32
-    interval: float = 0.0
-    budget: int = 64
-
-    def __post_init__(self) -> None:
-        if self.every < 1:
-            raise ValueError(f"checkpoint spacing must be at least 1, got {self.every}")
-        if self.budget < 1:
-            raise ValueError(f"checkpoint budget must be at least 1, got {self.budget}")
-
-
 class Checkpoint:
     """One live fork child, frozen mid-run, re-forkable on request."""
 
-    __slots__ = ("index", "time", "pid", "sock", "lock")
+    __slots__ = ("pid", "sock")
 
-    def __init__(self, index: int, time: float, pid: int, sock) -> None:
-        self.index = index
-        self.time = time
+    def __init__(self, pid: int, sock) -> None:
         self.pid = pid
         self.sock = sock
-        #: Serialises the send/ack handshake so concurrent requesters (the
-        #: ``jobs > 1`` thread pool) cannot interleave messages on the
-        #: stream socket; the delta replays themselves run concurrently in
-        #: the grandchildren.
-        self.lock = threading.Lock()
 
     def request(self, request) -> int:
         """Ask the frozen child to fork a continuation for ``request``.
 
         ``request`` is any picklable value; the continuation receives it
-        as the grant :meth:`CheckpointStore.take` returns.  Returns the
+        as the grant :func:`take_checkpoint` returns.  Returns the
         read end of a fresh result pipe for :func:`receive_result`; the
         grandchild holds the only surviving write end, so reading to EOF
         yields exactly its delivered result (or nothing, if it died).
@@ -267,9 +226,8 @@ class Checkpoint:
         payload = pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL)
         read_fd, write_fd = os.pipe()
         try:
-            with self.lock:
-                socket_module.send_fds(self.sock, [payload], [write_fd])
-                acknowledged = self.sock.recv(1)
+            socket_module.send_fds(self.sock, [payload], [write_fd])
+            acknowledged = self.sock.recv(1)
         except BaseException:
             os.close(read_fd)
             os.close(write_fd)
@@ -278,8 +236,8 @@ class Checkpoint:
         if not acknowledged:
             os.close(read_fd)
             raise SnapshotForkError(
-                f"checkpoint child at boundary {self.index} (pid {self.pid}) "
-                "hung up instead of acknowledging a replay request"
+                f"checkpoint child (pid {self.pid}) hung up instead of "
+                "acknowledging a continuation request"
             )
         return read_fd
 
@@ -294,6 +252,12 @@ class Checkpoint:
         except ChildProcessError:  # pragma: no cover - already reaped
             pass
 
+    def __enter__(self) -> "Checkpoint":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
 
 def _serve_checkpoint(sock):
     """Run a frozen checkpoint child's request loop (never returns normally).
@@ -301,13 +265,13 @@ def _serve_checkpoint(sock):
     Each request forks a grandchild; the *grandchild* returns from this
     function with ``(request, result_fd)`` so the caller's stack — the
     paused simulation — resumes with the request applied.  The child itself
-    loops until the exploring parent closes the socket, then exits.
+    loops until the parent closes the socket, then exits.
     """
     import signal
     import socket as socket_module
 
     # Grandchildren deliver their results over their own pipes; auto-reap
-    # them so finished replays never accumulate as zombies.
+    # them so finished continuations never accumulate as zombies.
     signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     while True:
         try:
@@ -323,110 +287,33 @@ def _serve_checkpoint(sock):
         for fd in fds:
             os.close(fd)
         try:
-            # Ack only after the fork: the parent holds this checkpoint's
-            # lock until the ack, so at most one request is ever in flight
-            # on the stream socket and messages can never coalesce.
+            # Ack only after the fork: the parent waits for the ack before
+            # it sends another request, so at most one request is ever in
+            # flight on the stream socket and messages can never coalesce.
             sock.send(b"\x01")
         except OSError:
             os._exit(0)
 
 
-class CheckpointStore:
-    """A bounded pool of live checkpoints taken during one recording run.
+def take_checkpoint():
+    """Freeze the running process as a live checkpoint child.
 
-    The recording process calls :meth:`due`/:meth:`take` from inside its
-    observation hook; exploration then calls :meth:`nearest` (LRU-marking)
-    and :meth:`Checkpoint.request` per point, and :meth:`close` when done.
-    ``take`` returns ``None`` in the recording process — and returns the
-    ``(request, result_fd)`` grant inside every replay grandchild that
-    later resumes from that checkpoint, which is the signal for the caller
-    to switch from recording to replaying.
+    Returns ``(checkpoint, None)`` in the caller, and ``(None, grant)`` in
+    every continuation later forked from the checkpoint, where ``grant`` is
+    the ``(request, result_fd)`` pair of the :meth:`Checkpoint.request`
+    that forked it — the signal to switch from setting up to continuing.
     """
+    import socket as socket_module
 
-    def __init__(self, policy: CheckpointPolicy) -> None:
-        self.policy = policy
-        self._live: "OrderedDict[int, Checkpoint]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._last_index: Optional[int] = None
-        self._last_time: Optional[float] = None
-        self.taken = 0
-        self.evicted = 0
-
-    def __len__(self) -> int:
-        return len(self._live)
-
-    def indices(self) -> list[int]:
-        """Live checkpoint indices, in ascending boundary order."""
-        return sorted(self._live)
-
-    def due(self, index: int, time: float) -> bool:
-        """Whether the policy schedules a checkpoint at this opportunity."""
-        if self._last_index is None:
-            return True
-        if index - self._last_index >= self.policy.every:
-            return True
-        return bool(self.policy.interval) and time - self._last_time >= self.policy.interval
-
-    def take(self, index: int, time: float):
-        """Freeze the current process state as the checkpoint at ``index``.
-
-        In the recording process: forks the frozen child, registers it
-        (evicting over-budget LRU children) and returns ``None``.  In a
-        grandchild forked later to service a replay request: returns that
-        request's ``(request, result_fd)`` grant.
-        """
-        import socket as socket_module
-
-        parent_sock, child_sock = socket_module.socketpair()
-        pid = os.fork()
-        if pid == 0:
-            parent_sock.close()
-            # Drop inherited parent-side sockets of earlier checkpoints:
-            # a surviving copy here would keep their children alive past
-            # close() and hang the final reap.
-            for checkpoint in self._live.values():
-                if checkpoint.sock is not None:
-                    checkpoint.sock.close()
-            self._live.clear()
-            grant = _serve_checkpoint(child_sock)
-            child_sock.close()
-            return grant
+    parent_sock, child_sock = socket_module.socketpair()
+    pid = os.fork()
+    if pid == 0:
+        parent_sock.close()
+        grant = _serve_checkpoint(child_sock)
         child_sock.close()
-        with self._lock:
-            self._live[index] = Checkpoint(index, time, pid, parent_sock)
-            self.taken += 1
-            self._last_index = index
-            self._last_time = time
-            while len(self._live) > self.policy.budget:
-                _, victim = self._live.popitem(last=False)
-                victim.close()
-                self.evicted += 1
-        return None
-
-    def nearest(self, index: int) -> Optional[Checkpoint]:
-        """The live checkpoint at the greatest boundary ``<= index``."""
-        with self._lock:
-            best = None
-            for taken_index in self._live:
-                if taken_index <= index and (best is None or taken_index > best):
-                    best = taken_index
-            if best is None:
-                return None
-            self._live.move_to_end(best)
-            return self._live[best]
-
-    def close(self) -> None:
-        """Retire every live checkpoint child and reap it."""
-        with self._lock:
-            while self._live:
-                _, checkpoint = self._live.popitem(last=False)
-                checkpoint.close()
-
-    def __enter__(self) -> "CheckpointStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        return None, grant
+    child_sock.close()
+    return Checkpoint(pid, parent_sock), None
 
 
 def run_specs_warm_start(

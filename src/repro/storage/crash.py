@@ -39,9 +39,9 @@ class CrashBoundary:
     the durable (or transferred) state changes: after a write command's DMA
     transfer, after a program batch reaches flash, and after a FLUSH
     completes.  The crash-exploration subsystem (:mod:`repro.crashlab`)
-    records these during a pre-run and later replays the scenario up to any
-    boundary index — the simulation being deterministic, boundary *k* of the
-    replay is exactly boundary *k* of the recording.
+    records these and judges the durable state at chosen ones as a run
+    reaches them — the simulation being deterministic, boundary *k* of any
+    run is exactly boundary *k* of the recording.
     """
 
     #: Position in the recording (0-based, dense).
@@ -87,7 +87,7 @@ class CrashState:
         """Map logical block -> the version that survived (latest durable)."""
         if self._durable_blocks is None:
             latest: dict[object, int] = {}
-            for entry in sorted(self.durable, key=lambda item: item.transfer_seq):
+            for entry in self.durable:  # transfer order: later versions win
                 latest[entry.block] = entry.version
             self._durable_blocks = latest
         return self._durable_blocks
@@ -137,6 +137,8 @@ def recover_durable_blocks(device: StorageDevice, *, crash_time: Optional[float]
     """
     mode = device.barrier_mode
     time = crash_time if crash_time is not None else device.sim.now
+    # Already in transfer order, and so is every filtered list below; only
+    # the FTL log (which GC may reorder) needs sorting back.
     transferred = device.written_history()
 
     # Pages damaged by an injected media fault (:mod:`repro.faults`) were
@@ -145,24 +147,21 @@ def recover_durable_blocks(device: StorageDevice, *, crash_time: Optional[float]
     if mode is BarrierMode.PLP:
         durable = [entry for entry in transferred if entry.damage is None]
     elif mode is BarrierMode.IN_ORDER_RECOVERY:
-        durable = _recover_from_log(device, transferred)
-    elif mode is BarrierMode.TRANSACTIONAL:
-        durable = [
-            entry for entry in transferred
-            if entry.is_durable and entry.damage is None
-        ]
-    else:  # NONE and IN_ORDER_WRITEBACK: whatever was programmed survives.
+        durable = sorted(
+            _recover_from_log(device, transferred),
+            key=lambda entry: entry.transfer_seq,
+        )
+    else:  # NONE, IN_ORDER_WRITEBACK, TRANSACTIONAL: what was programmed.
         durable = [
             entry for entry in transferred
             if entry.is_durable and entry.damage is None
         ]
 
-    durable_sorted = sorted(durable, key=lambda entry: entry.transfer_seq)
     return CrashState(
         crash_time=time,
         barrier_mode=mode,
-        transferred=sorted(transferred, key=lambda entry: entry.transfer_seq),
-        durable=durable_sorted,
+        transferred=transferred,
+        durable=durable,
     )
 
 

@@ -104,8 +104,9 @@ class StorageDevice:
         #: (``"transfer"`` / ``"program"`` / ``"flush"``) and the page count
         #: every time the transferred or durable state changes.  The crash
         #: exploration subsystem (:mod:`repro.crashlab`) uses it to record
-        #: boundaries during a pre-run and to cut power at an exact boundary
-        #: during a replay (by raising from inside the tap).  Must not touch
+        #: boundaries, to judge the durable state at chosen ones in-line, and
+        #: to stop a run at an exact boundary (by raising from inside the
+        #: tap).  Must not touch
         #: the simulation or any RNG — a tap that only observes leaves the
         #: run bit-identical to an untapped one.
         self.crash_tap: Optional[Callable[[str, int], None]] = None

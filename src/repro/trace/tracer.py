@@ -429,3 +429,24 @@ class Tracer:
     def trace_tail(self, count: int = 12) -> list[str]:
         """The most recent ``count`` spans, rendered compactly."""
         return [span.describe() for span in self.spans.tail(count)]
+
+    def finalized_tail(self, count: int = 12) -> list[str]:
+        """The tail :meth:`finalize` would leave, without closing anything.
+
+        Renders the ``unfinished`` spans of the requests still in flight
+        into a scratch copy of the ring, then restores the ring, the
+        open-request map and the span counter, so the run can go on exactly
+        as if nothing had been asked.  Metrics do not observe the scratch
+        spans.
+        """
+        spans, metrics = self.spans, self.metrics
+        ring, dropped = spans._spans.copy(), spans.dropped
+        open_requests, counter = dict(self._open_requests), self._span_counter
+        self.metrics = None
+        try:
+            self.finalize()
+            return self.trace_tail(count)
+        finally:
+            spans._spans, spans.dropped = ring, dropped
+            self._open_requests, self._span_counter = open_requests, counter
+            self.metrics = metrics

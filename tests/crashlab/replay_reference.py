@@ -1,0 +1,50 @@
+"""Per-point replay reference for the in-line crash verifier.
+
+The exploration engine judges every crash point inside one run of a cell
+(:func:`repro.crashlab.verify_points`).  This module rebuilds the same
+verdicts the slow, independent way: one from-scratch run per point that
+cuts power by unwinding at that point (:func:`repro.crashlab.replay_to_point`),
+then the same verdict builder.  The equivalence suite compares the two
+directly.  Run as a script, it executes ``runner check`` with the
+reference in place of the in-line pass, so the JSON reports of the two can
+be byte-diffed::
+
+    PYTHONPATH=src python tests/crashlab/replay_reference.py \\
+        --workload sync-loop --barrier-mode none --strategy exhaustive \\
+        --format json --output reference.json
+"""
+
+from __future__ import annotations
+
+import sys
+
+from repro.crashlab import engine, record_boundaries, replay_to_point
+
+
+def reference_verdicts(spec, indices, *, trace_tail: int = 0, judge=None):
+    """What :func:`repro.crashlab.verify_points` must return, one replay per point."""
+    if indices is None:
+        indices = range(len(record_boundaries(spec)))
+    build = judge if judge is not None else engine._point_verdict
+    verdicts = []
+    for index in sorted(set(indices)):
+        tracer = engine._make_tracer(trace_tail)
+        probe, boundary = replay_to_point(spec, index, tracer=tracer)
+        verdicts.append(build(probe, boundary, index, tracer, trace_tail))
+    return verdicts
+
+
+def main(argv=None) -> None:
+    """``runner check`` with every verdict built by :func:`reference_verdicts`."""
+    from repro.experiments.runner import check_main
+
+    inline = engine.verify_points
+    engine.verify_points = reference_verdicts
+    try:
+        check_main(argv)
+    finally:
+        engine.verify_points = inline
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

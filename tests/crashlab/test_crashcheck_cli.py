@@ -82,25 +82,6 @@ class TestCrashcheckCLI:
         sharded = run_cli(tmp_path, *argv, "--jobs", "4")
         assert serial == sharded
 
-    def test_checkpoints_on_and_off_are_bit_identical(self, tmp_path):
-        argv = (
-            "--workload", "sync-loop",
-            "--barrier-mode", "none",
-            "--strategy", "exhaustive",
-            "--param", "calls=8",
-            "--trace-tail", "4",
-        )
-        scratch = run_cli(tmp_path, *argv, "--no-checkpoints")
-        resumed = run_cli(tmp_path, *argv, "--checkpoint-every", "4")
-        assert scratch == resumed
-
-    def test_non_positive_checkpoint_spacing_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit):
-            crashcheck_main(
-                ["--workload", "sync-loop", "--checkpoint-every", "0"]
-            )
-        assert "--checkpoint-every must be at least 1" in capsys.readouterr().err
-
     def test_params_route_to_the_accepting_workload(self, tmp_path):
         # Like `runner sweep`: a key accepted by one selected workload rides
         # along, applied only to the specs of that workload.
