@@ -32,8 +32,8 @@ a first-class artifact.  This module measures four rates:
 * ``crashcheck_per_point_wall_sec`` / ``crashcheck_inline_wall_sec`` /
   ``crash_replay_speedup`` — wall-clock of one exhaustive crashcheck cell
   with one run per point vs every point judged in-line in one run, and
-  their ratio: the O(points × run) → O(run + points × verify) lever of
-  :mod:`repro.crashlab`.
+  their ratio: the O(points × run) → O(run + points × (delta + lost
+  set)) lever of :mod:`repro.crashlab` (in-line, incremental judging).
 
 ``python -m repro.analysis.perfbench`` appends one record to
 ``BENCH_engine.json`` so the perf trajectory is recorded PR over PR; see
@@ -268,7 +268,9 @@ def crash_replay_metrics(*, quick: bool = False) -> dict[str, float]:
     run per point, every verdict re-runs its whole prefix — O(points ×
     run), so the wall-clock grows quadratically with run length; the
     in-line :func:`repro.crashlab.explore` pass judges every point inside
-    one run — O(run + points × verify).  ``crash_replay_speedup`` is the
+    one run, each from the previous point's crash state plus what changed
+    — O(run + points × (delta + lost set)), linear in the run.
+    ``crash_replay_speedup`` is the
     per-point wall over the in-line wall; the two reports must be
     identical, or this raises.
     """

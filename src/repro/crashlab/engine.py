@@ -9,31 +9,52 @@ One *cell* is a :class:`~repro.scenarios.ScenarioSpec`; exploring it means:
 2. **Verify in-line** — run the spec once with history recorded and an
    :class:`~repro.crashlab.points.InlineVerifier` tap on the device
    (:func:`verify_points`).  When the device reaches a chosen boundary the
-   tap reconstructs the durable state a power cut there would leave
-   (:func:`repro.storage.crash.recover_durable_blocks` only reads it), runs
-   every applicable oracle from the registry
-   (:data:`repro.core.verification.ORACLES`) — or the ``--continue`` judge —
-   and lets the run go on; after the last chosen point it stops the run.
+   tap judges the durable state a power cut there would leave with every
+   applicable oracle from the registry
+   (:data:`repro.core.verification.ORACLES`) — or the ``--continue``
+   judge — and lets the run go on; after the last chosen point it stops
+   the run.
 
-A check therefore costs O(run + points × verify), forks nothing and
-behaves the same on every platform.  Judging boundary *k* inside the one
-run sees exactly the state a from-scratch replay that cuts power at *k*
-(:func:`replay_to_point`) sees; ``tests/crashlab/test_inline_equivalence.py``
+Judging is incremental (:mod:`repro.crashlab.incremental`): one crash
+state per run is advanced at each judged point by what changed since the
+previous one — pages newly transferred, pages newly durable (or the FTL
+log's newly programmed prefix), dispatch-log entries and journal
+transactions appended — and every oracle keeps its scan positions and
+partial results.  A point costs O(delta + lost set), where the lost set
+(transferred, not durable) is bounded by the device's dirty and in-flight
+window plus damaged pages; a check costs O(run + points × (delta + lost
+set)), linear in the run, forks nothing and behaves the same on every
+platform.  An FTL garbage-collection run or a misdirected write since the
+previous point (both can take durable pages away) rebuilds the state from
+the whole history at the next point, counted in
+:attr:`~repro.crashlab.report.CellReport.rebuilds`.
+
+Judging boundary *k* inside the one run sees exactly the state a
+from-scratch replay that cuts power at *k* (:func:`replay_to_point`,
+:func:`repro.storage.crash.recover_durable_blocks` and the oracles'
+from-scratch forms) sees; ``tests/crashlab/test_inline_equivalence.py``
 pins verdicts, witnesses and trace tails of the two against each other
-across barrier modes, job counts, fault plans and judges.
+across barrier modes, job counts, fault plans, rebuilds and judges.
 
-Sharding: ``jobs=N`` splits the chosen points into N interleaved shards,
-one verifying pass each, over ``ProcessPoolExecutor.map`` (like
-``repro.scenarios.run_specs(jobs=N)``); verdicts are merged by index, so
-the report is bit-identical for any ``jobs`` value.
+Sharding: ``jobs=N`` runs N verifying passes, the first in the calling
+process and the rest in a ``ProcessPoolExecutor`` (like
+``repro.scenarios.run_specs(jobs=N)``).  An unbudgeted exhaustive check
+gives pass *w* every boundary whose index is *w* modulo N, with no
+recording pre-run; chosen points are split into N interleaved shards.
+Verdicts are merged by index, so the report is bit-identical for any
+``jobs`` value.
 """
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
-from repro.core.verification import CrashProbe, VerificationError, applicable_oracles
+from repro.core.verification import CrashProbe, applicable_oracles
 from repro.crashlab import oracles as _workload_oracles  # noqa: F401 - registers oracles
+from repro.crashlab.incremental import IncrementalJudge, oracle_verdict
 from repro.crashlab.points import (
     CrashPointReached,
     CrashTrigger,
@@ -60,6 +81,27 @@ def _make_tracer(trace_tail: int):
     return Tracer(buffer_size=max(trace_tail, 16), metrics=False)
 
 
+def _assemble(
+    boundary: Optional[CrashBoundary],
+    index: int,
+    crash_time: float,
+    verdicts: tuple[OracleVerdict, ...],
+    tracer,
+    trace_tail: int,
+) -> PointVerdict:
+    """One point's verdict; the trace tail is the one the tracer would leave
+    after closing the requests the crash caught in flight."""
+    return PointVerdict(
+        index=index,
+        kind=boundary.kind if boundary is not None else "end-of-run",
+        time=boundary.time if boundary is not None else crash_time,
+        verdicts=verdicts,
+        trace_tail=(
+            tuple(tracer.finalized_tail(trace_tail)) if tracer is not None else ()
+        ),
+    )
+
+
 def _point_verdict(
     probe: CrashProbe,
     boundary: Optional[CrashBoundary],
@@ -67,36 +109,18 @@ def _point_verdict(
     tracer,
     trace_tail: int,
 ) -> PointVerdict:
-    """Run every applicable oracle against a recovered probe.
+    """Run every applicable oracle's from-scratch form against a recovered probe.
 
-    Shared by the in-line pass and the reference replay, so a verdict's
-    content depends only on the recovered state — never on which mechanism
-    reached it.  The trace tail is the one the tracer would leave after
-    closing the requests the crash caught in flight.
+    The reference verdict builder: the per-point replay reference and the
+    ``--continue`` judge use it; the in-line pass builds the same verdicts
+    incrementally (:class:`repro.crashlab.incremental.IncrementalJudge`).
     """
-    verdicts = []
-    for oracle in applicable_oracles(probe):
-        passed, witness = True, None
-        try:
-            oracle.check(probe)
-        except VerificationError as error:
-            passed, witness = False, str(error)
-        verdicts.append(
-            OracleVerdict(
-                oracle=oracle.name,
-                passed=passed,
-                guaranteed=bool(oracle.guaranteed(probe)),
-                witness=witness,
-            )
-        )
-    return PointVerdict(
-        index=index,
-        kind=boundary.kind if boundary is not None else "end-of-run",
-        time=boundary.time if boundary is not None else probe.state.crash_time,
-        verdicts=tuple(verdicts),
-        trace_tail=(
-            tuple(tracer.finalized_tail(trace_tail)) if tracer is not None else ()
-        ),
+    verdicts = tuple(
+        oracle_verdict(oracle, partial(oracle.check, probe), probe)
+        for oracle in applicable_oracles(probe)
+    )
+    return _assemble(
+        boundary, index, probe.state.crash_time, verdicts, tracer, trace_tail
     )
 
 
@@ -114,7 +138,8 @@ def replay_to_point(
 
     The exploration engine never replays; this is the independent
     reference its in-line verdicts are checked against: power is cut by
-    unwinding the run with :class:`CrashPointReached`, one point per run.
+    unwinding the run with :class:`CrashPointReached`, one point per run,
+    and the state is recovered from scratch.
     """
     from repro.scenarios import prepare_spec
 
@@ -135,63 +160,104 @@ def replay_to_point(
     return CrashProbe.from_stack(state, stack, spec=spec, workload=workload), boundary
 
 
+@dataclass
+class _Pass:
+    """What one verifying run (or a merge of shards) produced."""
+
+    points: list[PointVerdict]
+    #: Boundaries the run exposed before it ended or was stopped.
+    boundaries: int = 0
+    #: Restarts of the incremental crash state (see :class:`CellReport`).
+    rebuilds: int = 0
+    #: Entries the incremental crash state and its checks folded.
+    folds: int = 0
+
+
+def _verify(
+    spec,
+    indices,
+    *,
+    trace_tail: int = 0,
+    judge=None,
+) -> _Pass:
+    """One verifying run of ``spec`` (see :func:`verify_points`)."""
+    from repro.scenarios import prepare_spec
+
+    require_stack_workload(spec)
+    if indices is None:
+        indices = slice(None)
+    if isinstance(indices, slice):
+        if indices.stop is not None:
+            raise ValueError("a slice of crash points takes no stop")
+        targets = itertools.count(indices.start or 0, indices.step or 1)
+    else:
+        targets = sorted(set(indices))
+        if not targets:
+            return _Pass([])
+    tracer = _make_tracer(trace_tail)
+    workload = prepare_spec(spec, tracer=tracer)
+    stack = workload.stack
+    stack.record_history()
+    incremental = IncrementalJudge(stack, spec=spec, workload=workload)
+
+    def verdict(boundary: Optional[CrashBoundary], index: int) -> PointVerdict:
+        if judge is not None:
+            probe = incremental.scratch_probe()
+            return judge(probe, boundary, index, tracer, trace_tail)
+        verdicts = incremental.verdicts()
+        return _assemble(boundary, index, stack.sim.now, verdicts, tracer, trace_tail)
+
+    tap = InlineVerifier(
+        stack.device, targets, lambda boundary: verdict(boundary, boundary.index)
+    )
+    stack.device.crash_tap = tap
+    try:
+        workload.run()
+    except CrashPointReached:
+        pass
+    else:
+        stack.device.crash_tap = None
+        if isinstance(targets, list):
+            unreached = targets[len(tap.results):]
+            if unreached:
+                stack.device.power_off()
+                tap.results += [verdict(None, index) for index in unreached]
+    tracker = incremental.tracker
+    return _Pass(
+        tap.results, tap.count, rebuilds=tracker.rebuilds, folds=tracker.folds
+    )
+
+
 def verify_points(
     spec,
-    indices: Optional[Sequence[int]],
+    indices,
     *,
     trace_tail: int = 0,
     judge=None,
 ) -> list[PointVerdict]:
     """Judge crash points of ``spec`` inside one run, ascending by index.
 
-    ``indices=None`` judges every boundary the run exposes; otherwise the
-    run stops right after the last chosen index, and an index the run
-    never reaches gets the ``end-of-run`` verdict (the state the finished
-    run leaves).  ``trace_tail=N`` installs the cross-layer tracer over
-    the run and attaches the last ``N`` spans before each crash to its
-    verdict — the timeline a violation report shows.
+    ``indices`` is a collection of boundary indices: the run stops right
+    after the last one, and an index the run never reaches gets the
+    ``end-of-run`` verdict (the state the finished run leaves).  A
+    ``slice`` with no stop — ``slice(w, None, n)``, every ``n``-th boundary
+    from ``w`` — or ``None`` (every boundary) judges the boundaries the
+    run exposes and lets it finish.  ``trace_tail=N`` installs the
+    cross-layer tracer over the run and attaches the last ``N`` spans
+    before each crash to its verdict — the timeline a violation report
+    shows.
 
-    ``judge`` replaces the default verdict builder (:func:`_point_verdict`)
-    with a callable of the same signature — ``runner check --continue``
-    passes :func:`repro.recovery.recovery_judge` here.  A judge must only
-    read the probe's stack (the run continues after it returns), and must
-    be module-level (or a ``functools.partial`` over picklable values) so
-    the process pool can ship it.
+    The default verdicts come from the registered oracles' incremental
+    forms over one crash state advanced point to point
+    (:mod:`repro.crashlab.incremental`).  ``judge`` replaces them with a
+    callable of :func:`_point_verdict`'s signature, handed a from-scratch
+    probe at every point — ``runner check --continue`` passes
+    :func:`repro.recovery.recovery_judge` here.  A judge must only read
+    the probe's stack (the run continues after it returns), and must be
+    module-level (or a ``functools.partial`` over picklable values) so the
+    process pool can ship it.
     """
-    from repro.scenarios import prepare_spec
-
-    require_stack_workload(spec)
-    targets = None if indices is None else sorted(set(indices))
-    if targets == []:
-        return []
-    build = judge if judge is not None else _point_verdict
-    tracer = _make_tracer(trace_tail)
-    workload = prepare_spec(spec, tracer=tracer)
-    stack = workload.stack
-    stack.record_history()
-
-    def probe() -> CrashProbe:
-        state = recover_durable_blocks(stack.device)
-        return CrashProbe.from_stack(state, stack, spec=spec, workload=workload)
-
-    tap = InlineVerifier(
-        stack.device,
-        targets,
-        lambda boundary: build(probe(), boundary, boundary.index, tracer, trace_tail),
-    )
-    stack.device.crash_tap = tap
-    try:
-        workload.run()
-    except CrashPointReached:
-        return tap.results
-    stack.device.crash_tap = None
-    verdicts = tap.results
-    unreached = targets[len(verdicts):] if targets is not None else []
-    if unreached:
-        stack.device.power_off()
-        end = probe()
-        verdicts += [build(end, None, index, tracer, trace_tail) for index in unreached]
-    return verdicts
+    return _verify(spec, indices, trace_tail=trace_tail, judge=judge).points
 
 
 def check_point(spec, index: int, *, trace_tail: int = 0, judge=None) -> PointVerdict:
@@ -203,31 +269,31 @@ def check_point(spec, index: int, *, trace_tail: int = 0, judge=None) -> PointVe
     return verdict
 
 
-def _verify_sharded(
-    spec, indices: Sequence[int], *, jobs: int, trace_tail: int = 0, judge=None
-) -> list[PointVerdict]:
-    """Judge ``indices`` in up to ``jobs`` interleaved shards, one pass each.
+def _in_shards(verify, shards: Sequence) -> _Pass:
+    """``verify(shard)`` for every shard, merged by point index.
 
-    Verdicts are merged back by index, so the list is identical for any job
-    count.
+    The calling process runs the first shard itself while a process pool
+    runs the rest (like ``repro.scenarios.run_specs(jobs=N)``); the merge
+    makes the result identical for any shard count.
     """
-    indices = list(indices)
-    workers = min(jobs, len(indices))
-    if workers <= 1:
-        return verify_points(spec, indices, trace_tail=trace_tail, judge=judge)
-
+    if len(shards) == 1:
+        return verify(shards[0])
     from concurrent.futures import ProcessPoolExecutor
-    from functools import partial
 
-    verify = partial(verify_points, spec, trace_tail=trace_tail, judge=judge)
-    shards = [indices[worker::workers] for worker in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        by_index = {
-            verdict.index: verdict
-            for shard in pool.map(verify, shards)
-            for verdict in shard
-        }
-    return [by_index[index] for index in indices]
+    with ProcessPoolExecutor(max_workers=len(shards) - 1) as pool:
+        rest = pool.map(verify, shards[1:])
+        return _merge([verify(shards[0]), *rest])
+
+
+def _merge(passes: Sequence[_Pass]) -> _Pass:
+    """Several passes' verdicts as one, ascending by point index."""
+    by_index = {point.index: point for part in passes for point in part.points}
+    return _Pass(
+        [by_index[index] for index in sorted(by_index)],
+        max((part.boundaries for part in passes), default=0),
+        rebuilds=sum(part.rebuilds for part in passes),
+        folds=sum(part.folds for part in passes),
+    )
 
 
 def _bisect(
@@ -237,7 +303,7 @@ def _bisect(
     points: Optional[int] = None,
     trace_tail: int = 0,
     judge=None,
-) -> list[PointVerdict]:
+) -> _Pass:
     """Narrow to the earliest failing boundary: scout, then binary-refine.
 
     Crash violations are not monotone over the boundary index — a run
@@ -248,20 +314,20 @@ def _bisect(
     that failure and the nearest passing probe below it.  The result is a
     failing boundary whose immediate predecessor passes — the earliest
     failure up to local monotonicity.  Probes run serially because each one
-    decides the next; each is one :func:`check_point` run that stops at its
-    point.
+    decides the next; each is one verifying run that stops at its point.
     """
-    evaluated: dict[int, PointVerdict] = {}
+    evaluated: dict[int, _Pass] = {}
 
     def fails(index: int) -> bool:
         if index not in evaluated:
-            evaluated[index] = check_point(
-                spec, index, trace_tail=trace_tail, judge=judge
+            evaluated[index] = _verify(
+                spec, [index], trace_tail=trace_tail, judge=judge
             )
-        return bool(evaluated[index].violations)
+        [verdict] = evaluated[index].points
+        return bool(verdict.violations)
 
     if total == 0:
-        return []
+        return _Pass([])
     budget = min(points if points is not None else 32, total)
 
     earliest_failure: Optional[int] = None
@@ -284,7 +350,7 @@ def _bisect(
             break
         density = min(density * 2, budget)
     if earliest_failure is None:
-        return [evaluated[index] for index in sorted(evaluated)]
+        return _merge(list(evaluated.values()))
 
     low = max(
         (index for index in evaluated if index < earliest_failure and not fails(index)),
@@ -297,7 +363,7 @@ def _bisect(
             high = mid
         else:
             low = mid
-    return [evaluated[index] for index in sorted(evaluated)]
+    return _merge(list(evaluated.values()))
 
 
 def explore(
@@ -312,11 +378,14 @@ def explore(
 ) -> CellReport:
     """Explore one scenario cell and return its :class:`CellReport`.
 
-    A serial exhaustive check is a single verifying pass over every
-    boundary; every other strategy (and ``jobs > 1``) first records the
-    boundaries, then judges the chosen ones in-line.  ``trace_tail=N``
-    attaches the last ``N`` spans before each crash to its verdict
-    (rendered by the violation report).
+    An exhaustive check without a budget records nothing up front:
+    ``jobs=N`` runs N verifying passes, pass *w* judging every boundary
+    whose index is *w* modulo N, and the boundary count is where the runs
+    end.  Every other strategy first records the boundaries, then judges
+    the chosen ones in-line (interleaved over ``jobs`` passes, or one
+    bisection probe at a time).  ``trace_tail=N`` attaches the last ``N``
+    spans before each crash to its verdict (rendered by the violation
+    report).
 
     ``judge`` replaces the per-point verdict builder (see
     :func:`verify_points`); ``None`` keeps the registered-oracle default,
@@ -324,27 +393,34 @@ def explore(
     """
     if points is not None and points < 1:
         raise ValueError(f"the crash-point budget must be at least 1, got {points}")
-    if strategy == "exhaustive" and points is None and jobs <= 1:
-        verdicts = verify_points(spec, None, trace_tail=trace_tail, judge=judge)
-        total = len(verdicts)
+    verify = partial(_verify, spec, trace_tail=trace_tail, judge=judge)
+    shards = max(1, jobs)
+    if strategy == "exhaustive" and points is None:
+        result = _in_shards(
+            verify, [slice(shard, None, shards) for shard in range(shards)]
+        )
+        total = result.boundaries
     else:
         boundaries = record_boundaries(spec)
         total = len(boundaries)
         if strategy == "bisect":
-            verdicts = _bisect(
+            result = _bisect(
                 spec, total, points=points, trace_tail=trace_tail, judge=judge
             )
         else:
             indices = select_points(strategy, boundaries, points=points, seed=seed)
-            verdicts = _verify_sharded(
-                spec, indices, jobs=jobs, trace_tail=trace_tail, judge=judge
+            shards = max(1, min(shards, len(indices)))
+            result = _in_shards(
+                verify, [indices[shard::shards] for shard in range(shards)]
             )
     return CellReport(
         spec=spec,
         strategy=strategy,
         seed=seed,
         boundaries_total=total,
-        points=verdicts,
+        points=result.points,
+        rebuilds=result.rebuilds,
+        folds=result.folds,
     )
 
 

@@ -11,7 +11,8 @@ WALs, the readable-version-history property for RocksDB's MANIFEST).
 
 The oracle is registered into the same registry as the core family, so the
 exploration engine picks it up wherever it applies; registration happens on
-import (``repro.crashlab`` imports this module).
+import (``repro.crashlab`` imports this module), together with its
+incremental form (:class:`CommittedLogPrefixCheck`).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from repro.apps.postgres import WAL_FILE as _PG_WAL_FILE
 from repro.apps.rocksdb import MANIFEST_FILE as _ROCKSDB_MANIFEST
 from repro.core.verification import CrashProbe, VerificationError, register_oracle
+from repro.crashlab.incremental import INCREMENTAL_CHECKS, IncrementalCheck
 from repro.scenarios.workloads import SyncLoopWorkload
 
 #: Append-only log files per workload.  Only pure appends qualify — the
@@ -39,11 +41,22 @@ def _append_log_files(probe: CrashProbe) -> tuple[str, ...]:
     spec = probe.spec
     if spec is None or spec.workload not in APPEND_LOG_FILES:
         return ()
-    if spec.workload == "sync-loop" and not SyncLoopWorkload(**spec.params).allocating:
-        # A non-allocating sync-loop overwrites a preallocated file in a
-        # round-robin pattern; there is no append order to check.
-        return ()
+    if spec.workload == "sync-loop":
+        workload = probe.workload
+        if workload is None:  # a probe without its workload: parse the params
+            workload = SyncLoopWorkload(**spec.params)
+        if not workload.allocating:
+            # A non-allocating sync-loop overwrites a preallocated file in a
+            # round-robin pattern; there is no append order to check.
+            return ()
     return APPEND_LOG_FILES[spec.workload]
+
+
+def _data_block(block: object):
+    """``(inode_no, page)`` of a ``("data", inode_no, page)`` block, else ``None``."""
+    if isinstance(block, tuple) and len(block) == 3 and block[0] == "data":
+        return block[1], block[2]
+    return None
 
 
 def _applies(probe: CrashProbe) -> bool:
@@ -102,3 +115,72 @@ def verify_append_log_prefix(probe: CrashProbe, name: str) -> None:
 def _oracle_committed_log_prefix(probe: CrashProbe) -> None:
     for name in _append_log_files(probe):
         verify_append_log_prefix(probe, name)
+
+
+class CommittedLogPrefixCheck(IncrementalCheck):
+    """``committed-log-prefix`` over the high durable page per file.
+
+    A hole is a transferred page below the high durable page with no
+    durable version; every such page is in the tracker's lost set, so
+    only the lost set is scanned, against per-file aggregates folded as
+    pages are transferred and made durable.
+    """
+
+    def __init__(self, tracker, probe: CrashProbe):
+        super().__init__(tracker, probe)
+        self.files = _append_log_files(probe)
+        self.fs = probe.stack.fs
+
+    def restart(self) -> None:
+        self._transferred_seen = 0
+        #: Inodes with at least one transferred data page.
+        self._transferred: set[int] = set()
+        #: inode -> durable data pages, and its highest one.
+        self._durable: dict[int, set[int]] = {}
+        self._high: dict[int, int] = {}
+
+    def check(self) -> None:
+        new_durable = self.new_durable()
+        tracker = self.tracker
+        history = tracker.history
+        for position in range(self._transferred_seen, len(history)):
+            data = _data_block(history[position].block)
+            if data is not None:
+                self._transferred.add(data[0])
+        tracker.folds += len(history) - self._transferred_seen
+        self._transferred_seen = len(history)
+        for entry in new_durable:
+            data = _data_block(entry.block)
+            if data is not None:
+                inode_no, page = data
+                self._durable.setdefault(inode_no, set()).add(page)
+                if page > self._high.get(inode_no, -1):
+                    self._high[inode_no] = page
+
+        fs = self.fs
+        for name in self.files:
+            if not fs.exists(name):
+                continue
+            inode_no = fs.open(name).inode.inode_no
+            durable_pages = self._durable.get(inode_no)
+            if inode_no not in self._transferred or not durable_pages:
+                continue
+            high = self._high[inode_no]
+            tracker.folds += len(tracker.lost)
+            holes = sorted({
+                data[1]
+                for entry in tracker.lost.values()
+                if (data := _data_block(entry.block)) is not None
+                and data[0] == inode_no
+                and data[1] < high
+                and data[1] not in durable_pages
+            })
+            if holes:
+                raise VerificationError(
+                    f"committed-log prefix violated: {name} lost page {holes[0]} "
+                    f"({len(holes)} hole(s)) while page {high} is durable — a later "
+                    f"committed append survived an earlier one"
+                )
+
+
+INCREMENTAL_CHECKS["committed-log-prefix"] = CommittedLogPrefixCheck

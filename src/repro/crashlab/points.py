@@ -28,9 +28,9 @@ points actually explored:
 
 from __future__ import annotations
 
+import itertools
 import random
-from collections import deque
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.storage.crash import CrashBoundary
 
@@ -56,29 +56,30 @@ class InlineVerifier:
     """Verifying tap: judges chosen boundaries in-line while the run goes on.
 
     A crash at boundary *k* needs no replay: at the moment the device emits
-    *k* its state is exactly what a power cut there would leave, and
-    recovery (:func:`repro.storage.crash.recover_durable_blocks`) only
-    reads it.  So at every target this tap hands the boundary to ``judge``
-    (which recovers, probes and builds the verdict) and lets the run
-    continue; after the last target it raises :class:`CrashPointReached`
-    to stop the run early.  ``targets=None`` judges every boundary the run
-    exposes and never stops it; with ``judge`` returning the boundary
-    itself, that is the recording tap.
+    *k* its state is exactly what a power cut there would leave.  So at
+    every target this tap hands the boundary to ``judge`` (which builds
+    the verdict from that state) and lets the run continue; once the
+    targets run out it raises :class:`CrashPointReached` to stop the run
+    early.  ``targets`` is an ascending iterable of boundary indices — an
+    endless one (``itertools.count(start, step)``) judges every
+    ``step``-th boundary and never stops the run; ``None`` judges every
+    boundary, and with ``judge`` returning the boundary itself that is the
+    recording tap.
     """
 
-    def __init__(self, device, targets, judge):
+    def __init__(self, device, targets: Optional[Iterable[int]], judge):
         self.device = device
         self.judge = judge
         self.count = 0
         #: What ``judge`` returned at each target, in boundary order.
         self.results: list = []
-        self._pending = None if targets is None else deque(targets)
+        self._targets = iter(itertools.count() if targets is None else targets)
+        self._next = next(self._targets, None)
 
     def __call__(self, kind: str, pages: int) -> None:
         index = self.count
         self.count += 1
-        pending = self._pending
-        if pending is not None and pending[0] != index:
+        if index != self._next:
             return
         device = self.device
         boundary = CrashBoundary(
@@ -89,10 +90,9 @@ class InlineVerifier:
             epoch=device.current_epoch,
         )
         self.results.append(self.judge(boundary))
-        if pending is not None:
-            pending.popleft()
-            if not pending:
-                raise CrashPointReached(boundary)
+        self._next = next(self._targets, None)
+        if self._next is None:
+            raise CrashPointReached(boundary)
 
 
 class CrashTrigger:

@@ -67,10 +67,19 @@ class CellReport:
     spec: object  # ScenarioSpec; typed loosely to keep the module import-light
     strategy: str
     seed: int
-    #: Boundaries the recording pre-run exposed.
+    #: Boundaries the cell's run exposes.
     boundaries_total: int
     #: Verdicts for the explored points, in boundary order.
     points: list[PointVerdict] = field(default_factory=list)
+    #: How often the in-line judge rebuilt its incremental crash state from
+    #: the whole history (an FTL GC run or a misdirected write took durable
+    #: pages away, or a block's durable version went down).  Like
+    #: :attr:`folds` it describes the exploration's cost, not its outcome:
+    #: it is in no table and no comparison, and depends on ``jobs``.
+    rebuilds: int = field(default=0, compare=False)
+    #: Entries the incremental crash state and the oracles' incremental
+    #: forms folded over the whole check: a deterministic work counter.
+    folds: int = field(default=0, compare=False)
 
     @property
     def points_checked(self) -> int:

@@ -180,10 +180,13 @@ class LatencyRecorder:
     every published experiment records well under the default window, so
     their tables are bit-for-bit what the unbounded recorder produced.
     Past the window the stored list stops growing and the summary switches
-    to streaming P² sketches (fed from the very first sample, so the
-    estimate reflects the whole stream); count, mean, min and max stay
-    exact at any length.  This is what lets open-loop runs record millions
-    of operations at O(1) incremental cost.
+    to streaming P² sketches; count, mean, min and max stay exact at any
+    length.  The sketches are fed only once the window overflows: at that
+    moment the stored window is replayed into them in order, so their
+    state is exactly what streaming from the very first sample would have
+    built, and a run that never overflows never pays for them.  This is
+    what lets open-loop runs record millions of operations at O(1)
+    incremental cost.
     """
 
     #: Samples kept verbatim before the summary switches to the sketches.
@@ -205,16 +208,23 @@ class LatencyRecorder:
         """Add one latency sample (microseconds)."""
         if latency < 0:
             raise ValueError(f"negative latency sample: {latency}")
-        if self._count < self.exact_window:
+        count = self._count
+        if count < self.exact_window:
             self.samples.append(latency)
-        self._count += 1
+        else:
+            if count == self.exact_window:
+                # The window just overflowed: catch the sketches up on it.
+                for sample in self.samples:
+                    for sketch in self._sketches:
+                        sketch.observe(sample)
+            for sketch in self._sketches:
+                sketch.observe(latency)
+        self._count = count + 1
         self._total += latency
         if latency < self._minimum:
             self._minimum = latency
         if latency > self._maximum:
             self._maximum = latency
-        for sketch in self._sketches:
-            sketch.observe(latency)
 
     def extend(self, latencies: Iterable[float]) -> None:
         """Add many samples at once."""

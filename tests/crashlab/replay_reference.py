@@ -23,8 +23,8 @@ from repro.crashlab import engine, record_boundaries, replay_to_point
 
 def reference_verdicts(spec, indices, *, trace_tail: int = 0, judge=None):
     """What :func:`repro.crashlab.verify_points` must return, one replay per point."""
-    if indices is None:
-        indices = range(len(record_boundaries(spec)))
+    if indices is None or isinstance(indices, slice):
+        indices = range(len(record_boundaries(spec)))[indices or slice(None)]
     build = judge if judge is not None else engine._point_verdict
     verdicts = []
     for index in sorted(set(indices)):
@@ -34,16 +34,29 @@ def reference_verdicts(spec, indices, *, trace_tail: int = 0, judge=None):
     return verdicts
 
 
+def reference_pass(spec, indices, *, trace_tail: int = 0, judge=None):
+    """The reference in place of the engine's verifying run (``engine._verify``).
+
+    Its boundary count comes from a recording run; its verdicts from
+    :func:`reference_verdicts`.
+    """
+    total = len(record_boundaries(spec))
+    if indices is None or isinstance(indices, slice):
+        indices = range(total)[indices or slice(None)]
+    points = reference_verdicts(spec, indices, trace_tail=trace_tail, judge=judge)
+    return engine._Pass(points, total)
+
+
 def main(argv=None) -> None:
     """``runner check`` with every verdict built by :func:`reference_verdicts`."""
     from repro.experiments.runner import check_main
 
-    inline = engine.verify_points
-    engine.verify_points = reference_verdicts
+    inline = engine._verify
+    engine._verify = reference_pass
     try:
         check_main(argv)
     finally:
-        engine.verify_points = inline
+        engine._verify = inline
 
 
 if __name__ == "__main__":

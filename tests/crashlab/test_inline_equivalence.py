@@ -13,7 +13,7 @@ from functools import partial
 import pytest
 
 from replay_reference import main as reference_main
-from replay_reference import reference_verdicts
+from replay_reference import reference_pass, reference_verdicts
 
 from repro.crashlab import (
     CrashPointReached,
@@ -49,7 +49,7 @@ def spec_for(mode: str, *, workload: str = "sync-loop", faults=(), **params):
 def reference(monkeypatch, spec, **kwargs):
     """``explore`` with every verdict built by a per-point replay."""
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "verify_points", reference_verdicts)
+        patch.setattr(engine, "_verify", reference_pass)
         return explore(spec, **{**kwargs, "jobs": 1})
 
 

@@ -109,6 +109,26 @@ def test_latency_recorder_saturates_to_bounded_memory():
     assert summary.minimum <= summary.p999 <= summary.maximum
 
 
+@pytest.mark.parametrize("window", [0, 16, 100])
+def test_latency_recorder_sketches_match_streaming_from_sample_one(window):
+    # The sketches are fed only once the window overflows (the stored window
+    # is replayed into them first); these values were produced by recorders
+    # that fed every sample to the sketches as it arrived.
+    recorder = LatencyRecorder(exact_window=window)
+    rng = random.Random(1234)
+    for _ in range(1_000):
+        recorder.record(rng.expovariate(1 / 50.0))
+    summary = recorder.summary()
+    assert (
+        summary.count, summary.mean, summary.median, summary.p99,
+        summary.p999, summary.p9999, summary.minimum, summary.maximum,
+    ) == (
+        1000, 50.96028187206566, 36.05172466228526, 217.04440091530722,
+        302.34103471669033, 302.34103471669033, 0.012193498731288803,
+        526.5910636140684,
+    )
+
+
 def test_time_series_time_weighted_average():
     series = TimeSeries("qd")
     series.record(0, 0)
