@@ -224,14 +224,16 @@ def sweep_warm_start_metrics(
     """Wall-clock of a warmup-heavy sweep, from scratch vs. warm-started.
 
     The sweep is four sync-loop cells sharing one warmup prefix and varying
-    only the measured call count — the shape ``--warm-start`` exists for.
-    ``sweep_warm_speedup`` is scratch-wall over warm-wall (best of
-    ``repeats`` each); prefix snapshots should hold it well above 1.5x on
-    any fork-capable platform.  Results of the two paths are bit-identical
-    (pinned by ``tests/scenarios/test_warm_start.py``); this only records
-    the wall-clock lever.
+    only the measured call count.  The scratch side runs each cell alone
+    (``run_spec``); the warm side is ``run_specs``, which warms once and
+    forks every cell off the warmed process.  ``sweep_warm_speedup`` is
+    scratch-wall over warm-wall (best of ``repeats`` each); shared warmups
+    should hold it well above 1.5x on any fork-capable platform.  Results
+    of the two sides are bit-identical (pinned by
+    ``tests/scenarios/test_warm_start.py``); this only records the
+    wall-clock lever.
     """
-    from repro.scenarios.engine import run_specs
+    from repro.scenarios.engine import run_spec, run_specs
     from repro.scenarios.spec import ScenarioSpec
 
     warmup = 120 if quick else 400
@@ -246,13 +248,13 @@ def sweep_warm_start_metrics(
         for calls in (10, 20, 30, 40)
     ]
 
-    def wall(warm_start: bool) -> float:
+    def wall(run) -> float:
         start = time.perf_counter()
-        run_specs(specs, warm_start=warm_start)
+        run()
         return time.perf_counter() - start
 
-    scratch = min(wall(False) for _ in range(repeats))
-    warm = min(wall(True) for _ in range(repeats))
+    scratch = min(wall(lambda: [run_spec(spec) for spec in specs]) for _ in range(repeats))
+    warm = min(wall(lambda: run_specs(specs)) for _ in range(repeats))
     return {
         "sweep_scratch_wall_sec": round(scratch, 4),
         "sweep_matrix_wall_sec": round(warm, 4),

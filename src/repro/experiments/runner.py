@@ -211,8 +211,8 @@ def _expand_suffix_axes(specs):
 
     ``--param calls=[100,200,400]`` on a workload that declares ``calls``
     as a suffix param becomes a three-point axis instead of a literal list.
-    The points differ only in their measured phase, which is exactly the
-    shape ``--warm-start`` shares a single warmup prefix across.
+    The points differ only in their measured phase, so the sweep runs
+    their shared warmup once and forks each point from it.
     """
     import itertools
 
@@ -342,15 +342,9 @@ def sweep_main(argv: list[str] | None = None) -> None:
     )
     parser.add_argument(
         "-j", "--jobs", type=int, default=1,
-        help="worker processes; specs are sharded individually (default 1)",
-    )
-    parser.add_argument(
-        "--warm-start", action="store_true",
         help=(
-            "share warmup prefixes: specs differing only in measured-phase "
-            "parameters replay their warmup once and fork each point from "
-            "the warmed snapshot (bit-identical results, less wall-clock); "
-            "see docs/EXPERIMENTS.md"
+            "worker processes (default 1); specs sharing a warmup are split "
+            "into contiguous chunks until every worker has one"
         ),
     )
     parser.add_argument(
@@ -408,7 +402,6 @@ def sweep_main(argv: list[str] | None = None) -> None:
     result = sweep_table(
         specs,
         jobs=args.jobs,
-        warm_start=args.warm_start,
         metrics=args.metrics,
         description=f"ad-hoc scenario sweep ({len(specs)} scenarios)",
     )

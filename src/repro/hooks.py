@@ -6,8 +6,9 @@ each records its attribute swaps in a :class:`Hooks` ledger and undoes
 them with :meth:`Hooks.restore`.  :func:`install` owns their order —
 injector, strict errors, tracer (its ``try_submit`` wrapper sits over the
 injected device), then any crash tap the caller attaches — which every
-run of a spec rebuilds and every warm-start checkpoint freezes mid-run,
-so reordering it would break their bit-identity with a scratch run.
+run of a spec rebuilds and every measured phase forked off a shared
+warmup inherits, so reordering it would break their bit-identity with a
+scratch run.
 
 Hooks go in before the simulation first runs: processes hoist bound
 methods into locals on their first resume (the block dispatcher caches

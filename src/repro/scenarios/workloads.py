@@ -90,9 +90,9 @@ class Workload(abc.ABC):
     PARAMS: ClassVar[tuple[str, ...]] = ()
     #: Parameters consumed only by the measured phase (:meth:`run`), never by
     #: the constructor or :meth:`warm`.  Specs that differ solely in these can
-    #: share one warm prefix: the snapshot engine (:mod:`repro.snapshot`) runs
+    #: share one warm prefix: :func:`repro.scenarios.engine.run_group` runs
     #: :meth:`warm` once, forks every parameter point from the warmed process
-    #: image and swaps in that point's ``params`` before :meth:`run`.
+    #: and swaps in that point's ``params`` before :meth:`run`.
     SUFFIX_PARAMS: ClassVar[tuple[str, ...]] = ()
 
     def __init__(self, **params: object):
@@ -157,8 +157,9 @@ class Workload(abc.ABC):
         """Run the shared warmup prefix (default: nothing).
 
         Called exactly once, after :meth:`prepare` and before :meth:`run`,
-        on both the from-scratch and the warm-start paths — so a forked
-        continuation and a plain run replay identical event sequences.
+        whether the spec runs alone or forked off a shared warmup
+        (:func:`repro.scenarios.engine.run_group`) — so a forked measured
+        phase and a plain run replay identical event sequences.
         Implementations must not read any parameter in ``SUFFIX_PARAMS``.
         """
 

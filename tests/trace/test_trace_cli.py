@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.experiments.runner import crashcheck_main, sweep_main, trace_main
+from repro.scenarios import engine
 from repro.trace.export import BREAKDOWN_STAGES
 
 
@@ -95,14 +96,18 @@ class TestSweepMetricsCLI:
         assert row["io_errors"] == 0
         assert metrics["columns"][-1] == "detail"  # detail stays the last column
 
-    def test_metrics_survive_jobs_and_warm_start_sharding(self, tmp_path):
-        # Device stats ride WorkloadResult across process pools and snapshot
-        # forks; every execution path must agree bit-for-bit.
+    def test_metrics_survive_jobs_and_warm_start_sharding(self, tmp_path, monkeypatch):
+        # Device stats ride WorkloadResult across process pools and forks
+        # off a shared warmup; every execution path must agree bit-for-bit
+        # with running each spec on its own.
         argv = ("-w", "sync-loop", "--param", "calls=[3,5]", "--metrics")
         serial = self.run_sweep(tmp_path, *argv)
         sharded = self.run_sweep(tmp_path, *argv, "--jobs", "2")
-        warm = self.run_sweep(tmp_path, *argv, "--warm-start")
-        assert serial == sharded == warm
+        monkeypatch.setattr(
+            engine, "run_specs", lambda specs, jobs=1: [engine.run_spec(s) for s in specs]
+        )
+        per_spec = self.run_sweep(tmp_path, *argv)
+        assert serial == sharded == per_spec
         assert len(serial["rows"]) == 2
 
 
