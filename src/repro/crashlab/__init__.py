@@ -13,8 +13,8 @@ instead of relying on hand-picked crash instants:
 * :mod:`repro.crashlab.engine` — run a
   :class:`~repro.scenarios.ScenarioSpec` once and, at each chosen boundary,
   reconstruct the durable state a power cut there would leave and run every
-  applicable oracle in-line; points shard across worker processes with a
-  deterministic merge.
+  applicable oracle in-line; the cells of a matrix spread over worker
+  processes, one verifying run per cell.
 * :mod:`repro.crashlab.oracles` — workload-level oracles (committed-log
   prefix for WAL-style workloads) on top of the core invariant families.
 * :mod:`repro.crashlab.report` — per-cell verdict tables through the
@@ -26,6 +26,7 @@ sync-loop --barrier-mode in-order-recovery --strategy exhaustive`` (see
 """
 
 from repro.crashlab.engine import (
+    CellError,
     check_point,
     explore,
     explore_cells,
@@ -48,6 +49,7 @@ from repro.crashlab.report import (
 )
 
 __all__ = [
+    "CellError",
     "CellReport",
     "CrashPointReached",
     "InlineVerifier",

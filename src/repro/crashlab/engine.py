@@ -1,4 +1,4 @@
-"""The crash-exploration engine: select, verify in-line, merge.
+"""The crash-exploration engine: select, then verify in-line.
 
 One *cell* is a :class:`~repro.scenarios.ScenarioSpec`; exploring it means:
 
@@ -36,18 +36,18 @@ from-scratch forms) sees; ``tests/crashlab/test_inline_equivalence.py``
 pins verdicts, witnesses and trace tails of the two against each other
 across barrier modes, job counts, fault plans, rebuilds and judges.
 
-Sharding: ``jobs=N`` runs N verifying passes, the first in the calling
-process and the rest in a ``ProcessPoolExecutor`` (like
-``repro.scenarios.run_specs(jobs=N)``).  An unbudgeted exhaustive check
-gives pass *w* every boundary whose index is *w* modulo N, with no
-recording pre-run; chosen points are split into N interleaved shards.
-Verdicts are merged by index, so the report is bit-identical for any
-``jobs`` value.
+Cells, not points, spread over processes: each cell is judged in exactly
+one verifying run in one process (a bisection runs one short probe per
+point instead), because the run is most of a cell's cost — splitting its
+points over N passes would simulate and fold the run N times.
+:func:`explore_cells` with ``jobs=N`` hands whole cells to a
+``ProcessPoolExecutor`` of ``min(N, cells)`` workers and keeps their order,
+so the report is bit-identical for any ``jobs`` value; one cell, or
+``jobs=1``, runs in the calling process and forks nothing.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
@@ -162,7 +162,7 @@ def replay_to_point(
 
 @dataclass
 class _Pass:
-    """What one verifying run (or a merge of shards) produced."""
+    """What one verifying run (or a merge of bisection probes) produced."""
 
     points: list[PointVerdict]
     #: Boundaries the run exposed before it ended or was stopped.
@@ -184,16 +184,9 @@ def _verify(
     from repro.scenarios import prepare_spec
 
     require_stack_workload(spec)
-    if indices is None:
-        indices = slice(None)
-    if isinstance(indices, slice):
-        if indices.stop is not None:
-            raise ValueError("a slice of crash points takes no stop")
-        targets = itertools.count(indices.start or 0, indices.step or 1)
-    else:
-        targets = sorted(set(indices))
-        if not targets:
-            return _Pass([])
+    targets = None if indices is None else sorted(set(indices))
+    if targets == []:
+        return _Pass([])
     tracer = _make_tracer(trace_tail)
     workload = prepare_spec(spec, tracer=tracer)
     stack = workload.stack
@@ -217,7 +210,7 @@ def _verify(
         pass
     else:
         stack.device.crash_tap = None
-        if isinstance(targets, list):
+        if targets is not None:
             unreached = targets[len(tap.results):]
             if unreached:
                 stack.device.power_off()
@@ -239,13 +232,11 @@ def verify_points(
 
     ``indices`` is a collection of boundary indices: the run stops right
     after the last one, and an index the run never reaches gets the
-    ``end-of-run`` verdict (the state the finished run leaves).  A
-    ``slice`` with no stop — ``slice(w, None, n)``, every ``n``-th boundary
-    from ``w`` — or ``None`` (every boundary) judges the boundaries the
-    run exposes and lets it finish.  ``trace_tail=N`` installs the
-    cross-layer tracer over the run and attaches the last ``N`` spans
-    before each crash to its verdict — the timeline a violation report
-    shows.
+    ``end-of-run`` verdict (the state the finished run leaves).  ``None``
+    judges every boundary the run exposes and lets it finish.
+    ``trace_tail=N`` installs the cross-layer tracer over the run and
+    attaches the last ``N`` spans before each crash to its verdict — the
+    timeline a violation report shows.
 
     The default verdicts come from the registered oracles' incremental
     forms over one crash state advanced point to point
@@ -254,8 +245,8 @@ def verify_points(
     probe at every point — ``runner check --continue`` passes
     :func:`repro.recovery.recovery_judge` here.  A judge must only read
     the probe's stack (the run continues after it returns), and must be
-    module-level (or a ``functools.partial`` over picklable values) so the
-    process pool can ship it.
+    module-level (or a ``functools.partial`` over picklable values) so
+    :func:`explore_cells` can ship it to its process pool.
     """
     return _verify(spec, indices, trace_tail=trace_tail, judge=judge).points
 
@@ -269,24 +260,8 @@ def check_point(spec, index: int, *, trace_tail: int = 0, judge=None) -> PointVe
     return verdict
 
 
-def _in_shards(verify, shards: Sequence) -> _Pass:
-    """``verify(shard)`` for every shard, merged by point index.
-
-    The calling process runs the first shard itself while a process pool
-    runs the rest (like ``repro.scenarios.run_specs(jobs=N)``); the merge
-    makes the result identical for any shard count.
-    """
-    if len(shards) == 1:
-        return verify(shards[0])
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=len(shards) - 1) as pool:
-        rest = pool.map(verify, shards[1:])
-        return _merge([verify(shards[0]), *rest])
-
-
 def _merge(passes: Sequence[_Pass]) -> _Pass:
-    """Several passes' verdicts as one, ascending by point index."""
+    """Several bisection probes' verdicts as one, ascending by point index."""
     by_index = {point.index: point for part in passes for point in part.points}
     return _Pass(
         [by_index[index] for index in sorted(by_index)],
@@ -326,8 +301,6 @@ def _bisect(
         [verdict] = evaluated[index].points
         return bool(verdict.violations)
 
-    if total == 0:
-        return _Pass([])
     budget = min(points if points is not None else 32, total)
 
     earliest_failure: Optional[int] = None
@@ -366,6 +339,10 @@ def _bisect(
     return _merge(list(evaluated.values()))
 
 
+class CellError(RuntimeError):
+    """Exploring one cell failed; the message starts with the cell's ``describe()``."""
+
+
 def explore(
     spec,
     *,
@@ -378,41 +355,41 @@ def explore(
 ) -> CellReport:
     """Explore one scenario cell and return its :class:`CellReport`.
 
-    An exhaustive check without a budget records nothing up front:
-    ``jobs=N`` runs N verifying passes, pass *w* judging every boundary
-    whose index is *w* modulo N, and the boundary count is where the runs
-    end.  Every other strategy first records the boundaries, then judges
-    the chosen ones in-line (interleaved over ``jobs`` passes, or one
-    bisection probe at a time).  ``trace_tail=N`` attaches the last ``N``
-    spans before each crash to its verdict (rendered by the violation
-    report).
+    The cell is judged in one verifying run: an exhaustive check without a
+    budget judges every boundary as the run exposes it, with no recording
+    pre-run, and the boundary count is where the run ends.  Every other
+    strategy first records the boundaries, then judges the chosen ones
+    in-line in one run (bisection: one probe run at a time).
+    ``trace_tail=N`` attaches the last ``N`` spans before each crash to its
+    verdict (rendered by the violation report).  ``judge`` replaces the
+    per-point verdict builder (see :func:`verify_points`); ``None`` keeps
+    the registered-oracle default.  ``jobs`` means what it means for
+    :func:`explore_cells`, at most one worker per cell, so one cell runs
+    in the calling process whatever its value.
 
-    ``judge`` replaces the per-point verdict builder (see
-    :func:`verify_points`); ``None`` keeps the registered-oracle default,
-    so existing ``crashcheck``/``faultcheck`` tables are untouched.
+    A failing cell, or one whose run exposes no crash boundary (a clean row
+    would claim a check that never happened), raises :class:`CellError`.
     """
     if points is not None and points < 1:
         raise ValueError(f"the crash-point budget must be at least 1, got {points}")
-    verify = partial(_verify, spec, trace_tail=trace_tail, judge=judge)
-    shards = max(1, jobs)
-    if strategy == "exhaustive" and points is None:
-        result = _in_shards(
-            verify, [slice(shard, None, shards) for shard in range(shards)]
-        )
-        total = result.boundaries
-    else:
-        boundaries = record_boundaries(spec)
-        total = len(boundaries)
-        if strategy == "bisect":
-            result = _bisect(
-                spec, total, points=points, trace_tail=trace_tail, judge=judge
-            )
+    try:
+        if strategy == "exhaustive" and points is None:
+            result = _verify(spec, None, trace_tail=trace_tail, judge=judge)
+            total = result.boundaries
         else:
-            indices = select_points(strategy, boundaries, points=points, seed=seed)
-            shards = max(1, min(shards, len(indices)))
-            result = _in_shards(
-                verify, [indices[shard::shards] for shard in range(shards)]
-            )
+            boundaries = record_boundaries(spec)
+            total = len(boundaries)
+            if strategy == "bisect":
+                result = _bisect(
+                    spec, total, points=points, trace_tail=trace_tail, judge=judge
+                )
+            else:
+                indices = select_points(strategy, boundaries, points=points, seed=seed)
+                result = _verify(spec, indices, trace_tail=trace_tail, judge=judge)
+        if total == 0:
+            raise ValueError("its run exposes no crash boundary, so nothing was judged")
+    except Exception as error:
+        raise CellError(f"{spec.describe()}: {error}") from error
     return CellReport(
         spec=spec,
         strategy=strategy,
@@ -424,30 +401,21 @@ def explore(
     )
 
 
-def explore_cells(
-    specs: Sequence,
-    *,
-    strategy: str = "exhaustive",
-    points: Optional[int] = None,
-    seed: int = 0,
-    jobs: int = 1,
-    trace_tail: int = 0,
-    judge=None,
-) -> list[CellReport]:
-    """Explore several cells (the ``runner check`` matrix), in order.
+def explore_cells(specs: Sequence, *, jobs: int = 1, **options) -> list[CellReport]:
+    """:func:`explore` every cell (the ``runner check`` matrix), in order.
 
-    Points shard within each cell; cells run in sequence so the machine is
-    never oversubscribed.
+    ``jobs=N`` spreads whole cells over ``min(N, len(specs))`` worker
+    processes, one verifying run per cell; with one worker the cells run in
+    the calling process.  Reports come back in ``specs`` order either way.
+    A :class:`CellError` from a worker cancels the cells no worker has
+    taken yet (``pool.map`` does so as it raises) and reaches the caller
+    once the running ones are joined.
     """
-    return [
-        explore(
-            spec,
-            strategy=strategy,
-            points=points,
-            seed=seed,
-            jobs=jobs,
-            trace_tail=trace_tail,
-            judge=judge,
-        )
-        for spec in specs
-    ]
+    explore_cell = partial(explore, **options)
+    workers = min(jobs, len(specs))
+    if workers <= 1:
+        return [explore_cell(spec) for spec in specs]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(explore_cell, specs))

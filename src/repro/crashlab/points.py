@@ -13,8 +13,7 @@ on the storage device and returns every
 :class:`~repro.storage.crash.CrashBoundary` it saw.  Because every spec run
 is a deterministic, seeded simulation, boundary *k* of any later run is
 exactly boundary *k* of the recording — which is what lets the exploration
-engine split the chosen points across verifying passes in worker processes
-and still merge results deterministically.
+engine choose points from the recording and judge them in a later run.
 
 Three selection strategies turn the recorded boundary list into the set of
 points actually explored:
@@ -60,11 +59,9 @@ class InlineVerifier:
     every target this tap hands the boundary to ``judge`` (which builds
     the verdict from that state) and lets the run continue; once the
     targets run out it raises :class:`CrashPointReached` to stop the run
-    early.  ``targets`` is an ascending iterable of boundary indices — an
-    endless one (``itertools.count(start, step)``) judges every
-    ``step``-th boundary and never stops the run; ``None`` judges every
-    boundary, and with ``judge`` returning the boundary itself that is the
-    recording tap.
+    early.  ``targets`` is an ascending iterable of boundary indices;
+    ``None`` judges every boundary and never stops the run, and with
+    ``judge`` returning the boundary itself that is the recording tap.
     """
 
     def __init__(self, device, targets: Optional[Iterable[int]], judge):

@@ -75,7 +75,7 @@ class CellReport:
     #: the whole history (an FTL GC run or a misdirected write took durable
     #: pages away, or a block's durable version went down).  Like
     #: :attr:`folds` it describes the exploration's cost, not its outcome:
-    #: it is in no table and no comparison, and depends on ``jobs``.
+    #: it is in no table and no comparison.
     rebuilds: int = field(default=0, compare=False)
     #: Entries the incremental crash state and the oracles' incremental
     #: forms folded over the whole check: a deterministic work counter.

@@ -712,9 +712,9 @@ def check_main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "-j", "--jobs", type=int, default=1,
         help=(
-            "worker processes; each runs the cell once and judges an "
-            "interleaved share of the crash points (default 1; bisect probes "
-            "are adaptive and always run serially)"
+            "worker processes, each exploring whole cells of the matrix in "
+            "one verifying run per cell (default 1; at most one worker per "
+            "cell, so a one-cell check runs in-process)"
         ),
     )
     parser.add_argument(

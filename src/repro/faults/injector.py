@@ -19,7 +19,7 @@ fires — so the fault sites a plan selects depend only on the seed and the
 sequence of eligible sites, never on what other specs in the plan did.
 Rebuilding an injector from the same plan inside a bit-identical simulation
 reproduces the same :class:`FaultEvent` log, which is what makes crashlab's
-``--jobs 1`` and ``--jobs 4`` shardings agree.
+``--jobs 1`` and ``--jobs 4`` reports agree.
 
 Media faults are *silent*: the device still marks damaged entries durable
 (it believes the program succeeded) so timing is unperturbed; the damage

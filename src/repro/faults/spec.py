@@ -5,7 +5,7 @@ per-eligible-site probability or an explicit ``nth``-site trigger.  A
 :class:`FaultPlan` bundles several specs with the seed that derives each
 spec's private random stream.  Both are frozen, hashable and picklable so
 they can ride on :class:`repro.scenarios.spec.ScenarioSpec` across process
-boundaries (the crashlab ``--jobs`` sharding) without losing determinism.
+boundaries (the crashlab ``--jobs`` cell pool) without losing determinism.
 
 This module is stdlib-only on purpose: the scenario and verification layers
 import it without pulling in the injector (which needs the storage layer).

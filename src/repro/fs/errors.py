@@ -35,7 +35,7 @@ class EIOError(FilesystemError):
         super().__init__(errno.EIO, detail)
         self.detail = detail
 
-    def __reduce__(self):  # keep picklable across crashlab worker shards
+    def __reduce__(self):  # keep picklable across crashlab pool workers
         return (self.__class__, (self.detail,))
 
 

@@ -23,8 +23,8 @@ from repro.crashlab import engine, record_boundaries, replay_to_point
 
 def reference_verdicts(spec, indices, *, trace_tail: int = 0, judge=None):
     """What :func:`repro.crashlab.verify_points` must return, one replay per point."""
-    if indices is None or isinstance(indices, slice):
-        indices = range(len(record_boundaries(spec)))[indices or slice(None)]
+    if indices is None:
+        indices = range(len(record_boundaries(spec)))
     build = judge if judge is not None else engine._point_verdict
     verdicts = []
     for index in sorted(set(indices)):
@@ -41,9 +41,10 @@ def reference_pass(spec, indices, *, trace_tail: int = 0, judge=None):
     :func:`reference_verdicts`.
     """
     total = len(record_boundaries(spec))
-    if indices is None or isinstance(indices, slice):
-        indices = range(total)[indices or slice(None)]
-    points = reference_verdicts(spec, indices, trace_tail=trace_tail, judge=judge)
+    points = reference_verdicts(
+        spec, range(total) if indices is None else indices,
+        trace_tail=trace_tail, judge=judge,
+    )
     return engine._Pass(points, total)
 
 

@@ -74,13 +74,56 @@ class TestCrashcheckCLI:
     def test_jobs_sharding_is_bit_identical(self, tmp_path):
         argv = (
             "--workload", "sync-loop",
-            "--barrier-mode", "none",
+            "--barrier-mode", "none", "--barrier-mode", "plp",
             "--strategy", "stratified", "--points", "8",
             "--param", "calls=8",
         )
         serial = run_cli(tmp_path, *argv, "--jobs", "1")
         sharded = run_cli(tmp_path, *argv, "--jobs", "4")
         assert serial == sharded
+
+    @pytest.mark.parametrize(
+        ("argv", "cell"),
+        [
+            # fdatabarrier returns before its writes reach the device, and
+            # the check stops with the app.
+            (
+                ("check", "-w", "sync-loop", "-c", "BFS-OD",
+                 "--param", "sync_call=fdatabarrier", "--param", "calls=30"),
+                "sync-loop × BFS-OD × plain-ssd",
+            ),
+            # Every write command fails, so no write ever reaches a boundary.
+            (
+                ("recoverycheck", "-w", "sync-loop", "-c", "barrier-dr",
+                 "--barrier-mode", "in_order_recovery",
+                 "--fault", "io-error:p=1,op=write",
+                 "--strategy", "stratified", "--points", "4", "--param", "calls=4"),
+                "sync-loop × BFS-DR × plain-ssd × barrier=in-order-recovery"
+                " × faults=io-error:p=1,op=write",
+            ),
+        ],
+        ids=["fdatabarrier", "persistent-write-errors"],
+    )
+    def test_a_cell_without_boundaries_fails_the_check(self, tmp_path, argv, cell):
+        # Nothing to judge must not read as a clean row.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        output = tmp_path / "report.json"
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro.experiments.runner", *argv,
+                "--format", "json", "--output", str(output),
+            ],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert completed.returncode != 0
+        assert f"CellError: {cell}: " in completed.stderr
+        assert "no crash boundary" in completed.stderr
+        assert not output.exists()
 
     def test_params_route_to_the_accepting_workload(self, tmp_path):
         # Like `runner sweep`: a key accepted by one selected workload rides

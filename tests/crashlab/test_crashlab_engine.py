@@ -4,10 +4,23 @@ The acceptance contract of the subsystem: a barrier-honouring cell passes
 every applicable oracle at *every* crash point, the legacy ``NONE`` cell
 produces concrete violation witnesses (a checker that cannot fail checks
 nothing), and the report is bit-identical however many worker processes the
-points were sharded over.
+cells were spread over.
 """
 
-from repro.crashlab import check_point, explore, record_boundaries
+import multiprocessing
+import os
+import time
+
+import pytest
+
+from repro.crashlab import (
+    CellError,
+    check_point,
+    engine,
+    explore,
+    explore_cells,
+    record_boundaries,
+)
 from repro.scenarios import ScenarioSpec
 
 
@@ -60,20 +73,58 @@ class TestVerdicts:
 
 class TestDeterminism:
     def test_report_is_bit_identical_across_jobs(self):
+        specs = [spec_for("in-order-recovery"), spec_for("in-order-writeback")]
         results = {}
         for jobs in (1, 4):
-            report = explore(
-                spec_for("in-order-recovery"), strategy="exhaustive", jobs=jobs
-            )
-            results[jobs] = report.points
+            reports = explore_cells(specs, strategy="exhaustive", jobs=jobs)
+            results[jobs] = [report.points for report in reports]
         assert results[1] == results[4]
 
     def test_legacy_violations_identical_across_jobs_and_runs(self):
-        reports = [
-            explore(spec_for("none"), strategy="stratified", points=10, seed=7, jobs=jobs)
+        specs = [spec_for("none"), spec_for("plp")]
+        runs = [
+            explore_cells(specs, strategy="stratified", points=10, seed=7, jobs=jobs)
             for jobs in (1, 4, 1)
         ]
-        assert reports[0].points == reports[1].points == reports[2].points
+        for first, second, third in zip(*runs):
+            assert first.points == second.points == third.points
+
+    def test_a_failing_worker_cell_is_named_and_the_pool_reaped(self, monkeypatch):
+        verify = engine._verify
+
+        def failing(spec, indices, **kwargs):
+            if spec.barrier_mode == "plp":
+                raise RuntimeError(f"injected failure in pid {os.getpid()}")
+            return verify(spec, indices, **kwargs)
+
+        monkeypatch.setattr(engine, "_verify", failing)
+        specs = [spec_for("in-order-recovery"), spec_for("plp")]
+        with pytest.raises(CellError) as caught:
+            explore_cells(specs, strategy="exhaustive", jobs=2)
+        message = str(caught.value)
+        assert message.startswith(f"{specs[1].describe()}: injected failure in pid ")
+        assert not message.endswith(f" pid {os.getpid()}"), "it must fail in a worker"
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_cell_cancels_the_cells_no_worker_took(self, monkeypatch, tmp_path):
+        verify = engine._verify
+        log = tmp_path / "started"
+
+        def logged(spec, indices, **kwargs):
+            if spec.barrier_mode == "plp":
+                raise RuntimeError("injected failure")
+            with log.open("a") as started:
+                started.write(f"{spec.params['calls']}\n")
+            time.sleep(0.2)
+            return verify(spec, indices, **kwargs)
+
+        monkeypatch.setattr(engine, "_verify", logged)
+        slow = [spec_for("in-order-recovery", calls=calls) for calls in range(2, 14)]
+        with pytest.raises(CellError, match="injected failure"):
+            explore_cells([spec_for("plp"), *slow], strategy="exhaustive", jobs=2)
+        # Only cells already handed to the pool's call queue still run.
+        assert len(log.read_text().split()) < len(slow)
+        assert multiprocessing.active_children() == []
 
     def test_seed_changes_the_stratified_sample(self):
         spec = spec_for("in-order-recovery")

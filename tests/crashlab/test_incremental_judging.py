@@ -1,4 +1,4 @@
-"""Incremental crash judging: cost, rebuilds and modulo shards.
+"""Incremental crash judging: cost, rebuilds and the cell pool.
 
 The in-line verifier advances one crash state per run from point to point
 (``repro.crashlab.incremental``).  These tests pin what that buys — the
@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from replay_reference import reference_pass, reference_verdicts
+from replay_reference import reference_pass
 
 from repro.core.verification import (
     ORACLES,
@@ -29,6 +29,7 @@ from repro.crashlab import (
     InlineVerifier,
     engine,
     explore,
+    explore_cells,
     summary_result,
     violations_result,
 )
@@ -83,6 +84,12 @@ class TestCost:
             folds.append(report.folds)
         assert folds[1] <= 2.2 * folds[0]
         assert folds[2] <= 2.2 * folds[1]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_work_does_not_depend_on_jobs(self, jobs):
+        # One verifying run per cell whatever the worker count: a second
+        # pass over the same cell would fold its whole run again.
+        assert explore(bfs_sync_loop(120), strategy="exhaustive", jobs=jobs).folds == 8616
 
     @pytest.mark.parametrize("mode", MODES)
     def test_fault_free_cells_never_rebuild(self, mode):
@@ -323,48 +330,44 @@ class TestAgainstTheReference:
             assert witness == expected
 
 
-class TestModuloShards:
+class TestCellPool:
     def test_job_counts_give_identical_reports_without_recording(self, monkeypatch):
         recorded = []
-        record = engine.record_boundaries
-        monkeypatch.setattr(
-            engine,
-            "record_boundaries",
-            lambda spec: recorded.append(spec) or record(spec),
-        )
-        spec = ScenarioSpec(
-            workload="sync-loop",
-            config="EXT4-DR",
-            device="plain-ssd",
-            barrier_mode="none",
-            params={"calls": 10},
-        )
-        reports = [
-            explore(spec, strategy="exhaustive", jobs=jobs) for jobs in (1, 2, 3)
+
+        def record_boundaries(spec):
+            # Raising also reaches a pool worker's caller, where a list
+            # appended to in the worker would stay empty in this process.
+            recorded.append(spec)
+            raise AssertionError("an unbudgeted exhaustive check records nothing")
+
+        monkeypatch.setattr(engine, "record_boundaries", record_boundaries)
+        specs = [
+            ScenarioSpec(
+                workload="sync-loop",
+                config="EXT4-DR",
+                device="plain-ssd",
+                barrier_mode=mode,
+                params={"calls": 10},
+            )
+            for mode in ("none", "in-order-writeback")
+        ]
+        runs = [
+            explore_cells(specs, strategy="exhaustive", jobs=jobs) for jobs in (1, 2, 3)
         ]
         assert recorded == []
-        serial = reports[0]
-        assert serial.points_checked == serial.boundaries_total > 0
-        assert serial.violations
-        for report in reports[1:]:
-            assert report.boundaries_total == serial.boundaries_total
-            assert report.points == serial.points
-            assert summary_result([report]).to_dict() == summary_result([serial]).to_dict()
+        for serial, *pooled in zip(*runs):
+            assert serial.points_checked == serial.boundaries_total > 0
+            for report in pooled:
+                assert report.boundaries_total == serial.boundaries_total
+                assert report.points == serial.points
+        serial = runs[0]
+        assert serial[0].violations
+        for reports in runs[1:]:
+            assert summary_result(reports).to_dict() == summary_result(serial).to_dict()
             assert (
-                violations_result([report]).to_dict()
-                == violations_result([serial]).to_dict()
+                violations_result(reports).to_dict()
+                == violations_result(serial).to_dict()
             )
-
-    def test_a_shard_judges_every_nth_boundary(self):
-        spec = bfs_sync_loop(6)
-        shard = engine._verify(spec, slice(1, None, 3))
-        every = reference_verdicts(spec, None)
-        assert shard.boundaries == len(every)
-        assert shard.points == every[1::3]
-
-    def test_a_slice_of_points_takes_no_stop(self):
-        with pytest.raises(ValueError, match="no stop"):
-            engine._verify(bfs_sync_loop(4), slice(0, 10))
 
 
 class TestTracker:

@@ -20,7 +20,7 @@ from repro.crashlab import (
     InlineVerifier,
     check_point,
     engine,
-    explore,
+    explore_cells,
     record_boundaries,
     verify_points,
 )
@@ -46,19 +46,22 @@ def spec_for(mode: str, *, workload: str = "sync-loop", faults=(), **params):
     )
 
 
-def reference(monkeypatch, spec, **kwargs):
-    """``explore`` with every verdict built by a per-point replay."""
+def reference(monkeypatch, specs, **kwargs):
+    """``explore_cells`` with every verdict built by a per-point replay."""
     with monkeypatch.context() as patch:
         patch.setattr(engine, "_verify", reference_pass)
-        return explore(spec, **{**kwargs, "jobs": 1})
+        return explore_cells(specs, **{**kwargs, "jobs": 1})
 
 
-def assert_equivalent(monkeypatch, spec, **kwargs):
-    inline = explore(spec, **kwargs)
-    replayed = reference(monkeypatch, spec, **kwargs)
-    assert inline.boundaries_total == replayed.boundaries_total
-    assert inline.points == replayed.points
-    return inline
+def assert_equivalent(monkeypatch, *specs, **kwargs):
+    """Every cell's in-line report equals the reference's; returns the first."""
+    inline = explore_cells(specs, **kwargs)
+    replayed = reference(monkeypatch, specs, **kwargs)
+    assert len(inline) == len(replayed) == len(specs)
+    for report, expected in zip(inline, replayed):
+        assert report.boundaries_total == expected.boundaries_total
+        assert report.points == expected.points
+    return inline[0]
 
 
 class TestEquivalence:
@@ -75,12 +78,14 @@ class TestEquivalence:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("strategy", ["exhaustive", "stratified", "bisect"])
     def test_strategies_and_job_counts(self, monkeypatch, strategy, jobs):
-        spec = spec_for("none", calls=10)
-        assert_equivalent(monkeypatch, spec, strategy=strategy, points=12, jobs=jobs)
+        specs = [spec_for(mode, calls=10) for mode in ("none", "in-order-writeback")]
+        assert_equivalent(monkeypatch, *specs, strategy=strategy, points=12, jobs=jobs)
 
     def test_sharded_exhaustive_without_budget(self, monkeypatch):
-        spec = spec_for("in-order-recovery", calls=10)
-        assert_equivalent(monkeypatch, spec, strategy="exhaustive", jobs=2)
+        specs = [
+            spec_for(mode, calls=10) for mode in ("in-order-recovery", "transactional")
+        ]
+        assert_equivalent(monkeypatch, *specs, strategy="exhaustive", jobs=2)
 
     def test_violation_witnesses(self, monkeypatch):
         report = assert_equivalent(
@@ -92,18 +97,25 @@ class TestEquivalence:
     def test_fault_plan(self, monkeypatch, mode):
         # The injector's fault sites derive from (plan, seed): judging
         # in-line must neither consume nor skip any of its draws.
-        spec = spec_for(mode, faults=("torn-write:p=0.3",), calls=10)
-        assert_equivalent(monkeypatch, spec, strategy="exhaustive", jobs=2)
+        specs = [
+            spec_for(other, faults=("torn-write:p=0.3",), calls=10)
+            for other in (mode, "transactional")
+        ]
+        assert_equivalent(monkeypatch, *specs, strategy="exhaustive", jobs=2)
 
-    @pytest.mark.parametrize("faults", [(), ("io-error:p=1,op=write",)])
+    @pytest.mark.parametrize("faults", [(), ("io-error:p=0.5,op=write",)])
     def test_continue_judge(self, monkeypatch, faults):
         # The judge remounts and runs a whole continuation in the middle of
         # the explored run; the run must carry on as if it never had.
-        spec = spec_for("in-order-recovery", faults=faults, calls=6)
+        specs = [
+            spec_for(mode, faults=faults, calls=6)
+            for mode in ("in-order-recovery", "plp")
+        ]
         judge = partial(recovery_judge, plan=ContinuationPlan(calls=4))
         report = assert_equivalent(
-            monkeypatch, spec, strategy="stratified", points=8, judge=judge, jobs=2
+            monkeypatch, *specs, strategy="stratified", points=8, judge=judge, jobs=2
         )
+        assert report.points
         assert all(len(point.verdicts) > 2 for point in report.points)
 
     def test_trace_tails(self, monkeypatch):

@@ -75,7 +75,7 @@ class TestRecoverycheckCLI:
         argv = (
             "--workload", "sync-loop",
             "--config", "barrier-dr",
-            "--barrier-mode", "in_order_recovery",
+            "--barrier-mode", "in_order_recovery", "--barrier-mode", "plp",
             "--strategy", "stratified", "--points", "6",
             "--param", "calls=6",
         )
@@ -91,12 +91,13 @@ class TestRecoverycheckCLI:
             "--workload", "sync-loop",
             "--config", "barrier-dr",
             "--barrier-mode", "in_order_recovery",
-            "--fault", "io-error:p=1,op=write",
+            "--fault", "io-error:p=0.5,op=write",
             "--strategy", "stratified", "--points", "4",
             "--param", "calls=4",
         )
         [row] = [dict(zip(summary["columns"], r)) for r in summary["rows"]]
-        assert row["faults"] == "io-error:p=1,op=write"
+        assert row["faults"] == "io-error:p=0.5,op=write"
+        assert row["points_checked"] > 0
         assert row["unexpected"] == 0
 
     def test_continuation_flags_reach_the_plan_validation(self, capsys):
