@@ -22,6 +22,8 @@ class SyncLoopResult:
     latencies: LatencyRecorder
     context_switches_per_call: float
     elapsed_usec: float
+    #: Sync calls that completed: the requested count, unless a
+    #: filesystem error stopped the loop early.
     calls: int
     #: Name of the :class:`~repro.fs.errors.FilesystemError` that stopped the
     #: loop early (EIO on a sync, read-only degradation on a write), or
@@ -50,7 +52,11 @@ def measure_sync_latency(
     pages_per_write: int = 1,
     file_name: str = "bench.dat",
 ) -> SyncLoopResult:
-    """Run ``calls`` iterations of write+sync and record latencies."""
+    """Run up to ``calls`` iterations of write+sync and record latencies.
+
+    The result counts completed calls only, so an early-stopped loop
+    reports (and averages over) the syncs it really finished.
+    """
     fs = stack.fs
     sim = stack.sim
     latencies = LatencyRecorder(sync_call)
@@ -83,11 +89,12 @@ def measure_sync_latency(
         return None
 
     stack.run_process(loop())
+    completed = len(latencies)
     return SyncLoopResult(
         latencies=latencies,
-        context_switches_per_call=switches["total"] / calls if calls else 0.0,
+        context_switches_per_call=switches["total"] / completed if completed else 0.0,
         elapsed_usec=elapsed["usec"],
-        calls=calls,
+        calls=completed,
         stopped_by=stopped["by"],
     )
 

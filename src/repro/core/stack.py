@@ -90,8 +90,9 @@ class IOStack:
     def record_history(self) -> None:
         """Keep the crash history every layer would otherwise drop.
 
-        Switches on the block dispatch log, the journal commit history and
-        the device-cache history, which crash recovery
+        Switches on the block dispatch log, the journal commit history, the
+        device-cache history and (under in-order recovery) the device's FTL
+        log, which crash recovery
         (:func:`repro.storage.crash.recover_durable_blocks`) and the crash
         oracles read.  Call it
         before the first IO; a later call raises, and reading history from

@@ -52,7 +52,6 @@ from repro.core.verification import (
     journal_transactions,
 )
 from repro.crashlab.report import OracleVerdict
-from repro.storage.barrier_modes import BarrierMode
 from repro.storage.crash import recover_durable_blocks
 
 
@@ -72,9 +71,9 @@ class CrashTracker:
         self.device = device
         self.barrier_mode = device.barrier_mode
         self.history = device.cache.history
-        #: The FTL whose log prefix is the durable set (in-order recovery).
-        in_order_recovery = self.barrier_mode is BarrierMode.IN_ORDER_RECOVERY
-        self._log = device.ftl if in_order_recovery else None
+        #: The FTL whose log prefix is the durable set; the device keeps
+        #: one only under in-order recovery (with history recorded).
+        self._log = device.ftl
         #: Rebuilds from the whole history (and restarts of the checks).
         self.rebuilds = 0
         #: Entries folded or scanned so far, by the tracker and the checks:

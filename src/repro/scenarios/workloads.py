@@ -220,6 +220,8 @@ class SyncLoopWorkload(Workload):
             "context_switches": loop.context_switches_per_call,
             "journal_commits": stack.fs.stats.journal_commits,
         }
+        if loop.stopped_by is not None:
+            extra["stopped_by"] = loop.stopped_by
         if stack.config.track_queue_depth:
             extra["avg_qd"] = stack.device.stats.queue_depth.mean(now=stack.sim.now)
             extra["max_qd"] = stack.device.stats.queue_depth.peak

@@ -1,8 +1,10 @@
 """Opt-in crash history: what a layer keeps only when a crash consumer asks.
 
 Crash recovery and order verification read what happened during a run:
-the block layer's issue and dispatch logs, the journal's commit history
-and every page the device cache admitted.  A plain run reads none of it,
+the block layer's issue and dispatch logs, the journal's commit history,
+every page the device cache admitted and, under in-order recovery, the
+device's FTL log (one entry per programmed page, which the recovery scan
+reads).  A plain run reads none of it,
 so a layer keeps these lists only after its ``record_history()`` was
 called -- :meth:`repro.core.stack.IOStack.record_history` switches on all
 of them at once.  The call must come before the first IO, or the history

@@ -148,7 +148,7 @@ def recover_durable_blocks(device: StorageDevice, *, crash_time: Optional[float]
         durable = [entry for entry in transferred if entry.damage is None]
     elif mode is BarrierMode.IN_ORDER_RECOVERY:
         durable = sorted(
-            _recover_from_log(device, transferred),
+            _recover_from_log(device),
             key=lambda entry: entry.transfer_seq,
         )
     else:  # NONE, IN_ORDER_WRITEBACK, TRANSACTIONAL: what was programmed.
@@ -165,19 +165,16 @@ def recover_durable_blocks(device: StorageDevice, *, crash_time: Optional[float]
     )
 
 
-def _recover_from_log(device: StorageDevice, transferred: list[CacheEntry]) -> list[CacheEntry]:
+def _recover_from_log(device: StorageDevice) -> list[CacheEntry]:
     """LFS-style recovery: keep the programmed prefix of the FTL log.
 
     A damaged page is a hole exactly like an unprogrammed one — the scan
     cannot read past it, so recovery keeps only the log prefix up to the
     first damaged entry.  This is what turns every media fault into a clean
-    log truncation under in-order recovery.
+    log truncation under in-order recovery.  The log exists: it is crash
+    history, built by the same ``record_history()`` call that the
+    ``written_history()`` read before this one requires.
     """
-    if device.ftl is None:
-        return [
-            entry for entry in transferred
-            if entry.is_durable and entry.damage is None
-        ]
     recovered = device.ftl.recover()
     # Entries may have been appended to the log more than once (GC); dedupe
     # while keeping transfer order.

@@ -2,7 +2,10 @@
 
 :class:`StorageDevice` glues the command queue, the writeback cache, the
 flash backend and (for the in-order-recovery barrier mode) the log-structured
-FTL into the device the block layer talks to.  Its behaviour follows the
+FTL into the device the block layer talks to.  Only crash recovery scans the
+FTL log, so it is crash history (:mod:`repro.simulation.history`): the
+device builds it in :meth:`StorageDevice.record_history`, and a plain run
+programs pages without logging them.  Its behaviour follows the
 anatomy the paper lays out:
 
 * Commands are accepted into a bounded command queue; the host observes
@@ -86,11 +89,10 @@ class StorageDevice:
         self.queue = CommandQueue(profile.queue_depth, seed=seed)
         self.cache = WritebackCache(profile.cache_pages)
         self.flash = FlashBackend(sim, profile)
-        self.ftl: Optional[LogStructuredFTL] = (
-            LogStructuredFTL(profile.segment_pages)
-            if self.barrier_mode is BarrierMode.IN_ORDER_RECOVERY
-            else None
-        )
+        #: The in-order-recovery FTL log.  Only crash recovery scans it, so
+        #: it is crash history: built by :meth:`record_history`, ``None`` in
+        #: a plain run (and under every other barrier mode).
+        self.ftl: Optional[LogStructuredFTL] = None
         self.stats = DeviceStats()
         self.current_epoch = 0
         #: How long the controller lets a dirty page sit in the cache before
@@ -521,8 +523,15 @@ class StorageDevice:
         return self._powered_on
 
     def record_history(self) -> None:
-        """Keep every page the cache admits (before the first IO)."""
+        """Keep every page the cache admits and, under in-order recovery,
+        the FTL log (before the first IO; a second call changes nothing).
+
+        The cache raises first when IO was already seen, so a late call
+        leaves no partial log behind.
+        """
         self.cache.record_history()
+        if self.ftl is None and self.barrier_mode is BarrierMode.IN_ORDER_RECOVERY:
+            self.ftl = LogStructuredFTL(self.profile.segment_pages)
 
     def written_history(self) -> list[CacheEntry]:
         """Every page ever admitted to the cache, in transfer order."""

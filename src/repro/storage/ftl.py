@@ -15,6 +15,12 @@ greedy garbage collection when it runs low on free segments, so that the
 write-amplification/occupancy bookkeeping a real FTL does is represented,
 even though the paper's evaluation does not stress GC.
 
+Only crash recovery reads the log, so the device builds the FTL as crash
+history: in :meth:`~repro.storage.device.StorageDevice.record_history`,
+before the first IO.  A plain run has no FTL and retains nothing per
+programmed page; GC charges no flash time, so both runs simulate the same
+events.
+
 Bookkeeping is flat: a segment stores its pages as parallel columns (an
 entry list plus an ``array('d')`` program-time column, NaN meaning
 "program still outstanding"), and the mapping table stores packed

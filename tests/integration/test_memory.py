@@ -3,7 +3,8 @@
 A sync call must not leave reference cycles behind (they cost a garbage
 collection pass), and a stack that never called ``record_history()`` must
 not grow with the run: every event, request, command and transaction of a
-finished call is freed by reference counting alone.
+finished call is freed by reference counting alone, and the storage layer
+(cache entries, FTL log) keeps nothing per programmed page.
 """
 
 import gc
@@ -14,9 +15,11 @@ import pytest
 from repro.analysis.measure import measure_sync_latency
 from repro.block.request import BlockRequest
 from repro.core import build_stack, standard_config
+from repro.core.stack import standard_configurations
 from repro.core.verification import CrashProbe, journal_transactions
 from repro.fs.journal.transaction import JournalTransaction
 from repro.simulation import MSEC, Event, HistoryNotRecordedError, SimulationError
+from repro.storage import BarrierMode
 from repro.storage.command import Command
 from repro.storage.crash import recover_durable_blocks
 
@@ -25,6 +28,16 @@ from repro.storage.crash import recover_durable_blocks
 LOOPS = [("BFS-DR", "fsync"), ("EXT4-DR", "fsync"), ("BFS-OD", "fdatabarrier")]
 
 TRACKED = (Event, BlockRequest, Command, JournalTransaction)
+
+#: Every (stack configuration, barrier mode) whose sync loop runs fsync on
+#: plain-ssd (a barrier-enabled stack needs a barrier-capable mode).
+FSYNC_STACKS = [
+    (name, mode)
+    for name in standard_configurations()
+    if (config := standard_config(name)).sync_call == "fsync"
+    for mode in BarrierMode
+    if mode.supports_barrier or config.filesystem != "barrierfs"
+]
 
 
 def _sync_loop(stack, sync_call, calls, name):
@@ -65,6 +78,27 @@ def test_live_objects_do_not_grow_without_history(config, sync_call):
     after_200 = _live_counts()
     _sync_loop(stack, sync_call, 200, "second.dat")
     assert _live_counts() == after_200
+
+
+def _live_storage_objects():
+    gc.collect()
+    return sum(
+        1 for obj in gc.get_objects()
+        if type(obj).__module__.startswith("repro.storage")
+    )
+
+
+@pytest.mark.parametrize(
+    "config,mode", FSYNC_STACKS, ids=[f"{c}-{m.value}" for c, m in FSYNC_STACKS]
+)
+def test_storage_objects_do_not_grow_without_history(config, mode):
+    # The in-order-recovery FTL log is crash history too: a plain run must
+    # not keep a log entry per programmed page.
+    stack = build_stack(standard_config(config, "plain-ssd", barrier_mode=mode))
+    _sync_loop(stack, "fsync", 400, "first.dat")
+    after_400 = _live_storage_objects()
+    _sync_loop(stack, "fsync", 400, "second.dat")
+    assert _live_storage_objects() == after_400
 
 
 def test_history_readers_raise_without_record_history():

@@ -7,6 +7,7 @@ from repro.block import BlockDevice, BlockDeviceConfig
 from repro.core import build_stack, standard_config
 from repro.core.stack import StackConfig
 from repro.fs.journal.transaction import JournalTransaction, TransactionState
+from repro.scenarios import ScenarioSpec, run_spec, sweep_table
 from repro.simulation import Simulator
 from repro.storage import BarrierMode, StorageDevice, get_profile
 from repro.storage.barrier_modes import default_barrier_mode
@@ -21,6 +22,34 @@ class TestAnalysisHelpers:
         assert len(result.latencies) == 20
         assert result.iops > 0
         assert result.elapsed_usec > 0
+
+    def test_an_early_stopped_loop_reports_only_completed_calls(self):
+        # Half the writes fail: the loop stops on an EIO after 14 syncs.
+        spec = ScenarioSpec(
+            workload="sync-loop",
+            config="EXT4-DR",
+            device="plain-ssd",
+            params={"calls": 50},
+            faults=("io-error:p=0.5,op=write",),
+        )
+        result = run_spec(spec).result
+        assert 0 < result.operations == len(result.latencies) < 50
+        assert result.extra["stopped_by"] == "EIOError"
+        assert result.extra["context_switches"] == pytest.approx(2.0)
+        assert "stopped_by=EIOError" in sweep_table([spec]).rows[0][-1]
+
+    def test_a_loop_stopped_before_any_sync_reports_no_work(self):
+        spec = ScenarioSpec(
+            workload="sync-loop",
+            config="EXT4-DR",
+            device="plain-ssd",
+            params={"calls": 50},
+            faults=("io-error:p=0.9,op=write",),
+        )
+        result = run_spec(spec).result
+        assert result.operations == 0
+        assert result.ops_per_second == 0
+        assert result.extra["stopped_by"] == "EIOError"
 
     def test_queue_depth_trace_requires_tracking(self):
         stack = build_stack(standard_config("EXT4-DR"))
