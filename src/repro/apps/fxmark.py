@@ -66,7 +66,7 @@ class FxmarkDWSL(Workload):
         for _ in range(operations):
             op_start = sim.now
             if self.cpu_per_operation > 0:
-                yield sim.timeout(self.cpu_per_operation)
+                yield sim.sleep(self.cpu_per_operation)
             fs.write(private_file, 1)
             if self.use_fbarrier:
                 yield from fs.fbarrier(private_file, issuer=issuer)

@@ -71,7 +71,7 @@ class MySQLOLTPInsert(Workload):
         for index in range(num_transactions):
             tx_start = sim.now
             if self.cpu_per_transaction > 0:
-                yield sim.timeout(self.cpu_per_transaction)
+                yield sim.sleep(self.cpu_per_transaction)
             # Redo log append: the transaction's durability point.
             fs.write(redo_log, self.redo_pages_per_tx)
             yield from policy.sync(redo_log, Guarantee.DURABILITY, issuer="mysqld")

@@ -98,7 +98,7 @@ class PostgresWALWorkload(Workload):
         for index in range(num_commits):
             commit_start = sim.now
             if self.cpu_per_commit > 0:
-                yield sim.timeout(self.cpu_per_commit)
+                yield sim.sleep(self.cpu_per_commit)
             # WAL append: the commit's durability point.
             fs.write(wal, self.wal_pages_per_commit)
             yield from policy.sync(wal, Guarantee.DURABILITY, issuer="walwriter")

@@ -86,7 +86,7 @@ class RocksDBCompactionWorkload(Workload):
         for index in range(num_flushes):
             flush_start = sim.now
             if self.cpu_per_flush > 0:
-                yield sim.timeout(self.cpu_per_flush)
+                yield sim.sleep(self.cpu_per_flush)
             # Memtable flush: a new L0 SST, synced before its MANIFEST edit.
             name = next_sst()
             sst = fs.create(name)

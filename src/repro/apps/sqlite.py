@@ -79,7 +79,7 @@ class SQLiteWorkload(Workload):
         for index in range(num_inserts):
             tx_start = sim.now
             if self.cpu_per_transaction > 0:
-                yield sim.timeout(self.cpu_per_transaction)
+                yield sim.sleep(self.cpu_per_transaction)
             if self.journal_mode is SQLiteJournalMode.PERSIST:
                 yield from self._persist_transaction(fs, policy, database, journal, db_page)
             else:

@@ -102,7 +102,7 @@ class VarmailWorkload(Workload):
         for _ in range(iterations):
             op_start = sim.now
             if self.cpu_per_iteration > 0:
-                yield sim.timeout(self.cpu_per_iteration)
+                yield sim.sleep(self.cpu_per_iteration)
             # (1) deliver a new message: create + append + fsync.
             sequence += 1
             new_mail = fs.create(f"mail/{thread_id}/msg{sequence}")

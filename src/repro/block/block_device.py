@@ -223,7 +223,7 @@ class BlockDevice:
         config = self.config
         sim = self.sim
         stats = self.stats
-        timeout = sim.timeout
+        sleep = sim.sleep
         next_batch = self.scheduler.next_batch
         try_submit = self.device.try_submit
         dispatch_policy = config.dispatch_policy
@@ -236,7 +236,7 @@ class BlockDevice:
                 continue
             for request in batch:
                 if submit_overhead > 0:
-                    yield timeout(submit_overhead)
+                    yield sleep(submit_overhead)
                 command = request_to_command(request, dispatch_policy)
                 # Fast path inlined: an accepting queue needs no generator
                 # delegation; busy/powered-off falls back to the slow path.
@@ -351,7 +351,7 @@ class BlockDevice:
         # Linear deterministic backoff, then re-drive the rebuilt command
         # directly (the request keeps its original dispatch bookkeeping — a
         # retry is not a second dispatch).
-        yield self.sim.timeout(self.config.retry_backoff * request.retries)
+        yield self.sim.sleep(self.config.retry_backoff * request.retries)
         command = request_to_command(request, self.config.dispatch_policy)
         submitted = yield from self._submit_with_backpressure(command)
         if not submitted:

@@ -30,6 +30,8 @@ from repro.storage.profiles import DeviceProfile, get_profile
 #: The four write scenarios of Fig. 9.
 SCENARIOS = ("XnF", "X", "B", "P")
 
+_ORDERED_BARRIER = RequestFlag.ORDERED | RequestFlag.BARRIER
+
 
 @dataclass
 class ScenarioResult:
@@ -104,10 +106,10 @@ def run_scenario(
         elif scenario == "B":
             for _ in range(num_writes):
                 while block.queued_requests > throttle_limit:
-                    yield sim.timeout(50.0)
+                    yield sim.sleep(50.0)
                 block.write(
                     rng.randrange(working_set_pages), 1,
-                    flags=RequestFlag.ORDERED | RequestFlag.BARRIER, issuer="app",
+                    flags=_ORDERED_BARRIER, issuer="app",
                 )
             yield from block.drain()
         else:  # P: plain buffered writes, submitted in bursts so they merge.
@@ -121,7 +123,7 @@ def run_scenario(
                 base += count
                 submitted += count
                 while block.queued_requests > throttle_limit:
-                    yield sim.timeout(50.0)
+                    yield sim.sleep(50.0)
             yield from block.drain()
         return sim.now - start
 

@@ -33,6 +33,9 @@ from repro.fs.journal.transaction import (
 )
 from repro.simulation.resources import Condition, Store
 
+#: JD's and JC's flags (built once, not per commit).
+_ORDERED_BARRIER = RequestFlag.ORDERED | RequestFlag.BARRIER
+
 
 class DualModeJournal(CommitHistory):
     """BarrierFS journaling: separate commit (control) and flush (data) threads."""
@@ -134,14 +137,14 @@ class DualModeJournal(CommitHistory):
             jd_lba = self.fs.allocate_journal_lba(len(descriptor))
             jd_request = block.write(
                 jd_lba, len(descriptor), payload=descriptor,
-                flags=RequestFlag.ORDERED | RequestFlag.BARRIER,
+                flags=_ORDERED_BARRIER,
                 issuer="commit-thread",
             )
             commit_payload = txn.commit_payload()
             jc_lba = self.fs.allocate_journal_lba(len(commit_payload))
             jc_request = block.write(
                 jc_lba, len(commit_payload), payload=commit_payload,
-                flags=RequestFlag.ORDERED | RequestFlag.BARRIER,
+                flags=_ORDERED_BARRIER,
                 issuer="commit-thread",
             )
             txn.mark_dispatched(self.sim.now)

@@ -30,6 +30,9 @@ from repro.fs.journal.transaction import (
 )
 from repro.simulation.resources import Condition
 
+#: The commit block's flags with barriers on (built once, not per commit).
+_FLUSH_FUA = RequestFlag.FLUSH | RequestFlag.FUA
+
 
 class JBD2Journal(CommitHistory):
     """The EXT4 journaling thread and its transactions."""
@@ -153,7 +156,7 @@ class JBD2Journal(CommitHistory):
 
         commit_payload = txn.commit_payload()
         jc_lba = self.fs.allocate_journal_lba(len(commit_payload))
-        jc_flags = RequestFlag.FLUSH | RequestFlag.FUA if self.use_flush_fua else RequestFlag.NONE
+        jc_flags = _FLUSH_FUA if self.use_flush_fua else RequestFlag.NONE
         jc_request = block.write(
             jc_lba, len(commit_payload), payload=commit_payload,
             flags=jc_flags, issuer="jbd2",

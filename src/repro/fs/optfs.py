@@ -105,7 +105,7 @@ class OptFS(FilesystemBase):
         self.data_pages_journaled += len(overwrites)
         if overwrites:
             # CPU cost of scanning the journaled pages.
-            yield self.sim.timeout(self.scan_cost_per_page * len(overwrites))
+            yield self.sim.sleep(self.scan_cost_per_page * len(overwrites))
 
         writeback = self.writeback_data(file, issuer=issuer)
         for event in writeback.transfer_events:
@@ -132,7 +132,7 @@ class OptFS(FilesystemBase):
         durability degrades, it does not crash the mount.
         """
         while True:
-            yield self.sim.timeout(self.checkpoint_interval)
+            yield self.sim.sleep(self.checkpoint_interval)
             try:
                 yield from self.issue_flush(issuer="optfs-checkpoint")
             except EIOError:

@@ -217,8 +217,7 @@ class FilesystemBase:
             result.requests.append(request)
             result.blocks.extend(payload)
         if barrier_on_last and result.requests:
-            last = result.requests[-1]
-            last.flags |= RequestFlag.ORDERED | RequestFlag.BARRIER
+            result.requests[-1].set_barrier()
         inode.dirty_pages.clear()
         inode.unallocated_pages.clear()
         self.stats.data_requests += len(result.requests)
@@ -282,7 +281,7 @@ class FilesystemBase:
         """
         limit = limit_factor * self.block.device.profile.queue_depth
         while self.block.queued_requests > limit:
-            yield self.sim.timeout(50.0)
+            yield self.sim.sleep(50.0)
 
     # ------------------------------------------------------------------ metadata capture
     def metadata_buffers_for(self, inode: Inode) -> list[tuple[tuple, int]]:

@@ -5,6 +5,11 @@ simulator in the spirit of SimPy.  Host threads (application threads, the
 JBD/commit/flush threads, the pdflush daemon), the block-layer dispatcher and
 the storage controller are all modelled as :class:`Process` coroutines that
 ``yield`` :class:`Event` objects (timeouts, completions, resource grants).
+A process that only waits for simulated time to pass yields
+``sim.sleep(delay)`` instead: the same wake-up as ``sim.timeout(delay)``
+(same sequence numbers, tie order and context switch), with no Event built.
+``timeout`` remains for waits that need an Event object (``any_of`` arms,
+completions handed to other code).
 
 Time is measured in **microseconds** throughout the code base; the unit is
 exposed as :data:`USEC`, :data:`MSEC` and :data:`SEC` for readability.

@@ -11,7 +11,9 @@ The engine provides four concepts:
 * :class:`Process` — a generator-based coroutine.  The generator yields
   events; whenever the yielded event triggers, the process resumes with the
   event's value (or the exception is thrown into the generator).  A process
-  is itself an event which triggers when the generator returns.
+  is itself an event which triggers when the generator returns.  A process
+  that only waits for time to pass yields :meth:`Simulator.sleep` instead
+  of a :class:`Timeout`: same wake-up, no Event behind it.
 
 The design is intentionally close to SimPy so that the IO-stack code reads
 like ordinary concurrent systems code, but the implementation is self
@@ -25,9 +27,19 @@ Every figure of the paper is regenerated by running this loop millions of
 times, so the per-entry overhead is kept allocation-free:
 
 * Heap entries are flat tuples ``(time, seq, kind, item, value, exc)``.
-  ``kind`` selects between triggering an :class:`Event` and resuming a
-  :class:`Process` generator — so a process wake-up is a single tuple on
-  the heap instead of an Event object plus a closure.
+  ``kind`` selects between triggering an :class:`Event`, resuming a
+  :class:`Process` generator and waking a sleeping process — so a process
+  wake-up is a single tuple on the heap instead of an Event object plus a
+  closure.
+* ``yield sim.sleep(delay)`` is a timed wait with no Event: it pushes one
+  wake entry at ``now + delay`` with the seq a :meth:`Simulator.timeout`
+  would have taken, and popping it does what :meth:`Process._wakeup` does
+  for a fired timeout (count the context switch, push the resume at
+  ``now + context_switch_cost`` with the next seq).  Seq consumption, tie
+  order and the Fig. 11 accounting are those of ``yield sim.timeout(delay)``
+  exactly; only the Event, its callback list and the ``_wakeup`` call are
+  gone.  The wake entry's seq is the sleep's token: :meth:`Process.interrupt`
+  clears it, which leaves the entry inert.
 * A process that yields an already-triggered event is continued in place by
   a bounded trampoline in :meth:`Process._resume` instead of a zero-delay
   heap round-trip.  No context switch is charged either way, keeping the
@@ -54,6 +66,7 @@ SEC: float = 1_000_000.0
 #: reaches the kind/item slots.
 _KIND_EVENT = 0  # item is an Event: trigger it with ``value``
 _KIND_RESUME = 1  # item is a Process: resume its generator with (value, exc)
+_KIND_SLEEP = 2  # item is a sleeping Process: wake it if ``seq`` is its token
 
 #: How many consecutive already-triggered yields a process consumes in one
 #: resumption before falling back to the heap.  The bound keeps a pathological
@@ -250,11 +263,23 @@ class Process(Event):
     and — if the simulator was configured with a non-zero
     ``context_switch_cost`` — the resumption is delayed by that cost.
 
+    A process that yields ``sim.sleep(delay)`` blocks the same way, on a
+    wake entry instead of an event, and is charged the same context switch
+    when the delay has passed.  ``sleep`` must be yielded at once, by the
+    process that called it.
+
     A process is itself an event: it triggers with the generator's return
     value, or fails with the exception that escaped the generator.
     """
 
-    __slots__ = ("generator", "context_switches", "_waiting_on", "daemon", "_wakeup_cb")
+    __slots__ = (
+        "generator",
+        "context_switches",
+        "_waiting_on",
+        "_sleep_seq",
+        "daemon",
+        "_wakeup_cb",
+    )
 
     def __init__(
         self,
@@ -273,6 +298,9 @@ class Process(Event):
         #: Number of times this process blocked and was later woken up.
         self.context_switches = 0
         self._waiting_on: Optional[Event] = None
+        #: Seq of the wake entry of the current sleep; any other wake entry
+        #: of this process is stale.
+        self._sleep_seq: Optional[int] = None
         # The bound method is cached so blocking does not allocate one per
         # wait (callbacks.append(self._wakeup) would otherwise build a fresh
         # method object every time the process blocks).
@@ -292,6 +320,7 @@ class Process(Event):
             return
         target = self._waiting_on
         self._waiting_on = None
+        self._sleep_seq = None  # a pending sleep's wake entry goes inert
         if target is not None and not target._triggered:  # noqa: SLF001
             # Detach: the interrupt wins the race.
             try:
@@ -364,6 +393,8 @@ class Process(Event):
             try:
                 if not event._triggered:  # noqa: SLF001
                     sim._current_process = None
+                    if event is self:
+                        return  # sleep(): the wake entry is already on the heap
                     self._waiting_on = event
                     event.callbacks.append(self._wakeup_cb)
                     return
@@ -470,6 +501,28 @@ class Simulator:
         )
         return timeout
 
+    def sleep(self, delay: float, _push=heappush, _KS=_KIND_SLEEP) -> Process:
+        """Block the calling process for ``delay`` microseconds.
+
+        ``yield sim.sleep(delay)`` behaves exactly like
+        ``yield sim.timeout(delay)`` — same seqs, same tie order, same
+        context switch and resume value (``None``) — without building an
+        Event: the wake entry takes the seq the timeout would have taken,
+        and popping it schedules the resume as :meth:`Process._wakeup`
+        would.  Only the running process may sleep.  It gets itself back:
+        a process yielding itself is parked without a callback (waiting on
+        its own completion could never end otherwise).
+        """
+        process = self._current_process
+        if process is None:
+            raise SimulationError("sleep() must be yielded by a running process")
+        if delay < 0:
+            raise SimulationError(f"negative sleep delay: {delay}")
+        seq = next(self._sequence)
+        process._sleep_seq = seq  # noqa: SLF001
+        _push(self._heap, (self.now + delay, seq, _KS, process, None, None))
+        return process
+
     def process(
         self, generator: ProcessGenerator, name: str = "", daemon: bool = False
     ) -> Process:
@@ -510,7 +563,7 @@ class Simulator:
         heap = self._heap
         if not heap:
             return False
-        when, _seq, kind, item, value, exc = heappop(heap)
+        when, seq, kind, item, value, exc = heappop(heap)
         if when < self.now:
             raise SimulationError("time went backwards")
         self.now = when
@@ -523,8 +576,15 @@ class Simulator:
                     item.callbacks = []
                     for callback in callbacks:
                         callback(item)
-        else:
+        elif kind == _KIND_RESUME:
             item._resume(value, exc)  # noqa: SLF001
+        elif item._sleep_seq == seq:  # noqa: SLF001 - else a stale sleep
+            item.context_switches += 1
+            heappush(
+                heap,
+                (when + self.context_switch_cost, next(self._sequence),
+                 _KIND_RESUME, item, None, None),
+            )
         return True
 
     def run(self, until: Optional[float] = None) -> float:
@@ -538,6 +598,8 @@ class Simulator:
         heap = self._heap
         now = self.now
         pop = heappop
+        push = heappush
+        sequence = self._sequence
         if until is None:
             # Specialized drain: no deadline peek, no bound check per entry.
             # ``self.now`` only ever changes inside this loop (callbacks and
@@ -550,8 +612,15 @@ class Simulator:
                     self.now = now = when
                 elif when < now:
                     raise SimulationError("time went backwards")
-                if entry[2]:  # _KIND_RESUME
+                kind = entry[2]
+                if kind == 1:  # _KIND_RESUME
                     entry[3]._resume(entry[4], entry[5])  # noqa: SLF001
+                elif kind:  # _KIND_SLEEP: what Process._wakeup does
+                    item = entry[3]
+                    if item._sleep_seq == entry[1]:  # noqa: SLF001
+                        item.context_switches += 1
+                        push(heap, (now + self.context_switch_cost, next(sequence),
+                                    1, item, None, None))
                 else:
                     item = entry[3]
                     if not item._triggered:  # noqa: SLF001
@@ -570,8 +639,15 @@ class Simulator:
                 self.now = now = when
             elif when < now:
                 raise SimulationError("time went backwards")
-            if entry[2]:  # _KIND_RESUME
+            kind = entry[2]
+            if kind == 1:  # _KIND_RESUME
                 entry[3]._resume(entry[4], entry[5])  # noqa: SLF001
+            elif kind:  # _KIND_SLEEP
+                item = entry[3]
+                if item._sleep_seq == entry[1]:  # noqa: SLF001
+                    item.context_switches += 1
+                    push(heap, (now + self.context_switch_cost, next(sequence),
+                                1, item, None, None))
             else:
                 item = entry[3]
                 if not item._triggered:  # noqa: SLF001
@@ -595,6 +671,8 @@ class Simulator:
         """
         heap = self._heap
         pop = heappop
+        push = heappush
+        sequence = self._sequence
         if limit is None:
             now = self.now
             while not event._triggered:  # noqa: SLF001
@@ -609,8 +687,15 @@ class Simulator:
                     self.now = now = when
                 elif when < now:
                     raise SimulationError("time went backwards")
-                if entry[2]:  # _KIND_RESUME
+                kind = entry[2]
+                if kind == 1:  # _KIND_RESUME
                     entry[3]._resume(entry[4], entry[5])  # noqa: SLF001
+                elif kind:  # _KIND_SLEEP: what Process._wakeup does
+                    item = entry[3]
+                    if item._sleep_seq == entry[1]:  # noqa: SLF001
+                        item.context_switches += 1
+                        push(heap, (now + self.context_switch_cost, next(sequence),
+                                    1, item, None, None))
                 else:
                     item = entry[3]
                     if not item._triggered:  # noqa: SLF001
@@ -629,7 +714,7 @@ class Simulator:
                     f"simulation ran out of events before {event!r} fired "
                     "(deadlock in the modelled stack?)"
                 )
-            when, _seq, kind, item, value, exc = pop(heap)
+            when, seq, kind, item, value, exc = pop(heap)
             if when < self.now:
                 raise SimulationError("time went backwards")
             self.now = when
@@ -639,8 +724,12 @@ class Simulator:
                     item._value = value  # noqa: SLF001
                     for callback in item.callbacks:
                         callback(item)
-            else:
+            elif kind == _KIND_RESUME:
                 item._resume(value, exc)  # noqa: SLF001
+            elif item._sleep_seq == seq:  # noqa: SLF001
+                item.context_switches += 1
+                push(heap, (when + self.context_switch_cost, next(sequence),
+                            _KIND_RESUME, item, None, None))
         return event.value
 
     @property

@@ -59,7 +59,7 @@ class CommandPriority(enum.Enum):
     HEAD_OF_QUEUE = "head-of-queue"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WrittenBlock:
     """One logical block carried by a write command.
 
@@ -78,14 +78,15 @@ class WrittenBlock:
 
 _command_ids = itertools.count(1)
 
-# Raw flag bits: ``flags.value & bit`` avoids the Flag instance that
-# Flag.__and__ allocates on every predicate call (hot in device servicing).
-_FUA_BIT = CommandFlag.FUA.value
-_FLUSH_BIT = CommandFlag.FLUSH.value
-_BARRIER_BIT = CommandFlag.BARRIER.value
+# Raw flag bits: ``flags._value_ & bit`` avoids the Flag instance that
+# Flag.__and__ allocates on every predicate call, and the enum property
+# calls behind ``flags.value`` (hot in device servicing).
+_FUA_BIT = CommandFlag.FUA._value_
+_FLUSH_BIT = CommandFlag.FLUSH._value_
+_BARRIER_BIT = CommandFlag.BARRIER._value_
 
 
-@dataclass
+@dataclass(slots=True)
 class Command:
     """A single command sent to the storage device."""
 
@@ -151,17 +152,17 @@ class Command:
     @property
     def is_barrier(self) -> bool:
         """Whether the command carries the cache-barrier flag."""
-        return self.flags.value & _BARRIER_BIT != 0
+        return self.flags._value_ & _BARRIER_BIT != 0
 
     @property
     def is_fua(self) -> bool:
         """Whether the command requires Force Unit Access durability."""
-        return self.flags.value & _FUA_BIT != 0
+        return self.flags._value_ & _FUA_BIT != 0
 
     @property
     def wants_preflush(self) -> bool:
         """Whether the cache must be flushed before servicing the command."""
-        return self.flags.value & _FLUSH_BIT != 0
+        return self.flags._value_ & _FLUSH_BIT != 0
 
     def describe(self) -> str:
         """One-line human readable description (used in traces)."""

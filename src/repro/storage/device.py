@@ -188,7 +188,7 @@ class StorageDevice:
         # arrived while the previous command was in service).  All per-entry
         # attribute lookups are hoisted out of the loop.
         sim = self.sim
-        timeout = sim.timeout
+        sleep = sim.sleep
         select_next = self.queue.select_next
         command_overhead = self.profile.command_overhead
         flush_kind = CommandKind.FLUSH
@@ -204,7 +204,7 @@ class StorageDevice:
             record_depth()
             notify_slot()
             command.service_start_time = sim.now
-            yield timeout(command_overhead)
+            yield sleep(command_overhead)
 
             kind = command.kind
             if kind is flush_kind:
@@ -230,7 +230,7 @@ class StorageDevice:
         ``command.error`` set) so waiters never deadlock.
         """
         self.stats.io_errors += 1
-        yield self.sim.timeout(self.profile.completion_overhead)
+        yield self.sim.sleep(self.profile.completion_overhead)
         command.error = error
         command.transfer_time = self.sim.now
         command.transferred.succeed()
@@ -241,10 +241,10 @@ class StorageDevice:
         """Service a read (the hot path; the checked form delegates here)."""
         sim = self.sim
         yield self.flash.read(command.num_pages)
-        yield sim.timeout(command.num_pages * self.profile.transfer_time_per_page)
+        yield sim.sleep(command.num_pages * self.profile.transfer_time_per_page)
         command.transfer_time = sim.now
         command.transferred.succeed()
-        yield sim.timeout(self.profile.completion_overhead)
+        yield sim.sleep(self.profile.completion_overhead)
         command.complete_time = sim.now
         self.stats.reads_serviced += 1
         command.completed.succeed()
@@ -267,9 +267,9 @@ class StorageDevice:
             injector = self.fault_injector
             if injector is None or not injector.lie_on_flush():
                 yield from self._drain_dirty_upto(self.cache.last_dirty_seq)
-            yield sim.timeout(profile.flush_overhead)
+            yield sim.sleep(profile.flush_overhead)
 
-        yield sim.timeout(command.num_pages * profile.transfer_time_per_page)
+        yield sim.sleep(command.num_pages * profile.transfer_time_per_page)
         now = sim.now
         command.transfer_time = now
         epoch = self.current_epoch
@@ -294,7 +294,7 @@ class StorageDevice:
             self.stats.fua_writes += 1
             yield from self._persist_fua(entries)
 
-        yield sim.timeout(profile.completion_overhead)
+        yield sim.sleep(profile.completion_overhead)
         command.complete_time = sim.now
         self.stats.writes_serviced += 1
         command.completed.succeed()
@@ -340,7 +340,7 @@ class StorageDevice:
         injector = self.fault_injector
         if injector is None or not injector.lie_on_flush():
             yield from self._drain_dirty_upto(self.cache.last_dirty_seq)
-        yield self.sim.timeout(self.profile.flush_overhead)
+        yield self.sim.sleep(self.profile.flush_overhead)
         command.transfer_time = self.sim.now
         command.transferred.succeed()
         command.complete_time = self.sim.now

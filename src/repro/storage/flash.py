@@ -63,22 +63,18 @@ class FlashBackend:
         """
         if num_pages < 0:
             raise ValueError("cannot program a negative number of pages")
-        completion = self.sim.event(name=f"flash.program({num_pages})")
+        sim = self.sim
         if num_pages == 0:
-            completion.succeed(0.0)
-            return completion
+            return sim.event(name="flash.program(0)").succeed(0.0)
         duration = self.batch_duration(num_pages) * (1.0 + overhead_factor)
-        start = max(self.sim.now, self.busy_until)
-        finish = start + duration
+        now = sim.now
+        finish = max(now, self.busy_until) + duration
         self.busy_until = finish
         self.total_pages_programmed += num_pages
         self.total_batches += 1
-
-        def _complete(_event: Event) -> None:
-            completion.succeed(finish)
-
-        self.sim.timeout(finish - self.sim.now).add_callback(_complete)
-        return completion
+        # The round's own timer is the completion event: it fires with the
+        # finish time, and its callbacks run in registration order.
+        return sim.timeout(finish - now, finish)
 
     def read(self, num_pages: int) -> Event:
         """Read ``num_pages`` pages; the event fires when the data is ready."""

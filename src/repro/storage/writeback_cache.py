@@ -33,7 +33,7 @@ from repro.simulation.history import recorded, start_history
 from repro.storage.command import WrittenBlock
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     """One logical page resident in (or flushed from) the writeback cache."""
 
