@@ -12,23 +12,6 @@ a first-class artifact.  This module measures four rates:
   ``standard_config("BFS-DR")`` stack: the end-to-end figure-regeneration
   rate.
 * ``table1_wallclock_sec`` — wall-clock seconds to regenerate Table 1.
-* ``fault_hook_overhead_pct`` — slowdown of the fsync path with a
-  never-firing :class:`repro.faults.FaultInjector` installed, relative to
-  no injector at all.  The injection hooks are ``is None`` attribute tests
-  on the device hot path; this metric pins their cost (the guard is that
-  the fault subsystem stays effectively free when unused).
-* ``trace_overhead_pct`` — same shape for the tracing subsystem: the fsync
-  path with a :class:`repro.trace.Tracer` installed but disabled, relative
-  to no tracer at all.  An uninstalled tracer costs exactly nothing (the
-  original methods are untouched); this pins the installed-but-idle cost.
-* ``recovery_overhead_pct`` — same shape for the error-propagation checks
-  of :mod:`repro.recovery`: the fsync path with
-  ``fs.enable_error_propagation()`` swapped in (strict per-request error
-  checks on every sync) on a fault-free run, relative to the default
-  never-checking no-ops.  The guard is that recover-and-continue
-  machinery stays effectively free on the no-fault hot path.
-  All overhead metrics report the median of interleaved sample pairs —
-  see :func:`_installed_hook_overhead_pct` for the noise discipline.
 * ``crashcheck_per_point_wall_sec`` / ``crashcheck_inline_wall_sec`` /
   ``crash_replay_speedup`` — wall-clock of one exhaustive crashcheck cell
   with one run per point vs every point judged in-line in one run, and
@@ -44,7 +27,6 @@ from __future__ import annotations
 
 import json
 import platform
-import statistics
 import subprocess
 import time
 from pathlib import Path
@@ -107,115 +89,6 @@ def fsync_rate(calls: int = 400, config: str = "BFS-DR") -> float:
     start = time.perf_counter()
     measure_sync_latency(stack, calls=calls, sync_call="fsync", allocating=True)
     return calls / (time.perf_counter() - start)
-
-
-def _installed_hook_overhead_pct(
-    install, calls: int, config: str, samples: int
-) -> float:
-    """Percent full-loop events/sec cost of an installed-but-inert hook.
-
-    Shared measurement core of :func:`fault_hook_overhead_pct` and
-    :func:`trace_overhead_pct`.  Each sample builds the stack fresh, runs
-    the fsync loop, and divides the number of engine events the run
-    scheduled (the sequence counter — the loop's true unit of work,
-    identical on both sides) by its CPU time: an *end-to-end* events/sec
-    rate of the whole service loop, not a timing of the inner hook (which
-    is what let the PR 6 regression slip past this metric's earlier
-    fsync-calls/sec form).
-
-    Noise discipline: the clean and hooked sides are sampled as
-    back-to-back *pairs*, and the reported figure is the **median of the
-    per-pair overheads**.  A pair shares one slice of machine weather, so
-    dilation that hits both sides cancels inside its ratio; the median
-    then discards the excursions where a scheduling spike hit only one
-    side — in either direction.  (The previous best-of-each-side form
-    compared two samples from different moments and swung several percent
-    both ways across BENCH entries, flapping the CI gates.)  Values within
-    a couple percent of zero mean the hook is in the noise.
-    """
-    def events_rate(hooked: bool) -> float:
-        stack = build_stack(standard_config(config))
-        if hooked:
-            install(stack)
-        start = time.process_time()
-        measure_sync_latency(stack, calls=calls, sync_call="fsync", allocating=True)
-        elapsed = time.process_time() - start
-        events = next(stack.sim._sequence)
-        return events / elapsed
-
-    events_rate(True)  # warm-up (imports, caches) so ordering doesn't bias
-    overheads = []
-    for _ in range(samples):
-        clean = events_rate(False)
-        hooked = events_rate(True)
-        overheads.append(100.0 * (clean - hooked) / clean)
-    return statistics.median(overheads)
-
-
-def fault_hook_overhead_pct(
-    calls: int = 400, config: str = "BFS-DR", samples: int = 9
-) -> float:
-    """Percent full-loop events/sec cost of an inert installed injector.
-
-    A plan whose trigger cannot fire (``torn-write:p=0``) exercises every
-    hook — the checked device service path, the error-aware completion
-    wiring — without perturbing the simulation, so the two runs process
-    identical event sequences apart from the hooks themselves.  Measured
-    by :func:`_installed_hook_overhead_pct`: median of per-pair
-    interleaved overheads (the guard is that the fault subsystem stays
-    effectively free when unused).
-    """
-    from repro.faults import FaultInjector
-
-    def install(stack):
-        FaultInjector(["torn-write:p=0"], seed=0).install(stack.device)
-
-    return _installed_hook_overhead_pct(install, calls, config, samples)
-
-
-def trace_overhead_pct(
-    calls: int = 400, config: str = "BFS-DR", samples: int = 9
-) -> float:
-    """Percent full-loop events/sec cost of tracing when it is not used.
-
-    Compares the fsync path with no tracer at all against one *installed
-    but idle* (``Tracer(enabled=False)``): the wrappers are method-swapped
-    in, each reduced to one flag test plus delegation.  The uninstalled
-    side is the number the subsystem's design promises is free — no tracer
-    means the original bound methods, zero added branches — so this metric
-    measures the residual cost of keeping the hooks resident.  Measured by
-    :func:`_installed_hook_overhead_pct`: median of per-pair interleaved
-    overheads.
-    """
-    from repro.trace import Tracer
-
-    def install(stack):
-        Tracer(enabled=False).install(stack)
-
-    return _installed_hook_overhead_pct(install, calls, config, samples)
-
-
-def recovery_overhead_pct(
-    calls: int = 400, config: str = "BFS-DR", samples: int = 9
-) -> float:
-    """Percent full-loop events/sec cost of strict error propagation.
-
-    ``enable_error_propagation()`` method-swaps the filesystem's
-    per-request error checks from the default no-ops to the strict forms
-    that raise :class:`~repro.fs.errors.EIOError` on a failed block
-    request.  On a fault-free run the strict checks inspect every
-    completed request and find nothing, so the two sides process
-    identical event sequences apart from the checks themselves — the
-    same inert-hook shape as :func:`fault_hook_overhead_pct`.  Measured
-    by :func:`_installed_hook_overhead_pct`: median of per-pair
-    interleaved overheads (the guard is that recovery error checking
-    stays effectively free when no faults fire).
-    """
-
-    def install(stack):
-        stack.fs.enable_error_propagation()
-
-    return _installed_hook_overhead_pct(install, calls, config, samples)
 
 
 def sweep_warm_start_metrics(
@@ -331,19 +204,6 @@ def collect_metrics(*, repeats: int = 3, quick: bool = False) -> dict[str, float
             _best(lambda: table1_wallclock(scale), repeats, minimize=True), 4
         ),
         "table1_scale": scale,
-        # One call with more interleaved pairs, not best-of-repeats: the
-        # median over per-pair overheads is the de-noised estimator; an
-        # outer best-of would re-introduce exactly the one-sided excursions
-        # the median exists to discard.
-        "fault_hook_overhead_pct": round(
-            fault_hook_overhead_pct(calls, samples=max(9, 3 * repeats)), 2
-        ),
-        "trace_overhead_pct": round(
-            trace_overhead_pct(calls, samples=max(9, 3 * repeats)), 2
-        ),
-        "recovery_overhead_pct": round(
-            recovery_overhead_pct(calls, samples=max(9, 3 * repeats)), 2
-        ),
     }
     metrics.update(sweep_warm_start_metrics(repeats=repeats, quick=quick))
     # One timed pass each: the scratch side alone dwarfs every other
@@ -381,6 +241,28 @@ def _git_revision() -> str:
         return "unknown"
 
 
+class TrajectoryError(ValueError):
+    """The trajectory file exists but is not a ``{"history": [...]}`` record."""
+
+
+def _load_trajectory(path: Path) -> dict[str, Any]:
+    """The trajectory document at ``path``; an empty history if there is none.
+
+    A file that is not a JSON ``{"history": [...]}`` document raises
+    :class:`TrajectoryError` naming it, so a damaged trajectory is never
+    overwritten with a one-entry history.
+    """
+    if not path.exists():
+        return {"history": []}
+    try:
+        document = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise TrajectoryError(f"{path}: not a JSON perf trajectory ({error})") from error
+    if not (isinstance(document, dict) and isinstance(document.get("history"), list)):
+        raise TrajectoryError(f'{path}: not a {{"history": [...]}} perf trajectory')
+    return document
+
+
 def record(
     path: str | Path = DEFAULT_OUTPUT,
     *,
@@ -393,9 +275,12 @@ def record(
 
     The file holds ``{"history": [record, ...]}``; each record carries the
     metrics plus enough provenance (git revision, python, timestamp) to read
-    the trajectory later.  Returns the appended record.
+    the trajectory later.  The file is checked before anything is measured:
+    a damaged one raises :class:`TrajectoryError` and is left as it was.
+    Returns the appended record.
     """
     path = Path(path)
+    document = _load_trajectory(path)
     entry: dict[str, Any] = {
         "label": label or _git_revision(),
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -406,14 +291,6 @@ def record(
     }
     if extra:
         entry.update(extra)
-    document = {"history": []}
-    if path.exists():
-        try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            loaded = None  # corrupt record: start a fresh history
-        if isinstance(loaded, dict) and isinstance(loaded.get("history"), list):
-            document = loaded
     document["history"].append(entry)
     path.write_text(json.dumps(document, indent=1) + "\n")
     return entry
@@ -444,37 +321,27 @@ def main(argv: list[str] | None = None) -> None:
             "CI perf-smoke regression gate"
         ),
     )
-    parser.add_argument(
-        "--assert-ceiling", action="append", default=[], metavar="METRIC=VALUE",
-        help=(
-            "fail (exit 1) if the named metric comes out above VALUE "
-            "(repeatable; e.g. --assert-ceiling trace_overhead_pct=15) — "
-            "the gate for overhead metrics, where lower is better"
-        ),
-    )
     args = parser.parse_args(argv)
 
-    def parse_bounds(items: list[str], flag: str) -> list[tuple[str, float]]:
-        bounds = []
-        for item in items:
-            name, separator, raw = item.partition("=")
-            if not separator or not name:
-                parser.error(f"{flag} expects METRIC=VALUE, got {item!r}")
-            try:
-                bounds.append((name, float(raw)))
-            except ValueError:
-                parser.error(f"{flag} value must be a number, got {item!r}")
-        return bounds
-
-    floors = parse_bounds(args.assert_floor, "--assert-floor")
-    ceilings = parse_bounds(args.assert_ceiling, "--assert-ceiling")
+    floors = []
+    for item in args.assert_floor:
+        name, separator, raw = item.partition("=")
+        if not separator or not name:
+            parser.error(f"--assert-floor expects METRIC=VALUE, got {item!r}")
+        try:
+            floors.append((name, float(raw)))
+        except ValueError:
+            parser.error(f"--assert-floor value must be a number, got {item!r}")
     if args.no_write:
         metrics = collect_metrics(repeats=args.repeats, quick=args.quick)
         print(json.dumps(metrics, indent=1))
     else:
-        entry = record(
-            args.output, label=args.label, repeats=args.repeats, quick=args.quick
-        )
+        try:
+            entry = record(
+                args.output, label=args.label, repeats=args.repeats, quick=args.quick
+            )
+        except TrajectoryError as error:
+            raise SystemExit(f"perfbench: {error}") from None
         print(json.dumps(entry, indent=1))
         metrics = entry["metrics"]
     failures = []
@@ -484,12 +351,6 @@ def main(argv: list[str] | None = None) -> None:
             failures.append(f"{name}: no such metric")
         elif value < floor:
             failures.append(f"{name}: {value} < floor {floor}")
-    for name, ceiling in ceilings:
-        value = metrics.get(name)
-        if value is None:
-            failures.append(f"{name}: no such metric")
-        elif value > ceiling:
-            failures.append(f"{name}: {value} > ceiling {ceiling}")
     if failures:
         raise SystemExit("perfbench bound check FAILED: " + "; ".join(failures))
 

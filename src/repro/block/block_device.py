@@ -194,20 +194,6 @@ class BlockDevice:
         )
         return self.submit(request)
 
-    def write_and_wait(
-        self, lba: int, num_pages: int = 1, **kwargs: object
-    ) -> Generator[Event, object, BlockRequest]:
-        """Generator: submit a write and wait for its completion."""
-        request = self.write(lba, num_pages, **kwargs)  # type: ignore[arg-type]
-        yield request.completed
-        return request
-
-    def flush_and_wait(self, *, issuer: str = "app") -> Generator[Event, object, BlockRequest]:
-        """Generator: submit a flush and wait until the cache is durable."""
-        request = self.flush(issuer=issuer)
-        yield request.completed
-        return request
-
     def drain(self) -> Generator[Event, object, None]:
         """Generator: wait until every submitted request has completed."""
         while self._outstanding > 0:

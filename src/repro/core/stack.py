@@ -27,7 +27,7 @@ configurations there rather than editing this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.block.block_device import BlockDevice, BlockDeviceConfig
@@ -65,10 +65,6 @@ class StackConfig:
     #: :func:`standard_config`.
     sync_call: str = "fsync"
     mount_overrides: dict = field(default_factory=dict)
-
-    def with_device(self, device: str) -> "StackConfig":
-        """Copy of the config targeting a different device."""
-        return replace(self, device=device)
 
 
 @dataclass
@@ -185,10 +181,3 @@ def standard_config(name: str, device: str = "plain-ssd", **overrides) -> StackC
     from repro.scenarios.stacks import stack_config
 
     return stack_config(name, device, **overrides)
-
-
-def standard_configurations() -> list[str]:
-    """Names of the standard configurations."""
-    from repro.scenarios.stacks import STACK_CONFIGS
-
-    return STACK_CONFIGS.names()

@@ -190,26 +190,18 @@ def verify_journal_recovery(
 def journal_transactions(filesystem: object) -> list[JournalTransaction]:
     """Every journal transaction a filesystem has produced, by txid.
 
-    Collects the commit history plus whatever is still committing or running
-    at the moment of a crash (a committing transaction's commit record may
-    already be durable even though the journal thread never finished its
-    bookkeeping), across the journal implementations (JBD2's single
-    ``committing`` slot, the dual-mode journal's ``committing_list``).
-    Returns ``[]`` for filesystems without a journal; raises
+    Collects the commit history plus the journal's :meth:`in_flight`
+    transactions at the moment of a crash (a committing transaction's
+    commit record may already be durable even though the journal thread
+    never finished its bookkeeping).  Returns ``[]`` for filesystems
+    without a journal; raises
     :class:`~repro.simulation.history.HistoryNotRecordedError` when the
     journal did not record its history (``IOStack.record_history()``).
     """
     journal = getattr(filesystem, "journal", None)
     if journal is None:
         return []
-    transactions = list(journal.history)
-    committing = getattr(journal, "committing", None)
-    if committing is not None:
-        transactions.append(committing)
-    transactions.extend(getattr(journal, "committing_list", []))
-    running = getattr(journal, "running", None)
-    if running is not None:
-        transactions.append(running)
+    transactions = [*journal.history, *journal.in_flight()]
     unique = {txn.txid: txn for txn in transactions}
     return [unique[txid] for txid in sorted(unique)]
 

@@ -349,18 +349,6 @@ class JournalRecoveryCheck(IncrementalCheck):
         self._unmet: dict[tuple[int, int], tuple[object, int]] = {}
         self._waiting: dict[object, list[tuple[int, int, int]]] = {}
 
-    def _in_flight(self) -> list:
-        journal = self.journal
-        in_flight = []
-        committing = getattr(journal, "committing", None)
-        if committing is not None:
-            in_flight.append(committing)
-        in_flight.extend(getattr(journal, "committing_list", ()))
-        running = getattr(journal, "running", None)
-        if running is not None:
-            in_flight.append(running)
-        return in_flight
-
     def _recoverable(self, txn, durable: dict) -> bool:
         txid = txn.txid
         return (
@@ -395,7 +383,7 @@ class JournalRecoveryCheck(IncrementalCheck):
         self._finished_seen = len(finished)
 
         candidates = dict(frontier)
-        for txn in self._in_flight():
+        for txn in self.journal.in_flight():
             if txn.txid not in recovered:
                 candidates.setdefault(txn.txid, txn)
         tracker.folds += len(candidates)
@@ -450,9 +438,9 @@ INCREMENTAL_CHECKS: dict[str, Callable[..., IncrementalCheck]] = {
 class _LiveTransactions(Sequence):
     """:func:`journal_transactions` of a live filesystem, without the copy.
 
-    Sized from the journal's lists in O(1) — at any instant the device can
-    emit a boundary, a transaction is in exactly one of them — and
-    materialized only when indexed.
+    Sized from the history and :meth:`in_flight` in O(in flight) — at any
+    instant the device can emit a boundary, a transaction is in exactly one
+    of them — and materialized only when indexed.
     """
 
     def __init__(self, fs):
@@ -462,11 +450,7 @@ class _LiveTransactions(Sequence):
         journal = getattr(self.fs, "journal", None)
         if journal is None:
             return 0
-        in_flight = len(getattr(journal, "committing_list", ()))
-        for name in ("committing", "running"):
-            if getattr(journal, name, None) is not None:
-                in_flight += 1
-        return len(journal.history) + in_flight
+        return len(journal.history) + len(journal.in_flight())
 
     def __getitem__(self, index):
         return journal_transactions(self.fs)[index]

@@ -161,12 +161,6 @@ class BarrierFS(FilesystemBase):
             self.journal.request_commit(durability=False, force=True)
 
     # ------------------------------------------------------------------ helpers
-    def _needs_journal(self, file: File, metadata_matters: bool) -> bool:
-        inode = file.inode
-        if metadata_matters:
-            return inode.has_dirty_metadata
-        return bool(inode.unallocated_pages)
-
     def _dispatch_data(self, file: File, issuer: str, *, barrier_on_last: bool):
         if self.options.journal_mode is JournalMode.DATA and file.inode.has_dirty_metadata:
             # Full data journaling: data goes through the journal instead.

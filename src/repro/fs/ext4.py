@@ -102,14 +102,6 @@ class Ext4Filesystem(FilesystemBase):
         if txn is not None:
             yield txn.durable_event
 
-    def _needs_journal(self, file: File, metadata_matters: bool) -> bool:
-        inode = file.inode
-        if metadata_matters:
-            return inode.has_dirty_metadata
-        # fdatasync only journals when the data cannot be reached without the
-        # metadata (freshly allocated blocks).
-        return bool(inode.unallocated_pages)
-
     def _flush_unless_nobarrier(self, issuer: str):
         if self.options.no_barrier:
             return

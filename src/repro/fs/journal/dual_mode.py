@@ -157,9 +157,7 @@ class DualModeJournal(CommitHistory):
             txn, jd_request, jc_request = yield self._flush_queue.get()
             # The flush thread is triggered when JC has been transferred.
             yield jc_request.transferred
-            error = self.fs._request_error(jd_request) or self.fs._request_error(
-                jc_request
-            )
+            error = jd_request.error or jc_request.error
             if error is None and txn.durability_requested:
                 try:
                     yield from self.fs.issue_flush(issuer="flush-thread")
@@ -232,3 +230,7 @@ class DualModeJournal(CommitHistory):
     def committing_count(self) -> int:
         """Transactions currently in flight (dispatched, not yet durable)."""
         return len(self.committing_list)
+
+    def in_flight(self) -> list[JournalTransaction]:
+        """Unfinished transactions: the committing ones in order, then the running one."""
+        return [*self.committing_list, self.running]

@@ -149,7 +149,7 @@ class JBD2Journal(CommitHistory):
         )
         # Wait-on-Transfer between JD and JC.
         yield jd_request.transferred
-        error = self.fs._request_error(jd_request)
+        error = jd_request.error
         if error is not None:
             txn.mark_failed(self.sim.now, error)
             return
@@ -167,7 +167,7 @@ class JBD2Journal(CommitHistory):
         else:
             # nobarrier: the thread only waits for the DMA transfer.
             yield jc_request.transferred
-        error = self.fs._request_error(jc_request)
+        error = jc_request.error
         if error is not None:
             txn.mark_failed(self.sim.now, error)
             return
@@ -180,3 +180,8 @@ class JBD2Journal(CommitHistory):
     def committing_count(self) -> int:
         """Number of transactions currently committing (0 or 1 for JBD2)."""
         return 0 if self.committing is None else 1
+
+    def in_flight(self) -> list[JournalTransaction]:
+        """Unfinished transactions: the committing one (if any), then the running one."""
+        committing = self.committing
+        return [self.running] if committing is None else [committing, self.running]

@@ -26,7 +26,6 @@ from repro.block.request import BlockRequest, RequestFlag
 from repro.fs.errors import EIOError, ReadOnlyFSError
 from repro.fs.inode import File, Inode, PageCacheStats, group_bitmap_block, make_inode, timestamp_tick
 from repro.fs.mount import MountOptions
-from repro.hooks import Hooks
 from repro.simulation.engine import Event, Simulator
 from repro.storage.command import WrittenBlock
 
@@ -94,12 +93,6 @@ class FilesystemBase:
         #: after a durable journal failure).  Writes raise
         #: :class:`ReadOnlyFSError` while the flag is set; reads keep working.
         self.read_only = False
-        # Error propagation is swapped in through a hooks ledger (like the
-        # fault injector and the tracer): with no injector installed a block
-        # request can never carry an error status, so the default check
-        # sites are no-ops and the no-fault hot path stays unchanged (pinned
-        # by perfbench's ``recovery_overhead_pct``).
-        self._error_hooks = Hooks()
 
     # ------------------------------------------------------------------ namespace
     def create(self, name: str, *, preallocate_pages: int = 0) -> File:
@@ -236,8 +229,8 @@ class FilesystemBase:
     def issue_flush(self, *, issuer: str = "app") -> Generator[Event, object, BlockRequest]:
         """Generator: submit a cache flush and wait for it to complete.
 
-        With error propagation enabled, a flush that completed with an error
-        status raises :class:`EIOError` here instead of returning.
+        A flush that completed with an error status raises
+        :class:`EIOError` here instead of returning.
         """
         self.stats.flush_requests += 1
         request = self.block.flush(issuer=issuer)
@@ -293,6 +286,15 @@ class FilesystemBase:
             buffers.append((("group-desc", 0), inode.metadata_version))
         return buffers
 
+    def _needs_journal(self, file: File, metadata_matters: bool) -> bool:
+        """Whether a sync of ``file`` must commit a journal transaction."""
+        inode = file.inode
+        if metadata_matters:
+            return inode.has_dirty_metadata
+        # fdatasync only journals when the data cannot be reached without the
+        # metadata (freshly allocated blocks).
+        return bool(inode.unallocated_pages)
+
     def clear_metadata_dirty(self, inode: Inode) -> None:
         """Mark the inode's metadata clean (its buffers joined a transaction)."""
         inode.metadata_dirty = False
@@ -305,38 +307,13 @@ class FilesystemBase:
         return lba
 
     # ------------------------------------------------------------------ error propagation
-    def enable_error_propagation(self) -> None:
-        """Swap the strict request-error checks onto the sync paths.
-
-        Installed through :func:`repro.hooks.install` whenever a fault
-        injector rides on a spec, and on every
-        :func:`repro.recovery.remount` (a remounted filesystem is by
-        definition running through failures).  The hooks cost nothing until
-        something can actually produce an error.
-        """
-        swap = self._error_hooks.swap
-        swap(self, "_request_error", self._request_error_strict)
-        swap(self, "_check_requests", self._check_requests_strict)
-
-    def disable_error_propagation(self) -> None:
-        """Restore the default never-raising checks."""
-        self._error_hooks.restore()
-
-    @property
-    def error_propagation_enabled(self) -> bool:
-        """Whether the strict request-error checks are installed."""
-        return bool(self._error_hooks)
-
-    def _request_error(self, request: BlockRequest) -> Optional[str]:
-        return None
-
-    def _request_error_strict(self, request: BlockRequest) -> Optional[str]:
-        return request.error
-
     def _check_requests(self, requests) -> None:
-        return None
+        """Raise :class:`EIOError` for the first request that failed.
 
-    def _check_requests_strict(self, requests) -> None:
+        Requests fail only under faults (an injected error, a power cut, a
+        device busy past its requeue bound), so on a fault-free run this
+        finds nothing: the check costs one call and raises nowhere.
+        """
         for request in requests:
             if request.error is not None:
                 raise EIOError(

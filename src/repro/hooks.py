@@ -1,14 +1,13 @@
 """One ledger for every hook swapped onto a live IO stack, and its installer.
 
-The fault injector, strict error propagation and the tracer instrument a
-built stack without the fs/journal/block/storage code knowing about them:
-each records its attribute swaps in a :class:`Hooks` ledger and undoes
-them with :meth:`Hooks.restore`.  :func:`install` owns their order —
-injector, strict errors, tracer (its ``try_submit`` wrapper sits over the
-injected device), then any crash tap the caller attaches — which every
-run of a spec rebuilds and every measured phase forked off a shared
-warmup inherits, so reordering it would break their bit-identity with a
-scratch run.
+The fault injector and the tracer instrument a built stack without the
+fs/journal/block/storage code knowing about them: each records its
+attribute swaps in a :class:`Hooks` ledger and undoes them with
+:meth:`Hooks.restore`.  :func:`install` owns their order — injector, then
+tracer (its ``try_submit`` wrapper sits over the injected device), then
+any crash tap the caller attaches — which every run of a spec rebuilds
+and every measured phase forked off a shared warmup inherits, so
+reordering it would break their bit-identity with a scratch run.
 
 Hooks go in before the simulation first runs: processes hoist bound
 methods into locals on their first resume (the block dispatcher caches
@@ -64,15 +63,13 @@ def require_unstarted(sim, what: str) -> None:
         )
 
 
-def install(
-    stack, *, faults=(), seed: int = 0, tracer=None, strict_errors: bool = False
-) -> Hooks:
+def install(stack, *, faults=(), seed: int = 0, tracer=None) -> Hooks:
     """Hook a freshly built ``stack``; the returned ledger's restore() unhooks it.
 
     ``faults`` (seeded by ``seed``) installs a
-    :class:`repro.faults.FaultInjector`, ``strict_errors`` the
-    filesystem's strict request-error checks, ``tracer`` a
-    :class:`repro.trace.Tracer`.
+    :class:`repro.faults.FaultInjector`, ``tracer`` a
+    :class:`repro.trace.Tracer`.  The filesystem needs no hook to surface
+    what the injector fails: its request-error checks are always on.
     """
     require_unstarted(stack.sim, "a hook")
     hooks = Hooks()
@@ -80,9 +77,6 @@ def install(
         from repro.faults import FaultInjector
 
         hooks.defer(FaultInjector(faults, seed=seed).install(stack.device).uninstall)
-    if strict_errors:
-        stack.fs.enable_error_propagation()
-        hooks.defer(stack.fs.disable_error_propagation)
     if tracer is not None:
         hooks.defer(tracer.install(stack).uninstall)
     return hooks

@@ -11,10 +11,10 @@ restart at 1, exactly like a real remount) and seeds it with the
   already-durable baseline **and replayed into the FTL log** — skipping
   the log would make the next in-order-recovery scan lose the baseline,
   since that mode recovers only what the log prefix reaches;
-* the spec's fault plan is reinstalled (same plan, same seed — the
-  storage did not get healthier by rebooting) and error propagation is
-  enabled, both through :func:`repro.hooks.install`: a remounted
-  filesystem is by definition running through failures.
+* the spec's fault plan is reinstalled through
+  :func:`repro.hooks.install` (same plan, same seed — the storage did not
+  get healthier by rebooting); the filesystem's always-on request-error
+  checks surface what it fails as :class:`~repro.fs.errors.EIOError`.
 
 Only data blocks are seeded.  Journal blocks must not be: the fresh
 journal reuses txids from 1 and seeded ``("jc", 1)``-style blocks would
@@ -36,7 +36,7 @@ def remount(image: RecoveredImage, spec) -> IOStack:
     stack = build_spec_stack(spec)
     # The judge recovers this stack again after the continuation.
     stack.record_history()
-    install(stack, faults=spec.faults, seed=spec.seed, strict_errors=True)
+    install(stack, faults=spec.faults, seed=spec.seed)
 
     blocks: list[WrittenBlock] = []
     for entry in sorted(image.files, key=lambda f: f.inode_no):

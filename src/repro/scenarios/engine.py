@@ -76,18 +76,15 @@ def prepare_spec(spec: ScenarioSpec, *, tracer=None) -> Workload:
     span from the first warmup request onward is captured.
 
     Hooks go in through :func:`repro.hooks.install`, which owns their
-    order (fault injector, strict errors, tracer; a caller's crash tap
-    last).
+    order (fault injector, tracer; a caller's crash tap last).
     """
     workload_class = WORKLOADS.get(spec.workload)
     workload = workload_class(**dict(spec.params))
     if workload_class.needs_stack:
         stack = build_spec_stack(spec)
         # The injector is rebuilt per run from (plan, seed), so every replay
-        # injects bit-identical fault sites.  Only injected faults can fail
-        # a request, so only then do the strict checks raise EIOError.
-        faults = spec.faults
-        install(stack, faults=faults, seed=spec.seed, tracer=tracer, strict_errors=bool(faults))
+        # injects bit-identical fault sites.
+        install(stack, faults=spec.faults, seed=spec.seed, tracer=tracer)
     elif tracer is not None:
         raise ValueError(
             f"workload {spec.workload!r} builds no filesystem stack; "

@@ -299,24 +299,6 @@ class TimeSeries:
             raise ValueError(f"time series {self.name} is empty")
         return max(self.values)
 
-    def time_weighted_average(self, until: float | None = None) -> float:
-        """Average of the stepwise signal weighted by how long it held."""
-        if not self.times:
-            raise ValueError(f"time series {self.name} is empty")
-        end = until if until is not None else self.times[-1]
-        total = 0.0
-        duration = 0.0
-        for index, start in enumerate(self.times):
-            stop = self.times[index + 1] if index + 1 < len(self.times) else end
-            stop = min(stop, end)
-            if stop <= start:
-                continue
-            total += self.values[index] * (stop - start)
-            duration += stop - start
-        if duration == 0.0:
-            return self.values[-1]
-        return total / duration
-
     def samples(self) -> list[tuple[float, float]]:
         """List of (time, value) pairs."""
         return list(zip(self.times, self.values))

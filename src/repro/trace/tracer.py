@@ -62,22 +62,12 @@ class _RequestRecord:
 class Tracer:
     """Collects spans and streaming metrics from one installed IO stack."""
 
-    def __init__(
-        self,
-        *,
-        buffer_size: int = 65_536,
-        metrics: bool = True,
-        enabled: bool = True,
-    ):
+    def __init__(self, *, buffer_size: int = 65_536, metrics: bool = True):
         self.spans = SpanBuffer(buffer_size)
         self.contexts: list[TraceContext] = []
         self.metrics: Optional[MetricsRegistry] = (
             MetricsRegistry() if metrics else None
         )
-        #: A disabled tracer keeps its hooks installed but records nothing —
-        #: the "installed but idle" state perfbench's ``trace_overhead_pct``
-        #: measures.
-        self.enabled = enabled
         self._stack = None
         self._sim = None
         self._hooks = Hooks()
@@ -184,8 +174,6 @@ class Tracer:
         tracer = self
 
         def traced_sync(file, *, issuer: str = "app", **kwargs):
-            if not tracer.enabled:
-                return original(file, issuer=issuer, **kwargs)
             return tracer._traced_sync(original, name, file, issuer, kwargs)
 
         traced_sync.__name__ = name
@@ -247,7 +235,7 @@ class Tracer:
 
         def traced_request_commit(*args, **kwargs):
             txn = original(*args, **kwargs)
-            if tracer.enabled and txn is not None:
+            if txn is not None:
                 tracer._watch_transaction(txn)
             return txn
 
@@ -285,8 +273,7 @@ class Tracer:
 
         def traced_submit(request):
             result = original(request)
-            if tracer.enabled:
-                tracer._watch_request(request)
+            tracer._watch_request(request)
             return result
 
         return traced_submit
@@ -359,7 +346,7 @@ class Tracer:
 
         def traced_try_submit(command):
             accepted = original(command)
-            if accepted and tracer.enabled:
+            if accepted:
                 tracer._watch_command(command)
             return accepted
 
@@ -400,7 +387,7 @@ class Tracer:
 
         def traced_program(num_pages: int, **kwargs):
             event = original(num_pages, **kwargs)
-            if tracer.enabled and num_pages > 0:
+            if num_pages > 0:
                 start = tracer._sim.now
 
                 def on_programmed(_event) -> None:

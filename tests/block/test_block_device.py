@@ -58,7 +58,8 @@ class TestBlockDevice:
         sim, device, block = make_stack()
 
         def host():
-            request = yield from block.write_and_wait(0, 1, issuer="t")
+            request = block.write(0, 1, issuer="t")
+            yield request.completed
             return request
 
         request = run(sim, host())
@@ -71,8 +72,8 @@ class TestBlockDevice:
         device.record_history()
 
         def host():
-            yield from block.write_and_wait(0, 1)
-            yield from block.flush_and_wait()
+            yield block.write(0, 1).completed
+            yield block.flush().completed
             return None
 
         run(sim, host())

@@ -63,7 +63,8 @@ class TestRetryPath:
         sim, device, block = make_stack(faults=["io-error:nth=1"])
 
         def host():
-            request = yield from block.write_and_wait(0, 1, issuer="t")
+            request = block.write(0, 1, issuer="t")
+            yield request.completed
             return request
 
         request = run(sim, host())
@@ -79,7 +80,8 @@ class TestRetryPath:
         sim, device, block = make_stack(faults=["io-error"])  # every write fails
 
         def host():
-            request = yield from block.write_and_wait(0, 1, issuer="t")
+            request = block.write(0, 1, issuer="t")
+            yield request.completed
             return request
 
         request = run(sim, host())  # fail() fires completion: no deadlock
@@ -93,7 +95,8 @@ class TestRetryPath:
         from repro.block.request import read_request
 
         def host():
-            write = yield from block.write_and_wait(0, 1, issuer="t")
+            write = block.write(0, 1, issuer="t")
+            yield write.completed
             read = block.submit(read_request(0, 1))
             yield read.completed
             return write, read
@@ -107,7 +110,7 @@ class TestRetryPath:
             sim, device, block = make_stack(faults=["io-error:nth=1"])
 
             def host():
-                yield from block.write_and_wait(0, 1, issuer="t")
+                yield block.write(0, 1, issuer="t").completed
                 return sim.now
 
             return run(sim, host())
@@ -133,7 +136,8 @@ class TestBackpressure:
         sim, device, block = make_stack()
 
         def host():
-            first = yield from block.write_and_wait(0, 1, issuer="t")
+            first = block.write(0, 1, issuer="t")
+            yield first.completed
             device.power_off()
             late = block.write(10, 1, issuer="t")
             yield late.completed

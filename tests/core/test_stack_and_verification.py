@@ -1,5 +1,7 @@
 """Tests for stack assembly and the verification checks."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.block.request import RequestFlag
@@ -11,9 +13,9 @@ from repro.core import (
     verify_dispatch_preserves_epochs,
     verify_epoch_prefix,
 )
-from repro.core.stack import standard_configurations
 from repro.core.verification import epoch_prefix_holds
 from repro.fs import BarrierFS, Ext4Filesystem, OptFS
+from repro.scenarios.stacks import STACK_CONFIGS
 from repro.storage import BarrierMode
 from repro.storage.command import WrittenBlock
 from repro.storage.crash import CrashState, recover_durable_blocks
@@ -21,7 +23,7 @@ from repro.storage.crash import CrashState, recover_durable_blocks
 
 class TestStackBuilder:
     def test_standard_configurations_exist(self):
-        assert set(standard_configurations()) == {
+        assert set(STACK_CONFIGS.names()) == {
             "EXT4-DR", "EXT4-OD", "BFS-DR", "BFS-OD", "OptFS",
         }
 
@@ -58,7 +60,7 @@ class TestStackBuilder:
             build_stack(StackConfig(filesystem="btrfs"))
 
     def test_config_with_device_helper(self):
-        config = standard_config("BFS-DR", "plain-ssd").with_device("ufs")
+        config = replace(standard_config("BFS-DR", "plain-ssd"), device="ufs")
         assert config.device == "ufs"
         assert config.filesystem == "barrierfs"
 

@@ -168,8 +168,8 @@ class TestModeInteractions:
 
             def host():
                 for index in range(4):
-                    yield from block.write_and_wait(index * 8, 1, issuer="t")
-                yield from block.flush_and_wait(issuer="t")
+                    yield block.write(index * 8, 1, issuer="t").completed
+                yield block.flush(issuer="t").completed
                 return sum(
                     1 for entry in device.cache.all_entries()
                     if not entry.is_durable

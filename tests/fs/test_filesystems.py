@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import build_stack, standard_config
-from repro.core.verification import verify_journal_recovery
+from repro.core.verification import journal_transactions, verify_journal_recovery
 from repro.fs import JournalMode
 from repro.fs.mount import MountOptions
 from repro.storage.crash import recover_durable_blocks
@@ -316,9 +316,35 @@ class TestBarrierFS:
         run(stack, proc())
         stack.device.power_off()
         state = recover_durable_blocks(stack.device)
-        transactions = list(fs.journal.history) + fs.journal.committing_list
+        transactions = list(fs.journal.history) + fs.journal.in_flight()
         recovered = verify_journal_recovery(state, transactions, ordered_mode=True)
         assert isinstance(recovered, list)
+
+
+class TestJournalInFlight:
+    @pytest.mark.parametrize("config,call", [("EXT4-DR", "fsync"), ("BFS-OD", "fbarrier")])
+    def test_history_and_in_flight_cover_every_transaction_once(self, config, call):
+        # Stopped mid-run, every txid up to the running one is either in the
+        # finished history or in flight, and in flight ends with the running one.
+        stack = make(config)
+        stack.record_history()
+        fs = stack.fs
+
+        def proc():
+            handle = fs.create("a.db")
+            for _ in range(20):
+                fs.write(handle, 1)
+                yield from getattr(fs, call)(handle)
+
+        stack.sim.process(proc())
+        stack.sim.run(until=600.0)
+        journal = fs.journal
+        in_flight = journal.in_flight()
+        assert in_flight[-1] is journal.running
+        assert len(in_flight) >= 2  # stopped while a commit was in flight
+        txids = [txn.txid for txn in [*journal.history, *in_flight]]
+        assert sorted(txids) == list(range(1, journal.running.txid + 1))
+        assert [txn.txid for txn in journal_transactions(fs)] == sorted(txids)
 
 
 class TestOptFS:

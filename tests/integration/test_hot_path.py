@@ -1,17 +1,25 @@
-"""Deterministic pins on the host work of the BFS-DR fsync path.
+"""Deterministic pins on the host work of the sync paths.
 
 Timings on a shared machine jitter by tens of percent; these counts do not.
 They pin the per-IO host-cost levers of docs/PERFORMANCE.md: timed waits go
-through ``Simulator.sleep`` (no Event), and flag tests and updates run no
-``enum`` code.
+through ``Simulator.sleep`` (no Event), flag tests and updates run no
+``enum`` code, each loop schedules an exact number of engine events and
+spends at most a pinned number of Python calls, and an installed hook that
+does nothing (an inert fault injector, a recording tracer) changes no
+simulated output.
 """
 
 import enum
+import gc
 import sys
+
+import pytest
 
 from repro.analysis.measure import measure_sync_latency
 from repro.core import build_stack, standard_config
+from repro.hooks import install
 from repro.simulation import Simulator
+from repro.trace import Tracer
 
 CALLS = 100
 
@@ -48,3 +56,76 @@ def test_bfs_fsync_hot_path_builds_few_timers_and_runs_no_enum_code():
     # flash program round per call; every other timed wait is a sleep.
     assert counts["timeout"] <= 4 * CALLS, counts
     assert counts["enum"] == 0, counts
+
+
+#: Sync calls per pinned loop (allocating one-page writes on plain-ssd).
+LOOP_CALLS = 200
+
+#: (stack, sync call) -> (engine events, Python calls of the bare loop,
+#: Python calls an installed inert fault injector adds).  Events are exact;
+#: the call counts are ceilings, so a leaner path passes and one extra
+#: call per request (hundreds per loop) fails.
+LOOP_PINS = {
+    ("BFS-DR", "fsync"): (10_006, 106_657, 8_006),
+    ("EXT4-DR", "fsync"): (9_605, 91_452, 5_600),
+    ("BFS-OD", "fdatabarrier"): (2_101, 25_859, 1_627),
+}
+
+
+def _pinned_loop(config, sync_call, **hooks):
+    """Run one drained loop under ``sys.setprofile``; return (calls, outputs).
+
+    The collector is off while counting: a cyclic-garbage pass would
+    finalize suspended generators from earlier tests inside the window.
+    """
+    stack = build_stack(standard_config(config, "plain-ssd"))
+    install(stack, **hooks)
+    calls = 0
+
+    def profiler(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
+        result = measure_sync_latency(stack, calls=LOOP_CALLS, sync_call=sync_call)
+        # fdatabarrier returns before its writes complete: count them too.
+        stack.sim.run()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert result.calls == LOOP_CALLS
+    device = {
+        key: value
+        for key, value in vars(stack.device.stats).items()
+        if isinstance(value, int)
+    }
+    outputs = {
+        "events": next(stack.sim._sequence),
+        "device": device,
+        "block": dict(vars(stack.block.stats)),
+        "fs": stack.fs.stats.snapshot(),
+        "mean_latency": result.latencies.mean,
+    }
+    return calls, outputs
+
+
+@pytest.mark.parametrize("config,sync_call", list(LOOP_PINS))
+def test_sync_loop_work_is_pinned_and_inert_hooks_change_no_output(config, sync_call):
+    events, bare_ceiling, injector_ceiling = LOOP_PINS[config, sync_call]
+    calls, bare = _pinned_loop(config, sync_call)
+    assert bare["events"] == events, bare
+    assert calls <= bare_ceiling, calls
+    # A fault plan that cannot fire and a recording tracer only observe.
+    injected_calls, injected = _pinned_loop(
+        config, sync_call, faults=("torn-write:p=0",)
+    )
+    assert injected == bare
+    assert injected_calls - calls <= injector_ceiling, injected_calls - calls
+    tracer = Tracer()
+    _, traced = _pinned_loop(config, sync_call, tracer=tracer)
+    assert traced == bare
+    assert tracer.contexts

@@ -15,9 +15,9 @@ import pytest
 from repro.analysis.measure import measure_sync_latency
 from repro.block.request import BlockRequest
 from repro.core import build_stack, standard_config
-from repro.core.stack import standard_configurations
 from repro.core.verification import CrashProbe, journal_transactions
 from repro.fs.journal.transaction import JournalTransaction
+from repro.scenarios.stacks import STACK_CONFIGS
 from repro.simulation import MSEC, Event, HistoryNotRecordedError, SimulationError
 from repro.storage import BarrierMode
 from repro.storage.command import Command
@@ -33,7 +33,7 @@ TRACKED = (Event, BlockRequest, Command, JournalTransaction)
 #: plain-ssd (a barrier-enabled stack needs a barrier-capable mode).
 FSYNC_STACKS = [
     (name, mode)
-    for name in standard_configurations()
+    for name in STACK_CONFIGS.names()
     if (config := standard_config(name)).sync_call == "fsync"
     for mode in BarrierMode
     if mode.supports_barrier or config.filesystem != "barrierfs"

@@ -27,7 +27,6 @@ def make_faulty(name, *, errors="remount-ro", plan=PERSISTENT_WRITE_ERRORS):
         standard_config(name, mount_overrides={"errors": errors})
     )
     FaultInjector([plan], seed=0).install(stack.device)
-    stack.fs.enable_error_propagation()
     return stack
 
 

@@ -2,30 +2,31 @@
 
 A persistent ``io-error`` fault (p=1) makes every write command fail; the
 block layer retries each request up to its budget and then completes it with
-``request.error`` set.  With error propagation enabled (as ``prepare_spec``
-does whenever a fault plan rides on the spec) the failure must climb out of
-the device, through the journal, and raise :class:`EIOError` from the
-sync-family call that depended on it — on every filesystem and under every
-barrier mode.  See docs/RECOVERY.md.
+``request.error`` set.  The failure must climb out of the device, through
+the journal, and raise :class:`EIOError` from the sync-family call that
+depended on it — on every filesystem and under every barrier mode.  See
+docs/RECOVERY.md.
 """
 
 import errno
 
 import pytest
 
+from repro.block.request import BlockRequest
 from repro.core import build_stack, standard_config
 from repro.faults import FaultInjector
 from repro.fs.errors import EIOError
+from repro.scenarios import STACK_CONFIGS
+from repro.scenarios.engine import run_spec
+from repro.scenarios.spec import ScenarioSpec
 from repro.storage.barrier_modes import BarrierMode
 
 PERSISTENT_WRITE_ERRORS = "io-error:p=1,op=write"
 
 
-def make_faulty(name, *, plan=PERSISTENT_WRITE_ERRORS, propagate=True, **overrides):
+def make_faulty(name, *, plan=PERSISTENT_WRITE_ERRORS, **overrides):
     stack = build_stack(standard_config(name, **overrides))
     FaultInjector([plan], seed=0).install(stack.device)
-    if propagate:
-        stack.fs.enable_error_propagation()
     return stack
 
 
@@ -91,21 +92,6 @@ class TestSyncFamilyRaises:
         assert sync_outcome(stack, "fsync") is None
         assert stack.fs.stats.eio_errors == 0
 
-    def test_default_checks_are_inert_noops(self):
-        # Without enable_error_propagation() the check sites stay the
-        # never-raising defaults (the pre-recovery legacy behaviour, and the
-        # reason the no-fault hot path is unchanged).
-        stack = make_faulty("EXT4-DR", propagate=False)
-        assert not stack.fs.error_propagation_enabled
-        assert sync_outcome(stack, "fsync") is None
-        enabled = make_faulty("EXT4-DR")
-        assert enabled.fs.error_propagation_enabled
-        # The swap has an inverse: disabling restores the inert defaults.
-        enabled.fs.disable_error_propagation()
-        assert not enabled.fs.error_propagation_enabled
-        assert "_request_error" not in vars(enabled.fs)
-        assert sync_outcome(enabled, "fsync") is None
-
 
 class TestPostFailureSemantics:
     def test_ext4_failed_fsync_leaves_pages_clean(self):
@@ -144,3 +130,34 @@ class TestPostFailureSemantics:
         handle = stack.run_process(proc())
         assert set(handle.inode.dirty_pages) == {0, 1}
         assert handle.inode.metadata_dirty
+
+
+class TestFaultFreeRunsFailNothing:
+    """The premise of always-on checks: without faults no request fails.
+
+    A fault-free cell must end with every block-layer failure counter at
+    zero and no request ever completed with an error status, so the
+    filesystem's request-error checks find nothing and raise nowhere.
+    """
+
+    @pytest.mark.parametrize("device", ["ufs", "plain-ssd"])
+    @pytest.mark.parametrize("workload", ["sync-loop", "sqlite", "varmail"])
+    def test_no_request_fails_in_a_fault_free_cell(self, workload, device, monkeypatch):
+        failed = []
+        real_fail = BlockRequest.fail
+
+        def counting_fail(request, error):
+            failed.append(error)
+            real_fail(request, error)
+
+        monkeypatch.setattr(BlockRequest, "fail", counting_fail)
+        for config in STACK_CONFIGS.names():
+            spec = ScenarioSpec(workload=workload, config=config, device=device, scale=0.3)
+            stats = run_spec(spec).result.device_stats
+            assert (
+                stats["block"]["io_errors"],
+                stats["block"]["io_failures"],
+                stats["block"]["power_failures"],
+                stats["fs"]["eio_errors"],
+            ) == (0, 0, 0, 0), config
+        assert failed == []

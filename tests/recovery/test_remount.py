@@ -86,7 +86,6 @@ class TestRemount:
         assert handle.inode.inode_no == probe.stack.fs.open("bench.dat").inode.inode_no
         assert handle.inode.size_pages == 4
         assert handle.inode.synced_size_pages == 4
-        assert fs.error_propagation_enabled
 
         def reader():
             pages = yield from fs.read(handle, 4)

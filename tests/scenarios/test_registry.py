@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import standard_config
-from repro.core.stack import standard_configurations
 from repro.scenarios import (
     DEVICES,
     STACK_CONFIGS,
@@ -64,7 +63,6 @@ class TestStackConfigRegistry:
 
     def test_core_shim_delegates_to_the_registry(self):
         assert standard_config("EXT4-OD", "ufs") == stack_config("EXT4-OD", "ufs")
-        assert standard_configurations() == STACK_CONFIGS.names()
 
     def test_unknown_configuration_raises_with_choices(self):
         with pytest.raises(KeyError, match="unknown stack configuration"):
@@ -78,7 +76,7 @@ class TestStackConfigRegistry:
         )
         config = stack_config("TEST-EXT4-WB", "supercap-ssd")
         assert config.no_barrier and config.device == "supercap-ssd"
-        assert "TEST-EXT4-WB" in standard_configurations()
+        assert "TEST-EXT4-WB" in STACK_CONFIGS.names()
         with pytest.raises(ValueError, match="duplicate stack configuration"):
             register_stack_config("EXT4-DR", filesystem="ext4")
 

@@ -129,14 +129,12 @@ def test_latency_recorder_sketches_match_streaming_from_sample_one(window):
     )
 
 
-def test_time_series_time_weighted_average():
+def test_time_series_records_samples_and_maximum():
     series = TimeSeries("qd")
     series.record(0, 0)
     series.record(10, 4)
     series.record(20, 8)
-    # signal: 0 for 10us, 4 for 10us, then 8 until `until`
-    assert series.time_weighted_average(until=20) == pytest.approx(2.0)
-    assert series.time_weighted_average(until=40) == pytest.approx((0 * 10 + 4 * 10 + 8 * 20) / 40)
+    assert series.samples() == [(0, 0), (10, 4), (20, 8)]
     assert series.maximum == 8
 
 

@@ -11,7 +11,7 @@ The properties pinned here are the tentpole guarantees of ``repro.trace``:
   independent of whatever other simulations the process ran before
   (the property that makes ``--jobs`` sharding bit-identical);
 * uninstall restores the unwrapped stack exactly, hooks install in one
-  order (injector, strict errors, tracer), and never after the simulation
+  order (injector, tracer), and never after the simulation
   has run.
 """
 
@@ -68,15 +68,6 @@ class TestBitIdentity:
         assert fingerprint(traced.result) == fingerprint(untraced.result)
         assert len(tracer.spans) > 0
         assert len(tracer.contexts) > 0
-
-    def test_disabled_tracer_records_nothing_and_changes_nothing(self):
-        spec = make_spec()
-        untraced = run_spec(spec)
-        tracer = Tracer(enabled=False)
-        traced = run_spec_traced(spec, tracer)
-        assert fingerprint(traced.result) == fingerprint(untraced.result)
-        assert len(tracer.spans) == 0
-        assert tracer.contexts == []
 
 
 class TestWellFormedness:
@@ -161,9 +152,8 @@ class TestInstallation:
 
     @pytest.mark.parametrize("hook", ["tracer", "installer"])
     def test_uninstall_restores_the_unwrapped_stack(self, hook):
-        # "tracer": Tracer.install/uninstall alone.  "installer": faults,
-        # strict errors and a tracer through repro.hooks.install, then one
-        # restore().  Either way every layer's instance dict is exactly as
+        # "tracer": Tracer.install/uninstall alone.  "installer": faults
+        # and a tracer through repro.hooks.install, then one restore().  Either way every layer's instance dict is exactly as
         # built, and the stack then runs like one that was never hooked.
         from repro.scenarios.engine import collect_device_stats, prepare_spec
 
@@ -184,23 +174,15 @@ class TestInstallation:
         else:
             from repro.hooks import install
 
-            undo = install(
-                stack,
-                faults=("io-error:p=0.05",),
-                tracer=tracer,
-                strict_errors=True,
-            ).restore
+            undo = install(stack, faults=("io-error:p=0.05",), tracer=tracer).restore
             assert stack.device.fault_injector is not None
             assert "_service_write" in vars(stack.device)
-            assert "_request_error" in vars(stack.fs)
-            assert stack.fs.error_propagation_enabled
         assert "fsync" in vars(stack.fs)  # instance-attribute wrappers
         assert "submit" in vars(stack.block)
         assert "try_submit" in vars(stack.device)
         assert tracer.installed
         undo()
         assert not tracer.installed
-        assert not stack.fs.error_propagation_enabled
         for layer, obj in layers.items():
             now = vars(obj)
             assert now.keys() == built[layer].keys(), (
@@ -222,17 +204,14 @@ class TestInstallation:
         def spying_install(tracer, stack):
             seen["injector"] = stack.device.fault_injector
             seen["service_write"] = vars(stack.device).get("_service_write")
-            seen["strict"] = stack.fs.error_propagation_enabled
             return real_install(tracer, stack)
 
         monkeypatch.setattr(Tracer, "install", spying_install)
         spec = make_spec().with_(faults=("io-error:p=0.05",))
         device = prepare_spec(spec, tracer=Tracer()).stack.device
-        # The injector and the strict checks were in place before the
-        # tracer wrapped the device.
+        # The injector was in place before the tracer wrapped the device.
         assert seen["injector"] is device.fault_injector is not None
         assert seen["service_write"] == device._service_write_checked
-        assert seen["strict"]
         assert device.try_submit.__name__ == "traced_try_submit"
 
     @pytest.mark.parametrize("installer", ["tracer", "fault-injector", "hooks"])
