@@ -12,6 +12,10 @@ a first-class artifact.  This module measures four rates:
   ``standard_config("BFS-DR")`` stack: the end-to-end figure-regeneration
   rate.
 * ``table1_wallclock_sec`` — wall-clock seconds to regenerate Table 1.
+* ``retained_bytes_per_call`` — heap bytes a plain BFS-OD ``fdatabarrier``
+  loop keeps per call on one growing file (:mod:`tracemalloc`): a
+  deterministic count of per-IO state and history that a run without
+  ``record_history()`` should not keep.
 * ``crashcheck_per_point_wall_sec`` / ``crashcheck_inline_wall_sec`` /
   ``crash_replay_speedup`` — wall-clock of one exhaustive crashcheck cell
   with one run per point vs every point judged in-line in one run, and
@@ -174,6 +178,51 @@ def crash_replay_metrics(*, quick: bool = False) -> dict[str, float]:
     }
 
 
+def retained_bytes_per_call(
+    config: str = "BFS-OD", sync_call: str = "fdatabarrier", calls: int = 400
+) -> float:
+    """Heap bytes a plain run keeps per sync call on one growing file.
+
+    Runs ``calls`` and then ``calls`` more allocating one-page write+sync
+    calls on one file of a plain-ssd stack without ``record_history()``,
+    each half drained (requests, then the flusher's timers), and returns
+    the growth of the traced heap (:mod:`tracemalloc`, after a collection)
+    over the second half, per call.  What is left is what the run keeps
+    per call: file state (one page version per written page) and any
+    history a plain run should not keep.  A count, not a timing: the same
+    interpreter build gives the same value.
+    """
+    import gc
+    import tracemalloc
+
+    from repro.simulation import MSEC
+
+    stack = build_stack(standard_config(config, "plain-ssd"))
+    fs = stack.fs
+    sync = getattr(fs, sync_call)
+    handle = fs.create("retained.dat")
+
+    def loop():
+        for _ in range(calls):
+            fs.write(handle, 1)
+            yield from sync(handle, issuer="bench")
+
+    def traced_after_half() -> int:
+        stack.run_process(loop())
+        stack.run_process(stack.block.drain())
+        stack.sim.run(until=stack.sim.now + 100 * MSEC)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        first = traced_after_half()
+        second = traced_after_half()
+    finally:
+        tracemalloc.stop()
+    return round((second - first) / calls, 1)
+
+
 def table1_wallclock(scale: float = 1.0) -> float:
     """Wall-clock seconds to regenerate Table 1 at ``scale``."""
     from repro.experiments import table1_fsync_latency
@@ -204,6 +253,7 @@ def collect_metrics(*, repeats: int = 3, quick: bool = False) -> dict[str, float
             _best(lambda: table1_wallclock(scale), repeats, minimize=True), 4
         ),
         "table1_scale": scale,
+        "retained_bytes_per_call": retained_bytes_per_call(calls=calls),
     }
     metrics.update(sweep_warm_start_metrics(repeats=repeats, quick=quick))
     # One timed pass each: the scratch side alone dwarfs every other

@@ -81,7 +81,8 @@ class BlockDeviceStats:
     io_errors: int = 0
     #: Commands re-driven after an error completion.
     io_retries: int = 0
-    #: Requests failed after exhausting the retry budget.
+    #: Requests failed after exhausting a bound: the error-retry budget
+    #: (``max_retries``) or the busy-queue requeues (``busy_requeue_limit``).
     io_failures: int = 0
     #: Queue-full requeues of the head request (bounded backpressure path).
     busy_requeues: int = 0
@@ -285,6 +286,7 @@ class BlockDevice:
             requeues += 1
             self.stats.busy_requeues += 1
             if requeues >= config.busy_requeue_limit:
+                self.stats.io_failures += 1
                 command.error = "device-busy"
                 return False
             yield self.device.slot_available()

@@ -86,17 +86,18 @@ class IOStack:
     def record_history(self) -> None:
         """Keep the crash history every layer would otherwise drop.
 
-        Switches on the block dispatch log, the journal commit history, the
-        device-cache history and (under in-order recovery) the device's FTL
-        log, which crash recovery
-        (:func:`repro.storage.crash.recover_durable_blocks`) and the crash
-        oracles read.  Call it
-        before the first IO; a later call raises, and reading history from
-        a stack that never called it raises
+        Switches on the block dispatch log, the journal commit history,
+        every inode's size log, the device-cache history and (under
+        in-order recovery) the device's FTL log, which crash recovery
+        (:func:`repro.storage.crash.recover_durable_blocks`), remount
+        recovery (:func:`repro.recovery.image.capture_image`) and the crash
+        oracles read.  Call it before the first IO; a later call raises,
+        and reading history from a stack that never called it raises
         :class:`repro.simulation.history.HistoryNotRecordedError`.
         """
         self.block.record_history()
         self.device.record_history()
+        self.fs.record_history()
         journal = getattr(self.fs, "journal", None)
         if journal is not None:
             journal.record_history()

@@ -10,9 +10,10 @@ from its pages to device LBAs.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
-
 
 
 @dataclass
@@ -23,10 +24,16 @@ class Inode:
     name: str
     extent_base_lba: int
     size_pages: int = 0
+    #: Size in pages the file had before the run (mkfs or preallocation):
+    #: pages below it carry pre-run content rather than writes of the run.
+    preallocated_pages: int = 0
     #: Dirty data pages: page index -> version of the pending write.
     dirty_pages: dict[int, int] = field(default_factory=dict)
-    #: Latest version ever written (durable or not) per page.
-    page_versions: dict[int, int] = field(default_factory=dict)
+    #: Latest version ever written (durable or not) per page, indexed by
+    #: page; 0 for a page never written.  Dense: the array only grows when
+    #: a write reaches its end (see :func:`grow_versions`), and such a
+    #: write also grows ``size_pages``, so it never outgrows the file.
+    page_versions: array = field(default_factory=partial(array, "I"))
     #: Whether the inode's metadata (timestamps, size, allocation) is dirty.
     metadata_dirty: bool = False
     #: Version counter of the inode's metadata buffer.
@@ -35,11 +42,13 @@ class Inode:
     last_timestamp_tick: int = -1
     #: Pages appended but not yet covered by a committed allocation.
     unallocated_pages: set[int] = field(default_factory=set)
-    #: File size, in pages, at each metadata buffer version.  Journal
-    #: recovery resolves the metadata version it recovered back to the size
-    #: the on-disk inode would carry (``repro.recovery`` reads this the way
-    #: a real remount reads the inode block the journal replayed).
-    metadata_history: dict[int, int] = field(default_factory=dict)
+    #: File size, in pages, at each metadata buffer version (the inode
+    #: size log).  Journal recovery resolves the metadata version it
+    #: recovered back to the size the on-disk inode would carry
+    #: (``repro.recovery`` reads this the way a real remount reads the inode
+    #: block the journal replayed).  Crash history: ``None`` unless the
+    #: filesystem's ``record_history()`` ran before the inode was created.
+    metadata_history: Optional[dict[int, int]] = None
     #: High-water size (pages) acknowledged by a durability-claiming sync
     #: (``fsync``/``fdatasync``/``dsync``).  This is the application's view
     #: of what the kernel *promised* survived — the recovered-acked-prefix
@@ -115,16 +124,33 @@ def timestamp_tick(now: float, granularity: float) -> int:
 
 
 def make_inode(inode_no: int, name: str, max_file_pages: int,
-               preallocated_pages: int = 0) -> Inode:
-    """Create an inode with its extent placed by inode number."""
+               preallocated_pages: int = 0, *, record_sizes: bool = False) -> Inode:
+    """Create an inode with its extent placed by inode number.
+
+    ``record_sizes`` starts its size log (``metadata_history``) at metadata
+    version 0, the preallocation baseline.
+    """
     inode = Inode(
         inode_no=inode_no,
         name=name,
         extent_base_lba=inode_no * max_file_pages,
         size_pages=preallocated_pages,
+        preallocated_pages=preallocated_pages,
     )
-    inode.metadata_history[0] = preallocated_pages
+    if record_sizes:
+        inode.metadata_history = {0: preallocated_pages}
     return inode
+
+
+def grow_versions(versions: array, page_index: int) -> None:
+    """Pad ``versions`` with never-written pages (0) up to ``page_index``.
+
+    A write past the end of a file leaves a hole; the next ``append`` then
+    lands on ``page_index`` itself.
+    """
+    missing = page_index - len(versions)
+    if missing > 0:
+        versions.frombytes(bytes(missing * versions.itemsize))
 
 
 def group_bitmap_block(inode_no: int, num_groups: int = 16) -> tuple:

@@ -24,9 +24,12 @@ from typing import Generator, Optional, Sequence
 from repro.block.block_device import BlockDevice
 from repro.block.request import BlockRequest, RequestFlag
 from repro.fs.errors import EIOError, ReadOnlyFSError
-from repro.fs.inode import File, Inode, PageCacheStats, group_bitmap_block, make_inode, timestamp_tick
+from repro.fs.inode import (
+    File, Inode, PageCacheStats, group_bitmap_block, grow_versions, make_inode, timestamp_tick,
+)
 from repro.fs.mount import MountOptions
 from repro.simulation.engine import Event, Simulator
+from repro.simulation.history import refuse_late_start
 from repro.storage.command import WrittenBlock
 
 
@@ -93,13 +96,25 @@ class FilesystemBase:
         #: after a durable journal failure).  Writes raise
         #: :class:`ReadOnlyFSError` while the flag is set; reads keep working.
         self.read_only = False
+        #: Whether new inodes keep a size log (:meth:`record_history`).
+        self._record_sizes = False
+
+    def record_history(self) -> None:
+        """Keep every inode's size log from now on (before the first inode).
+
+        The log (``Inode.metadata_history``) is crash history: only journal
+        recovery (:func:`repro.recovery.image.capture_image`) reads it.
+        """
+        if not self._record_sizes:
+            refuse_late_start(bool(self._inodes), "the inode size log")
+            self._record_sizes = True
 
     # ------------------------------------------------------------------ namespace
     def create(self, name: str, *, preallocate_pages: int = 0) -> File:
         """Create (or truncate) a file and return an open handle."""
         inode = make_inode(
             next(self._inode_numbers), name, self.options.max_file_pages,
-            preallocated_pages=preallocate_pages,
+            preallocated_pages=preallocate_pages, record_sizes=self._record_sizes,
         )
         self._inodes[name] = inode
         return File(inode=inode, append_page=0)
@@ -144,9 +159,17 @@ class FilesystemBase:
         start = offset_page if offset_page is not None else file.append_page
         pages = list(range(start, start + num_pages))
         allocating = False
+        versions = inode.page_versions
         for page_index in pages:
-            version = inode.page_versions.get(page_index, 0) + 1
-            inode.page_versions[page_index] = version
+            end = len(versions)
+            if page_index < end:
+                version = versions[page_index] + 1
+                versions[page_index] = version
+            else:
+                if page_index > end:
+                    grow_versions(versions, page_index)
+                versions.append(1)
+                version = 1
             inode.dirty_pages[page_index] = version
             if page_index >= inode.size_pages:
                 allocating = True
@@ -170,7 +193,9 @@ class FilesystemBase:
     def _dirty_metadata(self, inode: Inode) -> None:
         inode.metadata_dirty = True
         inode.metadata_version += 1
-        inode.metadata_history[inode.metadata_version] = inode.size_pages
+        history = inode.metadata_history
+        if history is not None:
+            history[inode.metadata_version] = inode.size_pages
         self.page_cache_stats.metadata_dirties += 1
 
     # ------------------------------------------------------------------ writeback
@@ -358,7 +383,7 @@ class FilesystemBase:
         """
         inode = make_inode(
             inode_no, name, self.options.max_file_pages,
-            preallocated_pages=size_pages,
+            preallocated_pages=size_pages, record_sizes=self._record_sizes,
         )
         self._inodes[name] = inode
         self._inode_numbers = itertools.count(inode_no + 1)

@@ -7,9 +7,10 @@ performs exactly that computation on a :class:`~repro.core.verification.CrashPro
 * the **file size** comes from the newest inode-metadata version any
   *recovered* transaction journaled (:func:`recovered_transactions` — the
   commit record and every log block survived), resolved through the
-  inode's ``metadata_history`` the way recovery reads the inode block the
-  journal replayed; with no recovered transaction the size falls back to
-  metadata version 0 (the mkfs/preallocation baseline);
+  inode's ``metadata_history`` (its size log, crash history that only a
+  stack under ``record_history()`` keeps) the way recovery reads the inode
+  block the journal replayed; with no recovered transaction the size falls
+  back to metadata version 0 (the mkfs/preallocation baseline);
 * the **data pages** are the durable ``("data", inode, page)`` blocks of
   the crash state, plus the journaled-data blocks of recovered
   transactions (journal replay rewrites those), newest version per page,
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.verification import CrashProbe, recovered_transactions
+from repro.simulation.history import recorded
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,7 @@ class RecoveredFile:
     inode_no: int
     #: Size in pages per the recovered metadata version.
     size_pages: int
-    #: Size in pages the file had before the run (metadata version 0);
+    #: Size in pages the file had before the run (``Inode.preallocated_pages``);
     #: pages below it carry pre-run (mkfs/preallocation) content rather
     #: than writes the run acknowledged.
     preallocated_pages: int
@@ -73,7 +75,11 @@ def _data_pages_of(blocks, inode_no: int) -> dict[int, int]:
 
 
 def capture_image(probe: CrashProbe) -> RecoveredImage:
-    """What a remount's journal recovery reconstructs from ``probe``."""
+    """What a remount's journal recovery reconstructs from ``probe``.
+
+    Raises :class:`~repro.simulation.history.HistoryNotRecordedError` when
+    the probed stack kept no inode size log (no ``record_history()``).
+    """
     fs = probe.stack.fs
     recovered = recovered_transactions(probe.state, probe.transactions)
     durable_blocks = probe.state.durable_blocks
@@ -86,7 +92,7 @@ def capture_image(probe: CrashProbe) -> RecoveredImage:
         version = 0
         for txn in recovered:
             version = max(version, txn.metadata_buffers.get(metadata_name, 0))
-        size = inode.metadata_history.get(version, 0)
+        size = recorded(inode.metadata_history, "the inode size log").get(version, 0)
 
         pages = _data_pages_of(durable_blocks.items(), inode_no)
         for txn in recovered:
@@ -101,7 +107,7 @@ def capture_image(probe: CrashProbe) -> RecoveredImage:
                 name=name,
                 inode_no=inode_no,
                 size_pages=size,
-                preallocated_pages=inode.metadata_history.get(0, 0),
+                preallocated_pages=inode.preallocated_pages,
                 durable_pages=tuple(
                     sorted(item for item in pages.items() if item[0] < size)
                 ),

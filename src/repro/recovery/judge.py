@@ -57,8 +57,7 @@ def verify_acked_prefix(probe: CrashProbe) -> Optional[str]:
     durable_blocks = probe.state.durable_blocks
     for name in fs.files:
         inode = fs.open(name).inode
-        low = inode.metadata_history.get(0, 0)
-        for page in range(low, inode.synced_size_pages):
+        for page in range(inode.preallocated_pages, inode.synced_size_pages):
             if (inode.data_block_name(page)) not in durable_blocks:
                 return (
                     f"acked prefix violated: {name} lost page {page} below the "

@@ -6,7 +6,9 @@ restart at 1, exactly like a real remount) and seeds it with the
 :class:`~repro.recovery.image.RecoveredImage`:
 
 * inodes are readopted under their pre-crash numbers, ascending, so the
-  LBA extents line up and post-remount files get fresh numbers;
+  LBA extents line up and post-remount files get fresh numbers; the
+  recovered size is each one's preallocation baseline and the recovered
+  page versions its ``page_versions``;
 * the durable data pages are admitted to the device cache as an
   already-durable baseline **and replayed into the FTL log** — skipping
   the log would make the next in-order-recovery scan lose the baseline,
@@ -24,6 +26,7 @@ collide with the continuation's own commits.
 from __future__ import annotations
 
 from repro.core.stack import IOStack
+from repro.fs.inode import grow_versions
 from repro.hooks import install
 from repro.recovery.image import RecoveredImage
 from repro.storage.command import WrittenBlock
@@ -47,8 +50,11 @@ def remount(image: RecoveredImage, spec) -> IOStack:
         # by construction, and the continuation's own syncs move the
         # high-water mark from here.
         inode.synced_size_pages = entry.size_pages
+        versions = inode.page_versions
         for page, version in entry.durable_pages:
-            inode.page_versions[page] = version
+            # Ascending pages below the size: the write path's growth rule.
+            grow_versions(versions, page)
+            versions.append(version)
             blocks.append(
                 WrittenBlock(block=inode.data_block_name(page), version=version)
             )

@@ -2,12 +2,14 @@
 
 Crash recovery and order verification read what happened during a run:
 the block layer's issue and dispatch logs, the journal's commit history,
-every page the device cache admitted and, under in-order recovery, the
-device's FTL log (one entry per programmed page, which the recovery scan
-reads).  A plain run reads none of it,
-so a layer keeps these lists only after its ``record_history()`` was
-called -- :meth:`repro.core.stack.IOStack.record_history` switches on all
-of them at once.  The call must come before the first IO, or the history
+every inode's size log (the file size at each metadata version, which
+journal recovery resolves a recovered inode block through), every page the
+device cache admitted and, under in-order recovery, the device's FTL log
+(one entry per programmed page, which the recovery scan reads).  A plain
+run reads none of it, so a layer keeps these records only after its
+``record_history()`` was called --
+:meth:`repro.core.stack.IOStack.record_history` switches on all of them
+at once.  The call must come before the first IO, or the history
 would silently miss its start; reading a history that was never recorded
 raises :class:`HistoryNotRecordedError` instead of returning a partial one.
 """
@@ -25,6 +27,15 @@ class HistoryNotRecordedError(SimulationError):
     """A crash-history reader ran on a stack that did not record history."""
 
 
+def refuse_late_start(io_seen: bool, what: str) -> None:
+    """Raise when recording ``what`` would start after the layer saw IO."""
+    if io_seen:
+        raise SimulationError(
+            f"record_history() called after the first IO: {what} would miss "
+            "its start; call it right after building the stack"
+        )
+
+
 def start_history(history: Optional[list[T]], io_seen: bool, what: str) -> list[T]:
     """The list to record ``what`` into from now on.
 
@@ -33,11 +44,7 @@ def start_history(history: Optional[list[T]], io_seen: bool, what: str) -> list[
     """
     if history is not None:
         return history
-    if io_seen:
-        raise SimulationError(
-            f"record_history() called after the first IO: {what} would miss "
-            "its start; call it right after building the stack"
-        )
+    refuse_late_start(io_seen, what)
     return []
 
 

@@ -132,6 +132,24 @@ class TestBackpressure:
         assert all(request.error is None for request in requests)
         assert block.stats.busy_requeues <= block.config.busy_requeue_limit
 
+    def test_busy_requeue_exhaustion_counts_as_an_io_failure(self):
+        # A request failed for ``device-busy`` is a failure like a
+        # retry-exhausted one: ``io_failures`` must count it, or a run whose
+        # syncs raised EIO reports no failure at all.
+        sim, device, block = make_stack(busy_requeue_limit=1)
+        count = device.profile.queue_depth * 3
+
+        def host():
+            requests = [block.write(index * 10, 1) for index in range(count)]
+            yield sim.all_of([request.completed for request in requests])
+            return requests
+
+        requests = run(sim, host())
+        busy = [request for request in requests if request.error == "device-busy"]
+        assert busy
+        assert block.stats.io_failures == len(busy)
+        assert (block.stats.io_errors, block.stats.power_failures) == (0, 0)
+
     def test_power_loss_mid_dispatch_fails_queued_requests(self):
         sim, device, block = make_stack()
 

@@ -3,20 +3,25 @@
 A sync call must not leave reference cycles behind (they cost a garbage
 collection pass), and a stack that never called ``record_history()`` must
 not grow with the run: every event, request, command and transaction of a
-finished call is freed by reference counting alone, and the storage layer
-(cache entries, FTL log) keeps nothing per programmed page.
+finished call is freed by reference counting alone, the storage layer
+(cache entries, FTL log) keeps nothing per programmed page, and a file
+keeps only its dense page versions (no inode size log).
 """
 
 import gc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.measure import measure_sync_latency
+from repro.analysis.perfbench import retained_bytes_per_call
 from repro.block.request import BlockRequest
 from repro.core import build_stack, standard_config
 from repro.core.verification import CrashProbe, journal_transactions
 from repro.fs.journal.transaction import JournalTransaction
+from repro.recovery.image import capture_image
 from repro.scenarios.stacks import STACK_CONFIGS
 from repro.simulation import MSEC, Event, HistoryNotRecordedError, SimulationError
 from repro.storage import BarrierMode
@@ -101,11 +106,26 @@ def test_storage_objects_do_not_grow_without_history(config, mode):
     assert _live_storage_objects() == after_400
 
 
+#: Bytes a plain run may keep per allocating one-page sync call on one
+#: growing file: its 4-byte page version plus the amortised growth of the
+#: bounded sets and arrays the run reuses.  An inode size-log entry per
+#: call (~100 B) or a dict entry per page version (~70 B) fails it.
+RETAINED_BYTES_PER_CALL = 48
+
+
+@pytest.mark.parametrize("config,sync_call", LOOPS)
+def test_plain_run_retains_almost_nothing_per_call(config, sync_call):
+    retained = retained_bytes_per_call(config, sync_call, calls=400)
+    assert retained <= RETAINED_BYTES_PER_CALL, retained
+
+
 def test_history_readers_raise_without_record_history():
     stack = build_stack(standard_config("BFS-DR", "plain-ssd"))
     _sync_loop(stack, "fsync", 5, "a.dat")
     with pytest.raises(SimulationError, match="record_history"):
         stack.record_history()
+    with pytest.raises(SimulationError, match="inode size log"):
+        stack.fs.record_history()
     stack.device.power_off()
     with pytest.raises(HistoryNotRecordedError):
         recover_durable_blocks(stack.device)
@@ -118,3 +138,52 @@ def test_history_readers_raise_without_record_history():
     with pytest.raises(HistoryNotRecordedError):
         CrashProbe.from_stack(state, stack)
     assert CrashProbe.from_stack(state, recorded).dispatch_log
+    # Every layer but the filesystem recorded: remount recovery has no
+    # inode size log to resolve the recovered metadata version through.
+    sizeless = build_stack(standard_config("BFS-DR", "plain-ssd"))
+    sizeless.block.record_history()
+    sizeless.device.record_history()
+    sizeless.fs.journal.record_history()
+    _sync_loop(sizeless, "fsync", 5, "a.dat")
+    probe = CrashProbe.from_stack(recover_durable_blocks(sizeless.device), sizeless)
+    with pytest.raises(HistoryNotRecordedError, match="inode size log"):
+        capture_image(probe)
+    assert capture_image(CrashProbe.from_stack(state, recorded)).files
+
+
+#: One buffered write: ("append", pages), ("rewrite", position, pages) at a
+#: page below the size, or ("past", gap, pages) starting ``gap`` pages past
+#: the end of the file.
+WRITES = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.integers(1, 4)),
+        st.tuples(st.just("rewrite"), st.floats(0, 1, exclude_max=True), st.integers(1, 4)),
+        st.tuples(st.just("past"), st.integers(0, 6), st.integers(1, 4)),
+    ),
+    max_size=30,
+)
+
+
+@given(writes=WRITES, preallocated=st.sampled_from([0, 5]))
+@settings(max_examples=60, deadline=None)
+def test_dense_page_versions_match_a_dict_model(writes, preallocated):
+    stack = build_stack(standard_config("BFS-DR", "plain-ssd"))
+    handle = stack.fs.create("model.dat", preallocate_pages=preallocated)
+    inode = handle.inode
+    model: dict[int, int] = {}
+    for write in writes:
+        if write[0] == "append":
+            pages = stack.fs.write(handle, write[1])
+        elif write[0] == "rewrite" and inode.size_pages:
+            offset = int(write[1] * inode.size_pages)
+            pages = stack.fs.write(handle, write[2], offset_page=offset)
+        else:
+            offset = inode.size_pages + (write[1] if write[0] == "past" else 0)
+            pages = stack.fs.write(handle, write[-1], offset_page=offset)
+        for page in pages:
+            model[page] = model.get(page, 0) + 1
+            assert inode.dirty_pages[page] == model[page]
+        versions = inode.page_versions
+        assert len(versions) <= inode.size_pages
+        assert inode.size_pages == max([preallocated, *(page + 1 for page in model)])
+        assert {page: version for page, version in enumerate(versions) if version} == model

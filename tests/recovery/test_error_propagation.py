@@ -138,6 +138,10 @@ class TestFaultFreeRunsFailNothing:
     A fault-free cell must end with every block-layer failure counter at
     zero and no request ever completed with an error status, so the
     filesystem's request-error checks find nothing and raise nowhere.
+    ``io_failures`` counts every failed request (retry-exhausted and
+    busy-requeue-exhausted) and ``power_failures`` the power cuts; the
+    patched ``BlockRequest.fail`` also catches a failure path that a
+    later change leaves uncounted.
     """
 
     @pytest.mark.parametrize("device", ["ufs", "plain-ssd"])

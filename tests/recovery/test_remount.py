@@ -11,6 +11,7 @@ from repro.recovery import (
     run_continuation,
     verify_acked_prefix,
 )
+from repro.recovery.image import RecoveredFile, RecoveredImage
 from repro.scenarios.engine import build_spec_stack
 from repro.scenarios.spec import ScenarioSpec
 from repro.storage.crash import recover_durable_blocks
@@ -100,6 +101,28 @@ class TestRemount:
         inode = stack.fs.open("bench.dat").inode
         for page in range(3):
             assert inode.data_block_name(page) in durable
+
+    def test_remount_seeds_page_versions_with_holes(self):
+        # Lost pages read as never written (version 0); later writes go on
+        # from the recovered versions, and the recovered size is the new
+        # preallocation baseline.
+        image = RecoveredImage(files=(
+            RecoveredFile(
+                name="bench.dat", inode_no=3, size_pages=6,
+                preallocated_pages=0, durable_pages=((1, 3), (4, 2)),
+            ),
+        ))
+        stack = remount(image, SPEC)
+        fs = stack.fs
+        handle = fs.open("bench.dat")
+        inode = handle.inode
+        assert list(inode.page_versions) == [0, 3, 0, 0, 2]
+        assert inode.preallocated_pages == 6
+        assert inode.metadata_history == {0: 6}
+        fs.write(handle, 2, offset_page=4)
+        fs.write(handle, 1, offset_page=1)
+        assert inode.dirty_pages == {4: 3, 5: 1, 1: 4}
+        assert list(inode.page_versions) == [0, 4, 0, 0, 3, 1]
 
     def test_remount_clears_degradation(self):
         # A remount is a fresh mount: not read-only, fresh journal, even if
