@@ -1,97 +1,51 @@
 """Streaming metrics registry, sampled at span boundaries.
 
-Everything in here is O(1) memory per metric name: counters are plain
-integers, gauges are time-weighted means plus a peak, and latency
-distributions are P² quantile sketches (:class:`repro.simulation.stats.
-P2Quantile`) — no per-observation storage anywhere, which is what lets a
-tracer watch a million-operation run without growing.
+Counters are plain integers, gauges are time-weighted means plus a peak
+(:class:`repro.simulation.stats.TimeWeightedStat`), and latency
+distributions are exact: one :class:`repro.simulation.stats.LatencyRecorder`
+per span name keeps every duration (8 B each), so p50/p99/p999 are the
+true percentiles of the span stream.  The span ring buffer stays bounded
+either way; only these durations grow with the run.
 
 The registry is fed by the tracer every time a span closes: the span's
-duration goes into the ``layer.op`` duration sketch, the span count into
+duration goes into the ``layer.op`` duration recorder, the span count into
 the matching counter, and the instantaneous queue depths of the block and
 device layers into the gauges.  ``summary()`` flattens the whole registry
-into one dict for JSON export; ``result()`` renders the duration sketches
-as an :class:`repro.analysis.reporting.ExperimentResult` table.
+into one dict for JSON export; ``result()`` renders the durations as an
+:class:`repro.analysis.reporting.ExperimentResult` table.
 """
 
 from __future__ import annotations
 
-from repro.simulation.stats import P2Quantile, TimeWeightedStat
-
-#: Quantiles every duration sketch tracks.
-SKETCH_FRACTIONS = (0.50, 0.99, 0.999)
+from repro.simulation.stats import LatencyRecorder, TimeWeightedStat
 
 
-class DurationSketch:
-    """Streaming duration distribution: count/mean/min/max + p50/p99/p999."""
-
-    __slots__ = ("count", "total", "minimum", "maximum", "quantiles")
-
-    def __init__(self):
-        self.count = 0
-        self.total = 0.0
-        self.minimum = float("inf")
-        self.maximum = float("-inf")
-        self.quantiles = tuple(P2Quantile(f) for f in SKETCH_FRACTIONS)
-
-    def observe(self, duration: float) -> None:
-        """Feed one span duration (microseconds)."""
-        self.count += 1
-        self.total += duration
-        if duration < self.minimum:
-            self.minimum = duration
-        if duration > self.maximum:
-            self.maximum = duration
-        for quantile in self.quantiles:
-            quantile.observe(duration)
-
-    @property
-    def mean(self) -> float:
-        """Mean duration."""
-        return self.total / self.count if self.count else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        """Flat summary of the sketch."""
-        p50, p99, p999 = (q.value() if self.count else 0.0 for q in self.quantiles)
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": p50,
-            "p99": p99,
-            "p999": p999,
-            "min": self.minimum if self.count else 0.0,
-            "max": self.maximum if self.count else 0.0,
-        }
+def duration_summary(recorder: LatencyRecorder) -> dict[str, float]:
+    """Flat summary of one span name's durations."""
+    summary = recorder.summary()
+    return {
+        "count": summary.count,
+        "mean": summary.mean,
+        "p50": summary.median,
+        "p99": summary.p99,
+        "p999": summary.p999,
+        "min": summary.minimum,
+        "max": summary.maximum,
+    }
 
 
-class Gauge:
-    """Time-weighted mean + peak + last value of a sampled signal."""
-
-    __slots__ = ("_stat",)
-
-    def __init__(self):
-        self._stat = TimeWeightedStat()
-
-    def sample(self, time: float, value: float) -> None:
-        """Record that the signal held ``value`` at ``time``."""
-        self._stat.update(time, value)
-
-    def as_dict(self) -> dict[str, float]:
-        """Flat summary of the gauge."""
-        return {
-            "mean": self._stat.mean(),
-            "peak": self._stat.peak,
-            "last": self._stat.current,
-        }
+def gauge_summary(stat: TimeWeightedStat) -> dict[str, float]:
+    """Flat summary of one gauge."""
+    return {"mean": stat.mean(), "peak": stat.peak, "last": stat.current}
 
 
 class MetricsRegistry:
-    """Counters, gauges and duration sketches keyed by name."""
+    """Counters, gauges and span durations keyed by name."""
 
     def __init__(self):
         self.counters: dict[str, int] = {}
-        self.gauges: dict[str, Gauge] = {}
-        self.durations: dict[str, DurationSketch] = {}
+        self.gauges: dict[str, TimeWeightedStat] = {}
+        self.durations: dict[str, LatencyRecorder] = {}
 
     def count(self, name: str, increment: int = 1) -> None:
         """Bump a counter."""
@@ -99,38 +53,38 @@ class MetricsRegistry:
 
     def gauge(self, name: str, time: float, value: float) -> None:
         """Sample a gauge."""
-        gauge = self.gauges.get(name)
-        if gauge is None:
-            gauge = self.gauges[name] = Gauge()
-        gauge.sample(time, value)
+        stat = self.gauges.get(name)
+        if stat is None:
+            stat = self.gauges[name] = TimeWeightedStat()
+        stat.update(time, value)
 
     def observe_duration(self, name: str, duration: float) -> None:
-        """Feed a duration sketch."""
-        sketch = self.durations.get(name)
-        if sketch is None:
-            sketch = self.durations[name] = DurationSketch()
-        sketch.observe(duration)
+        """Record one span duration (microseconds)."""
+        recorder = self.durations.get(name)
+        if recorder is None:
+            recorder = self.durations[name] = LatencyRecorder(name)
+        recorder.record(duration)
 
     def summary(self) -> dict[str, object]:
         """The whole registry as one nested dict (JSON-exportable)."""
         return {
             "counters": dict(sorted(self.counters.items())),
             "gauges": {
-                name: gauge.as_dict() for name, gauge in sorted(self.gauges.items())
+                name: gauge_summary(stat) for name, stat in sorted(self.gauges.items())
             },
             "durations": {
-                name: sketch.as_dict()
-                for name, sketch in sorted(self.durations.items())
+                name: duration_summary(recorder)
+                for name, recorder in sorted(self.durations.items())
             },
         }
 
     def result(self):
-        """The duration sketches as a printable latency table."""
+        """The span durations as a printable latency table."""
         from repro.analysis.reporting import ExperimentResult
 
         result = ExperimentResult(
             name="trace-metrics",
-            description="per-layer span latency sketches (streaming, O(1) memory)",
+            description="per-layer span latencies (exact percentiles over every span)",
             columns=(
                 "span", "count", "mean_us", "p50_us", "p99_us", "p999_us",
                 "min_us", "max_us",
@@ -140,13 +94,13 @@ class MetricsRegistry:
                 + " ".join(f"{k}={v}" for k, v in sorted(self.counters.items()))
                 + " | gauges: "
                 + " ".join(
-                    f"{k}(mean={g.as_dict()['mean']:.2f},peak={g.as_dict()['peak']:.0f})"
+                    f"{k}(mean={g.mean():.2f},peak={g.peak:.0f})"
                     for k, g in sorted(self.gauges.items())
                 )
             ),
         )
-        for name, sketch in sorted(self.durations.items()):
-            stats = sketch.as_dict()
+        for name, recorder in sorted(self.durations.items()):
+            stats = duration_summary(recorder)
             result.add_row(
                 name, stats["count"], stats["mean"], stats["p50"], stats["p99"],
                 stats["p999"], stats["min"], stats["max"],

@@ -3,9 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.simulation import LatencyRecorder, TimeSeries, TimeWeightedStat, percentile
-from repro.simulation.stats import P2Quantile
 
 
 def test_percentile_matches_linear_interpolation():
@@ -28,7 +29,8 @@ def test_percentile_rejects_bad_input():
 
 def test_latency_recorder_summary_fields():
     recorder = LatencyRecorder("fsync")
-    recorder.extend(float(value) for value in range(1, 101))
+    for value in range(1, 101):
+        recorder.record(float(value))
     summary = recorder.summary()
     assert summary.count == 100
     assert summary.mean == pytest.approx(50.5)
@@ -53,80 +55,99 @@ def test_latency_recorder_empty_summary_raises():
         LatencyRecorder().summary()
 
 
-def test_p2_quantile_is_exact_under_five_observations():
-    sketch = P2Quantile(0.5)
-    for value in (30.0, 10.0, 20.0):
-        sketch.observe(value)
-    assert sketch.value() == 20.0
+def assert_summary_is_exact(recorder, samples):
+    summary = recorder.summary()
+    assert summary.count == len(recorder) == len(samples)
+    assert summary.median == percentile(samples, 0.5)
+    assert summary.p99 == percentile(samples, 0.99)
+    assert summary.p999 == percentile(samples, 0.999)
+    assert summary.p9999 == percentile(samples, 0.9999)
+    assert summary.minimum == min(samples)
+    assert summary.maximum == max(samples)
 
 
-def test_p2_quantile_tracks_a_long_stream():
-    rng = random.Random(7)
-    samples = [rng.uniform(0.0, 1000.0) for _ in range(20_000)]
-    sketch = P2Quantile(0.99)
+def test_latency_recorder_is_exact_at_a_hundred_thousand_samples():
+    # Far more samples than any published experiment records: every
+    # percentile is still the exact one.
+    rng = random.Random(11)
+    samples = [rng.lognormvariate(4.0, 1.0) for _ in range(100_000)]
+    recorder = LatencyRecorder()
+    total = 0.0
     for value in samples:
-        sketch.observe(value)
-    exact = percentile(samples, 0.99)
-    # The P² estimate holds five markers, not 20k samples; accept ~2%.
-    assert sketch.value() == pytest.approx(exact, rel=0.02)
+        recorder.record(value)
+        total += value
+    assert_summary_is_exact(recorder, samples)
+    assert recorder.summary().mean == total / len(samples)
 
 
-def test_p2_quantile_rejects_bad_fraction_and_empty_value():
-    with pytest.raises(ValueError):
-        P2Quantile(0.0)
-    with pytest.raises(ValueError):
-        P2Quantile(1.0)
-    with pytest.raises(ValueError):
-        P2Quantile(0.5).value()
-
-
-def test_latency_recorder_is_exact_up_to_the_window():
-    bounded = LatencyRecorder(exact_window=64)
-    unbounded = LatencyRecorder()
-    values = [float((7 * i) % 100) for i in range(64)]
-    bounded.extend(values)
-    unbounded.extend(values)
-    assert not bounded.saturated
-    assert bounded.summary() == unbounded.summary()
-
-
-def test_latency_recorder_saturates_to_bounded_memory():
-    recorder = LatencyRecorder(exact_window=16)
-    rng = random.Random(3)
-    values = [rng.uniform(1.0, 500.0) for _ in range(5_000)]
-    recorder.extend(values)
-    assert recorder.saturated
-    assert len(recorder.samples) == 16  # storage stopped growing
-    summary = recorder.summary()
-    # Count, mean, min and max stay exact at any length...
-    assert summary.count == len(recorder) == 5_000
-    assert summary.mean == pytest.approx(sum(values) / len(values))
-    assert summary.minimum == min(values)
-    assert summary.maximum == max(values)
-    # ...while the percentiles come from the sketches, fed from sample one.
-    assert summary.median == pytest.approx(percentile(values, 0.5), rel=0.05)
-    assert summary.p99 == pytest.approx(percentile(values, 0.99), rel=0.05)
-    assert summary.minimum <= summary.p999 <= summary.maximum
-
-
-@pytest.mark.parametrize("window", [0, 16, 100])
-def test_latency_recorder_sketches_match_streaming_from_sample_one(window):
-    # The sketches are fed only once the window overflows (the stored window
-    # is replayed into them first); these values were produced by recorders
-    # that fed every sample to the sketches as it arrived.
-    recorder = LatencyRecorder(exact_window=window)
+def test_latency_recorder_pins_a_seeded_stream():
+    # Count, mean, min and max are pinned bit-exact: the mean is summed in
+    # recording order.
+    recorder = LatencyRecorder()
     rng = random.Random(1234)
-    for _ in range(1_000):
-        recorder.record(rng.expovariate(1 / 50.0))
+    samples = [rng.expovariate(1 / 50.0) for _ in range(1_000)]
+    for value in samples:
+        recorder.record(value)
     summary = recorder.summary()
-    assert (
-        summary.count, summary.mean, summary.median, summary.p99,
-        summary.p999, summary.p9999, summary.minimum, summary.maximum,
-    ) == (
-        1000, 50.96028187206566, 36.05172466228526, 217.04440091530722,
-        302.34103471669033, 302.34103471669033, 0.012193498731288803,
-        526.5910636140684,
+    assert (summary.count, summary.mean, summary.minimum, summary.maximum) == (
+        1000, 50.96028187206566, 0.012193498731288803, 526.5910636140684,
     )
+    assert_summary_is_exact(recorder, samples)
+
+
+@given(st.lists(
+    st.floats(min_value=0.0, max_value=1e12, allow_nan=False), min_size=1,
+))
+def test_latency_recorder_summary_is_the_percentile_of_its_samples(samples):
+    recorder = LatencyRecorder()
+    for value in samples:
+        recorder.record(value)
+    assert_summary_is_exact(recorder, samples)
+
+
+def test_latency_recorder_stores_each_sample_as_a_double():
+    recorder = LatencyRecorder()
+    for value in (3.0, 1.5, 2.25):
+        recorder.record(value)
+    assert recorder.samples.typecode == "d"
+    assert recorder.samples.itemsize == 8
+    assert list(recorder.samples) == [3.0, 1.5, 2.25]
+
+
+def test_latency_recorder_summary_does_not_depend_on_recording_order():
+    rng = random.Random(5)
+    samples = [rng.uniform(1.0, 900.0) for _ in range(2_000)]
+    shuffled = samples[:]
+    rng.shuffle(shuffled)
+    forward, backward = LatencyRecorder(), LatencyRecorder()
+    for value in samples:
+        forward.record(value)
+    for value in shuffled:
+        backward.record(value)
+    first, second = forward.summary(), backward.summary()
+    assert (first.count, first.median, first.p99, first.p999, first.p9999) == (
+        second.count, second.median, second.p99, second.p999, second.p9999,
+    )
+    assert (first.minimum, first.maximum) == (second.minimum, second.maximum)
+    assert first.mean == pytest.approx(second.mean)
+
+
+def test_latency_recorder_keeps_recording_after_a_summary():
+    recorder = LatencyRecorder()
+    for value in (30.0, 10.0, 20.0):
+        recorder.record(value)
+    assert recorder.summary().median == 20.0
+    # Summarising sorts a copy: the stored samples keep recording order.
+    assert list(recorder.samples) == [30.0, 10.0, 20.0]
+    recorder.record(40.0)
+    summary = recorder.summary()
+    assert (summary.count, summary.median, summary.maximum) == (4, 25.0, 40.0)
+    assert summary.mean == recorder.mean == 25.0
+
+
+def test_latency_recorder_mean_of_no_samples_raises():
+    with pytest.raises(ValueError):
+        LatencyRecorder().mean
 
 
 def test_time_series_records_samples_and_maximum():
@@ -134,7 +155,7 @@ def test_time_series_records_samples_and_maximum():
     series.record(0, 0)
     series.record(10, 4)
     series.record(20, 8)
-    assert series.samples() == [(0, 0), (10, 4), (20, 8)]
+    assert list(zip(series.times, series.values)) == [(0, 0), (10, 4), (20, 8)]
     assert series.maximum == 8
 
 

@@ -19,6 +19,7 @@ import pytest
 
 from repro.scenarios.engine import run_spec, run_spec_traced
 from repro.scenarios.spec import ScenarioSpec
+from repro.simulation.stats import percentile
 from repro.trace import LAYERS, Tracer, chrome_trace
 
 #: Every valid (config, barrier-mode) pairing: EXT4-DR runs on orderless
@@ -259,6 +260,18 @@ class TestMetrics:
             assert metrics.counters[f"spans.{layer}"] == count
         assert metrics.counters["syscalls.fsync"] == len(tracer.contexts)
         assert "queue.device" in metrics.gauges
+        # Every duration summary is exact over that name's spans.
+        durations = {}
+        for span in tracer.spans:
+            durations.setdefault(f"{span.layer}.{span.op}", []).append(span.duration)
+        summaries = metrics.summary()["durations"]
+        assert set(summaries) == set(metrics.durations) == set(durations)
+        for name, stats in summaries.items():
+            spans = durations[name]
+            assert stats["count"] == len(spans), name
+            assert (stats["min"], stats["max"]) == (min(spans), max(spans)), name
+            for key, fraction in (("p50", 0.5), ("p99", 0.99), ("p999", 0.999)):
+                assert stats[key] == percentile(spans, fraction), (name, key)
 
     def test_metrics_result_table_shape(self):
         tracer = Tracer()
@@ -270,6 +283,6 @@ class TestMetrics:
         rows = result.as_dicts()
         assert rows
         for row in rows:
-            # Each P2 sketch's estimate stays within the observed range.
+            # Percentiles lie within the observed range.
             assert row["min_us"] <= row["p50_us"] <= row["max_us"]
             assert row["min_us"] <= row["p99_us"] <= row["max_us"]
