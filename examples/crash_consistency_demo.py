@@ -16,7 +16,7 @@ Expected outcome:
 
 from repro.block.request import RequestFlag
 from repro.core import build_stack, standard_config
-from repro.core.verification import epoch_prefix_holds
+from repro.core.verification import ORACLES, CrashProbe, VerificationError
 from repro.storage.command import WrittenBlock
 from repro.storage.crash import recover_durable_blocks
 
@@ -55,7 +55,12 @@ def run_one(config_name: str, ordered: bool) -> None:
         index for index in range(max(durable_records, default=-1))
         if index not in durable_records
     ]
-    ordered_ok = epoch_prefix_holds(state) and not holes
+    try:
+        ORACLES["epoch-prefix"].verify(CrashProbe(state))
+        epoch_prefix = True
+    except VerificationError:
+        epoch_prefix = False
+    ordered_ok = epoch_prefix and not holes
     print(
         f"  {config_name:8s} durable={len(durable_records):3d}/600  "
         f"holes_before_last_survivor={len(holes):3d}  storage_order_preserved={ordered_ok}"

@@ -4,9 +4,10 @@
   block layer + filesystem) from a declarative :class:`StackConfig`,
   including the named configurations the paper compares (EXT4-DR, EXT4-OD,
   BFS-DR, BFS-OD, OptFS).
-* :mod:`repro.core.verification` — check the paper's correctness claims:
-  epoch-prefix durability, scheduler order preservation and journal
-  recovery invariants.
+* :mod:`repro.core.verification` — the crash oracles that check the
+  paper's correctness claims (epoch-prefix durability, storage-order
+  prefix, scheduler order preservation and journal recovery), one
+  incremental check each, and the registry they live in.
 """
 
 from repro.core.stack import IOStack, StackConfig, build_stack, standard_config
@@ -15,13 +16,8 @@ from repro.core.verification import (
     CrashProbe,
     Oracle,
     VerificationError,
-    applicable_oracles,
     journal_transactions,
     register_oracle,
-    verify_dispatch_preserves_epochs,
-    verify_epoch_prefix,
-    verify_journal_recovery,
-    verify_storage_order_prefix,
 )
 
 __all__ = [
@@ -31,13 +27,8 @@ __all__ = [
     "Oracle",
     "StackConfig",
     "VerificationError",
-    "applicable_oracles",
     "build_stack",
     "journal_transactions",
     "register_oracle",
     "standard_config",
-    "verify_dispatch_preserves_epochs",
-    "verify_epoch_prefix",
-    "verify_journal_recovery",
-    "verify_storage_order_prefix",
 ]

@@ -1,34 +1,38 @@
-"""Correctness checks for the barrier-enabled IO stack.
+"""Correctness checks for the barrier-enabled IO stack: the crash oracles.
 
-Four families of invariants are verified (they back the unit/property
-tests, the crash-consistency example and the :mod:`repro.crashlab`
-exploration subsystem):
+Four families of invariants are checked against the crash state a power
+cut leaves (:class:`repro.storage.crash.CrashState`); they back the unit
+and property tests, the crash-consistency example and the
+:mod:`repro.crashlab` exploration subsystem:
 
-* **Epoch-prefix durability** — after a crash on a barrier-honouring device,
-  if any page of epoch *k* survived then every page of every epoch < *k*
-  survived (:func:`verify_epoch_prefix`).
-* **Storage-order prefix** — the durable pages form a prefix of the transfer
-  order, up to same-block overwrites (:func:`verify_storage_order_prefix`);
-  this is the transfer-granularity form of the barrier guarantee and is what
-  a legacy (``NONE``) device visibly breaks.
-* **Scheduler/dispatch order** — the dispatch order never lets a request of
-  a later epoch overtake an earlier epoch
-  (:func:`verify_dispatch_preserves_epochs`).
-* **Journal recovery** — the transactions recoverable from the durable
-  journal blocks form a prefix of the commit order, and in ordered mode the
-  data each recovered transaction references is itself durable
-  (:func:`verify_journal_recovery`).
+* **Epoch-prefix durability** (``epoch-prefix``) — after a crash on a
+  barrier-honouring device, if any page of epoch *k* survived then every
+  page of every epoch < *k* survived.
+* **Storage-order prefix** (``storage-order-prefix``) — the durable pages
+  form a prefix of the transfer order, up to same-block overwrites; this is
+  the transfer-granularity form of the barrier guarantee and is what a
+  legacy (``NONE``) device visibly breaks.
+* **Scheduler/dispatch order** (``dispatch-epoch-order``) — the dispatch
+  order never lets a request of a later epoch overtake an earlier epoch.
+* **Journal recovery** (``journal-recovery``) — the transactions
+  recoverable from the durable journal blocks form a prefix of the commit
+  order, and in ordered mode the data each recovered transaction references
+  is itself durable.
 
-The module also hosts the **crash-oracle registry**: each invariant family
-is wrapped as an :class:`Oracle` with an applicability predicate and a
-*guaranteed* predicate (whether the stack × barrier-mode cell under test
-actually promises the property — a violation on a cell that doesn't promise
-it is an expected witness, not a bug).  :mod:`repro.crashlab` adds
-workload-level oracles on top via :func:`register_oracle`.
+Each invariant is one :class:`IncrementalCheck`, registered as an
+:class:`Oracle` with an applicability predicate and a *guaranteed*
+predicate (whether the stack × barrier-mode cell under test actually
+promises the property — a violation on a cell that doesn't promise it is
+an expected witness, not a bug).  A check keeps its scan positions and
+partial results between calls, so the exploration engine judges a run
+point after point over one crash state advanced in step; a check built on
+a freshly folded state judges that state alone.  :mod:`repro.crashlab`
+adds workload-level oracles on top via :func:`register_oracle`.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -42,149 +46,24 @@ class VerificationError(AssertionError):
     """Raised when a run violates one of the paper's ordering guarantees."""
 
 
-def verify_epoch_prefix(state: CrashState) -> None:
-    """Check epoch-prefix durability of a crash state.
-
-    Guaranteed by devices whose barrier mode orders persistence; for a
-    legacy (``NONE``) device the property is expected to fail and a
-    violation witnesses the legacy behaviour rather than a bug.
-    """
-    durable_epochs = {entry.epoch for entry in state.durable}
-    if not durable_epochs:
-        return
-    max_durable_epoch = max(durable_epochs)
-    durable_seqs = state.durable_seqs
-    missing = [
-        entry
-        for entry in state.transferred
-        if entry.epoch < max_durable_epoch and entry.transfer_seq not in durable_seqs
-    ]
-    if missing:
-        raise VerificationError(
-            f"epoch-prefix violated: epoch {max_durable_epoch} has durable pages "
-            f"but {len(missing)} earlier-epoch pages were lost "
-            f"(example: {missing[0].block} in epoch {missing[0].epoch})"
-        )
-
-
-def verify_storage_order_prefix(state: CrashState) -> None:
-    """Check that the durable set is a prefix of the transfer order.
-
-    A transferred page that did not survive is a violation if any page
-    transferred *after* it is durable — unless a durable write of the same
-    block carries at least its version (an overwrite supersedes the lost
-    page).  This is the transfer-granularity barrier guarantee: all the
-    ordering barrier modes drain the cache in transfer order (or atomically),
-    so their durable sets are prefixes; the legacy ``NONE`` drain order is
-    arbitrary and visibly breaks the property.
-    """
-    if not state.durable:
-        return
-    horizon = state.durable[-1].transfer_seq
-    durable_seqs = state.durable_seqs
-    newest_durable: dict[object, int] = {}
-    for entry in state.durable:
-        current = newest_durable.get(entry.block)
-        if current is None or entry.version > current:
-            newest_durable[entry.block] = entry.version
-    for entry in state.transferred:
-        if entry.transfer_seq >= horizon:
-            break
-        if entry.transfer_seq in durable_seqs:
-            continue
-        if newest_durable.get(entry.block, -1) >= entry.version:
-            continue
-        raise VerificationError(
-            f"storage-order prefix violated: {entry.block} v{entry.version} "
-            f"(transfer #{entry.transfer_seq}, epoch {entry.epoch}) was lost "
-            f"while a later transfer (#{horizon}) is durable"
-        )
-
-
-def epoch_prefix_holds(state: CrashState) -> bool:
-    """Boolean form of :func:`verify_epoch_prefix`."""
-    try:
-        verify_epoch_prefix(state)
-    except VerificationError:
-        return False
-    return True
-
-
-def verify_dispatch_preserves_epochs(dispatch_log: Sequence[BlockRequest]) -> None:
-    """Check ``I = D`` at epoch granularity.
-
-    In the barrier-enabled block layer requests may be reordered only within
-    an epoch; the epoch numbers observed along the dispatch order must
-    therefore be non-decreasing.
-    """
-    last_epoch = -1
-    for request in dispatch_log:
-        epoch = request.issue_epoch
-        if epoch is None:
-            continue
-        if epoch < last_epoch:
-            raise VerificationError(
-                f"dispatch order violates epochs: {request.describe()} of epoch "
-                f"{epoch} dispatched after epoch {last_epoch}"
-            )
-        last_epoch = max(last_epoch, epoch)
+def _recoverable(txn: JournalTransaction, durable) -> bool:
+    """Whether ``txn``'s commit record and every log block are in ``durable``."""
+    txid = txn.txid
+    return (
+        ("jc", txid) in durable
+        and ("jd", txid) in durable
+        and all(("log", txid, name) in durable for name in txn.metadata_buffers)
+        and all(("logdata", txid, name) in durable for name in txn.journaled_data)
+    )
 
 
 def recovered_transactions(
     state: CrashState, transactions: Iterable[JournalTransaction]
 ) -> list[JournalTransaction]:
     """Transactions whose commit record and every log block survived."""
-    durable = state.durable_blocks
-    recovered = []
-    for txn in transactions:
-        needed = [("jc", txn.txid), ("jd", txn.txid)]
-        needed.extend(("log", txn.txid, name) for name in txn.metadata_buffers)
-        needed.extend(("logdata", txn.txid, name) for name in txn.journaled_data)
-        if all(block in durable for block in needed):
-            recovered.append(txn)
+    durable = state.latest
+    recovered = [txn for txn in transactions if _recoverable(txn, durable)]
     return sorted(recovered, key=lambda txn: txn.txid)
-
-
-def verify_journal_recovery(
-    state: CrashState,
-    transactions: Sequence[JournalTransaction],
-    *,
-    ordered_mode: bool = True,
-    require_commit_prefix: bool = True,
-) -> list[JournalTransaction]:
-    """Check the filesystem-journal invariants and return the recovered set.
-
-    * the recovered transactions form a prefix of the commit (txid) order;
-    * in ordered mode, every data page a recovered transaction references is
-      durable with at least the referenced version.
-    """
-    ordered_txns = sorted(transactions, key=lambda txn: txn.txid)
-    recovered = recovered_transactions(state, ordered_txns)
-    recovered_ids = {txn.txid for txn in recovered}
-
-    if require_commit_prefix and recovered:
-        newest = max(recovered_ids)
-        committed_before = [
-            txn for txn in ordered_txns
-            if txn.txid < newest and txn.commit_requested_at is not None
-        ]
-        for txn in committed_before:
-            if txn.txid not in recovered_ids:
-                raise VerificationError(
-                    f"journal recovery violates commit order: transaction "
-                    f"{newest} is recoverable but earlier transaction {txn.txid} is not"
-                )
-
-    if ordered_mode:
-        durable = state.durable_blocks
-        for txn in recovered:
-            for name, version in txn.ordered_data.items():
-                if durable.get(name, -1) < version:
-                    raise VerificationError(
-                        f"ordered-mode violation: transaction {txn.txid} is "
-                        f"recoverable but its data block {name} (v{version}) is not durable"
-                    )
-    return recovered
 
 
 def journal_transactions(filesystem: object) -> list[JournalTransaction]:
@@ -216,12 +95,12 @@ class CrashProbe:
 
     ``stack``, ``spec`` and ``workload`` are typed loosely because the
     scenario layer builds on the core, not the other way round; core oracles
-    only read ``state``/``transactions``/``dispatch_log``, while workload
+    read ``state``, ``dispatch_log`` and the stack's journal, while workload
     oracles registered by :mod:`repro.crashlab` reach into the spec and the
     filesystem namespace.
     """
 
-    #: Durable state reconstructed by ``recover_durable_blocks``.
+    #: The crash state, folded up to the power cut.
     state: CrashState
     #: The crashed :class:`repro.core.stack.IOStack` (or ``None``).
     stack: object = None
@@ -263,8 +142,10 @@ class CrashProbe:
 class Oracle:
     """One registered recovery invariant.
 
-    ``check`` raises :class:`VerificationError` with a concrete witness when
-    the invariant is violated.  ``applies`` says whether the oracle is
+    ``check`` builds the oracle's :class:`IncrementalCheck` on a probe; its
+    :meth:`~IncrementalCheck.check` raises :class:`VerificationError` with a
+    concrete witness when the invariant is violated.  ``applies`` says
+    whether the oracle is
     meaningful for a probe at all; ``guaranteed`` says whether the cell under
     test (stack configuration × barrier mode) *promises* the property — a
     violation on a non-guaranteeing cell is an expected witness of legacy
@@ -273,9 +154,13 @@ class Oracle:
 
     name: str
     description: str
-    check: Callable[[CrashProbe], None]
+    check: Callable[[CrashProbe], "IncrementalCheck"]
     applies: Callable[[CrashProbe], bool]
     guaranteed: Callable[[CrashProbe], bool]
+
+    def verify(self, probe: CrashProbe) -> None:
+        """Judge ``probe``'s state alone; raises :class:`VerificationError`."""
+        self.check(probe).check()
 
 
 #: Registered oracles by name (insertion order is the evaluation order).
@@ -351,13 +236,13 @@ def register_oracle(
     applies: Optional[Callable[[CrashProbe], bool]] = None,
     guaranteed: Optional[Callable[[CrashProbe], bool]] = None,
 ):
-    """Register a crash-recovery oracle; usable as a decorator.
+    """Register a crash-recovery oracle; decorates its check class.
 
     ``applies`` defaults to always-on, ``guaranteed`` to whether the barrier
     mode orders persistence (the paper's baseline promise).
     """
 
-    def decorator(check: Callable[[CrashProbe], None]) -> Callable[[CrashProbe], None]:
+    def decorator(check: Callable[[CrashProbe], "IncrementalCheck"]):
         if name in ORACLES:
             raise ValueError(f"duplicate oracle name {name!r}")
         doc = (check.__doc__ or "").strip().splitlines()
@@ -381,9 +266,166 @@ def register_oracle(
     return decorator
 
 
-def applicable_oracles(probe: CrashProbe) -> list[Oracle]:
-    """The registered oracles that apply to this probe, in registry order."""
-    return [oracle for oracle in ORACLES.values() if oracle.applies(probe)]
+class IncrementalCheck:
+    """One oracle's check over a probe's crash state, kept between calls.
+
+    Built once per probe, on the first point the oracle applies at;
+    :meth:`check` judges the state as it stands and raises
+    :class:`VerificationError` with a witness.  A check is phrased over the
+    state's lost set plus aggregates it folds as the durable list grows
+    (the newest durable epoch, the newest durable version per block, the
+    high durable page per file, the unrecovered-transaction frontier), so
+    a call costs O(pages made durable since the last call + lost set).
+    """
+
+    def __init__(self, probe: CrashProbe):
+        self.state = probe.state
+        self.probe = probe
+        self._generation = self.state.generation
+        self._durable_seen = 0
+        self.restart()
+
+    def restart(self) -> None:
+        """Drop every folded result (the state's durable list changed)."""
+
+    def new_durable(self) -> list:
+        """Durable pages found since the last call; restarts when needed.
+
+        Call it before reading any folded result: a restart replaces them.
+        """
+        state = self.state
+        if self._generation != state.generation:
+            self._generation = state.generation
+            self._durable_seen = 0
+            self.restart()
+        durable = state.durable
+        new = durable[self._durable_seen:]
+        self._durable_seen = len(durable)
+        state.folds += len(new)
+        return new
+
+    def check(self) -> None:
+        raise NotImplementedError
+
+
+@register_oracle(
+    "epoch-prefix",
+    description="durable epochs form a prefix of the persist-epoch order",
+)
+class EpochPrefixCheck(IncrementalCheck):
+    """``epoch-prefix`` over the newest durable epoch and the lost set.
+
+    Guaranteed by devices whose barrier mode orders persistence; for a
+    legacy (``NONE``) device the property is expected to fail and a
+    violation witnesses the legacy behaviour rather than a bug.
+    """
+
+    def restart(self) -> None:
+        self.max_epoch: Optional[int] = None
+
+    def check(self) -> None:
+        for entry in self.new_durable():
+            if self.max_epoch is None or entry.epoch > self.max_epoch:
+                self.max_epoch = entry.epoch
+        newest = self.max_epoch
+        if newest is None:
+            return
+        lost = self.state.lost
+        self.state.folds += len(lost)
+        missing = [entry for entry in lost.values() if entry.epoch < newest]
+        if missing:
+            raise VerificationError(
+                f"epoch-prefix violated: epoch {newest} has durable pages "
+                f"but {len(missing)} earlier-epoch pages were lost "
+                f"(example: {missing[0].block} in epoch {missing[0].epoch})"
+            )
+
+
+@register_oracle(
+    "storage-order-prefix",
+    description="durable pages form a prefix of the transfer order",
+)
+class StorageOrderPrefixCheck(IncrementalCheck):
+    """``storage-order-prefix`` over the durable horizon and the lost set.
+
+    A lost page is a violation if a page transferred after it is durable,
+    unless a durable write of the same block carries at least its version
+    (an overwrite supersedes the lost page).
+    """
+
+    def restart(self) -> None:
+        self.horizon: Optional[int] = None
+        self.newest_version: dict[object, int] = {}
+
+    def check(self) -> None:
+        new_durable = self.new_durable()
+        newest_version = self.newest_version
+        for entry in new_durable:
+            if self.horizon is None or entry.transfer_seq > self.horizon:
+                self.horizon = entry.transfer_seq
+            if entry.version > newest_version.get(entry.block, -1):
+                newest_version[entry.block] = entry.version
+        horizon = self.horizon
+        if horizon is None:
+            return
+        state = self.state
+        for entry in state.lost.values():
+            state.folds += 1
+            if entry.transfer_seq >= horizon:
+                return
+            if newest_version.get(entry.block, -1) >= entry.version:
+                continue
+            raise VerificationError(
+                f"storage-order prefix violated: {entry.block} v{entry.version} "
+                f"(transfer #{entry.transfer_seq}, epoch {entry.epoch}) was lost "
+                f"while a later transfer (#{horizon}) is durable"
+            )
+
+
+@register_oracle(
+    "dispatch-epoch-order",
+    description="dispatch order never reorders requests across epochs",
+    applies=lambda probe: probe.dispatch_log is not None and len(probe.dispatch_log) > 0,
+    guaranteed=lambda probe: True,
+)
+class DispatchEpochOrderCheck(IncrementalCheck):
+    """``dispatch-epoch-order`` over the dispatch log, from where it stopped.
+
+    ``I = D`` at epoch granularity: requests may be reordered only within
+    an epoch, so the epoch numbers along the dispatch order never decrease.
+    Host-side only, so no restart of the state touches it; the first
+    violation of an append-only log stays the first violation.
+    """
+
+    def __init__(self, probe: CrashProbe):
+        super().__init__(probe)
+        self._position = 0
+        self._last_epoch = -1
+        self._violation = None
+
+    def check(self) -> None:
+        if self._violation is None:
+            log = self.probe.dispatch_log
+            last_epoch = self._last_epoch
+            position = self._position
+            while position < len(log):
+                request = log[position]
+                position += 1
+                epoch = request.issue_epoch
+                if epoch is None:
+                    continue
+                if epoch < last_epoch:
+                    self._violation = (request, epoch, last_epoch)
+                    break
+                last_epoch = max(last_epoch, epoch)
+            self.state.folds += position - self._position
+            self._position, self._last_epoch = position, last_epoch
+        if self._violation is not None:
+            request, epoch, last_epoch = self._violation
+            raise VerificationError(
+                f"dispatch order violates epochs: {request.describe()} of epoch "
+                f"{epoch} dispatched after epoch {last_epoch}"
+            )
 
 
 def _journal_guaranteed(probe: CrashProbe) -> bool:
@@ -401,42 +443,108 @@ def _journal_guaranteed(probe: CrashProbe) -> bool:
 
 
 @register_oracle(
-    "epoch-prefix",
-    description="durable epochs form a prefix of the persist-epoch order",
-)
-def _oracle_epoch_prefix(probe: CrashProbe) -> None:
-    verify_epoch_prefix(probe.state)
-
-
-@register_oracle(
-    "storage-order-prefix",
-    description="durable pages form a prefix of the transfer order",
-)
-def _oracle_storage_order_prefix(probe: CrashProbe) -> None:
-    verify_storage_order_prefix(probe.state)
-
-
-@register_oracle(
-    "dispatch-epoch-order",
-    description="dispatch order never reorders requests across epochs",
-    applies=lambda probe: probe.dispatch_log is not None and len(probe.dispatch_log) > 0,
-    guaranteed=lambda probe: True,
-)
-def _oracle_dispatch_epoch_order(probe: CrashProbe) -> None:
-    verify_dispatch_preserves_epochs(probe.dispatch_log)
-
-
-@register_oracle(
     "journal-recovery",
     description="recoverable transactions form a commit prefix with durable data",
     applies=lambda probe: len(probe.transactions) > 0,
     guaranteed=_journal_guaranteed,
 )
-def _oracle_journal_recovery(probe: CrashProbe) -> None:
-    from repro.fs.mount import JournalMode
+class JournalRecoveryCheck(IncrementalCheck):
+    """``journal-recovery`` over the unrecovered-transaction frontier.
 
-    config = getattr(probe.stack, "config", None)
-    ordered = True
-    if config is not None and getattr(config, "journal_mode", None) is not None:
-        ordered = config.journal_mode is JournalMode.ORDERED
-    verify_journal_recovery(probe.state, probe.transactions, ordered_mode=ordered)
+    The recoverable transactions (commit record and every log block
+    durable) must form a prefix of the commit order, and in ordered mode
+    every data page a recovered transaction references must be durable
+    with at least the referenced version.  A committed transaction's
+    content is frozen and the durable set only grows, so a recoverable
+    transaction stays recoverable and a satisfied ordered-data dependency
+    stays satisfied; only the frontier (finished transactions not yet
+    recoverable, plus the ones in flight) and the unmet dependencies of
+    recovered transactions are looked at again.
+    """
+
+    def __init__(self, probe: CrashProbe):
+        super().__init__(probe)
+        from repro.fs.mount import JournalMode
+
+        self.journal = probe.stack.fs.journal
+        config = getattr(probe.stack, "config", None)
+        self.ordered = True
+        if config is not None and getattr(config, "journal_mode", None) is not None:
+            self.ordered = config.journal_mode is JournalMode.ORDERED
+
+    def restart(self) -> None:
+        self._finished_seen = 0
+        #: Finished transactions not yet recoverable, by txid.
+        self._frontier: dict[int, object] = {}
+        self._recovered: set[int] = set()
+        self._newest: Optional[int] = None
+        #: Unmet ordered-data dependencies of recovered transactions:
+        #: ``(txid, position) -> (block, version)``, plus a per-block heap.
+        self._unmet: dict[tuple[int, int], tuple[object, int]] = {}
+        self._waiting: dict[object, list[tuple[int, int, int]]] = {}
+
+    def check(self) -> None:
+        new_durable = self.new_durable()
+        state = self.state
+        durable = state.latest
+        waiting = self._waiting
+        unmet = self._unmet
+        for entry in new_durable:
+            heap = waiting.get(entry.block)
+            if heap:
+                version = durable[entry.block].version
+                while heap and heap[0][0] <= version:
+                    _, txid, position = heapq.heappop(heap)
+                    del unmet[(txid, position)]
+
+        finished = self.journal.history
+        frontier = self._frontier
+        recovered = self._recovered
+        for position in range(self._finished_seen, len(finished)):
+            txn = finished[position]
+            if txn.txid not in recovered:
+                frontier[txn.txid] = txn
+        state.folds += len(finished) - self._finished_seen
+        self._finished_seen = len(finished)
+
+        candidates = dict(frontier)
+        for txn in self.journal.in_flight():
+            if txn.txid not in recovered:
+                candidates.setdefault(txn.txid, txn)
+        state.folds += len(candidates)
+        pending = []
+        for txid in sorted(candidates):
+            txn = candidates[txid]
+            if not _recoverable(txn, durable):
+                pending.append(txn)
+                continue
+            recovered.add(txid)
+            frontier.pop(txid, None)
+            if self._newest is None or txid > self._newest:
+                self._newest = txid
+            if self.ordered:
+                for position, (name, version) in enumerate(txn.ordered_data.items()):
+                    current = durable.get(name)
+                    if current is None or current.version < version:
+                        unmet[(txid, position)] = (name, version)
+                        heap = waiting.setdefault(name, [])
+                        heapq.heappush(heap, (version, txid, position))
+
+        newest = self._newest
+        if newest is not None:
+            for txn in pending:  # ascending txid
+                if txn.txid >= newest:
+                    break
+                if txn.commit_requested_at is not None:
+                    raise VerificationError(
+                        f"journal recovery violates commit order: transaction "
+                        f"{newest} is recoverable but earlier transaction "
+                        f"{txn.txid} is not"
+                    )
+        if unmet:
+            first = min(unmet)
+            name, version = unmet[first]
+            raise VerificationError(
+                f"ordered-mode violation: transaction {first[0]} is "
+                f"recoverable but its data block {name} (v{version}) is not durable"
+            )

@@ -2,8 +2,9 @@
 
 The paper's core claim is not just speed but *correctness under power
 loss*: barrier-enabled devices preserve epoch-prefix durability without
-flushes.  This package turns the crash/recovery primitives
-(:mod:`repro.storage.crash`, :mod:`repro.core.verification`) into a checker
+flushes.  This package turns the crash state
+(:class:`repro.storage.crash.CrashState`) and the crash oracles
+(:mod:`repro.core.verification`) into a checker
 that adversarially validates that claim over the whole scenario matrix,
 instead of relying on hand-picked crash instants:
 
@@ -12,9 +13,11 @@ instead of relying on hand-picked crash instants:
   stratified sampling, or bisection to the earliest failure.
 * :mod:`repro.crashlab.engine` — run a
   :class:`~repro.scenarios.ScenarioSpec` once and, at each chosen boundary,
-  reconstruct the durable state a power cut there would leave and run every
-  applicable oracle in-line; the cells of a matrix spread over worker
-  processes, one verifying run per cell.
+  advance the one crash state of the run to what a power cut there would
+  leave and run every applicable oracle in-line; the cells of a matrix
+  spread over worker processes, one verifying run per cell.
+* :mod:`repro.crashlab.incremental` — the in-line judge: the crash state
+  and every oracle's check, kept from point to point.
 * :mod:`repro.crashlab.oracles` — workload-level oracles (committed-log
   prefix for WAL-style workloads) on top of the core invariant families.
 * :mod:`repro.crashlab.report` — per-cell verdict tables through the

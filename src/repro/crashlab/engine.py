@@ -16,23 +16,22 @@ One *cell* is a :class:`~repro.scenarios.ScenarioSpec`; exploring it means:
    the run.
 
 Judging is incremental (:mod:`repro.crashlab.incremental`): one crash
-state per run is advanced at each judged point by what changed since the
-previous one — pages newly transferred, pages newly durable (or the FTL
-log's newly programmed prefix), dispatch-log entries and journal
-transactions appended — and every oracle keeps its scan positions and
-partial results.  A point costs O(delta + lost set), where the lost set
-(transferred, not durable) is bounded by the device's dirty and in-flight
-window plus damaged pages; a check costs O(run + points × (delta + lost
-set)), linear in the run, forks nothing and behaves the same on every
-platform.  An FTL garbage-collection run or a misdirected write since the
+state (:class:`~repro.storage.crash.CrashState`) per run is advanced at
+each judged point by what changed since the previous one — pages newly
+transferred, pages newly durable (or the FTL log's newly programmed
+prefix), dispatch-log entries and journal transactions appended — and
+every oracle keeps its scan positions and partial results.  A point
+costs O(delta + lost set), where the lost set (transferred, not durable)
+is bounded by the device's dirty and in-flight window plus damaged pages;
+a check costs O(run + points × (delta + lost set)), linear in the run,
+forks nothing and behaves the same on every platform.  An FTL garbage-collection run or a misdirected write since the
 previous point (both can take durable pages away) rebuilds the state from
 the whole history at the next point, counted in
 :attr:`~repro.crashlab.report.CellReport.rebuilds`.
 
-Judging boundary *k* inside the one run sees exactly the state a
-from-scratch replay that cuts power at *k* (:func:`replay_to_point`,
-:func:`repro.storage.crash.recover_durable_blocks` and the oracles'
-from-scratch forms) sees; ``tests/crashlab/test_inline_equivalence.py``
+Judging boundary *k* inside the one run sees exactly the state a replay
+that cuts power at *k* and folds a fresh crash state once
+(:func:`replay_to_point`) sees; ``tests/crashlab/test_inline_equivalence.py``
 pins verdicts, witnesses and trace tails of the two against each other
 across barrier modes, job counts, fault plans, rebuilds and judges.
 
@@ -52,9 +51,9 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
-from repro.core.verification import CrashProbe, applicable_oracles
+from repro.core.verification import CrashProbe
 from repro.crashlab import oracles as _workload_oracles  # noqa: F401 - registers oracles
-from repro.crashlab.incremental import IncrementalJudge, oracle_verdict
+from repro.crashlab.incremental import IncrementalJudge, judge_oracles
 from repro.crashlab.points import (
     CrashPointReached,
     CrashTrigger,
@@ -109,16 +108,14 @@ def _point_verdict(
     tracer,
     trace_tail: int,
 ) -> PointVerdict:
-    """Run every applicable oracle's from-scratch form against a recovered probe.
+    """Every applicable oracle's verdict on ``probe``'s already-folded state.
 
-    The reference verdict builder: the per-point replay reference and the
-    ``--continue`` judge use it; the in-line pass builds the same verdicts
-    incrementally (:class:`repro.crashlab.incremental.IncrementalJudge`).
+    The same verdict loop as the in-line pass
+    (:meth:`repro.crashlab.incremental.IncrementalJudge.verdicts`), with
+    checks built for this probe alone: the per-point replay reference and
+    the ``--continue`` judge use it.
     """
-    verdicts = tuple(
-        oracle_verdict(oracle, partial(oracle.check, probe), probe)
-        for oracle in applicable_oracles(probe)
-    )
+    verdicts = judge_oracles(probe, {}, {})
     return _assemble(
         boundary, index, probe.state.crash_time, verdicts, tracer, trace_tail
     )
@@ -136,10 +133,10 @@ def replay_to_point(
     crash (its span buffer then holds the timeline leading to the failing
     boundary); tracing never changes which state the crash captures.
 
-    The exploration engine never replays; this is the independent
-    reference its in-line verdicts are checked against: power is cut by
-    unwinding the run with :class:`CrashPointReached`, one point per run,
-    and the state is recovered from scratch.
+    The exploration engine never replays; this is the reference its
+    in-line verdicts are checked against: power is cut by unwinding the run
+    with :class:`CrashPointReached`, one point per run, and a fresh crash
+    state is folded once.
     """
     from repro.scenarios import prepare_spec
 
@@ -192,13 +189,18 @@ def _verify(
     stack = workload.stack
     stack.record_history()
     incremental = IncrementalJudge(stack, spec=spec, workload=workload)
+    state = incremental.state
 
     def verdict(boundary: Optional[CrashBoundary], index: int) -> PointVerdict:
-        if judge is not None:
-            probe = incremental.scratch_probe()
-            return judge(probe, boundary, index, tracer, trace_tail)
-        verdicts = incremental.verdicts()
-        return _assemble(boundary, index, stack.sim.now, verdicts, tracer, trace_tail)
+        if judge is None:
+            verdicts = incremental.verdicts()
+            return _assemble(
+                boundary, index, stack.sim.now, verdicts, tracer, trace_tail
+            )
+        probe = CrashProbe.from_stack(
+            state.advance(), stack, spec=spec, workload=workload
+        )
+        return judge(probe, boundary, index, tracer, trace_tail)
 
     tap = InlineVerifier(
         stack.device, targets, lambda boundary: verdict(boundary, boundary.index)
@@ -215,10 +217,7 @@ def _verify(
             if unreached:
                 stack.device.power_off()
                 tap.results += [verdict(None, index) for index in unreached]
-    tracker = incremental.tracker
-    return _Pass(
-        tap.results, tap.count, rebuilds=tracker.rebuilds, folds=tracker.folds
-    )
+    return _Pass(tap.results, tap.count, rebuilds=state.rebuilds, folds=state.folds)
 
 
 def verify_points(
@@ -238,15 +237,15 @@ def verify_points(
     attaches the last ``N`` spans before each crash to its verdict — the
     timeline a violation report shows.
 
-    The default verdicts come from the registered oracles' incremental
-    forms over one crash state advanced point to point
-    (:mod:`repro.crashlab.incremental`).  ``judge`` replaces them with a
-    callable of :func:`_point_verdict`'s signature, handed a from-scratch
-    probe at every point — ``runner check --continue`` passes
-    :func:`repro.recovery.recovery_judge` here.  A judge must only read
-    the probe's stack (the run continues after it returns), and must be
-    module-level (or a ``functools.partial`` over picklable values) so
-    :func:`explore_cells` can ship it to its process pool.
+    The default verdicts come from the registered oracles' checks over one
+    crash state advanced point to point (:mod:`repro.crashlab.incremental`).
+    ``judge`` replaces them with a callable of :func:`_point_verdict`'s
+    signature, handed a probe of that state at every point — ``runner
+    check --continue`` passes :func:`repro.recovery.recovery_judge` here.
+    A judge must only read the probe and its stack while it runs (the run
+    and the state go on after it returns), and must be module-level (or a
+    ``functools.partial`` over picklable values) so :func:`explore_cells`
+    can ship it to its process pool.
     """
     return _verify(spec, indices, trace_tail=trace_tail, judge=judge).points
 

@@ -11,16 +11,19 @@ WALs, the readable-version-history property for RocksDB's MANIFEST).
 
 The oracle is registered into the same registry as the core family, so the
 exploration engine picks it up wherever it applies; registration happens on
-import (``repro.crashlab`` imports this module), together with its
-incremental form (:class:`CommittedLogPrefixCheck`).
+import (``repro.crashlab`` imports this module).
 """
 
 from __future__ import annotations
 
 from repro.apps.postgres import WAL_FILE as _PG_WAL_FILE
 from repro.apps.rocksdb import MANIFEST_FILE as _ROCKSDB_MANIFEST
-from repro.core.verification import CrashProbe, VerificationError, register_oracle
-from repro.crashlab.incremental import INCREMENTAL_CHECKS, IncrementalCheck
+from repro.core.verification import (
+    CrashProbe,
+    IncrementalCheck,
+    VerificationError,
+    register_oracle,
+)
 from repro.scenarios.workloads import SyncLoopWorkload
 
 #: Append-only log files per workload.  Only pure appends qualify — the
@@ -63,71 +66,22 @@ def _applies(probe: CrashProbe) -> bool:
     return bool(_append_log_files(probe)) and getattr(probe.stack, "fs", None) is not None
 
 
-def verify_append_log_prefix(probe: CrashProbe, name: str) -> None:
-    """Check one append-only file for holes below its durable high page."""
-    fs = probe.stack.fs
-    if not fs.exists(name):
-        return
-    inode = fs.open(name).inode
-    inode_no = inode.inode_no
-
-    transferred_pages: set[int] = set()
-    for entry in probe.state.transferred:
-        block = entry.block
-        if (
-            isinstance(block, tuple)
-            and len(block) == 3
-            and block[0] == "data"
-            and block[1] == inode_no
-        ):
-            transferred_pages.add(block[2])
-    if not transferred_pages:
-        return
-    durable_pages = {
-        block[2]
-        for block in probe.state.durable_blocks
-        if isinstance(block, tuple)
-        and len(block) == 3
-        and block[0] == "data"
-        and block[1] == inode_no
-    }
-    if not durable_pages:
-        return
-    high = max(durable_pages)
-    holes = sorted(
-        page
-        for page in transferred_pages
-        if page < high and page not in durable_pages
-    )
-    if holes:
-        raise VerificationError(
-            f"committed-log prefix violated: {name} lost page {holes[0]} "
-            f"({len(holes)} hole(s)) while page {high} is durable — a later "
-            f"committed append survived an earlier one"
-        )
-
-
 @register_oracle(
     "committed-log-prefix",
     description="append-only log files keep a committed-transaction prefix",
     applies=_applies,
 )
-def _oracle_committed_log_prefix(probe: CrashProbe) -> None:
-    for name in _append_log_files(probe):
-        verify_append_log_prefix(probe, name)
-
-
 class CommittedLogPrefixCheck(IncrementalCheck):
     """``committed-log-prefix`` over the high durable page per file.
 
-    A hole is a transferred page below the high durable page with no
-    durable version; every such page is in the tracker's lost set, so
-    only the lost set is scanned, against per-file aggregates folded as
-    pages are transferred and made durable.
+    For each append-only file: a hole is a transferred page below the
+    file's highest durable page with no durable version.  Every such page
+    is in the state's lost set, so only the lost set is scanned, against
+    per-file aggregates folded as pages are transferred and made durable.
     """
 
-    def __init__(self, tracker, probe: CrashProbe):
-        super().__init__(tracker, probe)
+    def __init__(self, probe: CrashProbe):
+        super().__init__(probe)
         self.files = _append_log_files(probe)
         self.fs = probe.stack.fs
 
@@ -141,13 +95,13 @@ class CommittedLogPrefixCheck(IncrementalCheck):
 
     def check(self) -> None:
         new_durable = self.new_durable()
-        tracker = self.tracker
-        history = tracker.history
+        state = self.state
+        history = state.history
         for position in range(self._transferred_seen, len(history)):
             data = _data_block(history[position].block)
             if data is not None:
                 self._transferred.add(data[0])
-        tracker.folds += len(history) - self._transferred_seen
+        state.folds += len(history) - self._transferred_seen
         self._transferred_seen = len(history)
         for entry in new_durable:
             data = _data_block(entry.block)
@@ -166,10 +120,10 @@ class CommittedLogPrefixCheck(IncrementalCheck):
             if inode_no not in self._transferred or not durable_pages:
                 continue
             high = self._high[inode_no]
-            tracker.folds += len(tracker.lost)
+            state.folds += len(state.lost)
             holes = sorted({
                 data[1]
-                for entry in tracker.lost.values()
+                for entry in state.lost.values()
                 if (data := _data_block(entry.block)) is not None
                 and data[0] == inode_no
                 and data[1] < high
@@ -182,5 +136,3 @@ class CommittedLogPrefixCheck(IncrementalCheck):
                     f"committed append survived an earlier one"
                 )
 
-
-INCREMENTAL_CHECKS["committed-log-prefix"] = CommittedLogPrefixCheck

@@ -23,8 +23,8 @@ reproduces the same :class:`FaultEvent` log, which is what makes crashlab's
 
 Media faults are *silent*: the device still marks damaged entries durable
 (it believes the program succeeded) so timing is unperturbed; the damage
-surfaces when :func:`repro.storage.crash.recover_durable_blocks` treats the
-page as unreadable.
+surfaces when the crash state (:class:`repro.storage.crash.CrashState`)
+treats the page as unreadable.
 """
 
 from __future__ import annotations

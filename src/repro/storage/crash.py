@@ -16,19 +16,21 @@ what survives is determined by the device's barrier mode:
   hole, which restores the epoch-prefix guarantee even though programs were
   issued at full parallelism.
 
-:func:`recover_durable_blocks` performs that computation and returns a
-:class:`CrashState` that the filesystem recovery code and the verification
-module consume.
+A page damaged by an injected media fault (:mod:`repro.faults`) never
+survives: recovery cannot read it back, and under in-order recovery it is
+a hole that ends the log scan.
+
+:class:`CrashState` performs that computation as a fold over the device's
+history that can be advanced as the run goes on: the crash-exploration
+engine (:mod:`repro.crashlab`) keeps one per run and advances it at every
+judged boundary, and :func:`recover_durable_blocks` is one fold of a fresh
+one.  The oracles (:mod:`repro.core.verification`) and the remount
+recovery (:mod:`repro.recovery`) read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
-from repro.storage.barrier_modes import BarrierMode
-from repro.storage.device import StorageDevice
-from repro.storage.writeback_cache import CacheEntry
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -56,135 +58,169 @@ class CrashBoundary:
     epoch: int = 0
 
 
-@dataclass
 class CrashState:
-    """Durable storage contents reconstructed after a crash.
+    """What a power cut would leave on a device, folded as the run goes on.
 
-    A :class:`CrashState` is a *snapshot*: the ``transferred``/``durable``
-    lists must not be mutated after construction (derived views such as
-    :attr:`durable_blocks` and :attr:`lost` are computed once and cached so
-    that repeated oracle calls don't re-sort or re-scan).
+    :meth:`advance` folds everything that changed since its previous call:
+
+    * the pages newly transferred (the tail of the device-cache history)
+      join the *lost set* — transferred, not (yet) durable;
+    * the pages newly durable leave it: lost pages the device has
+      programmed undamaged, or — under in-order recovery — the entries by
+      which the FTL log's programmed prefix grew since the last call.
+
+    ``lost`` maps the transfer sequence of every lost page to its cache
+    entry, in transfer order.  ``durable`` lists the surviving pages in the
+    order they were found durable; ``latest`` maps each durable block to
+    its entry with the highest transfer sequence.  The durable set only
+    grows, except across an FTL garbage-collection run (it relocates pages
+    and drops stale log segments) or a misdirected write (it damages a
+    page that was already durable): when either happened since the last
+    call the state starts over from the whole history.  ``generation``
+    changes whenever ``durable`` stops being an append-only list — a
+    rebuild, or a block's durable version going down (a newer transfer of
+    an older version) — and the oracles' checks start over when it does.
+
+    The device must have recorded its history from its first IO
+    (``IOStack.record_history()``); otherwise construction raises
+    :class:`~repro.simulation.history.HistoryNotRecordedError`.
     """
 
-    #: Simulation time at which power was cut.
-    crash_time: float
-    #: Barrier mode the device was operating under.
-    barrier_mode: BarrierMode
-    #: Every page ever transferred to the device, in transfer order.
-    transferred: list[CacheEntry] = field(default_factory=list)
-    #: The subset of ``transferred`` that survived the crash, transfer order.
-    durable: list[CacheEntry] = field(default_factory=list)
-    _durable_blocks: Optional[dict] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _durable_seqs: Optional[set] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _lost: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, device):
+        self.device = device
+        self.barrier_mode = device.barrier_mode
+        self.history = device.cache.history
+        #: The FTL whose log prefix is the durable set; the device keeps
+        #: one only under in-order recovery (with history recorded).
+        self._log = device.ftl
+        #: Rebuilds from the whole history (and restarts of the checks).
+        self.rebuilds = 0
+        #: Entries folded or scanned so far, by the state and the checks:
+        #: the deterministic work counter of a crash check.
+        self.folds = 0
+        self.generation = 0
+        self._gc_runs = self._log.gc_runs if self._log is not None else 0
+        self._events = 0
+        self._reset()
+
+    @property
+    def crash_time(self) -> float:
+        """Simulation time of a power cut now."""
+        return self.device.sim.now
 
     @property
     def durable_blocks(self) -> dict[object, int]:
         """Map logical block -> the version that survived (latest durable)."""
-        if self._durable_blocks is None:
-            latest: dict[object, int] = {}
-            for entry in self.durable:  # transfer order: later versions win
-                latest[entry.block] = entry.version
-            self._durable_blocks = latest
-        return self._durable_blocks
+        return {block: entry.version for block, entry in self.latest.items()}
 
-    @property
-    def durable_seqs(self) -> set[int]:
-        """Transfer sequence numbers of the durable entries."""
-        if self._durable_seqs is None:
-            self._durable_seqs = {entry.transfer_seq for entry in self.durable}
-        return self._durable_seqs
+    def _reset(self) -> None:
+        self.generation += 1
+        self.lost: dict[int, object] = {}
+        self.durable: list = []
+        self.latest: dict[object, object] = {}
+        self._seen = 0
+        self._segment = 0
+        self._offset = 0
+        self._log_ended = False
 
-    def survived(self, block: object, version: Optional[int] = None) -> bool:
-        """Whether ``block`` (optionally a specific version) is durable."""
-        durable = self.durable_blocks
-        if block not in durable:
-            return False
-        if version is None:
-            return True
-        return durable[block] >= version
+    def _broken(self) -> bool:
+        """Whether durable pages may have been lost since the last call."""
+        broken = False
+        if self._log is not None and self._log.gc_runs != self._gc_runs:
+            self._gc_runs = self._log.gc_runs
+            broken = True
+        injector = self.device.fault_injector
+        if injector is not None and len(injector.events) != self._events:
+            events = injector.events
+            broken = broken or any(
+                event.kind == "misdirected-write" for event in events[self._events:]
+            )
+            self._events = len(events)
+        return broken
 
-    @property
-    def lost(self) -> list[CacheEntry]:
-        """Transferred pages that did not survive."""
-        if self._lost is None:
-            durable_seqs = self.durable_seqs
-            self._lost = [
-                entry
-                for entry in self.transferred
-                if entry.transfer_seq not in durable_seqs
-            ]
-        return self._lost
+    def advance(self) -> "CrashState":
+        """Fold everything that changed since the previous call."""
+        if self._broken() and self._seen:
+            self.rebuilds += 1
+            self._reset()
+        history = self.history
+        lost = self.lost
+        seen = self._seen
+        for position in range(seen, len(history)):
+            entry = history[position]
+            lost[entry.transfer_seq] = entry
+        self._seen = len(history)
+        self.folds += self._seen - seen
+        if self._log is not None:
+            self._scan_log()
+            return self
+        found = [
+            entry
+            for entry in lost.values()
+            if entry.durable_time is not None and entry.damage is None
+        ]
+        self.folds += len(lost)
+        for entry in found:
+            self._make_durable(entry)
+        return self
 
-    def durable_epochs(self) -> list[int]:
-        """Sorted list of epochs that have at least one durable page."""
-        return sorted({entry.epoch for entry in self.durable})
+    def _scan_log(self) -> None:
+        """Extend the recovered FTL-log prefix from where it stopped.
+
+        The LFS recovery scan: programmed pages in log order up to the
+        first hole, duplicates (GC relocations) skipped, and nothing past
+        the first damaged page.
+        """
+        if self._log_ended:
+            return
+        order = self._log.segment_order
+        segments = self._log.segments
+        lost = self.lost
+        index, offset = self._segment, self._offset
+        scanned = 0
+        while index < len(order):
+            segment = segments[order[index]]
+            entries = segment.entry_column
+            programmed = segment.programmed_column
+            end = len(entries)
+            while offset < end and programmed[offset] == programmed[offset]:  # NaN: hole
+                entry = entries[offset]
+                offset += 1
+                scanned += 1
+                if entry.transfer_seq not in lost:  # already durable
+                    continue
+                if entry.damage is not None:
+                    self._log_ended = True
+                    self.folds += scanned
+                    return
+                self._make_durable(entry)
+            if offset < end or index + 1 == len(order):
+                break
+            index += 1
+            offset = 0
+        self._segment, self._offset = index, offset
+        self.folds += scanned
+
+    def _make_durable(self, entry) -> None:
+        seq = entry.transfer_seq
+        del self.lost[seq]
+        self.durable.append(entry)
+        current = self.latest.get(entry.block)
+        if current is None or seq > current.transfer_seq:
+            if current is not None and entry.version < current.version:
+                # A block's durable version went down: the checks' folded
+                # "satisfied" results may no longer hold.
+                self.generation += 1
+                self.rebuilds += 1
+            self.latest[entry.block] = entry
 
 
-def recover_durable_blocks(device: StorageDevice, *, crash_time: Optional[float] = None) -> CrashState:
-    """Compute what survives if the device loses power *right now*.
+def recover_durable_blocks(device) -> CrashState:
+    """What survives if the device loses power *right now*: one fold.
 
     The device should normally be powered off first via
-    :meth:`StorageDevice.power_off`; this function is read-only and may also
-    be used mid-run to ask "what would survive a crash at this instant".
-    It reads the device-cache history, so the device must have recorded it
-    from its first IO (``IOStack.record_history()``); otherwise it raises
-    :class:`~repro.simulation.history.HistoryNotRecordedError`.
+    :meth:`~repro.storage.device.StorageDevice.power_off`; the fold only
+    reads the device, so it may also be used mid-run to ask "what would
+    survive a crash at this instant".
     """
-    mode = device.barrier_mode
-    time = crash_time if crash_time is not None else device.sim.now
-    # Already in transfer order, and so is every filtered list below; only
-    # the FTL log (which GC may reorder) needs sorting back.
-    transferred = device.written_history()
-
-    # Pages damaged by an injected media fault (:mod:`repro.faults`) were
-    # never correctly programmed even though the device marked them durable;
-    # recovery cannot read them back.
-    if mode is BarrierMode.PLP:
-        durable = [entry for entry in transferred if entry.damage is None]
-    elif mode is BarrierMode.IN_ORDER_RECOVERY:
-        durable = sorted(
-            _recover_from_log(device),
-            key=lambda entry: entry.transfer_seq,
-        )
-    else:  # NONE, IN_ORDER_WRITEBACK, TRANSACTIONAL: what was programmed.
-        durable = [
-            entry for entry in transferred
-            if entry.is_durable and entry.damage is None
-        ]
-
-    return CrashState(
-        crash_time=time,
-        barrier_mode=mode,
-        transferred=transferred,
-        durable=durable,
-    )
-
-
-def _recover_from_log(device: StorageDevice) -> list[CacheEntry]:
-    """LFS-style recovery: keep the programmed prefix of the FTL log.
-
-    A damaged page is a hole exactly like an unprogrammed one — the scan
-    cannot read past it, so recovery keeps only the log prefix up to the
-    first damaged entry.  This is what turns every media fault into a clean
-    log truncation under in-order recovery.  The log exists: it is crash
-    history, built by the same ``record_history()`` call that the
-    ``written_history()`` read before this one requires.
-    """
-    recovered = device.ftl.recover()
-    # Entries may have been appended to the log more than once (GC); dedupe
-    # while keeping transfer order.
-    seen: set[int] = set()
-    unique: list[CacheEntry] = []
-    for entry in recovered:
-        if entry.transfer_seq in seen:
-            continue
-        if entry.damage is not None:
-            break
-        seen.add(entry.transfer_seq)
-        unique.append(entry)
-    return unique
+    return CrashState(device).advance()

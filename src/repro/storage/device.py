@@ -533,14 +533,6 @@ class StorageDevice:
         if self.ftl is None and self.barrier_mode is BarrierMode.IN_ORDER_RECOVERY:
             self.ftl = LogStructuredFTL(self.profile.segment_pages)
 
-    def written_history(self) -> list[CacheEntry]:
-        """Every page ever admitted to the cache, in transfer order."""
-        return list(self.cache.history)
-
-    def durable_entries(self) -> list[CacheEntry]:
-        """Entries that are durable right now (before any crash recovery)."""
-        return [entry for entry in self.cache.history if entry.is_durable]
-
     def drain(self) -> Iterable[Event]:
         """Generator helper: wait until the writeback cache is fully durable."""
         yield from self._drain_dirty_upto(self.cache.last_dirty_seq)

@@ -15,8 +15,10 @@ greedy garbage collection when it runs low on free segments, so that the
 write-amplification/occupancy bookkeeping a real FTL does is represented,
 even though the paper's evaluation does not stress GC.
 
-Only crash recovery reads the log, so the device builds the FTL as crash
-history: in :meth:`~repro.storage.device.StorageDevice.record_history`,
+The recovery scan itself is part of the crash state's fold
+(:meth:`repro.storage.crash.CrashState.advance`), which reads the
+segments' columns in place.  Only crash recovery reads the log, so the
+device builds the FTL as crash history: in :meth:`~repro.storage.device.StorageDevice.record_history`,
 before the first IO.  A plain run has no FTL and retains nothing per
 programmed page; GC charges no flash time, so both runs simulate the same
 events.
@@ -124,15 +126,6 @@ class Segment:
     def pages(self) -> list[SegmentPage]:
         """Page views in log order (materialized on demand)."""
         return [SegmentPage(self, offset) for offset in range(len(self.entry_column))]
-
-    def programmed_count(self) -> int:
-        """Length of the programmed prefix (stops at the first hole)."""
-        count = 0
-        for value in self.programmed_column:
-            if value != value:  # NaN — program never finished
-                break
-            count += 1
-        return count
 
 
 class _MappingView(Mapping):
@@ -260,22 +253,3 @@ class LogStructuredFTL:
             if locations.get(entry.block) == base + offset:
                 live += 1
         return live
-
-    # -- crash recovery --------------------------------------------------------
-    def recover(self) -> list[CacheEntry]:
-        """Return the durable entries an LFS-style recovery scan would keep.
-
-        Sealed segments whose every page programmed are kept in full; the most
-        recent (active or partially-programmed) segment is kept only up to the
-        first page that had not finished programming, and everything after the
-        first such hole — including later segments, which cannot exist in a
-        correct log — is discarded.
-        """
-        recovered: list[CacheEntry] = []
-        for segment_id in self.segment_order:
-            segment = self.segments[segment_id]
-            count = segment.programmed_count()
-            recovered.extend(segment.entry_column[:count])
-            if count < len(segment.entry_column):
-                break
-        return recovered

@@ -10,9 +10,9 @@ either way; only these durations grow with the run.
 The registry is fed by the tracer every time a span closes: the span's
 duration goes into the ``layer.op`` duration recorder, the span count into
 the matching counter, and the instantaneous queue depths of the block and
-device layers into the gauges.  ``summary()`` flattens the whole registry
-into one dict for JSON export; ``result()`` renders the durations as an
-:class:`repro.analysis.reporting.ExperimentResult` table.
+device layers into the gauges.  ``result()`` renders the durations as an
+:class:`repro.analysis.reporting.ExperimentResult` table (the export of
+``runner trace --metrics``), with the counters and gauges in its notes.
 """
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ def duration_summary(recorder: LatencyRecorder) -> dict[str, float]:
         "min": summary.minimum,
         "max": summary.maximum,
     }
-
-
-def gauge_summary(stat: TimeWeightedStat) -> dict[str, float]:
-    """Flat summary of one gauge."""
-    return {"mean": stat.mean(), "peak": stat.peak, "last": stat.current}
 
 
 class MetricsRegistry:
@@ -64,19 +59,6 @@ class MetricsRegistry:
         if recorder is None:
             recorder = self.durations[name] = LatencyRecorder(name)
         recorder.record(duration)
-
-    def summary(self) -> dict[str, object]:
-        """The whole registry as one nested dict (JSON-exportable)."""
-        return {
-            "counters": dict(sorted(self.counters.items())),
-            "gauges": {
-                name: gauge_summary(stat) for name, stat in sorted(self.gauges.items())
-            },
-            "durations": {
-                name: duration_summary(recorder)
-                for name, recorder in sorted(self.durations.items())
-            },
-        }
 
     def result(self):
         """The span durations as a printable latency table."""

@@ -78,7 +78,7 @@ class TestBlockDevice:
 
         run(sim, host())
         assert device.stats.flushes_serviced == 1
-        assert {entry.block for entry in device.durable_entries()}
+        assert {entry.block for entry in device.cache.history if entry.is_durable}
 
     def test_issue_epoch_advances_on_barrier(self):
         sim, device, block = make_stack()

@@ -4,21 +4,21 @@ from dataclasses import replace
 
 import pytest
 
+from reference.stub_device import crash_state, page
 from repro.block.request import RequestFlag
 from repro.core import (
+    ORACLES,
+    CrashProbe,
     StackConfig,
     VerificationError,
     build_stack,
     standard_config,
-    verify_dispatch_preserves_epochs,
-    verify_epoch_prefix,
 )
-from repro.core.verification import epoch_prefix_holds
 from repro.fs import BarrierFS, Ext4Filesystem, OptFS
 from repro.scenarios.stacks import STACK_CONFIGS
 from repro.storage import BarrierMode
 from repro.storage.command import WrittenBlock
-from repro.storage.crash import CrashState, recover_durable_blocks
+from repro.storage.crash import recover_durable_blocks
 
 
 class TestStackBuilder:
@@ -102,13 +102,13 @@ class TestVerification:
 
     def test_dispatch_preserves_epochs_in_barrier_stack(self):
         stack = self._barrier_run()
-        verify_dispatch_preserves_epochs(stack.block.dispatch_log)
+        probe = CrashProbe.from_stack(recover_durable_blocks(stack.device), stack)
+        ORACLES["dispatch-epoch-order"].verify(probe)
 
-    def test_epoch_prefix_holds_for_barrier_device(self):
+    def test_epoch_prefix_is_kept_by_a_barrier_device(self):
         stack = self._barrier_run()
         state = recover_durable_blocks(stack.device)
-        verify_epoch_prefix(state)
-        assert epoch_prefix_holds(state)
+        ORACLES["epoch-prefix"].verify(CrashProbe(state))
 
     def test_epoch_prefix_violation_detected(self):
         # Construct a crash state that violates the property and check the
@@ -117,21 +117,19 @@ class TestVerification:
         state = recover_durable_blocks(stack.device)
         if len(state.durable) < 2:
             pytest.skip("not enough durable pages to forge a violation")
-        # Forge: drop the first durable page but keep a later-epoch page.
-        # Build a fresh CrashState rather than mutating the recovered one —
-        # its derived views (durable_blocks/durable_seqs/lost) are computed
-        # once and cached, so a CrashState is a snapshot.
+        # Forge: drop the first durable page but keep a later-epoch page,
+        # on a stub device that transferred the same pages.
         first = state.durable[0]
-        forged = CrashState(
-            crash_time=state.crash_time,
-            barrier_mode=state.barrier_mode,
-            transferred=list(state.transferred),
-            durable=[entry for entry in state.durable if entry is not first],
-        )
+        survivors = {entry.transfer_seq for entry in state.durable} - {first.transfer_seq}
+        forged = crash_state([
+            page(entry.block, entry.version, entry.epoch, entry.transfer_seq,
+                 entry.transfer_seq in survivors)
+            for entry in state.history
+        ])
         if not any(entry.epoch > first.epoch for entry in forged.durable):
             pytest.skip("no later-epoch survivor to conflict with")
-        with pytest.raises(VerificationError):
-            verify_epoch_prefix(forged)
+        with pytest.raises(VerificationError, match="epoch-prefix violated"):
+            ORACLES["epoch-prefix"].verify(CrashProbe(forged))
 
     def test_dispatch_epoch_violation_detected(self):
         stack = self._barrier_run()
@@ -139,8 +137,9 @@ class TestVerification:
         if len(log) < 2:
             pytest.skip("dispatch log too short")
         log[0], log[-1] = log[-1], log[0]
-        with pytest.raises(VerificationError):
-            verify_dispatch_preserves_epochs(log)
+        probe = CrashProbe(recover_durable_blocks(stack.device), dispatch_log=log)
+        with pytest.raises(VerificationError, match="dispatch order violates epochs"):
+            ORACLES["dispatch-epoch-order"].verify(probe)
 
     def test_legacy_device_can_violate_epoch_prefix(self):
         # With the legacy (NONE) barrier mode and no flushes the durable set
@@ -163,7 +162,7 @@ class TestVerification:
         durable_indexes = sorted(
             index for (kind, index) in state.durable_blocks if kind == "rec"
         )
-        transferred = len(state.transferred)
+        transferred = len(state.history)
         # The durable set is a strict, non-prefix subset of what was written.
         assert durable_indexes, "nothing persisted before the crash"
         assert len(durable_indexes) < transferred

@@ -13,17 +13,18 @@ from types import SimpleNamespace
 
 import pytest
 
+from reference.stub_device import stub_device
 from replay_reference import reference_pass
 
 from repro.core.verification import (
     ORACLES,
     CrashProbe,
+    DispatchEpochOrderCheck,
+    EpochPrefixCheck,
+    IncrementalCheck,
     Oracle,
     VerificationError,
     journal_transactions,
-    verify_dispatch_preserves_epochs,
-    verify_epoch_prefix,
-    verify_storage_order_prefix,
 )
 from repro.crashlab import (
     InlineVerifier,
@@ -33,16 +34,9 @@ from repro.crashlab import (
     summary_result,
     violations_result,
 )
-from repro.crashlab.incremental import (
-    CrashTracker,
-    DispatchEpochOrderCheck,
-    EpochPrefixCheck,
-    IncrementalJudge,
-    StorageOrderPrefixCheck,
-)
-from repro.crashlab.oracles import CommittedLogPrefixCheck, verify_append_log_prefix
+from repro.crashlab.incremental import IncrementalJudge
 from repro.scenarios import ScenarioSpec, prepare_spec
-from repro.storage.crash import recover_durable_blocks
+from repro.storage.crash import CrashState, recover_durable_blocks
 from repro.storage import device as device_module
 from repro.storage.barrier_modes import BarrierMode
 from repro.storage.ftl import LogStructuredFTL
@@ -148,16 +142,17 @@ class TestRebuilds:
         assert report.violations
 
 
-    def test_an_oracle_without_an_incremental_form(self, monkeypatch):
-        # Judged on a from-scratch probe at every point instead.
-        def odd_durable_count(probe):
-            if len(probe.state.durable) % 2:
-                raise VerificationError(f"{len(probe.state.durable)} durable pages")
+    def test_a_newly_registered_oracle_is_judged_in_line(self, monkeypatch):
+        # Any check class in the registry joins the in-line verdict loop.
+        class OddDurableCount(IncrementalCheck):
+            def check(self):
+                if len(self.state.durable) % 2:
+                    raise VerificationError(f"{len(self.state.durable)} durable pages")
 
         monkeypatch.setitem(ORACLES, "odd-durable-count", Oracle(
             name="odd-durable-count",
             description="an even number of durable pages",
-            check=odd_durable_count,
+            check=OddDurableCount,
             applies=lambda probe: True,
             guaranteed=lambda probe: False,
         ))
@@ -203,7 +198,7 @@ class TestAgainstTheReference:
             ("in-order-recovery", ("misdirected-write:p=0.3", "latent-read-error:p=0.2")),
         ],
     )
-    def test_tracker_state_equals_recovery_at_every_boundary(self, mode, faults):
+    def test_advanced_state_equals_a_fresh_fold_at_every_boundary(self, mode, faults):
         # The crash state itself, not only the verdicts built from it.
         spec = ScenarioSpec(
             workload="sync-loop",
@@ -217,16 +212,17 @@ class TestAgainstTheReference:
         stack = workload.stack
         stack.record_history()
         device = stack.device
-        tracker = CrashTracker(device)
+        advanced = CrashState(device)
+
+        def by_seq(entries):
+            return sorted(entries, key=lambda entry: entry.transfer_seq)
 
         def compare(boundary):
-            tracker.advance()
-            state = recover_durable_blocks(device)
-            durable = sorted(tracker.durable, key=lambda entry: entry.transfer_seq)
-            assert durable == state.durable, boundary
-            assert list(tracker.lost.values()) == state.lost, boundary
-            latest = {block: entry.version for block, entry in tracker.latest.items()}
-            assert latest == state.durable_blocks, boundary
+            advanced.advance()
+            fresh = recover_durable_blocks(device)
+            assert by_seq(advanced.durable) == by_seq(fresh.durable), boundary
+            assert list(advanced.lost.values()) == list(fresh.lost.values()), boundary
+            assert advanced.latest == fresh.latest, boundary
 
         device.crash_tap = InlineVerifier(device, None, compare)
         workload.run()
@@ -236,30 +232,19 @@ class TestAgainstTheReference:
     def test_device_checks_on_random_histories(self, seed):
         # Random transfers over a few blocks (overwrites, older versions
         # arriving late, epochs), random drain order and torn pages: every
-        # incremental device-level check must give the from-scratch witness.
+        # device-level check kept from point to point on an advanced state
+        # must give the witness of a fresh check on a fresh fold.
         rng = random.Random(seed)
         history = []
-        device = SimpleNamespace(
-            barrier_mode=BarrierMode.NONE,
-            ftl=None,
-            fault_injector=None,
-            cache=SimpleNamespace(history=history),
-            sim=SimpleNamespace(now=0.0),
-            written_history=lambda: list(history),
-        )
-        log_file = "sqlite/main.db-wal"
+        device = stub_device(history, BarrierMode.NONE)
         inode = SimpleNamespace(inode=SimpleNamespace(inode_no=1))
         stack = SimpleNamespace(
             fs=SimpleNamespace(exists=lambda name: True, open=lambda name: inode)
         )
         spec = SimpleNamespace(workload="sqlite", params={})
-        tracker = CrashTracker(device)
-        live = CrashProbe(state=tracker, stack=stack, spec=spec)
-        checks = [
-            EpochPrefixCheck(tracker, live).check,
-            StorageOrderPrefixCheck(tracker, live).check,
-            CommittedLogPrefixCheck(tracker, live).check,
-        ]
+        names = ["epoch-prefix", "storage-order-prefix", "committed-log-prefix"]
+        live = CrashProbe(state=CrashState(device), stack=stack, spec=spec)
+        checks = [ORACLES[name].check(live).check for name in names]
 
         def witness(check):
             try:
@@ -281,14 +266,11 @@ class TestAgainstTheReference:
                 if entry.durable_time is None and rng.random() < 0.25:
                     entry.damage = "torn" if rng.random() < 0.1 else None
                     entry.durable_time = 1.0
-            tracker.advance()
-            state = recover_durable_blocks(device)
-            probe = CrashProbe(state=state, stack=stack, spec=spec)
-            expected = [
-                witness(lambda: verify_epoch_prefix(state)),
-                witness(lambda: verify_storage_order_prefix(state)),
-                witness(lambda: verify_append_log_prefix(probe, log_file)),
-            ]
+            live.state.advance()
+            fresh = CrashProbe(
+                state=recover_durable_blocks(device), stack=stack, spec=spec
+            )
+            expected = [witness(ORACLES[name].check(fresh).check) for name in names]
             assert [witness(check) for check in checks] == expected
 
     @pytest.mark.parametrize("config", ["EXT4-DR", "BFS-DR", "OptFS"])
@@ -309,25 +291,27 @@ class TestAgainstTheReference:
         workload.run()
 
     def test_dispatch_order_check_follows_the_log(self):
+        # Kept while the log grows, the check names the first epoch that
+        # goes down, at the append that makes it go down and ever after.
         def request(epoch):
             return SimpleNamespace(issue_epoch=epoch, describe=lambda: f"W@{epoch}")
 
-        log = []
-        probe = SimpleNamespace(dispatch_log=log)
-        check = DispatchEpochOrderCheck(SimpleNamespace(folds=0, generation=1), probe)
-        for epoch in (0, None, 1, 1, 2, 1, 3, 0):
-            log.append(request(epoch))
-            expected = None
-            try:
-                verify_dispatch_preserves_epochs(log)
-            except VerificationError as error:
-                expected = str(error)
+        def witness(check):
             try:
                 check.check()
-                witness = None
             except VerificationError as error:
-                witness = str(error)
-            assert witness == expected
+                return str(error)
+            return None
+
+        log = []
+        state = CrashState(stub_device([]))
+        check = DispatchEpochOrderCheck(CrashProbe(state, dispatch_log=log))
+        first = "dispatch order violates epochs: W@1 of epoch 1 dispatched after epoch 2"
+        for position, epoch in enumerate((0, None, 1, 1, 2, 1, 3, 0)):
+            log.append(request(epoch))
+            fresh = DispatchEpochOrderCheck(CrashProbe(state, dispatch_log=list(log)))
+            expected = first if position >= 5 else None
+            assert witness(check) == witness(fresh) == expected
 
 
 class TestCellPool:
@@ -370,7 +354,7 @@ class TestCellPool:
             )
 
 
-class TestTracker:
+class TestCrashState:
     def test_a_durable_version_going_down_restarts_the_checks(self):
         # A newer transfer of an older version becomes durable after the
         # newer version did: the block's durable version goes down, so
@@ -380,24 +364,17 @@ class TestTracker:
                            transfer_time=0.0, command_id=1)
         older = CacheEntry(block, version=1, epoch=0, transfer_seq=2,
                            transfer_time=0.0, command_id=2)
-        device = SimpleNamespace(
-            barrier_mode=BarrierMode.NONE,
-            ftl=None,
-            fault_injector=None,
-            cache=SimpleNamespace(history=[newer, older]),
-            sim=SimpleNamespace(now=0.0),
-        )
-        tracker = CrashTracker(device)
-        check = EpochPrefixCheck(tracker, probe=None)
+        state = CrashState(stub_device([newer, older], BarrierMode.NONE))
+        check = EpochPrefixCheck(CrashProbe(state))
         newer.durable_time = 1.0
-        tracker.advance()
+        state.advance()
         assert check.new_durable() == [newer]
-        assert tracker.latest[block] is newer
-        assert tracker.rebuilds == 0
+        assert state.latest[block] is newer
+        assert state.rebuilds == 0
 
         older.durable_time = 2.0
-        tracker.advance()
-        assert tracker.latest[block] is older
-        assert tracker.rebuilds == 1
-        assert not tracker.lost
+        state.advance()
+        assert state.latest[block] is older
+        assert state.rebuilds == 1
+        assert not state.lost
         assert check.new_durable() == [newer, older]  # folded again from scratch

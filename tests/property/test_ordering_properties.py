@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.block.request import RequestFlag, write_request
 from repro.block.scheduler import EpochIOScheduler
 from repro.core import build_stack, standard_config
-from repro.core.verification import verify_dispatch_preserves_epochs, verify_epoch_prefix
+from repro.core.verification import ORACLES, CrashProbe
 from repro.simulation.stats import percentile
 from repro.storage.command import WrittenBlock
 from repro.storage.crash import recover_durable_blocks
@@ -118,9 +118,9 @@ class TestEndToEndOrderingProperties:
         sim.run(until=horizon)
         stack.device.power_off()
 
-        verify_dispatch_preserves_epochs(stack.block.dispatch_log)
-        state = recover_durable_blocks(stack.device)
-        verify_epoch_prefix(state)
+        probe = CrashProbe.from_stack(recover_durable_blocks(stack.device), stack)
+        ORACLES["dispatch-epoch-order"].verify(probe)
+        ORACLES["epoch-prefix"].verify(probe)
 
     @given(seed=st.integers(min_value=0, max_value=2**10),
            syncs=st.integers(min_value=1, max_value=6))
@@ -142,7 +142,7 @@ class TestEndToEndOrderingProperties:
 
             handle = stack.run_process(proc())
             durable = {
-                entry.block for entry in stack.device.durable_entries()
+                entry.block for entry in stack.device.cache.history if entry.is_durable
             }
             for page in range(syncs):
                 assert ("data", handle.inode_no, page) in durable, (

@@ -97,7 +97,7 @@ class TestRemount:
     def test_seeded_baseline_is_durable_on_the_new_device(self):
         probe = crashed_probe(SPEC, calls=3)
         stack = remount(capture_image(probe), SPEC)
-        durable = {entry.block for entry in stack.device.durable_entries()}
+        durable = {entry.block for entry in stack.device.cache.history if entry.is_durable}
         inode = stack.fs.open("bench.dat").inode
         for page in range(3):
             assert inode.data_block_name(page) in durable

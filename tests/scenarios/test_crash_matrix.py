@@ -9,7 +9,7 @@ so the epoch-prefix property is checked against a non-trivial crash state.
 
 import pytest
 
-from repro.core.verification import verify_epoch_prefix
+from repro.core.verification import ORACLES, CrashProbe
 from repro.scenarios import ScenarioSpec, prepare_spec
 from repro.storage.barrier_modes import BarrierMode
 from repro.storage.crash import recover_durable_blocks
@@ -61,9 +61,8 @@ def test_crash_recovery_matrix(mode):
 
     assert state.barrier_mode is mode
     # The recovered state partitions everything ever transferred.
-    assert len(state.durable) + len(state.lost) == len(state.transferred)
+    assert len(state.durable) + len(state.lost) == len(state.history)
     # The fsync'd prefix waited for durability, so it must have survived.
     assert state.durable, "fsync'd writes lost after crash"
     if mode.orders_persistence:
-        verify_epoch_prefix(state)
-        assert state.durable_epochs() == sorted(state.durable_epochs())
+        ORACLES["epoch-prefix"].verify(CrashProbe(state))

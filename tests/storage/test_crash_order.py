@@ -1,15 +1,16 @@
-"""Crash recovery hands out transfer-ordered lists without re-sorting them.
+"""The crash state's lists stay in transfer order without re-sorting.
 
-``recover_durable_blocks`` relies on the cache history being admitted in
-strictly increasing ``transfer_seq`` and on every filter of it keeping that
-order; only the FTL-log recovery output is sorted back.  Checked at every
-crash boundary of a run under each barrier mode.
+:class:`repro.storage.crash.CrashState` relies on the cache history being
+admitted in strictly increasing ``transfer_seq``: its lost set keeps
+history order, and the storage-order check stops scanning it at the first
+page past the durable horizon.  Checked at every crash boundary of a run
+under each barrier mode, on a state advanced point to point.
 """
 
 import pytest
 
 from repro.scenarios import ScenarioSpec, prepare_spec
-from repro.storage.crash import recover_durable_blocks
+from repro.storage.crash import CrashState
 
 
 def strictly_increasing(entries) -> bool:
@@ -31,18 +32,17 @@ def test_history_and_recovered_lists_are_in_transfer_order(mode):
     workload = prepare_spec(spec)
     device = workload.stack.device
     workload.stack.record_history()
+    state = CrashState(device)
     checked = []
 
     def check(kind, pages):
-        history = device.written_history()
-        state = recover_durable_blocks(device)
+        state.advance()
         checked.append(
-            strictly_increasing(history)
-            and strictly_increasing(state.durable)
-            and state.transferred == history
+            strictly_increasing(state.history)
+            and strictly_increasing(state.lost.values())
         )
 
     device.crash_tap = check
     workload.run()
     assert checked and all(checked)
-    assert len(device.written_history()) == device.cache.total_admitted
+    assert len(device.cache.history) == device.cache.total_admitted

@@ -101,7 +101,7 @@ def test_flush_makes_prior_writes_durable():
         return None
 
     run_host(sim, host())
-    durable_blocks = {entry.block for entry in device.durable_entries()}
+    durable_blocks = {entry.block for entry in device.cache.history if entry.is_durable}
     assert durable_blocks == {"a", "b"}
     assert device.stats.flushes_serviced == 1
 
@@ -120,7 +120,7 @@ def test_fua_write_is_durable_at_completion():
         return None
 
     run_host(sim, host())
-    assert {entry.block for entry in device.durable_entries()} == {"jc"}
+    assert {entry.block for entry in device.cache.history if entry.is_durable} == {"jc"}
     assert device.stats.fua_writes == 1
 
 
@@ -179,7 +179,7 @@ def test_plp_device_durable_on_transfer():
         return None
 
     run_host(sim, host())
-    assert {entry.block for entry in device.durable_entries()} == {"a"}
+    assert {entry.block for entry in device.cache.history if entry.is_durable} == {"a"}
 
 
 def test_plp_flush_is_cheap_compared_to_plain():

@@ -2,7 +2,9 @@
 
 import pytest
 
+from reference.stub_device import stub_device
 from repro.storage.command import WrittenBlock
+from repro.storage.crash import recover_durable_blocks
 from repro.storage.ftl import LogStructuredFTL
 from repro.storage.writeback_cache import WritebackCache
 
@@ -73,6 +75,10 @@ class TestLogStructuredFTL:
     def _entries(self, cache, count, epoch=0):
         return _admit(cache, [f"block-{index}" for index in range(count)], epoch=epoch)
 
+    def _recovered(self, cache, ftl):
+        """What the crash state's LFS recovery scan of ``ftl`` keeps."""
+        return recover_durable_blocks(stub_device(cache.history, ftl=ftl)).durable
+
     def test_append_fills_segments_in_order(self):
         cache = WritebackCache(64)
         ftl = LogStructuredFTL(segment_pages=4)
@@ -84,26 +90,29 @@ class TestLogStructuredFTL:
 
     def test_recover_keeps_programmed_prefix_only(self):
         cache = WritebackCache(64)
+        cache.record_history()
         ftl = LogStructuredFTL(segment_pages=8)
         entries = self._entries(cache, 6)
         pages = ftl.append_batch(entries)
         # Only the first four pages finished programming before the crash.
         ftl.mark_programmed(pages[:4], time=2.0)
-        recovered = ftl.recover()
+        recovered = self._recovered(cache, ftl)
         assert [entry.block for entry in recovered] == [e.block for e in entries[:4]]
 
     def test_recover_stops_at_first_hole_across_segments(self):
         cache = WritebackCache(64)
+        cache.record_history()
         ftl = LogStructuredFTL(segment_pages=2)
         entries = self._entries(cache, 6)
         pages = ftl.append_batch(entries)
         # Second segment has a hole: its first page never programmed.
         ftl.mark_programmed([pages[0], pages[1], pages[3], pages[4], pages[5]], time=2.0)
-        recovered = ftl.recover()
+        recovered = self._recovered(cache, ftl)
         assert [entry.block for entry in recovered] == [entries[0].block, entries[1].block]
 
     def test_gc_reclaims_dead_segments(self):
         cache = WritebackCache(1024)
+        cache.record_history()
         ftl = LogStructuredFTL(segment_pages=2, total_segments=8, gc_free_threshold=4)
         # Overwrite the same two blocks repeatedly so old segments become dead.
         for round_index in range(6):
@@ -117,7 +126,7 @@ class TestLogStructuredFTL:
                 ftl.run_gc(time=float(round_index))
         assert ftl.gc_runs >= 1
         assert ftl.free_segments > 0
-        recovered_blocks = {entry.block for entry in ftl.recover()}
+        recovered_blocks = {entry.block for entry in self._recovered(cache, ftl)}
         assert {"x", "y"} <= recovered_blocks
 
     def test_invalid_segment_size_rejected(self):

@@ -14,7 +14,6 @@ from repro.scenarios import ScenarioSpec, run_spec, sweep_table
 from repro.simulation import Simulator
 from repro.storage import BarrierMode, StorageDevice, get_profile
 from repro.storage.barrier_modes import default_barrier_mode
-from repro.storage.crash import recover_durable_blocks
 
 
 class TestAnalysisHelpers:
@@ -97,38 +96,6 @@ class TestConfigurationCorners:
         assert default_barrier_mode(get_profile("supercap-ssd")) is BarrierMode.PLP
         assert default_barrier_mode(get_profile("plain-ssd")) is BarrierMode.IN_ORDER_RECOVERY
         assert default_barrier_mode(get_profile("HDD")) is BarrierMode.NONE
-
-
-class TestCrashStateHelpers:
-    def _crashed_stack(self):
-        stack = build_stack(standard_config("BFS-OD", "plain-ssd"))
-        stack.record_history()
-        fs = stack.fs
-
-        def proc():
-            handle = fs.create("a.db")
-            for _ in range(5):
-                fs.write(handle, 1)
-                yield from fs.fbarrier(handle)
-            yield stack.sim.timeout(10_000)
-            return None
-
-        stack.run_process(proc())
-        stack.device.power_off()
-        return stack
-
-    def test_crash_state_accessors(self):
-        stack = self._crashed_stack()
-        state = recover_durable_blocks(stack.device)
-        assert state.barrier_mode is BarrierMode.IN_ORDER_RECOVERY
-        assert state.crash_time > 0
-        assert len(state.durable) + len(state.lost) == len(state.transferred)
-        if state.durable:
-            block = state.durable[0].block
-            assert state.survived(block)
-            assert state.survived(block, version=state.durable_blocks[block])
-        assert not state.survived(("nonexistent", 99))
-        assert state.durable_epochs() == sorted(state.durable_epochs())
 
 
 class TestTransactionLifecycle:

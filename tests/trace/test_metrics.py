@@ -11,21 +11,22 @@ def test_registry_durations_are_exact_percentiles():
     durations = [float(value) for value in range(100, 0, -1)]
     for duration in durations:
         registry.observe_duration("device.write", duration)
-    stats = registry.summary()["durations"]["device.write"]
-    assert stats["count"] == 100
-    assert stats["mean"] == pytest.approx(50.5)
-    assert (stats["min"], stats["max"]) == (1.0, 100.0)
-    assert stats["p50"] == 50.5
+    stats = registry.durations["device.write"].summary()
+    assert stats.count == 100
+    assert stats.mean == pytest.approx(50.5)
+    assert (stats.minimum, stats.maximum) == (1.0, 100.0)
+    assert stats.median == 50.5
     for key, fraction in (("p99", 0.99), ("p999", 0.999)):
-        assert stats[key] == percentile(durations, fraction)
+        assert getattr(stats, key) == percentile(durations, fraction)
 
 
 def test_registry_gauges_are_time_weighted():
     registry = MetricsRegistry()
     registry.gauge("queue.device", 10.0, 4.0)  # 0 held for 10
     registry.gauge("queue.device", 30.0, 1.0)  # 4 held for 20
-    gauge = registry.summary()["gauges"]["queue.device"]
-    assert gauge == {"mean": (0 * 10 + 4 * 20) / 30, "peak": 4.0, "last": 1.0}
+    gauge = registry.gauges["queue.device"]
+    assert gauge.mean() == (0 * 10 + 4 * 20) / 30
+    assert (gauge.peak, gauge.current) == (4.0, 1.0)
 
 
 def test_registry_result_has_one_sorted_row_per_span_name():
@@ -34,7 +35,7 @@ def test_registry_result_has_one_sorted_row_per_span_name():
     registry.count("spans.block")
     for name, duration in (("fs.fsync", 9.0), ("block.queue", 2.0), ("fs.fsync", 3.0)):
         registry.observe_duration(name, duration)
-    assert registry.summary()["counters"] == {"spans.block": 3}
+    assert registry.counters == {"spans.block": 3}
     result = registry.result()
     rows = result.as_dicts()
     assert [row["span"] for row in rows] == ["block.queue", "fs.fsync"]

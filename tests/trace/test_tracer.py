@@ -264,14 +264,14 @@ class TestMetrics:
         durations = {}
         for span in tracer.spans:
             durations.setdefault(f"{span.layer}.{span.op}", []).append(span.duration)
-        summaries = metrics.summary()["durations"]
-        assert set(summaries) == set(metrics.durations) == set(durations)
-        for name, stats in summaries.items():
+        assert set(metrics.durations) == set(durations)
+        for name, recorder in metrics.durations.items():
+            stats = recorder.summary()
             spans = durations[name]
-            assert stats["count"] == len(spans), name
-            assert (stats["min"], stats["max"]) == (min(spans), max(spans)), name
-            for key, fraction in (("p50", 0.5), ("p99", 0.99), ("p999", 0.999)):
-                assert stats[key] == percentile(spans, fraction), (name, key)
+            assert stats.count == len(spans), name
+            assert (stats.minimum, stats.maximum) == (min(spans), max(spans)), name
+            for key, fraction in (("median", 0.5), ("p99", 0.99), ("p999", 0.999)):
+                assert getattr(stats, key) == percentile(spans, fraction), (name, key)
 
     def test_metrics_result_table_shape(self):
         tracer = Tracer()
