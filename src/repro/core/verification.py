@@ -23,11 +23,13 @@ Each invariant is one :class:`IncrementalCheck`, registered as an
 :class:`Oracle` with an applicability predicate and a *guaranteed*
 predicate (whether the stack × barrier-mode cell under test actually
 promises the property — a violation on a cell that doesn't promise it is
-an expected witness, not a bug).  A check keeps its scan positions and
-partial results between calls, so the exploration engine judges a run
-point after point over one crash state advanced in step; a check built on
-a freshly folded state judges that state alone.  :mod:`repro.crashlab`
-adds workload-level oracles on top via :func:`register_oracle`.
+an expected witness, not a bug), and with the inputs its check reads
+(:data:`INPUTS`).  A check keeps its scan positions and partial results
+between calls, so the exploration engine judges a run point after point
+over one crash state advanced in step, and runs a check again only when
+one of its inputs changed; a check built on a freshly folded state judges
+that state alone.  :mod:`repro.crashlab` adds workload-level oracles on
+top via :func:`register_oracle`.
 """
 
 from __future__ import annotations
@@ -49,12 +51,15 @@ class VerificationError(AssertionError):
 def _recoverable(txn: JournalTransaction, durable) -> bool:
     """Whether ``txn``'s commit record and every log block are in ``durable``."""
     txid = txn.txid
-    return (
-        ("jc", txid) in durable
-        and ("jd", txid) in durable
-        and all(("log", txid, name) in durable for name in txn.metadata_buffers)
-        and all(("logdata", txid, name) in durable for name in txn.journaled_data)
-    )
+    if ("jc", txid) not in durable or ("jd", txid) not in durable:
+        return False
+    for name in txn.metadata_buffers:
+        if ("log", txid, name) not in durable:
+            return False
+    for name in txn.journaled_data:
+        if ("logdata", txid, name) not in durable:
+            return False
+    return True
 
 
 def recovered_transactions(
@@ -138,6 +143,33 @@ class CrashProbe:
         )
 
 
+# What a check may read.  An oracle declares the inputs its check reads;
+# the in-line judge runs the check again only when one of them changed
+# since the previous point and otherwise keeps the previous verdict.
+
+#: The durable set: ``state.durable`` and ``state.latest``.
+DURABLE = "durable"
+#: The lost set (``state.lost``), apart from pages joining its tail by
+#: transfer: such a page is newer, in transfer order and (while
+#: ``state.epochs_ordered`` holds) in epoch, than every page before it.
+LOST = "lost"
+#: The pages transferred since (``state.history``), which join the lost set.
+TRANSFERS = "transfers"
+#: The block layer's dispatch log (``probe.dispatch_log``).
+DISPATCH_LOG = "dispatch-log"
+#: The journal's transactions.  They change when one starts (the running
+#: transaction is replaced), which is also when one is asked to commit,
+#: and when one finishes; what the running transaction holds is not
+#: tracked, since no commit record of it can be durable yet.
+TRANSACTIONS = "transactions"
+#: Which inode each file name resolves to (the filesystem namespace).
+LOG_INODES = "log-inodes"
+#: The fault injections that fired (``probe.fault_events``).
+FAULTS = "faults"
+#: Every input; an oracle that declares none is taken to read them all.
+INPUTS = (DURABLE, LOST, TRANSFERS, DISPATCH_LOG, TRANSACTIONS, LOG_INODES, FAULTS)
+
+
 @dataclass(frozen=True)
 class Oracle:
     """One registered recovery invariant.
@@ -149,7 +181,8 @@ class Oracle:
     meaningful for a probe at all; ``guaranteed`` says whether the cell under
     test (stack configuration × barrier mode) *promises* the property — a
     violation on a non-guaranteeing cell is an expected witness of legacy
-    behaviour, not a checker failure.
+    behaviour, not a checker failure.  ``reads`` names the :data:`INPUTS`
+    the check reads (see :func:`register_oracle`).
     """
 
     name: str
@@ -157,6 +190,7 @@ class Oracle:
     check: Callable[[CrashProbe], "IncrementalCheck"]
     applies: Callable[[CrashProbe], bool]
     guaranteed: Callable[[CrashProbe], bool]
+    reads: frozenset = frozenset(INPUTS)
 
     def verify(self, probe: CrashProbe) -> None:
         """Judge ``probe``'s state alone; raises :class:`VerificationError`."""
@@ -175,6 +209,13 @@ _FAULT_IMMUNE_ORACLES = frozenset({"dispatch-epoch-order"})
 #: bookkeeping (an errored command transfers nothing, so retries cannot
 #: perturb them).
 _DEVICE_PREFIX_ORACLES = frozenset({"epoch-prefix", "storage-order-prefix"})
+
+#: The durability oracles of the remount-and-continue judge
+#: (:mod:`repro.recovery.judge`): acknowledged pages must survive a crash,
+#: and a continuation's pages the next one.
+ACKED_PREFIX_ORACLE = "recovered-acked-prefix"
+CONTINUATION_ORACLE = "recovered-continuation-durability"
+_DURABILITY_ORACLES = frozenset({ACKED_PREFIX_ORACLE, CONTINUATION_ORACLE})
 
 #: Fault kinds that corrupt media pages at program time.
 _MEDIA_FAULT_KINDS = frozenset(
@@ -196,10 +237,12 @@ def faults_permit(oracle_name: str, probe: CrashProbe) -> bool:
       (PLP never programs, so these faults cannot fire there at all.)
     * **flush lies** void any guarantee that leans on a flush: the
       transfer-and-flush (EXT4-style) stack lets a FLUSH|FUA commit record
-      overtake unflushed data, so only an order-preserving block layer —
-      whose drain policy orders persistence without flushes — or PLP keeps
-      its promises.  This also voids the ``use_flush_fua`` rescue of the
-      journal-recovery oracle.
+      overtake unflushed data, so for the ordering oracles only an
+      order-preserving block layer — whose drain policy orders persistence
+      without flushes — or PLP keeps its promises.  This also voids the
+      ``use_flush_fua`` rescue of the journal-recovery oracle.  Durability
+      (the acknowledged-prefix oracles) rests on the flush on every stack,
+      so a lied flush leaves it guaranteed only on PLP.
     * **io-errors** are invisible to device-internal prefix properties (a
       failed command transfers nothing) but the bounded retry path may
       reorder application-level appends, so journal- and workload-level
@@ -218,11 +261,13 @@ def faults_permit(oracle_name: str, probe: CrashProbe) -> bool:
     mode = probe.state.barrier_mode
     if kinds & _MEDIA_FAULT_KINDS and mode is not BarrierMode.IN_ORDER_RECOVERY:
         return False
-    if "flush-lie" in kinds:
+    if "flush-lie" in kinds and mode is not BarrierMode.PLP:
+        if oracle_name in _DURABILITY_ORACLES:
+            return False
         order_preserving = bool(
             getattr(getattr(probe.stack, "block", None), "order_preserving", False)
         )
-        if not order_preserving and mode is not BarrierMode.PLP:
+        if not order_preserving:
             return False
     if "io-error" in kinds and oracle_name not in _DEVICE_PREFIX_ORACLES:
         return False
@@ -235,12 +280,24 @@ def register_oracle(
     description: str = "",
     applies: Optional[Callable[[CrashProbe], bool]] = None,
     guaranteed: Optional[Callable[[CrashProbe], bool]] = None,
+    reads: Iterable[str] = INPUTS,
 ):
     """Register a crash-recovery oracle; decorates its check class.
 
     ``applies`` defaults to always-on, ``guaranteed`` to whether the barrier
-    mode orders persistence (the paper's baseline promise).
+    mode orders persistence (the paper's baseline promise).  ``reads``
+    names the :data:`INPUTS` the check reads; the in-line judge runs the
+    check again only when one of them changed, so a check must read
+    nothing else that can change during a run (its default, every input,
+    is always safe).  ``applies`` and ``guaranteed`` may read the cell
+    (spec, stack, barrier mode), the fired faults and whether the dispatch
+    log and the journal's transactions are empty: the judge evaluates them
+    once per cell and again only when one of those changes.
     """
+    reads = frozenset(reads)
+    unknown = reads - set(INPUTS)
+    if unknown:
+        raise ValueError(f"oracle {name!r} reads unknown inputs {sorted(unknown)}")
 
     def decorator(check: Callable[[CrashProbe], "IncrementalCheck"]):
         if name in ORACLES:
@@ -260,6 +317,7 @@ def register_oracle(
             check=check,
             applies=applies or (lambda probe: True),
             guaranteed=guarded,
+            reads=reads,
         )
         return check
 
@@ -271,11 +329,13 @@ class IncrementalCheck:
 
     Built once per probe, on the first point the oracle applies at;
     :meth:`check` judges the state as it stands and raises
-    :class:`VerificationError` with a witness.  A check is phrased over the
-    state's lost set plus aggregates it folds as the durable list grows
-    (the newest durable epoch, the newest durable version per block, the
-    high durable page per file, the unrecovered-transaction frontier), so
-    a call costs O(pages made durable since the last call + lost set).
+    :class:`VerificationError` with a witness.  A check is phrased over
+    aggregates folded as the durable list grows (the state's newest
+    durable epoch and horizon, the newest durable version per block, the
+    high durable page per file, the unrecovered transactions) and decides
+    a passing state from them and the oldest lost pages in O(pages
+    changed since the last call); only a state that may fail is scanned in
+    full, and that scan builds the witness.
     """
 
     def __init__(self, probe: CrashProbe):
@@ -283,6 +343,9 @@ class IncrementalCheck:
         self.probe = probe
         self._generation = self.state.generation
         self._durable_seen = 0
+        #: ``state.durable_stamp`` at the last :meth:`new_durable`: while
+        #: it stands, nothing new is durable and no restart is due.
+        self.durable_stamp = None
         self.restart()
 
     def restart(self) -> None:
@@ -294,15 +357,16 @@ class IncrementalCheck:
         Call it before reading any folded result: a restart replaces them.
         """
         state = self.state
+        self.durable_stamp = state.durable_stamp
         if self._generation != state.generation:
             self._generation = state.generation
             self._durable_seen = 0
             self.restart()
         durable = state.durable
-        new = durable[self._durable_seen:]
-        self._durable_seen = len(durable)
-        state.folds += len(new)
-        return new
+        seen = self._durable_seen
+        self._durable_seen = end = len(durable)
+        state.folds += end - seen
+        return durable[seen:end]
 
     def check(self) -> None:
         raise NotImplementedError
@@ -311,27 +375,38 @@ class IncrementalCheck:
 @register_oracle(
     "epoch-prefix",
     description="durable epochs form a prefix of the persist-epoch order",
+    reads=(DURABLE, LOST),
 )
 class EpochPrefixCheck(IncrementalCheck):
     """``epoch-prefix`` over the newest durable epoch and the lost set.
 
     Guaranteed by devices whose barrier mode orders persistence; for a
     legacy (``NONE``) device the property is expected to fail and a
-    violation witnesses the legacy behaviour rather than a bug.
+    violation witnesses the legacy behaviour rather than a bug.  While
+    epochs never go down along the transfer order
+    (``state.epochs_ordered``), the oldest lost page carries the lowest
+    lost epoch, so the state passes iff that epoch is at least the newest
+    durable one (``state.newest_epoch``): one look instead of a scan of
+    the lost set.  A newly transferred page is then in no earlier epoch
+    than any durable page, so it is neither a violation nor part of a
+    witness: the check does not read :data:`TRANSFERS`.
     """
 
-    def restart(self) -> None:
-        self.max_epoch: Optional[int] = None
-
     def check(self) -> None:
-        for entry in self.new_durable():
-            if self.max_epoch is None or entry.epoch > self.max_epoch:
-                self.max_epoch = entry.epoch
-        newest = self.max_epoch
+        state = self.state
+        newest = state.newest_epoch
         if newest is None:
             return
-        lost = self.state.lost
-        self.state.folds += len(lost)
+        lost = state.lost
+        if state.epochs_ordered:
+            for seq in lost:
+                state.folds += 1
+                if lost[seq].epoch >= newest:
+                    return
+                break
+            else:
+                return
+        state.folds += len(lost)
         missing = [entry for entry in lost.values() if entry.epoch < newest]
         if missing:
             raise VerificationError(
@@ -344,36 +419,45 @@ class EpochPrefixCheck(IncrementalCheck):
 @register_oracle(
     "storage-order-prefix",
     description="durable pages form a prefix of the transfer order",
+    reads=(DURABLE, LOST),
 )
 class StorageOrderPrefixCheck(IncrementalCheck):
     """``storage-order-prefix`` over the durable horizon and the lost set.
 
-    A lost page is a violation if a page transferred after it is durable,
-    unless a durable write of the same block carries at least its version
-    (an overwrite supersedes the lost page).
+    A lost page is a violation if a page transferred after it is durable
+    (below ``state.horizon``), unless a durable write of the same block
+    carries at least its version (an overwrite supersedes the lost page).
+    The lost set is in transfer order, so the scan stops at the first lost
+    page at or past the horizon: a passing prefix device costs one look,
+    and the newest durable version per block is folded only when a lost
+    page lies below the horizon.  A newly transferred page lies past the
+    horizon, so the check does not read :data:`TRANSFERS`.
     """
 
     def restart(self) -> None:
-        self.horizon: Optional[int] = None
         self.newest_version: dict[object, int] = {}
 
     def check(self) -> None:
-        new_durable = self.new_durable()
-        newest_version = self.newest_version
-        for entry in new_durable:
-            if self.horizon is None or entry.transfer_seq > self.horizon:
-                self.horizon = entry.transfer_seq
-            if entry.version > newest_version.get(entry.block, -1):
-                newest_version[entry.block] = entry.version
-        horizon = self.horizon
+        state = self.state
+        horizon = state.horizon
         if horizon is None:
             return
-        state = self.state
-        for entry in state.lost.values():
+        lost = state.lost
+        newest_version = None
+        for seq in lost:
             state.folds += 1
-            if entry.transfer_seq >= horizon:
+            if seq >= horizon:
                 return
-            if newest_version.get(entry.block, -1) >= entry.version:
+            if newest_version is None:
+                new_durable = self.new_durable()
+                newest_version = self.newest_version
+                for entry in new_durable:
+                    block = entry.block
+                    if block not in newest_version or entry.version > newest_version[block]:
+                        newest_version[block] = entry.version
+            entry = lost[seq]
+            block = entry.block
+            if block in newest_version and newest_version[block] >= entry.version:
                 continue
             raise VerificationError(
                 f"storage-order prefix violated: {entry.block} v{entry.version} "
@@ -387,6 +471,7 @@ class StorageOrderPrefixCheck(IncrementalCheck):
     description="dispatch order never reorders requests across epochs",
     applies=lambda probe: probe.dispatch_log is not None and len(probe.dispatch_log) > 0,
     guaranteed=lambda probe: True,
+    reads=(DISPATCH_LOG,),
 )
 class DispatchEpochOrderCheck(IncrementalCheck):
     """``dispatch-epoch-order`` over the dispatch log, from where it stopped.
@@ -405,11 +490,9 @@ class DispatchEpochOrderCheck(IncrementalCheck):
 
     def check(self) -> None:
         if self._violation is None:
-            log = self.probe.dispatch_log
             last_epoch = self._last_epoch
             position = self._position
-            while position < len(log):
-                request = log[position]
+            for request in self.probe.dispatch_log[position:]:
                 position += 1
                 epoch = request.issue_epoch
                 if epoch is None:
@@ -417,7 +500,8 @@ class DispatchEpochOrderCheck(IncrementalCheck):
                 if epoch < last_epoch:
                     self._violation = (request, epoch, last_epoch)
                     break
-                last_epoch = max(last_epoch, epoch)
+                if epoch > last_epoch:
+                    last_epoch = epoch
             self.state.folds += position - self._position
             self._position, self._last_epoch = position, last_epoch
         if self._violation is not None:
@@ -447,9 +531,10 @@ def _journal_guaranteed(probe: CrashProbe) -> bool:
     description="recoverable transactions form a commit prefix with durable data",
     applies=lambda probe: len(probe.transactions) > 0,
     guaranteed=_journal_guaranteed,
+    reads=(DURABLE, TRANSACTIONS),
 )
 class JournalRecoveryCheck(IncrementalCheck):
-    """``journal-recovery`` over the unrecovered-transaction frontier.
+    """``journal-recovery`` over the unrecovered transactions.
 
     The recoverable transactions (commit record and every log block
     durable) must form a prefix of the commit order, and in ordered mode
@@ -457,9 +542,10 @@ class JournalRecoveryCheck(IncrementalCheck):
     with at least the referenced version.  A committed transaction's
     content is frozen and the durable set only grows, so a recoverable
     transaction stays recoverable and a satisfied ordered-data dependency
-    stays satisfied; only the frontier (finished transactions not yet
-    recoverable, plus the ones in flight) and the unmet dependencies of
-    recovered transactions are looked at again.
+    stays satisfied.  An unrecovered transaction can become recoverable
+    only once its commit record is durable, so only those are looked at
+    in full when the durable set grows; transactions are folded in once,
+    when the journal's running transaction is replaced or one finishes.
     """
 
     def __init__(self, probe: CrashProbe):
@@ -467,80 +553,104 @@ class JournalRecoveryCheck(IncrementalCheck):
         from repro.fs.mount import JournalMode
 
         self.journal = probe.stack.fs.journal
+        self._finished = self.journal.history
+        self._has_running = hasattr(self.journal, "running")
         config = getattr(probe.stack, "config", None)
         self.ordered = True
         if config is not None and getattr(config, "journal_mode", None) is not None:
             self.ordered = config.journal_mode is JournalMode.ORDERED
 
     def restart(self) -> None:
-        self._finished_seen = 0
-        #: Finished transactions not yet recoverable, by txid.
-        self._frontier: dict[int, object] = {}
-        self._recovered: set[int] = set()
+        #: The running transaction and the finished count when last folded.
+        self._running = None
+        self._finished_count = -1
+        #: Every transaction up to this txid has been folded, and this
+        #: many finished ones looked at.
+        self._known = 0
+        self._finished_folded = 0
+        #: Transactions not recoverable yet, ascending by txid.
+        self._unrecovered: dict[int, JournalTransaction] = {}
         self._newest: Optional[int] = None
         #: Unmet ordered-data dependencies of recovered transactions:
         #: ``(txid, position) -> (block, version)``, plus a per-block heap.
         self._unmet: dict[tuple[int, int], tuple[object, int]] = {}
         self._waiting: dict[object, list[tuple[int, int, int]]] = {}
 
+    def _recover(self, txn: JournalTransaction, durable) -> None:
+        """Record ``txn`` as recovered, with its unmet ordered-data pages."""
+        txid = txn.txid
+        if self._newest is None or txid > self._newest:
+            self._newest = txid
+        if self.ordered:
+            for position, (name, version) in enumerate(txn.ordered_data.items()):
+                current = durable.get(name)
+                if current is None or current.version < version:
+                    self._unmet[(txid, position)] = (name, version)
+                    heapq.heappush(self._waiting.setdefault(name, []), (version, txid, position))
+
+    def _fold_transactions(self) -> None:
+        """Add the transactions that appeared since the last fold."""
+        known = self._known
+        finished = self._finished[self._finished_folded:]
+        self._finished_folded += len(finished)
+        new = {
+            txn.txid: txn
+            for txn in [*finished, *self.journal.in_flight()]
+            if txn.txid > known
+        }
+        self.state.folds += len(new)
+        for txid in sorted(new):  # above every txid folded before
+            self._unrecovered[txid] = new[txid]
+            self._known = txid
+
     def check(self) -> None:
-        new_durable = self.new_durable()
         state = self.state
         durable = state.latest
-        waiting = self._waiting
-        unmet = self._unmet
-        for entry in new_durable:
-            heap = waiting.get(entry.block)
-            if heap:
-                version = durable[entry.block].version
-                while heap and heap[0][0] <= version:
-                    _, txid, position = heapq.heappop(heap)
-                    del unmet[(txid, position)]
-
-        finished = self.journal.history
-        frontier = self._frontier
-        recovered = self._recovered
-        for position in range(self._finished_seen, len(finished)):
-            txn = finished[position]
-            if txn.txid not in recovered:
-                frontier[txn.txid] = txn
-        state.folds += len(finished) - self._finished_seen
-        self._finished_seen = len(finished)
-
-        candidates = dict(frontier)
-        for txn in self.journal.in_flight():
-            if txn.txid not in recovered:
-                candidates.setdefault(txn.txid, txn)
-        state.folds += len(candidates)
-        pending = []
-        for txid in sorted(candidates):
-            txn = candidates[txid]
-            if not _recoverable(txn, durable):
-                pending.append(txn)
-                continue
-            recovered.add(txid)
-            frontier.pop(txid, None)
-            if self._newest is None or txid > self._newest:
-                self._newest = txid
-            if self.ordered:
-                for position, (name, version) in enumerate(txn.ordered_data.items()):
-                    current = durable.get(name)
-                    if current is None or current.version < version:
-                        unmet[(txid, position)] = (name, version)
-                        heap = waiting.setdefault(name, [])
-                        heapq.heappush(heap, (version, txid, position))
+        grown = state.durable_stamp != self.durable_stamp
+        if grown:
+            new_durable = self.new_durable()
+            waiting = self._waiting
+            if waiting:
+                unmet = self._unmet
+                for entry in new_durable:
+                    block = entry.block
+                    if block in waiting:
+                        heap = waiting[block]
+                        version = durable[block].version
+                        while heap and heap[0][0] <= version:
+                            _, txid, position = heapq.heappop(heap)
+                            del unmet[(txid, position)]
+        running = self.journal.running if self._has_running else None
+        finished = len(self._finished)
+        if running is not self._running or finished != self._finished_count:
+            self._running, self._finished_count = running, finished
+            self._fold_transactions()
+            grown = True
+        unrecovered = self._unrecovered
+        if grown:
+            # A transaction turns recoverable only once its commit record
+            # is durable, so only those are looked at in full.
+            state.folds += len(unrecovered)
+            ready = [txid for txid in unrecovered if ("jc", txid) in durable]
+            for txid in ready:
+                txn = unrecovered[txid]
+                if _recoverable(txn, durable):
+                    del unrecovered[txid]
+                    self._recover(txn, durable)
 
         newest = self._newest
         if newest is not None:
-            for txn in pending:  # ascending txid
-                if txn.txid >= newest:
+            for txid in unrecovered:  # ascending
+                state.folds += 1
+                if txid >= newest:
                     break
-                if txn.commit_requested_at is not None:
+                if unrecovered[txid].commit_requested_at is not None:
                     raise VerificationError(
                         f"journal recovery violates commit order: transaction "
                         f"{newest} is recoverable but earlier transaction "
-                        f"{txn.txid} is not"
+                        f"{txid} is not"
                     )
+        unmet = self._unmet
         if unmet:
             first = min(unmet)
             name, version = unmet[first]

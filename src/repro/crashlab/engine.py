@@ -53,7 +53,7 @@ from typing import Optional, Sequence
 
 from repro.core.verification import CrashProbe
 from repro.crashlab import oracles as _workload_oracles  # noqa: F401 - registers oracles
-from repro.crashlab.incremental import IncrementalJudge, judge_oracles
+from repro.crashlab.incremental import IncrementalJudge
 from repro.crashlab.points import (
     CrashPointReached,
     CrashTrigger,
@@ -110,12 +110,12 @@ def _point_verdict(
 ) -> PointVerdict:
     """Every applicable oracle's verdict on ``probe``'s already-folded state.
 
-    The same verdict loop as the in-line pass
-    (:meth:`repro.crashlab.incremental.IncrementalJudge.verdicts`), with
-    checks built for this probe alone: the per-point replay reference and
-    the ``--continue`` judge use it.
+    The same judge as the in-line pass
+    (:class:`repro.crashlab.incremental.IncrementalJudge`), built for this
+    probe alone: the per-point replay reference and the ``--continue``
+    judge use it.
     """
-    verdicts = judge_oracles(probe, {}, {})
+    verdicts = IncrementalJudge(probe).verdicts()
     return _assemble(
         boundary, index, probe.state.crash_time, verdicts, tracer, trace_tail
     )
@@ -188,23 +188,38 @@ def _verify(
     workload = prepare_spec(spec, tracer=tracer)
     stack = workload.stack
     stack.record_history()
-    incremental = IncrementalJudge(stack, spec=spec, workload=workload)
+    incremental = IncrementalJudge.on_stack(stack, spec=spec, workload=workload)
     state = incremental.state
+    sim = stack.sim
 
-    def verdict(boundary: Optional[CrashBoundary], index: int) -> PointVerdict:
-        if judge is None:
-            verdicts = incremental.verdicts()
+    if judge is None:
+        def verdict(boundary: Optional[CrashBoundary], index: int) -> PointVerdict:
+            state.advance()
             return _assemble(
-                boundary, index, stack.sim.now, verdicts, tracer, trace_tail
+                boundary, index, sim.now, incremental.verdicts(), tracer, trace_tail
             )
-        probe = CrashProbe.from_stack(
-            state.advance(), stack, spec=spec, workload=workload
-        )
-        return judge(probe, boundary, index, tracer, trace_tail)
 
-    tap = InlineVerifier(
-        stack.device, targets, lambda boundary: verdict(boundary, boundary.index)
-    )
+        def point(boundary: CrashBoundary) -> PointVerdict:
+            # _assemble inlined: this runs at every boundary of the run.
+            state.advance()
+            return PointVerdict(
+                boundary.index,
+                boundary.kind,
+                boundary.time,
+                incremental.verdicts(),
+                tuple(tracer.finalized_tail(trace_tail)) if tracer is not None else (),
+            )
+    else:
+        def verdict(boundary: Optional[CrashBoundary], index: int) -> PointVerdict:
+            probe = CrashProbe.from_stack(
+                state.advance(), stack, spec=spec, workload=workload
+            )
+            return judge(probe, boundary, index, tracer, trace_tail)
+
+        def point(boundary: CrashBoundary) -> PointVerdict:
+            return verdict(boundary, boundary.index)
+
+    tap = InlineVerifier(stack.device, targets, point)
     stack.device.crash_tap = tap
     try:
         workload.run()

@@ -16,9 +16,15 @@ import (``repro.crashlab`` imports this module).
 
 from __future__ import annotations
 
+import heapq
+
 from repro.apps.postgres import WAL_FILE as _PG_WAL_FILE
 from repro.apps.rocksdb import MANIFEST_FILE as _ROCKSDB_MANIFEST
 from repro.core.verification import (
+    DURABLE,
+    LOG_INODES,
+    LOST,
+    TRANSFERS,
     CrashProbe,
     IncrementalCheck,
     VerificationError,
@@ -70,69 +76,129 @@ def _applies(probe: CrashProbe) -> bool:
     "committed-log-prefix",
     description="append-only log files keep a committed-transaction prefix",
     applies=_applies,
+    reads=(DURABLE, LOST, TRANSFERS, LOG_INODES),
 )
 class CommittedLogPrefixCheck(IncrementalCheck):
     """``committed-log-prefix`` over the high durable page per file.
 
     For each append-only file: a hole is a transferred page below the
     file's highest durable page with no durable version.  Every such page
-    is in the state's lost set, so only the lost set is scanned, against
-    per-file aggregates folded as pages are transferred and made durable.
+    is in the state's lost set.  Each log file's transferred pages wait in
+    a heap by page number until they turn out not to be holes (made
+    durable, or some version of their page is), so the state passes iff
+    the lowest page still waiting is at or above the high page; only a
+    state that fails scans the lost set, to build the witness.
     """
 
     def __init__(self, probe: CrashProbe):
         super().__init__(probe)
         self.files = _append_log_files(probe)
         self.fs = probe.stack.fs
+        self._versioned = hasattr(self.fs, "namespace_version")
 
     def restart(self) -> None:
         self._transferred_seen = 0
-        #: Inodes with at least one transferred data page.
-        self._transferred: set[int] = set()
         #: inode -> durable data pages, and its highest one.
         self._durable: dict[int, set[int]] = {}
         self._high: dict[int, int] = {}
+        #: inode of a log file -> heap of ``(page, transfer_seq)`` that may
+        #: be holes; ``_logs`` lists ``(name, inode)`` of the log files.
+        self._waiting: dict[int, list[tuple[int, int]]] = {}
+        self._logs: list[tuple[str, int]] = []
+        self._namespace = None
+        #: The witness of the previous call, ``None`` if it passed.
+        self._witness = None
+
+    def _resolve(self) -> None:
+        """Which inode each log file names now; new ones start waiting."""
+        fs = self.fs
+        self._logs = [
+            (name, fs.open(name).inode.inode_no) for name in self.files if fs.exists(name)
+        ]
+        state = self.state
+        lost = state.lost
+        for _, inode_no in self._logs:
+            if inode_no in self._waiting:
+                continue
+            state.folds += len(lost)
+            heap = [
+                (data[1], seq)
+                for seq, entry in lost.items()
+                if (data := _data_block(entry.block)) is not None and data[0] == inode_no
+            ]
+            heapq.heapify(heap)
+            self._waiting[inode_no] = heap
 
     def check(self) -> None:
-        new_durable = self.new_durable()
         state = self.state
-        history = state.history
-        for position in range(self._transferred_seen, len(history)):
-            data = _data_block(history[position].block)
-            if data is not None:
-                self._transferred.add(data[0])
-        state.folds += len(history) - self._transferred_seen
-        self._transferred_seen = len(history)
-        for entry in new_durable:
-            data = _data_block(entry.block)
-            if data is not None:
-                inode_no, page = data
-                self._durable.setdefault(inode_no, set()).add(page)
-                if page > self._high.get(inode_no, -1):
-                    self._high[inode_no] = page
+        # Whether anything a hole depends on moved: a durable data page, a
+        # newly waiting page, or a log file's inode.  Otherwise the
+        # previous verdict stands.
+        moved = False
+        if state.durable_stamp != self.durable_stamp:
+            new_durable = self.new_durable()  # may restart: bind after it
+            durable, high = self._durable, self._high
+            for entry in new_durable:
+                block = entry.block
+                if block[0] == "data":
+                    moved = True
+                    inode_no, page = block[1], block[2]
+                    if inode_no in durable:
+                        durable[inode_no].add(page)
+                        if page > high[inode_no]:
+                            high[inode_no] = page
+                    else:
+                        durable[inode_no] = {page}
+                        high[inode_no] = page
+        namespace = self.fs.namespace_version if self._versioned else None
+        if namespace != self._namespace or namespace is None:
+            self._namespace = namespace
+            self._resolve()
+            moved = True
+        waiting = self._waiting
+        new = state.history[self._transferred_seen:]
+        if new:
+            self._transferred_seen += len(new)
+            state.folds += len(new)
+            for entry in new:
+                block = entry.block
+                if block[0] == "data" and block[1] in waiting:
+                    heapq.heappush(waiting[block[1]], (block[2], entry.transfer_seq))
+                    moved = True
+        if not moved:
+            if self._witness is not None:
+                raise VerificationError(self._witness)
+            return
 
-        fs = self.fs
-        for name in self.files:
-            if not fs.exists(name):
+        self._witness = None
+        durable, high = self._durable, self._high
+        lost = state.lost
+        for name, inode_no in self._logs:
+            if inode_no not in durable:
                 continue
-            inode_no = fs.open(name).inode.inode_no
-            durable_pages = self._durable.get(inode_no)
-            if inode_no not in self._transferred or not durable_pages:
+            durable_pages = durable[inode_no]
+            heap = waiting[inode_no]
+            while heap:
+                page, seq = heap[0]
+                if seq in lost and page not in durable_pages:
+                    break
+                heapq.heappop(heap)
+                state.folds += 1
+            top = high[inode_no]
+            if not heap or heap[0][0] >= top:
                 continue
-            high = self._high[inode_no]
-            state.folds += len(state.lost)
+            state.folds += len(lost)
             holes = sorted({
                 data[1]
-                for entry in state.lost.values()
+                for entry in lost.values()
                 if (data := _data_block(entry.block)) is not None
                 and data[0] == inode_no
-                and data[1] < high
+                and data[1] < top
                 and data[1] not in durable_pages
             })
-            if holes:
-                raise VerificationError(
-                    f"committed-log prefix violated: {name} lost page {holes[0]} "
-                    f"({len(holes)} hole(s)) while page {high} is durable — a later "
-                    f"committed append survived an earlier one"
-                )
-
+            self._witness = (
+                f"committed-log prefix violated: {name} lost page {holes[0]} "
+                f"({len(holes)} hole(s)) while page {top} is durable — a later "
+                f"committed append survived an earlier one"
+            )
+            raise VerificationError(self._witness)

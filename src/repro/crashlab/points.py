@@ -79,13 +79,7 @@ class InlineVerifier:
         if index != self._next:
             return
         device = self.device
-        boundary = CrashBoundary(
-            index=index,
-            kind=kind,
-            time=device.sim.now,
-            pages=pages,
-            epoch=device.current_epoch,
-        )
+        boundary = CrashBoundary(index, kind, device.sim.now, pages, device.current_epoch)
         self.results.append(self.judge(boundary))
         self._next = next(self._targets, None)
         if self._next is None:

@@ -90,6 +90,9 @@ class FilesystemBase:
         self.stats = SyscallStats()
         self.page_cache_stats = PageCacheStats()
         self._inodes: dict[str, Inode] = {}
+        #: Moves whenever a name starts or stops resolving to an inode, so a
+        #: reader can tell whether a resolution it cached still stands.
+        self.namespace_version = 0
         self._inode_numbers = itertools.count(1)
         self._journal_lba = 1 << 30
         #: Whether the mount has degraded to read-only (``errors=remount-ro``
@@ -117,6 +120,7 @@ class FilesystemBase:
             preallocated_pages=preallocate_pages, record_sizes=self._record_sizes,
         )
         self._inodes[name] = inode
+        self.namespace_version += 1
         return File(inode=inode, append_page=0)
 
     def open(self, name: str) -> File:
@@ -131,6 +135,7 @@ class FilesystemBase:
     def unlink(self, name: str) -> None:
         """Remove a file from the namespace (its inode is forgotten)."""
         del self._inodes[name]
+        self.namespace_version += 1
 
     @property
     def files(self) -> list[str]:
@@ -386,6 +391,7 @@ class FilesystemBase:
             preallocated_pages=size_pages, record_sizes=self._record_sizes,
         )
         self._inodes[name] = inode
+        self.namespace_version += 1
         self._inode_numbers = itertools.count(inode_no + 1)
         return inode
 

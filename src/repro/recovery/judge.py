@@ -23,23 +23,26 @@ acknowledge at transfer time and promise nothing across power loss —
 their violations are expected witnesses, the fsyncgate behaviour the
 paper's Section 2 describes).  Injected faults degrade the promise
 through :func:`repro.core.verification.faults_permit`, for the
-continuation verdict on *both* crashes' fault events.
+continuation verdict on *both* crashes' fault events; a flush that lied
+voids it on every stack but PLP.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.verification import CrashProbe, faults_permit
+from repro.core.verification import (
+    ACKED_PREFIX_ORACLE,
+    CONTINUATION_ORACLE,
+    CrashProbe,
+    faults_permit,
+)
 from repro.crashlab.report import OracleVerdict, PointVerdict
 from repro.recovery.continuation import ContinuationPlan, run_continuation
 from repro.recovery.image import capture_image
 from repro.recovery.remount import remount
 from repro.storage.barrier_modes import BarrierMode
 from repro.storage.crash import recover_durable_blocks
-
-ACKED_PREFIX_ORACLE = "recovered-acked-prefix"
-CONTINUATION_ORACLE = "recovered-continuation-durability"
 
 
 def verify_acked_prefix(probe: CrashProbe) -> Optional[str]:

@@ -31,6 +31,7 @@ recovery (:mod:`repro.recovery`) read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,9 @@ class CrashState:
     ``lost`` maps the transfer sequence of every lost page to its cache
     entry, in transfer order.  ``durable`` lists the surviving pages in the
     order they were found durable; ``latest`` maps each durable block to
-    its entry with the highest transfer sequence.  The durable set only
+    its entry with the highest transfer sequence; ``newest_epoch`` and
+    ``horizon`` are the newest epoch and the highest transfer sequence
+    among durable pages (``None`` while none is).  The durable set only
     grows, except across an FTL garbage-collection run (it relocates pages
     and drops stale log segments) or a misdirected write (it damages a
     page that was already durable): when either happened since the last
@@ -80,6 +83,18 @@ class CrashState:
     changes whenever ``durable`` stops being an append-only list — a
     rebuild, or a block's durable version going down (a newer transfer of
     an older version) — and the oracles' checks start over when it does.
+
+    Three stamps let a reader tell in O(1) whether what it read last time
+    still stands: ``durable_stamp`` moves whenever the durable set
+    changes, ``transfer_stamp`` whenever pages are transferred, and
+    ``lost_stamp`` whenever the lost set changes other than by those
+    transfers joining its tail.  ``epochs_ordered`` records whether epochs
+    never went down along the transfer order (a device's epoch counter
+    only grows, so it holds for every simulated run; a hand-built history
+    may break it).  While it holds, the oldest lost page carries the
+    lowest lost epoch, and a newly transferred page is newer, in transfer
+    order and in epoch, than every page before it; once it fails, every
+    transfer moves ``lost_stamp`` too.
 
     The device must have recorded its history from its first IO
     (``IOStack.record_history()``); otherwise construction raises
@@ -99,6 +114,9 @@ class CrashState:
         #: the deterministic work counter of a crash check.
         self.folds = 0
         self.generation = 0
+        self.durable_stamp = 0
+        self.transfer_stamp = 0
+        self.lost_stamp = 0
         self._gc_runs = self._log.gc_runs if self._log is not None else 0
         self._events = 0
         self._reset()
@@ -115,67 +133,104 @@ class CrashState:
 
     def _reset(self) -> None:
         self.generation += 1
+        self.durable_stamp += 1
+        self.lost_stamp += 1
         self.lost: dict[int, object] = {}
         self.durable: list = []
         self.latest: dict[object, object] = {}
+        #: The newest epoch and the furthest transfer among durable pages.
+        self.newest_epoch: Optional[int] = None
+        self.horizon: Optional[int] = None
+        self.epochs_ordered = True
+        self._last_epoch = float("-inf")
         self._seen = 0
         self._segment = 0
         self._offset = 0
         self._log_ended = False
+        #: The log's ``program_marks`` when it was last scanned.
+        self._marks = None
 
-    def _broken(self) -> bool:
-        """Whether durable pages may have been lost since the last call."""
-        broken = False
-        if self._log is not None and self._log.gc_runs != self._gc_runs:
-            self._gc_runs = self._log.gc_runs
-            broken = True
+    def advance(self) -> "CrashState":
+        """Fold everything that changed since the previous call."""
+        log = self._log
         injector = self.device.fault_injector
-        if injector is not None and len(injector.events) != self._events:
+        if (log is not None and log.gc_runs != self._gc_runs) or (
+            injector is not None and len(injector.events) != self._events
+        ):
+            self._rebuild_if_broken(log, injector)
+        new = self.history[self._seen:]
+        if new:
+            lost = self.lost
+            last = self._last_epoch
+            for entry in new:
+                lost[entry.transfer_seq] = entry
+                epoch = entry.epoch
+                if epoch < last:
+                    self.epochs_ordered = False
+                last = epoch
+            self._last_epoch = last
+            self._seen += len(new)
+            self.folds += len(new)
+            self.transfer_stamp += 1
+            if not self.epochs_ordered:
+                self.lost_stamp += 1
+        if log is None:
+            found = self._scan_cache()
+        elif log.program_marks != self._marks and not self._log_ended:
+            found = self._scan_log()
+        else:
+            return self
+        if found:
+            self._make_durable(found)
+        return self
+
+    def _rebuild_if_broken(self, log, injector) -> None:
+        """Start over when durable pages may have been lost since the last call.
+
+        An FTL garbage-collection run or a misdirected write can take
+        pages out of the durable set.
+        """
+        broken = False
+        if log is not None and log.gc_runs != self._gc_runs:
+            self._gc_runs = log.gc_runs
+            broken = True
+        if injector is not None:
             events = injector.events
             broken = broken or any(
                 event.kind == "misdirected-write" for event in events[self._events:]
             )
             self._events = len(events)
-        return broken
-
-    def advance(self) -> "CrashState":
-        """Fold everything that changed since the previous call."""
-        if self._broken() and self._seen:
+        if broken and self._seen:
             self.rebuilds += 1
             self._reset()
-        history = self.history
+
+    def _scan_cache(self) -> list:
+        """Lost pages the device has programmed undamaged, now out of ``lost``."""
         lost = self.lost
-        seen = self._seen
-        for position in range(seen, len(history)):
-            entry = history[position]
-            lost[entry.transfer_seq] = entry
-        self._seen = len(history)
-        self.folds += self._seen - seen
-        if self._log is not None:
-            self._scan_log()
-            return self
+        self.folds += len(lost)
         found = [
             entry
             for entry in lost.values()
             if entry.durable_time is not None and entry.damage is None
         ]
-        self.folds += len(lost)
         for entry in found:
-            self._make_durable(entry)
-        return self
+            del lost[entry.transfer_seq]
+        return found
 
-    def _scan_log(self) -> None:
+    def _scan_log(self) -> list:
         """Extend the recovered FTL-log prefix from where it stopped.
 
         The LFS recovery scan: programmed pages in log order up to the
         first hole, duplicates (GC relocations) skipped, and nothing past
-        the first damaged page.
+        the first damaged page.  Returns the pages it found durable, now
+        out of ``lost``.
         """
-        if self._log_ended:
-            return
-        order = self._log.segment_order
-        segments = self._log.segments
+        log = self._log
+        self._marks = log.program_marks
+        order = log.segment_order
+        segments = log.segments
         lost = self.lost
+        found = []
         index, offset = self._segment, self._offset
         scanned = 0
         while index < len(order):
@@ -187,32 +242,46 @@ class CrashState:
                 entry = entries[offset]
                 offset += 1
                 scanned += 1
-                if entry.transfer_seq not in lost:  # already durable
+                seq = entry.transfer_seq
+                if seq not in lost:  # already durable
                     continue
                 if entry.damage is not None:
                     self._log_ended = True
                     self.folds += scanned
-                    return
-                self._make_durable(entry)
+                    return found
+                del lost[seq]
+                found.append(entry)
             if offset < end or index + 1 == len(order):
                 break
             index += 1
             offset = 0
         self._segment, self._offset = index, offset
         self.folds += scanned
+        return found
 
-    def _make_durable(self, entry) -> None:
-        seq = entry.transfer_seq
-        del self.lost[seq]
-        self.durable.append(entry)
-        current = self.latest.get(entry.block)
-        if current is None or seq > current.transfer_seq:
-            if current is not None and entry.version < current.version:
-                # A block's durable version went down: the checks' folded
-                # "satisfied" results may no longer hold.
-                self.generation += 1
-                self.rebuilds += 1
-            self.latest[entry.block] = entry
+    def _make_durable(self, found: list) -> None:
+        """Add pages just taken out of ``lost`` to the durable set."""
+        self.durable += found
+        self.durable_stamp += 1
+        self.lost_stamp += 1
+        latest = self.latest
+        newest_epoch, horizon = self.newest_epoch, self.horizon
+        for entry in found:
+            seq = entry.transfer_seq
+            if horizon is None or seq > horizon:
+                horizon = seq
+            if newest_epoch is None or entry.epoch > newest_epoch:
+                newest_epoch = entry.epoch
+            block = entry.block
+            current = latest.get(block)
+            if current is None or seq > current.transfer_seq:
+                if current is not None and entry.version < current.version:
+                    # A block's durable version went down: the checks'
+                    # folded "satisfied" results may no longer hold.
+                    self.generation += 1
+                    self.rebuilds += 1
+                latest[block] = entry
+        self.newest_epoch, self.horizon = newest_epoch, horizon
 
 
 def recover_durable_blocks(device) -> CrashState:

@@ -261,7 +261,8 @@ class StorageDevice:
         """Service a write (the hot path; the checked form delegates here)."""
         profile = self.profile
         sim = self.sim
-        if command.wants_preflush:
+        preflush = command.wants_preflush
+        if preflush:
             # A lying device acknowledges the pre-flush without draining the
             # cache; the FUA payload itself is still programmed for real.
             injector = self.fault_injector
@@ -292,7 +293,7 @@ class StorageDevice:
 
         if command.is_fua:
             self.stats.fua_writes += 1
-            yield from self._persist_fua(entries)
+            yield from self._persist_fua(entries, bare=not preflush)
 
         yield sim.sleep(profile.completion_overhead)
         command.complete_time = sim.now
@@ -312,14 +313,25 @@ class StorageDevice:
     _service_read = _service_read_fast
     _service_write = _service_write_fast
 
-    def _persist_fua(self, entries: list[CacheEntry]):
-        """Program a FUA payload synchronously (bypassing the flusher)."""
+    def _persist_fua(self, entries: list[CacheEntry], *, bare: bool = False):
+        """Program a FUA payload synchronously (bypassing the flusher).
+
+        A ``bare`` FUA (no pre-flush) under a mode that orders persistence
+        first drains the dirty pages transferred before it, if there are
+        any: programming its payload ahead of them would leave a durable
+        set that is not a transfer-order prefix.  A FLUSH|FUA finds none
+        (its pre-flush drained them), unless the flush lied.
+        """
         pending = [entry for entry in entries if not entry.is_durable]
         if not pending:
             return
         overhead = self.barrier_mode.program_overhead(self.profile)
         for entry in pending:
             self._in_flight.add(entry.transfer_seq)
+        if bare and self.barrier_mode.orders_persistence:
+            oldest = pending[0].transfer_seq
+            if self.cache.first_dirty.transfer_seq < oldest:
+                yield from self._drain_dirty_upto(oldest - 1)
         if self.ftl is not None:
             pages = self.ftl.append_batch(pending)
         else:

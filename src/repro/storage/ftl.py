@@ -90,12 +90,6 @@ class SegmentPage:
         value = self.segment.programmed_column[self.offset]
         return None if value != value else value  # NaN check
 
-    @programmed_at.setter
-    def programmed_at(self, value: Optional[float]) -> None:
-        self.segment.programmed_column[self.offset] = (
-            _NOT_PROGRAMMED if value is None else value
-        )
-
     def __repr__(self) -> str:
         return (
             f"SegmentPage(segment={self.segment.segment_id}, "
@@ -169,6 +163,9 @@ class LogStructuredFTL:
         self.mapping = _MappingView(self._locations, segment_pages)
         self.gc_runs = 0
         self.pages_relocated = 0
+        #: Moves whenever log pages are marked programmed, so a reader of
+        #: the programmed prefix knows it cannot have grown while it stays.
+        self.program_marks = 0
 
     # -- log append ----------------------------------------------------------
     def _open_segment(self) -> Segment:
@@ -198,6 +195,7 @@ class LogStructuredFTL:
         """Record that the given log pages finished programming at ``time``."""
         for page in pages:
             page.segment.programmed_column[page.offset] = time
+        self.program_marks += 1
 
     # -- occupancy / garbage collection ---------------------------------------
     @property
@@ -243,6 +241,7 @@ class LogStructuredFTL:
         self.segment_order.remove(victim.segment_id)
         self.gc_runs += 1
         self.pages_relocated += relocated
+        self.program_marks += 1
         return relocated
 
     def _live_page_count(self, segment: Segment) -> int:

@@ -8,7 +8,9 @@ collection, misdirected writes), which rebuild the state and must still
 agree with one from-scratch replay per point.
 """
 
+import gc
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -43,6 +45,12 @@ from repro.storage.ftl import LogStructuredFTL
 from repro.storage.writeback_cache import CacheEntry
 
 MODES = ["none", "plp", "in-order-writeback", "transactional", "in-order-recovery"]
+
+
+#: Entries folded by an exhaustive check of ``bfs_sync_loop(120)``.
+FOLDS = 4442
+#: Ceiling on Python calls per judged point of the same check.
+CALLS_PER_POINT = 125
 
 
 def bfs_sync_loop(calls: int, **fields) -> ScenarioSpec:
@@ -83,7 +91,32 @@ class TestCost:
     def test_work_does_not_depend_on_jobs(self, jobs):
         # One verifying run per cell whatever the worker count: a second
         # pass over the same cell would fold its whole run again.
-        assert explore(bfs_sync_loop(120), strategy="exhaustive", jobs=jobs).folds == 8616
+        assert explore(bfs_sync_loop(120), strategy="exhaustive", jobs=jobs).folds == FOLDS
+
+    def test_python_calls_per_point(self):
+        # A point costs what changed: the whole check, the simulated run
+        # included, stays under a ceiling of Python calls per judged point
+        # (counted as test_hot_path counts them).  Judging every oracle at
+        # every point cost 174.7; the run alone with history recorded, 110.1.
+        spec = bfs_sync_loop(120)
+        explore(spec, strategy="exhaustive")
+        calls = 0
+
+        def profiler(_frame, event, _arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        gc.collect()
+        gc.disable()
+        sys.setprofile(profiler)
+        try:
+            report = explore(spec, strategy="exhaustive")
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        assert report.points_checked == 600
+        assert calls / report.points_checked <= CALLS_PER_POINT, calls
 
     @pytest.mark.parametrize("mode", MODES)
     def test_fault_free_cells_never_rebuild(self, mode):
@@ -105,6 +138,24 @@ class TestRebuilds:
         spec = bfs_sync_loop(12, faults=("misdirected-write:p=0.3",))
         report = assert_matches_reference(monkeypatch, spec, strategy="exhaustive")
         assert report.rebuilds > 0
+
+    def test_misdirected_writes_restart_the_log_check(self, monkeypatch):
+        # A rebuild in the middle of a legacy run with log holes: the
+        # committed-log check restarts and must judge the rebuilt state
+        # exactly as a fresh one, witnesses included.
+        spec = ScenarioSpec(
+            workload="sync-loop",
+            config="EXT4-DR",
+            device="plain-ssd",
+            barrier_mode="none",
+            params={"calls": 16},
+            faults=("misdirected-write:p=0.3",),
+        )
+        report = assert_matches_reference(monkeypatch, spec, strategy="exhaustive")
+        assert report.rebuilds > 0
+        assert any(
+            verdict.oracle == "committed-log-prefix" for _, verdict in report.violations
+        )
 
     @pytest.mark.parametrize("config", ["EXT4-DR", "BFS-DR"])
     def test_ftl_garbage_collection(self, monkeypatch, config):
@@ -280,7 +331,7 @@ class TestAgainstTheReference:
         workload = prepare_spec(bfs_sync_loop(8).with_(config=config))
         stack = workload.stack
         stack.record_history()
-        live = IncrementalJudge(stack).probe.transactions
+        live = IncrementalJudge.on_stack(stack).probe.transactions
 
         def compare(boundary):
             transactions = journal_transactions(stack.fs)
@@ -378,3 +429,60 @@ class TestCrashState:
         assert state.rebuilds == 1
         assert not state.lost
         assert check.new_durable() == [newer, older]  # folded again from scratch
+
+
+class TestChangeDrivenJudge:
+    """The judge re-runs a check exactly when an input it declared changed."""
+
+    @staticmethod
+    def judge(history, **probe):
+        state = CrashState(stub_device(history, BarrierMode.NONE))
+        judge = IncrementalJudge(CrashProbe(state=state, **probe))
+
+        def verdicts():
+            state.advance()
+            return {verdict.oracle: verdict.witness for verdict in judge.verdicts()}
+
+        return verdicts
+
+    @staticmethod
+    def entry(block, epoch, seq, durable):
+        entry = CacheEntry(block, 1, epoch, seq, 0.0, seq)
+        entry.durable_time = 1.0 if durable else None
+        return entry
+
+    def test_an_older_epoch_transferred_late_is_seen(self):
+        # A hand-built history whose epochs go down: the new transfer is a
+        # lost page of an older epoch than a durable one.
+        history = [self.entry(("data", 1, 0), 2, 1, True)]
+        verdicts = self.judge(history)
+        assert verdicts()["epoch-prefix"] is None
+        history.append(self.entry(("data", 1, 1), 1, 2, False))
+        assert "epoch-prefix violated" in verdicts()["epoch-prefix"]
+
+    def test_a_log_page_transferred_below_the_high_page_is_seen(self):
+        # Only a transfer happens: page 1 of the log arrives after page 2
+        # is durable, a hole the moment it is transferred.
+        inode = SimpleNamespace(inode=SimpleNamespace(inode_no=1))
+        stack = SimpleNamespace(
+            fs=SimpleNamespace(exists=lambda name: True, open=lambda name: inode)
+        )
+        spec = SimpleNamespace(workload="sqlite", params={})
+        history = [
+            self.entry(("data", 1, 0), 0, 1, True),
+            self.entry(("data", 1, 2), 0, 2, True),
+        ]
+        verdicts = self.judge(history, stack=stack, spec=spec)
+        assert verdicts()["committed-log-prefix"] is None
+        history.append(self.entry(("data", 1, 1), 0, 3, False))
+        assert "lost page 1" in verdicts()["committed-log-prefix"]
+
+    def test_a_dispatch_log_append_is_seen(self):
+        def request(epoch):
+            return SimpleNamespace(issue_epoch=epoch, describe=lambda: f"W@{epoch}")
+
+        log = [request(1)]
+        verdicts = self.judge([], dispatch_log=log)
+        assert verdicts()["dispatch-epoch-order"] is None
+        log.append(request(0))
+        assert "dispatch order violates epochs" in verdicts()["dispatch-epoch-order"]

@@ -118,6 +118,45 @@ class TestEquivalence:
         assert report.points
         assert all(len(point.verdicts) > 2 for point in report.points)
 
+    @pytest.mark.parametrize(
+        "mode, fault, seed",
+        [
+            # Seed 19 lets the first five boundaries pass before a write fails.
+            ("in-order-writeback", "io-error:p=0.5,op=write", 19),
+            ("none", "flush-lie", 0),
+        ],
+    )
+    def test_guarantee_flips_when_a_fault_fires(self, monkeypatch, mode, fault, seed):
+        # A fired io-error (retries may reorder appends) or flush lie (the
+        # FLUSH|FUA rescue is void) takes journal-recovery's guarantee away
+        # mid-run: the judge must re-evaluate it, not keep the first value.
+        spec = spec_for(mode, faults=(fault,), calls=10).with_(seed=seed)
+        report = assert_equivalent(monkeypatch, spec, strategy="exhaustive")
+        promised = [
+            verdict.guaranteed
+            for point in report.points
+            for verdict in point.verdicts
+            if verdict.oracle == "journal-recovery"
+        ]
+        assert promised[0] and not promised[-1]
+
+    def test_applicability_flips_when_transactions_appear(self, monkeypatch):
+        # With only committing transactions reported, the journal has none
+        # at the first boundary (a data transfer) and some once the first
+        # commit starts: journal-recovery starts applying mid-run.
+        from repro.fs.journal.jbd2 import JBD2Journal
+
+        monkeypatch.setattr(
+            JBD2Journal, "in_flight",
+            lambda self: [] if self.committing is None else [self.committing],
+        )
+        report = assert_equivalent(monkeypatch, spec_for("none"), strategy="exhaustive")
+        applies = [
+            any(verdict.oracle == "journal-recovery" for verdict in point.verdicts)
+            for point in report.points
+        ]
+        assert not applies[0] and applies[-1]
+
     def test_trace_tails(self, monkeypatch):
         report = assert_equivalent(
             monkeypatch, spec_for("none", calls=10), strategy="exhaustive",

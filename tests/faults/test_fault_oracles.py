@@ -73,6 +73,22 @@ class TestFaultsPermit:
             probe(BarrierMode.IN_ORDER_WRITEBACK, "flush-lie"),
         )
 
+    def test_flush_lie_voids_durability_except_on_plp(self):
+        # Acknowledged pages rest on the flush on every stack, the
+        # order-preserving one included; only PLP has nothing to flush.
+        for name in ("recovered-acked-prefix", "recovered-continuation-durability"):
+            for mode in (BarrierMode.IN_ORDER_RECOVERY, BarrierMode.IN_ORDER_WRITEBACK):
+                assert not faults_permit(
+                    name, probe(mode, "flush-lie", order_preserving=True)
+                )
+            assert faults_permit(name, probe(BarrierMode.PLP, "flush-lie"))
+            assert faults_permit(name, probe(BarrierMode.IN_ORDER_RECOVERY))
+        # The ordering oracles keep their rule on the same probe.
+        assert faults_permit(
+            "journal-recovery",
+            probe(BarrierMode.IN_ORDER_RECOVERY, "flush-lie", order_preserving=True),
+        )
+
     def test_io_error_keeps_device_prefix_oracles(self):
         # An errored command transfers nothing, so the device's own
         # transfer/durable bookkeeping stays self-consistent.

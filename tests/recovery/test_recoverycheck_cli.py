@@ -100,6 +100,27 @@ class TestRecoverycheckCLI:
         assert row["points_checked"] > 0
         assert row["unexpected"] == 0
 
+    def test_flush_lies_void_the_durability_promise(self, tmp_path):
+        # A lying flush loses acknowledged pages even on the barrier stack:
+        # its acked-prefix violations are expected witnesses, not bugs.
+        summary, violations = run_cli(
+            tmp_path,
+            "--workload", "sync-loop",
+            "--config", "BFS-DR",
+            "--barrier-mode", "in-order-recovery",
+            "--fault", "flush-lie",
+            "--strategy", "exhaustive",
+            "--param", "calls=40",
+        )
+        [row] = [dict(zip(summary["columns"], r)) for r in summary["rows"]]
+        assert row["violations"] > 0
+        assert row["unexpected"] == 0
+        witnesses = [dict(zip(violations["columns"], r)) for r in violations["rows"]]
+        assert {w["oracle"] for w in witnesses} == {
+            "recovered-acked-prefix", "recovered-continuation-durability",
+        }
+        assert all(w["guaranteed"] is False for w in witnesses)
+
     def test_continuation_flags_reach_the_plan_validation(self, capsys):
         with pytest.raises(SystemExit):
             recoverycheck_main(

@@ -329,3 +329,32 @@ def test_requesting_barrier_mode_on_unsupported_device_fails():
         StorageDevice(sim, profile, barrier_mode=BarrierMode.IN_ORDER_RECOVERY)
     # The legacy mode is still fine.
     StorageDevice(sim, profile, barrier_mode=BarrierMode.NONE)
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [
+        BarrierMode.IN_ORDER_WRITEBACK,
+        BarrierMode.IN_ORDER_RECOVERY,
+        BarrierMode.TRANSACTIONAL,
+    ],
+)
+def test_bare_fua_does_not_overtake_older_dirty_pages(mode):
+    # A FUA without a pre-flush must not become durable ahead of a page
+    # transferred before it: the ordering modes keep the durable set a
+    # transfer-order prefix.
+    sim = Simulator()
+    device = make_device(sim, barrier_mode=mode)
+    device.record_history()
+
+    def host():
+        plain = write_command(0, 1, payload=[WrittenBlock("a", 1)])
+        device.submit(plain)
+        yield plain.transferred
+        fua = write_command(1, 1, payload=[WrittenBlock("b", 1)], flags=CommandFlag.FUA)
+        device.submit(fua)
+        yield fua.completed
+        return [entry.is_durable for entry in device.cache.history]
+
+    assert run_host(sim, host()) == [True, True]
+    assert recover_durable_blocks(device).durable_blocks == {"a": 1, "b": 1}
