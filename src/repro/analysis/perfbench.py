@@ -148,7 +148,7 @@ def crash_replay_metrics(*, quick: bool = False) -> dict[str, float]:
     run), so the wall-clock grows quadratically with run length; the
     in-line :func:`repro.crashlab.explore` pass judges every point inside
     one run, each from the previous point's crash state plus what changed
-    — O(run + points × (delta + lost set)), linear in the run.
+    — O(run + points × delta), linear in the run.
     ``crash_replay_speedup`` is the
     per-point wall over the in-line wall; the two reports must be
     identical, or this raises.

@@ -20,11 +20,12 @@ state (:class:`~repro.storage.crash.CrashState`) per run is advanced at
 each judged point by what changed since the previous one — pages newly
 transferred, pages newly durable (or the FTL log's newly programmed
 prefix), dispatch-log entries and journal transactions appended — and
-every oracle keeps its scan positions and partial results.  A point
-costs O(delta + lost set), where the lost set (transferred, not durable)
-is bounded by the device's dirty and in-flight window plus damaged pages;
-a check costs O(run + points × (delta + lost set)), linear in the run,
-forks nothing and behaves the same on every platform.  An FTL garbage-collection run or a misdirected write since the
+every oracle keeps its scan positions and partial results; a check runs
+again only when an input it reads changed.  A passing point costs
+O(delta); a failing check also scans the lost set (transferred, not
+durable), which the device's dirty and in-flight window plus damaged
+pages bound.  A check costs O(run + points × delta) when it passes,
+linear in the run, forks nothing and behaves the same on every platform.  An FTL garbage-collection run or a misdirected write since the
 previous point (both can take durable pages away) rebuilds the state from
 the whole history at the next point, counted in
 :attr:`~repro.crashlab.report.CellReport.rebuilds`.
