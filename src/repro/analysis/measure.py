@@ -38,11 +38,6 @@ class SyncLoopResult:
         return self.calls / (self.elapsed_usec / 1_000_000.0)
 
 
-def _sync_generator(stack: IOStack, sync_call: str, fs, handle, issuer: str):
-    call = getattr(fs, sync_call)
-    return call(handle, issuer=issuer)
-
-
 def measure_sync_latency(
     stack: IOStack,
     *,
@@ -66,6 +61,7 @@ def measure_sync_latency(
 
     def loop():
         handle = fs.create(file_name, preallocate_pages=0 if allocating else 4096)
+        sync = getattr(fs, sync_call)
         process = sim.active_process
         start = sim.now
         for index in range(calls):
@@ -79,7 +75,7 @@ def measure_sync_latency(
                     fs.write(handle, pages_per_write)
                 call_start = sim.now
                 switches_before = process.context_switches
-                yield from _sync_generator(stack, sync_call, fs, handle, "bench")
+                yield from sync(handle, issuer="bench")
             except FilesystemError as error:
                 stopped["by"] = type(error).__name__
                 break

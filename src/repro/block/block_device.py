@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional, Sequence
 
 from repro.block.dispatch import DispatchPolicy, request_to_command
-from repro.block.request import BlockRequest, RequestFlag, RequestOp
+from repro.block.request import _BARRIER_BIT, BlockRequest, RequestFlag, RequestOp
 from repro.block.scheduler import EpochIOScheduler, IOScheduler, NoopScheduler
 from repro.simulation.engine import Event, Simulator
 from repro.simulation.history import recorded, start_history
@@ -144,22 +144,30 @@ class BlockDevice:
 
     def submit(self, request: BlockRequest) -> BlockRequest:
         """Submit a request to the IO scheduler (returns immediately)."""
-        request.attach(self.sim)
+        sim = self.sim
+        stats = self.stats
+        # The milestone events, with constant names (``describe()`` still
+        # identifies requests).  A fresh ``completed`` has no callbacks, so
+        # the completion hook is appended without add_callback's check.
+        request.dispatched = Event(sim, "req.dispatched")
+        request.transferred = Event(sim, "req.transferred")
+        completed = request.completed = Event(sim, "req.completed")
+        completed.callbacks.append(self._on_request_complete)
         request.issue_seq = next(self._issue_seq)
-        request.issue_time = self.sim.now
+        request.issue_time = sim.now
         request.issue_epoch = self._issue_epoch
-        if request.is_barrier:
+        if request.flags._value_ & _BARRIER_BIT:
             if self.config.order_preserving:
                 self._issue_epoch += 1
-            self.stats.barrier_requests += 1
-        if request.is_flush:
-            self.stats.flush_requests += 1
-        self.stats.requests_submitted += 1
-        self.stats.pages_submitted += request.num_pages
+            stats.barrier_requests += 1
+        if request.op is RequestOp.FLUSH:
+            stats.flush_requests += 1
+        stats.requests_submitted += 1
+        stats.pages_submitted += request.num_pages
         self._outstanding += 1
-        request.completed.add_callback(self._on_request_complete)
         self.scheduler.add_request(request)
-        self._work.notify_all()
+        if self._work.waiters:
+            self._work.notify_all()
         return request
 
     def write(
@@ -202,7 +210,7 @@ class BlockDevice:
 
     def _on_request_complete(self, _event: Event) -> None:
         self._outstanding -= 1
-        if self._outstanding <= 0:
+        if self._outstanding <= 0 and self._idle.waiters:
             self._idle.notify_all()
 
     # ------------------------------------------------------------------ dispatcher
@@ -216,15 +224,26 @@ class BlockDevice:
         dispatch_policy = config.dispatch_policy
         submit_overhead = config.submit_overhead
         dispatch_seq = self._dispatch_seq
+        wait_for_work = self._work.wait
+        # The device fires an unmerged request's own milestone events.  A
+        # hooked device keeps the command's events and relays them: a fault
+        # injector fails commands, and a tracer's command watch must fire
+        # before the request's, as it always has.
+        device = self.device
+        direct = device.fault_injector is None and "try_submit" not in vars(device)
         while True:
             batch = next_batch()
             if not batch:
-                yield self._work.wait()
+                yield wait_for_work()
                 continue
             for request in batch:
                 if submit_overhead > 0:
                     yield sleep(submit_overhead)
                 command = request_to_command(request, dispatch_policy)
+                shared = direct and not request.merged_requests
+                if shared:
+                    command.transferred = request.transferred
+                    command.completed = request.completed
                 # Fast path inlined: an accepting queue needs no generator
                 # delegation; busy/powered-off falls back to the slow path.
                 try:
@@ -251,7 +270,8 @@ class BlockDevice:
                         merged.dispatch_seq = request.dispatch_seq
                         merged.dispatch_time = request.dispatch_time
                         merged.dispatched.succeed()
-                self._wire_completion(request, command)
+                if not shared:
+                    self._wire_completion(request, command)
 
     def _submit_with_backpressure(self, command):
         """Submit ``command``, absorbing busy and power-loss conditions.

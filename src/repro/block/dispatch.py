@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import enum
 
+from repro.block.request import _BARRIER_BIT as _REQ_BARRIER
+from repro.block.request import _FLUSH_BIT as _REQ_FLUSH
+from repro.block.request import _FUA_BIT as _REQ_FUA
 from repro.block.request import BlockRequest, RequestOp
 from repro.storage.command import (
     Command,
@@ -60,13 +63,14 @@ def request_to_command(request: BlockRequest, policy: DispatchPolicy) -> Command
             tag=request.request_id,
         )
 
+    flags = request.flags._value_
     bits = 0
     priority = CommandPriority.SIMPLE
-    if request.wants_fua:
+    if flags & _REQ_FUA:
         bits |= _FUA_BIT
-    if request.wants_flush:
+    if flags & _REQ_FLUSH:
         bits |= _FLUSH_BIT
-    if policy is DispatchPolicy.ORDER_PRESERVING and request.is_barrier:
+    if policy is DispatchPolicy.ORDER_PRESERVING and flags & _REQ_BARRIER:
         # The barrier write is both flagged for the device cache (persist
         # order) and given the ``ordered`` SCSI priority (transfer order).
         bits |= _BARRIER_BIT

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.simulation.engine import Event, Simulator
+from repro.simulation.engine import Event
 from repro.storage.command import WrittenBlock
 
 
@@ -55,6 +55,8 @@ _ORDERED_BIT = RequestFlag.ORDERED._value_
 _BARRIER_BIT = RequestFlag.BARRIER._value_
 _FLUSH_BIT = RequestFlag.FLUSH._value_
 _FUA_BIT = RequestFlag.FUA._value_
+#: A FUA, pre-flush or barrier request never merges (either side).
+_UNMERGEABLE_BITS = _FUA_BIT | _FLUSH_BIT | _BARRIER_BIT
 #: Every flag combination, indexed by its bits: flag updates look the new
 #: member up here instead of running Flag.__or__/__and__/__invert__.
 _FLAGS_BY_BITS = tuple(
@@ -74,7 +76,7 @@ class BlockRequest:
     payload: Sequence[WrittenBlock] = field(default_factory=tuple)
     #: Identity of the submitting thread (used for tracing only).
     issuer: str = "unknown"
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = field(default_factory=_request_ids.__next__)
 
     # Assigned by the block device on submission.
     issue_seq: Optional[int] = None
@@ -93,8 +95,10 @@ class BlockRequest:
     #: reported an error.
     retries: int = 0
 
-    # Milestone events (created by the block device).  They fire with no
-    # value: a request as its own event's value would be a reference cycle.
+    # Milestone events (created by the block device on submission; the
+    # device fires an unmerged request's transferred/completed itself).
+    # They fire with no value: a request as its own event's value would be
+    # a reference cycle.
     dispatched: Optional[Event] = None
     transferred: Optional[Event] = None
     completed: Optional[Event] = None
@@ -151,17 +155,8 @@ class BlockRequest:
         """Add the BARRIER and ORDERED attributes (barrier reassignment, step two)."""
         self.flags = _FLAGS_BY_BITS[self.flags._value_ | _BARRIER_BIT | _ORDERED_BIT]
 
-    def attach(self, sim: Simulator) -> "BlockRequest":
-        """Create the milestone events (called by the block device)."""
-        if self.dispatched is None:
-            # Constant names: the per-request f-strings showed up in the
-            # submission profile; ``describe()`` still identifies requests.
-            self.dispatched = Event(sim, "req.dispatched")
-            self.transferred = Event(sim, "req.transferred")
-            self.completed = Event(sim, "req.completed")
-        return self
-
-    # -- completion relays (wired to device commands by the dispatcher) --------
+    # -- completion relays (wired to the command of a merged request, or of
+    # any request on a hooked device, by the dispatcher) ---------------------
     def relay_transferred(self, _event: Event) -> None:
         """Propagate a device DMA completion to this request and its merges."""
         self.transferred.succeed()
@@ -201,11 +196,9 @@ class BlockRequest:
 
     def can_merge_with(self, other: "BlockRequest", max_pages: int) -> bool:
         """Whether ``other`` can be back-merged into this request."""
-        if not (self.is_write and other.is_write):
+        if self.op is not RequestOp.WRITE or other.op is not RequestOp.WRITE:
             return False
-        if self.wants_fua or other.wants_fua or self.wants_flush or other.wants_flush:
-            return False
-        if self.is_barrier or other.is_barrier:
+        if (self.flags._value_ | other.flags._value_) & _UNMERGEABLE_BITS:
             return False
         if self.num_pages + other.num_pages > max_pages:
             return False
@@ -216,7 +209,7 @@ class BlockRequest:
         self.payload = tuple(self.payload) + tuple(other.payload)
         self.num_pages += other.num_pages
         # A merged request is order-preserving if any constituent is.
-        if other.is_ordered:
+        if other.flags._value_ & _ORDERED_BIT:
             self.flags = _FLAGS_BY_BITS[self.flags._value_ | _ORDERED_BIT]
         self.merged_requests.append(other)
 

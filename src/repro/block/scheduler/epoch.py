@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional
 
-from repro.block.request import BlockRequest
+from repro.block.request import _BARRIER_BIT, _ORDERED_BIT, BlockRequest
 from repro.block.scheduler.noop import NoopScheduler
 
 
@@ -49,17 +49,14 @@ class EpochIOScheduler(NoopScheduler):
         if self._blocked:
             self._staged.append(request)
             return
-        self._insert(request)
-
-    def _insert(self, request: BlockRequest) -> None:
-        is_barrier = request.is_barrier
-        if is_barrier:
+        bits = request.flags._value_
+        if bits & _BARRIER_BIT:
             # Step one of barrier reassignment: the attribute is removed and
             # the queue is closed until the epoch has fully left the queue.
             request.strip_barrier()
             self._barrier_id = request.request_id
             self._blocked = True
-        if request.is_ordered:
+        if bits & _ORDERED_BIT:
             self._ordered_ids.add(request.request_id)
         super().add_request(request)
 
@@ -109,7 +106,7 @@ class EpochIOScheduler(NoopScheduler):
 
     def _drain_staged(self) -> None:
         while self._staged and not self._blocked:
-            self._insert(self._staged.popleft())
+            self.add_request(self._staged.popleft())
 
     # -- bookkeeping ----------------------------------------------------------
     def __len__(self) -> int:

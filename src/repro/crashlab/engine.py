@@ -113,8 +113,7 @@ def _point_verdict(
 
     The same judge as the in-line pass
     (:class:`repro.crashlab.incremental.IncrementalJudge`), built for this
-    probe alone: the per-point replay reference and the ``--continue``
-    judge use it.
+    probe alone: the per-point replay reference uses it.
     """
     verdicts = IncrementalJudge(probe).verdicts()
     return _assemble(
@@ -211,11 +210,16 @@ def _verify(
                 tuple(tracer.finalized_tail(trace_tail)) if tracer is not None else (),
             )
     else:
+        # The judge extends the cell's one in-line verdict of each point and
+        # reads the live probe: a fresh probe and judge per point would copy
+        # the dispatch log and refold every check, work that grows with the run.
+        probe = incremental.probe
+
         def verdict(boundary: Optional[CrashBoundary], index: int) -> PointVerdict:
-            probe = CrashProbe.from_stack(
-                state.advance(), stack, spec=spec, workload=workload
-            )
-            return judge(probe, boundary, index, tracer, trace_tail)
+            state.advance()
+            return judge(probe, _assemble(
+                boundary, index, sim.now, incremental.verdicts(), tracer, trace_tail
+            ))
 
         def point(boundary: CrashBoundary) -> PointVerdict:
             return verdict(boundary, boundary.index)
@@ -255,13 +259,14 @@ def verify_points(
 
     The default verdicts come from the registered oracles' checks over one
     crash state advanced point to point (:mod:`repro.crashlab.incremental`).
-    ``judge`` replaces them with a callable of :func:`_point_verdict`'s
-    signature, handed a probe of that state at every point — ``runner
-    check --continue`` passes :func:`repro.recovery.recovery_judge` here.
-    A judge must only read the probe and its stack while it runs (the run
-    and the state go on after it returns), and must be module-level (or a
-    ``functools.partial`` over picklable values) so :func:`explore_cells`
-    can ship it to its process pool.
+    ``judge`` extends them: ``judge(probe, verdict)`` is handed the live
+    probe of that state and the point's verdict, and returns the verdict
+    to report — ``runner check --continue`` passes
+    :func:`repro.recovery.recovery_judge` here.  A judge must only read the
+    probe and its stack while it runs (the run and the state go on after it
+    returns), and must be module-level (or a ``functools.partial`` over
+    picklable values) so :func:`explore_cells` can ship it to its process
+    pool.
     """
     return _verify(spec, indices, trace_tail=trace_tail, judge=judge).points
 

@@ -134,27 +134,30 @@ class BarrierFS(FilesystemBase):
             return
 
         # Most fbarrier() calls find clean metadata and degenerate into
-        # fdatabarrier(), which does not block at all (Section 6.3).
-        yield from self._fdatabarrier(file, issuer=issuer)
+        # fdatabarrier(), which does not block at all (Section 6.3); the
+        # throttle above already ran.
+        self._barrier_data(file, issuer)
 
-    def fdatabarrier(self, file: File, *, issuer: str = "app", _count: bool = True):
+    def fdatabarrier(self, file: File, *, issuer: str = "app"):
         """Generator: storage-order barrier with no waiting whatsoever.
 
         The only situation in which the caller blocks is dirty-page
         throttling: when the block-layer queue has grown far beyond the
         device queue depth the writer is paced to the device's drain rate,
-        as the kernel would.
+        as the kernel would.  The throttle is tested before its generator
+        is built, since an ordering-only call almost never waits.
         """
-        if _count:
-            self.stats.fdatabarrier += 1
+        self.stats.fdatabarrier += 1
         try:
-            yield from self._fdatabarrier(file, issuer=issuer)
+            if len(self.block.scheduler) > self._throttle_limit:
+                yield from self.throttle_writeback()
+            self._barrier_data(file, issuer)
         except EIOError:
             self.stats.eio_errors += 1
             raise
 
-    def _fdatabarrier(self, file: File, *, issuer: str):
-        yield from self.throttle_writeback()
+    def _barrier_data(self, file: File, issuer: str) -> None:
+        """Dispatch the dirty data, the last request a barrier (no waiting)."""
         writeback = self._dispatch_data(file, issuer, barrier_on_last=True)
         if not writeback.requests:
             # Delimit the epoch even without dirty pages.

@@ -32,6 +32,10 @@ from repro.simulation.engine import Event, Simulator
 from repro.simulation.history import refuse_late_start
 from repro.storage.command import WrittenBlock
 
+#: Dirty-page throttling starts when the block-layer queue holds more than
+#: this many device queues' worth of requests.
+THROTTLE_FACTOR = 4
+
 
 @dataclass
 class SyscallStats:
@@ -101,6 +105,8 @@ class FilesystemBase:
         self.read_only = False
         #: Whether new inodes keep a size log (:meth:`record_history`).
         self._record_sizes = False
+        #: Block-layer queue length beyond which writers are throttled.
+        self._throttle_limit = THROTTLE_FACTOR * block_device.device.profile.queue_depth
 
     def record_history(self) -> None:
         """Keep every inode's size log from now on (before the first inode).
@@ -294,16 +300,16 @@ class FilesystemBase:
         self.stats.reads += 1
         return list(range(offset_page, offset_page + count))
 
-    def throttle_writeback(self, *, limit_factor: int = 4) -> Generator[Event, object, None]:
+    def throttle_writeback(self) -> Generator[Event, object, None]:
         """Generator: block the caller while the IO queues are overloaded.
 
         Models the kernel's dirty-page throttling: a caller that only issues
         asynchronous (ordering-only) writes must still slow down to the
         device's drain rate once the block-layer queue grows beyond a few
-        multiples of the device queue depth.
+        multiples (``THROTTLE_FACTOR``) of the device queue depth.
         """
-        limit = limit_factor * self.block.device.profile.queue_depth
-        while self.block.queued_requests > limit:
+        scheduler = self.block.scheduler
+        while len(scheduler) > self._throttle_limit:
             yield self.sim.sleep(50.0)
 
     # ------------------------------------------------------------------ metadata capture

@@ -1,10 +1,10 @@
 """The recover-then-continue judge ``runner check --continue`` installs.
 
-:func:`recovery_judge` has the same signature as the crashlab engine's
-default verdict builder and is module-level, so a
+:func:`recovery_judge` is the judge :func:`repro.crashlab.verify_points`
+hands each point's probe and verdict, and is module-level, so a
 ``functools.partial(recovery_judge, plan=...)`` pickles into process-pool
-workers.  On top of the
-registered oracles it appends two recovery verdicts:
+workers.  To the registered oracles' verdicts it appends two recovery
+verdicts:
 
 * ``recovered-acked-prefix`` — every page a durability-claiming sync
   acknowledged *before the crash* must be durable after it;
@@ -85,18 +85,12 @@ def _durability_promised(probe: CrashProbe) -> bool:
 
 def recovery_judge(
     probe: CrashProbe,
-    boundary,
-    index: int,
-    tracer,
-    trace_tail: int,
+    base: PointVerdict,
     *,
     plan: ContinuationPlan,
 ) -> PointVerdict:
-    """Judge one crash point: registered oracles + the recovery round trip."""
-    from repro.crashlab.engine import _point_verdict
-
-    base = _point_verdict(probe, boundary, index, tracer, trace_tail)
-
+    """Judge one crash point: ``base`` (the registered oracles' verdict of
+    ``probe``) plus the recovery round trip."""
     witness = verify_acked_prefix(probe)
     acked = OracleVerdict(
         oracle=ACKED_PREFIX_ORACLE,

@@ -8,8 +8,11 @@ the storage controller are all modelled as :class:`Process` coroutines that
 A process that only waits for simulated time to pass yields
 ``sim.sleep(delay)`` instead: the same wake-up as ``sim.timeout(delay)``
 (same sequence numbers, tie order and context switch), with no Event built.
-``timeout`` remains for waits that need an Event object (``any_of`` arms,
-completions handed to other code).
+A :class:`Condition` wait parks the process the same way, with an optional
+deadline (``cond.wait(timeout)``) that replaces the ``any_of`` of a wait
+and a timeout.  ``timeout`` remains for waits that need an Event object
+(composed waits, completions handed to other code such as a flash program
+round).
 
 Time is measured in **microseconds** throughout the code base; the unit is
 exposed as :data:`USEC`, :data:`MSEC` and :data:`SEC` for readability.

@@ -38,8 +38,17 @@ times, so the per-entry overhead is kept allocation-free:
   ``now + context_switch_cost`` with the next seq).  Seq consumption, tie
   order and the Fig. 11 accounting are those of ``yield sim.timeout(delay)``
   exactly; only the Event, its callback list and the ``_wakeup`` call are
-  gone.  The wake entry's seq is the sleep's token: :meth:`Process.interrupt`
-  clears it, which leaves the entry inert.
+  gone.  The wake entry's seq is the process's park token:
+  :meth:`Process.interrupt` clears it, which leaves the entry inert.
+* A :class:`~repro.simulation.resources.Condition` wait parks the process
+  the same way, on a waiter record ``(process, token)`` instead of an
+  Event; ``notify_all`` pushes each resume itself, with the seq, value and
+  context switch :meth:`Process._wakeup` would have given.  A wait with a
+  deadline is parked on both the record and a wake entry under one token,
+  so whichever fires first clears it and the other goes inert.
+* A wake entry whose resume would be the next entry popped anyway (nothing
+  else is due by the resume time) runs the resume at once: its seq is
+  still consumed, only the heap round trip is skipped.
 * A process that yields an already-triggered event is continued in place by
   a bounded trampoline in :meth:`Process._resume` instead of a zero-delay
   heap round-trip.  No context switch is charged either way, keeping the
@@ -263,10 +272,10 @@ class Process(Event):
     and — if the simulator was configured with a non-zero
     ``context_switch_cost`` — the resumption is delayed by that cost.
 
-    A process that yields ``sim.sleep(delay)`` blocks the same way, on a
-    wake entry instead of an event, and is charged the same context switch
-    when the delay has passed.  ``sleep`` must be yielded at once, by the
-    process that called it.
+    A process that yields ``sim.sleep(delay)`` or a condition's ``wait()``
+    blocks the same way, parked on a wake entry or a waiter record instead
+    of an event, and is charged the same context switch when it is woken.
+    Both must be yielded at once, by the process that called them.
 
     A process is itself an event: it triggers with the generator's return
     value, or fails with the exception that escaped the generator.
@@ -276,7 +285,7 @@ class Process(Event):
         "generator",
         "context_switches",
         "_waiting_on",
-        "_sleep_seq",
+        "_token",
         "daemon",
         "_wakeup_cb",
     )
@@ -298,9 +307,11 @@ class Process(Event):
         #: Number of times this process blocked and was later woken up.
         self.context_switches = 0
         self._waiting_on: Optional[Event] = None
-        #: Seq of the wake entry of the current sleep; any other wake entry
-        #: of this process is stale.
-        self._sleep_seq: Optional[int] = None
+        #: Token of the current park: the seq of a sleep's or deadline's
+        #: wake entry, or a negative number for a condition wait with no
+        #: deadline.  ``None`` while not parked; any wake entry or waiter
+        #: record of this process bearing another token is stale.
+        self._token: Optional[int] = None
         # The bound method is cached so blocking does not allocate one per
         # wait (callbacks.append(self._wakeup) would otherwise build a fresh
         # method object every time the process blocks).
@@ -318,15 +329,7 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at its current wait."""
         if self._triggered:
             return
-        target = self._waiting_on
-        self._waiting_on = None
-        self._sleep_seq = None  # a pending sleep's wake entry goes inert
-        if target is not None and not target._triggered:  # noqa: SLF001
-            # Detach: the interrupt wins the race.
-            try:
-                target.callbacks.remove(self._wakeup_cb)
-            except ValueError:
-                pass
+        self._end_wait()  # the interrupt wins the race
         sim = self.sim
         heappush(
             sim._heap,
@@ -334,6 +337,17 @@ class Process(Event):
         )
 
     # -- internal ----------------------------------------------------------
+    def _end_wait(self) -> None:
+        """Leave the current wait: its event, wake entry or record goes inert."""
+        target = self._waiting_on
+        self._waiting_on = None
+        self._token = None
+        if target is not None and not target._triggered:  # noqa: SLF001
+            try:
+                target.callbacks.remove(self._wakeup_cb)
+            except ValueError:
+                pass
+
     def _wakeup(self, event: Event, _push=heappush, _KR=_KIND_RESUME) -> None:
         """Callback attached to the event the process is blocked on."""
         if self._triggered:
@@ -370,6 +384,10 @@ class Process(Event):
         while True:
             try:
                 if exc is not None:
+                    # An exception ends whatever wait it lands on: an
+                    # interrupt issued while a wake was pending reaches the
+                    # next wait, which then must never wake the process.
+                    self._end_wait()
                     event = generator.throw(exc)
                 else:
                     event = send(value)
@@ -394,7 +412,7 @@ class Process(Event):
                 if not event._triggered:  # noqa: SLF001
                     sim._current_process = None
                     if event is self:
-                        return  # sleep(): the wake entry is already on the heap
+                        return  # parked: its wake entry or waiter record is in place
                     self._waiting_on = event
                     event.callbacks.append(self._wakeup_cb)
                     return
@@ -449,6 +467,9 @@ class Simulator:
         self.propagate_process_errors = propagate_process_errors
         self._heap: list[tuple] = []
         self._sequence = itertools.count()
+        #: Tokens of condition waits with no deadline: negative, so they
+        #: never equal a seq, and drawn without consuming one.
+        self._park_tokens = itertools.count(-1, -1)
         self._current_process: Optional[Process] = None
         self._live_processes: set[Process] = set()
 
@@ -519,7 +540,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative sleep delay: {delay}")
         seq = next(self._sequence)
-        process._sleep_seq = seq  # noqa: SLF001
+        process._token = seq  # noqa: SLF001
         _push(self._heap, (self.now + delay, seq, _KS, process, None, None))
         return process
 
@@ -578,7 +599,8 @@ class Simulator:
                         callback(item)
         elif kind == _KIND_RESUME:
             item._resume(value, exc)  # noqa: SLF001
-        elif item._sleep_seq == seq:  # noqa: SLF001 - else a stale sleep
+        elif item._token == seq:  # noqa: SLF001 - else a stale wake entry
+            item._token = None  # noqa: SLF001
             item.context_switches += 1
             heappush(
                 heap,
@@ -600,64 +622,66 @@ class Simulator:
         pop = heappop
         push = heappush
         sequence = self._sequence
+        cost = self.context_switch_cost
         if until is None:
             # Specialized drain: no deadline peek, no bound check per entry.
             # ``self.now`` only ever changes inside this loop (callbacks and
             # process code cannot advance the clock), so the local mirror
             # needs no reload after dispatching an entry.
             while heap:
-                entry = pop(heap)
-                when = entry[0]
+                when, seq, kind, item, value, exc = pop(heap)
                 if when > now:
                     self.now = now = when
                 elif when < now:
                     raise SimulationError("time went backwards")
-                kind = entry[2]
                 if kind == 1:  # _KIND_RESUME
-                    entry[3]._resume(entry[4], entry[5])  # noqa: SLF001
+                    item._resume(value, exc)  # noqa: SLF001
                 elif kind:  # _KIND_SLEEP: what Process._wakeup does
-                    item = entry[3]
-                    if item._sleep_seq == entry[1]:  # noqa: SLF001
+                    if item._token == seq:  # noqa: SLF001
+                        item._token = None  # noqa: SLF001
                         item.context_switches += 1
-                        push(heap, (now + self.context_switch_cost, next(sequence),
-                                    1, item, None, None))
-                else:
-                    item = entry[3]
-                    if not item._triggered:  # noqa: SLF001
-                        item._triggered = True  # noqa: SLF001
-                        item._value = entry[4]  # noqa: SLF001
-                        for callback in item.callbacks:
-                            callback(item)
+                        when = now + cost
+                        if heap and heap[0][0] <= when:
+                            push(heap, (when, next(sequence), 1, item, None, None))
+                        else:  # the resume is due next: run it now
+                            next(sequence)
+                            self.now = now = when
+                            item._resume(None, None)  # noqa: SLF001
+                elif not item._triggered:  # noqa: SLF001 - _KIND_EVENT
+                    item._triggered = True  # noqa: SLF001
+                    item._value = value  # noqa: SLF001
+                    for callback in item.callbacks:
+                        callback(item)
             return now
         while heap:
-            entry = heap[0]
-            when = entry[0]
-            if when > until:
+            if heap[0][0] > until:
                 break
-            pop(heap)
+            when, seq, kind, item, value, exc = pop(heap)
             if when > now:
                 self.now = now = when
             elif when < now:
                 raise SimulationError("time went backwards")
-            kind = entry[2]
             if kind == 1:  # _KIND_RESUME
-                entry[3]._resume(entry[4], entry[5])  # noqa: SLF001
+                item._resume(value, exc)  # noqa: SLF001
             elif kind:  # _KIND_SLEEP
-                item = entry[3]
-                if item._sleep_seq == entry[1]:  # noqa: SLF001
+                if item._token == seq:  # noqa: SLF001
+                    item._token = None  # noqa: SLF001
                     item.context_switches += 1
-                    push(heap, (now + self.context_switch_cost, next(sequence),
-                                1, item, None, None))
-            else:
-                item = entry[3]
-                if not item._triggered:  # noqa: SLF001
-                    item._triggered = True  # noqa: SLF001
-                    item._value = entry[4]  # noqa: SLF001
-                    # No copy/clear dance: nothing can mutate a triggered
-                    # event's callback list (append and remove both check the
-                    # flag first), so iterating in place is safe.
-                    for callback in item.callbacks:
-                        callback(item)
+                    when = now + cost
+                    if when > until or (heap and heap[0][0] <= when):
+                        push(heap, (when, next(sequence), 1, item, None, None))
+                    else:
+                        next(sequence)
+                        self.now = now = when
+                        item._resume(None, None)  # noqa: SLF001
+            elif not item._triggered:  # noqa: SLF001 - _KIND_EVENT
+                item._triggered = True  # noqa: SLF001
+                item._value = value  # noqa: SLF001
+                # No copy/clear dance: nothing can mutate a triggered
+                # event's callback list (append and remove both check the
+                # flag first), so iterating in place is safe.
+                for callback in item.callbacks:
+                    callback(item)
         if until > self.now:
             self.now = until
         return self.now
@@ -673,63 +697,46 @@ class Simulator:
         pop = heappop
         push = heappush
         sequence = self._sequence
-        if limit is None:
-            now = self.now
-            while not event._triggered:  # noqa: SLF001
-                if not heap:
-                    raise SimulationError(
-                        f"simulation ran out of events before {event!r} fired "
-                        "(deadlock in the modelled stack?)"
-                    )
-                entry = pop(heap)
-                when = entry[0]
-                if when > now:
-                    self.now = now = when
-                elif when < now:
-                    raise SimulationError("time went backwards")
-                kind = entry[2]
-                if kind == 1:  # _KIND_RESUME
-                    entry[3]._resume(entry[4], entry[5])  # noqa: SLF001
-                elif kind:  # _KIND_SLEEP: what Process._wakeup does
-                    item = entry[3]
-                    if item._sleep_seq == entry[1]:  # noqa: SLF001
-                        item.context_switches += 1
-                        push(heap, (now + self.context_switch_cost, next(sequence),
-                                    1, item, None, None))
-                else:
-                    item = entry[3]
-                    if not item._triggered:  # noqa: SLF001
-                        item._triggered = True  # noqa: SLF001
-                        item._value = entry[4]  # noqa: SLF001
-                        for callback in item.callbacks:
-                            callback(item)
-            return event.value
+        cost = self.context_switch_cost
+        bound = float("inf") if limit is None else limit
+        now = self.now
         while not event._triggered:  # noqa: SLF001
-            if self.now >= limit:
+            if now >= bound:
                 raise SimulationError(
                     f"simulation reached limit t={limit} before {event!r} fired"
                 )
-            if not heap:
+            try:
+                when, seq, kind, item, value, exc = pop(heap)
+            except IndexError:
                 raise SimulationError(
                     f"simulation ran out of events before {event!r} fired "
                     "(deadlock in the modelled stack?)"
-                )
-            when, seq, kind, item, value, exc = pop(heap)
-            if when < self.now:
+                ) from None
+            if when > now:
+                self.now = now = when
+            elif when < now:
                 raise SimulationError("time went backwards")
-            self.now = when
-            if kind == _KIND_EVENT:
-                if not item._triggered:  # noqa: SLF001
-                    item._triggered = True  # noqa: SLF001
-                    item._value = value  # noqa: SLF001
-                    for callback in item.callbacks:
-                        callback(item)
-            elif kind == _KIND_RESUME:
+            if kind == 1:  # _KIND_RESUME
                 item._resume(value, exc)  # noqa: SLF001
-            elif item._sleep_seq == seq:  # noqa: SLF001
-                item.context_switches += 1
-                push(heap, (when + self.context_switch_cost, next(sequence),
-                            _KIND_RESUME, item, None, None))
+            elif kind:  # _KIND_SLEEP: what Process._wakeup does
+                if item._token == seq:  # noqa: SLF001
+                    item._token = None  # noqa: SLF001
+                    item.context_switches += 1
+                    when = now + cost
+                    # Popping the wake entry triggered nothing, so running
+                    # the resume now skips no check of ``event`` or the
+                    # limit that the heap round trip would have made.
+                    if when >= bound or (heap and heap[0][0] <= when):
+                        push(heap, (when, next(sequence), 1, item, None, None))
+                    else:
+                        next(sequence)
+                        self.now = now = when
+                        item._resume(None, None)  # noqa: SLF001
+            elif not item._triggered:  # noqa: SLF001 - _KIND_EVENT
+                item._triggered = True  # noqa: SLF001
+                item._value = value  # noqa: SLF001
+                for callback in item.callbacks:
+                    callback(item)
         return event.value
 
     @property

@@ -6,18 +6,27 @@ by the JBD/commit/flush threads, bounded command queues at the device, and
 condition variables used to signal "transaction committed" or "cache
 flushed".
 
-All primitives use ``__slots__`` and, on their uncontended fast paths, grant
-by marking a freshly created event as triggered directly: a fresh event
-cannot have callbacks yet, so the ``succeed()`` dispatch machinery is skipped
-entirely (see docs/PERFORMANCE.md).
+All primitives use ``__slots__``.  Mutex, semaphore and store grant on their
+uncontended fast paths by marking a freshly created event as triggered
+directly: a fresh event cannot have callbacks yet, so the ``succeed()``
+dispatch machinery is skipped entirely.  A condition builds no Event at
+all: its waiters are parked processes (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Any, Callable, Deque, Generator, Optional
 
-from repro.simulation.engine import Event, SimulationError, Simulator
+from repro.simulation.engine import (
+    _KIND_RESUME,
+    _KIND_SLEEP,
+    Event,
+    Process,
+    SimulationError,
+    Simulator,
+)
 
 
 def _granted(sim: Simulator, name: str, value: Any) -> Event:
@@ -205,33 +214,64 @@ class Store:
 class Condition:
     """A broadcast condition variable.
 
-    ``wait()`` returns an event that fires at the next ``notify_all()``.
-    ``wait_for(predicate)`` keeps re-arming until the predicate holds, which
-    is how the commit thread waits for "conflict-page list empty" and the
-    application thread waits for "transaction durable".
+    ``yield cond.wait()`` blocks the running process until the next
+    ``notify_all()``; ``yield cond.wait(timeout)`` also wakes it ``timeout``
+    microseconds from now if no notification came first.  Neither builds an
+    Event: the process is parked on a waiter record ``(process, token)``,
+    as ``sim.sleep`` parks it on a wake entry, and ``notify_all`` pushes
+    each resume itself, with the seq, value and context switch an Event's
+    wakeup would have given.  The deadline's wake entry takes the seq a
+    ``sim.timeout(timeout)`` would have taken, so a deadline wait is the
+    ``any_of([wait, timeout])`` it replaces, seq for seq; whichever of the
+    notification and the deadline comes second finds the token cleared and
+    does nothing.  ``wait`` must be yielded at once, by the process that
+    called it.  ``wait_for(predicate)`` keeps re-arming until the
+    predicate holds, which is how the commit thread waits for
+    "conflict-page list empty" and the application thread waits for
+    "transaction durable".
     """
 
-    __slots__ = ("sim", "name", "_waiters", "_wait_name")
+    __slots__ = ("sim", "name", "waiters")
 
     def __init__(self, sim: Simulator, name: str = "condition"):
         self.sim = sim
         self.name = name
-        self._waiters: list[Event] = []
-        self._wait_name = f"{name}.wait"
+        #: Waiter records ``(process, token)``; a record whose token is no
+        #: longer its process's is stale.  Hot callers test it before
+        #: calling :meth:`notify_all`.
+        self.waiters: list[tuple[Process, int]] = []
 
-    def wait(self) -> Event:
-        """Event that fires at the next notification."""
-        event = Event(self.sim, self._wait_name)
-        self._waiters.append(event)
-        return event
+    def wait(self, timeout: Optional[float] = None) -> Process:
+        """Park the running process until the next notification (or ``timeout``)."""
+        sim = self.sim
+        process = sim._current_process  # noqa: SLF001
+        if process is None:
+            raise SimulationError(f"{self.name}.wait() must be yielded by a running process")
+        if timeout is None:
+            token = next(sim._park_tokens)  # noqa: SLF001
+        else:
+            if timeout < 0:
+                raise SimulationError(f"negative wait timeout: {timeout}")
+            token = next(sim._sequence)  # noqa: SLF001
+            heappush(sim._heap, (sim.now + timeout, token, _KIND_SLEEP, process, None, None))  # noqa: SLF001
+        process._token = token  # noqa: SLF001
+        self.waiters.append((process, token))
+        return process
 
     def notify_all(self, value: Any = None) -> None:
         """Wake every current waiter."""
-        waiters = self._waiters
+        waiters = self.waiters
         if waiters:
-            self._waiters = []
-            for waiter in waiters:
-                waiter.succeed(value)
+            self.waiters = []
+            sim = self.sim
+            heap = sim._heap  # noqa: SLF001
+            sequence = sim._sequence  # noqa: SLF001
+            when = sim.now + sim.context_switch_cost
+            for process, token in waiters:
+                if process._token == token:  # noqa: SLF001 - else stale
+                    process._token = None  # noqa: SLF001
+                    process.context_switches += 1
+                    heappush(heap, (when, next(sequence), _KIND_RESUME, process, value, None))
 
     def wait_for(self, predicate: Callable[[], bool]) -> Generator[Event, Any, None]:
         """Generator: block until ``predicate()`` is true."""

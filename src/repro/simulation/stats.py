@@ -172,13 +172,15 @@ class TimeWeightedStat:
 
     def update(self, time: float, value: float) -> None:
         """Record that the signal changed to ``value`` at ``time``."""
-        if time < self._last_time:
+        elapsed = time - self._last_time
+        if elapsed < 0:
             raise ValueError("time went backwards in TimeWeightedStat")
-        self._weighted_sum += self._value * (time - self._last_time)
-        self._duration += time - self._last_time
+        self._weighted_sum += self._value * elapsed
+        self._duration += elapsed
         self._last_time = time
         self._value = value
-        self.peak = max(self.peak, value)
+        if value > self.peak:
+            self.peak = value
 
     @property
     def current(self) -> float:

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from repro.simulation.engine import Event, Simulator
+from repro.simulation.engine import Event
 
 
 class CommandKind(enum.Enum):
@@ -98,9 +98,11 @@ class Command:
     payload: Sequence[WrittenBlock] = field(default_factory=tuple)
     #: Opaque tag identifying the submitting context (for tracing).
     tag: object = None
-    command_id: int = field(default_factory=lambda: next(_command_ids))
+    command_id: int = field(default_factory=_command_ids.__next__)
 
-    # Milestone events, created by attach().
+    # Milestone events: the device creates them on submission unless the
+    # dispatcher handed it the request's own (an unmerged request on an
+    # unhooked device).
     transferred: Optional[Event] = None
     completed: Optional[Event] = None
 
@@ -128,15 +130,6 @@ class Command:
                 WrittenBlock(block=("anon", self.command_id, index))
                 for index in range(self.num_pages)
             )
-
-    def attach(self, sim: Simulator) -> "Command":
-        """Create the milestone events on ``sim`` (called by the device)."""
-        if self.transferred is None:
-            # Constant names: per-command f-strings were hot in the submit
-            # path; ``describe()`` still identifies commands.
-            self.transferred = Event(sim, "cmd.transferred")
-            self.completed = Event(sim, "cmd.completed")
-        return self
 
     # -- convenience predicates -------------------------------------------
     @property

@@ -66,7 +66,7 @@ class CommandQueue:
     # -- insertion ----------------------------------------------------------
     def try_insert(self, command: Command) -> bool:
         """Insert ``command`` if there is space; return whether it was taken."""
-        if not self.has_space:
+        if len(self._entries) >= self.depth:
             return False
         self._arrival_seq += 1
         self._arrival_of[command.command_id] = self._arrival_seq

@@ -38,7 +38,7 @@ from repro.simulation.engine import Event, Simulator
 from repro.simulation.resources import Condition
 from repro.simulation.stats import TimeSeries, TimeWeightedStat
 from repro.storage.barrier_modes import BarrierMode, default_barrier_mode
-from repro.storage.command import Command, CommandKind
+from repro.storage.command import _BARRIER_BIT, _FLUSH_BIT, _FUA_BIT, Command, CommandKind
 from repro.storage.command_queue import CommandQueue
 from repro.storage.errors import DeviceBusyError, PowerLossError
 from repro.storage.flash import FlashBackend
@@ -130,6 +130,8 @@ class StorageDevice:
             TimeSeries("device.queue_depth") if track_queue_depth else None
         )
         self._powered_on = True
+        self._plp = self.barrier_mode is BarrierMode.PLP
+        self._supports_barrier = self.barrier_mode.supports_barrier
 
         sim.process(self._controller_loop(), name=f"{profile.name}.controller", daemon=True)
         sim.process(self._flusher_loop(), name=f"{profile.name}.flusher", daemon=True)
@@ -145,15 +147,22 @@ class StorageDevice:
         """Submit a command if the queue has space; returns ``True`` on success."""
         if not self._powered_on:
             raise PowerLossError()
-        command.attach(self.sim)
+        sim = self.sim
+        if command.completed is None:
+            # Constant names: ``describe()`` still identifies commands.
+            command.transferred = Event(sim, "cmd.transferred")
+            command.completed = Event(sim, "cmd.completed")
         if not self.queue.try_insert(command):
             self.stats.busy_rejections += 1
             return False
-        command.submit_time = self.sim.now if command.submit_time is None else command.submit_time
-        command.accept_time = self.sim.now
+        now = sim.now
+        if command.submit_time is None:
+            command.submit_time = now
+        command.accept_time = now
         self.stats.commands_submitted += 1
         self._record_queue_depth()
-        self._queue_activity.notify_all()
+        if self._queue_activity.waiters:
+            self._queue_activity.notify_all()
         return True
 
     @property
@@ -162,8 +171,13 @@ class StorageDevice:
         return self.queue.has_space
 
     def slot_available(self) -> Event:
-        """Event that fires the next time a queue slot frees up."""
-        if self.queue.has_space:
+        """Wait for a free queue slot; yield the result at once.
+
+        With a slot free now this is an already-triggered event; otherwise
+        the running process is parked until the controller frees one.
+        """
+        queue = self.queue
+        if len(queue._entries) < queue.depth:  # noqa: SLF001 - has_space, inlined
             event = self.sim.event(name="device.slot.ready")
             event.succeed()
             return event
@@ -176,7 +190,7 @@ class StorageDevice:
 
     # ------------------------------------------------------------------ controller
     def _record_queue_depth(self) -> None:
-        depth = self.queue.occupancy
+        depth = len(self.queue._entries)  # noqa: SLF001 - occupancy, no property call
         self.stats.queue_depth.update(self.sim.now, depth)
         if self.queue_depth_series is not None:
             self.queue_depth_series.record(self.sim.now, depth)
@@ -195,14 +209,15 @@ class StorageDevice:
         read_kind = CommandKind.READ
         wait_for_work = self._queue_activity.wait
         record_depth = self._record_queue_depth
-        notify_slot = self._slot_freed.notify_all
+        slot_freed = self._slot_freed
         while True:
             command = select_next()
             if command is None:
                 yield wait_for_work()
                 continue
             record_depth()
-            notify_slot()
+            if slot_freed.waiters:
+                slot_freed.notify_all()
             command.service_start_time = sim.now
             yield sleep(command_overhead)
 
@@ -261,7 +276,8 @@ class StorageDevice:
         """Service a write (the hot path; the checked form delegates here)."""
         profile = self.profile
         sim = self.sim
-        preflush = command.wants_preflush
+        flags = command.flags._value_
+        preflush = flags & _FLUSH_BIT
         if preflush:
             # A lying device acknowledges the pre-flush without draining the
             # cache; the FUA payload itself is still programmed for real.
@@ -280,18 +296,19 @@ class StorageDevice:
             epoch=epoch,
             time=now,
             command_id=command.command_id,
-            durable_immediately=self.barrier_mode is BarrierMode.PLP,
+            durable_immediately=self._plp,
         )
-        if command.is_barrier and self.barrier_mode.supports_barrier:
+        if flags & _BARRIER_BIT and self._supports_barrier:
             self.current_epoch = epoch + 1
             self.stats.barrier_writes += 1
         self.stats.pages_transferred += command.num_pages
         command.transferred.succeed()
-        self._cache_work.notify_all()
+        if self._cache_work.waiters:
+            self._cache_work.notify_all()
         if self.crash_tap is not None:
             self.crash_tap("transfer", command.num_pages)
 
-        if command.is_fua:
+        if flags & _FUA_BIT:
             self.stats.fua_writes += 1
             yield from self._persist_fua(entries, bare=not preflush)
 
@@ -416,7 +433,7 @@ class StorageDevice:
                 or oldest_age >= self.max_dirty_age
             ):
                 remaining = max(1.0, self.max_dirty_age - oldest_age)
-                yield sim.any_of([self._cache_work.wait(), sim.timeout(remaining)])
+                yield self._cache_work.wait(remaining)
                 continue
             batch = self._select_flush_batch()
             if not batch:

@@ -25,12 +25,12 @@ def reference_verdicts(spec, indices, *, trace_tail: int = 0, judge=None):
     """What :func:`repro.crashlab.verify_points` must return, one replay per point."""
     if indices is None:
         indices = range(len(record_boundaries(spec)))
-    build = judge if judge is not None else engine._point_verdict
     verdicts = []
     for index in sorted(set(indices)):
         tracer = engine._make_tracer(trace_tail)
         probe, boundary = replay_to_point(spec, index, tracer=tracer)
-        verdicts.append(build(probe, boundary, index, tracer, trace_tail))
+        verdict = engine._point_verdict(probe, boundary, index, tracer, trace_tail)
+        verdicts.append(judge(probe, verdict) if judge is not None else verdict)
     return verdicts
 
 

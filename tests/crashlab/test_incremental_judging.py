@@ -11,6 +11,7 @@ agree with one from-scratch replay per point.
 import gc
 import random
 import sys
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -37,6 +38,7 @@ from repro.crashlab import (
     violations_result,
 )
 from repro.crashlab.incremental import IncrementalJudge
+from repro.recovery import ContinuationPlan, recovery_judge
 from repro.scenarios import ScenarioSpec, prepare_spec
 from repro.storage.crash import CrashState, recover_durable_blocks
 from repro.storage import device as device_module
@@ -86,6 +88,17 @@ class TestCost:
             folds.append(report.folds)
         assert folds[1] <= 2.2 * folds[0]
         assert folds[2] <= 2.2 * folds[1]
+
+    def test_continue_judging_grows_linearly(self):
+        # ``--continue`` extends the cell's in-line verdicts; a fresh probe
+        # and judge per point folded 23,091 entries at calls=20 and 90,191
+        # at calls=40 (3.9x for twice the run).
+        judge = partial(recovery_judge, plan=ContinuationPlan(calls=4))
+        folds = [
+            explore(bfs_sync_loop(calls), strategy="exhaustive", judge=judge).folds
+            for calls in (20, 40)
+        ]
+        assert 0 < folds[1] <= 2.2 * folds[0], folds
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_work_does_not_depend_on_jobs(self, jobs):

@@ -2,11 +2,11 @@
 
 Timings on a shared machine jitter by tens of percent; these counts do not.
 They pin the per-IO host-cost levers of docs/PERFORMANCE.md: timed waits go
-through ``Simulator.sleep`` (no Event), flag tests and updates run no
-``enum`` code, each loop schedules an exact number of engine events and
-spends at most a pinned number of Python calls, and an installed hook that
-does nothing (an inert fault injector, a recording tracer) changes no
-simulated output.
+through ``Simulator.sleep`` and condition waits park (no Event), flag tests
+and updates run no ``enum`` code, each loop schedules an exact number of
+engine events and spends at most a pinned number of Python calls and Event
+constructions, and an installed hook that does nothing (an inert fault
+injector, a recording tracer) changes no simulated output.
 """
 
 import enum
@@ -18,7 +18,7 @@ import pytest
 from repro.analysis.measure import measure_sync_latency
 from repro.core import build_stack, standard_config
 from repro.hooks import install
-from repro.simulation import Simulator
+from repro.simulation import Event, Simulator, Timeout
 from repro.trace import Tracer
 
 CALLS = 100
@@ -52,9 +52,10 @@ def _profile_fsync_loop():
 
 def test_bfs_fsync_hot_path_builds_few_timers_and_runs_no_enum_code():
     counts = _profile_fsync_loop()
-    # Three flusher deadline arms (the ``any_of`` needs an Event) plus one
-    # flash program round per call; every other timed wait is a sleep.
-    assert counts["timeout"] <= 4 * CALLS, counts
+    # One flash program round per call (its Event goes to the tracer's
+    # hook); the flusher's deadline is a parked wait and every other timed
+    # wait is a sleep.
+    assert counts["timeout"] <= CALLS, counts
     assert counts["enum"] == 0, counts
 
 
@@ -62,30 +63,43 @@ def test_bfs_fsync_hot_path_builds_few_timers_and_runs_no_enum_code():
 LOOP_CALLS = 200
 
 #: (stack, sync call) -> (engine events, Python calls of the bare loop,
-#: Python calls an installed inert fault injector adds).  Events are exact;
-#: the call counts are ceilings, so a leaner path passes and one extra
-#: call per request (hundreds per loop) fails.
+#: Event objects the bare loop builds, Python calls of the loop with an
+#: installed inert fault injector).  Events are exact; the other counts are
+#: ceilings, so a leaner path passes and one extra call or Event per
+#: request (hundreds per loop) fails.  A hooked device keeps its commands'
+#: own milestone events and relays, so the injected loop costs more than
+#: the bare one by those.
 LOOP_PINS = {
-    ("BFS-DR", "fsync"): (10_006, 106_657, 8_006),
-    ("EXT4-DR", "fsync"): (9_605, 91_452, 5_600),
-    ("BFS-OD", "fdatabarrier"): (2_101, 25_859, 1_627),
+    ("BFS-DR", "fsync"): (10_006, 71_253, 3_602, 86_459),
+    ("EXT4-DR", "fsync"): (9_605, 64_648, 2_601, 75_648),
+    ("BFS-OD", "fdatabarrier"): (2_101, 14_512, 605, 17_939),
 }
+
+#: The code objects that build an Event: its constructor (subclasses and
+#: processes run it too) and the two direct-store factories.
+EVENT_BUILDERS = frozenset(
+    (Event.__init__.__code__, Timeout.__init__.__code__,
+     Simulator.event.__code__, Simulator.timeout.__code__)
+)
 
 
 def _pinned_loop(config, sync_call, **hooks):
-    """Run one drained loop under ``sys.setprofile``; return (calls, outputs).
+    """Run one drained loop under ``sys.setprofile``; return (calls, Events
+    built, outputs).
 
     The collector is off while counting: a cyclic-garbage pass would
     finalize suspended generators from earlier tests inside the window.
     """
     stack = build_stack(standard_config(config, "plain-ssd"))
     install(stack, **hooks)
-    calls = 0
+    calls = events = 0
 
-    def profiler(_frame, event, _arg):
-        nonlocal calls
+    def profiler(frame, event, _arg):
+        nonlocal calls, events
         if event == "call":
             calls += 1
+            if frame.f_code in EVENT_BUILDERS:
+                events += 1
 
     gc.collect()
     gc.disable()
@@ -110,22 +124,23 @@ def _pinned_loop(config, sync_call, **hooks):
         "fs": stack.fs.stats.snapshot(),
         "mean_latency": result.latencies.mean,
     }
-    return calls, outputs
+    return calls, events, outputs
 
 
 @pytest.mark.parametrize("config,sync_call", list(LOOP_PINS))
 def test_sync_loop_work_is_pinned_and_inert_hooks_change_no_output(config, sync_call):
-    events, bare_ceiling, injector_ceiling = LOOP_PINS[config, sync_call]
-    calls, bare = _pinned_loop(config, sync_call)
+    events, bare_ceiling, event_ceiling, injected_ceiling = LOOP_PINS[config, sync_call]
+    calls, built, bare = _pinned_loop(config, sync_call)
     assert bare["events"] == events, bare
     assert calls <= bare_ceiling, calls
+    assert built <= event_ceiling, built
     # A fault plan that cannot fire and a recording tracer only observe.
-    injected_calls, injected = _pinned_loop(
+    injected_calls, _, injected = _pinned_loop(
         config, sync_call, faults=("torn-write:p=0",)
     )
     assert injected == bare
-    assert injected_calls - calls <= injector_ceiling, injected_calls - calls
+    assert injected_calls <= injected_ceiling, injected_calls
     tracer = Tracer()
-    _, traced = _pinned_loop(config, sync_call, tracer=tracer)
+    _, _, traced = _pinned_loop(config, sync_call, tracer=tracer)
     assert traced == bare
     assert tracer.contexts

@@ -3,13 +3,15 @@
 These pin the behaviours that the zero-allocation refactor must preserve:
 interrupt/timeout races, degenerate AllOf/AnyOf inputs, error routing with
 ``propagate_process_errors=False``, the trampoline for already-triggered
-yields, and the ``run(until=...)`` boundary semantics.
+yields, the ``run(until=...)`` boundary semantics, and the races of a
+process parked on a condition (interrupt, notify against deadline).
 """
 
 import pytest
 
 from repro.simulation import (
     AllOf,
+    Condition,
     Event,
     Interrupt,
     SimulationError,
@@ -386,3 +388,128 @@ def test_zero_delay_event_scheduled_at_until_runs_in_same_call():
     sim.run(until=50)
     assert fired == ["first", "second"]
     assert sim.now == 50
+
+
+# ---------------------------------------------------------------- parked waits
+def test_interrupt_of_a_parked_process_resumes_it_once_and_a_later_notify_is_inert():
+    sim = Simulator(context_switch_cost=1.0)
+    cond = Condition(sim)
+    log = []
+
+    def victim():
+        try:
+            yield cond.wait()
+            log.append("woken")
+        except Interrupt as interrupt:
+            log.append(("interrupted", interrupt.cause, sim.now))
+        yield sim.sleep(10)
+        log.append(("slept", sim.now))
+
+    process = sim.process(victim())
+    sim.run(until=5)
+    process.interrupt("stop")
+    sim.run(until=6)
+    cond.notify_all()  # the victim is asleep: its old record is stale
+    sim.run()
+    assert log == [("interrupted", "stop", 5), ("slept", 16)]
+    # The interrupt is no wakeup; only the sleep charged a context switch.
+    assert process.context_switches == 1
+
+
+def test_interrupt_leaves_a_parked_deadline_inert():
+    sim = Simulator()
+    cond = Condition(sim)
+    log = []
+
+    def victim():
+        try:
+            yield cond.wait(10)
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+
+    process = sim.process(victim())
+    sim.run(until=5)
+    process.interrupt()
+    sim.run()
+    assert log == [("interrupted", 5)]
+    assert process.context_switches == 0
+    assert sim.now == 10  # the inert deadline entry still drained
+
+
+def test_interrupt_issued_while_a_wake_is_pending_reaches_the_next_wait_only():
+    sim = Simulator()
+    cond = Condition(sim)
+    log = []
+
+    def victim():
+        value = yield cond.wait()
+        log.append((value, sim.now))
+        try:
+            yield cond.wait()
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+        # An Event wait: the ended park's record must not wake it.
+        value = yield sim.timeout(10, "timeout")
+        log.append((value, sim.now))
+
+    process = sim.process(victim())
+    sim.run(until=1)
+    cond.notify_all("woken")  # the resume is pending at t=1 ...
+    process.interrupt()  # ... when the interrupt is issued
+    sim.run(until=3)
+    cond.notify_all("stale")  # the second wait ended with the interrupt
+    sim.run()
+    assert log == [("woken", 1), ("interrupted", 1), ("timeout", 11)]
+    assert process.context_switches == 2
+
+
+def test_interrupt_issued_while_a_wake_is_pending_detaches_the_next_event_wait():
+    # The Event form of the race above: the event the interrupt lands on
+    # must not wake the process once it waits elsewhere.
+    sim = Simulator()
+    first, second = sim.event(), sim.event()
+    log = []
+
+    def victim():
+        log.append((yield first))
+        try:
+            yield second
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+        log.append(((yield sim.timeout(10, "timeout")), sim.now))
+
+    process = sim.process(victim())
+    sim.run(until=1)
+    first.succeed("woken")
+    process.interrupt()
+    sim.run(until=2)
+    second.succeed("stale")
+    sim.run()
+    assert log == ["woken", ("interrupted", 1), ("timeout", 11)]
+
+
+@pytest.mark.parametrize("notify_first", [True, False])
+def test_notify_and_deadline_at_the_same_instant_wake_once(notify_first):
+    sim = Simulator(context_switch_cost=2.0)
+    cond = Condition(sim)
+    woken = []
+
+    def waiter():
+        value = yield cond.wait(5)
+        woken.append((value, sim.now))
+        # Parked elsewhere when the loser of the race fires.
+        yield sim.sleep(20)
+
+    def arm():
+        sim.timeout(5).add_callback(lambda _event: cond.notify_all("notified"))
+
+    if notify_first:
+        arm()  # its entry precedes the deadline's at t=5
+    process = sim.process(waiter())
+    sim.run(until=0)
+    if not notify_first:
+        arm()
+    sim.run()
+    assert woken == [("notified" if notify_first else None, 7.0)]
+    assert process.context_switches == 2  # the wait and the sleep
+    assert sim.now == 29.0

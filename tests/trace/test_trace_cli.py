@@ -1,6 +1,7 @@
 """The ``runner trace`` command line and the trace flags of its siblings
 (``sweep --metrics``, ``crashcheck --trace-tail``)."""
 
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,26 @@ import pytest
 from repro.experiments.runner import crashcheck_main, sweep_main, trace_main
 from repro.scenarios import engine
 from repro.trace.export import BREAKDOWN_STAGES
+
+
+#: sha256 of the ``trace.json`` that ``runner trace`` writes for two cells,
+#: captured before condition waits stopped building Events: the trace-smoke
+#: cell and the ordering-only BFS-OD ``fdatabarrier`` loop.  A hooked stack
+#: keeps its own milestone wiring, so spans and their order must not move.
+TRACE_PINS = {
+    ("--config", "BFS-DR", "--barrier-mode", "in-order-writeback"):
+        "c664cea5212f0e0e7ea6107ecfec25192fd8600a09afc2adda487a2d3284c420",
+    ("--config", "BFS-OD", "--param", "sync_call='fdatabarrier'"):
+        "30e37d272ffb84f8104920fc5958758f10729a22a5bd65afe54d1a7eec03c4eb",
+}
+
+
+@pytest.mark.parametrize("cell", list(TRACE_PINS))
+def test_trace_export_is_pinned(cell, tmp_path, capsys):
+    trace_path = tmp_path / "trace.json"
+    trace_main(["--workload", "sync-loop", *cell, "--output", str(trace_path)])
+    capsys.readouterr()
+    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == TRACE_PINS[cell]
 
 
 class TestTraceCLI:
