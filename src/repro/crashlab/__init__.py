@@ -9,8 +9,8 @@ that adversarially validates that claim over the whole scenario matrix,
 instead of relying on hand-picked crash instants:
 
 * :mod:`repro.crashlab.points` — record every IO boundary of a run (the
-  complete crash-point space) and select points to explore: exhaustive,
-  stratified sampling, or bisection to the earliest failure.
+  complete crash-point space) and select points to explore: exhaustive
+  or stratified sampling.
 * :mod:`repro.crashlab.engine` — run a
   :class:`~repro.scenarios.ScenarioSpec` once and, at each chosen boundary,
   advance the one crash state of the run to what a power cut there would

@@ -5,7 +5,7 @@ One *cell* is a :class:`~repro.scenarios.ScenarioSpec`; exploring it means:
 1. **Select** — choose the crash points: every IO boundary of the run
    (exhaustive), or — after a recording pre-run
    (:func:`repro.crashlab.points.record_boundaries`) — an evenly thinned
-   or stratified subset, or adaptive bisection probes.
+   or stratified subset.
 2. **Verify in-line** — run the spec once with history recorded and an
    :class:`~repro.crashlab.points.InlineVerifier` tap on the device
    (:func:`verify_points`).  When the device reaches a chosen boundary the
@@ -37,9 +37,9 @@ pins verdicts, witnesses and trace tails of the two against each other
 across barrier modes, job counts, fault plans, rebuilds and judges.
 
 Cells, not points, spread over processes: each cell is judged in exactly
-one verifying run in one process (a bisection runs one short probe per
-point instead), because the run is most of a cell's cost — splitting its
-points over N passes would simulate and fold the run N times.
+one verifying run in one process, because the run is most of a cell's
+cost — splitting its points over N passes would simulate and fold the
+run N times.
 :func:`explore_cells` with ``jobs=N`` hands whole cells to a
 ``ProcessPoolExecutor`` of ``min(N, cells)`` workers and keeps their order,
 so the report is bit-identical for any ``jobs`` value; one cell, or
@@ -59,7 +59,6 @@ from repro.crashlab.points import (
     CrashPointReached,
     CrashTrigger,
     InlineVerifier,
-    evenly_spaced,
     record_boundaries,
     require_stack_workload,
     select_points,
@@ -159,7 +158,7 @@ def replay_to_point(
 
 @dataclass
 class _Pass:
-    """What one verifying run (or a merge of bisection probes) produced."""
+    """What one verifying run produced."""
 
     points: list[PointVerdict]
     #: Boundaries the run exposed before it ended or was stopped.
@@ -280,85 +279,6 @@ def check_point(spec, index: int, *, trace_tail: int = 0, judge=None) -> PointVe
     return verdict
 
 
-def _merge(passes: Sequence[_Pass]) -> _Pass:
-    """Several bisection probes' verdicts as one, ascending by point index."""
-    by_index = {point.index: point for part in passes for point in part.points}
-    return _Pass(
-        [by_index[index] for index in sorted(by_index)],
-        max((part.boundaries for part in passes), default=0),
-        rebuilds=sum(part.rebuilds for part in passes),
-        folds=sum(part.folds for part in passes),
-    )
-
-
-def _bisect(
-    spec,
-    total: int,
-    *,
-    points: Optional[int] = None,
-    trace_tail: int = 0,
-    judge=None,
-) -> _Pass:
-    """Narrow to the earliest failing boundary: scout, then binary-refine.
-
-    Crash violations are not monotone over the boundary index — a run
-    typically ends clean once the final drain completes — so a plain binary
-    search has nothing to anchor on.  Instead the engine *scouts* with
-    evenly spaced probes at doubling density (up to the ``points`` budget,
-    default 32) until some probe fails, then binary-searches the gap between
-    that failure and the nearest passing probe below it.  The result is a
-    failing boundary whose immediate predecessor passes — the earliest
-    failure up to local monotonicity.  Probes run serially because each one
-    decides the next; each is one verifying run that stops at its point.
-    """
-    evaluated: dict[int, _Pass] = {}
-
-    def fails(index: int) -> bool:
-        if index not in evaluated:
-            evaluated[index] = _verify(
-                spec, [index], trace_tail=trace_tail, judge=judge
-            )
-        [verdict] = evaluated[index].points
-        return bool(verdict.violations)
-
-    budget = min(points if points is not None else 32, total)
-
-    earliest_failure: Optional[int] = None
-    density = min(8, budget)
-    while True:
-        # Scout below the earliest failure known so far (the whole range at
-        # first); every new failure strictly shrinks the scouted range, every
-        # clean pass doubles the density, and probes are cached.
-        limit = earliest_failure if earliest_failure is not None else total
-        found = None
-        if limit > 0:
-            for index in evenly_spaced(limit, min(density, limit)):
-                if fails(index):
-                    found = index
-                    break
-        if found is not None:
-            earliest_failure = found
-            continue
-        if density >= budget:
-            break
-        density = min(density * 2, budget)
-    if earliest_failure is None:
-        return _merge(list(evaluated.values()))
-
-    low = max(
-        (index for index in evaluated if index < earliest_failure and not fails(index)),
-        default=-1,
-    )
-    high = earliest_failure
-    while high - low > 1:
-        mid = (low + high) // 2
-        if fails(mid):
-            high = mid
-        else:
-            low = mid
-    return _merge(list(evaluated.values()))
-
-
 class CellError(RuntimeError):
     """Exploring one cell failed; the message starts with the cell's ``describe()``."""
 
@@ -368,7 +288,7 @@ def explore(
     *,
     strategy: str = "exhaustive",
     points: Optional[int] = None,
-    seed: int = 0,
+    seed: Optional[int] = None,
     jobs: int = 1,
     trace_tail: int = 0,
     judge=None,
@@ -379,7 +299,8 @@ def explore(
     budget judges every boundary as the run exposes it, with no recording
     pre-run, and the boundary count is where the run ends.  Every other
     strategy first records the boundaries, then judges the chosen ones
-    in-line in one run (bisection: one probe run at a time).
+    in-line in one run.  ``seed`` seeds the stratified sampler; ``None``
+    uses the cell's own seed.
     ``trace_tail=N`` attaches the last ``N`` spans before each crash to its
     verdict (rendered by the violation report).  ``judge`` replaces the
     per-point verdict builder (see :func:`verify_points`); ``None`` keeps
@@ -392,6 +313,8 @@ def explore(
     """
     if points is not None and points < 1:
         raise ValueError(f"the crash-point budget must be at least 1, got {points}")
+    if seed is None:
+        seed = spec.seed
     try:
         if strategy == "exhaustive" and points is None:
             result = _verify(spec, None, trace_tail=trace_tail, judge=judge)
@@ -399,13 +322,8 @@ def explore(
         else:
             boundaries = record_boundaries(spec)
             total = len(boundaries)
-            if strategy == "bisect":
-                result = _bisect(
-                    spec, total, points=points, trace_tail=trace_tail, judge=judge
-                )
-            else:
-                indices = select_points(strategy, boundaries, points=points, seed=seed)
-                result = _verify(spec, indices, trace_tail=trace_tail, judge=judge)
+            indices = select_points(strategy, boundaries, points=points, seed=seed)
+            result = _verify(spec, indices, trace_tail=trace_tail, judge=judge)
         if total == 0:
             raise ValueError("its run exposes no crash boundary, so nothing was judged")
     except Exception as error:

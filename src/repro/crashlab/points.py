@@ -15,14 +15,12 @@ is a deterministic, seeded simulation, boundary *k* of any later run is
 exactly boundary *k* of the recording — which is what lets the exploration
 engine choose points from the recording and judge them in a later run.
 
-Three selection strategies turn the recorded boundary list into the set of
+Two selection strategies turn the recorded boundary list into the set of
 points actually explored:
 
 * ``exhaustive`` — every boundary (evenly thinned to a ``points`` budget);
 * ``stratified`` — seeded sampling, proportional per boundary kind so that
-  rare flush boundaries are not drowned out by transfers;
-* ``bisect`` — handled by the engine: binary search that narrows to the
-  earliest failing boundary instead of evaluating a fixed set.
+  rare flush boundaries are not drowned out by transfers.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 from repro.storage.crash import CrashBoundary
 
 #: The selection strategies exposed on the command line.
-STRATEGIES = ("exhaustive", "stratified", "bisect")
+STRATEGIES = ("exhaustive", "stratified")
 
 
 class CrashPointReached(Exception):
@@ -143,9 +141,7 @@ def select_points(
     """Choose the boundary indices to explore, sorted ascending.
 
     ``points`` caps the budget; ``None`` means every boundary for
-    ``exhaustive`` and a default budget of 32 for ``stratified``.  The
-    ``bisect`` strategy picks its probes adaptively inside the engine and is
-    rejected here.
+    ``exhaustive`` and a default budget of 32 for ``stratified``.
     """
     if points is not None and points < 1:
         raise ValueError(f"the crash-point budget must be at least 1, got {points}")
@@ -159,8 +155,6 @@ def select_points(
     if strategy == "stratified":
         budget = min(points if points is not None else 32, total)
         return _stratified_sample(boundaries, budget, seed)
-    if strategy == "bisect":
-        raise ValueError("bisect picks its probes adaptively; use explore()")
     raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
 

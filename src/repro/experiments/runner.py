@@ -1,40 +1,38 @@
 """Run the paper's experiments — or any ad-hoc scenario matrix.
 
-Four command-line modes (see ``docs/EXPERIMENTS.md``,
-``docs/CRASH_CONSISTENCY.md``, ``docs/FAULTS.md``, ``docs/RECOVERY.md`` and
-``docs/OBSERVABILITY.md`` for full guides):
+Four command-line modes (guides: ``docs/EXPERIMENTS.md``,
+``docs/CRASH_CONSISTENCY.md``, ``docs/FAULTS.md``, ``docs/RECOVERY.md``,
+``docs/OBSERVABILITY.md``):
 
-* ``python -m repro.experiments.runner [scale] [--only NAME] [--jobs N]``
-  regenerates the eleven published tables;
-* ``python -m repro.experiments.runner sweep --workload W --config C
-  --device D ...`` expands the given axes into a scenario matrix that may
-  exist in no experiment module and tabulates it (``--fault PLAN`` injects
-  storage faults into every cell);
-* ``python -m repro.experiments.runner check --workload W
-  --barrier-mode M --strategy exhaustive`` systematically crashes every
-  cell of the given matrix at recorded IO boundaries and verifies recovery
-  (:mod:`repro.crashlab`); ``--fault PLAN`` composes deterministic fault
-  injection (:mod:`repro.faults`) and ``--continue`` remounts and continues
-  after every crash (:mod:`repro.recovery`).  ``crashcheck``,
-  ``faultcheck`` and ``recoverycheck`` remain as aliases (the last adds
-  ``--continue``);
-* ``python -m repro.experiments.runner trace --workload W --config C
-  --output trace.json --breakdown`` runs one scenario with the
-  cross-layer tracer installed (:mod:`repro.trace`) and exports a
+* ``runner [scale] [--only NAME] [--jobs N]`` regenerates the eleven
+  published tables;
+* ``runner sweep -w W -c C -d D ...`` tabulates the scenario matrix the
+  axes name, which may exist in no experiment module (``--fault PLAN``
+  injects storage faults, :mod:`repro.faults`);
+* ``runner check -w W --barrier-mode M`` crashes every cell of the matrix
+  at its IO boundaries and judges recovery (:mod:`repro.crashlab`), under
+  ``--fault`` plans too; ``--continue`` remounts and continues after every
+  crash (:mod:`repro.recovery`);
+* ``runner trace -w W -c C --output trace.json --breakdown`` runs one
+  scenario under the cross-layer tracer (:mod:`repro.trace`) and exports a
   Perfetto-loadable Chrome trace plus the per-stage fsync breakdown.
 
-All accept ``--format table|json|csv`` and ``--output PATH`` so results can
-be diffed and archived as CI artifacts.
+The three subcommands share one front door.  :func:`_command_parser`
+declares the spec axes once (``-w/-c/-d/--barrier-mode/--seed/--scale/
+--param``, each repeatable, plus ``--fault`` and ``--jobs`` for the two
+matrix commands) and :func:`_build_specs` turns them into specs the same
+way for all three: an unknown name is a usage error, devices vary slowest
+and then configs, and duplicate specs collapse.  ``trace`` takes a product
+of exactly one spec.  All accept ``--format table|json|csv`` and
+``--output PATH``, so results can be diffed and archived.
 
-The experiments are mutually independent — each builds its own simulator and
-IO stacks — so :func:`run_all` can fan them out across worker processes with
-``jobs=N``, and each experiment additionally shards its *own* spec matrix
-with ``run(jobs=N)``.  Experiments must draw all randomness from explicitly
-seeded ``random.Random`` instances (they do; the scenario layer threads
-``ScenarioSpec.seed`` through stacks and workloads), which is what makes the
-tables identical whether a sweep runs serially or in parallel;
-``tests/experiments/test_determinism.py`` and ``tests/scenarios`` pin that
-property.
+The experiments are mutually independent (each builds its own simulator
+and stacks), so :func:`run_all` fans them out over ``jobs=N`` worker
+processes, and each experiment also shards its own spec matrix with
+``run(jobs=N)``.  All randomness comes from seeded ``random.Random``
+instances (the scenario layer threads ``ScenarioSpec.seed`` through stacks
+and workloads), so the tables are identical serial or parallel
+(``tests/experiments/test_determinism.py`` and ``tests/scenarios`` pin it).
 """
 
 from __future__ import annotations
@@ -136,7 +134,9 @@ def _emit(results: list[ExperimentResult], fmt: str, output: str | None) -> None
         print(rendered)
 
 
-def _add_output_arguments(parser) -> None:
+def _add_output_arguments(
+    parser, output_help: str = "write the rendered results to a file instead of stdout"
+) -> None:
     parser.add_argument(
         "--format",
         choices=("table", "json", "csv"),
@@ -146,64 +146,174 @@ def _add_output_arguments(parser) -> None:
     parser.add_argument(
         "--output",
         metavar="PATH",
-        help="write the rendered results to a file instead of stdout",
+        help=output_help,
     )
 
 
-def _parse_param(text: str) -> tuple[str, object]:
-    """Parse a ``--param key=value`` pair, literal-evaluating the value."""
-    import ast
+def _barrier_mode(text: str) -> str:
+    """argparse ``type=`` for barrier-mode names; underscores read as hyphens."""
+    import argparse
 
-    key, separator, raw = text.partition("=")
-    if not separator or not key:
-        raise ValueError(f"--param expects key=value, got {text!r}")
+    from repro.storage.barrier_modes import BarrierMode
+
     try:
-        value: object = ast.literal_eval(raw)
-    except (ValueError, SyntaxError):
-        value = raw
-    return key, value
+        return BarrierMode(text.replace("_", "-")).value
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"unknown barrier mode {text!r}; choose from "
+            f"{[mode.value for mode in BarrierMode]}"
+        ) from None
+
+
+def _command_parser(command: str, description: str, *, matrix: bool, **output):
+    """A subcommand's parser, holding the spec axes every subcommand shares.
+
+    ``matrix`` adds ``--fault`` and ``--jobs`` (``sweep`` and ``check``);
+    ``output`` is handed to :func:`_add_output_arguments`.  A command
+    changes a shared default with ``set_defaults`` (``check`` runs at a
+    reduced ``--scale``).
+    """
+    import argparse
+
+    from repro.scenarios import DEVICES, STACK_CONFIGS, WORKLOADS
+    from repro.storage.barrier_modes import BarrierMode
+
+    modes = [mode.value for mode in BarrierMode]
+    parser = argparse.ArgumentParser(
+        prog=f"repro.experiments.runner {command}", description=description
+    )
+    parser.add_argument(
+        "-w", "--workload", action="append", metavar="NAME",
+        help=f"workload axis (repeatable); one of {WORKLOADS.names()}",
+    )
+    parser.add_argument(
+        "-c", "--config", action="append", metavar="NAME",
+        help=(
+            "stack-configuration axis (repeatable, default EXT4-DR); one of "
+            f"{STACK_CONFIGS.names()} (case-insensitive; barrier-dr/barrier-od "
+            f"alias BFS-DR/BFS-OD) or a barrier-mode name of {modes}, "
+            "which expands to that mode on BFS-DR plus the EXT4-OD × none "
+            "legacy contrast cell"
+        ),
+    )
+    parser.add_argument(
+        "-d", "--device", action="append", metavar="NAME",
+        help=f"device axis (repeatable, default plain-ssd); one of {DEVICES.names()}",
+    )
+    parser.add_argument(
+        "--barrier-mode", action="append", type=_barrier_mode, metavar="MODE",
+        help=(
+            "storage barrier-mode axis (repeatable; underscores and hyphens "
+            f"both accepted); one of {modes}; default: the device's choice"
+        ),
+    )
+    parser.add_argument(
+        "--seed", action="append", type=int, metavar="N",
+        help=(
+            "seed axis (repeatable, default 0); a cell's seed also seeds its "
+            "fault streams and the stratified sampler"
+        ),
+    )
+    parser.add_argument(
+        "--scale", type=float, default=1.0,
+        help="iteration-count multiplier, above 0 (default %(default)s)",
+    )
+    parser.add_argument(
+        "--param", action="append", default=[], metavar="KEY=VALUE",
+        help=(
+            "workload parameter, literal-evaluated (repeatable); a list value "
+            "of a measured-phase parameter becomes an axis"
+        ),
+    )
+    if matrix:
+        parser.add_argument(
+            "--fault", action="append", default=[], metavar="PLAN",
+            help=(
+                "fault plan applied to the storage device (and reinstalled on "
+                "a stack remounted by check --continue), as "
+                "KIND[:key=value,...] (repeatable; e.g. torn-write:p=0.5, "
+                "flush-lie, io-error:nth=3); see docs/FAULTS.md"
+            ),
+        )
+        parser.add_argument(
+            "-j", "--jobs", type=int, default=1,
+            help=(
+                "worker processes (default 1); sweep splits specs sharing a "
+                "warmup into contiguous chunks, check gives each worker whole "
+                "cells (so a one-cell check runs in-process)"
+            ),
+        )
+    _add_output_arguments(parser, **output)
+    return parser
+
+
+#: The least value each integer option accepts, by ``dest``.
+_LEAST = {
+    "jobs": 1,
+    "points": 1,
+    "trace_tail": 0,
+    "buffer": 1,
+    "continuation_calls": 1,
+    "continuation_pages": 1,
+    "max_sync_retries": 0,
+}
+
+
+def _parse(parser, argv):
+    """Parse ``argv``; an out-of-range number is a usage error."""
+    args = parser.parse_args(argv)
+    if not args.scale > 0:
+        parser.error(f"--scale must be above 0, got {args.scale}")
+    for dest, least in _LEAST.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < least:
+            parser.error(f"--{dest.replace('_', '-')} must be at least {least}")
+    return args
 
 
 def _route_params(parser, workloads: list[str], raw_params: list[str]):
-    """Parse ``--param`` pairs and work out which workloads accept each key.
+    """Parse ``--param key=value`` pairs and route each key to its workloads.
 
-    Shared by ``sweep``, ``trace`` and ``check``: each key goes to the selected
-    workloads that accept it (so sqlite's ``inserts=`` can ride alongside
-    sync-loop's ``calls=`` in one matrix); a key no selected workload
-    accepts, or a value a workload rejects, is a usage error.  Returns
-    ``(params, accepted_by)``.
+    Values are literal-evaluated (text that is no literal stays a string).
+    A key goes to the selected workloads that accept it, so sqlite's
+    ``inserts=`` can ride alongside sync-loop's ``calls=`` in one matrix.
+    A malformed pair, a key no selected workload accepts, or a value a
+    workload rejects is a usage error.  Returns ``{workload: params}``.
     """
+    import ast
+
     from repro.scenarios import WORKLOADS
 
+    params: dict[str, object] = {}
+    for item in raw_params:
+        key, separator, raw = item.partition("=")
+        if not separator or not key:
+            parser.error(f"--param expects key=value, got {item!r}")
+        try:
+            params[key] = ast.literal_eval(raw)
+        except (ValueError, SyntaxError):
+            params[key] = raw
     try:
-        params = dict(_parse_param(item) for item in raw_params)
-    except ValueError as error:
-        parser.error(str(error))
-    try:
-        accepted_by = {
-            name: set(WORKLOADS.get(name).PARAMS) for name in set(workloads)
-        }
+        accepts = {name: WORKLOADS.get(name).PARAMS for name in set(workloads)}
     except KeyError as error:
         parser.error(str(error.args[0]))
-    orphans = sorted(
-        key for key in params
-        if not any(key in accepted for accepted in accepted_by.values())
-    )
+    routed = {
+        name: {key: value for key, value in params.items() if key in accepted}
+        for name, accepted in accepts.items()
+    }
+    orphans = sorted(set(params).difference(*routed.values()))
     if orphans:
         parser.error(
             f"--param keys {orphans} are accepted by none of the selected "
-            f"workloads {sorted(accepted_by)}"
+            f"workloads {sorted(routed)}"
         )
-    for name in sorted(accepted_by):
+    for name in sorted(routed):
         # Constructing a workload reads its params: a bad value fails here.
         try:
-            WORKLOADS.get(name)(**{
-                key: value for key, value in params.items()
-                if key in accepted_by[name]
-            })
+            WORKLOADS.get(name)(**routed[name])
         except ValueError as error:
             parser.error(str(error))
-    return params, accepted_by
+    return routed
 
 
 def _expand_suffix_axes(specs):
@@ -240,305 +350,6 @@ def _expand_suffix_axes(specs):
             )
     return expanded
 
-
-def _barrier_mode(text: str) -> str:
-    """argparse ``type=`` for barrier-mode names; underscores read as hyphens."""
-    import argparse
-
-    from repro.storage.barrier_modes import BarrierMode
-
-    try:
-        return BarrierMode(text.replace("_", "-")).value
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"unknown barrier mode {text!r}; choose from "
-            f"{[mode.value for mode in BarrierMode]}"
-        ) from None
-
-
-def _parse_faults(parser, raw_faults):
-    """Parse repeatable ``--fault`` plan strings into a FaultSpec tuple."""
-    from repro.faults import parse_fault
-
-    try:
-        return tuple(parse_fault(item) for item in raw_faults)
-    except ValueError as error:
-        parser.error(str(error))
-
-
-def _finalize_specs(specs, params, accepted_by):
-    """Attach routed params to each spec and collapse duplicate specs.
-
-    Repeated axis values (or stack axes normalised away on raw-block
-    workloads) would otherwise run — and report — the same cell twice.
-    Dedupe is by repr: param values may be unhashable literals (lists).
-    """
-    normalized, seen = [], set()
-    for spec in specs:
-        spec = spec.with_(params={
-            key: value for key, value in params.items()
-            if key in accepted_by[spec.workload]
-        })
-        key = repr(spec)
-        if key in seen:
-            continue
-        seen.add(key)
-        normalized.append(spec)
-    return normalized
-
-
-def sweep_main(argv: list[str] | None = None) -> None:
-    """``runner sweep``: run an arbitrary config × device × workload matrix."""
-    import argparse
-
-    from repro.scenarios import DEVICES, STACK_CONFIGS, WORKLOADS, sweep, sweep_table
-    from repro.storage.barrier_modes import BarrierMode
-
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.runner sweep",
-        description=(
-            "Expand stack-config/device/workload axis lists into a scenario "
-            "matrix and tabulate it — no experiment module required."
-        ),
-    )
-    parser.add_argument(
-        "-w", "--workload", action="append", metavar="NAME",
-        help=f"workload axis (repeatable); one of {WORKLOADS.names()}",
-    )
-    parser.add_argument(
-        "-c", "--config", action="append", metavar="NAME",
-        help=f"stack-configuration axis (repeatable); one of {STACK_CONFIGS.names()}",
-    )
-    parser.add_argument(
-        "-d", "--device", action="append", metavar="NAME",
-        help="device axis (repeatable); evaluation devices or Fig. 1 labels",
-    )
-    parser.add_argument(
-        "--barrier-mode", action="append", type=_barrier_mode, metavar="MODE",
-        help=(
-            "storage barrier-mode axis (repeatable); one of "
-            f"{[mode.value for mode in BarrierMode]}; default: the device's choice"
-        ),
-    )
-    parser.add_argument(
-        "--seed", action="append", type=int, metavar="N",
-        help="seed axis (repeatable, default 0)",
-    )
-    parser.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="workload parameter, literal-evaluated (repeatable)",
-    )
-    parser.add_argument(
-        "--fault", action="append", default=[], metavar="PLAN",
-        help=(
-            "fault plan applied to the storage device, as KIND[:key=value,...] "
-            "(repeatable; e.g. torn-write:p=0.5, flush-lie, io-error:nth=3); "
-            "see docs/FAULTS.md"
-        ),
-    )
-    parser.add_argument(
-        "--scale", type=float, default=1.0,
-        help="iteration-count multiplier (default 1.0)",
-    )
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help=(
-            "worker processes (default 1); specs sharing a warmup are split "
-            "into contiguous chunks until every worker has one"
-        ),
-    )
-    parser.add_argument(
-        "--metrics", action="store_true",
-        help=(
-            "append the device/block counter columns (io_errors, retries, "
-            "requeues, power failures, ...) to every row"
-        ),
-    )
-    parser.add_argument(
-        "--list", action="store_true",
-        help="list the registered configs, devices and workloads, then exit",
-    )
-    _add_output_arguments(parser)
-    args = parser.parse_args(argv)
-
-    if args.list:
-        print(f"stack configs: {', '.join(STACK_CONFIGS.names())}")
-        print(f"devices:       {', '.join(DEVICES.names())}")
-        print(f"workloads:     {', '.join(WORKLOADS.names())}")
-        return
-    if not args.workload:
-        parser.error("at least one --workload is required (or use --list)")
-
-    params, accepted_by = _route_params(parser, args.workload, args.param)
-    faults = _parse_faults(parser, args.fault)
-    if faults:
-        for name in set(args.workload):
-            if not WORKLOADS.get(name).needs_stack:
-                parser.error(
-                    f"workload {name!r} runs against the raw block device; "
-                    "--fault needs a filesystem stack to install the injector on"
-                )
-
-    specs = sweep(
-        workloads=args.workload,
-        configs=args.config or ["EXT4-DR"],
-        devices=args.device or ["plain-ssd"],
-        barrier_modes=args.barrier_mode or [None],
-        seeds=args.seed or [0],
-        scale=args.scale,
-        faults=faults,
-    )
-
-    # Stack axes mean nothing to raw-block workloads: normalise them away so
-    # the duplicate collapse in _finalize_specs folds the product back down.
-    specs = [
-        spec.with_(config=None, barrier_mode=None)
-        if not WORKLOADS.get(spec.workload).needs_stack
-        else spec
-        for spec in specs
-    ]
-    specs = _finalize_specs(specs, params, accepted_by)
-    specs = _expand_suffix_axes(specs)
-    result = sweep_table(
-        specs,
-        jobs=args.jobs,
-        metrics=args.metrics,
-        description=f"ad-hoc scenario sweep ({len(specs)} scenarios)",
-    )
-    _emit([result], args.format, args.output)
-
-
-def trace_main(argv: list[str] | None = None) -> None:
-    """``runner trace``: run one traced scenario and export its spans."""
-    import argparse
-    import json
-
-    from repro.scenarios import STACK_CONFIGS, WORKLOADS
-    from repro.scenarios.engine import run_spec_traced
-    from repro.scenarios.spec import ScenarioSpec
-    from repro.storage.barrier_modes import BarrierMode
-    from repro.trace import Tracer, breakdown_result, chrome_trace
-
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.runner trace",
-        description=(
-            "Run one scenario with the cross-layer tracer installed and "
-            "export the spans as Chrome trace-event JSON (loadable at "
-            "https://ui.perfetto.dev), plus the per-stage fsync latency "
-            "breakdown and the streaming span metrics.  See "
-            "docs/OBSERVABILITY.md."
-        ),
-    )
-    parser.add_argument(
-        "-w", "--workload", required=True, metavar="NAME",
-        help=f"workload to trace; one of {WORKLOADS.names()}",
-    )
-    parser.add_argument(
-        "-c", "--config", default="EXT4-DR", metavar="NAME",
-        help=f"stack configuration (default EXT4-DR); one of {STACK_CONFIGS.names()}",
-    )
-    parser.add_argument(
-        "-d", "--device", default="plain-ssd", metavar="NAME",
-        help="device (default plain-ssd)",
-    )
-    parser.add_argument(
-        "--barrier-mode", type=_barrier_mode, metavar="MODE",
-        help=(
-            "storage barrier-mode override; one of "
-            f"{[mode.value for mode in BarrierMode]}; default: the device's choice"
-        ),
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help="scenario seed (default 0)",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=1.0,
-        help="iteration-count multiplier (default 1.0)",
-    )
-    parser.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="workload parameter, literal-evaluated (repeatable)",
-    )
-    parser.add_argument(
-        "--buffer", type=int, default=65_536, metavar="N",
-        help="span ring-buffer capacity (default 65536; oldest dropped first)",
-    )
-    parser.add_argument(
-        "--output", metavar="PATH",
-        help="write the Chrome trace-event JSON to this file",
-    )
-    parser.add_argument(
-        "--breakdown", action="store_true",
-        help="print the per-stage syscall latency breakdown table",
-    )
-    parser.add_argument(
-        "--metrics", action="store_true",
-        help="print the streaming span-metrics table (p50/p99/p999 per span)",
-    )
-    parser.add_argument(
-        "--format", choices=("table", "json", "csv"), default="table",
-        help="format of the breakdown/metrics tables (default table)",
-    )
-    args = parser.parse_args(argv)
-
-    params, accepted_by = _route_params(parser, [args.workload], args.param)
-    if not WORKLOADS.get(args.workload).needs_stack:
-        parser.error(
-            f"workload {args.workload!r} runs against the raw block device; "
-            "the tracer installs over a filesystem stack"
-        )
-    if args.buffer < 1:
-        parser.error("--buffer must be at least 1")
-    spec = ScenarioSpec(
-        workload=args.workload,
-        config=args.config,
-        device=args.device,
-        barrier_mode=args.barrier_mode,
-        seed=args.seed,
-        scale=args.scale,
-        params={
-            key: value for key, value in params.items()
-            if key in accepted_by[args.workload]
-        },
-    )
-    tracer = Tracer(buffer_size=args.buffer)
-    outcome = run_spec_traced(spec, tracer)
-
-    label = spec.describe()
-    if args.output:
-        document = chrome_trace(
-            tracer.spans, label=label, dropped=tracer.spans.dropped
-        )
-        with open(args.output, "w") as handle:
-            json.dump(document, handle, indent=1)
-            handle.write("\n")
-    tables = []
-    if args.breakdown:
-        tables.append(breakdown_result(tracer.contexts, label=label))
-    if args.metrics and tracer.metrics is not None:
-        tables.append(tracer.metrics.result())
-    if tables:
-        _emit(tables, args.format, None)
-    summary = (
-        f"traced {outcome.result.operations} operations: {len(tracer.spans)} "
-        f"spans, {len(tracer.contexts)} syscall journeys"
-    )
-    if tracer.spans.dropped:
-        summary += f", {tracer.spans.dropped} spans dropped (ring full)"
-    if args.output:
-        summary += f" -> {args.output}"
-    print(summary)
-
-
-#: Report table name -> description.  The name follows the switches a check
-#: uses: ``recoverycheck`` with --continue, else ``faultcheck`` with a fault
-#: plan, else ``crashcheck``; the violations table appends ``-violations``.
-_CHECK_TABLES = {
-    "crashcheck": "systematic crash-point exploration and recovery verification",
-    "faultcheck": "crash-point exploration under injected storage faults",
-    "recoverycheck": "crash-point exploration with remount-and-continue verification",
-}
 
 #: Paper-facing names for the barrier stacks, accepted by ``--config``
 #: alongside the registered configuration names.
@@ -596,13 +407,182 @@ def _resolve_configs(parser, names, modes):
     return cells
 
 
+def _build_specs(parser, args, *, stack_use: str | None = None):
+    """The specs ``args``' axes name; every name problem is a usage error.
+
+    Params go to the workloads that accept them (:func:`_route_params`),
+    configs resolve through :func:`_resolve_configs`, devices must be
+    registered.  Devices vary slowest, then configs, as in one
+    :func:`repro.scenarios.sweep` call.  Stack axes are normalised off
+    raw-block workloads, unless ``stack_use`` says why the command needs a
+    stack (``--fault`` always does), which rejects them.  Duplicate specs
+    collapse (by repr: param values may be unhashable lists), then
+    list-valued measured-phase params expand (:func:`_expand_suffix_axes`).
+    """
+    from repro.faults import parse_fault
+    from repro.scenarios import DEVICES, WORKLOADS, sweep
+
+    if not args.workload:
+        parser.error(
+            "at least one --workload is required"
+            + (" (or use --list)" if "list" in args else "")
+        )
+    routed = _route_params(parser, args.workload, args.param)
+    try:
+        faults = tuple(parse_fault(item) for item in getattr(args, "fault", ()))
+    except ValueError as error:
+        parser.error(str(error))
+    if faults and stack_use is None:
+        stack_use = "--fault needs a filesystem stack to install the injector on"
+    for name in sorted(routed):
+        if stack_use and not WORKLOADS.get(name).needs_stack:
+            parser.error(
+                f"workload {name!r} runs against the raw block device; {stack_use}"
+            )
+    devices = args.device or ["plain-ssd"]
+    for device in devices:
+        if device not in DEVICES:
+            parser.error(f"unknown device {device!r}; choose from {DEVICES.names()}")
+    cells = _resolve_configs(parser, args.config or ["EXT4-DR"], args.barrier_mode)
+
+    specs: dict[str, object] = {}
+    for device in devices:
+        for config, modes in cells:
+            for spec in sweep(
+                workloads=args.workload, configs=[config], devices=[device],
+                barrier_modes=modes, seeds=args.seed or [0], scale=args.scale,
+                faults=faults,
+            ):
+                spec = spec.with_(params=routed[spec.workload])
+                if not WORKLOADS.get(spec.workload).needs_stack:
+                    spec = spec.with_(config=None, barrier_mode=None)
+                specs.setdefault(repr(spec), spec)
+    return _expand_suffix_axes(list(specs.values()))
+
+
+def sweep_main(argv: list[str] | None = None) -> None:
+    """``runner sweep``: run an arbitrary config × device × workload matrix."""
+    from repro.scenarios import DEVICES, STACK_CONFIGS, WORKLOADS, sweep_table
+
+    parser = _command_parser(
+        "sweep",
+        "Expand stack-config/device/workload axis lists into a scenario "
+        "matrix and tabulate it — no experiment module required.",
+        matrix=True,
+    )
+    parser.add_argument(
+        "--metrics", action="store_true",
+        help=(
+            "append the device/block counter columns (io_errors, retries, "
+            "requeues, power failures, ...) to every row"
+        ),
+    )
+    parser.add_argument(
+        "--list", action="store_true",
+        help="list the registered configs, devices and workloads, then exit",
+    )
+    args = _parse(parser, argv)
+
+    if args.list:
+        print(f"stack configs: {', '.join(STACK_CONFIGS.names())}")
+        print(f"devices:       {', '.join(DEVICES.names())}")
+        print(f"workloads:     {', '.join(WORKLOADS.names())}")
+        return
+    specs = _build_specs(parser, args)
+    result = sweep_table(
+        specs,
+        jobs=args.jobs,
+        metrics=args.metrics,
+        description=f"ad-hoc scenario sweep ({len(specs)} scenarios)",
+    )
+    _emit([result], args.format, args.output)
+
+
+def trace_main(argv: list[str] | None = None) -> None:
+    """``runner trace``: run one traced scenario and export its spans."""
+    import json
+
+    from repro.scenarios.engine import run_spec_traced
+    from repro.trace import Tracer, breakdown_result, chrome_trace
+
+    parser = _command_parser(
+        "trace",
+        "Run one scenario with the cross-layer tracer installed and export "
+        "the spans as Chrome trace-event JSON (loadable at "
+        "https://ui.perfetto.dev), plus the per-stage fsync latency "
+        "breakdown and the streaming span metrics.  The axes must name "
+        "exactly one scenario.  See docs/OBSERVABILITY.md.",
+        matrix=False,
+        output_help="write the Chrome trace-event JSON to this file",
+    )
+    parser.add_argument(
+        "--buffer", type=int, default=65_536, metavar="N",
+        help="span ring-buffer capacity (default 65536; oldest dropped first)",
+    )
+    parser.add_argument(
+        "--breakdown", action="store_true",
+        help="print the per-stage syscall latency breakdown table",
+    )
+    parser.add_argument(
+        "--metrics", action="store_true",
+        help="print the streaming span-metrics table (p50/p99/p999 per span)",
+    )
+    args = _parse(parser, argv)
+
+    specs = _build_specs(
+        parser, args, stack_use="the tracer installs over a filesystem stack"
+    )
+    if len(specs) != 1:
+        parser.error(
+            f"trace runs one scenario, but the axes name {len(specs)}: "
+            f"{[spec.describe() for spec in specs]}"
+        )
+    [spec] = specs
+    tracer = Tracer(buffer_size=args.buffer)
+    outcome = run_spec_traced(spec, tracer)
+
+    label = spec.describe()
+    if args.output:
+        document = chrome_trace(
+            tracer.spans, label=label, dropped=tracer.spans.dropped
+        )
+        with open(args.output, "w") as handle:
+            json.dump(document, handle, indent=1)
+            handle.write("\n")
+    tables = []
+    if args.breakdown:
+        tables.append(breakdown_result(tracer.contexts, label=label))
+    if args.metrics and tracer.metrics is not None:
+        tables.append(tracer.metrics.result())
+    if tables:
+        _emit(tables, args.format, None)
+    summary = (
+        f"traced {outcome.result.operations} operations: {len(tracer.spans)} "
+        f"spans, {len(tracer.contexts)} syscall journeys"
+    )
+    if tracer.spans.dropped:
+        summary += f", {tracer.spans.dropped} spans dropped (ring full)"
+    if args.output:
+        summary += f" -> {args.output}"
+    print(summary)
+
+
+#: Report table name -> description.  The name follows the switches a check
+#: uses: ``recoverycheck`` with --continue, else ``faultcheck`` with a fault
+#: plan, else ``crashcheck``; the violations table appends ``-violations``.
+_CHECK_TABLES = {
+    "crashcheck": "systematic crash-point exploration and recovery verification",
+    "faultcheck": "crash-point exploration under injected storage faults",
+    "recoverycheck": "crash-point exploration with remount-and-continue verification",
+}
+
+
 def check_main(argv: list[str] | None = None) -> None:
     """``runner check``: crash every cell of a matrix and verify recovery.
 
     ``--fault`` composes deterministic fault injection and ``--continue``
     adds the remount-and-continue judge; everything else is one code path.
     """
-    import argparse
     from functools import partial
 
     from repro.apps.syncpolicy import ERROR_POLICIES
@@ -620,101 +600,34 @@ def check_main(argv: list[str] | None = None) -> None:
         ContinuationPlan,
         recovery_judge,
     )
-    from repro.scenarios import STACK_CONFIGS, WORKLOADS, sweep
-    from repro.storage.barrier_modes import BarrierMode
 
-    mode_names = [mode.value for mode in BarrierMode]
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.runner check",
-        description=(
-            "Systematically enumerate crash points (the IO boundaries of a "
-            "run), and at every chosen point of each scenario cell judge the "
-            "state a power cut would leave with the registered oracles, "
-            "in-line in one run of the cell.  "
-            "--fault injects storage faults into every cell; --continue also "
-            "remounts a fresh stack on what journal recovery reconstructs, "
-            "runs a deterministic append+sync continuation and judges a "
-            "second crash right after its last acknowledgement.  See "
-            "docs/CRASH_CONSISTENCY.md."
-        ),
+    parser = _command_parser(
+        "check",
+        "Systematically enumerate crash points (the IO boundaries of a "
+        "run), and at every chosen point of each scenario cell judge the "
+        "state a power cut would leave with the registered oracles, "
+        "in-line in one run of the cell.  --fault injects storage faults "
+        "into every cell; --continue also remounts a fresh stack on what "
+        "journal recovery reconstructs, runs a deterministic append+sync "
+        "continuation and judges a second crash right after its last "
+        "acknowledgement.  Filesystem workloads only.  See "
+        "docs/CRASH_CONSISTENCY.md.",
+        matrix=True,
     )
-    parser.add_argument(
-        "-w", "--workload", action="append", metavar="NAME",
-        help=f"workload axis (repeatable); filesystem workloads of {WORKLOADS.names()}",
-    )
-    parser.add_argument(
-        "-c", "--config", action="append", metavar="NAME",
-        help=(
-            "stack-configuration axis (repeatable, default EXT4-DR); one of "
-            f"{STACK_CONFIGS.names()} (case-insensitive; barrier-dr/barrier-od "
-            f"alias BFS-DR/BFS-OD) or a barrier-mode name of {mode_names}, "
-            "which expands to that mode on BFS-DR plus the EXT4-OD × none "
-            "legacy contrast cell"
-        ),
-    )
-    parser.add_argument(
-        "-d", "--device", action="append", metavar="NAME",
-        help="device axis (repeatable, default plain-ssd)",
-    )
-    parser.add_argument(
-        "--barrier-mode", action="append", type=_barrier_mode, metavar="MODE",
-        help=(
-            "storage barrier-mode axis (repeatable; underscores and hyphens "
-            f"both accepted); one of {mode_names}; default: the device's choice"
-        ),
-    )
-    parser.add_argument(
-        "--fault", action="append", default=[], metavar="PLAN",
-        help=(
-            "fault plan applied to the storage device (and reinstalled on the "
-            "remounted stack under --continue), as KIND[:key=value,...] "
-            "(repeatable; e.g. torn-write:p=0.5, flush-lie, io-error:nth=3); "
-            "see docs/FAULTS.md"
-        ),
-    )
+    # Crash exploration judges the whole history at every point.
+    parser.set_defaults(scale=0.25)
     parser.add_argument(
         "--strategy", choices=STRATEGIES, default="exhaustive",
         help=(
-            "crash-point selection: every recorded boundary (exhaustive), a "
-            "seeded per-kind sample (stratified), or a binary search to the "
-            "earliest failing boundary (bisect); default exhaustive"
+            "crash-point selection: every recorded boundary (exhaustive) or "
+            "a seeded per-kind sample (stratified); default exhaustive"
         ),
     )
     parser.add_argument(
         "--points", type=int, metavar="N",
         help=(
             "crash-point budget per cell: evenly thins an exhaustive "
-            "enumeration, sets the stratified sample size (default 32); for "
-            "bisect it caps the probe density of each scout wave, not the "
-            "total — re-scouting below each found failure plus the binary "
-            "refinement can probe more points than the budget"
-        ),
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help=(
-            "seed for the scenario, the fault streams and the stratified "
-            "sampler (default 0)"
-        ),
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.25,
-        help=(
-            "iteration-count multiplier; crash exploration recovers and "
-            "verifies the whole history at every point, so the default is a "
-            "reduced 0.25"
-        ),
-    )
-    parser.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="workload parameter, literal-evaluated (repeatable)",
-    )
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help=(
-            "worker processes, each exploring whole cells of the matrix in "
-            "one verifying run per cell (default 1; at most one worker per "
-            "cell, so a one-cell check runs in-process)"
+            "enumeration, sets the stratified sample size (default 32)"
         ),
     )
     parser.add_argument(
@@ -728,7 +641,6 @@ def check_main(argv: list[str] | None = None) -> None:
         "--list", action="store_true",
         help="list the strategies, fault kinds and oracles, then exit",
     )
-    _add_output_arguments(parser)
     continuation = parser.add_argument_group(
         "remount and continue (see docs/RECOVERY.md)"
     )
@@ -760,61 +672,23 @@ def check_main(argv: list[str] | None = None) -> None:
         "--max-sync-retries", type=int, default=3, metavar="N",
         help="continuation sync retries before the error stops it (default 3)",
     )
-    args = parser.parse_args(argv)
+    args = _parse(parser, argv)
 
     if args.list:
         print(f"strategies: {', '.join(STRATEGIES)}")
         print(f"fault kinds: {', '.join(FAULT_KINDS)}")
         print("oracles:")
-        for oracle in ORACLES.values():
-            print(f"  {oracle.name:36s} {oracle.description}")
-        print(
-            f"  {ACKED_PREFIX_ORACLE:36s} "
-            "(--continue) pages acknowledged before the crash survived it"
-        )
-        print(
-            f"  {CONTINUATION_ORACLE:36s} (--continue) pages the "
-            "post-remount continuation acknowledged survived its crash"
-        )
+        for name, description in [
+            *((oracle.name, oracle.description) for oracle in ORACLES.values()),
+            (ACKED_PREFIX_ORACLE,
+             "(--continue) pages acknowledged before the crash survived it"),
+            (CONTINUATION_ORACLE, "(--continue) pages the post-remount "
+             "continuation acknowledged survived its crash"),
+        ]:
+            print(f"  {name:36s} {description}")
         return
-    if not args.workload:
-        parser.error("at least one --workload is required (or use --list)")
-    for flag, value, least in (
-        ("--points", args.points, 1),
-        ("--continuation-calls", args.continuation_calls, 1),
-        ("--continuation-pages", args.continuation_pages, 1),
-        ("--max-sync-retries", args.max_sync_retries, 0),
-    ):
-        if value is not None and value < least:
-            parser.error(f"{flag} must be at least {least}")
-    faults = _parse_faults(parser, args.fault)
-    params, accepted_by = _route_params(parser, args.workload, args.param)
-    for name in accepted_by:
-        if not WORKLOADS.get(name).needs_stack:
-            parser.error(
-                f"workload {name!r} runs against the raw block device; "
-                "the check needs a filesystem stack to crash and recover"
-            )
-    cells = _resolve_configs(parser, args.config or ["EXT4-DR"], args.barrier_mode)
-
-    # Devices vary slowest, then configs — the order of one sweep() call.
-    specs = _finalize_specs(
-        [
-            spec
-            for device in args.device or ["plain-ssd"]
-            for config, modes in cells
-            for spec in sweep(
-                workloads=args.workload,
-                configs=[config],
-                devices=[device],
-                barrier_modes=modes,
-                seeds=[args.seed],
-                scale=args.scale,
-                faults=faults,
-            )
-        ],
-        params,
-        accepted_by,
+    specs = _build_specs(
+        parser, args, stack_use="the check needs a filesystem stack to crash and recover"
     )
     judge = None
     if args.continuation:
@@ -828,14 +702,13 @@ def check_main(argv: list[str] | None = None) -> None:
         specs,
         strategy=args.strategy,
         points=args.points,
-        seed=args.seed,
         jobs=args.jobs,
-        trace_tail=max(args.trace_tail, 0),
+        trace_tail=args.trace_tail,
         judge=judge,
     )
     name = (
         "recoverycheck" if args.continuation
-        else "faultcheck" if faults
+        else "faultcheck" if args.fault
         else "crashcheck"
     )
     summary = summary_result(reports)
@@ -845,34 +718,24 @@ def check_main(argv: list[str] | None = None) -> None:
     _emit([summary, violations], args.format, args.output)
 
 
-#: ``runner crashcheck`` / ``runner faultcheck``: the pre-``check`` names.
-crashcheck_main = faultcheck_main = check_main
-
-
-def recoverycheck_main(argv: list[str] | None = None) -> None:
-    """``runner recoverycheck``: alias of ``runner check --continue``."""
-    import sys
-
-    check_main(["--continue", *(sys.argv[1:] if argv is None else argv)])
-
-
 def main(argv: list[str] | None = None) -> None:
     """Command-line entry point: ``python -m repro.experiments.runner``."""
     import argparse
     import sys
 
     arguments = list(sys.argv[1:]) if argv is None else list(argv)
-    subcommands = {
-        "sweep": sweep_main,
-        "trace": trace_main,
-        "check": check_main,
-        "crashcheck": crashcheck_main,
-        "faultcheck": faultcheck_main,
-        "recoverycheck": recoverycheck_main,
-    }
+    subcommands = {"sweep": sweep_main, "trace": trace_main, "check": check_main}
     if arguments and arguments[0] in subcommands:
         subcommands[arguments[0]](arguments[1:])
         return
+
+    def scale(text: str) -> float:
+        try:
+            return float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is neither a scale nor a subcommand {sorted(subcommands)}"
+            ) from None
 
     parser = argparse.ArgumentParser(
         prog="repro.experiments.runner",
@@ -887,7 +750,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "scale",
         nargs="?",
-        type=float,
+        type=scale,
         default=1.0,
         help="iteration-count multiplier for every experiment (default 1.0)",
     )

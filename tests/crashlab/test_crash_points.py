@@ -81,11 +81,6 @@ class TestSelection:
         chosen = select_points("stratified", boundaries, points=len(kinds), seed=0)
         assert {boundaries[i].kind for i in chosen} == kinds
 
-    def test_bisect_is_not_a_static_selection(self):
-        boundaries = record_boundaries(small_spec())
-        with pytest.raises(ValueError, match="adaptively"):
-            select_points("bisect", boundaries)
-
     def test_unknown_strategy_rejected(self):
         boundaries = record_boundaries(small_spec())
         with pytest.raises(ValueError, match="unknown strategy"):

@@ -1,42 +1,16 @@
-"""The ``runner check`` command line and its ``crashcheck`` alias."""
+"""The ``runner check`` command line."""
 
 import json
 
 import pytest
 
-from repro.experiments.runner import crashcheck_main, main
+from repro.experiments.runner import check_main, sweep_main, trace_main
 
 
 def run_cli(tmp_path, *argv):
     output = tmp_path / "report.json"
-    crashcheck_main([*argv, "--format", "json", "--output", str(output)])
+    check_main([*argv, "--format", "json", "--output", str(output)])
     return json.loads(output.read_text())
-
-
-@pytest.mark.parametrize(
-    ("alias", "argv", "check_only", "table"),
-    [
-        ("crashcheck", [], [], "crashcheck"),
-        ("faultcheck", ["--fault", "flush-lie"], [], "faultcheck"),
-        ("recoverycheck", [], ["--continue"], "recoverycheck"),
-    ],
-)
-def test_alias_equals_check(tmp_path, alias, argv, check_only, table):
-    common = [
-        "--workload", "sync-loop",
-        "--config", "in-order-recovery",
-        "--strategy", "stratified", "--points", "4",
-        "--param", "calls=4",
-        *argv,
-        "--format", "json",
-    ]
-    aliased, checked = tmp_path / "alias.json", tmp_path / "check.json"
-    main([alias, *common, "--output", str(aliased)])
-    main(["check", *check_only, *common, "--output", str(checked)])
-    assert aliased.read_text() == checked.read_text()
-    summary, violations = json.loads(checked.read_text())
-    assert summary["name"] == table
-    assert violations["name"] == f"{table}-violations"
 
 
 class TestCrashcheckCLI:
@@ -49,6 +23,7 @@ class TestCrashcheckCLI:
             "--param", "calls=6",
         )
         assert summary["name"] == "crashcheck"
+        assert violations["name"] == "crashcheck-violations"
         row = dict(zip(summary["columns"], summary["rows"][0]))
         assert row["barrier_mode"] == "in-order-recovery"
         assert row["violations"] == 0
@@ -94,7 +69,7 @@ class TestCrashcheckCLI:
             ),
             # Every write command fails, so no write ever reaches a boundary.
             (
-                ("recoverycheck", "-w", "sync-loop", "-c", "barrier-dr",
+                ("check", "--continue", "-w", "sync-loop", "-c", "barrier-dr",
                  "--barrier-mode", "in_order_recovery",
                  "--fault", "io-error:p=1,op=write",
                  "--strategy", "stratified", "--points", "4", "--param", "calls=4"),
@@ -149,41 +124,61 @@ class TestCrashcheckCLI:
 
     def test_orphan_param_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
-            crashcheck_main(
+            check_main(
                 ["--workload", "sync-loop", "--param", "journal_mode='wal'"]
             )
         assert "accepted by none" in capsys.readouterr().err
 
-    def test_non_positive_points_budget_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit):
-            crashcheck_main(["--workload", "sync-loop", "--points", "0"])
-        assert "--points must be at least 1" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        ("command", "argv", "message"),
+        [
+            (check_main, ["--points", "0"], "--points must be at least 1"),
+            (sweep_main, ["--jobs", "-2"], "--jobs must be at least 1"),
+            (check_main, ["--jobs", "-1"], "--jobs must be at least 1"),
+            (sweep_main, ["--scale", "0"], "--scale must be above 0"),
+            (check_main, ["--scale", "-1"], "--scale must be above 0"),
+            (trace_main, ["--scale", "0"], "--scale must be above 0"),
+            (check_main, ["--trace-tail", "-5"], "--trace-tail must be at least 0"),
+        ],
+        ids=[
+            "check-points-0", "sweep-jobs-neg", "check-jobs-neg", "sweep-scale-0",
+            "check-scale-neg", "trace-scale-0", "check-trace-tail-neg",
+        ],
+    )
+    def test_out_of_range_number_is_a_usage_error(
+        self, capsys, command, argv, message
+    ):
+        # Out-of-range numbers stop at the parser, before any run starts.
+        with pytest.raises(SystemExit) as exit_info:
+            command(["--workload", "sync-loop", *argv])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_raw_block_workload_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
-            crashcheck_main(["--workload", "blocklevel"])
+            check_main(["--workload", "blocklevel"])
         assert "raw block device" in capsys.readouterr().err
 
     def test_unknown_barrier_mode_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
-            crashcheck_main(["--workload", "sync-loop", "--barrier-mode", "magic"])
+            check_main(["--workload", "sync-loop", "--barrier-mode", "magic"])
         assert "unknown barrier mode" in capsys.readouterr().err
 
     def test_unknown_config_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
-            crashcheck_main(["--workload", "sync-loop", "--config", "ZFS"])
+            check_main(["--workload", "sync-loop", "--config", "ZFS"])
         assert "unknown config 'ZFS'" in capsys.readouterr().err
 
     def test_barrierfs_with_mode_none_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
-            crashcheck_main([
+            check_main([
                 "--workload", "sync-loop",
                 "--config", "BFS-DR", "--barrier-mode", "none",
             ])
         assert "use --config none" in capsys.readouterr().err
 
     def test_list_prints_oracles_and_strategies(self, capsys):
-        crashcheck_main(["--list"])
+        check_main(["--list"])
         out = capsys.readouterr().out
-        assert "strategies: exhaustive, stratified, bisect" in out
+        assert "strategies: exhaustive, stratified\n" in out
         assert "committed-log-prefix" in out

@@ -131,23 +131,3 @@ class TestDeterminism:
         first = explore(spec, strategy="stratified", points=6, seed=0)
         second = explore(spec, strategy="stratified", points=6, seed=1)
         assert [p.index for p in first.points] != [p.index for p in second.points]
-
-
-class TestBisect:
-    def test_bisect_narrows_to_a_locally_earliest_failure(self):
-        report = explore(spec_for("none", calls=12), strategy="bisect")
-        failing = [p.index for p in report.points if p.violations]
-        assert failing, "bisect must find the legacy failure"
-        earliest = min(failing)
-        ground_truth = explore(spec_for("none", calls=12), strategy="exhaustive")
-        truth = min(p.index for p in ground_truth.points if p.violations)
-        assert earliest == truth
-        # The boundary right below the earliest failure passes.
-        if earliest > 0:
-            passed = [p.index for p in report.points if not p.violations]
-            assert earliest - 1 in passed
-
-    def test_bisect_terminates_cleanly_when_nothing_fails(self):
-        report = explore(spec_for("in-order-recovery"), strategy="bisect", points=8)
-        assert report.violations == []
-        assert 0 < report.points_checked <= report.boundaries_total

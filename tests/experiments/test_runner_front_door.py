@@ -1,0 +1,91 @@
+"""The runner's one front door: shared axes, usage errors, pinned flags."""
+
+import re
+
+import pytest
+
+from repro.experiments.runner import check_main, main, sweep_main, trace_main
+
+COMMANDS = {"sweep": sweep_main, "trace": trace_main, "check": check_main}
+
+BAD_AXES = [
+    (["-w", "nosuch"], "unknown workload 'nosuch'; choose from"),
+    (["-c", "nosuch"], "unknown config 'nosuch'; choose from"),
+    (["-d", "nosuch"], "unknown device 'nosuch'; choose from"),
+    (["--barrier-mode", "nosuch"], "unknown barrier mode 'nosuch'; choose from"),
+    (["-c", "BFS-DR", "--barrier-mode", "none"], "use --config none"),
+]
+
+
+@pytest.mark.parametrize(
+    ("command", "axis", "message"),
+    [(command, axis, message) for command in COMMANDS for axis, message in BAD_AXES],
+    ids=[f"{command} {' '.join(axis)}" for command in COMMANDS for axis, _ in BAD_AXES],
+)
+def test_a_bad_axis_name_is_a_usage_error(capsys, command, axis, message):
+    argv = ["-w", "sync-loop", *axis] if axis[0] != "-w" else axis
+    with pytest.raises(SystemExit) as exit_info:
+        COMMANDS[command](argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_names_resolve_alike_in_every_command(capsys):
+    # One resolver for every command: names are case-insensitive and the
+    # barrier-dr/barrier-od aliases name BFS-DR/BFS-OD.
+    sweep_main(["-w", "sync-loop", "-c", "bfs-dr", "-c", "barrier-od",
+                "--param", "calls=2"])
+    table = capsys.readouterr().out
+    assert " BFS-DR " in table and " BFS-OD " in table
+
+
+def test_trace_needs_exactly_one_scenario(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        trace_main(["-w", "sync-loop", "-c", "BFS-DR", "-c", "EXT4-DR"])
+    assert exit_info.value.code == 2
+    assert "trace runs one scenario, but the axes name 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("removed", ["crashcheck", "faultcheck", "recoverycheck"])
+def test_removed_subcommands_are_usage_errors(capsys, removed):
+    with pytest.raises(SystemExit) as exit_info:
+        main([removed, "--workload", "sync-loop"])
+    assert exit_info.value.code == 2
+    assert f"{removed!r} is neither a scale nor a subcommand" in capsys.readouterr().err
+
+
+#: Every option string of each command's ``--help``.
+FLAGS = {
+    "sweep": (
+        "--barrier-mode --config --device --fault --format --help --jobs --list "
+        "--metrics --output --param --scale --seed --workload -c -d -h -j -w"
+    ),
+    "trace": (
+        "--barrier-mode --breakdown --buffer --config --device --format --help "
+        "--metrics --output --param --scale --seed --workload -c -d -h -w"
+    ),
+    "check": (
+        "--barrier-mode --config --continuation-calls --continuation-pages "
+        "--continue --device --fault --format --help --jobs --list "
+        "--max-sync-retries --on-error --output --param --points --scale --seed "
+        "--strategy --trace-tail --workload -c -d -h -j -w"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_help_lists_the_pinned_option_strings(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    flags = set()
+    # An option's line starts two spaces in ("  -w NAME, --workload NAME");
+    # wrapped help text is indented further.
+    for line in capsys.readouterr().out.splitlines():
+        match = re.match(r"  (-\S.*?)(?:\s{2,}|$)", line)
+        if match:
+            flags.update(
+                part.split()[0] for part in match.group(1).split(", ")
+            )
+    assert flags == set(FLAGS[command].split())

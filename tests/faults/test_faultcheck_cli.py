@@ -1,15 +1,15 @@
-"""The ``runner faultcheck`` command line (and ``sweep --fault``)."""
+"""The ``runner check --fault`` command line (and ``sweep --fault``)."""
 
 import json
 
 import pytest
 
-from repro.experiments.runner import faultcheck_main, sweep_main
+from repro.experiments.runner import check_main, sweep_main
 
 
 def run_cli(tmp_path, *argv):
     output = tmp_path / "report.json"
-    faultcheck_main([*argv, "--format", "json", "--output", str(output)])
+    check_main([*argv, "--format", "json", "--output", str(output)])
     return json.loads(output.read_text())
 
 
@@ -28,6 +28,7 @@ class TestFaultcheckCLI:
             "--param", "calls=20",
         )
         assert summary["name"] == "faultcheck"
+        assert violations["name"] == "faultcheck-violations"
         rows = [dict(zip(summary["columns"], row)) for row in summary["rows"]]
         assert [(row["config"], row["barrier_mode"]) for row in rows] == [
             ("BFS-DR", "in-order-recovery"),
@@ -77,19 +78,19 @@ class TestFaultcheckCLI:
 
     def test_malformed_fault_plan_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
-            faultcheck_main(
+            check_main(
                 ["--workload", "sync-loop", "--fault", "torn-write:p=2"]
             )
         assert "must be in [0, 1]" in capsys.readouterr().err
 
     def test_unknown_fault_kind_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
-            faultcheck_main(["--workload", "sync-loop", "--fault", "gamma-ray"])
+            check_main(["--workload", "sync-loop", "--fault", "gamma-ray"])
         assert "unknown fault kind" in capsys.readouterr().err
 
     def test_mode_alias_conflicts_with_explicit_mode_axis(self, capsys):
         with pytest.raises(SystemExit):
-            faultcheck_main([
+            check_main([
                 "--workload", "sync-loop",
                 "--config", "in-order-recovery",
                 "--barrier-mode", "plp",
@@ -99,11 +100,11 @@ class TestFaultcheckCLI:
 
     def test_raw_block_workload_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
-            faultcheck_main(["--workload", "blocklevel", "--fault", "flush-lie"])
+            check_main(["--workload", "blocklevel", "--fault", "flush-lie"])
         assert "raw block device" in capsys.readouterr().err
 
     def test_list_prints_fault_kinds_oracles_and_strategies(self, capsys):
-        faultcheck_main(["--list"])
+        check_main(["--list"])
         out = capsys.readouterr().out
         assert "strategies:" in out and "exhaustive" in out
         assert "torn-write" in out and "flush-lie" in out

@@ -1,15 +1,15 @@
-"""The ``runner recoverycheck`` command line."""
+"""The ``runner check --continue`` command line."""
 
 import json
 
 import pytest
 
-from repro.experiments.runner import recoverycheck_main
+from repro.experiments.runner import check_main
 
 
 def run_cli(tmp_path, *argv):
     output = tmp_path / "report.json"
-    recoverycheck_main([*argv, "--format", "json", "--output", str(output)])
+    check_main(["--continue", *argv, "--format", "json", "--output", str(output)])
     return json.loads(output.read_text())
 
 
@@ -27,6 +27,7 @@ class TestRecoverycheckCLI:
             "--param", "calls=6",
         )
         assert summary["name"] == "recoverycheck"
+        assert violations["name"] == "recoverycheck-violations"
         rows = [dict(zip(summary["columns"], row)) for row in summary["rows"]]
         assert [(row["config"], row["barrier_mode"]) for row in rows] == [
             ("BFS-DR", "in-order-recovery"),
@@ -64,7 +65,8 @@ class TestRecoverycheckCLI:
         # BFS × none cannot build (the order-preserving block layer needs a
         # barrier-capable device); the error points at --config none.
         with pytest.raises(SystemExit):
-            recoverycheck_main([
+            check_main([
+                "--continue",
                 "--workload", "sync-loop",
                 "--config", "barrier-dr",
                 "--barrier-mode", "none",
@@ -123,19 +125,20 @@ class TestRecoverycheckCLI:
 
     def test_continuation_flags_reach_the_plan_validation(self, capsys):
         with pytest.raises(SystemExit):
-            recoverycheck_main(
-                ["--workload", "sync-loop", "--continuation-calls", "0"]
+            check_main(
+                ["--continue", "--workload", "sync-loop", "--continuation-calls", "0"]
             )
         assert "--continuation-calls" in capsys.readouterr().err
 
     def test_unknown_config_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
-            recoverycheck_main(["--workload", "sync-loop", "--config", "ZFS"])
+            check_main(["--continue", "--workload", "sync-loop", "--config", "ZFS"])
         assert "unknown config" in capsys.readouterr().err
 
     def test_mode_alias_conflicts_with_explicit_mode_axis(self, capsys):
         with pytest.raises(SystemExit):
-            recoverycheck_main([
+            check_main([
+                "--continue",
                 "--workload", "sync-loop",
                 "--config", "in-order-recovery",
                 "--barrier-mode", "plp",
@@ -144,11 +147,11 @@ class TestRecoverycheckCLI:
 
     def test_raw_block_workload_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
-            recoverycheck_main(["--workload", "blocklevel"])
+            check_main(["--continue", "--workload", "blocklevel"])
         assert "raw block device" in capsys.readouterr().err
 
     def test_list_prints_recovery_oracles(self, capsys):
-        recoverycheck_main(["--list"])
+        check_main(["--continue", "--list"])
         out = capsys.readouterr().out
         assert "recovered-acked-prefix" in out
         assert "recovered-continuation-durability" in out

@@ -1,12 +1,12 @@
 """The ``runner trace`` command line and the trace flags of its siblings
-(``sweep --metrics``, ``crashcheck --trace-tail``)."""
+(``sweep --metrics``, ``check --trace-tail``)."""
 
 import hashlib
 import json
 
 import pytest
 
-from repro.experiments.runner import crashcheck_main, sweep_main, trace_main
+from repro.experiments.runner import check_main, sweep_main, trace_main
 from repro.scenarios import engine
 from repro.trace.export import BREAKDOWN_STAGES
 
@@ -142,7 +142,7 @@ class TestCrashcheckTraceTail:
             "--param", "calls=12",
             "--format", "json", "--output", str(output),
         ]
-        crashcheck_main([*argv, "--trace-tail", "6"])
+        check_main([*argv, "--trace-tail", "6"])
         summary, violations = json.loads(output.read_text())
         row = dict(zip(summary["columns"], summary["rows"][0]))
         assert row["violations"] >= 1
@@ -153,7 +153,7 @@ class TestCrashcheckTraceTail:
         assert "us)" in tail and tail.count(" | ") >= 1
 
         # The flag is purely additive: the verdict grid is unchanged.
-        crashcheck_main(argv)
+        check_main(argv)
         plain_summary, plain_violations = json.loads(output.read_text())
         assert plain_summary == summary
         stripped = [row[:-1] for row in violations["rows"]]
