@@ -259,11 +259,11 @@ _LEAST = {
 }
 
 
-def _parse(parser, argv):
+def _parse(parser, argv, scale_name="--scale"):
     """Parse ``argv``; an out-of-range number is a usage error."""
     args = parser.parse_args(argv)
     if not args.scale > 0:
-        parser.error(f"--scale must be above 0, got {args.scale}")
+        parser.error(f"{scale_name} must be above 0, got {args.scale}")
     for dest, least in _LEAST.items():
         value = getattr(args, dest, None)
         if value is not None and value < least:
@@ -768,7 +768,7 @@ def main(argv: list[str] | None = None) -> None:
         help="run only the named experiment (repeatable)",
     )
     _add_output_arguments(parser)
-    args = parser.parse_args(arguments)
+    args = _parse(parser, arguments, scale_name="scale")
     results = run_all(args.scale, names=args.only, jobs=args.jobs)
     _emit(results, args.format, args.output)
 

@@ -4,7 +4,7 @@ The engine is a small, deterministic, generator-based discrete-event
 simulator in the spirit of SimPy.  Host threads (application threads, the
 JBD/commit/flush threads, the pdflush daemon), the block-layer dispatcher and
 the storage controller are all modelled as :class:`Process` coroutines that
-``yield`` :class:`Event` objects (timeouts, completions, resource grants).
+``yield`` :class:`Event` objects (IO completions, timeouts, queued items).
 A process that only waits for simulated time to pass yields
 ``sim.sleep(delay)`` instead: the same wake-up as ``sim.timeout(delay)``
 (same sequence numbers, tie order and context switch), with no Event built.
@@ -22,6 +22,11 @@ blocks on an event that has not yet triggered and is later woken up, the
 wake-up is counted and (optionally) charged ``context_switch_cost``
 microseconds.  This is what lets the reproduction report the
 context-switch-per-fsync numbers of Fig. 11 of the paper.
+
+The kernel holds only what the stack runs on: events and their
+``all_of``/``any_of`` compositions, processes, timed sleeps, broadcast
+conditions and one FIFO store.  :meth:`Simulator.run` and
+:meth:`Simulator.run_until_complete` share one dispatch loop.
 """
 
 from repro.simulation.engine import (
@@ -31,20 +36,13 @@ from repro.simulation.engine import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
     Timeout,
 )
 from repro.simulation.history import HistoryNotRecordedError
-from repro.simulation.resources import (
-    Condition,
-    Mutex,
-    Resource,
-    Semaphore,
-    Store,
-)
+from repro.simulation.resources import Condition, Store
 from repro.simulation.stats import (
     LatencyRecorder,
     TimeSeries,
@@ -61,12 +59,8 @@ __all__ = [
     "Condition",
     "Event",
     "HistoryNotRecordedError",
-    "Interrupt",
     "LatencyRecorder",
-    "Mutex",
     "Process",
-    "Resource",
-    "Semaphore",
     "SimulationError",
     "Simulator",
     "Store",

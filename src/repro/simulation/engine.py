@@ -7,7 +7,8 @@ The engine provides four concepts:
 * :class:`Event` — a one-shot occurrence that processes can wait on.  An
   event is *triggered* exactly once, either successfully (with a value) or
   with an exception.
-* :class:`Timeout` — an event that triggers after a fixed simulated delay.
+* :class:`Timeout` — an event that triggers after a fixed simulated delay
+  (built by :meth:`Simulator.timeout`).
 * :class:`Process` — a generator-based coroutine.  The generator yields
   events; whenever the yielded event triggers, the process resumes with the
   event's value (or the exception is thrown into the generator).  A process
@@ -38,8 +39,9 @@ times, so the per-entry overhead is kept allocation-free:
   ``now + context_switch_cost`` with the next seq).  Seq consumption, tie
   order and the Fig. 11 accounting are those of ``yield sim.timeout(delay)``
   exactly; only the Event, its callback list and the ``_wakeup`` call are
-  gone.  The wake entry's seq is the process's park token:
-  :meth:`Process.interrupt` clears it, which leaves the entry inert.
+  gone.  The wake entry's seq is the process's park token; an entry that
+  pops after its process's token changed (the loser of a deadline wait's
+  race) is stale and does nothing.
 * A :class:`~repro.simulation.resources.Condition` wait parks the process
   the same way, on a waiter record ``(process, token)`` instead of an
   Event; ``notify_all`` pushes each resume itself, with the seq, value and
@@ -53,8 +55,10 @@ times, so the per-entry overhead is kept allocation-free:
   a bounded trampoline in :meth:`Process._resume` instead of a zero-delay
   heap round-trip.  No context switch is charged either way, keeping the
   Fig. 11 accounting identical.
-* :meth:`Simulator.run` and :meth:`Simulator.run_until_complete` inline the
-  body of :meth:`Simulator.step` so the loop costs no method call per entry.
+* One loop, :meth:`Simulator._loop`, dispatches every entry for both
+  :meth:`Simulator.run` and :meth:`Simulator.run_until_complete`, with no
+  method call per entry.  It stops when a given event has fired, the heap
+  empties or the next entry is due after a bound.
 """
 
 from __future__ import annotations
@@ -83,17 +87,11 @@ _KIND_SLEEP = 2  # item is a sleeping Process: wake it if ``seq`` is its token
 #: real stacks never get near it.
 _TRAMPOLINE_LIMIT = 128
 
+_INFINITY = float("inf")
+
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation primitives."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -178,25 +176,12 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` microseconds after its creation."""
+    """An event that fires ``delay`` microseconds after its creation.
+
+    Built only by :meth:`Simulator.timeout`, which stores the fields directly.
+    """
 
     __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        # Inlined Event.__init__ — timeouts are the single hottest allocation.
-        self.sim = sim
-        self.callbacks = []
-        self._value = None
-        self._exception = None
-        self._triggered = False
-        self.name = "timeout"
-        self.delay = delay
-        heappush(
-            sim._heap,
-            (sim.now + delay, next(sim._sequence), _KIND_EVENT, self, value, None),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self._triggered else "pending"
@@ -215,7 +200,7 @@ class AllOf(Event):
         events = list(events)
         if not events:
             # Nothing to wait for: trigger on the next dispatch cycle.
-            sim._schedule(0.0, self, [])
+            heappush(sim._heap, (sim.now, next(sim._sequence), _KIND_EVENT, self, [], None))
             return
         self._pending = len(events)
         self._values = [None] * len(events)
@@ -259,6 +244,16 @@ class AnyOf(Event):
             self.fail(event._exception)  # noqa: SLF001
 
 
+class _Never:
+    """Stands in for the stop event of a plain :meth:`Simulator.run`: it
+    never fires."""
+
+    __slots__ = ()
+    _triggered = False
+
+
+_NEVER = _Never()
+
 ProcessGenerator = Generator[Event, Any, Any]
 
 
@@ -278,17 +273,12 @@ class Process(Event):
     Both must be yielded at once, by the process that called them.
 
     A process is itself an event: it triggers with the generator's return
-    value, or fails with the exception that escaped the generator.
+    value.  An exception that escapes the generator aborts the run: it
+    propagates out of :meth:`Simulator.run` or
+    :meth:`Simulator.run_until_complete`.
     """
 
-    __slots__ = (
-        "generator",
-        "context_switches",
-        "_waiting_on",
-        "_token",
-        "daemon",
-        "_wakeup_cb",
-    )
+    __slots__ = ("generator", "context_switches", "_token", "daemon", "_wakeup_cb")
 
     def __init__(
         self,
@@ -306,7 +296,6 @@ class Process(Event):
         self.generator = generator
         #: Number of times this process blocked and was later woken up.
         self.context_switches = 0
-        self._waiting_on: Optional[Event] = None
         #: Token of the current park: the seq of a sleep's or deadline's
         #: wake entry, or a negative number for a condition wait with no
         #: deadline.  ``None`` while not parked; any wake entry or waiter
@@ -325,34 +314,9 @@ class Process(Event):
             sim._heap, (sim.now, next(sim._sequence), _KIND_RESUME, self, None, None)
         )
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current wait."""
-        if self._triggered:
-            return
-        self._end_wait()  # the interrupt wins the race
-        sim = self.sim
-        heappush(
-            sim._heap,
-            (sim.now, next(sim._sequence), _KIND_RESUME, self, None, Interrupt(cause)),
-        )
-
     # -- internal ----------------------------------------------------------
-    def _end_wait(self) -> None:
-        """Leave the current wait: its event, wake entry or record goes inert."""
-        target = self._waiting_on
-        self._waiting_on = None
-        self._token = None
-        if target is not None and not target._triggered:  # noqa: SLF001
-            try:
-                target.callbacks.remove(self._wakeup_cb)
-            except ValueError:
-                pass
-
     def _wakeup(self, event: Event, _push=heappush, _KR=_KIND_RESUME) -> None:
         """Callback attached to the event the process is blocked on."""
-        if self._triggered:
-            return
-        self._waiting_on = None
         self.context_switches += 1
         exc = event._exception  # noqa: SLF001
         # Always go through the scheduler, even with zero cost, so that long
@@ -371,8 +335,6 @@ class Process(Event):
         )
 
     def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self._triggered:
-            return
         sim = self.sim
         generator = self.generator
         send = generator.send
@@ -383,38 +345,26 @@ class Process(Event):
         sim._current_process = self
         while True:
             try:
-                if exc is not None:
-                    # An exception ends whatever wait it lands on: an
-                    # interrupt issued while a wake was pending reaches the
-                    # next wait, which then must never wake the process.
-                    self._end_wait()
-                    event = generator.throw(exc)
-                else:
+                if exc is None:
                     event = send(value)
+                else:
+                    event = generator.throw(exc)
             except StopIteration as stop:
                 sim._current_process = None
                 sim._unregister_process(self)
                 self.succeed(stop.value)
                 return
-            except Interrupt:
+            except Exception:  # an escaping exception aborts the run
                 sim._current_process = None
                 sim._unregister_process(self)
-                self.succeed(None)
-                return
-            except Exception as error:  # escaped exception fails the process
-                sim._current_process = None
-                sim._unregister_process(self)
-                if sim.propagate_process_errors:
-                    raise
-                self.fail(error)
-                return
+                raise
             try:
                 if not event._triggered:  # noqa: SLF001
                     sim._current_process = None
-                    if event is self:
-                        return  # parked: its wake entry or waiter record is in place
-                    self._waiting_on = event
-                    event.callbacks.append(self._wakeup_cb)
+                    # A process yielding itself is parked: its wake entry or
+                    # waiter record is in place.
+                    if event is not self:
+                        event.callbacks.append(self._wakeup_cb)
                     return
             except AttributeError:
                 sim._current_process = None
@@ -451,20 +401,13 @@ class Simulator:
         up.  The paper measures roughly 100–200 µs of scheduling delay
         between cooperating kernel threads on their testbed; profiles choose
         their own value and pass it here.
-    propagate_process_errors:
-        When ``True`` (the default) an exception escaping any process aborts
-        the simulation run — the right behaviour for tests.  Set to ``False``
-        to record the failure on the process event instead.
+
+    An exception escaping any process aborts the run that dispatched it.
     """
 
-    def __init__(
-        self,
-        context_switch_cost: float = 0.0,
-        propagate_process_errors: bool = True,
-    ):
+    def __init__(self, context_switch_cost: float = 0.0):
         self.now: float = 0.0
         self.context_switch_cost = context_switch_cost
-        self.propagate_process_errors = propagate_process_errors
         self._heap: list[tuple] = []
         self._sequence = itertools.count()
         #: Tokens of condition waits with no deadline: negative, so they
@@ -501,10 +444,10 @@ class Simulator:
     ) -> Timeout:
         """Create an event that fires ``delay`` microseconds from now.
 
-        Bypasses ``type.__call__`` (``__new__`` + ``__init__`` dispatch):
-        timeouts are the single hottest allocation in the whole suite, and
-        the direct-store construction here is measurably cheaper than
-        ``Timeout(self, delay, value)``.  Behaviour is identical.
+        The only constructor of :class:`Timeout`: it stores the fields
+        directly instead of going through ``type.__call__`` (``__new__`` +
+        ``__init__`` dispatch), which is measurably cheaper for what is the
+        hottest Event allocation of the stack.
         """
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
@@ -558,13 +501,7 @@ class Simulator:
         """Event that fires when any of ``events`` fires."""
         return AnyOf(self, events)
 
-    # -- scheduling ---------------------------------------------------------
-    def _schedule(self, delay: float, event: Event, value: Any) -> None:
-        heappush(
-            self._heap,
-            (self.now + delay, next(self._sequence), _KIND_EVENT, event, value, None),
-        )
-
+    # -- process bookkeeping ------------------------------------------------
     def _register_process(self, process: Process) -> None:
         self._live_processes.add(process)
 
@@ -575,39 +512,61 @@ class Simulator:
         process._wakeup_cb = None  # noqa: SLF001
 
     # -- running ------------------------------------------------------------
-    # The entry-execution body below is intentionally duplicated in step(),
-    # run() and run_until_complete(): the per-entry method call it saves is
-    # the single largest constant in the whole evaluation suite.
+    def _loop(self, stop: Event, bound: float) -> None:
+        """Dispatch entries until ``stop`` has fired, the heap empties or the
+        next entry is due after ``bound``.
 
-    def step(self) -> bool:
-        """Process the next scheduled entry.  Returns ``False`` when idle."""
+        The one entry-dispatch loop: every entry of :meth:`run` and
+        :meth:`run_until_complete` runs here, inline, with no method call of
+        its own.  ``self.now`` only ever changes in this loop (callbacks and
+        process code cannot advance the clock), so the local mirror needs no
+        reload after dispatching an entry.
+        """
         heap = self._heap
-        if not heap:
-            return False
-        when, seq, kind, item, value, exc = heappop(heap)
-        if when < self.now:
-            raise SimulationError("time went backwards")
-        self.now = when
-        if kind == _KIND_EVENT:
-            if not item._triggered:  # noqa: SLF001 - e.g. timeout raced interrupt
+        now = self.now
+        if bound < now:
+            return  # every entry is due at ``now`` or later
+        pop = heappop
+        push = heappush
+        sequence = self._sequence
+        cost = self.context_switch_cost
+        while not stop._triggered:  # noqa: SLF001
+            try:
+                when, seq, kind, item, value, exc = pop(heap)
+            except IndexError:
+                return
+            if when > now:
+                if when > bound:
+                    push(heap, (when, seq, kind, item, value, exc))
+                    return
+                self.now = now = when
+            elif when < now:
+                raise SimulationError("time went backwards")
+            if kind == 1:  # _KIND_RESUME
+                item._resume(value, exc)  # noqa: SLF001
+            elif kind:  # _KIND_SLEEP: what Process._wakeup does
+                if item._token == seq:  # noqa: SLF001 - else a stale wake entry
+                    item._token = None  # noqa: SLF001
+                    item.context_switches += 1
+                    when = now + cost
+                    # Popping the wake entry triggered nothing, so running
+                    # the resume now skips no check of ``stop`` or the
+                    # bound that the heap round trip would have made.
+                    if when > bound or (heap and heap[0][0] <= when):
+                        push(heap, (when, next(sequence), 1, item, None, None))
+                    else:  # the resume is due next: run it now
+                        next(sequence)
+                        self.now = now = when
+                        item._resume(None, None)  # noqa: SLF001
+            elif not item._triggered:  # noqa: SLF001 - _KIND_EVENT
                 item._triggered = True  # noqa: SLF001
                 item._value = value  # noqa: SLF001
-                callbacks = item.callbacks
-                if callbacks:
-                    item.callbacks = []
-                    for callback in callbacks:
-                        callback(item)
-        elif kind == _KIND_RESUME:
-            item._resume(value, exc)  # noqa: SLF001
-        elif item._token == seq:  # noqa: SLF001 - else a stale wake entry
-            item._token = None  # noqa: SLF001
-            item.context_switches += 1
-            heappush(
-                heap,
-                (when + self.context_switch_cost, next(self._sequence),
-                 _KIND_RESUME, item, None, None),
-            )
-        return True
+                # No copy/clear dance: nothing can mutate a triggered
+                # event's callback list (``add_callback`` and a blocking
+                # process both check the flag first), so iterating in place
+                # is safe.
+                for callback in item.callbacks:
+                    callback(item)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the event queue empties or ``until`` (absolute time).
@@ -617,127 +576,33 @@ class Simulator:
         clock then ends at ``max(now, until)``.  The clock never moves
         backwards: ``run(until=past)`` is a no-op.
         """
-        heap = self._heap
-        now = self.now
-        pop = heappop
-        push = heappush
-        sequence = self._sequence
-        cost = self.context_switch_cost
         if until is None:
-            # Specialized drain: no deadline peek, no bound check per entry.
-            # ``self.now`` only ever changes inside this loop (callbacks and
-            # process code cannot advance the clock), so the local mirror
-            # needs no reload after dispatching an entry.
-            while heap:
-                when, seq, kind, item, value, exc = pop(heap)
-                if when > now:
-                    self.now = now = when
-                elif when < now:
-                    raise SimulationError("time went backwards")
-                if kind == 1:  # _KIND_RESUME
-                    item._resume(value, exc)  # noqa: SLF001
-                elif kind:  # _KIND_SLEEP: what Process._wakeup does
-                    if item._token == seq:  # noqa: SLF001
-                        item._token = None  # noqa: SLF001
-                        item.context_switches += 1
-                        when = now + cost
-                        if heap and heap[0][0] <= when:
-                            push(heap, (when, next(sequence), 1, item, None, None))
-                        else:  # the resume is due next: run it now
-                            next(sequence)
-                            self.now = now = when
-                            item._resume(None, None)  # noqa: SLF001
-                elif not item._triggered:  # noqa: SLF001 - _KIND_EVENT
-                    item._triggered = True  # noqa: SLF001
-                    item._value = value  # noqa: SLF001
-                    for callback in item.callbacks:
-                        callback(item)
-            return now
-        while heap:
-            if heap[0][0] > until:
-                break
-            when, seq, kind, item, value, exc = pop(heap)
-            if when > now:
-                self.now = now = when
-            elif when < now:
-                raise SimulationError("time went backwards")
-            if kind == 1:  # _KIND_RESUME
-                item._resume(value, exc)  # noqa: SLF001
-            elif kind:  # _KIND_SLEEP
-                if item._token == seq:  # noqa: SLF001
-                    item._token = None  # noqa: SLF001
-                    item.context_switches += 1
-                    when = now + cost
-                    if when > until or (heap and heap[0][0] <= when):
-                        push(heap, (when, next(sequence), 1, item, None, None))
-                    else:
-                        next(sequence)
-                        self.now = now = when
-                        item._resume(None, None)  # noqa: SLF001
-            elif not item._triggered:  # noqa: SLF001 - _KIND_EVENT
-                item._triggered = True  # noqa: SLF001
-                item._value = value  # noqa: SLF001
-                # No copy/clear dance: nothing can mutate a triggered
-                # event's callback list (append and remove both check the
-                # flag first), so iterating in place is safe.
-                for callback in item.callbacks:
-                    callback(item)
-        if until > self.now:
-            self.now = until
+            self._loop(_NEVER, _INFINITY)
+        else:
+            self._loop(_NEVER, until)
+            if until > self.now:
+                self.now = until
         return self.now
 
     def run_until_complete(self, event: Event, limit: Optional[float] = None) -> Any:
         """Run until ``event`` fires; return its value.
 
-        Raises :class:`SimulationError` if the event queue drains (or the
-        optional time ``limit`` is reached) before the event triggers —
-        usually a sign of a deadlock in the modelled IO stack.
+        Every entry due by the optional time ``limit`` may run.  Raises
+        :class:`SimulationError` if the event queue drains, or the next
+        entry is due after ``limit``, before the event triggers — usually a
+        sign of a deadlock in the modelled IO stack.
         """
-        heap = self._heap
-        pop = heappop
-        push = heappush
-        sequence = self._sequence
-        cost = self.context_switch_cost
-        bound = float("inf") if limit is None else limit
-        now = self.now
-        while not event._triggered:  # noqa: SLF001
-            if now >= bound:
-                raise SimulationError(
-                    f"simulation reached limit t={limit} before {event!r} fired"
-                )
-            try:
-                when, seq, kind, item, value, exc = pop(heap)
-            except IndexError:
-                raise SimulationError(
-                    f"simulation ran out of events before {event!r} fired "
-                    "(deadlock in the modelled stack?)"
-                ) from None
-            if when > now:
-                self.now = now = when
-            elif when < now:
-                raise SimulationError("time went backwards")
-            if kind == 1:  # _KIND_RESUME
-                item._resume(value, exc)  # noqa: SLF001
-            elif kind:  # _KIND_SLEEP: what Process._wakeup does
-                if item._token == seq:  # noqa: SLF001
-                    item._token = None  # noqa: SLF001
-                    item.context_switches += 1
-                    when = now + cost
-                    # Popping the wake entry triggered nothing, so running
-                    # the resume now skips no check of ``event`` or the
-                    # limit that the heap round trip would have made.
-                    if when >= bound or (heap and heap[0][0] <= when):
-                        push(heap, (when, next(sequence), 1, item, None, None))
-                    else:
-                        next(sequence)
-                        self.now = now = when
-                        item._resume(None, None)  # noqa: SLF001
-            elif not item._triggered:  # noqa: SLF001 - _KIND_EVENT
-                item._triggered = True  # noqa: SLF001
-                item._value = value  # noqa: SLF001
-                for callback in item.callbacks:
-                    callback(item)
-        return event.value
+        self._loop(event, _INFINITY if limit is None else limit)
+        if event._triggered:  # noqa: SLF001
+            return event.value
+        if self._heap:
+            raise SimulationError(
+                f"simulation reached limit t={limit} before {event!r} fired"
+            )
+        raise SimulationError(
+            f"simulation ran out of events before {event!r} fired "
+            "(deadlock in the modelled stack?)"
+        )
 
     @property
     def started(self) -> bool:

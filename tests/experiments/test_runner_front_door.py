@@ -54,6 +54,25 @@ def test_removed_subcommands_are_usage_errors(capsys, removed):
     assert f"{removed!r} is neither a scale nor a subcommand" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["--only", "table1", "--jobs", "-3", "--", "0"], "scale must be above 0, got 0.0"),
+        (["--only", "table1", "nan"], "scale must be above 0, got nan"),
+        (["--only", "table1", "--jobs", "0", "0.05"], "--jobs must be at least 1"),
+    ],
+    ids=["zero-scale", "nan-scale", "zero-jobs"],
+)
+def test_experiments_mode_rejects_out_of_range_numbers(capsys, argv, message):
+    # The tables are never printed: the numbers are checked before any run.
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 #: Every option string of each command's ``--help``.
 FLAGS = {
     "sweep": (

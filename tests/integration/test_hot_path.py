@@ -18,7 +18,7 @@ import pytest
 from repro.analysis.measure import measure_sync_latency
 from repro.core import build_stack, standard_config
 from repro.hooks import install
-from repro.simulation import Event, Simulator, Timeout
+from repro.simulation import Event, Simulator
 from repro.trace import Tracer
 
 CALLS = 100
@@ -70,7 +70,7 @@ LOOP_CALLS = 200
 #: own milestone events and relays, so the injected loop costs more than
 #: the bare one by those.
 LOOP_PINS = {
-    ("BFS-DR", "fsync"): (10_006, 71_253, 3_602, 86_459),
+    ("BFS-DR", "fsync"): (10_006, 70_855, 3_402, 86_061),
     ("EXT4-DR", "fsync"): (9_605, 64_648, 2_601, 75_648),
     ("BFS-OD", "fdatabarrier"): (2_101, 14_512, 605, 17_939),
 }
@@ -78,8 +78,7 @@ LOOP_PINS = {
 #: The code objects that build an Event: its constructor (subclasses and
 #: processes run it too) and the two direct-store factories.
 EVENT_BUILDERS = frozenset(
-    (Event.__init__.__code__, Timeout.__init__.__code__,
-     Simulator.event.__code__, Simulator.timeout.__code__)
+    (Event.__init__.__code__, Simulator.event.__code__, Simulator.timeout.__code__)
 )
 
 

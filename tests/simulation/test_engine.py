@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.simulation import (
-    MSEC,
-    Event,
-    Interrupt,
-    SimulationError,
-    Simulator,
-)
+from repro.simulation import Event, SimulationError, Simulator
 
 
 def test_timeout_advances_clock():
@@ -84,7 +78,7 @@ def test_event_value_before_trigger_raises():
 
 
 def test_event_fail_raises_in_waiter():
-    sim = Simulator(propagate_process_errors=False)
+    sim = Simulator()
     gate = sim.event()
     caught = []
 
@@ -157,31 +151,29 @@ def test_context_switch_cost_delays_resumption():
     assert times == [110]
 
 
-def test_interrupt_stops_process():
-    sim = Simulator()
-    progress = []
-
-    def victim():
-        progress.append("start")
-        yield sim.timeout(1 * MSEC)
-        progress.append("never")
-
-    def killer(process):
-        yield sim.timeout(10)
-        process.interrupt("stop")
-
-    victim_proc = sim.process(victim())
-    sim.process(killer(victim_proc))
-    sim.run()
-    assert progress == ["start"]
-    assert victim_proc.triggered
 
 
 def test_run_until_complete_detects_deadlock():
     sim = Simulator()
     never = sim.event()
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="ran out of events"):
         sim.run_until_complete(never)
+
+
+def test_run_until_complete_stops_before_an_entry_due_after_its_limit():
+    sim = Simulator()
+
+    def sleeper():
+        yield sim.sleep(100)
+        return "woke"
+
+    process = sim.process(sleeper())
+    with pytest.raises(SimulationError, match="reached limit t=50"):
+        sim.run_until_complete(process, limit=50)
+    assert sim.now == 0  # the wake entry due at t=100 did not run
+    # An entry due exactly at the limit runs.
+    assert sim.run_until_complete(process, limit=100) == "woke"
+    assert sim.now == 100
 
 
 def test_run_until_respects_limit():

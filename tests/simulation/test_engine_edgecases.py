@@ -1,10 +1,10 @@
 """Edge-case tests for the engine's fast path.
 
 These pin the behaviours that the zero-allocation refactor must preserve:
-interrupt/timeout races, degenerate AllOf/AnyOf inputs, error routing with
-``propagate_process_errors=False``, the trampoline for already-triggered
-yields, the ``run(until=...)`` boundary semantics, and the races of a
-process parked on a condition (interrupt, notify against deadline).
+degenerate AllOf/AnyOf inputs and failures caught by the waiting process,
+the trampoline for already-triggered yields, the ``run(until=...)``
+boundary semantics, and the races of a process parked on a condition with a
+deadline (the loser of notify against deadline is inert).
 """
 
 import pytest
@@ -13,121 +13,9 @@ from repro.simulation import (
     AllOf,
     Condition,
     Event,
-    Interrupt,
     SimulationError,
     Simulator,
 )
-
-
-# ---------------------------------------------------------------- interrupts
-def test_interrupt_racing_pending_timeout_detaches():
-    """Interrupting a process whose timeout entry is still in the heap.
-
-    The interrupt must detach the process from the timeout: the Interrupt is
-    delivered, no context switch is charged for the abandoned wait, and the
-    stale timeout entry later fires into the void without resurrecting the
-    process.
-    """
-    sim = Simulator()
-    log = []
-
-    def victim():
-        try:
-            yield sim.timeout(10)
-            log.append("timeout")
-        except Interrupt as interrupt:
-            log.append(("interrupted", interrupt.cause, sim.now))
-            return
-        log.append("never")
-
-    victim_proc = sim.process(victim())
-    sim.run(until=5)
-    victim_proc.interrupt("race")
-    sim.run()
-    assert log == [("interrupted", "race", 5)]
-    assert victim_proc.triggered
-    # Interrupt delivery is not a wakeup: no context switch is charged.
-    assert victim_proc.context_switches == 0
-    assert sim.now == 10  # the detached timeout entry still drained
-
-
-def test_same_instant_interrupt_loses_to_fired_timeout():
-    """FIFO at identical timestamps: a timeout that fired first wins the race."""
-    sim = Simulator()
-    log = []
-
-    def victim():
-        try:
-            yield sim.timeout(10)
-            log.append(("timeout", sim.now))
-        except Interrupt:
-            log.append("interrupted")
-
-    def killer(process):
-        yield sim.timeout(10)
-        process.interrupt("race")
-
-    victim_proc = sim.process(victim())
-    sim.process(killer(victim_proc))
-    sim.run()
-    # The victim's timeout entry precedes the killer's resume, so the victim
-    # wakes with the timeout value; the late interrupt is a no-op.
-    assert log == [("timeout", 10)]
-    assert victim_proc.triggered
-
-
-def test_interrupt_after_timeout_fired_is_delivered_at_next_wait():
-    """If the wait already completed, the interrupt hits the next yield."""
-    sim = Simulator()
-    log = []
-
-    def victim():
-        yield sim.timeout(5)
-        log.append("first")
-        try:
-            yield sim.timeout(100)
-        except Interrupt:
-            log.append("interrupted")
-            return
-
-    def killer(process):
-        yield sim.timeout(7)
-        process.interrupt()
-
-    sim.process(killer(sim.process(victim())))
-    sim.run()
-    assert log == ["first", "interrupted"]
-
-
-def test_interrupt_on_finished_process_is_noop():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1)
-
-    process = sim.process(quick())
-    sim.run()
-    assert process.triggered
-    process.interrupt("too late")  # must not raise or reschedule
-    sim.run()
-    assert process.triggered
-
-
-def test_uncaught_interrupt_completes_process_with_none():
-    sim = Simulator()
-
-    def victim():
-        yield sim.timeout(100)
-
-    def killer(process):
-        yield sim.timeout(1)
-        process.interrupt()
-
-    victim_proc = sim.process(victim())
-    sim.process(killer(victim_proc))
-    sim.run()
-    assert victim_proc.triggered
-    assert victim_proc.value is None
 
 
 # ---------------------------------------------------------------- AllOf / AnyOf
@@ -154,7 +42,7 @@ def test_all_of_empty_is_not_triggered_synchronously():
 
 
 def test_all_of_failure_propagates_first_error():
-    sim = Simulator(propagate_process_errors=False)
+    sim = Simulator()
     caught = []
 
     def fail_later(event):
@@ -176,7 +64,7 @@ def test_all_of_failure_propagates_first_error():
 
 
 def test_any_of_failure_propagation():
-    sim = Simulator(propagate_process_errors=False)
+    sim = Simulator()
     caught = []
 
     def fail_later(event):
@@ -227,50 +115,31 @@ def test_any_of_ignores_later_failures():
 
 
 # ---------------------------------------------------------------- error routing
-def test_propagate_false_records_failure_on_process_event():
-    sim = Simulator(propagate_process_errors=False)
-
-    def bad():
-        yield sim.timeout(1)
-        raise RuntimeError("contained")
-
-    process = sim.process(bad())
-    sim.run()  # must not raise
-    assert process.triggered
-    assert not process.ok
-    with pytest.raises(RuntimeError, match="contained"):
-        _ = process.value
-
-
-def test_propagate_false_failure_wakes_waiter_with_exception():
-    sim = Simulator(propagate_process_errors=False)
-    caught = []
-
-    def bad():
-        yield sim.timeout(1)
-        raise RuntimeError("child down")
-
-    def parent():
-        try:
-            yield sim.process(bad())
-        except RuntimeError as error:
-            caught.append(str(error))
-
-    sim.process(parent())
-    sim.run()
-    assert caught == ["child down"]
-
-
-def test_propagate_true_aborts_run():
+@pytest.mark.parametrize(
+    "drive",
+    [
+        lambda sim, process: sim.run(),
+        lambda sim, process: sim.run(until=5),
+        lambda sim, process: sim.run_until_complete(process),
+    ],
+    ids=["run", "run-until", "run-until-complete"],
+)
+def test_an_escaping_exception_aborts_the_run(drive):
+    # No process records the failure: it leaves the loop through whichever
+    # entry point is driving, and the waiting parent never resumes.
     sim = Simulator()
 
     def bad():
         yield sim.timeout(1)
         raise RuntimeError("kaboom")
 
-    sim.process(bad())
+    def parent():
+        yield sim.process(bad())
+
+    process = sim.process(parent())
     with pytest.raises(RuntimeError, match="kaboom"):
-        sim.run()
+        drive(sim, process)
+    assert not process.triggered
 
 
 # ---------------------------------------------------------------- trampoline
@@ -391,101 +260,33 @@ def test_zero_delay_event_scheduled_at_until_runs_in_same_call():
 
 
 # ---------------------------------------------------------------- parked waits
-def test_interrupt_of_a_parked_process_resumes_it_once_and_a_later_notify_is_inert():
-    sim = Simulator(context_switch_cost=1.0)
-    cond = Condition(sim)
-    log = []
-
-    def victim():
-        try:
-            yield cond.wait()
-            log.append("woken")
-        except Interrupt as interrupt:
-            log.append(("interrupted", interrupt.cause, sim.now))
-        yield sim.sleep(10)
-        log.append(("slept", sim.now))
-
-    process = sim.process(victim())
-    sim.run(until=5)
-    process.interrupt("stop")
-    sim.run(until=6)
-    cond.notify_all()  # the victim is asleep: its old record is stale
-    sim.run()
-    assert log == [("interrupted", "stop", 5), ("slept", 16)]
-    # The interrupt is no wakeup; only the sleep charged a context switch.
-    assert process.context_switches == 1
 
 
-def test_interrupt_leaves_a_parked_deadline_inert():
+def test_a_notify_leaves_the_parked_deadline_inert():
+    # The deadline's wake entry outlives the notify that won the race; when
+    # it pops, the process is parked on an Event wait and must stay there.
     sim = Simulator()
     cond = Condition(sim)
+    later = sim.event()
     log = []
 
-    def victim():
-        try:
-            yield cond.wait(10)
-        except Interrupt:
-            log.append(("interrupted", sim.now))
+    def waiter():
+        log.append(((yield cond.wait(10)), sim.now))
+        log.append(((yield later), sim.now))
 
-    process = sim.process(victim())
-    sim.run(until=5)
-    process.interrupt()
+    def notifier():
+        yield sim.sleep(5)
+        cond.notify_all("notified")
+        yield sim.sleep(15)
+        later.succeed("event")
+
+    process = sim.process(waiter())
+    sim.process(notifier())
+    sim.run(until=10)  # the inert deadline entry pops here
+    assert log == [("notified", 5)]
     sim.run()
-    assert log == [("interrupted", 5)]
-    assert process.context_switches == 0
-    assert sim.now == 10  # the inert deadline entry still drained
-
-
-def test_interrupt_issued_while_a_wake_is_pending_reaches_the_next_wait_only():
-    sim = Simulator()
-    cond = Condition(sim)
-    log = []
-
-    def victim():
-        value = yield cond.wait()
-        log.append((value, sim.now))
-        try:
-            yield cond.wait()
-        except Interrupt:
-            log.append(("interrupted", sim.now))
-        # An Event wait: the ended park's record must not wake it.
-        value = yield sim.timeout(10, "timeout")
-        log.append((value, sim.now))
-
-    process = sim.process(victim())
-    sim.run(until=1)
-    cond.notify_all("woken")  # the resume is pending at t=1 ...
-    process.interrupt()  # ... when the interrupt is issued
-    sim.run(until=3)
-    cond.notify_all("stale")  # the second wait ended with the interrupt
-    sim.run()
-    assert log == [("woken", 1), ("interrupted", 1), ("timeout", 11)]
+    assert log == [("notified", 5), ("event", 20)]
     assert process.context_switches == 2
-
-
-def test_interrupt_issued_while_a_wake_is_pending_detaches_the_next_event_wait():
-    # The Event form of the race above: the event the interrupt lands on
-    # must not wake the process once it waits elsewhere.
-    sim = Simulator()
-    first, second = sim.event(), sim.event()
-    log = []
-
-    def victim():
-        log.append((yield first))
-        try:
-            yield second
-        except Interrupt:
-            log.append(("interrupted", sim.now))
-        log.append(((yield sim.timeout(10, "timeout")), sim.now))
-
-    process = sim.process(victim())
-    sim.run(until=1)
-    first.succeed("woken")
-    process.interrupt()
-    sim.run(until=2)
-    second.succeed("stale")
-    sim.run()
-    assert log == ["woken", ("interrupted", 1), ("timeout", 11)]
 
 
 @pytest.mark.parametrize("notify_first", [True, False])

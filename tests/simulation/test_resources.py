@@ -5,86 +5,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from repro.simulation import (
-    Condition,
-    Interrupt,
-    Mutex,
-    Semaphore,
-    SimulationError,
-    Simulator,
-    Store,
-)
-
-
-def test_mutex_grants_in_fifo_order():
-    sim = Simulator()
-    order = []
-
-    def worker(name, mutex, hold):
-        yield mutex.acquire()
-        order.append((sim.now, name, "acquired"))
-        yield sim.timeout(hold)
-        mutex.release()
-
-    mutex = Mutex(sim)
-    sim.process(worker("a", mutex, 10))
-    sim.process(worker("b", mutex, 10))
-    sim.process(worker("c", mutex, 10))
-    sim.run()
-    assert [entry[1] for entry in order] == ["a", "b", "c"]
-    assert [entry[0] for entry in order] == [0, 10, 20]
-
-
-def test_mutex_release_without_hold_raises():
-    sim = Simulator()
-    mutex = Mutex(sim)
-    with pytest.raises(SimulationError):
-        mutex.release()
-
-
-def test_mutex_holding_releases_on_error():
-    sim = Simulator(propagate_process_errors=False)
-    mutex = Mutex(sim)
-
-    def body():
-        yield sim.timeout(1)
-        raise ValueError("inner failure")
-
-    def proc():
-        yield from mutex.holding().run(body)
-
-    process = sim.process(proc())
-    sim.run()
-    assert process.triggered
-    assert not mutex.locked
-
-
-def test_semaphore_limits_concurrency():
-    sim = Simulator()
-    active = []
-    peak = []
-
-    def worker(sem):
-        yield sem.acquire()
-        active.append(1)
-        peak.append(len(active))
-        yield sim.timeout(5)
-        active.pop()
-        sem.release()
-
-    sem = Semaphore(sim, capacity=2)
-    for _ in range(6):
-        sim.process(worker(sem))
-    sim.run()
-    assert max(peak) == 2
-    assert sem.available == 2
-
-
-def test_semaphore_over_release_raises():
-    sim = Simulator()
-    sem = Semaphore(sim, capacity=1)
-    with pytest.raises(SimulationError):
-        sem.release()
+from repro.simulation import Condition, SimulationError, Simulator, Store
 
 
 def test_store_fifo_ordering():
@@ -93,7 +14,7 @@ def test_store_fifo_ordering():
 
     def producer(store):
         for item in range(5):
-            yield store.put(item)
+            store.put(item)
             yield sim.timeout(1)
 
     def consumer(store):
@@ -106,31 +27,6 @@ def test_store_fifo_ordering():
     sim.process(consumer(store))
     sim.run()
     assert received == [0, 1, 2, 3, 4]
-
-
-def test_store_capacity_blocks_putter():
-    sim = Simulator()
-    timeline = []
-
-    def producer(store):
-        for item in range(3):
-            yield store.put(item)
-            timeline.append(("put", item, sim.now))
-
-    def consumer(store):
-        yield sim.timeout(10)
-        for _ in range(3):
-            item = yield store.get()
-            timeline.append(("get", item, sim.now))
-
-    store = Store(sim, capacity=1)
-    sim.process(producer(store))
-    sim.process(consumer(store))
-    sim.run()
-    puts = [entry for entry in timeline if entry[0] == "put"]
-    assert puts[0][2] == 0
-    assert puts[1][2] == 10  # blocked until the consumer drained the store
-    assert [entry[1] for entry in timeline if entry[0] == "get"] == [0, 1, 2]
 
 
 def test_condition_notify_all_wakes_every_waiter():
@@ -152,29 +48,6 @@ def test_condition_notify_all_wakes_every_waiter():
     sim.run()
     assert sorted(name for name, _ in woken) == ["x", "y"]
     assert all(time == 5 for _, time in woken)
-
-
-def test_condition_wait_for_predicate():
-    sim = Simulator()
-    state = {"ready": False}
-    finished = []
-
-    def waiter(cond):
-        yield from cond.wait_for(lambda: state["ready"])
-        finished.append(sim.now)
-
-    def setter(cond):
-        yield sim.timeout(3)
-        cond.notify_all()  # spurious: predicate still false
-        yield sim.timeout(3)
-        state["ready"] = True
-        cond.notify_all()
-
-    cond = Condition(sim)
-    sim.process(waiter(cond))
-    sim.process(setter(cond))
-    sim.run()
-    assert finished == [6]
 
 
 def test_a_rewaiting_process_is_woken_once_in_its_new_place():
@@ -204,36 +77,6 @@ def test_a_rewaiting_process_is_woken_once_in_its_new_place():
     sim.run()
     assert order == [("b", 7.0), ("a", 7.0)]
     assert (first.context_switches, second.context_switches) == (2, 2)
-
-
-def test_an_interrupted_waiter_that_waits_again_keeps_its_new_place():
-    # The interrupted wait's record stays ahead of ``b``; only the new one
-    # may wake ``a`` (each wait has its own token, not one per process).
-    sim = Simulator()
-    cond = Condition(sim)
-    order = []
-
-    def a():
-        try:
-            yield cond.wait()
-        except Interrupt:
-            pass
-        yield cond.wait()
-        order.append("a")
-
-    def b():
-        yield sim.sleep(1)
-        yield cond.wait()
-        order.append("b")
-
-    first = sim.process(a())
-    sim.process(b())
-    sim.run(until=2)  # both parked: a's record, then b's
-    first.interrupt()
-    sim.run(until=3)  # a parked again, behind b
-    cond.notify_all()
-    sim.run()
-    assert order == ["b", "a"]
 
 
 def test_a_woken_process_is_not_woken_again_before_it_runs():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from repro.simulation import Interrupt, SimulationError, Simulator
+from repro.simulation import SimulationError, Simulator
 
 #: One process: when it starts, then its waits.  An int is a timed wait of
 #: that many microseconds (small, so ties are common); ``None`` yields an
@@ -79,79 +79,6 @@ def test_sleep_charges_one_context_switch_and_its_cost():
     sim.run()
     assert process.value == 7.0
     assert process.context_switches == 1
-
-
-def test_interrupting_a_sleeper_delivers_interrupt_once():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.sleep(100)
-        except Interrupt as interrupt:
-            log.append(("interrupted", interrupt.cause, sim.now))
-        # Sleep again before the first sleep's wake entry is due: that
-        # entry is stale and must not cut this sleep short.
-        yield sim.sleep(200)
-        log.append(("woke", sim.now))
-
-    def killer(victim):
-        yield sim.sleep(5)
-        victim.interrupt("stop")
-
-    victim = sim.process(sleeper())
-    sim.process(killer(victim))
-    sim.run()
-    assert log == [("interrupted", "stop", 5), ("woke", 205)]
-    # Only the second sleep woke the process; the interrupt is no wakeup.
-    assert victim.context_switches == 1
-    assert victim.triggered
-
-
-def test_stale_sleep_entry_does_not_cut_a_later_event_wait_short():
-    sim = Simulator()
-    log = []
-    later = sim.event()
-
-    def sleeper():
-        try:
-            yield sim.sleep(100)
-        except Interrupt:
-            log.append(("interrupted", sim.now))
-        value = yield later
-        log.append(("event", value, sim.now))
-
-    def killer(victim):
-        yield sim.sleep(5)
-        victim.interrupt()
-        yield sim.sleep(145)
-        later.succeed("fired")
-
-    victim = sim.process(sleeper())
-    sim.process(killer(victim))
-    sim.run()
-    assert log == [("interrupted", 5), ("event", "fired", 150)]
-    assert victim.context_switches == 1
-
-
-def test_stale_sleep_entry_of_a_finished_process_is_inert():
-    sim = Simulator()
-
-    def sleeper():
-        try:
-            yield sim.sleep(100)
-        except Interrupt:
-            return "interrupted"
-
-    def killer(victim):
-        yield sim.sleep(1)
-        victim.interrupt()
-
-    victim = sim.process(sleeper())
-    sim.process(killer(victim))
-    assert sim.run() == 100  # the stale entry still drains, doing nothing
-    assert victim.value == "interrupted"
-    assert victim.context_switches == 0
 
 
 def test_sleep_outside_a_process_raises():
