@@ -70,6 +70,27 @@ def test_event_cannot_trigger_twice():
         event.succeed(2)
 
 
+def test_event_fail_requires_an_exception_instance():
+    sim = Simulator()
+    event = sim.event()
+    with pytest.raises(SimulationError):
+        event.fail("boom")  # type: ignore[arg-type]
+    assert not event.triggered
+
+
+def test_callbacks_run_in_registration_order_and_at_once_after_the_trigger():
+    sim = Simulator()
+    event = sim.event()
+    seen = []
+    event.add_callback(lambda fired: seen.append(("first", fired.value)))
+    event.add_callback(lambda fired: seen.append(("second", fired.value)))
+    assert seen == []
+    event.succeed("v")
+    assert seen == [("first", "v"), ("second", "v")]
+    event.add_callback(lambda fired: seen.append(("late", fired.value)))
+    assert seen[-1] == ("late", "v")
+
+
 def test_event_value_before_trigger_raises():
     sim = Simulator()
     event = sim.event()
@@ -151,6 +172,22 @@ def test_context_switch_cost_delays_resumption():
     assert times == [110]
 
 
+def test_a_wake_whose_resume_falls_past_until_resumes_in_the_next_slice():
+    # The wake entry at t=5 is due by the bound, its resume at t=15 is not:
+    # the resume goes back on the heap instead of running in place.
+    sim = Simulator(context_switch_cost=10)
+    times = []
+
+    def sleeper():
+        yield sim.sleep(5)
+        times.append(sim.now)
+
+    process = sim.process(sleeper())
+    assert sim.run(until=8) == 8
+    assert times == []
+    assert process.context_switches == 1  # counted when the wake entry popped
+    sim.run()
+    assert times == [15]
 
 
 def test_run_until_complete_detects_deadlock():
@@ -174,6 +211,50 @@ def test_run_until_complete_stops_before_an_entry_due_after_its_limit():
     # An entry due exactly at the limit runs.
     assert sim.run_until_complete(process, limit=100) == "woke"
     assert sim.now == 100
+
+
+def test_run_until_complete_returns_at_once_for_a_triggered_event():
+    sim = Simulator()
+    done = sim.event()
+    done.succeed(3)
+    sim.timeout(5)
+    assert sim.run_until_complete(done) == 3
+    assert sim.now == 0  # nothing was dispatched
+    assert sim.run() == 5
+
+
+def test_run_until_complete_leaves_later_entries_for_the_next_run():
+    sim = Simulator()
+    log = []
+
+    def worker():
+        yield sim.sleep(10)
+        return "done"
+
+    def bystander():
+        yield sim.sleep(20)
+        log.append(sim.now)
+
+    process = sim.process(worker())
+    sim.process(bystander())
+    assert sim.run_until_complete(process) == "done"
+    assert (sim.now, log) == (10, [])
+    sim.run()
+    assert (sim.now, log) == (20, [20])
+
+
+def test_run_until_complete_raises_the_failure_of_its_event():
+    sim = Simulator()
+    gate = sim.event()
+
+    def breaker():
+        yield sim.sleep(3)
+        gate.fail(ValueError("broken"))
+
+    sim.process(breaker())
+    with pytest.raises(ValueError, match="broken"):
+        sim.run_until_complete(gate)
+    assert sim.now == 3
 
 
 def test_run_until_respects_limit():
@@ -229,6 +310,36 @@ def test_many_sequential_wakeups_do_not_recurse():
     sim.process(hopper())
     sim.run()
     assert hops == [0]
+
+
+def test_active_process_is_set_only_while_a_process_runs():
+    sim = Simulator()
+    seen = []
+
+    def proc():
+        seen.append(sim.active_process)
+        yield sim.sleep(1)
+        seen.append(sim.active_process)
+
+    process = sim.process(proc())
+    assert sim.active_process is None
+    sim.run()
+    assert seen == [process, process]
+    assert sim.active_process is None
+
+
+def test_started_turns_true_once_a_live_process_has_run():
+    sim = Simulator()
+
+    def proc():
+        yield sim.sleep(10)
+
+    sim.process(proc())
+    assert not sim.started  # created, not yet dispatched
+    sim.run(until=1)
+    assert sim.started  # parked in its sleep
+    sim.run()
+    assert not sim.started  # finished processes are no longer live
 
 
 def test_event_repr_mentions_state():

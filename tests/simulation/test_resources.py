@@ -29,6 +29,64 @@ def test_store_fifo_ordering():
     assert received == [0, 1, 2, 3, 4]
 
 
+def test_store_get_blocks_until_an_item_is_put():
+    sim = Simulator(context_switch_cost=2.0)
+    store = Store(sim)
+    got = []
+
+    def consumer():
+        got.append(((yield store.get()), sim.now))
+
+    def producer():
+        yield sim.sleep(5)
+        got.append(store.put("item"))
+
+    process = sim.process(consumer())
+    sim.process(producer())
+    sim.run()
+    # put returns nothing; the getter wakes a context switch after the put.
+    assert got == [None, ("item", 9.0)]
+    assert process.context_switches == 1
+
+
+def test_store_serves_waiting_getters_in_arrival_order():
+    sim = Simulator()
+    store = Store(sim)
+    got = []
+
+    def consumer(name, delay):
+        yield sim.sleep(delay)
+        got.append((name, (yield store.get())))
+
+    def producer():
+        yield sim.sleep(10)
+        for item in "abc":
+            store.put(item)
+
+    for name, delay in (("late", 3), ("early", 1), ("middle", 2)):
+        sim.process(consumer(name, delay))
+    sim.process(producer())
+    sim.run()
+    assert got == [("early", "a"), ("middle", "b"), ("late", "c")]
+
+
+def test_store_get_with_an_item_queued_does_not_block():
+    sim = Simulator()
+    store = Store(sim)
+    store.put("queued")
+    got = []
+
+    def consumer():
+        event = store.get()
+        assert event.triggered
+        got.append((yield event))
+
+    process = sim.process(consumer())
+    sim.run()
+    assert got == ["queued"]
+    assert process.context_switches == 0
+
+
 def test_condition_notify_all_wakes_every_waiter():
     sim = Simulator()
     woken = []
@@ -48,6 +106,81 @@ def test_condition_notify_all_wakes_every_waiter():
     sim.run()
     assert sorted(name for name, _ in woken) == ["x", "y"]
     assert all(time == 5 for _, time in woken)
+
+
+def test_notify_all_hands_its_value_to_every_waiter():
+    sim = Simulator()
+    cond = Condition(sim)
+    got = []
+
+    def waiter(name):
+        got.append((name, (yield cond.wait())))
+
+    def notifier():
+        yield sim.sleep(1)
+        cond.notify_all("go")
+
+    sim.process(waiter("x"))
+    sim.process(waiter("y"))
+    sim.process(notifier())
+    sim.run()
+    assert got == [("x", "go"), ("y", "go")]
+    assert cond.waiters == []
+
+
+def test_a_notify_with_no_waiter_is_not_remembered():
+    sim = Simulator()
+    cond = Condition(sim)
+    got = []
+
+    def notifier():
+        yield sim.sleep(1)
+        cond.notify_all("lost")
+
+    def waiter():
+        yield sim.sleep(2)
+        got.append(((yield cond.wait(10)), sim.now))
+
+    sim.process(notifier())
+    sim.process(waiter())
+    sim.run()
+    assert got == [(None, 12)]  # only the deadline woke it
+
+
+def test_a_timed_out_wait_resumes_with_none_and_ignores_a_later_notify():
+    sim = Simulator(context_switch_cost=1.0)
+    cond = Condition(sim)
+    log = []
+
+    def waiter():
+        log.append(((yield cond.wait(5)), sim.now))
+        yield sim.sleep(20)  # parked elsewhere when the notify comes
+        log.append(("slept", sim.now))
+
+    def notifier():
+        yield sim.sleep(10)
+        cond.notify_all("late")
+
+    process = sim.process(waiter())
+    sim.process(notifier())
+    sim.run()
+    assert log == [(None, 6.0), ("slept", 27.0)]
+    assert process.context_switches == 2  # the deadline and the sleep
+
+
+def test_negative_wait_timeout_raises_and_parks_nothing():
+    sim = Simulator()
+    cond = Condition(sim)
+
+    def proc():
+        with pytest.raises(SimulationError):
+            cond.wait(-1)
+        yield sim.sleep(1)
+
+    process = sim.process(proc())
+    sim.run()
+    assert process.triggered
+    assert cond.waiters == []
 
 
 def test_a_rewaiting_process_is_woken_once_in_its_new_place():

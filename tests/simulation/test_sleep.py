@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from repro.simulation import SimulationError, Simulator
+from repro.simulation import Condition, SimulationError, Simulator
 
 #: One process: when it starts, then its waits.  An int is a timed wait of
 #: that many microseconds (small, so ties are common); ``None`` yields an
@@ -79,6 +79,78 @@ def test_sleep_charges_one_context_switch_and_its_cost():
     sim.run()
     assert process.value == 7.0
     assert process.context_switches == 1
+
+
+def test_zero_sleep_lets_processes_due_now_run_first():
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        log.append("before")
+        yield sim.sleep(0)
+        log.append("after")
+
+    def other():
+        log.append("other")
+        yield sim.sleep(1)
+
+    process = sim.process(sleeper())
+    sim.process(other())
+    sim.run()
+    assert log == ["before", "other", "after"]
+    assert process.context_switches == 1
+
+
+def test_stale_sleep_entry_of_a_finished_process_is_inert():
+    # A notified deadline wait leaves its wake entry on the heap; the
+    # process has returned by the time it pops.
+    sim = Simulator()
+    cond = Condition(sim)
+
+    def waiter():
+        return (yield cond.wait(100))
+
+    def notifier():
+        yield sim.sleep(1)
+        cond.notify_all("notified")
+
+    process = sim.process(waiter())
+    sim.process(notifier())
+    assert sim.run() == 100  # the stale entry still drains, doing nothing
+    assert process.value == "notified"
+    assert process.context_switches == 1
+
+
+@pytest.mark.parametrize("park", ["sleep", "wait", "deadline-wait"])
+def test_stale_sleep_entry_does_not_cut_a_later_park_short(park):
+    # The deadline of the first wait is due at t=10, while the process is
+    # parked again; only the second park's own wake may resume it.
+    sim = Simulator()
+    cond, later = Condition(sim), Condition(sim)
+    log = []
+
+    def waiter():
+        log.append(((yield cond.wait(10)), sim.now))
+        if park == "sleep":
+            value = yield sim.sleep(15)
+        elif park == "wait":
+            value = yield later.wait()
+        else:
+            value = yield later.wait(30)
+        log.append((value, sim.now))
+
+    def notifier():
+        yield sim.sleep(5)
+        cond.notify_all("first")
+        yield sim.sleep(15)
+        later.notify_all("second")
+
+    process = sim.process(waiter())
+    sim.process(notifier())
+    sim.run()
+    second = (None, 20) if park == "sleep" else ("second", 20)
+    assert log == [("first", 5), second]
+    assert process.context_switches == 2
 
 
 def test_sleep_outside_a_process_raises():
