@@ -121,7 +121,7 @@ class BlockDevice:
         self._work = Condition(sim, name="blkdev.work")
         self._idle = Condition(sim, name="blkdev.idle")
         self._outstanding = 0
-        sim.process(self._dispatcher_loop(), name="blkdev.dispatcher", daemon=True)
+        sim.process(self._dispatcher_loop(), name="blkdev.dispatcher")
 
     # ------------------------------------------------------------------ submission
     @property
@@ -353,7 +353,7 @@ class BlockDevice:
             return
         request.retries += 1
         self.stats.io_retries += 1
-        self.sim.process(self._retry_request(request), name="blkdev.retry", daemon=True)
+        self.sim.process(self._retry_request(request), name="blkdev.retry")
 
     def _retry_request(self, request: BlockRequest):
         # Linear deterministic backoff, then re-drive the rebuilt command

@@ -40,10 +40,10 @@ Cells, not points, spread over processes: each cell is judged in exactly
 one verifying run in one process, because the run is most of a cell's
 cost — splitting its points over N passes would simulate and fold the
 run N times.
-:func:`explore_cells` with ``jobs=N`` hands whole cells to a
-``ProcessPoolExecutor`` of ``min(N, cells)`` workers and keeps their order,
-so the report is bit-identical for any ``jobs`` value; one cell, or
-``jobs=1``, runs in the calling process and forks nothing.
+:func:`explore_cells` with ``jobs=N`` hands whole cells to
+:func:`repro.scenarios.engine.pool_map`, ``min(N, cells)`` workers that
+keep their order, so the report is bit-identical for any ``jobs`` value;
+one cell, or ``jobs=1``, runs in the calling process and forks nothing.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from repro.crashlab.points import (
     select_points,
 )
 from repro.crashlab.report import CellReport, OracleVerdict, PointVerdict
+from repro.scenarios.engine import pool_map
 from repro.storage.crash import CrashBoundary, recover_durable_blocks
 
 
@@ -349,11 +350,4 @@ def explore_cells(specs: Sequence, *, jobs: int = 1, **options) -> list[CellRepo
     taken yet (``pool.map`` does so as it raises) and reaches the caller
     once the running ones are joined.
     """
-    explore_cell = partial(explore, **options)
-    workers = min(jobs, len(specs))
-    if workers <= 1:
-        return [explore_cell(spec) for spec in specs]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(explore_cell, specs))
+    return pool_map(partial(explore, **options), specs, jobs=jobs)

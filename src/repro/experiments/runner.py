@@ -37,6 +37,7 @@ and workloads), so the tables are identical serial or parallel
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.analysis.reporting import ExperimentResult
@@ -53,6 +54,7 @@ from repro.experiments import (
     fig15_server_workloads,
     table1_fsync_latency,
 )
+from repro.scenarios.engine import pool_map
 
 #: Experiment id -> run() callable.
 ALL_EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
@@ -98,16 +100,7 @@ def run_all(
         raise KeyError(
             f"unknown experiments {unknown!r}; choose from {sorted(ALL_EXPERIMENTS)}"
         )
-    if jobs <= 1 or len(selected) <= 1:
-        return [run_experiment(name, scale) for name in selected]
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = min(jobs, len(selected))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # map() preserves input order, so the tables come back in the same
-        # order the serial path produces them.
-        return list(pool.map(run_experiment, selected, [scale] * len(selected)))
+    return pool_map(partial(run_experiment, scale=scale), selected, jobs=jobs)
 
 
 def _render(results: list[ExperimentResult], fmt: str) -> str:
@@ -238,9 +231,9 @@ def _command_parser(command: str, description: str, *, matrix: bool, **output):
         parser.add_argument(
             "-j", "--jobs", type=int, default=1,
             help=(
-                "worker processes (default 1); sweep splits specs sharing a "
-                "warmup into contiguous chunks, check gives each worker whole "
-                "cells (so a one-cell check runs in-process)"
+                "worker processes (default 1); each worker takes whole "
+                "scenarios (sweep) or cells (check), so one scenario or cell "
+                "runs in-process"
             ),
         )
     _add_output_arguments(parser, **output)
@@ -316,13 +309,12 @@ def _route_params(parser, workloads: list[str], raw_params: list[str]):
     return routed
 
 
-def _expand_suffix_axes(specs):
+def _expand_suffix_axes(parser, specs):
     """Expand list-valued measured-phase params into one spec per value.
 
     ``--param calls=[100,200,400]`` on a workload that declares ``calls``
     as a suffix param becomes a three-point axis instead of a literal list.
-    The points differ only in their measured phase, so the sweep runs
-    their shared warmup once and forks each point from it.
+    An empty list would expand to no spec at all: it is a usage error.
     """
     import itertools
 
@@ -339,6 +331,9 @@ def _expand_suffix_axes(specs):
         if not axes:
             expanded.append(spec)
             continue
+        for key, values in axes:
+            if not values:
+                parser.error(f"--param {key} is an empty list; an axis needs a value")
         keys = [key for key, _ in axes]
         for values in itertools.product(*(value for _, value in axes)):
             overrides = dict(zip(keys, values))
@@ -415,9 +410,9 @@ def _build_specs(parser, args, *, stack_use: str | None = None):
     registered.  Devices vary slowest, then configs, as in one
     :func:`repro.scenarios.sweep` call.  Stack axes are normalised off
     raw-block workloads, unless ``stack_use`` says why the command needs a
-    stack (``--fault`` always does), which rejects them.  Duplicate specs
-    collapse (by repr: param values may be unhashable lists), then
-    list-valued measured-phase params expand (:func:`_expand_suffix_axes`).
+    stack (``--fault`` always does), which rejects them.  List-valued
+    measured-phase params expand (:func:`_expand_suffix_axes`), then
+    duplicate specs collapse (by repr: param values may be unhashable lists).
     """
     from repro.faults import parse_fault
     from repro.scenarios import DEVICES, WORKLOADS, sweep
@@ -445,7 +440,7 @@ def _build_specs(parser, args, *, stack_use: str | None = None):
             parser.error(f"unknown device {device!r}; choose from {DEVICES.names()}")
     cells = _resolve_configs(parser, args.config or ["EXT4-DR"], args.barrier_mode)
 
-    specs: dict[str, object] = {}
+    specs = []
     for device in devices:
         for config, modes in cells:
             for spec in sweep(
@@ -456,8 +451,8 @@ def _build_specs(parser, args, *, stack_use: str | None = None):
                 spec = spec.with_(params=routed[spec.workload])
                 if not WORKLOADS.get(spec.workload).needs_stack:
                     spec = spec.with_(config=None, barrier_mode=None)
-                specs.setdefault(repr(spec), spec)
-    return _expand_suffix_axes(list(specs.values()))
+                specs.append(spec)
+    return list({repr(spec): spec for spec in _expand_suffix_axes(parser, specs)}.values())
 
 
 def sweep_main(argv: list[str] | None = None) -> None:

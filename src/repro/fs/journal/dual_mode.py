@@ -59,8 +59,8 @@ class DualModeJournal(CommitHistory):
         self.max_committing_in_flight = 0
         #: Whether a durable commit failure aborted the journal.
         self.aborted = False
-        sim.process(self._commit_thread(), name="bfs.commit-thread", daemon=True)
-        sim.process(self._flush_thread(), name="bfs.flush-thread", daemon=True)
+        sim.process(self._commit_thread(), name="bfs.commit-thread")
+        sim.process(self._flush_thread(), name="bfs.flush-thread")
 
     def _new_transaction(self) -> JournalTransaction:
         return JournalTransaction(txid=next(self._txids)).attach(self.sim)

@@ -53,7 +53,7 @@ class JBD2Journal(CommitHistory):
         #: Whether a durable commit failure aborted the journal (the ext4
         #: ``errors=remount-ro`` half of the degradation story).
         self.aborted = False
-        sim.process(self._jbd_thread(), name="jbd2", daemon=True)
+        sim.process(self._jbd_thread(), name="jbd2")
 
     def _new_transaction(self) -> JournalTransaction:
         return JournalTransaction(txid=next(self._txids)).attach(self.sim)

@@ -54,7 +54,7 @@ class OptFS(FilesystemBase):
         self.journal = JBD2Journal(sim, self, use_flush_fua=False)
         self.checkpoint_interval = checkpoint_interval
         self.data_pages_journaled = 0
-        sim.process(self._checkpointer(), name="optfs.checkpointer", daemon=True)
+        sim.process(self._checkpointer(), name="optfs.checkpointer")
 
     # ------------------------------------------------------------------ osync/dsync
     def osync(self, file: File, *, issuer: str = "app"):

@@ -14,10 +14,10 @@ instead of eleven hard-coded figure modules:
   ordered-vs-buffered; the application models live in :mod:`repro.apps`).
 * :mod:`repro.scenarios.spec` — the frozen :class:`ScenarioSpec` and the
   :func:`sweep` product expander.
-* :mod:`repro.scenarios.engine` — :func:`run_specs` (shared warmups forked
-  per parameter point, process-pool fan-out), :func:`run_matrix` (spec
-  table -> ExperimentResult) and :func:`sweep_table` (ad-hoc sweeps;
-  ``python -m repro.experiments.runner sweep`` on the command line).
+* :mod:`repro.scenarios.engine` — :func:`run_specs` (one run per spec,
+  process-pool fan-out), :func:`run_matrix` (spec table ->
+  ExperimentResult) and :func:`sweep_table` (ad-hoc sweeps; ``python -m
+  repro.experiments.runner sweep`` on the command line).
 
 See ``docs/EXPERIMENTS.md`` for a guided tour.
 """

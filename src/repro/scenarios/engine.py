@@ -1,15 +1,12 @@
 """The matrix sweep engine: build, run and tabulate scenario specs.
 
 :func:`run_spec` turns one :class:`ScenarioSpec` into a built stack, a
-prepared workload and a :class:`ScenarioOutcome`.  :func:`run_specs` executes
-a list of specs: specs that differ only in measured-phase parameters share
-one warmup and fork each point from the warmed process (:func:`run_group`),
-and the resulting units of work (:func:`plan_units`) optionally fan out over
-worker processes, so even a single experiment's matrix parallelises.
-Because every spec builds its own simulator and draws all randomness from
-its own seeds, the outcome tables are bit-identical whether a sweep runs
-serially, across workers or forked off a shared warmup (pinned by
-``tests/scenarios``).
+prepared workload and a :class:`ScenarioOutcome`.  :func:`run_specs` runs a
+list of specs, one :func:`run_spec` each, optionally fanned out over worker
+processes by :func:`pool_map`, so even a single experiment's matrix
+parallelises.  Because every spec builds its own simulator and draws all
+randomness from its own seeds, the outcome tables are bit-identical whether
+a sweep runs serially or across workers (pinned by ``tests/scenarios``).
 
 :func:`run_matrix` is what the experiment modules are written in: a list of
 specs plus a row formatter, assembled into an
@@ -20,9 +17,6 @@ renders any ad-hoc sweep with generic throughput/latency columns — the
 
 from __future__ import annotations
 
-import os
-import signal
-import warnings
 from dataclasses import fields as dataclass_fields, replace
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -129,9 +123,8 @@ def collect_device_stats(stack) -> Optional[dict[str, dict[str, object]]]:
     """Snapshot the counter fields of a stack's device and block layer.
 
     Plain-data (picklable, JSON-ready) so it travels from worker processes
-    and forked measured phases into sweep JSON/CSV rows.  ``None`` when the
-    workload built no stack (raw block-level runs own their devices
-    internally).
+    into sweep JSON/CSV rows.  ``None`` when the workload built no stack
+    (raw block-level runs own their devices internally).
     """
     if stack is None:
         return None
@@ -183,183 +176,31 @@ def run_spec_traced(spec: ScenarioSpec, tracer) -> ScenarioOutcome:
     return ScenarioOutcome(spec=spec, result=result)
 
 
-class SnapshotForkError(RuntimeError):
-    """A forked measured phase failed, or died before delivering its result."""
+def pool_map(function: Callable, items: Sequence, *, jobs: int = 1) -> list:
+    """``function`` over ``items``, in order, on ``min(jobs, len(items))`` workers.
 
-
-def fork_supported() -> bool:
-    """Whether this platform can fork parameter points off a warmed process."""
-    return hasattr(os, "fork")
-
-
-def warm_group_key(spec: ScenarioSpec) -> tuple:
-    """Hashable key identifying the warm prefix a spec would replay.
-
-    Two specs with equal keys build identical stacks and run identical
-    warmup phases; they may differ only in suffix parameters and display
-    label.  Param values are rendered with ``repr`` so unhashable literals
-    (lists) still key correctly.
+    With one worker (``jobs=1``, or at most one item) the calls run in the
+    calling process and no pool starts; otherwise a process pool maps the
+    items.  Results come back in item order either way.  The first
+    exception reaches the caller; ``pool.map`` cancels the items no worker
+    has taken yet and joins the running ones.  Every ``--jobs`` fan-out
+    (experiments, sweeps, crash-check cells) goes through here.
     """
-    suffix = set(WORKLOADS.get(spec.workload).SUFFIX_PARAMS)
-    shared_params = tuple(
-        sorted((key, repr(value)) for key, value in spec.params.items() if key not in suffix)
-    )
-    return (
-        spec.workload,
-        spec.config,
-        spec.device,
-        spec.barrier_mode,
-        spec.seed,
-        spec.scale,
-        tuple(sorted((k, repr(v)) for k, v in spec.stack_overrides.items())),
-        spec.faults,
-        shared_params,
-    )
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return [function(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
 
-
-def group_specs(specs: Sequence[ScenarioSpec]) -> list[list[int]]:
-    """Partition spec indices into warm-prefix groups, preserving order.
-
-    Groups are keyed by :func:`warm_group_key`; specs of workloads without
-    a warm/measure split each form their own singleton group.
-    """
-    groups: dict[object, list[int]] = {}
-    for index, spec in enumerate(specs):
-        if WORKLOADS.get(spec.workload).SUFFIX_PARAMS:
-            key = warm_group_key(spec)
-        else:
-            key = ("__singleton__", index)
-        groups.setdefault(key, []).append(index)
-    return list(groups.values())
-
-
-def plan_units(specs: Sequence[ScenarioSpec], jobs: int) -> list[list[int]]:
-    """Spec indices in the units of work :func:`run_specs` hands out.
-
-    Units start as the warm-prefix groups of :func:`group_specs`.  While
-    there are fewer than ``min(jobs, len(specs))`` of them, the largest
-    (the first, among equals) is cut into two contiguous halves, so a
-    one-group sweep still spreads over every worker, each chunk warming
-    once.
-    """
-    units = group_specs(specs)
-    target = min(jobs, len(specs))
-    while len(units) < target:
-        largest = max(range(len(units)), key=lambda i: len(units[i]))
-        unit = units[largest]
-        half = (len(unit) + 1) // 2
-        units[largest : largest + 1] = [unit[:half], unit[half:]]
-    return units
-
-
-def _describe_wait_status(wait_status: int) -> str:
-    """Human-readable form of an ``os.waitpid`` status."""
-    if os.WIFSIGNALED(wait_status):
-        number = os.WTERMSIG(wait_status)
-        return f"killed by signal {number} ({signal.Signals(number).name})"
-    return f"exited with status {os.waitstatus_to_exitcode(wait_status)}"
-
-
-def _kill_and_reap(pid: int) -> None:
-    """SIGKILL a forked measured phase and reap it, whatever state it is in."""
-    try:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    except (ProcessLookupError, ChildProcessError):
-        pass
-
-
-def _run_forked(workload: Workload, spec: ScenarioSpec) -> ScenarioOutcome:
-    """Fork the warmed process and run ``spec``'s measured phase in the child."""
-    # Imported here, like the process pool, so that runs which never fork
-    # (every paper experiment) do not carry pickle in their memory.
-    import pickle
-
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        # Child: adopt the spec's full parameter set (the warmed workload
-        # was built without the suffix params), run the measured phase and
-        # never fall back into the parent's control flow.
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                workload.params = dict(spec.params)
-                result = workload.run()
-                result.device_stats = collect_device_stats(workload.stack)
-                payload = pickle.dumps(("ok", result), protocol=pickle.HIGHEST_PROTOCOL)
-                status = 0
-            except BaseException as exc:  # noqa: BLE001 - relayed to the parent
-                payload = pickle.dumps(("err", f"{type(exc).__name__}: {exc}"))
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(payload)
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            payload = pipe.read()
-        _, wait_status = os.waitpid(pid, 0)
-    except BaseException:
-        _kill_and_reap(pid)
-        raise
-    what = f"forked run of spec {spec.display_label!r} ({spec.describe()})"
-    if not payload:
-        raise SnapshotForkError(
-            f"{what} died without delivering a result: {_describe_wait_status(wait_status)}"
-        )
-    kind, value = pickle.loads(payload)
-    if kind != "ok":
-        raise SnapshotForkError(f"{what} failed ({_describe_wait_status(wait_status)}): {value}")
-    return ScenarioOutcome(spec=spec, result=value)
-
-
-def run_group(specs: Sequence[ScenarioSpec]) -> list[ScenarioOutcome]:
-    """Run one unit of :func:`plan_units`: warm once, then fork each spec.
-
-    A one-spec unit runs in place.  Several specs (one warm prefix, by
-    construction) share a single :meth:`Workload.warm`; each measured
-    phase then runs in its own child forked straight from the warmed
-    process, whose copy-on-write image holds the event heap, the live
-    process generators and every RNG stream, so the child continues
-    bit-identically to a run that never forked.
-    """
-    spec_list = list(specs)
-    if len(spec_list) == 1:
-        return [run_spec(spec_list[0])]
-    if not fork_supported():
-        # The group *wanted* a shared prefix but the platform cannot fork:
-        # say so instead of silently running every cell from scratch.
-        warnings.warn(
-            f"warm-start group {spec_list[0].describe()!r} "
-            f"({len(spec_list)} specs) fell back to from-scratch runs: "
-            "os.fork is unavailable on this platform",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return [run_spec(spec) for spec in spec_list]
-    workload_class = WORKLOADS.get(spec_list[0].workload)
-    # Surface bad parameters before any fork hides the traceback.
-    for spec in spec_list:
-        workload_class(**dict(spec.params))
-    suffix = set(workload_class.SUFFIX_PARAMS)
-    shared = {key: value for key, value in spec_list[0].params.items() if key not in suffix}
-    workload = prepare_spec(replace(spec_list[0], params=shared))
-    workload.warm()
-    return [_run_forked(workload, spec) for spec in spec_list]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(function, items))
 
 
 def run_specs(specs: Iterable[ScenarioSpec], *, jobs: int = 1) -> list[ScenarioOutcome]:
-    """Execute specs, fanning out over ``jobs`` worker processes if > 1.
+    """Execute specs with :func:`run_spec`, over ``jobs`` worker processes.
 
-    Specs that share a warm prefix (same axes, same non-suffix parameters)
-    replay it once and fork each parameter point from the warmed process
-    (:func:`run_group`); every other spec runs on its own.  The units of
-    :func:`plan_units` run in order, or over a process pool.  Outcomes
-    come back in spec order either way, and — every spec being an
-    independent, seeded simulation — with identical contents: grouping
-    and ``jobs`` only change the wall-clock.
+    Outcomes come back in spec order, and — every spec being an
+    independent, seeded simulation — with identical contents for any
+    ``jobs``: it only changes the wall-clock.
     """
     spec_list = list(specs)
     for spec in spec_list:
@@ -368,21 +209,7 @@ def run_specs(specs: Iterable[ScenarioSpec], *, jobs: int = 1) -> list[ScenarioO
         DEVICES.get(spec.device)
         if workload_class.needs_stack and spec.config is not None:
             stack_config(spec.config, spec.device)
-    units = plan_units(spec_list, jobs)
-    unit_specs = [[spec_list[index] for index in unit] for unit in units]
-    if jobs <= 1 or len(units) <= 1:
-        unit_outcomes = [run_group(unit) for unit in unit_specs]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
-            # map() preserves input order, matching the serial path.
-            unit_outcomes = list(pool.map(run_group, unit_specs))
-    outcomes: list[ScenarioOutcome] = [None] * len(spec_list)  # type: ignore[list-item]
-    for unit, results in zip(units, unit_outcomes):
-        for index, outcome in zip(unit, results):
-            outcomes[index] = outcome
-    return outcomes
+    return pool_map(run_spec, spec_list, jobs=jobs)
 
 
 def run_matrix(

@@ -88,11 +88,9 @@ class Workload(abc.ABC):
     name: ClassVar[str] = ""
     needs_stack: ClassVar[bool] = True
     PARAMS: ClassVar[tuple[str, ...]] = ()
-    #: Parameters consumed only by the measured phase (:meth:`run`), never by
-    #: the constructor or :meth:`warm`.  Specs that differ solely in these can
-    #: share one warm prefix: :func:`repro.scenarios.engine.run_group` runs
-    #: :meth:`warm` once, forks every parameter point from the warmed process
-    #: and swaps in that point's ``params`` before :meth:`run`.
+    #: Parameters that size the measured phase (:meth:`run`).  A list value
+    #: given on the command line (``--param calls=[10,20]``) becomes an axis
+    #: of one spec per value.
     SUFFIX_PARAMS: ClassVar[tuple[str, ...]] = ()
 
     def __init__(self, **params: object):
@@ -154,13 +152,9 @@ class Workload(abc.ABC):
         return self
 
     def warm(self) -> None:
-        """Run the shared warmup prefix (default: nothing).
+        """Run the unmeasured warmup prefix (default: nothing).
 
-        Called exactly once, after :meth:`prepare` and before :meth:`run`,
-        whether the spec runs alone or forked off a shared warmup
-        (:func:`repro.scenarios.engine.run_group`) — so a forked measured
-        phase and a plain run replay identical event sequences.
-        Implementations must not read any parameter in ``SUFFIX_PARAMS``.
+        Called exactly once, after :meth:`prepare` and before :meth:`run`.
         """
 
     @abc.abstractmethod

@@ -278,14 +278,13 @@ class Process(Event):
     :meth:`Simulator.run_until_complete`.
     """
 
-    __slots__ = ("generator", "context_switches", "_token", "daemon", "_wakeup_cb")
+    __slots__ = ("generator", "context_switches", "_token", "_wakeup_cb")
 
     def __init__(
         self,
         sim: "Simulator",
         generator: ProcessGenerator,
         name: str = "",
-        daemon: bool = False,
     ):
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         if not hasattr(generator, "send"):
@@ -305,8 +304,6 @@ class Process(Event):
         # wait (callbacks.append(self._wakeup) would otherwise build a fresh
         # method object every time the process blocks).
         self._wakeup_cb = self._wakeup
-        #: Daemon processes do not keep the run loop's callers alive.
-        self.daemon = daemon
         sim._register_process(self)
         # Start on the next dispatch cycle at the current time: processes
         # never begin executing synchronously inside ``sim.process()``.
@@ -487,11 +484,9 @@ class Simulator:
         _push(self._heap, (self.now + delay, seq, _KS, process, None, None))
         return process
 
-    def process(
-        self, generator: ProcessGenerator, name: str = "", daemon: bool = False
-    ) -> Process:
+    def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a new process driving ``generator``."""
-        return Process(self, generator, name=name, daemon=daemon)
+        return Process(self, generator, name=name)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all ``events`` have fired."""

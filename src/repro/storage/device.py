@@ -133,8 +133,8 @@ class StorageDevice:
         self._plp = self.barrier_mode is BarrierMode.PLP
         self._supports_barrier = self.barrier_mode.supports_barrier
 
-        sim.process(self._controller_loop(), name=f"{profile.name}.controller", daemon=True)
-        sim.process(self._flusher_loop(), name=f"{profile.name}.flusher", daemon=True)
+        sim.process(self._controller_loop(), name=f"{profile.name}.controller")
+        sim.process(self._flusher_loop(), name=f"{profile.name}.flusher")
 
     # ------------------------------------------------------------------ host API
     def submit(self, command: Command) -> Command:
@@ -227,9 +227,7 @@ class StorageDevice:
                 # accepting and transferring queued writes while the cache
                 # drains (this is what lets the dual-mode journal pipeline
                 # journal commits).
-                sim.process(
-                    self._service_flush(command), name="device.flush", daemon=True
-                )
+                sim.process(self._service_flush(command), name="device.flush")
             elif kind is read_kind:
                 yield from self._service_read(command)
             else:

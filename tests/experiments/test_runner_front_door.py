@@ -1,5 +1,6 @@
 """The runner's one front door: shared axes, usage errors, pinned flags."""
 
+import json
 import re
 
 import pytest
@@ -44,6 +45,60 @@ def test_trace_needs_exactly_one_scenario(capsys):
         trace_main(["-w", "sync-loop", "-c", "BFS-DR", "-c", "EXT4-DR"])
     assert exit_info.value.code == 2
     assert "trace runs one scenario, but the axes name 2" in capsys.readouterr().err
+
+
+#: A list-valued measured-phase param per workload: argv, key, values.
+LIST_SWEEPS = {
+    "sync-loop": (["-w", "sync-loop", "--param", "calls=[10,20,40]"], "calls", [10, 20, 40]),
+    "postgres-wal": (
+        ["-w", "postgres-wal", "--param", "commits=[10,20]", "--param", "warmup_commits=20"],
+        "commits",
+        [10, 20],
+    ),
+}
+
+
+def _sweep_json(tmp_path, name, argv):
+    """The JSON bytes ``sweep`` writes for ``argv`` over BFS-DR and EXT4-DR."""
+    output = tmp_path / name
+    sweep_main([*argv, "-c", "BFS-DR", "-c", "EXT4-DR", "-d", "ufs", "--scale", "0.1",
+                "--format", "json", "--output", str(output)])
+    return output.read_bytes()
+
+
+@pytest.mark.parametrize("workload", sorted(LIST_SWEEPS))
+def test_a_list_param_expands_into_one_row_per_value(tmp_path, workload):
+    argv, key, values = LIST_SWEEPS[workload]
+    [table] = json.loads(_sweep_json(tmp_path, "sweep.json", argv))
+    rows = [dict(zip(table["columns"], row)) for row in table["rows"]]
+    # Configs vary slowest, then the list's values, in the order given.
+    assert [row["label"] for row in rows] == [
+        f"{config} {key}={value}" for config in ("BFS-DR", "EXT4-DR") for value in values
+    ]
+    assert [row["operations"] for row in rows] == values * 2
+    assert table["description"] == f"ad-hoc scenario sweep ({len(rows)} scenarios)"
+
+
+@pytest.mark.parametrize("workload", sorted(LIST_SWEEPS))
+def test_a_list_param_sweep_is_byte_identical_at_any_jobs(tmp_path, workload):
+    argv = LIST_SWEEPS[workload][0]
+    serial = _sweep_json(tmp_path, "serial.json", [*argv, "--jobs", "1"])
+    pooled = _sweep_json(tmp_path, "pooled.json", [*argv, "--jobs", "2"])
+    assert serial == pooled
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_an_empty_list_param_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        COMMANDS[command](["-w", "sync-loop", "-c", "BFS-DR", "--param", "calls=[]"])
+    assert exit_info.value.code == 2
+    assert "--param calls is an empty list" in capsys.readouterr().err
+
+
+def test_a_repeated_list_value_runs_once(tmp_path):
+    [table] = json.loads(_sweep_json(tmp_path, "sweep.json",
+                                     ["-w", "sync-loop", "--param", "calls=[5,5]"]))
+    assert [row[3] for row in table["rows"]] == ["BFS-DR calls=5", "EXT4-DR calls=5"]
 
 
 @pytest.mark.parametrize("removed", ["crashcheck", "faultcheck", "recoverycheck"])

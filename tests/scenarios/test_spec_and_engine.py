@@ -1,7 +1,10 @@
 """ScenarioSpec, sweep() expansion and the matrix sweep engine."""
 
 import json
+import multiprocessing
+import os
 import pickle
+import time
 
 import pytest
 
@@ -14,7 +17,27 @@ from repro.scenarios import (
     sweep,
     sweep_table,
 )
+from repro.scenarios.engine import pool_map
 from repro.storage.barrier_modes import BarrierMode
+
+
+def _pid_and_item(item):
+    """The worker's pid and the item; item 0 finishes last in a pool."""
+    if item == 0:
+        time.sleep(0.05)
+    return os.getpid(), item
+
+
+def _fingerprint(result):
+    """Everything a WorkloadResult observes, in comparable form."""
+    return (
+        result.workload,
+        result.operations,
+        result.elapsed_usec,
+        list(result.latencies.samples) if result.latencies is not None else None,
+        sorted((key, repr(value)) for key, value in result.extra.items()),
+        result.device_stats,
+    )
 
 
 class TestScenarioSpec:
@@ -119,6 +142,25 @@ class TestEngine:
                 jobs=4,
             )
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_specs_is_one_run_spec_per_spec_in_spec_order(self, jobs):
+        # Latency samples hang on every RNG draw and the fault plan's
+        # counters on every injected site, so equal fingerprints mean each
+        # spec ran exactly as it does alone, whichever process ran it.
+        sync = ScenarioSpec(
+            workload="sync-loop", config="BFS-DR", device="ufs",
+            params={"warmup_calls": 20, "calls": 10}, faults=("torn-write:p=0.4",),
+        )
+        specs = [
+            sync,
+            ScenarioSpec(workload="varmail", config="EXT4-DR", device="ufs", scale=0.05),
+            sync.with_(params={"warmup_calls": 20, "calls": 25}),
+        ]
+        outcomes = run_specs(specs, jobs=jobs)
+        assert [outcome.spec for outcome in outcomes] == specs
+        for outcome, spec in zip(outcomes, specs):
+            assert _fingerprint(outcome.result) == _fingerprint(run_spec(spec).result)
+
     def test_build_spec_stack_applies_every_axis(self):
         spec = ScenarioSpec(
             workload="sync-loop", config="BFS-DR", device="supercap-ssd",
@@ -199,6 +241,21 @@ class TestEngine:
         serial = sweep_table(specs, jobs=1)
         sharded = sweep_table(specs, jobs=2)
         assert serial.rows == sharded.rows
+
+
+class TestPoolMap:
+    def test_one_worker_runs_in_the_calling_process(self):
+        me = os.getpid()
+        assert pool_map(_pid_and_item, [1, 2, 3], jobs=1) == [(me, 1), (me, 2), (me, 3)]
+        assert pool_map(_pid_and_item, [7], jobs=4) == [(me, 7)]
+        assert pool_map(_pid_and_item, [], jobs=4) == []
+
+    def test_a_pool_returns_results_in_input_order(self):
+        items = [0, 1, 2, 3, 4]
+        results = pool_map(_pid_and_item, items, jobs=2)
+        assert [item for _, item in results] == items
+        assert os.getpid() not in {pid for pid, _ in results}
+        assert multiprocessing.active_children() == []
 
 
 class TestMachineReadableOutput:
