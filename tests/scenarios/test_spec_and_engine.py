@@ -28,6 +28,10 @@ def _pid_and_item(item):
     return os.getpid(), item
 
 
+def _reciprocal(item):
+    return 1 / item
+
+
 def _fingerprint(result):
     """Everything a WorkloadResult observes, in comparable form."""
     return (
@@ -38,6 +42,17 @@ def _fingerprint(result):
         sorted((key, repr(value)) for key, value in result.extra.items()),
         result.device_stats,
     )
+
+
+def _measured_sweep(workload, config, key, values, warmup=60):
+    """Specs that differ only in the measured-phase param ``key``."""
+    return [
+        ScenarioSpec(
+            workload=workload, config=config, device="ufs",
+            params={f"warmup_{key}": warmup, key: value}, label=f"{key}={value}",
+        )
+        for value in values
+    ]
 
 
 class TestScenarioSpec:
@@ -142,7 +157,7 @@ class TestEngine:
                 jobs=4,
             )
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_run_specs_is_one_run_spec_per_spec_in_spec_order(self, jobs):
         # Latency samples hang on every RNG draw and the fault plan's
         # counters on every injected site, so equal fingerprints mean each
@@ -160,6 +175,35 @@ class TestEngine:
         assert [outcome.spec for outcome in outcomes] == specs
         for outcome, spec in zip(outcomes, specs):
             assert _fingerprint(outcome.result) == _fingerprint(run_spec(spec).result)
+
+    @pytest.mark.parametrize("config", ["EXT4-DR", "BFS-DR"])
+    def test_a_sync_loop_sweep_matches_lone_runs(self, config):
+        # EXT4-DR services SIMPLE commands with an RNG draw on every
+        # selection, so equal samples mean each point's device stream
+        # started from the spec's own seed, not from a neighbour's state.
+        specs = _measured_sweep("sync-loop", config, "calls", (10, 25))
+        for outcome, spec in zip(run_specs(specs), specs):
+            assert _fingerprint(outcome.result) == _fingerprint(run_spec(spec).result)
+
+    def test_a_postgres_wal_sweep_matches_lone_runs(self):
+        specs = _measured_sweep("postgres-wal", "BFS-DR", "commits", (5, 15), warmup=40)
+        for outcome, spec in zip(run_specs(specs), specs):
+            assert _fingerprint(outcome.result) == _fingerprint(run_spec(spec).result)
+
+    def test_a_sweep_without_warmup_matches_lone_runs(self):
+        specs = _measured_sweep("sync-loop", "EXT4-DR", "calls", (10, 15), warmup=0)
+        for outcome, spec in zip(run_specs(specs, jobs=2), specs):
+            assert _fingerprint(outcome.result) == _fingerprint(run_spec(spec).result)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failing_spec_raises_in_the_caller(self, jobs):
+        # The constructor never reads ``calls``; run() does, and its
+        # ValueError must reach the caller from a pool worker too.
+        good = ScenarioSpec(workload="sync-loop", config="BFS-DR", params={"calls": 5})
+        bad = good.with_(params={"calls": "x"})
+        with pytest.raises(ValueError, match="calls"):
+            run_specs([good, bad], jobs=jobs)
+        assert multiprocessing.active_children() == []
 
     def test_build_spec_stack_applies_every_axis(self):
         spec = ScenarioSpec(
@@ -255,6 +299,17 @@ class TestPoolMap:
         results = pool_map(_pid_and_item, items, jobs=2)
         assert [item for _, item in results] == items
         assert os.getpid() not in {pid for pid, _ in results}
+        assert multiprocessing.active_children() == []
+
+    def test_there_is_at_most_one_worker_per_item(self):
+        results = pool_map(_pid_and_item, [0, 1], jobs=8)
+        assert [item for _, item in results] == [0, 1]
+        assert len({pid for pid, _ in results}) <= 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failing_item_raises_and_leaves_no_worker_behind(self, jobs):
+        with pytest.raises(ZeroDivisionError):
+            pool_map(_reciprocal, [1, 2, 0, 4], jobs=jobs)
         assert multiprocessing.active_children() == []
 
 
