@@ -19,7 +19,12 @@ class FxmarkDWSL(Workload):
     """Private-file write+fsync scalability microbenchmark."""
 
     name = "fxmark"
-    PARAMS = ("num_threads", "ops_per_thread", "use_fbarrier", "cpu_per_operation")
+    PARAMS = {
+        "num_threads": int,
+        "ops_per_thread": int,
+        "use_fbarrier": bool,
+        "cpu_per_operation": float,
+    }
 
     def __init__(self, **params: object):
         super().__init__(**params)

@@ -26,15 +26,15 @@ class MySQLOLTPInsert(Workload):
     """sysbench OLTP-insert against MySQL/InnoDB's file accesses (Fig. 15)."""
 
     name = "mysql"
-    PARAMS = (
-        "transactions",
-        "relax_durability",
-        "redo_pages_per_tx",
-        "binlog_pages_per_tx",
-        "checkpoint_every",
-        "checkpoint_pages",
-        "cpu_per_transaction",
-    )
+    PARAMS = {
+        "transactions": int,
+        "relax_durability": bool,
+        "redo_pages_per_tx": int,
+        "binlog_pages_per_tx": int,
+        "checkpoint_every": int,
+        "checkpoint_pages": int,
+        "cpu_per_transaction": float,
+    }
 
     def __init__(self, **params: object):
         super().__init__(**params)

@@ -44,15 +44,15 @@ class PostgresWALWorkload(Workload):
     """PostgreSQL WAL writer: per-commit WAL fsync + periodic checkpoints."""
 
     name = "postgres-wal"
-    PARAMS = (
-        "commits",
-        "relax_durability",
-        "wal_pages_per_commit",
-        "checkpoint_every",
-        "checkpoint_pages",
-        "cpu_per_commit",
-        "warmup_commits",
-    )
+    PARAMS = {
+        "commits": int,
+        "relax_durability": bool,
+        "wal_pages_per_commit": int,
+        "checkpoint_every": int,
+        "checkpoint_pages": int,
+        "cpu_per_commit": float,
+        "warmup_commits": int,
+    }
     SUFFIX_PARAMS = ("commits",)
 
     def __init__(self, **params: object):

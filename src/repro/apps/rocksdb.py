@@ -35,15 +35,15 @@ class RocksDBCompactionWorkload(Workload):
     """RocksDB memtable flushes + multi-file compactions (SSTs before MANIFEST)."""
 
     name = "rocksdb-compaction"
-    PARAMS = (
-        "flushes",
-        "relax_durability",
-        "memtable_pages",
-        "files_per_compaction",
-        "compaction_every",
-        "sst_pages",
-        "cpu_per_flush",
-    )
+    PARAMS = {
+        "flushes": int,
+        "relax_durability": bool,
+        "memtable_pages": int,
+        "files_per_compaction": int,
+        "compaction_every": int,
+        "sst_pages": int,
+        "cpu_per_flush": float,
+    }
 
     def __init__(self, **params: object):
         super().__init__(**params)

@@ -36,13 +36,13 @@ class SQLiteWorkload(Workload):
     """Insert-only SQLite in PERSIST or WAL journal mode (Fig. 14)."""
 
     name = "sqlite"
-    PARAMS = (
-        "inserts",
-        "journal_mode",
-        "relax_durability",
-        "pages_per_insert",
-        "cpu_per_transaction",
-    )
+    PARAMS = {
+        "inserts": int,
+        "journal_mode": SQLiteJournalMode,
+        "relax_durability": bool,
+        "pages_per_insert": int,
+        "cpu_per_transaction": float,
+    }
 
     def __init__(self, **params: object):
         super().__init__(**params)

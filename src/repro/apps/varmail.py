@@ -25,15 +25,15 @@ class VarmailWorkload(Workload):
     """Mail-server file churn with frequent fsync."""
 
     name = "varmail"
-    PARAMS = (
-        "iterations",
-        "relax_durability",
-        "mail_pages",
-        "file_pool",
-        "num_threads",
-        "cpu_per_iteration",
-        "seed",
-    )
+    PARAMS = {
+        "iterations": int,
+        "relax_durability": bool,
+        "mail_pages": int,
+        "file_pool": int,
+        "num_threads": int,
+        "cpu_per_iteration": float,
+        "seed": int,
+    }
 
     #: Operations counted per loop iteration (create+fsync, append+fsync,
     #: read, delete), matching filebench's accounting.

@@ -372,10 +372,3 @@ class BlockDevice:
     def queued_requests(self) -> int:
         """Requests sitting in the IO scheduler right now."""
         return len(self.scheduler)
-
-    @property
-    def epoch_scheduler(self) -> Optional[EpochIOScheduler]:
-        """The epoch scheduler, when the barrier-enabled path is active."""
-        if isinstance(self.scheduler, EpochIOScheduler):
-            return self.scheduler
-        return None

@@ -136,16 +136,6 @@ class BlockRequest:
         """Whether the request delimits an epoch (REQ_BARRIER)."""
         return self.flags._value_ & _BARRIER_BIT != 0
 
-    @property
-    def wants_fua(self) -> bool:
-        """Whether the request requires FUA durability."""
-        return self.flags._value_ & _FUA_BIT != 0
-
-    @property
-    def wants_flush(self) -> bool:
-        """Whether the request asks for a pre-flush."""
-        return self.flags._value_ & _FLUSH_BIT != 0
-
     # -- flag manipulation (used by the epoch scheduler) ----------------------
     def strip_barrier(self) -> None:
         """Remove the BARRIER attribute (barrier reassignment, step one)."""
@@ -230,31 +220,3 @@ class BlockRequest:
             f"pages={self.num_pages} flags={flag_text} by={self.issuer}"
         )
 
-
-def write_request(
-    lba: int,
-    num_pages: int = 1,
-    *,
-    payload: Optional[Sequence[WrittenBlock]] = None,
-    flags: RequestFlag = RequestFlag.NONE,
-    issuer: str = "app",
-) -> BlockRequest:
-    """Convenience constructor for a write request."""
-    return BlockRequest(
-        op=RequestOp.WRITE,
-        lba=lba,
-        num_pages=num_pages,
-        flags=flags,
-        payload=tuple(payload) if payload is not None else tuple(),
-        issuer=issuer,
-    )
-
-
-def flush_request(*, issuer: str = "app") -> BlockRequest:
-    """Convenience constructor for a flush request."""
-    return BlockRequest(op=RequestOp.FLUSH, issuer=issuer)
-
-
-def read_request(lba: int, num_pages: int = 1, *, issuer: str = "app") -> BlockRequest:
-    """Convenience constructor for a read request."""
-    return BlockRequest(op=RequestOp.READ, lba=lba, num_pages=num_pages, issuer=issuer)

@@ -107,11 +107,6 @@ class IOStack:
         process = self.sim.process(generator)
         return self.sim.run_until_complete(process, limit=limit)
 
-    def sync_of(self, file, *, issuer: str = "app"):
-        """The sync-family generator selected by ``config.sync_call``."""
-        call = getattr(self.fs, self.config.sync_call)
-        return call(file, issuer=issuer)
-
 
 _FILESYSTEMS = {
     "ext4": Ext4Filesystem,

@@ -270,8 +270,8 @@ def _route_params(parser, workloads: list[str], raw_params: list[str]):
     Values are literal-evaluated (text that is no literal stays a string).
     A key goes to the selected workloads that accept it, so sqlite's
     ``inserts=`` can ride alongside sync-loop's ``calls=`` in one matrix.
-    A malformed pair, a key no selected workload accepts, or a value a
-    workload rejects is a usage error.  Returns ``{workload: params}``.
+    A malformed pair or a key no selected workload accepts is a usage
+    error.  Returns ``{workload: params}``.
     """
     import ast
 
@@ -300,12 +300,6 @@ def _route_params(parser, workloads: list[str], raw_params: list[str]):
             f"--param keys {orphans} are accepted by none of the selected "
             f"workloads {sorted(routed)}"
         )
-    for name in sorted(routed):
-        # Constructing a workload reads its params: a bad value fails here.
-        try:
-            WORKLOADS.get(name)(**routed[name])
-        except ValueError as error:
-            parser.error(str(error))
     return routed
 
 
@@ -413,6 +407,7 @@ def _build_specs(parser, args, *, stack_use: str | None = None):
     stack (``--fault`` always does), which rejects them.  List-valued
     measured-phase params expand (:func:`_expand_suffix_axes`), then
     duplicate specs collapse (by repr: param values may be unhashable lists).
+    A param value its workload rejects is a usage error.
     """
     from repro.faults import parse_fault
     from repro.scenarios import DEVICES, WORKLOADS, sweep
@@ -452,7 +447,14 @@ def _build_specs(parser, args, *, stack_use: str | None = None):
                 if not WORKLOADS.get(spec.workload).needs_stack:
                     spec = spec.with_(config=None, barrier_mode=None)
                 specs.append(spec)
-    return list({repr(spec): spec for spec in _expand_suffix_axes(parser, specs)}.values())
+    specs = list({repr(spec): spec for spec in _expand_suffix_axes(parser, specs)}.values())
+    for spec in specs:
+        # The constructor converts every declared param: a bad value fails here.
+        try:
+            WORKLOADS.get(spec.workload)(**spec.params)
+        except ValueError as error:
+            parser.error(str(error))
+    return specs
 
 
 def sweep_main(argv: list[str] | None = None) -> None:

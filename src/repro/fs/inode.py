@@ -68,11 +68,6 @@ class Inode:
         return ("inode", self.inode_no)
 
     @property
-    def has_dirty_data(self) -> bool:
-        """Whether any data page awaits writeback."""
-        return bool(self.dirty_pages)
-
-    @property
     def has_dirty_metadata(self) -> bool:
         """Whether the inode's metadata awaits journaling."""
         return self.metadata_dirty

@@ -93,11 +93,6 @@ class JournalTransaction:
         return not self.metadata_buffers and not self.journaled_data
 
     # -- journal payload -------------------------------------------------------
-    @property
-    def log_block_count(self) -> int:
-        """Pages occupied by the descriptor and log blocks (JD)."""
-        return 1 + len(self.metadata_buffers) + len(self.journaled_data)
-
     def descriptor_payload(self) -> list[WrittenBlock]:
         """Payload of the JD write: descriptor block plus one log block per buffer."""
         payload = [WrittenBlock(block=("jd", self.txid), version=self.txid)]

@@ -5,9 +5,9 @@ fs/journal/block/storage code knowing about them: each records its
 attribute swaps in a :class:`Hooks` ledger and undoes them with
 :meth:`Hooks.restore`.  :func:`install` owns their order — injector, then
 tracer (its ``try_submit`` wrapper sits over the injected device), then
-any crash tap the caller attaches — which every run of a spec rebuilds
-and every measured phase forked off a shared warmup inherits, so
-reordering it would break their bit-identity with a scratch run.
+any crash tap the caller attaches.  Every run of a spec installs them
+in this order, so two runs of one spec, in this process or in a pool
+worker, are bit-identical.
 
 Hooks go in before the simulation first runs: processes hoist bound
 methods into locals on their first resume (the block dispatcher caches

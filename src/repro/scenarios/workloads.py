@@ -3,8 +3,10 @@
 Every workload, from the raw write+sync loop to the application models, is
 a :class:`Workload` subclass with one shape:
 
-* construct with keyword parameters; the class names the accepted keys in
-  ``PARAMS`` and reads each one, with its default, through :meth:`param`;
+* construct with keyword parameters; the class maps each accepted key to
+  its type in ``PARAMS``, the constructor converts every given value (a
+  bad one is a ``ValueError`` before anything runs), and the workload
+  reads each one, with its default, through :meth:`param`;
 * ``prepare(stack, scale=..., seed=...)`` binds the workload to a built
   stack (or, for raw block workloads, a device name) and fixes the
   iteration-count multiplier;
@@ -80,14 +82,15 @@ class Workload(abc.ABC):
     """Base class of the workload protocol.
 
     Subclasses set ``name`` (the registry key), ``PARAMS`` (the accepted
-    constructor keywords) and implement :meth:`run`.  Workloads that drive
-    the storage stack below the filesystem set ``needs_stack = False`` and
-    receive ``stack=None`` plus the target device name in ``self.device``.
+    constructor keywords, each with its type) and implement :meth:`run`.
+    Workloads that drive the storage stack below the filesystem set
+    ``needs_stack = False`` and receive ``stack=None`` plus the target
+    device name in ``self.device``.
     """
 
     name: ClassVar[str] = ""
     needs_stack: ClassVar[bool] = True
-    PARAMS: ClassVar[tuple[str, ...]] = ()
+    PARAMS: ClassVar[dict[str, type]] = {}
     #: Parameters that size the measured phase (:meth:`run`).  A list value
     #: given on the command line (``--param calls=[10,20]``) becomes an axis
     #: of one spec per value.
@@ -100,26 +103,31 @@ class Workload(abc.ABC):
                 f"{self.name or type(self).__name__}: unknown parameters {unknown}; "
                 f"accepted: {sorted(self.PARAMS)}"
             )
-        self.params = params
+        self.params = {
+            key: self._convert(key, value) for key, value in params.items() if value is not None
+        }
         self.stack: Optional[IOStack] = None
         self.device: Optional[str] = None
         self.scale = 1.0
         self.seed = 0
 
     def param(self, key: str, default: _T) -> _T:
-        """The parameter ``key`` converted to the type of ``default``.
+        """The parameter ``key``, or ``default`` when it is absent or ``None``.
 
-        Only an absent or ``None`` value falls back to ``default``, so
-        explicit falsy values (``calls=0``, ``seed=0``) are honoured.  A
-        ``bool`` default makes ``key`` a flag, which takes ``True``/``False``
-        or the strings ``true``/``false`` in any case (``--param`` passes
-        such words through as strings).  Any value that does not convert is
-        a ``ValueError`` naming the workload and the key.
+        Explicit falsy values (``calls=0``, ``seed=0``) are honoured.
         """
-        value = self.params.get(key)
-        if value is None:
-            return default
-        if isinstance(default, bool):
+        return self.params.get(key, default)
+
+    def _convert(self, key: str, value: object) -> object:
+        """``value`` converted to the type ``PARAMS`` declares for ``key``.
+
+        A ``bool`` key is a flag, which takes ``True``/``False`` or the
+        strings ``true``/``false`` in any case (``--param`` passes such words
+        through as strings).  Any value that does not convert is a
+        ``ValueError`` naming the workload and the key.
+        """
+        kind = self.PARAMS[key]
+        if kind is bool:
             if isinstance(value, bool):
                 return value
             if isinstance(value, str) and value.lower() in ("true", "false"):
@@ -127,9 +135,9 @@ class Workload(abc.ABC):
             expected = "true or false"
         else:
             try:
-                return type(default)(value)
+                return kind(value)
             except (TypeError, ValueError):
-                expected = type(default).__name__
+                expected = kind.__name__
         raise ValueError(f"{self.name}: parameter {key!r} expects {expected}, got {value!r}")
 
     def scaled(self, base: int, minimum: int) -> int:
@@ -167,7 +175,13 @@ class SyncLoopWorkload(Workload):
     """The raw "write N pages then sync" loop of Table 1 and Figs. 8/11/12."""
 
     name = "sync-loop"
-    PARAMS = ("calls", "sync_call", "allocating", "pages_per_write", "warmup_calls")
+    PARAMS = {
+        "calls": int,
+        "sync_call": str,
+        "allocating": bool,
+        "pages_per_write": int,
+        "warmup_calls": int,
+    }
     SUFFIX_PARAMS = ("calls",)
 
     def __init__(self, **params: object):
@@ -238,7 +252,7 @@ class BlockLevelScenario(Workload):
 
     name = "blocklevel"
     needs_stack = False
-    PARAMS = ("scenario", "num_writes", "working_set_pages", "seed")
+    PARAMS = {"scenario": str, "num_writes": int, "working_set_pages": int, "seed": int}
 
     #: Default seed of ``run_scenario``, added to the scenario seed.
     SEED_OFFSET = 1
@@ -272,7 +286,7 @@ class OrderedVsBufferedScenario(Workload):
 
     name = "ordered-vs-buffered"
     needs_stack = False
-    PARAMS = ("num_writes",)
+    PARAMS = {"num_writes": int}
 
     def run(self) -> WorkloadResult:
         from repro.experiments.blocklevel import ordered_vs_buffered_ratio

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.simulation.engine import Event
 
@@ -173,33 +173,7 @@ class Command:
         )
 
 
-def write_command(
-    lba: int,
-    num_pages: int,
-    *,
-    payload: Optional[Iterable[WrittenBlock]] = None,
-    flags: CommandFlag = CommandFlag.NONE,
-    priority: CommandPriority = CommandPriority.SIMPLE,
-    tag: object = None,
-) -> Command:
-    """Convenience constructor for a write command."""
-    return Command(
-        kind=CommandKind.WRITE,
-        lba=lba,
-        num_pages=num_pages,
-        flags=flags,
-        priority=priority,
-        payload=tuple(payload) if payload is not None else tuple(),
-        tag=tag,
-    )
-
-
 def flush_command(*, tag: object = None) -> Command:
     """Convenience constructor for a cache-flush command."""
     return Command(kind=CommandKind.FLUSH, lba=0, num_pages=0, tag=tag,
                    priority=CommandPriority.HEAD_OF_QUEUE)
-
-
-def read_command(lba: int, num_pages: int, *, tag: object = None) -> Command:
-    """Convenience constructor for a read command."""
-    return Command(kind=CommandKind.READ, lba=lba, num_pages=num_pages, tag=tag)

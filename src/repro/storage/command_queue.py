@@ -37,8 +37,6 @@ class CommandQueue:
             raise ValueError("command queue depth must be >= 1")
         self.depth = depth
         self._entries: "OrderedDict[int, Command]" = OrderedDict()
-        self._arrival_seq = 0
-        self._arrival_of: dict[int, int] = {}
         self._rng = random.Random(seed)
         # Priority population counters: commands are only ever inserted and
         # removed (a queued command's priority never changes), so these let
@@ -68,8 +66,6 @@ class CommandQueue:
         """Insert ``command`` if there is space; return whether it was taken."""
         if len(self._entries) >= self.depth:
             return False
-        self._arrival_seq += 1
-        self._arrival_of[command.command_id] = self._arrival_seq
         self._entries[command.command_id] = command
         priority = command.priority
         if priority is CommandPriority.HEAD_OF_QUEUE:
@@ -86,10 +82,6 @@ class CommandQueue:
             )
 
     # -- selection ----------------------------------------------------------
-    def arrival_order(self, command: Command) -> int:
-        """The arrival sequence number assigned when the command was queued."""
-        return self._arrival_of[command.command_id]
-
     def select_next(self) -> Optional[Command]:
         """Pick (and remove) the next command to service, or ``None`` if empty.
 
@@ -127,15 +119,9 @@ class CommandQueue:
 
     def _remove(self, command: Command) -> Command:
         del self._entries[command.command_id]
-        self._arrival_of.pop(command.command_id, None)
         priority = command.priority
         if priority is CommandPriority.HEAD_OF_QUEUE:
             self._num_head -= 1
         elif priority is CommandPriority.ORDERED:
             self._num_ordered -= 1
         return command
-
-    # -- introspection -------------------------------------------------------
-    def pending_commands(self) -> list[Command]:
-        """Snapshot of the queued commands in arrival order."""
-        return sorted(self._entries.values(), key=self.arrival_order)

@@ -165,11 +165,6 @@ class StorageDevice:
             self._queue_activity.notify_all()
         return True
 
-    @property
-    def has_queue_space(self) -> bool:
-        """Whether a submit right now would be accepted."""
-        return self.queue.has_space
-
     def slot_available(self) -> Event:
         """Wait for a free queue slot; yield the result at once.
 
@@ -543,11 +538,6 @@ class StorageDevice:
         :func:`repro.storage.crash.recover_durable_blocks`.
         """
         self._powered_on = False
-
-    @property
-    def powered_on(self) -> bool:
-        """Whether the device is still accepting commands."""
-        return self._powered_on
 
     def record_history(self) -> None:
         """Keep every page the cache admits and, under in-order recovery,

@@ -144,11 +144,6 @@ class WritebackCache:
         return list(self._compact())
 
     @property
-    def has_dirty(self) -> bool:
-        """Whether any page still awaits write-back."""
-        return self._dirty_count > 0
-
-    @property
     def first_dirty(self) -> Optional[CacheEntry]:
         """The oldest unpersisted entry (head of the transfer order), O(1)."""
         dirty = self._dirty
@@ -181,22 +176,10 @@ class WritebackCache:
             if entry.durable_time is None:
                 yield entry
 
-    def dirty_epochs(self) -> list[int]:
-        """Distinct epochs that still have unpersisted pages, oldest first."""
-        return sorted({entry.epoch for entry in self._compact()})
-
-    def dirty_in_epoch(self, epoch: int) -> list[CacheEntry]:
-        """Unpersisted entries belonging to ``epoch`` in transfer order."""
-        return [entry for entry in self._compact() if entry.epoch == epoch]
-
     @property
     def history(self) -> list[CacheEntry]:
         """Every entry ever admitted, in transfer order (needs :meth:`record_history`)."""
         return recorded(self._history, "the writeback-cache history")
-
-    def entries_for_command(self, command_id: int) -> list[CacheEntry]:
-        """All entries admitted on behalf of one command (history required)."""
-        return [entry for entry in self.history if entry.command_id == command_id]
 
     def all_entries(self) -> list[CacheEntry]:
         """Every entry ever admitted, in transfer order.
@@ -207,11 +190,6 @@ class WritebackCache:
         if self._history is not None:
             return list(self._history)
         return list(self._compact())
-
-    @property
-    def is_over_capacity(self) -> bool:
-        """Whether the resident dirty pages exceed the cache capacity."""
-        return self._dirty_count > self.capacity_pages
 
     # -- persistence bookkeeping ----------------------------------------------
     def mark_durable(self, entries: Iterable[CacheEntry], time: float,

@@ -86,7 +86,8 @@ class TestBatchedEqualsSingle:
         # Guard against the comparison silently degenerating: the Noop
         # batch grant must hand out multi-request batches somewhere.
         scheduler = NoopScheduler()
-        from repro.block.request import RequestFlag, write_request
+        from reference.builders import write_request
+        from repro.block.request import RequestFlag
 
         requests = [
             write_request(lba * 100, 1, flags=RequestFlag.ORDERED)

@@ -2,9 +2,10 @@
 
 import pytest
 
+from reference.builders import flush_request, read_request, write_request
 from repro.block import BlockDevice, BlockDeviceConfig, DispatchPolicy, RequestFlag
 from repro.block.dispatch import request_to_command
-from repro.block.request import flush_request, read_request, write_request
+from repro.block.scheduler import EpochIOScheduler
 from repro.simulation import Simulator
 from repro.storage import BarrierMode, StorageDevice, get_profile
 from repro.storage.command import CommandKind, CommandPriority
@@ -118,7 +119,7 @@ class TestBlockDevice:
 
         requests = run(sim, host())
         assert all(request.completed.triggered for request in requests)
-        assert block.epoch_scheduler is None
+        assert not isinstance(block.scheduler, EpochIOScheduler)
 
     def test_merged_requests_complete_together(self):
         sim, device, block = make_stack()

@@ -50,7 +50,7 @@ class TestTypedErrors:
         device = StorageDevice(sim, get_profile("plain-ssd"))
         device.power_off()
         from repro.block.dispatch import request_to_command
-        from repro.block.request import write_request
+        from reference.builders import write_request
         from repro.block.dispatch import DispatchPolicy
 
         command = request_to_command(write_request(0, 1), DispatchPolicy.LEGACY)
@@ -92,7 +92,7 @@ class TestRetryPath:
 
     def test_read_errors_use_their_own_site_filter(self):
         sim, device, block = make_stack(faults=["io-error:nth=1,op=read"])
-        from repro.block.request import read_request
+        from reference.builders import read_request
 
         def host():
             write = block.write(0, 1, issuer="t")

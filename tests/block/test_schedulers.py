@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.block.request import RequestFlag, flush_request, write_request
+from reference.builders import flush_request, write_request
+from repro.block.request import RequestFlag
 from repro.block.scheduler import EpochIOScheduler, NoopScheduler
 
 

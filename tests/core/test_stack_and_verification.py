@@ -64,13 +64,13 @@ class TestStackBuilder:
         assert config.device == "ufs"
         assert config.filesystem == "barrierfs"
 
-    def test_sync_of_uses_configured_call(self):
+    def test_configured_sync_call_runs(self):
         stack = build_stack(standard_config("BFS-OD"))
 
         def proc():
             handle = stack.fs.create("x")
             stack.fs.write(handle, 1)
-            yield from stack.sync_of(handle)
+            yield from getattr(stack.fs, stack.config.sync_call)(handle)
             return None
 
         stack.run_process(proc())

@@ -65,9 +65,17 @@ def assert_equivalent(monkeypatch, *specs, **kwargs):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_sync_loop_every_barrier_mode(self, monkeypatch, mode):
-        report = assert_equivalent(monkeypatch, spec_for(mode), strategy="exhaustive")
+    # The long cell (300 points) carries the crash state and every oracle's
+    # check across hundreds of points before the last one is judged.
+    @pytest.mark.parametrize(
+        "mode, calls",
+        [(mode, 8) for mode in MODES] + [("in-order-recovery", 60)],
+        ids=[*MODES, "in-order-recovery-calls60"],
+    )
+    def test_sync_loop_every_barrier_mode(self, monkeypatch, mode, calls):
+        report = assert_equivalent(
+            monkeypatch, spec_for(mode, calls=calls), strategy="exhaustive"
+        )
         assert report.points_checked == report.boundaries_total > 0
 
     @pytest.mark.parametrize("mode", MODES)

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from repro.experiments.runner import check_main, main, sweep_main, trace_main
+from repro.scenarios import WORKLOADS
 
 COMMANDS = {"sweep": sweep_main, "trace": trace_main, "check": check_main}
 
@@ -45,6 +46,26 @@ def test_trace_needs_exactly_one_scenario(capsys):
         trace_main(["-w", "sync-loop", "-c", "BFS-DR", "-c", "EXT4-DR"])
     assert exit_info.value.code == 2
     assert "trace runs one scenario, but the axes name 2" in capsys.readouterr().err
+
+
+#: Every declared (workload, param) whose type rejects the word ``x``.
+TYPED_PARAMS = [
+    (name, key)
+    for name in WORKLOADS.names()
+    for key, kind in WORKLOADS.get(name).PARAMS.items()
+    if kind is not str
+]
+
+
+@pytest.mark.parametrize(("workload", "key"), TYPED_PARAMS,
+                         ids=[f"{name}-{key}" for name, key in TYPED_PARAMS])
+def test_a_bad_param_value_is_a_usage_error(capsys, workload, key):
+    # Measured-phase params (calls, commits, inserts, ...) are read only in
+    # run(): the constructor's conversion still rejects them before any run.
+    with pytest.raises(SystemExit) as exit_info:
+        sweep_main(["-w", workload, "--param", f"{key}=x"])
+    assert exit_info.value.code == 2
+    assert f"{workload}: parameter {key!r} expects" in capsys.readouterr().err
 
 
 #: A list-valued measured-phase param per workload: argv, key, values.

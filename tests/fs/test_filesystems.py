@@ -29,7 +29,7 @@ class TestVFS:
         handle = fs.create("a.txt")
         pages = fs.write(handle, 3)
         assert pages == [0, 1, 2]
-        assert handle.inode.has_dirty_data
+        assert handle.inode.dirty_pages
         assert handle.inode.has_dirty_metadata  # allocating write
         assert fs.stats.writes == 1
 

@@ -9,6 +9,7 @@ keeps only its dense page versions (no inode size log).
 """
 
 import gc
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -16,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.measure import measure_sync_latency
-from repro.analysis.perfbench import retained_bytes_per_call
 from repro.block.request import BlockRequest
 from repro.core import build_stack, standard_config
 from repro.core.verification import CrashProbe, journal_transactions
@@ -111,6 +111,44 @@ def test_storage_objects_do_not_grow_without_history(config, mode):
 #: bounded sets and arrays the run reuses.  An inode size-log entry per
 #: call (~100 B) or a dict entry per page version (~70 B) fails it.
 RETAINED_BYTES_PER_CALL = 48
+
+
+def retained_bytes_per_call(config: str, sync_call: str, calls: int) -> float:
+    """Heap bytes a plain run keeps per sync call on one growing file.
+
+    Runs ``calls`` and then ``calls`` more allocating one-page write+sync
+    calls on one file of a plain-ssd stack without ``record_history()``,
+    each half drained (requests, then the flusher's timers), and returns
+    the growth of the traced heap (:mod:`tracemalloc`, after a collection)
+    over the second half, per call.  What is left is what the run keeps
+    per call: file state (one page version per written page) and any
+    history a plain run should not keep.  A count, not a timing: the same
+    interpreter build gives the same value.
+    """
+    stack = build_stack(standard_config(config, "plain-ssd"))
+    fs = stack.fs
+    sync = getattr(fs, sync_call)
+    handle = fs.create("retained.dat")
+
+    def loop():
+        for _ in range(calls):
+            fs.write(handle, 1)
+            yield from sync(handle, issuer="bench")
+
+    def traced_after_half() -> int:
+        stack.run_process(loop())
+        stack.run_process(stack.block.drain())
+        stack.sim.run(until=stack.sim.now + 100 * MSEC)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        first = traced_after_half()
+        second = traced_after_half()
+    finally:
+        tracemalloc.stop()
+    return round((second - first) / calls, 1)
 
 
 @pytest.mark.parametrize("config,sync_call", LOOPS)

@@ -3,7 +3,8 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.block.request import RequestFlag, write_request
+from reference.builders import write_request
+from repro.block.request import RequestFlag
 from repro.block.scheduler import EpochIOScheduler
 from repro.core import build_stack, standard_config
 from repro.core.verification import ORACLES, CrashProbe

@@ -28,8 +28,6 @@ class TestWritebackCache:
         assert [entry.epoch for entry in entries] == [0, 0, 1]
         assert entries[0].transfer_seq < entries[2].transfer_seq
         assert cache.total_admitted == 3
-        assert cache.dirty_epochs() == [0, 1]
-        assert [e.block for e in cache.dirty_in_epoch(1)] == ["c"]
         assert first[0].command_id == 1 and second[0].command_id == 2
 
     def test_durable_immediately_for_plp(self):
@@ -39,7 +37,7 @@ class TestWritebackCache:
             [WrittenBlock("a", 1)], epoch=0, time=5.0, command_id=1,
             durable_immediately=True,
         )
-        assert not cache.has_dirty
+        assert cache.first_dirty is None
         assert cache.all_entries()[0].durable_time == 5.0
 
     def test_mark_durable_prunes_dirty_list(self):
@@ -55,16 +53,16 @@ class TestWritebackCache:
     def test_capacity_accounting(self):
         cache = WritebackCache(2)
         entries = _admit(cache, ["a", "b", "c"])
-        assert cache.is_over_capacity
+        assert cache.resident_pages == 3 > cache.capacity_pages
         cache.mark_durable(entries, time=1.0)
-        assert not cache.is_over_capacity
+        assert cache.resident_pages == 0
 
-    def test_entries_for_command(self):
+    def test_history_keeps_each_entrys_command(self):
         cache = WritebackCache(8)
         cache.record_history()
         _admit(cache, ["a"], command_id=7)
         _admit(cache, ["b"], command_id=9)
-        assert [e.block for e in cache.entries_for_command(9)] == ["b"]
+        assert [(e.block, e.command_id) for e in cache.history] == [("a", 7), ("b", 9)]
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):

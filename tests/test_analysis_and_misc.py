@@ -1,10 +1,7 @@
 """Tests for the analysis helpers and a few less-travelled configuration paths."""
 
-import json
-
 import pytest
 
-from repro.analysis import perfbench
 from repro.analysis.measure import measure_sync_latency, queue_depth_trace
 from repro.block import BlockDevice, BlockDeviceConfig
 from repro.core import build_stack, standard_config
@@ -105,7 +102,7 @@ class TestTransactionLifecycle:
         txn.add_metadata(("inode", 1), 3)
         txn.add_metadata(("inode", 1), 2)  # stale version ignored
         assert txn.metadata_buffers[("inode", 1)] == 3
-        assert txn.log_block_count == 2
+        assert len(txn.descriptor_payload()) == 2  # descriptor + one log block
         assert not txn.is_empty
         txn.mark_committing(now=5.0)
         assert txn.state is TransactionState.COMMITTING
@@ -150,46 +147,3 @@ class TestExperimentExtras:
         result = fig12_barrierfs_queue_depth.run(0.1)
         rows = {row["guarantee"]: row for row in result.as_dicts()}
         assert rows["ordering"]["avg_qd"] > rows["durability"]["avg_qd"]
-
-
-class TestPerfbenchTrajectory:
-    """``perfbench.record`` never overwrites a trajectory it cannot read."""
-
-    @pytest.fixture
-    def no_measuring(self, monkeypatch):
-        calls = []
-
-        def fake_collect_metrics(**kwargs):
-            calls.append(kwargs)
-            return {"events_per_sec": 1.0}
-
-        monkeypatch.setattr(perfbench, "collect_metrics", fake_collect_metrics)
-        return calls
-
-    @pytest.mark.parametrize(
-        "content",
-        [b'{"history": [{"label": "pr1"', b'{"runs": []}', b'[{"label": "pr1"}]', b"\xff\xfe"],
-        ids=["truncated", "no-history", "list", "not-utf8"],
-    )
-    def test_damaged_file_is_left_untouched_and_nothing_is_measured(
-        self, tmp_path, no_measuring, content
-    ):
-        path = tmp_path / "BENCH_engine.json"
-        path.write_bytes(content)
-        with pytest.raises(perfbench.TrajectoryError, match=str(path)):
-            perfbench.record(path, label="x")
-        assert path.read_bytes() == content
-        assert no_measuring == []
-        with pytest.raises(SystemExit, match=str(path)):
-            perfbench.main(["--output", str(path), "--label", "x"])
-        assert path.read_bytes() == content
-        assert no_measuring == []
-
-    def test_record_appends_to_a_valid_history(self, tmp_path, no_measuring):
-        path = tmp_path / "BENCH_engine.json"
-        perfbench.record(path, label="first")
-        perfbench.record(path, label="second")
-        history = json.loads(path.read_text())["history"]
-        assert [entry["label"] for entry in history] == ["first", "second"]
-        assert history[1]["metrics"] == {"events_per_sec": 1.0}
-        assert len(no_measuring) == 2
