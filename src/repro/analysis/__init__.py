@@ -1,16 +1,10 @@
 """Result analysis and reporting helpers."""
 
 from repro.analysis.reporting import ExperimentResult, format_table
-from repro.analysis.measure import (
-    measure_context_switches,
-    measure_sync_latency,
-    queue_depth_trace,
-)
+from repro.analysis.measure import measure_sync_latency
 
 __all__ = [
     "ExperimentResult",
     "format_table",
-    "measure_context_switches",
     "measure_sync_latency",
-    "queue_depth_trace",
 ]

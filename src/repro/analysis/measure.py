@@ -1,9 +1,9 @@
-"""Measurement loops shared by several experiments.
+"""Measurement loop shared by several experiments.
 
-These helpers run a "write N pages then sync" loop inside a simulated stack
-and return the latency distribution, the number of application-level context
-switches per call, or the device queue-depth trace — the raw material of
-Table 1 and Figs. 9–12.
+:func:`measure_sync_latency` runs a "write N pages then sync" loop inside a
+simulated stack and returns the latency distribution and the number of
+application-level context switches per call — the raw material of Table 1
+and Figs. 8, 11 and 12.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.core.stack import IOStack
 from repro.fs.errors import FilesystemError
-from repro.simulation.stats import LatencyRecorder, TimeSeries
+from repro.simulation.stats import LatencyRecorder
 
 
 @dataclass
@@ -93,25 +93,3 @@ def measure_sync_latency(
         calls=completed,
         stopped_by=stopped["by"],
     )
-
-
-def measure_context_switches(stack: IOStack, *, calls: int, sync_call: str,
-                             allocating: bool = True) -> float:
-    """Average application context switches per sync call (Fig. 11)."""
-    result = measure_sync_latency(
-        stack, calls=calls, sync_call=sync_call, allocating=allocating
-    )
-    return result.context_switches_per_call
-
-
-def queue_depth_trace(stack: IOStack) -> TimeSeries:
-    """The device command-queue depth trace of a run (Figs. 10 and 12).
-
-    The stack must have been built with ``track_queue_depth=True``.
-    """
-    series = stack.device.queue_depth_series
-    if series is None:
-        raise ValueError(
-            "queue depth tracking disabled; build the stack with track_queue_depth=True"
-        )
-    return series

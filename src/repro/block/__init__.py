@@ -16,18 +16,15 @@ the paper):
   dispatcher process the filesystems submit requests to.
 """
 
-from repro.block.block_device import BlockDevice, BlockDeviceConfig
-from repro.block.dispatch import DispatchPolicy, request_to_command
+from repro.block.block_device import BlockDevice
+from repro.block.dispatch import request_to_command
 from repro.block.request import BlockRequest, RequestFlag, RequestOp
-from repro.block.scheduler import EpochIOScheduler, IOScheduler, NoopScheduler
+from repro.block.scheduler import EpochIOScheduler, NoopScheduler
 
 __all__ = [
     "BlockDevice",
-    "BlockDeviceConfig",
     "BlockRequest",
-    "DispatchPolicy",
     "EpochIOScheduler",
-    "IOScheduler",
     "NoopScheduler",
     "RequestFlag",
     "RequestOp",

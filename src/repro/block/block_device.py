@@ -7,11 +7,14 @@ the bookkeeping the verification and experiment code rely on (epoch
 numbering, per-request milestone events, and -- after
 :meth:`BlockDevice.record_history` -- the dispatch log).
 
-The barrier-enabled configuration is: epoch scheduler + order-preserving
-dispatch + a barrier-capable device.  The legacy configuration is: the FIFO
-scheduler + legacy dispatch; ordering then has to be enforced by the caller
-with Wait-on-Transfer and explicit flushes, exactly as in the paper's
-baseline measurements.
+``BlockDevice(sim, device)`` is the barrier-enabled configuration: epoch
+scheduler + order-preserving dispatch, on a barrier-capable device.
+``BlockDevice(sim, device, order_preserving=False)`` is the legacy one: the
+FIFO scheduler + legacy dispatch; ordering then has to be enforced by the
+caller with Wait-on-Transfer and explicit flushes, exactly as in the paper's
+baseline measurements.  Everything else the dispatcher charges or bounds
+(per-request CPU cost, error retries and their backoff, busy-queue
+requeues) is a module constant.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Generator, Optional, Sequence
 
-from repro.block.dispatch import DispatchPolicy, request_to_command
+from repro.block.dispatch import request_to_command
 from repro.block.request import _BARRIER_BIT, BlockRequest, RequestFlag, RequestOp
-from repro.block.scheduler import EpochIOScheduler, IOScheduler, NoopScheduler
+from repro.block.scheduler import EpochIOScheduler, NoopScheduler
 from repro.simulation.engine import Event, Simulator
 from repro.simulation.history import recorded, start_history
 from repro.simulation.resources import Condition
@@ -31,40 +34,21 @@ from repro.storage.device import StorageDevice
 from repro.storage.errors import PowerLossError
 
 
-@dataclass
-class BlockDeviceConfig:
-    """Configuration of the block layer.
-
-    ``order_preserving`` selects the barrier-enabled stack: the epoch
-    scheduler replaces the plain FIFO one and barrier writes are dispatched
-    as ``ordered`` commands.  With ``order_preserving=False`` the
-    configuration matches the legacy stack.
-    """
-
-    order_preserving: bool = True
-    max_merge_pages: int = 64
-    #: Host-side CPU cost charged per dispatched request (block layer work).
-    submit_overhead: float = 3.0
-    #: Bounded retry budget for commands the device completes with an error
-    #: status (``repro.faults`` io-error injection); once exhausted the
-    #: request fails with ``request.error`` set instead of retrying forever.
-    max_retries: int = 3
-    #: Linear backoff between error retries (µs): retry *n* waits
-    #: ``n * retry_backoff`` before re-driving the command.
-    retry_backoff: float = 50.0
-    #: Bounded backpressure for a busy device: after this many queue-full
-    #: requeues of one request the block layer gives up and fails it with
-    #: ``device-busy`` rather than waiting indefinitely.  Healthy runs need
-    #: one or two requeues at most; the bound only matters when the device
-    #: stops draining.
-    busy_requeue_limit: int = 256
-
-    @property
-    def dispatch_policy(self) -> DispatchPolicy:
-        """Dispatch policy implied by ``order_preserving``."""
-        if self.order_preserving:
-            return DispatchPolicy.ORDER_PRESERVING
-        return DispatchPolicy.LEGACY
+#: Host-side CPU cost (µs) charged per dispatched request (block layer work).
+SUBMIT_OVERHEAD = 3.0
+#: Retry budget for a command the device completes with an error status
+#: (``repro.faults`` io-error injection); once it is spent the request fails
+#: with ``request.error`` set instead of retrying forever.
+MAX_RETRIES = 3
+#: Linear backoff between error retries (µs): retry *n* waits
+#: ``n * RETRY_BACKOFF`` before re-driving the command.
+RETRY_BACKOFF = 50.0
+#: Bounded backpressure for a busy device: after this many queue-full
+#: requeues of one request the block layer gives up and fails it with
+#: ``device-busy`` rather than waiting indefinitely.  Healthy runs need one
+#: or two requeues at most; the bound only matters when the device stops
+#: draining.
+BUSY_REQUEUE_LIMIT = 256
 
 
 @dataclass
@@ -82,7 +66,7 @@ class BlockDeviceStats:
     #: Commands re-driven after an error completion.
     io_retries: int = 0
     #: Requests failed after exhausting a bound: the error-retry budget
-    #: (``max_retries``) or the busy-queue requeues (``busy_requeue_limit``).
+    #: (``MAX_RETRIES``) or the busy-queue requeues (``BUSY_REQUEUE_LIMIT``).
     io_failures: int = 0
     #: Queue-full requeues of the head request (bounded backpressure path).
     busy_requeues: int = 0
@@ -97,21 +81,22 @@ class BlockDevice:
         self,
         sim: Simulator,
         device: StorageDevice,
-        config: Optional[BlockDeviceConfig] = None,
+        *,
+        order_preserving: bool = True,
     ):
         self.sim = sim
         self.device = device
-        self.config = config or BlockDeviceConfig()
-        if self.config.order_preserving and not device.barrier_mode.supports_barrier:
+        #: Whether the barrier-enabled path is active: the epoch scheduler
+        #: replaces the plain FIFO one and barrier writes are dispatched as
+        #: ``ordered`` commands.  ``False`` is the legacy stack.
+        self.order_preserving = order_preserving
+        if order_preserving and not device.barrier_mode.supports_barrier:
             raise ValueError(
                 "order-preserving block layer requires a barrier-capable device; "
                 f"{device.profile.name} is configured with mode {device.barrier_mode.value}"
             )
-        scheduler_class = (
-            EpochIOScheduler if self.config.order_preserving else NoopScheduler
-        )
-        self.scheduler: IOScheduler = scheduler_class(
-            max_merge_pages=self.config.max_merge_pages
+        self.scheduler: NoopScheduler = (
+            EpochIOScheduler() if order_preserving else NoopScheduler()
         )
         self.stats = BlockDeviceStats()
         self._dispatch_log: Optional[list[BlockRequest]] = None
@@ -124,11 +109,6 @@ class BlockDevice:
         sim.process(self._dispatcher_loop(), name="blkdev.dispatcher")
 
     # ------------------------------------------------------------------ submission
-    @property
-    def order_preserving(self) -> bool:
-        """Whether the barrier-enabled path is active."""
-        return self.config.order_preserving
-
     def record_history(self) -> None:
         """Keep the dispatch log from now on (before the first IO)."""
         self._dispatch_log = start_history(
@@ -157,7 +137,7 @@ class BlockDevice:
         request.issue_time = sim.now
         request.issue_epoch = self._issue_epoch
         if request.flags._value_ & _BARRIER_BIT:
-            if self.config.order_preserving:
+            if self.order_preserving:
                 self._issue_epoch += 1
             stats.barrier_requests += 1
         if request.op is RequestOp.FLUSH:
@@ -215,14 +195,12 @@ class BlockDevice:
 
     # ------------------------------------------------------------------ dispatcher
     def _dispatcher_loop(self):
-        config = self.config
         sim = self.sim
         stats = self.stats
         sleep = sim.sleep
         next_batch = self.scheduler.next_batch
         try_submit = self.device.try_submit
-        dispatch_policy = config.dispatch_policy
-        submit_overhead = config.submit_overhead
+        order_preserving = self.order_preserving
         dispatch_seq = self._dispatch_seq
         wait_for_work = self._work.wait
         # The device fires an unmerged request's own milestone events.  A
@@ -237,9 +215,8 @@ class BlockDevice:
                 yield wait_for_work()
                 continue
             for request in batch:
-                if submit_overhead > 0:
-                    yield sleep(submit_overhead)
-                command = request_to_command(request, dispatch_policy)
+                yield sleep(SUBMIT_OVERHEAD)
+                command = request_to_command(request, order_preserving)
                 shared = direct and not request.merged_requests
                 if shared:
                     command.transferred = request.transferred
@@ -278,7 +255,7 @@ class BlockDevice:
 
         Returns ``True`` once the device accepted the command.  A full queue
         is retried on the device's slot event up to
-        ``busy_requeue_limit`` requeues; exhausting the bound, or the device
+        ``BUSY_REQUEUE_LIMIT`` requeues; exhausting the bound, or the device
         being powered off, returns ``False`` with ``command.error`` set so
         the caller can fail the request instead of propagating
         :class:`DeviceBusyError`/:class:`PowerLossError` into workload code.
@@ -299,13 +276,12 @@ class BlockDevice:
         re-drives — the accounting/wait/attempt cycle is the same the single
         inline loop used to run.
         """
-        config = self.config
         requeues = 0
         while True:
             self.stats.busy_waits += 1
             requeues += 1
             self.stats.busy_requeues += 1
-            if requeues >= config.busy_requeue_limit:
+            if requeues >= BUSY_REQUEUE_LIMIT:
                 self.stats.io_failures += 1
                 command.error = "device-busy"
                 return False
@@ -347,7 +323,7 @@ class BlockDevice:
     def _on_command_error(self, request: BlockRequest, command) -> None:
         """Bounded deterministic retry of a command the device failed."""
         self.stats.io_errors += 1
-        if request.retries >= self.config.max_retries:
+        if request.retries >= MAX_RETRIES:
             self.stats.io_failures += 1
             self._fail_request(request, command.error)
             return
@@ -359,8 +335,8 @@ class BlockDevice:
         # Linear deterministic backoff, then re-drive the rebuilt command
         # directly (the request keeps its original dispatch bookkeeping — a
         # retry is not a second dispatch).
-        yield self.sim.sleep(self.config.retry_backoff * request.retries)
-        command = request_to_command(request, self.config.dispatch_policy)
+        yield self.sim.sleep(RETRY_BACKOFF * request.retries)
+        command = request_to_command(request, self.order_preserving)
         submitted = yield from self._submit_with_backpressure(command)
         if not submitted:
             self._fail_request(request, command.error or "device-busy")

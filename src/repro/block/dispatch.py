@@ -11,8 +11,6 @@ keep dispatching without waiting for DMA completion.
 
 from __future__ import annotations
 
-import enum
-
 from repro.block.request import _BARRIER_BIT as _REQ_BARRIER
 from repro.block.request import _FLUSH_BIT as _REQ_FLUSH
 from repro.block.request import _FUA_BIT as _REQ_FUA
@@ -24,15 +22,6 @@ from repro.storage.command import (
     CommandPriority,
     flush_command,
 )
-
-
-class DispatchPolicy(enum.Enum):
-    """How block requests are translated into device commands."""
-
-    #: Stock block layer: no ordering attributes reach the device.
-    LEGACY = "legacy"
-    #: Barrier-enabled block layer: barrier writes become ``ordered`` commands.
-    ORDER_PRESERVING = "order-preserving"
 
 
 # Write-command flags precomputed for every FUA/FLUSH/BARRIER combination,
@@ -49,8 +38,9 @@ _FLUSH_BIT = CommandFlag.FLUSH.value
 _BARRIER_BIT = CommandFlag.BARRIER.value
 
 
-def request_to_command(request: BlockRequest, policy: DispatchPolicy) -> Command:
-    """Build the device command for ``request`` under ``policy``."""
+def request_to_command(request: BlockRequest, order_preserving: bool) -> Command:
+    """Build the device command for ``request`` under the legacy or the
+    order-preserving dispatch policy."""
     op = request.op
     if op is RequestOp.FLUSH:
         return flush_command(tag=request.request_id)
@@ -70,7 +60,7 @@ def request_to_command(request: BlockRequest, policy: DispatchPolicy) -> Command
         bits |= _FUA_BIT
     if flags & _REQ_FLUSH:
         bits |= _FLUSH_BIT
-    if policy is DispatchPolicy.ORDER_PRESERVING and flags & _REQ_BARRIER:
+    if order_preserving and flags & _REQ_BARRIER:
         # The barrier write is both flagged for the device cache (persist
         # order) and given the ``ordered`` SCSI priority (transfer order).
         bits |= _BARRIER_BIT

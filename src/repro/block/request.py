@@ -57,6 +57,8 @@ _FLUSH_BIT = RequestFlag.FLUSH._value_
 _FUA_BIT = RequestFlag.FUA._value_
 #: A FUA, pre-flush or barrier request never merges (either side).
 _UNMERGEABLE_BITS = _FUA_BIT | _FLUSH_BIT | _BARRIER_BIT
+#: Largest request, in pages, that back-merging may build.
+MAX_MERGE_PAGES = 64
 #: Every flag combination, indexed by its bits: flag updates look the new
 #: member up here instead of running Flag.__or__/__and__/__invert__.
 _FLAGS_BY_BITS = tuple(
@@ -184,13 +186,13 @@ class BlockRequest:
         """First LBA after this request."""
         return self.lba + self.num_pages
 
-    def can_merge_with(self, other: "BlockRequest", max_pages: int) -> bool:
+    def can_merge_with(self, other: "BlockRequest") -> bool:
         """Whether ``other`` can be back-merged into this request."""
         if self.op is not RequestOp.WRITE or other.op is not RequestOp.WRITE:
             return False
         if (self.flags._value_ | other.flags._value_) & _UNMERGEABLE_BITS:
             return False
-        if self.num_pages + other.num_pages > max_pages:
+        if self.num_pages + other.num_pages > MAX_MERGE_PAGES:
             return False
         return self.end_lba == other.lba
 

@@ -7,12 +7,10 @@ rules so that the dispatch order preserves the partial order the filesystem
 asked for (``I = D``).
 """
 
-from repro.block.scheduler.base import IOScheduler
 from repro.block.scheduler.epoch import EpochIOScheduler
 from repro.block.scheduler.noop import NoopScheduler
 
 __all__ = [
     "EpochIOScheduler",
-    "IOScheduler",
     "NoopScheduler",
 ]

@@ -31,8 +31,8 @@ from repro.block.scheduler.noop import NoopScheduler
 class EpochIOScheduler(NoopScheduler):
     """The paper's order-preserving scheduler layered over the FIFO one."""
 
-    def __init__(self, *, max_merge_pages: int = 64):
-        super().__init__(max_merge_pages=max_merge_pages)
+    def __init__(self):
+        super().__init__()
         self._staged: Deque[BlockRequest] = deque()
         self._blocked = False
         self._ordered_ids: set[int] = set()

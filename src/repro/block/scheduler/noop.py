@@ -13,21 +13,26 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.block.request import BlockRequest
-from repro.block.scheduler.base import IOScheduler
 
 
-class NoopScheduler(IOScheduler):
-    """First-in first-out scheduler with contiguous back-merging."""
+class NoopScheduler:
+    """First-in first-out scheduler with contiguous back-merging.
 
-    def __init__(self, *, max_merge_pages: int = 64):
-        super().__init__(max_merge_pages=max_merge_pages)
+    A scheduler accepts requests with :meth:`add_request` and hands them out
+    with :meth:`next_request` or :meth:`next_batch`.  Contiguous writes merge
+    up to ``MAX_MERGE_PAGES``; a merged request lists the requests it absorbed
+    in ``BlockRequest.merged_requests`` so that the block device can complete
+    them together.
+    """
+
+    def __init__(self):
         self._queue: Deque[BlockRequest] = deque()
 
     def add_request(self, request: BlockRequest) -> None:
         """Append the request, merging into the tail if contiguous."""
         if self._queue:
             tail = self._queue[-1]
-            if tail.can_merge_with(request, self.max_merge_pages):
+            if tail.can_merge_with(request):
                 tail.merge(request)
                 return
         self._queue.append(request)
@@ -40,6 +45,11 @@ class NoopScheduler(IOScheduler):
 
     def next_batch(self) -> list[BlockRequest]:
         """Pop every queued request except the merge tail.
+
+        The batch must equal what repeated :meth:`next_request` calls would
+        have returned *had no request arrived in between*, and any request
+        left queued must still observe arrivals exactly as it would under
+        single pulls.
 
         New arrivals only ever merge into the newest queued request, so the
         tail must stay in the queue until a younger request sits behind it —

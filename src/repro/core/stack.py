@@ -30,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.block.block_device import BlockDevice, BlockDeviceConfig
+from repro.block.block_device import BlockDevice
 from repro.fs.barrierfs import BarrierFS
 from repro.fs.ext4 import Ext4Filesystem
-from repro.fs.mount import JournalMode, MountOptions
+from repro.fs.mount import MountOptions
 from repro.fs.optfs import OptFS
 from repro.fs.vfs import FilesystemBase
 from repro.simulation.engine import Simulator
@@ -47,17 +47,15 @@ class StackConfig:
     """Declarative description of one simulated IO stack."""
 
     device: str = "plain-ssd"
+    #: The filesystem; BarrierFS runs over the epoch scheduler +
+    #: order-preserving dispatch, the others over the legacy block layer.
     filesystem: str = "ext4"
-    #: Whether the block layer runs the epoch scheduler + order-preserving
-    #: dispatch.  Defaults to True for BarrierFS and False otherwise.
-    barrier_enabled: Optional[bool] = None
     #: EXT4 ``nobarrier`` mount option (no FLUSH/FUA on journal commits).
     no_barrier: bool = False
     #: Storage-controller barrier implementation; defaults to the paper's
     #: choice for the device (PLP for supercap, in-order recovery otherwise)
-    #: when the barrier path is enabled, and to the legacy behaviour when not.
+    #: under BarrierFS, and to the legacy behaviour under the others.
     barrier_mode: Optional[BarrierMode] = None
-    journal_mode: JournalMode = JournalMode.ORDERED
     seed: int = 0
     track_queue_depth: bool = False
     #: The sync call the workload should use ("fsync", "fdatasync",
@@ -108,7 +106,8 @@ class IOStack:
         return self.sim.run_until_complete(process, limit=limit)
 
 
-_FILESYSTEMS = {
+#: Filesystem class by ``StackConfig.filesystem`` name.
+FILESYSTEMS = {
     "ext4": Ext4Filesystem,
     "barrierfs": BarrierFS,
     "optfs": OptFS,
@@ -118,31 +117,17 @@ _FILESYSTEMS = {
 def build_stack(config: StackConfig) -> IOStack:
     """Build a simulator + device + block layer + filesystem from ``config``."""
     try:
-        fs_class = _FILESYSTEMS[config.filesystem]
+        fs_class = FILESYSTEMS[config.filesystem]
     except KeyError:
         raise KeyError(
-            f"unknown filesystem {config.filesystem!r}; choose from {sorted(_FILESYSTEMS)}"
+            f"unknown filesystem {config.filesystem!r}; choose from {sorted(FILESYSTEMS)}"
         ) from None
 
     profile = get_profile(config.device)
-    barrier_enabled = (
-        config.barrier_enabled
-        if config.barrier_enabled is not None
-        else fs_class is BarrierFS
+    order_preserving = fs_class is BarrierFS
+    barrier_mode = config.barrier_mode or default_barrier_mode(
+        profile, order_preserving=order_preserving
     )
-    if fs_class is BarrierFS and not barrier_enabled:
-        raise ValueError("BarrierFS requires barrier_enabled=True")
-
-    if config.barrier_mode is not None:
-        barrier_mode = config.barrier_mode
-    elif barrier_enabled:
-        barrier_mode = default_barrier_mode(profile)
-    elif profile.has_plp:
-        # Power-loss protection is a hardware property: it applies to the
-        # legacy stack as well.
-        barrier_mode = BarrierMode.PLP
-    else:
-        barrier_mode = BarrierMode.NONE
 
     sim = Simulator(context_switch_cost=profile.context_switch_cost)
     device = StorageDevice(
@@ -152,14 +137,8 @@ def build_stack(config: StackConfig) -> IOStack:
         seed=config.seed,
         track_queue_depth=config.track_queue_depth,
     )
-    block = BlockDevice(
-        sim, device, BlockDeviceConfig(order_preserving=barrier_enabled)
-    )
-    mount = MountOptions(
-        journal_mode=config.journal_mode,
-        no_barrier=config.no_barrier,
-        **config.mount_overrides,
-    )
+    block = BlockDevice(sim, device, order_preserving=order_preserving)
+    mount = MountOptions(no_barrier=config.no_barrier, **config.mount_overrides)
     fs = fs_class(sim, block, mount)
     return IOStack(
         config=config, profile=profile, sim=sim, device=device, block=block, fs=fs

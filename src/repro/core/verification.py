@@ -16,8 +16,8 @@ and property tests, the crash-consistency example and the
   order never lets a request of a later epoch overtake an earlier epoch.
 * **Journal recovery** (``journal-recovery``) — the transactions
   recoverable from the durable journal blocks form a prefix of the commit
-  order, and in ordered mode the data each recovered transaction references
-  is itself durable.
+  order, and (ordered mode) the data each recovered transaction
+  references is itself durable.
 
 Each invariant is one :class:`IncrementalCheck`, registered as an
 :class:`Oracle` with an applicability predicate and a *guaranteed*
@@ -537,7 +537,7 @@ class JournalRecoveryCheck(IncrementalCheck):
     """``journal-recovery`` over the unrecovered transactions.
 
     The recoverable transactions (commit record and every log block
-    durable) must form a prefix of the commit order, and in ordered mode
+    durable) must form a prefix of the commit order, and (ordered mode)
     every data page a recovered transaction references must be durable
     with at least the referenced version.  A committed transaction's
     content is frozen and the durable set only grows, so a recoverable
@@ -550,15 +550,9 @@ class JournalRecoveryCheck(IncrementalCheck):
 
     def __init__(self, probe: CrashProbe):
         super().__init__(probe)
-        from repro.fs.mount import JournalMode
-
         self.journal = probe.stack.fs.journal
         self._finished = self.journal.history
         self._has_running = hasattr(self.journal, "running")
-        config = getattr(probe.stack, "config", None)
-        self.ordered = True
-        if config is not None and getattr(config, "journal_mode", None) is not None:
-            self.ordered = config.journal_mode is JournalMode.ORDERED
 
     def restart(self) -> None:
         #: The running transaction and the finished count when last folded.
@@ -581,12 +575,11 @@ class JournalRecoveryCheck(IncrementalCheck):
         txid = txn.txid
         if self._newest is None or txid > self._newest:
             self._newest = txid
-        if self.ordered:
-            for position, (name, version) in enumerate(txn.ordered_data.items()):
-                current = durable.get(name)
-                if current is None or current.version < version:
-                    self._unmet[(txid, position)] = (name, version)
-                    heapq.heappush(self._waiting.setdefault(name, []), (version, txid, position))
+        for position, (name, version) in enumerate(txn.ordered_data.items()):
+            current = durable.get(name)
+            if current is None or current.version < version:
+                self._unmet[(txid, position)] = (name, version)
+                heapq.heappush(self._waiting.setdefault(name, []), (version, txid, position))
 
     def _fold_transactions(self) -> None:
         """Add the transactions that appeared since the last fold."""

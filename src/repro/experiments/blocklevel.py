@@ -19,11 +19,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.block.block_device import BlockDevice, BlockDeviceConfig
+from repro.block.block_device import BlockDevice
 from repro.block.request import RequestFlag
 from repro.simulation.engine import Simulator
 from repro.simulation.stats import TimeSeries
-from repro.storage.barrier_modes import BarrierMode, default_barrier_mode
+from repro.storage.barrier_modes import default_barrier_mode
 from repro.storage.device import StorageDevice
 from repro.storage.profiles import DeviceProfile, get_profile
 
@@ -63,17 +63,11 @@ def _build(profile_name: str, *, order_preserving: bool, seed: int = 1):
     if order_preserving and not profile.supports_barrier:
         order_preserving = False
     sim = Simulator(context_switch_cost=profile.context_switch_cost)
-    barrier_mode = (
-        default_barrier_mode(profile) if order_preserving
-        else (BarrierMode.PLP if profile.has_plp else BarrierMode.NONE)
-    )
+    barrier_mode = default_barrier_mode(profile, order_preserving=order_preserving)
     device = StorageDevice(
         sim, profile, barrier_mode=barrier_mode, seed=seed, track_queue_depth=True
     )
-    block = BlockDevice(
-        sim, device,
-        BlockDeviceConfig(order_preserving=order_preserving),
-    )
+    block = BlockDevice(sim, device, order_preserving=order_preserving)
     return sim, device, block
 
 

@@ -247,8 +247,6 @@ _LEAST = {
     "trace_tail": 0,
     "buffer": 1,
     "continuation_calls": 1,
-    "continuation_pages": 1,
-    "max_sync_retries": 0,
 }
 
 
@@ -407,10 +405,13 @@ def _build_specs(parser, args, *, stack_use: str | None = None):
     stack (``--fault`` always does), which rejects them.  List-valued
     measured-phase params expand (:func:`_expand_suffix_axes`), then
     duplicate specs collapse (by repr: param values may be unhashable lists).
-    A param value its workload rejects is a usage error.
+    A param value its workload rejects, or a stack configuration it cannot
+    run on (:meth:`~repro.scenarios.Workload.check_config`), is a usage
+    error.
     """
     from repro.faults import parse_fault
     from repro.scenarios import DEVICES, WORKLOADS, sweep
+    from repro.scenarios.stacks import stack_config
 
     if not args.workload:
         parser.error(
@@ -449,9 +450,12 @@ def _build_specs(parser, args, *, stack_use: str | None = None):
                 specs.append(spec)
     specs = list({repr(spec): spec for spec in _expand_suffix_axes(parser, specs)}.values())
     for spec in specs:
-        # The constructor converts every declared param: a bad value fails here.
+        # The constructor converts every declared param and checks its
+        # domain, and the workload checks the stack: a bad value fails here.
         try:
-            WORKLOADS.get(spec.workload)(**spec.params)
+            workload = WORKLOADS.get(spec.workload)(**spec.params)
+            if spec.config is not None:
+                workload.check_config(stack_config(spec.config))
         except ValueError as error:
             parser.error(str(error))
     return specs
@@ -499,7 +503,7 @@ def trace_main(argv: list[str] | None = None) -> None:
     """``runner trace``: run one traced scenario and export its spans."""
     import json
 
-    from repro.scenarios.engine import run_spec_traced
+    from repro.scenarios.engine import run_spec
     from repro.trace import Tracer, breakdown_result, chrome_trace
 
     parser = _command_parser(
@@ -536,7 +540,7 @@ def trace_main(argv: list[str] | None = None) -> None:
         )
     [spec] = specs
     tracer = Tracer(buffer_size=args.buffer)
-    outcome = run_spec_traced(spec, tracer)
+    outcome = run_spec(spec, tracer=tracer)
 
     label = spec.describe()
     if args.output:
@@ -582,7 +586,6 @@ def check_main(argv: list[str] | None = None) -> None:
     """
     from functools import partial
 
-    from repro.apps.syncpolicy import ERROR_POLICIES
     from repro.core.verification import ORACLES
     from repro.crashlab import (
         STRATEGIES,
@@ -591,12 +594,8 @@ def check_main(argv: list[str] | None = None) -> None:
         violations_result,
     )
     from repro.faults import FAULT_KINDS
-    from repro.recovery import (
-        ACKED_PREFIX_ORACLE,
-        CONTINUATION_ORACLE,
-        ContinuationPlan,
-        recovery_judge,
-    )
+    from repro.recovery import ACKED_PREFIX_ORACLE, CONTINUATION_ORACLE, recovery_judge
+    from repro.recovery.continuation import SYNC_RETRIES
 
     parser = _command_parser(
         "check",
@@ -651,23 +650,11 @@ def check_main(argv: list[str] | None = None) -> None:
     )
     continuation.add_argument(
         "--continuation-calls", type=int, default=16, metavar="N",
-        help="append+sync iterations the continuation runs (default 16)",
-    )
-    continuation.add_argument(
-        "--continuation-pages", type=int, default=1, metavar="N",
-        help="pages appended per continuation iteration (default 1)",
-    )
-    continuation.add_argument(
-        "--on-error", choices=ERROR_POLICIES, default="retry",
         help=(
-            "continuation SyncPolicy when a sync raises EIOError: abort at "
-            "the first, retry up to --max-sync-retries, or reopen-and-retry "
-            "(default retry)"
+            "one-page append+sync iterations the continuation runs (default "
+            f"16); a sync that raises EIOError is retried up to {SYNC_RETRIES} "
+            "times"
         ),
-    )
-    continuation.add_argument(
-        "--max-sync-retries", type=int, default=3, metavar="N",
-        help="continuation sync retries before the error stops it (default 3)",
     )
     args = _parse(parser, argv)
 
@@ -689,12 +676,7 @@ def check_main(argv: list[str] | None = None) -> None:
     )
     judge = None
     if args.continuation:
-        judge = partial(recovery_judge, plan=ContinuationPlan(
-            calls=args.continuation_calls,
-            pages_per_write=args.continuation_pages,
-            on_error=args.on_error,
-            max_sync_retries=args.max_sync_retries,
-        ))
+        judge = partial(recovery_judge, calls=args.continuation_calls)
     reports = explore_cells(
         specs,
         strategy=args.strategy,

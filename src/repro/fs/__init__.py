@@ -19,7 +19,7 @@ transactions and what their sync-family system calls guarantee:
 from repro.fs.barrierfs import BarrierFS
 from repro.fs.ext4 import Ext4Filesystem
 from repro.fs.inode import File, Inode
-from repro.fs.mount import JournalMode, MountOptions
+from repro.fs.mount import MountOptions
 from repro.fs.optfs import OptFS
 from repro.fs.vfs import FilesystemBase, SyscallStats
 
@@ -29,7 +29,6 @@ __all__ = [
     "File",
     "FilesystemBase",
     "Inode",
-    "JournalMode",
     "MountOptions",
     "OptFS",
     "SyscallStats",

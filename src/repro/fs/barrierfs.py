@@ -29,7 +29,7 @@ from repro.block.request import RequestFlag
 from repro.fs.errors import EIOError
 from repro.fs.inode import File
 from repro.fs.journal.dual_mode import DualModeJournal
-from repro.fs.mount import JournalMode, MountOptions
+from repro.fs.mount import MountOptions
 from repro.fs.vfs import FilesystemBase
 from repro.simulation.engine import Simulator
 
@@ -49,7 +49,7 @@ class BarrierFS(FilesystemBase):
         if not block_device.order_preserving:
             raise ValueError(
                 "BarrierFS requires an order-preserving block device "
-                "(BlockDeviceConfig(order_preserving=True))"
+                "(BlockDevice(..., order_preserving=True))"
             )
         self.journal = DualModeJournal(sim, self)
 
@@ -165,16 +165,6 @@ class BarrierFS(FilesystemBase):
 
     # ------------------------------------------------------------------ helpers
     def _dispatch_data(self, file: File, issuer: str, *, barrier_on_last: bool):
-        if self.options.journal_mode is JournalMode.DATA and file.inode.has_dirty_metadata:
-            # Full data journaling: data goes through the journal instead.
-            inode = file.inode
-            for page_index, version in sorted(inode.dirty_pages.items()):
-                self.journal.add_journaled_data(
-                    inode.data_block_name(page_index), version
-                )
-            inode.dirty_pages.clear()
-            inode.unallocated_pages.clear()
-            return self.writeback_data(file, issuer=issuer)  # empty result
         return self.writeback_data(
             file,
             flags=RequestFlag.ORDERED,
@@ -184,9 +174,8 @@ class BarrierFS(FilesystemBase):
 
     def _capture_metadata(self, file: File, writeback) -> None:
         inode = file.inode
-        if self.options.journal_mode is JournalMode.ORDERED:
-            for block in writeback.blocks:
-                self.journal.add_ordered_data(block.block, block.version)
+        for block in writeback.blocks:
+            self.journal.add_ordered_data(block.block, block.version)
         for name, version in self.metadata_buffers_for(inode):
             self.journal.add_buffer(name, version)
         self.clear_metadata_dirty(inode)

@@ -18,7 +18,7 @@ from repro.block.request import RequestFlag
 from repro.fs.errors import EIOError
 from repro.fs.inode import File
 from repro.fs.journal.jbd2 import JBD2Journal
-from repro.fs.mount import JournalMode, MountOptions
+from repro.fs.mount import MountOptions
 from repro.fs.vfs import FilesystemBase
 from repro.simulation.engine import Simulator
 
@@ -68,32 +68,20 @@ class Ext4Filesystem(FilesystemBase):
     def _sync(self, file: File, *, issuer: str, metadata_matters: bool):
         inode = file.inode
         needs_journal = self._needs_journal(file, metadata_matters)
-        journal_mode = self.options.journal_mode
 
-        if needs_journal and journal_mode is JournalMode.DATA:
-            # Full data journaling: dirty pages travel inside the journal.
-            for page_index, version in sorted(inode.dirty_pages.items()):
-                self.journal.add_journaled_data(
-                    inode.data_block_name(page_index), version
-                )
-            inode.dirty_pages.clear()
-            inode.unallocated_pages.clear()
-            writeback = None
-        else:
-            # Write back D and wait for the DMA transfer (Wait-on-Transfer).
-            writeback = self.writeback_data(file, issuer=issuer)
-            for event in writeback.transfer_events:
-                yield event
-            self._check_requests(writeback.requests)
+        # Write back D and wait for the DMA transfer (Wait-on-Transfer).
+        writeback = self.writeback_data(file, issuer=issuer)
+        for event in writeback.transfer_events:
+            yield event
+        self._check_requests(writeback.requests)
 
         if not needs_journal:
             # fdatasync()-like path: data transferred; make it durable.
             yield from self._flush_unless_nobarrier(issuer)
             return
 
-        if writeback is not None and journal_mode is JournalMode.ORDERED:
-            for block in writeback.blocks:
-                self.journal.add_ordered_data(block.block, block.version)
+        for block in writeback.blocks:
+            self.journal.add_ordered_data(block.block, block.version)
         for name, version in self.metadata_buffers_for(inode):
             yield from self.journal.add_buffer(name, version)
         self.clear_metadata_dirty(inode)

@@ -111,15 +111,22 @@ class PageCacheStats:
         }
 
 
-def timestamp_tick(now: float, granularity: float) -> int:
+#: Granularity (µs) of inode timestamp updates (Linux jiffy).  Writes that
+#: do not cross a timestamp tick leave the inode clean, which is why most
+#: fsync() calls on a fast device degenerate to fdatasync() (Section 6.3).
+TIMESTAMP_GRANULARITY = 10_000.0
+#: Pages of one file extent: inode *n*'s extent starts at LBA
+#: ``n * MAX_FILE_PAGES`` (the LBA layout).
+MAX_FILE_PAGES = 1 << 20
+
+
+def timestamp_tick(now: float) -> int:
     """The coarse timestamp tick (jiffy) for ``now``."""
-    if granularity <= 0:
-        return int(now)
-    return int(now // granularity)
+    return int(now // TIMESTAMP_GRANULARITY)
 
 
-def make_inode(inode_no: int, name: str, max_file_pages: int,
-               preallocated_pages: int = 0, *, record_sizes: bool = False) -> Inode:
+def make_inode(inode_no: int, name: str, preallocated_pages: int = 0, *,
+               record_sizes: bool = False) -> Inode:
     """Create an inode with its extent placed by inode number.
 
     ``record_sizes`` starts its size log (``metadata_history``) at metadata
@@ -128,7 +135,7 @@ def make_inode(inode_no: int, name: str, max_file_pages: int,
     inode = Inode(
         inode_no=inode_no,
         name=name,
-        extent_base_lba=inode_no * max_file_pages,
+        extent_base_lba=inode_no * MAX_FILE_PAGES,
         size_pages=preallocated_pages,
         preallocated_pages=preallocated_pages,
     )

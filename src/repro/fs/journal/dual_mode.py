@@ -92,10 +92,6 @@ class DualModeJournal(CommitHistory):
         """Record an ordered-mode data dependency on the running transaction."""
         self.running.add_ordered_data(name, version)
 
-    def add_journaled_data(self, name: tuple, version: int) -> None:
-        """Record a data page that travels inside the journal."""
-        self.running.add_journaled_data(name, version)
-
     # ------------------------------------------------------------------ commits
     def request_commit(
         self, *, durability: bool, force: bool = False

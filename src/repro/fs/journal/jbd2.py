@@ -82,7 +82,8 @@ class JBD2Journal(CommitHistory):
         self.running.add_ordered_data(name, version)
 
     def add_journaled_data(self, name: tuple, version: int) -> None:
-        """Record a data page that travels inside the journal (data=journal)."""
+        """Record a data page that travels inside the journal (OptFS's
+        selective data journaling)."""
         self.running.add_journaled_data(name, version)
 
     # ------------------------------------------------------------------ commits

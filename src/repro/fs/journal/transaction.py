@@ -38,7 +38,7 @@ class JournalTransaction:
     state: TransactionState = TransactionState.RUNNING
     #: Dirty metadata buffers captured by this transaction: name -> version.
     metadata_buffers: dict[tuple, int] = field(default_factory=dict)
-    #: Journaled data pages (OptFS selective data journaling / data=journal).
+    #: Journaled data pages (OptFS selective data journaling).
     journaled_data: dict[tuple, int] = field(default_factory=dict)
     #: Data pages this transaction depends on in ordered mode: name -> version.
     ordered_data: dict[tuple, int] = field(default_factory=dict)

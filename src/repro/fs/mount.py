@@ -1,23 +1,18 @@
-"""Mount options and journaling modes shared by the filesystems."""
+"""Mount options shared by the filesystems.
+
+EXT4 and BarrierFS journal metadata in ext4's ``data=ordered`` mode, the
+one the paper analyses: data blocks are written in place *before* the
+transaction that references them commits (OptFS adds its selective data
+journaling of overwrites, :mod:`repro.fs.optfs`).  The model constants that
+no mount changes live where they are used: the timestamp granularity and
+the extent size of a file in :mod:`repro.fs.inode`, and the metadata
+buffers an allocating write dirties in
+:meth:`repro.fs.vfs.FilesystemBase.metadata_buffers_for`.
+"""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-
-class JournalMode(enum.Enum):
-    """EXT4/BarrierFS journaling mode."""
-
-    #: Metadata journaling; data blocks are written in place *before* the
-    #: transaction that references them commits (the default, and the mode
-    #: the paper analyses).
-    ORDERED = "ordered"
-    #: Metadata journaling only; no ordering between data and the journal.
-    WRITEBACK = "writeback"
-    #: Full data journaling: data blocks go through the journal as well.
-    DATA = "data"
-
 
 #: Accepted ``errors=`` behaviours (mirroring ext4's mount option).
 ERRORS_BEHAVIORS = ("remount-ro", "continue", "panic")
@@ -27,19 +22,9 @@ ERRORS_BEHAVIORS = ("remount-ro", "continue", "panic")
 class MountOptions:
     """Options that change how the filesystems enforce the storage order."""
 
-    journal_mode: JournalMode = JournalMode.ORDERED
     #: EXT4 ``nobarrier``: skip the FLUSH/FUA when committing (durability of
     #: the commit is no longer guaranteed, ordering relies on transfer order).
     no_barrier: bool = False
-    #: Granularity of inode timestamp updates (Linux jiffy).  Writes that do
-    #: not cross a timestamp tick leave the inode clean, which is why most
-    #: fsync() calls on a fast device degenerate to fdatasync() (Section 6.3).
-    timestamp_granularity: float = 10_000.0
-    #: Number of metadata buffers dirtied by an allocating write (inode +
-    #: block bitmap + group descriptor is typical for EXT4).
-    metadata_buffers_per_allocation: int = 2
-    #: Maximum pages of one file extent (controls the LBA layout).
-    max_file_pages: int = 1 << 20
     #: What to do when the journal fails durably (ext4 ``errors=``):
     #: ``remount-ro`` aborts the journal and degrades the mount to read-only,
     #: ``continue`` fails the affected transaction but keeps the mount
@@ -47,10 +32,6 @@ class MountOptions:
     errors: str = "remount-ro"
 
     def __post_init__(self) -> None:
-        if self.timestamp_granularity < 0:
-            raise ValueError("timestamp granularity cannot be negative")
-        if self.metadata_buffers_per_allocation < 1:
-            raise ValueError("allocating writes dirty at least one metadata buffer")
         if self.errors not in ERRORS_BEHAVIORS:
             raise ValueError(
                 f"errors= must be one of {', '.join(ERRORS_BEHAVIORS)}; "

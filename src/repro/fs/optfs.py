@@ -40,19 +40,19 @@ class OptFS(FilesystemBase):
     #: selective-data-journaling bookkeeping the paper blames for the MySQL
     #: slowdown).
     scan_cost_per_page = 4.0
+    #: Interval (µs) between the background checkpoints that flush the
+    #: device cache (the delayed-durability window).
+    checkpoint_interval = 50_000.0
 
     def __init__(
         self,
         sim: Simulator,
         block_device: BlockDevice,
         options: Optional[MountOptions] = None,
-        *,
-        checkpoint_interval: float = 50_000.0,
     ):
         super().__init__(sim, block_device, options)
         # OptFS orders its commits without FLUSH/FUA.
         self.journal = JBD2Journal(sim, self, use_flush_fua=False)
-        self.checkpoint_interval = checkpoint_interval
         self.data_pages_journaled = 0
         sim.process(self._checkpointer(), name="optfs.checkpointer")
 

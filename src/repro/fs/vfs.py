@@ -32,6 +32,9 @@ from repro.simulation.engine import Event, Simulator
 from repro.simulation.history import refuse_late_start
 from repro.storage.command import WrittenBlock
 
+#: The sync-family system calls; each filesystem implements a subset.
+SYNC_CALLS = ("fsync", "fdatasync", "fbarrier", "fdatabarrier", "osync")
+
 #: Dirty-page throttling starts when the block-layer queue holds more than
 #: this many device queues' worth of requests.
 THROTTLE_FACTOR = 4
@@ -122,7 +125,7 @@ class FilesystemBase:
     def create(self, name: str, *, preallocate_pages: int = 0) -> File:
         """Create (or truncate) a file and return an open handle."""
         inode = make_inode(
-            next(self._inode_numbers), name, self.options.max_file_pages,
+            next(self._inode_numbers), name,
             preallocated_pages=preallocate_pages, record_sizes=self._record_sizes,
         )
         self._inodes[name] = inode
@@ -192,7 +195,7 @@ class FilesystemBase:
             self._dirty_metadata(inode)
             self.page_cache_stats.allocating_writes += 1
         else:
-            tick = timestamp_tick(self.sim.now, self.options.timestamp_granularity)
+            tick = timestamp_tick(self.sim.now)
             if tick != inode.last_timestamp_tick:
                 inode.last_timestamp_tick = tick
                 self._dirty_metadata(inode)
@@ -314,13 +317,16 @@ class FilesystemBase:
 
     # ------------------------------------------------------------------ metadata capture
     def metadata_buffers_for(self, inode: Inode) -> list[tuple[tuple, int]]:
-        """The metadata buffers an fsync of this inode must journal."""
-        buffers = [(inode.metadata_block_name(), inode.metadata_version)]
-        if self.options.metadata_buffers_per_allocation >= 2:
-            buffers.append((group_bitmap_block(inode.inode_no), inode.metadata_version))
-        if self.options.metadata_buffers_per_allocation >= 3:
-            buffers.append((("group-desc", 0), inode.metadata_version))
-        return buffers
+        """The metadata buffers an fsync of this inode must journal.
+
+        An allocating write dirties two: the inode and the bitmap of its
+        block group.
+        """
+        version = inode.metadata_version
+        return [
+            (inode.metadata_block_name(), version),
+            (group_bitmap_block(inode.inode_no), version),
+        ]
 
     def _needs_journal(self, file: File, metadata_matters: bool) -> bool:
         """Whether a sync of ``file`` must commit a journal transaction."""
@@ -393,7 +399,7 @@ class FilesystemBase:
         files created afterwards get fresh numbers.
         """
         inode = make_inode(
-            inode_no, name, self.options.max_file_pages,
+            inode_no, name,
             preallocated_pages=size_pages, record_sizes=self._record_sizes,
         )
         self._inodes[name] = inode

@@ -29,11 +29,7 @@ point:
 barrier-mode × fault-plan cells; see ``docs/RECOVERY.md``.
 """
 
-from repro.recovery.continuation import (
-    ContinuationPlan,
-    continuation_file,
-    run_continuation,
-)
+from repro.recovery.continuation import continuation_file, run_continuation
 from repro.recovery.image import RecoveredFile, RecoveredImage, capture_image
 from repro.recovery.judge import (
     ACKED_PREFIX_ORACLE,
@@ -46,7 +42,6 @@ from repro.recovery.remount import remount
 __all__ = [
     "ACKED_PREFIX_ORACLE",
     "CONTINUATION_ORACLE",
-    "ContinuationPlan",
     "RecoveredFile",
     "RecoveredImage",
     "capture_image",

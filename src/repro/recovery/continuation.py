@@ -1,14 +1,14 @@
 """The deterministic continuation a remounted stack runs.
 
 After :func:`repro.recovery.remount` the judge does what a restarted
-application would do: reopen its log, keep appending and syncing.  The
-sync goes through a :class:`repro.apps.syncpolicy.SyncPolicy` so the
-error policy is an experiment axis — ``retry`` survives transient IO
-errors, ``abort`` stops at the first one, ``reopen`` re-stages before
-retrying — and the loop stops cleanly (no deadlock, no unhandled error)
-when the mount degrades: a write raising
-:class:`~repro.fs.errors.ReadOnlyFSError` or a sync exhausting its
-retries ends the continuation with the error recorded in the outcome.
+application would do: reopen its log, keep appending one page and syncing
+it, ``calls`` times.  The sync goes through a
+:class:`repro.apps.syncpolicy.SyncPolicy` that retries an ``EIOError`` up
+to ``SYNC_RETRIES`` times, so transient IO errors are survived, and the
+loop stops cleanly (no deadlock, no unhandled error) when the mount
+degrades: a write raising :class:`~repro.fs.errors.ReadOnlyFSError` or a
+sync exhausting its retries ends the continuation with the error recorded
+in the outcome.
 
 Power is cut **immediately after the last acknowledgement** — no drain,
 no grace period.  That is the adversarial moment: everything the
@@ -18,36 +18,14 @@ exactly what the ``recovered-continuation-durability`` oracle checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.apps.syncpolicy import ERROR_POLICIES, Guarantee, SyncPolicy
+from repro.apps.syncpolicy import Guarantee, SyncPolicy
 from repro.core.stack import IOStack
 from repro.fs.errors import EIOError, ReadOnlyFSError
 
 #: Fallback continuation file for workloads without an append-only log.
 DEFAULT_CONTINUATION_FILE = "recovery.dat"
-
-
-@dataclass(frozen=True)
-class ContinuationPlan:
-    """How the post-remount continuation behaves (picklable, frozen)."""
-
-    #: Append+sync iterations to run after the remount.
-    calls: int = 16
-    #: Pages appended per iteration.
-    pages_per_write: int = 1
-    #: :data:`repro.apps.syncpolicy.ERROR_POLICIES` member.
-    on_error: str = "retry"
-    #: Retries per sync before the error stops the continuation.
-    max_sync_retries: int = 3
-
-    def __post_init__(self) -> None:
-        if self.calls < 1:
-            raise ValueError(f"continuation needs at least 1 call, got {self.calls}")
-        if self.on_error not in ERROR_POLICIES:
-            raise ValueError(
-                f"on_error must be one of {ERROR_POLICIES}, got {self.on_error!r}"
-            )
+#: Retries per continuation sync before an ``EIOError`` stops the loop.
+SYNC_RETRIES = 3
 
 
 def continuation_file(spec) -> str:
@@ -57,29 +35,30 @@ def continuation_file(spec) -> str:
     return APPEND_LOG_FILES.get(spec.workload, (DEFAULT_CONTINUATION_FILE,))[0]
 
 
-def run_continuation(stack: IOStack, spec, plan: ContinuationPlan) -> dict:
-    """Append and sync on the remounted stack, then cut power.
+def run_continuation(stack: IOStack, spec, calls: int) -> dict:
+    """Append and sync ``calls`` times on the remounted stack, then cut power.
 
     Returns ``{"completed": n, "error": name-or-None}`` — how many
     append+sync iterations were acknowledged and what (if anything)
     stopped the loop early.
     """
+    if calls < 1:
+        raise ValueError(f"continuation needs at least 1 call, got {calls}")
     fs = stack.fs
     name = continuation_file(spec)
     outcome: dict[str, object] = {"completed": 0, "error": None}
 
     def loop():
-        policy = SyncPolicy(
-            fs, on_error=plan.on_error, max_sync_retries=plan.max_sync_retries
-        )
+        # SyncPolicy aborts at the first error by default.
+        policy = SyncPolicy(fs, on_error="retry", max_sync_retries=SYNC_RETRIES)
         try:
             handle = fs.open(name) if fs.exists(name) else fs.create(name)
         except ReadOnlyFSError as error:
             outcome["error"] = type(error).__name__
             return
-        for _ in range(plan.calls):
+        for _ in range(calls):
             try:
-                fs.write(handle, plan.pages_per_write)
+                fs.write(handle, 1)
                 yield from policy.synced(
                     handle, Guarantee.DURABILITY, issuer="continuation", metadata=True
                 )

@@ -2,7 +2,7 @@
 
 :func:`recovery_judge` is the judge :func:`repro.crashlab.verify_points`
 hands each point's probe and verdict, and is module-level, so a
-``functools.partial(recovery_judge, plan=...)`` pickles into process-pool
+``functools.partial(recovery_judge, calls=...)`` pickles into process-pool
 workers.  To the registered oracles' verdicts it appends two recovery
 verdicts:
 
@@ -38,7 +38,7 @@ from repro.core.verification import (
     faults_permit,
 )
 from repro.crashlab.report import OracleVerdict, PointVerdict
-from repro.recovery.continuation import ContinuationPlan, run_continuation
+from repro.recovery.continuation import run_continuation
 from repro.recovery.image import capture_image
 from repro.recovery.remount import remount
 from repro.storage.barrier_modes import BarrierMode
@@ -87,10 +87,11 @@ def recovery_judge(
     probe: CrashProbe,
     base: PointVerdict,
     *,
-    plan: ContinuationPlan,
+    calls: int,
 ) -> PointVerdict:
     """Judge one crash point: ``base`` (the registered oracles' verdict of
-    ``probe``) plus the recovery round trip."""
+    ``probe``) plus the recovery round trip, whose continuation runs
+    ``calls`` append+sync iterations."""
     witness = verify_acked_prefix(probe)
     acked = OracleVerdict(
         oracle=ACKED_PREFIX_ORACLE,
@@ -102,14 +103,14 @@ def recovery_judge(
 
     image = capture_image(probe)
     stack = remount(image, probe.spec)
-    outcome = run_continuation(stack, probe.spec, plan)
+    outcome = run_continuation(stack, probe.spec, calls)
     final_state = recover_durable_blocks(stack.device)
     final_probe = CrashProbe.from_stack(final_state, stack, spec=probe.spec)
 
     continuation_witness = verify_acked_prefix(final_probe)
     if continuation_witness is not None:
         continuation_witness += (
-            f" [continuation: {outcome['completed']}/{plan.calls} acked"
+            f" [continuation: {outcome['completed']}/{calls} acked"
             + (f", stopped by {outcome['error']}" if outcome["error"] else "")
             + "]"
         )

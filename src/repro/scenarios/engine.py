@@ -76,6 +76,7 @@ def prepare_spec(spec: ScenarioSpec, *, tracer=None) -> Workload:
     workload = workload_class(**dict(spec.params))
     if workload_class.needs_stack:
         stack = build_spec_stack(spec)
+        workload.check_config(stack.config)
         # The injector is rebuilt per run from (plan, seed), so every replay
         # injects bit-identical fault sites.
         install(stack, faults=spec.faults, seed=spec.seed, tracer=tracer)
@@ -151,27 +152,20 @@ def collect_device_stats(stack) -> Optional[dict[str, dict[str, object]]]:
     return snapshot
 
 
-def run_spec(spec: ScenarioSpec) -> ScenarioOutcome:
-    """Execute one scenario (warmup prefix, then measured phase)."""
-    workload = prepare_spec(spec)
-    workload.warm()
-    result = workload.run()
-    result.device_stats = collect_device_stats(workload.stack)
-    return ScenarioOutcome(spec=spec, result=result)
+def run_spec(spec: ScenarioSpec, *, tracer=None) -> ScenarioOutcome:
+    """Execute one scenario (warmup prefix, then measured phase).
 
-
-def run_spec_traced(spec: ScenarioSpec, tracer) -> ScenarioOutcome:
-    """Execute one scenario with a tracer installed over its stack.
-
-    The tracer observes the whole run (warmup included); open request
+    A ``tracer`` (:class:`repro.trace.Tracer`) is installed over the stack
+    and observes the whole run, warmup included; its open request
     bookkeeping is finalized afterwards so the span buffer holds no
     half-closed entries.  The workload result is bit-identical to an
-    untraced :func:`run_spec` of the same spec — the hooks only observe.
+    untraced run of the same spec — the hooks only observe.
     """
     workload = prepare_spec(spec, tracer=tracer)
     workload.warm()
     result = workload.run()
-    tracer.finalize()
+    if tracer is not None:
+        tracer.finalize()
     result.device_stats = collect_device_stats(workload.stack)
     return ScenarioOutcome(spec=spec, result=result)
 

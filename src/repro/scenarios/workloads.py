@@ -4,9 +4,11 @@ Every workload, from the raw write+sync loop to the application models, is
 a :class:`Workload` subclass with one shape:
 
 * construct with keyword parameters; the class maps each accepted key to
-  its type in ``PARAMS``, the constructor converts every given value (a
-  bad one is a ``ValueError`` before anything runs), and the workload
-  reads each one, with its default, through :meth:`param`;
+  its type in ``PARAMS``, the constructor converts every given value and
+  checks the domain of a named choice such as ``sync_call`` (a bad one is a
+  ``ValueError`` before anything runs), and the workload reads each one,
+  with its default, through :meth:`param`; :meth:`check_config` refuses a
+  stack configuration the workload cannot run on, also before any run;
 * ``prepare(stack, scale=..., seed=...)`` binds the workload to a built
   stack (or, for raw block workloads, a device name) and fixes the
   iteration-count multiplier;
@@ -32,7 +34,8 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Optional, TypeVar
 
 from repro.analysis.measure import measure_sync_latency
-from repro.core.stack import IOStack
+from repro.core.stack import FILESYSTEMS, IOStack, StackConfig
+from repro.fs.vfs import SYNC_CALLS
 from repro.scenarios.registry import Registry
 from repro.simulation.stats import LatencyRecorder, LatencySummary
 
@@ -140,6 +143,23 @@ class Workload(abc.ABC):
                 expected = kind.__name__
         raise ValueError(f"{self.name}: parameter {key!r} expects {expected}, got {value!r}")
 
+    def _check_choice(self, key: str, choices: tuple) -> None:
+        """Raise ``ValueError`` if ``key`` was given a value outside ``choices``."""
+        value = self.params.get(key)
+        if value is not None and value not in choices:
+            raise ValueError(
+                f"{self.name}: parameter {key!r} expects one of {list(choices)}, "
+                f"got {value!r}"
+            )
+
+    def check_config(self, config: StackConfig) -> None:
+        """Refuse a stack configuration the workload cannot run on.
+
+        Called before anything runs, when the command line builds specs
+        and when :func:`repro.scenarios.engine.prepare_spec` builds the
+        stack; the default accepts every configuration.
+        """
+
     def scaled(self, base: int, minimum: int) -> int:
         """The iteration count ``base`` under the current scale multiplier."""
         return max(minimum, int(base * self.scale))
@@ -186,6 +206,7 @@ class SyncLoopWorkload(Workload):
 
     def __init__(self, **params: object):
         super().__init__(**params)
+        self._check_choice("sync_call", SYNC_CALLS)
         self.allocating = self.param("allocating", True)
         self.pages_per_write = self.param("pages_per_write", 1)
         self.warmup_calls = self.param("warmup_calls", 0)
@@ -194,6 +215,15 @@ class SyncLoopWorkload(Workload):
     def sync_call(self) -> str:
         """The sync call under test (default: the stack config's)."""
         return self.param("sync_call", self.stack.config.sync_call)
+
+    def check_config(self, config: StackConfig) -> None:
+        """Refuse a sync call the config's filesystem does not implement."""
+        sync_call = self.param("sync_call", config.sync_call)
+        if not hasattr(FILESYSTEMS[config.filesystem], sync_call):
+            raise ValueError(
+                f"{self.name}: the {config.filesystem} filesystem has no "
+                f"{sync_call}() call"
+            )
 
     def warm(self) -> None:
         """Run ``warmup_calls`` unmeasured write+sync iterations.
@@ -256,6 +286,13 @@ class BlockLevelScenario(Workload):
 
     #: Default seed of ``run_scenario``, added to the scenario seed.
     SEED_OFFSET = 1
+
+    def __init__(self, **params: object):
+        super().__init__(**params)
+        # Imported here: the experiments package imports this one.
+        from repro.experiments.blocklevel import SCENARIOS
+
+        self._check_choice("scenario", SCENARIOS)
 
     def run(self) -> WorkloadResult:
         from repro.experiments.blocklevel import run_scenario

@@ -37,15 +37,7 @@ from repro.storage.command import (
 from repro.storage.command_queue import CommandQueue
 from repro.storage.crash import CrashState, recover_durable_blocks
 from repro.storage.device import StorageDevice
-from repro.storage.errors import (
-    CommandError,
-    DeviceBusyError,
-    LatentReadError,
-    PowerLossError,
-    ReadIOError,
-    StorageError,
-    WriteIOError,
-)
+from repro.storage.errors import DeviceBusyError, PowerLossError, StorageError
 from repro.storage.flash import FlashBackend
 from repro.storage.ftl import LogStructuredFTL, Segment
 from repro.storage.profiles import (
@@ -62,7 +54,6 @@ __all__ = [
     "Command",
     "CommandFlag",
     "CommandKind",
-    "CommandError",
     "CommandPriority",
     "CommandQueue",
     "CrashState",
@@ -71,14 +62,11 @@ __all__ = [
     "DeviceProfile",
     "FIG1_DEVICES",
     "FlashBackend",
-    "LatentReadError",
     "LogStructuredFTL",
     "PowerLossError",
-    "ReadIOError",
     "Segment",
     "StorageDevice",
     "StorageError",
-    "WriteIOError",
     "WritebackCache",
     "WrittenBlock",
     "get_profile",

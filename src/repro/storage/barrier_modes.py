@@ -74,8 +74,17 @@ class BarrierMode(enum.Enum):
         return profile.barrier_overhead
 
 
-def default_barrier_mode(profile: DeviceProfile) -> BarrierMode:
-    """The barrier mode the paper associates with each device class."""
+def default_barrier_mode(
+    profile: DeviceProfile, *, order_preserving: bool = True
+) -> BarrierMode:
+    """The barrier mode the paper associates with each device class.
+
+    Under the legacy block layer (``order_preserving=False``) no barrier
+    reaches the device, but power-loss protection is a hardware property:
+    it applies to the legacy stack as well.
+    """
+    if not order_preserving:
+        return BarrierMode.PLP if profile.has_plp else BarrierMode.NONE
     if not profile.supports_barrier:
         return BarrierMode.NONE
     if profile.has_plp:

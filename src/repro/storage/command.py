@@ -116,7 +116,7 @@ class Command:
     # Persist-epoch the device assigned to this command's payload.
     epoch: Optional[int] = None
 
-    #: Error code (``repro.storage.errors.CommandError.code``) when the device
+    #: Error code (``"write-io-error"`` / ``"read-io-error"``) when the device
     #: completed the command with an error status; ``None`` on success.
     error: Optional[str] = None
 

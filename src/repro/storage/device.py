@@ -48,6 +48,10 @@ from repro.storage.writeback_cache import CacheEntry, WritebackCache
 
 __all__ = ["DeviceBusyError", "DeviceStats", "StorageDevice"]
 
+#: How long (µs) the controller lets a dirty page sit in the cache before
+#: writing it back even without pressure (background drain interval).
+MAX_DIRTY_AGE = 5000.0
+
 
 @dataclass
 class DeviceStats:
@@ -76,7 +80,6 @@ class StorageDevice:
         barrier_mode: Optional[BarrierMode] = None,
         seed: int = 0,
         track_queue_depth: bool = False,
-        max_dirty_age: float = 5000.0,
     ):
         self.sim = sim
         self.profile = profile
@@ -95,9 +98,6 @@ class StorageDevice:
         self.ftl: Optional[LogStructuredFTL] = None
         self.stats = DeviceStats()
         self.current_epoch = 0
-        #: How long the controller lets a dirty page sit in the cache before
-        #: writing it back even without pressure (background drain interval).
-        self.max_dirty_age = max_dirty_age
         self._rng = random.Random(seed)
         self._flush_group_counter = 0
         self._in_flight: set[int] = set()
@@ -406,7 +406,7 @@ class StorageDevice:
         # now O(1) per wakeup): the flusher programs when (i) the host asked
         # for durability (flush/FUA set a drain watermark), (ii) enough pages
         # accumulated to fill one program round, or (iii) the oldest dirty
-        # page has sat in the cache longer than ``max_dirty_age``.  Otherwise
+        # page has sat in the cache longer than ``MAX_DIRTY_AGE``.  Otherwise
         # it keeps coalescing, which is what lets a journal commit's D, JD
         # and JC all go to flash in a single program round.
         sim = self.sim
@@ -423,9 +423,9 @@ class StorageDevice:
             if not (
                 (watermark is not None and first.transfer_seq <= watermark)
                 or cache.resident_pages - len(in_flight) >= parallelism
-                or oldest_age >= self.max_dirty_age
+                or oldest_age >= MAX_DIRTY_AGE
             ):
-                remaining = max(1.0, self.max_dirty_age - oldest_age)
+                remaining = max(1.0, MAX_DIRTY_AGE - oldest_age)
                 yield self._cache_work.wait(remaining)
                 continue
             batch = self._select_flush_batch()

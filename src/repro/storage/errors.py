@@ -2,17 +2,18 @@
 
 The simulator used to signal device failures with bare ``RuntimeError``
 strings, which forced callers (crashlab replay, the block-layer dispatcher)
-to string-match.  This module gives every failure mode a type:
+to string-match.  This module gives every raised failure a type:
 
 * :class:`PowerLossError` — the device lost power (a crashlab power cut).
   Still a ``RuntimeError`` subclass so legacy ``except RuntimeError`` code
   keeps working.
 * :class:`DeviceBusyError` — the command queue is full.  Also kept as a
   ``RuntimeError`` subclass for compatibility with existing tests.
-* :class:`CommandError` and its subclasses — an ``IOError``-family result
-  reported by the device for a single command (media program failure,
-  latent sector error).  These are *values* carried on commands/requests by
-  the retry path far more often than they are raised.
+
+A command the device completes with an error status is not an exception:
+the status is a plain string code on ``Command.error`` /
+``BlockRequest.error`` (``"write-io-error"`` or ``"read-io-error"``) that
+the block layer's retry path reads.
 """
 
 from __future__ import annotations
@@ -31,33 +32,3 @@ class PowerLossError(StorageError, RuntimeError):
 
 class DeviceBusyError(StorageError, RuntimeError):
     """The device command queue is full (host must back off and retry)."""
-
-
-class CommandError(StorageError, IOError):
-    """A command completed with an error status instead of silent success."""
-
-    #: short machine-readable code carried on ``Command.error`` /
-    #: ``BlockRequest.error`` (subclasses override)
-    code = "io-error"
-
-
-class WriteIOError(CommandError):
-    """The device reported a write/program failure for this command."""
-
-    code = "write-io-error"
-
-
-class ReadIOError(CommandError):
-    """The device reported an unrecoverable read failure for this command."""
-
-    code = "read-io-error"
-
-
-class LatentReadError(ReadIOError):
-    """A previously-written sector turned out to be unreadable (latent error).
-
-    Latent errors are injected at program time but *surface* later — at
-    recovery, when the scan tries to read the page back.
-    """
-
-    code = "latent-read-error"

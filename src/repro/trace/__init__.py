@@ -9,11 +9,7 @@ then export a Perfetto-loadable Chrome trace and the paper's per-stage
 fsync latency breakdown.  See ``docs/OBSERVABILITY.md``.
 """
 
-from repro.trace.export import (
-    breakdown_result,
-    chrome_trace,
-    write_chrome_trace,
-)
+from repro.trace.export import breakdown_result, chrome_trace
 from repro.trace.metrics import MetricsRegistry
 from repro.trace.spans import LAYERS, Span, SpanBuffer, TraceContext
 from repro.trace.tracer import Tracer
@@ -27,5 +23,4 @@ __all__ = [
     "Tracer",
     "breakdown_result",
     "chrome_trace",
-    "write_chrome_trace",
 ]

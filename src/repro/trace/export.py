@@ -18,7 +18,6 @@ telescoping property the CI trace-smoke job asserts.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Optional
 
 from repro.analysis.reporting import ExperimentResult
@@ -88,17 +87,6 @@ def chrome_trace(
     if dropped:
         document["otherData"] = {"droppedSpans": dropped}
     return document
-
-
-def write_chrome_trace(tracer, path: str, *, label: str = "repro") -> int:
-    """Write the tracer's spans to ``path``; returns the span count."""
-    document = chrome_trace(
-        tracer.spans, label=label, dropped=tracer.spans.dropped
-    )
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=1)
-        handle.write("\n")
-    return len(tracer.spans)
 
 
 def breakdown_result(

@@ -37,14 +37,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.fs.vfs import FilesystemBase
+from repro.fs.vfs import SYNC_CALLS, FilesystemBase
 from repro.hooks import Hooks, require_unstarted
 from repro.trace.metrics import MetricsRegistry
 from repro.trace.spans import Span, SpanBuffer, TraceContext
-
-#: Sync-family entry points the tracer instruments when the filesystem
-#: implements them.
-SYNC_OPS = ("fsync", "fdatasync", "fbarrier", "fdatabarrier", "osync")
 
 
 class _RequestRecord:
@@ -96,7 +92,8 @@ class Tracer:
         self._sim = stack.sim
         swap = self._hooks.swap
         fs = stack.fs
-        for name in SYNC_OPS:
+        # Every sync-family call the filesystem implements.
+        for name in SYNC_CALLS:
             implementation = getattr(type(fs), name, None)
             if implementation is None:
                 continue

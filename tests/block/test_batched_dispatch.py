@@ -1,9 +1,9 @@
 """Batched dispatcher drains vs. single-request grants: bit-identical.
 
 The dispatcher loop pulls whole scheduler batches per wakeup
-(``IOScheduler.next_batch``) purely as a wall-clock lever; these tests pin
+(``NoopScheduler.next_batch``) purely as a wall-clock lever; these tests pin
 that the simulation itself cannot tell.  Forcing every scheduler back to
-the base class's one-request-per-call default must reproduce the exact same
+the one-request-per-call reference below must reproduce the exact same
 workload results, device/block counter totals, and simulated end times —
 across all five barrier modes, and through the error/backpressure paths
 (io_errors, io_retries, busy_requeues).
@@ -13,9 +13,8 @@ import dataclasses
 
 import pytest
 
-from repro.block import BlockDevice, BlockDeviceConfig
+from repro.block import BlockDevice
 from repro.block.scheduler import EpochIOScheduler, NoopScheduler
-from repro.block.scheduler.base import IOScheduler
 from repro.faults import FaultInjector
 from repro.scenarios.engine import prepare_spec
 from repro.scenarios.spec import ScenarioSpec
@@ -31,10 +30,20 @@ BARRIER_MODES = (
 )
 
 
+def single_pull_batch(scheduler):
+    """The reference grant: one :meth:`next_request` per dispatcher pull.
+
+    A batching ``next_batch`` must equal what repeated single pulls would
+    have returned had no request arrived in between.
+    """
+    request = scheduler.next_request()
+    return [] if request is None else [request]
+
+
 def force_single_request_grants(monkeypatch):
-    """Revert every batching scheduler to the base one-pull-per-call default."""
-    monkeypatch.setattr(NoopScheduler, "next_batch", IOScheduler.next_batch)
-    monkeypatch.setattr(EpochIOScheduler, "next_batch", IOScheduler.next_batch)
+    """Revert every batching scheduler to the one-pull-per-call reference."""
+    monkeypatch.setattr(NoopScheduler, "next_batch", single_pull_batch)
+    monkeypatch.setattr(EpochIOScheduler, "next_batch", single_pull_batch)
 
 
 def stats_fingerprint(stats):
@@ -107,7 +116,7 @@ class TestStatsUnderErrorsAndBackpressure:
         device = StorageDevice(sim, get_profile("plain-ssd"))
         if faults:
             FaultInjector(faults, seed=0).install(device)
-        block = BlockDevice(sim, device, BlockDeviceConfig())
+        block = BlockDevice(sim, device)
         count = device.profile.queue_depth * 3
 
         def host():

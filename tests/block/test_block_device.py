@@ -3,7 +3,7 @@
 import pytest
 
 from reference.builders import flush_request, read_request, write_request
-from repro.block import BlockDevice, BlockDeviceConfig, DispatchPolicy, RequestFlag
+from repro.block import BlockDevice, RequestFlag
 from repro.block.dispatch import request_to_command
 from repro.block.scheduler import EpochIOScheduler
 from repro.simulation import Simulator
@@ -18,10 +18,7 @@ def make_stack(profile="plain-ssd", *, order_preserving=True, barrier_mode=None,
     device = StorageDevice(
         sim, get_profile(profile), barrier_mode=barrier_mode, **dev_kwargs
     )
-    block = BlockDevice(
-        sim, device,
-        BlockDeviceConfig(order_preserving=order_preserving),
-    )
+    block = BlockDevice(sim, device, order_preserving=order_preserving)
     return sim, device, block
 
 
@@ -32,25 +29,25 @@ def run(sim, generator):
 class TestDispatchTranslation:
     def test_barrier_write_becomes_ordered_command(self):
         request = write_request(0, 1, flags=RequestFlag.ORDERED | RequestFlag.BARRIER)
-        command = request_to_command(request, DispatchPolicy.ORDER_PRESERVING)
+        command = request_to_command(request, order_preserving=True)
         assert command.priority is CommandPriority.ORDERED
         assert command.is_barrier
 
     def test_legacy_policy_strips_ordering(self):
         request = write_request(0, 1, flags=RequestFlag.ORDERED | RequestFlag.BARRIER)
-        command = request_to_command(request, DispatchPolicy.LEGACY)
+        command = request_to_command(request, order_preserving=False)
         assert command.priority is CommandPriority.SIMPLE
         assert not command.is_barrier
 
     def test_fua_flush_flags_translate(self):
         request = write_request(0, 1, flags=RequestFlag.FUA | RequestFlag.FLUSH)
-        command = request_to_command(request, DispatchPolicy.LEGACY)
+        command = request_to_command(request, order_preserving=False)
         assert command.is_fua and command.wants_preflush
 
     def test_flush_and_read_requests(self):
-        flush = request_to_command(flush_request(), DispatchPolicy.LEGACY)
+        flush = request_to_command(flush_request(), order_preserving=False)
         assert flush.kind is CommandKind.FLUSH
-        read = request_to_command(read_request(5, 2), DispatchPolicy.LEGACY)
+        read = request_to_command(read_request(5, 2), order_preserving=False)
         assert read.kind is CommandKind.READ and read.num_pages == 2
 
 
@@ -105,7 +102,7 @@ class TestBlockDevice:
             sim, get_profile("plain-ssd"), barrier_mode=BarrierMode.NONE
         )
         with pytest.raises(ValueError):
-            BlockDevice(sim, device, BlockDeviceConfig(order_preserving=True))
+            BlockDevice(sim, device)
 
     def test_legacy_stack_on_legacy_device(self):
         sim, device, block = make_stack(

@@ -2,30 +2,25 @@
 
 import pytest
 
-from repro.block import BlockDevice, BlockDeviceConfig
+from repro.block import BlockDevice
+from repro.block.block_device import BUSY_REQUEUE_LIMIT, MAX_RETRIES, RETRY_BACKOFF
 from repro.faults import FaultInjector
 from repro.simulation import Simulator
 from repro.storage import (
-    CommandError,
     DeviceBusyError,
     PowerLossError,
-    ReadIOError,
     StorageDevice,
     StorageError,
-    WriteIOError,
     get_profile,
 )
 
 
-def make_stack(*, order_preserving=False, faults=(), **config_kwargs):
+def make_stack(*, order_preserving=False, faults=()):
     sim = Simulator()
     device = StorageDevice(sim, get_profile("plain-ssd"))
     if faults:
         FaultInjector(faults, seed=0).install(device)
-    block = BlockDevice(
-        sim, device,
-        BlockDeviceConfig(order_preserving=order_preserving, **config_kwargs),
-    )
+    block = BlockDevice(sim, device, order_preserving=order_preserving)
     return sim, device, block
 
 
@@ -40,10 +35,7 @@ class TestTypedErrors:
         assert issubclass(PowerLossError, StorageError)
         assert issubclass(PowerLossError, RuntimeError)
         assert issubclass(DeviceBusyError, RuntimeError)
-        assert issubclass(WriteIOError, CommandError)
-        assert issubclass(ReadIOError, IOError)
         assert PowerLossError().args[0] == "device is powered off (crashed)"
-        assert WriteIOError().code == "write-io-error"
 
     def test_powered_off_device_raises_typed_error(self):
         sim = Simulator()
@@ -51,9 +43,8 @@ class TestTypedErrors:
         device.power_off()
         from repro.block.dispatch import request_to_command
         from reference.builders import write_request
-        from repro.block.dispatch import DispatchPolicy
 
-        command = request_to_command(write_request(0, 1), DispatchPolicy.LEGACY)
+        command = request_to_command(write_request(0, 1), order_preserving=False)
         with pytest.raises(PowerLossError):
             device.try_submit(command)
 
@@ -86,9 +77,9 @@ class TestRetryPath:
 
         request = run(sim, host())  # fail() fires completion: no deadlock
         assert request.error == "write-io-error"
-        assert request.retries == block.config.max_retries
+        assert request.retries == MAX_RETRIES
         assert block.stats.io_failures == 1
-        assert block.stats.io_errors == block.config.max_retries + 1
+        assert block.stats.io_errors == MAX_RETRIES + 1
 
     def test_read_errors_use_their_own_site_filter(self):
         sim, device, block = make_stack(faults=["io-error:nth=1,op=read"])
@@ -106,8 +97,8 @@ class TestRetryPath:
         assert read.error is None and read.retries == 1
 
     def test_retry_backoff_is_deterministic(self):
-        def completion_time():
-            sim, device, block = make_stack(faults=["io-error:nth=1"])
+        def completion_time(faults):
+            sim, device, block = make_stack(faults=faults)
 
             def host():
                 yield block.write(0, 1, issuer="t").completed
@@ -115,7 +106,9 @@ class TestRetryPath:
 
             return run(sim, host())
 
-        assert completion_time() == completion_time()
+        assert completion_time(["io-error:nth=1"]) == completion_time(["io-error:nth=1"])
+        # The one retry waited out its backoff before re-driving the write.
+        assert completion_time(["io-error:nth=1"]) - completion_time(()) >= RETRY_BACKOFF
 
 
 class TestBackpressure:
@@ -130,14 +123,16 @@ class TestBackpressure:
 
         requests = run(sim, host())
         assert all(request.error is None for request in requests)
-        assert block.stats.busy_requeues <= block.config.busy_requeue_limit
+        assert block.stats.busy_requeues <= BUSY_REQUEUE_LIMIT
 
     def test_busy_requeue_exhaustion_counts_as_an_io_failure(self):
         # A request failed for ``device-busy`` is a failure like a
         # retry-exhausted one: ``io_failures`` must count it, or a run whose
-        # syncs raised EIO reports no failure at all.
-        sim, device, block = make_stack(busy_requeue_limit=1)
-        count = device.profile.queue_depth * 3
+        # syncs raised EIO reports no failure at all.  The device's queue
+        # stays full, so every request spends the whole requeue bound.
+        sim, device, block = make_stack()
+        device.queue.try_insert = lambda command: False
+        count = 3
 
         def host():
             requests = [block.write(index * 10, 1) for index in range(count)]
@@ -145,9 +140,10 @@ class TestBackpressure:
             return requests
 
         requests = run(sim, host())
-        busy = [request for request in requests if request.error == "device-busy"]
-        assert busy
-        assert block.stats.io_failures == len(busy)
+        assert [request.error for request in requests] == ["device-busy"] * count
+        assert block.stats.io_failures == count
+        assert block.stats.busy_requeues == count * BUSY_REQUEUE_LIMIT
+        assert device.stats.busy_rejections == count * BUSY_REQUEUE_LIMIT
         assert (block.stats.io_errors, block.stats.power_failures) == (0, 0)
 
     def test_power_loss_mid_dispatch_fails_queued_requests(self):

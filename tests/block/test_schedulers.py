@@ -3,7 +3,7 @@
 import pytest
 
 from reference.builders import flush_request, write_request
-from repro.block.request import RequestFlag
+from repro.block.request import MAX_MERGE_PAGES, RequestFlag
 from repro.block.scheduler import EpochIOScheduler, NoopScheduler
 
 
@@ -28,7 +28,7 @@ class TestNoop:
         assert drain(scheduler) == requests
 
     def test_back_merge_contiguous_writes(self):
-        scheduler = NoopScheduler(max_merge_pages=8)
+        scheduler = NoopScheduler()
         first = write_request(0, 2)
         second = write_request(2, 2)
         third = write_request(4, 2)
@@ -43,12 +43,20 @@ class TestNoop:
         "scheduler_class", [NoopScheduler, EpochIOScheduler], ids=lambda cls: cls.__name__
     )
     def test_merge_respects_max_pages(self, scheduler_class):
-        scheduler = scheduler_class(max_merge_pages=3)
-        first = write_request(0, 2)
-        second = write_request(2, 2)
-        scheduler.add_request(first)
-        scheduler.add_request(second)
+        # Merging stops at the 64-page bound: the merge that reaches it is
+        # taken, the one that would cross it is not.
+        assert MAX_MERGE_PAGES == 64
+        half = MAX_MERGE_PAGES // 2
+        first = write_request(0, half)
+        second = write_request(half, half)
+        third = write_request(MAX_MERGE_PAGES, 1)
+        scheduler = scheduler_class()
+        for request in (first, second, third):
+            scheduler.add_request(request)
         assert len(scheduler) == 2
+        assert first.num_pages == MAX_MERGE_PAGES
+        assert first.merged_requests == [second]
+        assert drain(scheduler) == [first, third]
 
     def test_barrier_request_not_merged(self):
         scheduler = NoopScheduler()

@@ -38,7 +38,7 @@ from repro.crashlab import (
     violations_result,
 )
 from repro.crashlab.incremental import IncrementalJudge
-from repro.recovery import ContinuationPlan, recovery_judge
+from repro.recovery import recovery_judge
 from repro.scenarios import ScenarioSpec, prepare_spec
 from repro.storage.crash import CrashState, recover_durable_blocks
 from repro.storage import device as device_module
@@ -93,7 +93,7 @@ class TestCost:
         # ``--continue`` extends the cell's in-line verdicts; a fresh probe
         # and judge per point folded 23,091 entries at calls=20 and 90,191
         # at calls=40 (3.9x for twice the run).
-        judge = partial(recovery_judge, plan=ContinuationPlan(calls=4))
+        judge = partial(recovery_judge, calls=4)
         folds = [
             explore(bfs_sync_loop(calls), strategy="exhaustive", judge=judge).folds
             for calls in (20, 40)

@@ -25,7 +25,7 @@ from repro.crashlab import (
     verify_points,
 )
 from repro.experiments.runner import check_main
-from repro.recovery import ContinuationPlan, recovery_judge
+from repro.recovery import recovery_judge
 from repro.scenarios import ScenarioSpec, prepare_spec
 from repro.trace import Tracer
 
@@ -119,7 +119,7 @@ class TestEquivalence:
             spec_for(mode, faults=faults, calls=6)
             for mode in ("in-order-recovery", "plp")
         ]
-        judge = partial(recovery_judge, plan=ContinuationPlan(calls=4))
+        judge = partial(recovery_judge, calls=4)
         report = assert_equivalent(
             monkeypatch, *specs, strategy="stratified", points=8, judge=judge, jobs=2
         )

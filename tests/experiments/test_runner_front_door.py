@@ -68,6 +68,37 @@ def test_a_bad_param_value_is_a_usage_error(capsys, workload, key):
     assert f"{workload}: parameter {key!r} expects" in capsys.readouterr().err
 
 
+#: A str param outside its domain, and the usage error it gets.
+SYNC_CALL_ERRORS = [
+    (["-c", "BFS-DR", "--param", "sync_call=bogus"],
+     "sync-loop: parameter 'sync_call' expects one of"),
+    (["-c", "BFS-DR", "--param", "sync_call=open"],
+     "sync-loop: parameter 'sync_call' expects one of"),
+    (["-c", "EXT4-DR", "--param", "sync_call=fbarrier"],
+     "sync-loop: the ext4 filesystem has no fbarrier() call"),
+]
+OUT_OF_DOMAIN = [
+    (command, ["-w", "sync-loop", "--param", "calls=2", *argv], message)
+    for command in COMMANDS
+    for argv, message in SYNC_CALL_ERRORS
+] + [
+    # check and trace refuse raw-block workloads before reading params.
+    ("sweep", ["-w", "blocklevel", "--param", "scenario=Q"],
+     "blocklevel: parameter 'scenario' expects one of ['XnF', 'X', 'B', 'P']"),
+]
+
+
+@pytest.mark.parametrize(
+    ("command", "argv", "message"), OUT_OF_DOMAIN,
+    ids=[f"{command} {argv[-1]}" for command, argv, _ in OUT_OF_DOMAIN],
+)
+def test_a_param_outside_its_domain_is_a_usage_error(capsys, command, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        COMMANDS[command](argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 #: A list-valued measured-phase param per workload: argv, key, values.
 LIST_SWEEPS = {
     "sync-loop": (["-w", "sync-loop", "--param", "calls=[10,20,40]"], "calls", [10, 20, 40]),
@@ -160,9 +191,9 @@ FLAGS = {
         "--metrics --output --param --scale --seed --workload -c -d -h -w"
     ),
     "check": (
-        "--barrier-mode --config --continuation-calls --continuation-pages "
+        "--barrier-mode --config --continuation-calls "
         "--continue --device --fault --format --help --jobs --list "
-        "--max-sync-retries --on-error --output --param --points --scale --seed "
+        "--output --param --points --scale --seed "
         "--strategy --trace-tail --workload -c -d -h -j -w"
     ),
 }

@@ -154,7 +154,7 @@ class TestModeInteractions:
         # after its completion the honest device is clean, the lying one
         # still holds transferred-but-volatile pages.
         def dirty_after_flush(faults):
-            from repro.block import BlockDevice, BlockDeviceConfig
+            from repro.block import BlockDevice
             from repro.simulation import Simulator
             from repro.storage import StorageDevice, get_profile
 
@@ -162,9 +162,7 @@ class TestModeInteractions:
             device = StorageDevice(sim, get_profile("plain-ssd"))
             if faults:
                 FaultInjector(faults, seed=0).install(device)
-            block = BlockDevice(
-                sim, device, BlockDeviceConfig(order_preserving=False)
-            )
+            block = BlockDevice(sim, device, order_preserving=False)
 
             def host():
                 for index in range(4):

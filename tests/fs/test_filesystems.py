@@ -9,8 +9,11 @@ from repro.core.verification import (
     journal_transactions,
     recovered_transactions,
 )
-from repro.fs import JournalMode
+from repro.block import BlockDevice
+from repro.fs import BarrierFS
 from repro.fs.mount import MountOptions
+from repro.simulation import Simulator
+from repro.storage import StorageDevice, get_profile
 from repro.storage.crash import recover_durable_blocks
 
 
@@ -149,23 +152,6 @@ class TestExt4:
         run(stack, proc())
         assert stack.device.stats.fua_writes == 1
 
-    def test_data_journal_mode_routes_data_through_journal(self):
-        stack = build_stack(
-            standard_config("EXT4-DR", journal_mode=JournalMode.DATA)
-        )
-        stack.record_history()
-        fs = stack.fs
-
-        def proc():
-            handle = fs.create("a.db")
-            fs.write(handle, 2)
-            yield from fs.fsync(handle)
-            return None
-
-        run(stack, proc())
-        committed = fs.journal.history[-1]
-        assert committed.journaled_data
-
     def test_sequential_fsyncs_commit_in_order(self):
         stack = make("EXT4-DR")
         stack.record_history()
@@ -302,8 +288,11 @@ class TestBarrierFS:
         assert conflicts >= 1
 
     def test_requires_order_preserving_block_layer(self):
-        with pytest.raises(ValueError):
-            build_stack(standard_config("BFS-DR", barrier_enabled=False))
+        sim = Simulator()
+        device = StorageDevice(sim, get_profile("plain-ssd"))
+        legacy = BlockDevice(sim, device, order_preserving=False)
+        with pytest.raises(ValueError, match="order-preserving"):
+            BarrierFS(sim, legacy)
 
     def test_journal_recovery_invariants_after_crash(self):
         stack = make("BFS-OD")
@@ -322,7 +311,6 @@ class TestBarrierFS:
         run(stack, proc())
         stack.device.power_off()
         probe = CrashProbe.from_stack(recover_durable_blocks(stack.device), stack)
-        assert fs.options.journal_mode is JournalMode.ORDERED
         ORACLES["journal-recovery"].verify(probe)
         assert recovered_transactions(probe.state, probe.transactions)
 
@@ -413,7 +401,5 @@ class TestOptFS:
 
 class TestMountOptions:
     def test_invalid_options_rejected(self):
-        with pytest.raises(ValueError):
-            MountOptions(timestamp_granularity=-1)
-        with pytest.raises(ValueError):
-            MountOptions(metadata_buffers_per_allocation=0)
+        with pytest.raises(ValueError, match="errors="):
+            MountOptions(errors="ignore")

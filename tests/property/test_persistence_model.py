@@ -24,6 +24,7 @@ from repro.core import ORACLES, CrashProbe, VerificationError, build_stack, stan
 from repro.storage import BarrierMode
 from repro.storage.command import WrittenBlock
 from repro.storage.crash import recover_durable_blocks
+from repro.storage.device import MAX_DIRTY_AGE
 
 PREFIX_ORACLES = ("epoch-prefix", "storage-order-prefix")
 GUARANTEED = [mode for mode in MODES if BarrierMode(mode).orders_persistence]
@@ -84,7 +85,7 @@ def run_plan(plan, mode: str, seed: int) -> int:
             lba += pages
             yield sim.timeout(30)
         yield from block.drain()
-        yield sim.timeout(2 * device.max_dirty_age)  # the flusher drains the rest
+        yield sim.timeout(2 * MAX_DIRTY_AGE)  # the flusher drains the rest
 
     boundaries = 0
 

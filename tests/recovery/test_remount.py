@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.verification import CrashProbe
 from repro.recovery import (
-    ContinuationPlan,
     capture_image,
     continuation_file,
     remount,
@@ -143,8 +142,7 @@ class TestContinuation:
     def test_continuation_appends_and_acks_on_the_remounted_stack(self):
         probe = crashed_probe(SPEC, calls=2)
         stack = remount(capture_image(probe), SPEC)
-        plan = ContinuationPlan(calls=4)
-        outcome = run_continuation(stack, SPEC, plan)
+        outcome = run_continuation(stack, SPEC, 4)
         assert outcome == {"completed": 4, "error": None}
         # Power is already cut; the continuation's acks must have survived.
         state = recover_durable_blocks(stack.device)
@@ -163,12 +161,10 @@ class TestContinuation:
         probe = crashed_probe(SPEC, calls=2)  # crash run itself fault-free
         stack = remount(capture_image(probe), spec)
         assert stack.device.fault_injector is not None
-        outcome = run_continuation(stack, spec, ContinuationPlan(calls=4))
+        outcome = run_continuation(stack, spec, 4)
         assert outcome["completed"] < 4
         assert outcome["error"] in ("EIOError", "ReadOnlyFSError")
 
-    def test_plan_validation(self):
+    def test_a_continuation_needs_a_call(self):
         with pytest.raises(ValueError):
-            ContinuationPlan(calls=0)
-        with pytest.raises(ValueError):
-            ContinuationPlan(on_error="ignore")
+            run_continuation(build_spec_stack(SPEC), SPEC, 0)

@@ -68,6 +68,13 @@ class TestProtocolUniformity:
         with pytest.raises(ValueError, match=r"unknown parameters \['insrts'\]"):
             sqlite_class(insrts=5)
 
+    def test_a_sync_call_the_filesystem_lacks_is_refused_before_running(self):
+        spec = ScenarioSpec(
+            workload="sync-loop", config="OptFS", params={"sync_call": "fdatabarrier"}
+        )
+        with pytest.raises(ValueError, match=r"the optfs filesystem has no fdatabarrier\(\)"):
+            prepare_spec(spec)
+
     def test_stackless_workloads_get_device_not_stack(self):
         workload = prepare_spec(SMALL_SPECS["blocklevel"])
         assert workload.stack is None

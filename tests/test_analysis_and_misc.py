@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.analysis.measure import measure_sync_latency, queue_depth_trace
-from repro.block import BlockDevice, BlockDeviceConfig
+from repro.analysis.measure import measure_sync_latency
+from repro.block import BlockDevice
 from repro.core import build_stack, standard_config
 from repro.core.stack import StackConfig
 from repro.fs.journal.transaction import JournalTransaction, TransactionState
@@ -50,18 +50,18 @@ class TestAnalysisHelpers:
         assert result.ops_per_second == 0
         assert result.extra["stopped_by"] == "EIOError"
 
-    def test_queue_depth_trace_requires_tracking(self):
+    def test_queue_depth_series_is_off_unless_tracked(self):
         stack = build_stack(standard_config("EXT4-DR"))
-        with pytest.raises(ValueError):
-            queue_depth_trace(stack)
+        measure_sync_latency(stack, calls=5, sync_call="fsync")
+        assert stack.device.queue_depth_series is None
 
-    def test_queue_depth_trace_available_when_tracked(self):
+    def test_queue_depth_series_available_when_tracked(self):
         from dataclasses import replace
 
         config = replace(standard_config("BFS-DR"), track_queue_depth=True)
         stack = build_stack(config)
         measure_sync_latency(stack, calls=5, sync_call="fsync")
-        trace = queue_depth_trace(stack)
+        trace = stack.device.queue_depth_series
         assert len(trace) > 0
         assert trace.maximum >= 1
 
@@ -70,7 +70,7 @@ class TestConfigurationCorners:
     def test_busy_device_dispatch_waits_for_slot(self):
         sim = Simulator()
         device = StorageDevice(sim, get_profile("ufs"), barrier_mode=BarrierMode.NONE)
-        block = BlockDevice(sim, device, BlockDeviceConfig(order_preserving=False))
+        block = BlockDevice(sim, device, order_preserving=False)
 
         def host():
             # Non-contiguous LBAs so the scheduler cannot merge them away.
@@ -93,6 +93,17 @@ class TestConfigurationCorners:
         assert default_barrier_mode(get_profile("supercap-ssd")) is BarrierMode.PLP
         assert default_barrier_mode(get_profile("plain-ssd")) is BarrierMode.IN_ORDER_RECOVERY
         assert default_barrier_mode(get_profile("HDD")) is BarrierMode.NONE
+
+    def test_legacy_default_barrier_mode_keeps_only_plp(self):
+        # Power-loss protection is hardware: the legacy stack keeps it.
+        def legacy(name):
+            return default_barrier_mode(get_profile(name), order_preserving=False)
+
+        assert legacy("supercap-ssd") is BarrierMode.PLP
+        assert legacy("plain-ssd") is BarrierMode.NONE
+        assert legacy("ufs") is BarrierMode.NONE
+        assert build_stack(standard_config("EXT4-DR", "supercap-ssd")).device.barrier_mode is BarrierMode.PLP
+        assert build_stack(standard_config("EXT4-DR", "ufs")).device.barrier_mode is BarrierMode.NONE
 
 
 class TestTransactionLifecycle:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.scenarios.engine import run_spec_traced
+from repro.scenarios.engine import run_spec
 from repro.scenarios.spec import ScenarioSpec
 from repro.trace import (
     LAYERS,
@@ -13,7 +13,6 @@ from repro.trace import (
     Tracer,
     breakdown_result,
     chrome_trace,
-    write_chrome_trace,
 )
 from repro.trace.export import BREAKDOWN_STAGES
 
@@ -24,7 +23,7 @@ def traced_run(workload="sync-loop", config="BFS-DR", mode="in-order-writeback")
         barrier_mode=mode, scale=0.1,
     )
     tracer = Tracer()
-    run_spec_traced(spec, tracer)
+    run_spec(spec, tracer=tracer)
     return tracer
 
 
@@ -58,12 +57,13 @@ class TestChromeTrace:
         assert document["otherData"] == {"droppedSpans": 7}
         assert "otherData" not in chrome_trace([], dropped=0)
 
-    def test_write_round_trips_through_json(self, tmp_path):
+    def test_document_round_trips_through_json(self):
         tracer = traced_run()
-        path = tmp_path / "trace.json"
-        count = write_chrome_trace(tracer, str(path), label="round-trip")
-        assert count == len(tracer.spans) > 0
-        document = json.loads(path.read_text())
+        count = len(tracer.spans)
+        assert count > 0
+        document = json.loads(json.dumps(chrome_trace(
+            tracer.spans, label="round-trip", dropped=tracer.spans.dropped
+        )))
         complete = [e for e in document["traceEvents"] if e["ph"] == "X"]
         assert len(complete) == count
         lanes = {i + 1 for i in range(len(LAYERS))}

@@ -17,7 +17,7 @@ The properties pinned here are the tentpole guarantees of ``repro.trace``:
 
 import pytest
 
-from repro.scenarios.engine import run_spec, run_spec_traced
+from repro.scenarios.engine import run_spec
 from repro.scenarios.spec import ScenarioSpec
 from repro.simulation.stats import percentile
 from repro.trace import LAYERS, Tracer, chrome_trace
@@ -65,7 +65,7 @@ class TestBitIdentity:
         spec = make_spec(workload, config, mode)
         untraced = run_spec(spec)
         tracer = Tracer()
-        traced = run_spec_traced(spec, tracer)
+        traced = run_spec(spec, tracer=tracer)
         assert fingerprint(traced.result) == fingerprint(untraced.result)
         assert len(tracer.spans) > 0
         assert len(tracer.contexts) > 0
@@ -76,7 +76,7 @@ class TestWellFormedness:
     @pytest.mark.parametrize("config,mode", CELLS)
     def test_span_tree_is_well_formed(self, workload, config, mode):
         tracer = Tracer()
-        run_spec_traced(make_spec(workload, config, mode), tracer)
+        run_spec(make_spec(workload, config, mode), tracer=tracer)
 
         # Every syscall journey closed, with a telescoping decomposition.
         assert tracer.contexts, "workload issued no traced syscalls"
@@ -105,14 +105,14 @@ class TestWellFormedness:
 
     def test_fs_spans_cover_every_journey(self):
         tracer = Tracer()
-        run_spec_traced(make_spec(), tracer)
+        run_spec(make_spec(), tracer=tracer)
         fs_ctx = {span.ctx for span in tracer.spans
                   if span.layer == "fs" and not span.detail.get("nested")}
         assert fs_ctx == {ctx.ctx_id for ctx in tracer.contexts}
 
     def test_bounded_buffer_drops_oldest_but_keeps_counting(self):
         tracer = Tracer(buffer_size=16)
-        run_spec_traced(make_spec(), tracer)
+        run_spec(make_spec(), tracer=tracer)
         assert len(tracer.spans) == 16
         assert tracer.spans.dropped > 0
         tail = tracer.trace_tail(4)
@@ -128,7 +128,7 @@ class TestDeterminism:
         # this process (the --jobs 1 vs --jobs 4 property).
         spec = make_spec()
         first = Tracer()
-        run_spec_traced(spec, first)
+        run_spec(spec, tracer=first)
         doc_first = chrome_trace(first.spans, dropped=first.spans.dropped)
 
         # Shift every process-global id counter with unrelated runs.
@@ -136,7 +136,7 @@ class TestDeterminism:
         run_spec(make_spec("sync-loop", "BFS-DR", "transactional"))
 
         second = Tracer()
-        run_spec_traced(spec, second)
+        run_spec(spec, tracer=second)
         doc_second = chrome_trace(second.spans, dropped=second.spans.dropped)
         assert doc_first == doc_second
 
@@ -250,7 +250,7 @@ class TestInstallation:
 class TestMetrics:
     def test_streaming_metrics_match_the_span_stream(self):
         tracer = Tracer()
-        run_spec_traced(make_spec(), tracer)
+        run_spec(make_spec(), tracer=tracer)
         metrics = tracer.metrics
         per_layer = {}
         for span in tracer.spans:
@@ -275,7 +275,7 @@ class TestMetrics:
 
     def test_metrics_result_table_shape(self):
         tracer = Tracer()
-        run_spec_traced(make_spec(), tracer)
+        run_spec(make_spec(), tracer=tracer)
         result = tracer.metrics.result()
         assert result.name == "trace-metrics"
         assert result.columns[:2] == ("span", "count")
